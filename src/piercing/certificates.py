@@ -14,12 +14,18 @@ import math
 import random
 import statistics
 
-from .bodies import Family, float_bbox, intersection_graph
+from .bodies import Family, intersection_graph
 from .errors import VerificationFailed
 from .radicals import Radical
 
 _U = 2.0 ** -53  # unit roundoff of a double
 _TINY = 1e-300  # covers the absolute error of conversions that underflow
+
+
+def _ratio(n, d):
+    """(x, e): the float n / d of two ints and its error bound u|x|."""
+    x = n / d
+    return x, _U * abs(x) + _TINY
 
 
 def _float_coord(v):
@@ -38,8 +44,7 @@ def _float_coord(v):
             x += t
             mag += abs(t)
         return x, 2 * (len(v.terms) + 3) * _U * mag + _TINY
-    x = v.numerator / v.denominator
-    return x, _U * abs(x) + _TINY
+    return _ratio(v.numerator, v.denominator)
 
 
 def _float_points(points):
@@ -56,16 +61,63 @@ def _float_points(points):
     return xs, exs, ys, eys
 
 
+def _float_image(a, s, tn, td):
+    """(x, e) for a*s + tn/td, with a and s rational and tn, td ints: one
+    int / int division and no Fraction arithmetic."""
+    ad, sd = a.denominator, s.denominator
+    return _ratio(a.numerator * s.numerator * td + tn * ad * sd, ad * sd * td)
+
+
+def _float_members(f: Family, indices):
+    """The one float pass over the checked members: (x, ex, y, ey, size)
+    per index, in the order of indices.
+
+    (x, y) is the member's image s*a + t of the base anchor a (the centre
+    of a disk, else the low corner of the base's bounding box) and ex, ey
+    bound its error; size is the member's radius for disks, else its
+    scale.  Translates read t from Family.scaled_translations() when its
+    columns hold ints.
+    """
+    base = f.base
+    disk = base.kind == "disk"
+    ax, ay = (base.center.x, base.center.y) if disk else [iv.lo for iv in base.bbox()[:2]]
+    radius = base.radius if disk else 1
+    scaled = f.scaled_translations()
+    if scaled is not None and all(type(v) is int for col in scaled[1][:2] for v in col):
+        # _float_image(a, 1, X, D) with its constants hoisted
+        D, (xs, ys) = scaled[0], scaled[1][:2]
+        (px, qx, dx), (py, qy, dy) = [(v.numerator * D, v.denominator, v.denominator * D)
+                                      for v in (ax, ay)]
+        size = _float_image(radius, 1, 0, 1)[0]
+        return [_ratio(px + xs[i] * qx, dx) + _ratio(py + ys[i] * qy, dy) + (size,)
+                for i in indices]
+    out = []
+    for i in indices:
+        m = f.members[i]
+        tx, ty = (m.t.x, m.t.y) if base.kind != "box" else m.t[:2]
+        out.append(_float_image(ax, m.s, tx.numerator, tx.denominator)
+                   + _float_image(ay, m.s, ty.numerator, ty.denominator)
+                   + (_float_image(radius, m.s, 0, 1)[0],))
+    return out
+
+
 def _disk_screen(body, fpts):
-    """k -> True/False where floats decide body contains point k, else None.
+    """k -> True/False where floats decide the realized disk body contains
+    point k, else None."""
+    (cx, ecx), (cy, ecy) = _float_coord(body.center.x), _float_coord(body.center.y)
+    return _float_disk_screen((cx, ecx, cy, ecy, _float_coord(body.radius)[0]), fpts)
+
+
+def _float_disk_screen(fdisk, fpts):
+    """k -> True/False where floats decide that the disk contains point k,
+    else None; fdisk is (cx, ecx, cy, ecy, r) as _float_members gives it.
 
     The float gap |p - c|^2 - r^2 is within tol of the exact one: each
     difference carries the point's own error, the centre's conversion
     error and one rounding; squaring, summing and subtracting r^2 add a
     few ulps of ax^2 + ay^2 + r^2, with ax = |px| + |cx|.
     """
-    (cx, ecx), (cy, ecy) = _float_coord(body.center.x), _float_coord(body.center.y)
-    r = _float_coord(body.radius)[0]
+    cx, ecx, cy, ecy, r = fdisk
     rr = r * r
 
     xs, exs, ys, eys = fpts
@@ -90,27 +142,34 @@ def _disk_screen(body, fpts):
     return screen
 
 
-def _point_grid(f: Family, indices, fpts):
-    """candidates(i) for i in indices: the points in the grid cells that
-    member i's bounding box, padded, overlaps.  Only prunes."""
-    box = float_bbox(f)
-    boxes = {}
-    for i in indices:
-        b = box(i)
-        dim = len(b) // 2
+def _point_grid(f: Family, fmembers, fpts):
+    """candidates(fm): the points in the grid cells that the bounding box
+    of the member with float pass entry fm, padded, overlaps.  Only
+    prunes."""
+    base = f.base
+    if base.kind == "disk":
+        offsets = [(-1.0, 1.0)] * 2
+    else:
+        offsets = [(0.0, float(iv.hi - iv.lo)) for iv in base.bbox()[:2]]
+    (xlo, xhi), (ylo, yhi) = offsets
+
+    def box(fm):
+        x, _, y, _, size = fm
+        b = (x + size * xlo, x + size * xhi, y + size * ylo, y + size * yhi)
         pad = 1e-9 * max(1.0, max(map(abs, b)))
-        boxes[i] = [(b[k] - pad, b[dim + k] + pad) for k in range(2)]
-    widths = [max(hi - lo for lo, hi in b) for b in boxes.values()]
+        return b[0] - pad, b[1] + pad, b[2] - pad, b[3] + pad
+
+    widths = [max(b[1] - b[0], b[3] - b[2]) for b in map(box, fmembers)]
     cell = (statistics.median(widths) if widths else 0.0) or 1.0
     grid = {}
     for k, (x, y) in enumerate(zip(fpts[0], fpts[2])):
         grid.setdefault((math.floor(x / cell), math.floor(y / cell)), []).append(k)
 
-    def candidates(i):
-        (xlo, xhi), (ylo, yhi) = boxes[i]
+    def candidates(fm):
+        bxlo, bxhi, bylo, byhi = box(fm)
         out = []
-        for cx in range(math.floor(xlo / cell), math.floor(xhi / cell) + 1):
-            for cy in range(math.floor(ylo / cell), math.floor(yhi / cell) + 1):
+        for cx in range(math.floor(bxlo / cell), math.floor(bxhi / cell) + 1):
+            for cy in range(math.floor(bylo / cell), math.floor(byhi / cell) + 1):
                 out.extend(grid.get((cx, cy), ()))
         return out
 
@@ -150,19 +209,22 @@ class PierceCertificate:
         if sample is not None and sample < n:
             indices = random.Random(seed).sample(range(n), sample)
         fpts = _float_points(self.points)
-        candidates = _point_grid(f, indices, fpts)
-        for i in indices:
-            body = f.realize(i)
-            screen = _disk_screen(body, fpts) if f.base.kind == "disk" else None
-            for k in candidates(i):
+        fmembers = _float_members(f, indices)
+        candidates = _point_grid(f, fmembers, fpts)
+        disk = f.base.kind == "disk"
+        for i, fm in zip(indices, fmembers):
+            # a member is realized only where floats leave the answer open
+            screen = _float_disk_screen(fm, fpts) if disk else None
+            for k in candidates(fm):
                 inside = screen(k) if screen else None
                 if inside is None:
-                    inside = body.contains(self.points[k])
+                    inside = f.realize(i).contains(self.points[k])
                 if inside:
                     break
             else:
                 # the grid can only prune; fall back to the full scan before
                 # declaring failure
+                body = f.realize(i)
                 if not any(body.contains(p) for p in self.points):
                     raise VerificationFailed("member %d contains no piercing point" % i)
         if not self.witness:

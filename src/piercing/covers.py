@@ -13,7 +13,7 @@ import itertools
 
 from .bodies import BoxBody, DiskBody, PolygonBody
 from .circles import Conic, CoverageCheck
-from .errors import NotCentrallySymmetric, VerificationFailed
+from .errors import ConstructionFailed, NotCentrallySymmetric, VerificationFailed
 from .geom import (
     ConvexPolygon,
     Point,
@@ -62,6 +62,13 @@ def _cached(key, build):
         got = build()
         _pattern_cache[key] = got
     return got
+
+
+def _capped(pat: CoverPattern, size: int) -> CoverPattern:
+    """pat, checked to have at most the size its construction promises."""
+    if pat.size > size:
+        raise ConstructionFailed("pattern has %d offsets, more than %d" % (pat.size, size))
+    return pat
 
 
 def _poly_key(poly: ConvexPolygon):
@@ -422,9 +429,7 @@ def homothet_cover(body) -> CoverPattern:
         return disk_seven_cover(body.radius)
     poly = body.polygon
     if poly.is_centrally_symmetric() is not None:
-        pat = seven_cover(poly)
-        assert pat.size <= 7
-        return pat
+        return _capped(seven_cover(poly), 7)
     if len(poly.vertices) == 3:
         def build():
             canon = _cached(("diff12-canon",), _build_canonical_triangle_diff)
@@ -436,9 +441,7 @@ def homothet_cover(body) -> CoverPattern:
             return CoverPattern("diff", "polygon", offsets,
                                 data={"body": cover, "region": list(diff.vertices)})
 
-        pat = _cached(("diff12", _poly_key(poly)), build)
-        assert pat.size <= 12
-        return pat
+        return _capped(_cached(("diff12", _poly_key(poly)), build), 12)
     return _general_polygon_cover(poly)
 
 
@@ -466,11 +469,10 @@ def _general_polygon_cover(poly: ConvexPolygon) -> CoverPattern:
         offsets = [g + pc - ref for g in cells]
         diff = minkowski_sum(poly, reflect(poly))
         _verify_polygon_pattern(list(diff.vertices), cover, offsets)
-        assert len(offsets) <= 16
         return CoverPattern("diff", "polygon", offsets,
                             data={"body": cover, "region": list(diff.vertices)})
 
-    return _cached(("gen16", _poly_key(poly)), build)
+    return _capped(_cached(("gen16", _poly_key(poly)), build), 16)
 
 
 def translate_cluster_cover(body) -> CoverPattern:
@@ -485,13 +487,9 @@ def translate_cluster_cover(body) -> CoverPattern:
         return disk_half_cover(body.radius)
     poly = body.polygon
     if poly.is_centrally_symmetric() is not None:
-        pat = halfplane_four_cover(poly, DOWN)
-        assert pat.size <= 4
-        return pat
+        return _capped(halfplane_four_cover(poly, DOWN), 4)
     if len(poly.vertices) == 3:
-        pat = triangle_trapezoid_cover(poly)
-        assert pat.size <= 5
-        return pat
+        return _capped(triangle_trapezoid_cover(poly), 5)
     raise VerificationFailed("no halfplane pattern for this base")
 
 

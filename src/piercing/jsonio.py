@@ -10,9 +10,9 @@ import json
 
 from .bodies import BoxBody, DiskBody, Family, Member, PolygonBody
 from .certificates import PierceCertificate
-from .errors import ParseError
+from .errors import DegenerateInput, ParseError
 from .geom import ConvexPolygon, Point
-from .radicals import RadPoint, Radical
+from .radicals import RadPoint, Radical, canonical_radicands
 
 
 def _num(x) -> Fraction:
@@ -33,14 +33,112 @@ def _num_out(q: Fraction):
     return int(q) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 
-def _point(obj) -> Point:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise ParseError("point must be a pair")
-    return Point(_num(obj[0]), _num(obj[1]))
-
-
 def _point_out(p: Point):
     return [_num_out(p.x), _num_out(p.y)]
+
+
+def _radical_sum(terms) -> Radical:
+    """The sum of c * sqrt(m) over (m, c) pairs, through Radical's own
+    arithmetic: the one canonicaliser."""
+    out = Radical()
+    for m, c in terms:
+        out = out + Radical.sqrt(m) * c
+    return out
+
+
+class _Reader:
+    """Reads one document.  Rationals are memoised by their JSON value and
+    the canonical-form verdict by radicand tuple; both memos live only as
+    long as the document, so no work carries over from one file to the
+    next."""
+
+    def __init__(self):
+        self._nums = {}
+        self._canonical = {}
+
+    def num(self, x) -> Fraction:
+        # exact type test: True and 1.0 hash like 1 and must not hit the memo
+        if type(x) is str or type(x) is int:
+            q = self._nums.get(x)
+            if q is None:
+                q = self._nums[x] = _num(x)
+            return q
+        return _num(x)
+
+    def point(self, obj) -> Point:
+        if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+            raise ParseError("point must be a pair")
+        return Point(self.num(obj[0]), self.num(obj[1]))
+
+    def radical(self, obj) -> Radical:
+        """A Radical from [[m, c], ...] terms.  Canonical terms are taken as
+        they are; any other list goes through Radical's own arithmetic, the
+        one canonicaliser."""
+        terms = []
+        for m, c in obj:
+            if type(m) is not int or m < 0:
+                raise ParseError("radicand must be a nonnegative integer, got %r" % (m,))
+            terms.append((m, self.num(c)))
+        ms = tuple(m for m, _ in terms)
+        canonical = self._canonical.get(ms)
+        if canonical is None:
+            canonical = self._canonical[ms] = canonical_radicands(ms)
+        if canonical:
+            return Radical({m: c for m, c in terms if c})
+        return _radical_sum(terms)
+
+    def pierce_point(self, obj, box_dim=None):
+        kind = obj.get("kind", "rational")
+        if kind == "radical":
+            return RadPoint(self.radical(obj["x"]), self.radical(obj["y"]))
+        xy = obj["xy"]
+        if box_dim is not None:
+            return tuple(self.num(v) for v in xy)
+        return Point(self.num(xy[0]), self.num(xy[1]))
+
+    def body(self, obj):
+        try:
+            kind = obj["type"]
+        except (TypeError, KeyError) as e:
+            raise ParseError("body needs a type") from e
+        if kind == "polygon":
+            verts = [self.point(v) for v in obj.get("vertices", [])]
+            if len(verts) < 3:
+                raise ParseError("polygon needs at least 3 vertices")
+            ref = obj.get("reference_point")
+            return PolygonBody(ConvexPolygon(verts), self.point(ref) if ref else None)
+        if kind == "disk":
+            return DiskBody(self.point(obj["center"]), self.num(obj["radius"]))
+        if kind == "box":
+            sides = [self.num(v) for v in obj["side_lengths"]]
+            dim = int(obj.get("dim", len(sides)))
+            if dim != len(sides):
+                raise ParseError("box dim mismatch")
+            mins = obj.get("min_corner")
+            mins = [self.num(v) for v in mins] if mins else [0] * dim
+            return BoxBody(mins, sides)
+        raise ParseError("unknown body type %r" % kind)
+
+    def family(self, obj) -> Family:
+        try:
+            base = self.body(obj["base"])
+            kind = obj.get("kind", "translates")
+            members = []
+            for m in obj["members"]:
+                t = m["t"]
+                if base.kind == "box":
+                    tv = tuple(self.num(v) for v in t)
+                else:
+                    tv = self.point(t)
+                members.append(Member(tv, self.num(m.get("s", 1))))
+        except ParseError:
+            raise
+        except Exception as e:
+            raise ParseError("bad instance: %s" % e) from e
+        try:
+            return Family(base, members, kind)
+        except DegenerateInput as e:
+            raise ParseError(str(e)) from e
 
 
 def body_to_json(body):
@@ -67,27 +165,7 @@ def body_to_json(body):
 
 
 def body_from_json(obj):
-    try:
-        kind = obj["type"]
-    except (TypeError, KeyError) as e:
-        raise ParseError("body needs a type") from e
-    if kind == "polygon":
-        verts = [_point(v) for v in obj.get("vertices", [])]
-        if len(verts) < 3:
-            raise ParseError("polygon needs at least 3 vertices")
-        ref = obj.get("reference_point")
-        return PolygonBody(ConvexPolygon(verts), _point(ref) if ref else None)
-    if kind == "disk":
-        return DiskBody(_point(obj["center"]), _num(obj["radius"]))
-    if kind == "box":
-        sides = [_num(v) for v in obj["side_lengths"]]
-        dim = int(obj.get("dim", len(sides)))
-        if dim != len(sides):
-            raise ParseError("box dim mismatch")
-        mins = obj.get("min_corner")
-        mins = [_num(v) for v in mins] if mins else [0] * dim
-        return BoxBody(mins, sides)
-    raise ParseError("unknown body type %r" % kind)
+    return _Reader().body(obj)
 
 
 def family_to_json(f: Family) -> dict:
@@ -105,38 +183,11 @@ def family_to_json(f: Family) -> dict:
 
 
 def family_from_json(obj) -> Family:
-    try:
-        base = body_from_json(obj["base"])
-        kind = obj.get("kind", "translates")
-        members = []
-        for m in obj["members"]:
-            t = m["t"]
-            if base.kind == "box":
-                tv = tuple(_num(v) for v in t)
-            else:
-                tv = _point(t)
-            members.append(Member(tv, _num(m.get("s", 1))))
-    except ParseError:
-        raise
-    except Exception as e:
-        raise ParseError("bad instance: %s" % e) from e
-    from .errors import DegenerateInput
-
-    try:
-        return Family(base, members, kind)
-    except DegenerateInput as e:
-        raise ParseError(str(e)) from e
+    return _Reader().family(obj)
 
 
 def _radical_out(r: Radical):
     return [[m, _num_out(c)] for m, c in sorted(r.terms.items())]
-
-
-def _radical_in(obj) -> Radical:
-    out = Radical()
-    for m, c in obj:
-        out = out + Radical.sqrt(int(m)) * _num(c)
-    return out
 
 
 def point_to_json(p):
@@ -147,16 +198,6 @@ def point_to_json(p):
             return {"kind": "rational", "xy": [_num_out(p.x.as_fraction()), _num_out(p.y.as_fraction())]}
         return {"kind": "radical", "x": _radical_out(p.x), "y": _radical_out(p.y)}
     return {"kind": "rational", "xy": [_num_out(v) for v in p]}  # box tuple
-
-
-def point_from_json(obj, box_dim=None):
-    kind = obj.get("kind", "rational")
-    if kind == "radical":
-        return RadPoint(_radical_in(obj["x"]), _radical_in(obj["y"]))
-    xy = obj["xy"]
-    if box_dim is not None:
-        return tuple(_num(v) for v in xy)
-    return Point(_num(xy[0]), _num(xy[1]))
 
 
 def certificate_to_json(cert: PierceCertificate, f: Family) -> dict:
@@ -174,13 +215,22 @@ def certificate_to_json(cert: PierceCertificate, f: Family) -> dict:
     }
 
 
+def _index(i, n: int) -> int:
+    """A member index: an int in [0, n)."""
+    if type(i) is not int or not 0 <= i < n:
+        raise ParseError("member index %r outside 0..%d" % (i, n - 1))
+    return i
+
+
 def certificate_from_json(obj):
-    f = family_from_json(obj["instance"])
-    box_dim = f.base.dim if f.base.kind == "box" else None
+    rd = _Reader()
     try:
-        points = [point_from_json(p, box_dim) for p in obj["points"]]
-        clusters = [(int(s), [int(i) for i in m]) for s, m in obj.get("clusters", [])]
-        witness = [int(i) for i in obj["witness"]]
+        f = rd.family(obj["instance"])
+        n = len(f)
+        box_dim = f.base.dim if f.base.kind == "box" else None
+        points = [rd.pierce_point(p, box_dim) for p in obj["points"]]
+        clusters = [(_index(s, n), [_index(i, n) for i in m]) for s, m in obj.get("clusters", [])]
+        witness = [_index(i, n) for i in obj["witness"]]
         cert = PierceCertificate(
             obj.get("method", "unknown"), int(obj["factor"]), points, clusters, witness
         )
@@ -221,17 +271,18 @@ def verify_pattern_json(doc) -> bool:
     from .errors import VerificationFailed
     from .geom import ConvexPolygon, covers_region
 
+    rd = _Reader()
     kind = doc.get("base_kind")
     if kind == "polygon":
-        region = [_point(p) for p in doc["region"]]
-        cover = ConvexPolygon([_point(p) for p in doc["cover"]])
-        offsets = [point_from_json(p) for p in doc["offsets"]]
+        region = [rd.point(p) for p in doc["region"]]
+        cover = ConvexPolygon([rd.point(p) for p in doc["cover"]])
+        offsets = [rd.pierce_point(p) for p in doc["offsets"]]
         if not covers_region(region, [cover.translate(o) for o in offsets]):
             raise VerificationFailed("pattern residue is nonempty")
         return True
     if kind == "disk":
-        r = _num(doc["radius"])
-        offsets = [point_from_json(p) for p in doc["offsets"]]
+        r = rd.num(doc["radius"])
+        offsets = [rd.pierce_point(p) for p in doc["offsets"]]
         offsets = [RadPoint.of(p) if isinstance(p, Point) else p for p in offsets]
         if doc["region_kind"] == "diff":
             canonical = disk_seven_offsets(r)
@@ -245,8 +296,8 @@ def verify_pattern_json(doc) -> bool:
             raise VerificationFailed("disk offsets differ from the verified pattern")
         return True
     if kind == "box":
-        sides = tuple(_num(v) for v in doc["sides"])
-        offsets = [tuple(_num(v) for v in p["xy"]) for p in doc["offsets"]]
+        sides = tuple(rd.num(v) for v in doc["sides"])
+        offsets = [tuple(rd.num(v) for v in p["xy"]) for p in doc["offsets"]]
         _verify_box_pattern(sides, offsets, doc["region_kind"] == "diff_half")
         return True
     raise ParseError("unknown pattern kind %r" % kind)

@@ -10,6 +10,7 @@ on a canonical nonzero value.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 
 from .errors import PrecisionExhausted
@@ -37,6 +38,19 @@ def _reduce_radicand(m: int):
             m //= s
             f *= isqrt(s)
     return f, m
+
+
+def canonical_radicands(ms) -> bool:
+    """True when terms over the integer radicands ms are already in the
+    canonical form of Radical, so that {m: c} with nonzero c is their sum:
+    distinct positive radicands, each 1 or a non-square that
+    _reduce_radicand leaves alone, and no two in one square class."""
+    if len(set(ms)) != len(ms):
+        return False
+    for m in ms:
+        if m < 1 or (m > 1 and (sqrt_exact(m) is not None or _reduce_radicand(m) != (1, m))):
+            return False
+    return not any(sqrt_exact(k * m) is not None for k, m in combinations(ms, 2))
 
 
 class Radical:

@@ -14,7 +14,7 @@ exact rational arithmetic.
 from fractions import Fraction
 from math import ceil
 
-from .errors import NotCentrallySymmetric, NotHexagon, SearchFailed
+from .errors import NotCentrallySymmetric, NotHexagon, SearchFailed, VerificationFailed
 from .geom import ConvexPolygon, Point, clip_chain, frac
 
 _UNIFORM_DIRS = 64
@@ -244,7 +244,8 @@ def sandwich_parallelograms(c: ConvexPolygon, max_exact: int = 16) -> SandwichPa
         center = (v[0] + v[2]) / 2
         p = Parallelogram(center, v[1] - v[0], v[3] - v[0])
         pair = SandwichPair(p, p, (1, 1), 0)
-        assert pair.verify(c)
+        if not pair.verify(c):
+            raise VerificationFailed("parallelogram sandwich pair does not verify")
         return pair
 
     dirs = _candidate_directions(c)
@@ -271,7 +272,8 @@ def sandwich_parallelograms(c: ConvexPolygon, max_exact: int = 16) -> SandwichPa
                     break
     if best is None or best.gamma > 6:
         raise SearchFailed("no direction pair reached gamma <= 6")
-    assert best.verify(c)
+    if not best.verify(c):
+        raise VerificationFailed("best sandwich pair does not verify")
     return best
 
 

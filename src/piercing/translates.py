@@ -33,6 +33,7 @@ from .errors import (
     CoverageNotVerified,
     NotHexagonBase,
     PackingNotVerified,
+    TooLarge,
     UnsupportedBase,
     VerificationFailed,
 )
@@ -607,8 +608,6 @@ def packing_lattice(s0: ConvexPolygon, cell_poly: ConvexPolygon, eps=Fraction(1,
 
 def union_area_exact(f: Family, limit: int = 15) -> Fraction:
     """Exact area of the union by inclusion-exclusion over convex intersections."""
-    from .errors import TooLarge
-
     n = len(f)
     if n > limit:
         raise TooLarge("union area limited to %d members" % limit)
@@ -691,8 +690,6 @@ def lattice_pierce(f: Family, lattice: LatticeSpec = None, seed: int = 0,
         lattice = covering_lattice(s0, h_in0)
     elif lattice.role != "covering":
         raise CoverageNotVerified("lattice_pierce needs a covering lattice")
-    from .errors import TooLarge
-
     area_upper = None
     try:
         area = union_area_exact(f)
@@ -755,7 +752,7 @@ def lattice_witness(f: Family, lattice: LatticeSpec = None, eps=Fraction(1, 64),
     try:
         area = union_area_exact(f)
         target = math.ceil(area / lattice.cell_area)
-    except Exception:
+    except TooLarge:
         target = None
     ix, iy = _union_bbox(f)
     bodies = f.bodies()

@@ -1,0 +1,176 @@
+import json
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+import pytest
+
+from piercing import covers, sandwich, translates
+from piercing.cli import main
+from piercing.errors import ConstructionFailed, ParseError, VerificationFailed
+from piercing.generators import hexagon_body, random_family, unit_square
+from piercing.jsonio import _radical_sum, _Reader
+
+
+def run(*argv):
+    return main(list(argv))
+
+
+@pytest.fixture(scope="module")
+def disk_cert(tmp_path_factory):
+    """A 30-disk certificate with radical points, as a parsed document."""
+    d = tmp_path_factory.mktemp("disks")
+    inst, cert = d / "disks.json", d / "cert.json"
+    assert run("gen", "random", "--base", "disk", "--n", "30", "--seed", "5",
+               "--out", str(inst)) == 0
+    assert run("pierce", str(inst), "--no-refine", "--out", str(cert)) == 0
+    doc = json.loads(cert.read_text())
+    assert any(p["kind"] == "radical" for p in doc["points"])
+    return doc
+
+
+def verify_doc(tmp_path, doc):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return run("verify", str(path))
+
+
+def test_unedited_certificate_verifies(tmp_path, disk_cert):
+    assert verify_doc(tmp_path, disk_cert) == 0
+
+
+@pytest.mark.parametrize("index", [999, 30, -1, True, 2.0, "3"])
+def test_witness_index_outside_family_is_a_parse_error(tmp_path, disk_cert, index):
+    doc = json.loads(json.dumps(disk_cert))
+    doc["witness"][0] = index
+    assert verify_doc(tmp_path, doc) == 2
+
+
+@pytest.mark.parametrize("index", [999, -1])
+def test_cluster_index_outside_family_is_a_parse_error(tmp_path, disk_cert, index):
+    doc = json.loads(json.dumps(disk_cert))
+    doc["clusters"][0][1].append(index)
+    assert verify_doc(tmp_path, doc) == 2
+    doc = json.loads(json.dumps(disk_cert))
+    doc["clusters"][0][0] = index
+    assert verify_doc(tmp_path, doc) == 2
+
+
+@pytest.mark.parametrize("key", ["instance", "points", "witness"])
+def test_missing_section_is_a_parse_error(tmp_path, disk_cert, key):
+    doc = json.loads(json.dumps(disk_cert))
+    del doc[key]
+    assert verify_doc(tmp_path, doc) == 2
+
+
+@pytest.mark.parametrize("radicand", [3.7, True, "3", -3, None])
+def test_inexact_radicand_is_a_parse_error(tmp_path, disk_cert, radicand):
+    doc = json.loads(json.dumps(disk_cert))
+    point = next(p for p in doc["points"] if p["kind"] == "radical")
+    coord = "x" if any(m == 3 for m, _ in point["x"]) else "y"
+    point[coord] = [[radicand if m == 3 else m, c] for m, c in point[coord]]
+    assert verify_doc(tmp_path, doc) == 2
+
+
+def test_non_canonical_terms_still_verify(tmp_path, disk_cert):
+    # sqrt(3) written as sqrt(12) / 2 and split in two: the same value
+    doc = json.loads(json.dumps(disk_cert))
+    for p in doc["points"]:
+        if p["kind"] == "radical":
+            for coord in ("x", "y"):
+                terms = []
+                for m, c in p[coord]:
+                    if m == 3:
+                        half = Fraction(c) / 4
+                        terms += [[12, str(half)], [12, str(half)]]
+                    else:
+                        terms.append([m, c])
+                p[coord] = terms
+    assert verify_doc(tmp_path, doc) == 0
+
+
+# k^2 * m puts many radicands in one square class; 37^2 and 41^2 are past
+# the small squares _reduce_radicand strips, so 2738 = 37^2 * 2 looks canonical
+_RADICANDS = st.one_of(
+    st.builds(lambda k, m: k * k * m, st.sampled_from([1, 2, 3, 37, 41]),
+              st.sampled_from([1, 2, 3, 5, 6])),
+    st.integers(0, 3000),
+)
+_COEFFS = st.one_of(
+    st.just(0),
+    st.integers(-50, 50),
+    st.fractions(max_denominator=40).map(lambda q: "%d/%d" % (q.numerator, q.denominator)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_RADICANDS, _COEFFS), max_size=5))
+def test_radical_reader_matches_radical_arithmetic(terms):
+    got = _Reader().radical([list(t) for t in terms])
+    want = _radical_sum((m, Fraction(c)) for m, c in terms)
+    assert got.terms == want.terms
+
+
+def test_radical_reader_memo_keeps_verdicts_apart():
+    rd = _Reader()
+    for terms in ([[2, 1], [2738, 1]], [[2, 1]], [[2738, 1]], [[2, 1], [2738, 1]]):
+        want = _radical_sum((m, Fraction(c)) for m, c in terms)
+        assert rd.radical(terms).terms == want.terms
+    assert rd.radical([[2, 1], [2738, 1]]).terms == {2: 38}
+
+
+# short texts keep exponents such as "1e9999" cheap to expand
+_TEXT = st.one_of(
+    st.text(alphabet="0123456789-+/. e_ ", max_size=6),
+    st.fractions().map(str),
+    st.decimals(min_value=-10 ** 9, max_value=10 ** 9, places=6).map(str),
+    st.text(max_size=6),
+)
+
+
+def _fraction_or_error(x):
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        return "error"
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(_TEXT, max_size=6))
+def test_memoised_rationals_match_fraction(texts):
+    rd = _Reader()
+    for x in texts + texts:  # the second round reads the memo
+        try:
+            got = rd.num(x)
+        except ParseError:
+            got = "error"
+        assert got == _fraction_or_error(x)
+
+
+def test_memoised_rationals_refuse_bool_and_float():
+    rd = _Reader()
+    assert rd.num(1) == 1
+    for x in (True, False, 1.0, 0.5, None, [1]):
+        with pytest.raises(ParseError):
+            rd.num(x)
+
+
+def test_pattern_size_check_survives_optimisation():
+    pat = covers.translate_cluster_cover(unit_square())
+    with pytest.raises(ConstructionFailed):
+        covers._capped(pat, pat.size - 1)
+
+
+def test_sandwich_check_is_a_raise(monkeypatch):
+    monkeypatch.setattr(sandwich.SandwichPair, "verify", lambda self, c: False)
+    with pytest.raises(VerificationFailed):
+        sandwich.sandwich_parallelograms(unit_square().polygon)
+
+
+def test_lattice_witness_lets_real_errors_through(monkeypatch):
+    def broken(f, limit=15):
+        raise ZeroDivisionError("a bug, not a size limit")
+
+    monkeypatch.setattr(translates, "union_area_exact", broken)
+    f = random_family(hexagon_body(), 9, box_size=7, seed=10)
+    with pytest.raises(ZeroDivisionError):
+        translates.lattice_witness(f)
