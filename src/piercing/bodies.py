@@ -3,11 +3,20 @@
 A member body is s*C + t: the base scaled about the origin, then translated.
 All coordinates are exact rationals; disks admit radical (sqrt) query points
 for containment because some disk constructions need them.
+
+The integer kernel: a family is scaled once by the lcm D of its translation
+and scale denominators (Family.scaled_translations), so member i is
+(S_i C + T_i) / D with int columns T and S.  Pair tests (pair_checker), the
+translate grid (neighbor_index) and the homothet/topmost orders run on these
+ints, and polygon and box members are slabs lo <= w.p <= hi with int bounds
+(Family.slabs), which also decide membership in certificate checks.  Over
+MAX_SCALE_BITS the same code runs on Fractions with D = 1.
 """
 
 from fractions import Fraction
 import itertools
 import math
+from operator import le
 import statistics
 
 from .errors import (
@@ -19,10 +28,11 @@ from .errors import (
 from .geom import ConvexPolygon, Interval, Point, frac, intersection_chain, polygons_intersect
 from .radicals import RadPoint, dist2
 
-# A translate family whose common translation denominator D needs more bits
-# than this keeps its translations as Fractions (D = 1): adversarial
-# denominators make the scaled integers, and their squares in the disk test,
-# huge.  random_family needs 5.
+# A family whose common translation and scale denominator D needs more bits
+# than this keeps its translations and scales as Fractions (D = 1):
+# adversarial denominators make the scaled integers, and their squares in
+# the disk test, huge.  random_family needs 5 (translations over 32, scales
+# over 8).
 MAX_SCALE_BITS = 128
 
 
@@ -221,7 +231,8 @@ class Family:
         self.members = list(members)
         self.kind = kind
         self._realized = [None] * len(members)
-        self._scaled = False
+        self._scaled = None
+        self._slabs = None
 
     def __len__(self):
         return len(self.members)
@@ -244,16 +255,29 @@ class Family:
         return self.realize(i).intersects(self.realize(j))
 
     def scaled_translations(self):
-        """(D, cols) with cols[k][i] = D * t_i[k], one list per axis.
+        """(D, cols, S) with cols[k][i] = D * t_i[k], one list per axis, and
+        S[i] = D * s_i, so member i is (S_i C + T_i) / D.
 
-        D is the lcm of the translation denominators and the columns hold
-        ints; when D would need more than MAX_SCALE_BITS bits, D is 1 and
-        the columns hold the Fractions themselves.  None for homothet
-        families.  Computed once per family.
+        D is the lcm of the translation and scale denominators and the
+        columns hold ints; when D would need more than MAX_SCALE_BITS bits,
+        D is 1 and the columns hold the Fractions themselves.  Computed once
+        per family.
         """
-        if self._scaled is False:
+        if self._scaled is None:
             self._scaled = _scale_translations(self)
         return self._scaled
+
+    def slabs(self):
+        """(forms, lo, hi) for a polygon or box family: member i is the set
+        of points p with lo[i][k] <= forms[k] . p <= hi[i][k] for every k.
+
+        The forms are int vectors and the bounds are ints (Fractions over
+        MAX_SCALE_BITS), one slab per edge direction of a polygon base and
+        one per axis of a box.  Computed once per family.
+        """
+        if self._slabs is None:
+            self._slabs = _member_slabs(self)
+        return self._slabs
 
 
 def _translation_columns(f: Family):
@@ -263,34 +287,62 @@ def _translation_columns(f: Family):
 
 
 def _scale_translations(f: Family):
-    if f.kind != "translates":
-        return None
     cols = _translation_columns(f)
+    homothets = f.kind == "homothets"
+    if homothets:
+        cols.append([m.s for m in f.members])
     D = 1
     for d in {v.denominator for col in cols for v in col}:
         D = math.lcm(D, d)
         if D.bit_length() > MAX_SCALE_BITS:
-            return 1, cols
-    return D, [[v.numerator * (D // v.denominator) for v in col] for col in cols]
+            D = 1
+            break
+    else:
+        cols = [[v.numerator * (D // v.denominator) for v in col] for col in cols]
+    if homothets:
+        return D, cols[:-1], cols[-1]
+    return D, cols, [D] * len(f)  # every translate has s = 1
 
 
-def float_bbox(f: Family):
-    """box(i): member i's bounding box in floats, (lo..., hi...).
+def _base_slabs(base):
+    """(w, lo, hi) per slab of the base: a primitive int vector w and the
+    extent [lo, hi] of w . p over the base.  Polygons take one w per edge
+    direction (the slabs' intersection is the polygon, and the edges of
+    s C - s' C have no other directions), boxes the unit vectors."""
+    if base.kind == "box":
+        return [(tuple(int(a == k) for a in range(base.dim)), m, m + side)
+                for k, (m, side) in enumerate(zip(base.mins, base.sides))]
+    out = []
+    for a, b in base.polygon.edges():
+        n = b - a
+        L = math.lcm(n.x.denominator, n.y.denominator)
+        wx, wy = int(n.y * L), -int(n.x * L)
+        g = math.gcd(wx, wy)
+        w = (wx // g, wy // g) if (wx, wy) > (0, 0) else (-wx // g, -wy // g)
+        if any(w == row[0] for row in out):
+            continue
+        vals = [w[0] * v.x + w[1] * v.y for v in base.polygon.vertices]
+        out.append((w, min(vals), max(vals)))
+    return out
 
-    The base's box scaled by s and shifted by t; each bound is within a few
-    ulps of the exact one, so pruning needs only a small relative pad.
-    """
-    base = [(float(iv.lo), float(iv.hi)) for iv in f.base.bbox()]
-    members = f.members
 
-    def box(i):
-        m = members[i]
-        s = float(m.s)
-        t = m.t if isinstance(m.t, tuple) else (m.t.x, m.t.y)
-        span = [(lo * s + float(v), hi * s + float(v)) for (lo, hi), v in zip(base, t)]
-        return tuple([lo for lo, _ in span] + [hi for _, hi in span])
-
-    return box
+def _member_slabs(f: Family):
+    # D (w . p) over member i spans [S_i lo + w . T_i, S_i hi + w . T_i];
+    # each slab is multiplied by the lcm L of its extent's denominators
+    D, cols, S = f.scaled_translations()
+    forms, los, his = [], [], []
+    for w, lo, hi in _base_slabs(f.base):
+        L = math.lcm(lo.denominator, hi.denominator)
+        lo, hi = int(lo * L), int(hi * L)
+        lw = [c * L for c in w]
+        forms.append(tuple(c * D for c in lw))
+        wt = [0] * len(S)
+        for c, col in zip(lw, cols):
+            if c:
+                wt = [a + c * v for a, v in zip(wt, col)]
+        los.append([lo * s + v for s, v in zip(S, wt)])
+        his.append([hi * s + v for s, v in zip(S, wt)])
+    return forms, list(zip(*los)), list(zip(*his))
 
 
 def neighbor_index(f: Family):
@@ -301,12 +353,12 @@ def neighbor_index(f: Family):
     translations (Family.scaled_translations) on a grid whose cell is the
     base's widest bounding-box side times D, so members that meet sit in
     adjacent cells.  Homothet families use a grid over float bounding boxes
-    padded past any conversion error.
+    padded past any conversion error; pair_checker then decides each
+    candidate on the scaled ints.
     """
-    scaled = f.scaled_translations()
-    if scaled is None:
+    if f.kind != "translates":
         return _bbox_grid(f)
-    D, cols = scaled
+    D, cols, _ = f.scaled_translations()
     cell = max(iv.length() for iv in f.base.bbox()) * D
     # one int key per member: the cell coordinates in mixed radix, each
     # digit kept off its range ends so that the +-1 steps never carry
@@ -335,8 +387,14 @@ def neighbor_index(f: Family):
 
 
 def _bbox_grid(f: Family):
-    box = float_bbox(f)
-    boxes = [box(i) for i in range(len(f))]
+    # each float bound is within a few ulps of the exact s * C + t one
+    base = [(float(iv.lo), float(iv.hi)) for iv in f.base.bbox()]
+    boxes = []
+    for m in f.members:
+        s = float(m.s)
+        t = m.t if isinstance(m.t, tuple) else (m.t.x, m.t.y)
+        span = [(lo * s + float(v), hi * s + float(v)) for (lo, hi), v in zip(base, t)]
+        boxes.append(tuple([lo for lo, _ in span] + [hi for _, hi in span]))
     # the pad dominates the float error, so exactly overlapping boxes overlap
     pad = 1e-9 * max(1.0, max(abs(v) for b in boxes for v in b)) + 1e-12
     dim = len(boxes[0]) // 2
@@ -364,55 +422,28 @@ def _bbox_grid(f: Family):
 
 
 def pair_checker(f: Family):
-    """Exact pairwise-intersection test check(i, j).
+    """Exact pairwise-intersection test check(i, j), with no float.
 
-    Translate families decide with no float at all, on their scaled
-    translations dT (Family.scaled_translations): disks of radius p/q meet
-    iff q^2 |dT|^2 <= (2pD)^2, polygons iff dT/D lies in C - C, boxes iff
-    |dT_k| <= D side_k on every axis.  Disk homothets get a rigorous float
-    prescreen that only answers far from the decision boundary; other
-    homothets use Family.intersects.
+    Decided on the scaled columns of Family.scaled_translations(), where
+    member i is (S_i C + T_i) / D.  Polygons and boxes meet iff their slabs
+    (Family.slabs) overlap on every slab: for a polygon that is
+    n . (T_i - T_j) <= S_j h_C(n) + S_i h_C(-n) over the edge normals n of C
+    and -C, the edge normals of S_j C - S_i C.  Disks with centre c and
+    radius r meet iff |(S_i - S_j) c + T_i - T_j| <= r (S_i + S_j), cleared
+    of denominators; for translates that is q^2 |dT|^2 <= (2pD)^2 with
+    r = p/q.  Over MAX_SCALE_BITS the same tests run on Fractions.
     """
-    if f.kind == "translates":
-        return _translate_checker(f.base, *f.scaled_translations())
-    if f.base.kind == "disk":
-        n = len(f)
-        base = f.base
-        bx, by, br = float(base.center.x), float(base.center.y), float(base.radius)
-        cx = [0.0] * n
-        cy = [0.0] * n
-        rr = [0.0] * n
-        scale = 1.0
-        for i, m in enumerate(f.members):
-            s = float(m.s)
-            cx[i] = bx * s + float(m.t.x)
-            cy[i] = by * s + float(m.t.y)
-            rr[i] = br * s
-            scale = max(scale, abs(cx[i]), abs(cy[i]), rr[i])
-        tol = 1e-9 * scale * scale
+    base = f.base
+    if base.kind != "disk":
+        _, lo, hi = f.slabs()
 
         def check(i, j):
-            dx = cx[i] - cx[j]
-            dy = cy[i] - cy[j]
-            d2 = dx * dx + dy * dy
-            s = rr[i] + rr[j]
-            gap = d2 - s * s
-            if gap > tol:
-                return False
-            if gap < -tol:
-                return True
-            return f.intersects(i, j)
+            return all(map(le, lo[i], hi[j])) and all(map(le, lo[j], hi[i]))
 
         return check
-    return f.intersects
-
-
-def _translate_checker(base, D, cols):
-    """check(i, j) for translates with t_i[k] = cols[k][i] / D; exact on
-    ints and on Fractions alike."""
-    if base.kind == "disk":
-        xs, ys = cols
-        p, q = base.radius.numerator, base.radius.denominator
+    D, (xs, ys), S = f.scaled_translations()
+    p, q = base.radius.numerator, base.radius.denominator
+    if f.kind == "translates":
         qq, reach = q * q, (2 * p * D) ** 2
 
         def check(i, j):
@@ -421,31 +452,19 @@ def _translate_checker(base, D, cols):
             return qq * (dx * dx + dy * dy) <= reach
 
         return check
-    if base.kind == "box":
-        axes = [(col, s.numerator * D, s.denominator) for col, s in zip(cols, base.sides)]
-
-        def check(i, j):
-            return all(abs(col[i] - col[j]) * q <= p for col, p, q in axes)
-
-        return check
-    # translates meet iff their translation difference lies in C - C; each
-    # halfplane n.x <= c is cleared of denominators
-    from .geom import minkowski_sum, reflect
-
-    xs, ys = cols
-    diff = minkowski_sum(base.polygon, reflect(base.polygon))
-    rows = []
-    for nrm, c in diff.halfplanes():
-        L = math.lcm(nrm.x.denominator, nrm.y.denominator, c.denominator)
-        rows.append((int(nrm.x * L), int(nrm.y * L), int(c * L) * D))
+    # L times the scaled centres S c + T and radii S r
+    c = base.center
+    L = math.lcm(c.x.denominator, c.y.denominator, q)
+    ax, ay, b = int(c.x * L), int(c.y * L), p * (L // q)
+    us = [ax * s + L * x for s, x in zip(S, xs)]
+    vs = [ay * s + L * y for s, y in zip(S, ys)]
+    rs = [b * s for s in S]
 
     def check(i, j):
-        dx = xs[i] - xs[j]
-        dy = ys[i] - ys[j]
-        for a, b, e in rows:
-            if a * dx + b * dy > e:
-                return False
-        return True
+        dx = us[i] - us[j]
+        dy = vs[i] - vs[j]
+        reach = rs[i] + rs[j]
+        return dx * dx + dy * dy <= reach * reach
 
     return check
 

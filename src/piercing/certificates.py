@@ -3,28 +3,32 @@
 A certificate is checkable on its own: every member must contain one of the
 points (exact), the witness members must be pairwise disjoint (exact), and
 |points| <= factor * |witness|.  Membership checks go through a uniform grid
-over the points, so verification stays near-linear; the grid only prunes,
-and the disk screen answers only where its float error bound, taken from
-the operands of each comparison, settles the sign.  Everything else is an
-exact test.
+over the points, so verification stays near-linear; the grid only prunes.
+Polygon and box membership of a rational point is decided exactly on the
+family's int slabs (bodies.Family.slabs); the disk screen answers only where
+its float error bound, taken from the operands of each comparison, settles
+the sign.  Everything else is an exact test on the realized member.
 """
 
 from fractions import Fraction
 import math
+from operator import mul
 import random
 import statistics
 
 from .bodies import Family, intersection_graph
 from .errors import VerificationFailed
-from .radicals import Radical
+from .radicals import RadPoint, Radical
 
 _U = 2.0 ** -53  # unit roundoff of a double
 _TINY = 1e-300  # covers the absolute error of conversions that underflow
 
 
 def _ratio(n, d):
-    """(x, e): the float n / d of two ints and its error bound u|x|."""
-    x = n / d
+    """(x, e): the float n / d and its error bound u|x|, for ints n and d
+    (a correctly rounded division) or a Fraction n (float() of a Fraction
+    is correctly rounded too)."""
+    x = float(n / d)
     return x, _U * abs(x) + _TINY
 
 
@@ -61,13 +65,6 @@ def _float_points(points):
     return xs, exs, ys, eys
 
 
-def _float_image(a, s, tn, td):
-    """(x, e) for a*s + tn/td, with a and s rational and tn, td ints: one
-    int / int division and no Fraction arithmetic."""
-    ad, sd = a.denominator, s.denominator
-    return _ratio(a.numerator * s.numerator * td + tn * ad * sd, ad * sd * td)
-
-
 def _float_members(f: Family, indices):
     """The one float pass over the checked members: (x, ex, y, ey, size)
     per index, in the order of indices.
@@ -75,30 +72,68 @@ def _float_members(f: Family, indices):
     (x, y) is the member's image s*a + t of the base anchor a (the centre
     of a disk, else the low corner of the base's bounding box) and ex, ey
     bound its error; size is the member's radius for disks, else its
-    scale.  Translates read t from Family.scaled_translations() when its
-    columns hold ints.
+    scale.  Each value is one correctly rounded division on the columns of
+    Family.scaled_translations(): a*s + t = (a.num S + T a.den) / (a.den D).
     """
     base = f.base
     disk = base.kind == "disk"
     ax, ay = (base.center.x, base.center.y) if disk else [iv.lo for iv in base.bbox()[:2]]
-    radius = base.radius if disk else 1
-    scaled = f.scaled_translations()
-    if scaled is not None and all(type(v) is int for col in scaled[1][:2] for v in col):
-        # _float_image(a, 1, X, D) with its constants hoisted
-        D, (xs, ys) = scaled[0], scaled[1][:2]
-        (px, qx, dx), (py, qy, dy) = [(v.numerator * D, v.denominator, v.denominator * D)
-                                      for v in (ax, ay)]
-        size = _float_image(radius, 1, 0, 1)[0]
-        return [_ratio(px + xs[i] * qx, dx) + _ratio(py + ys[i] * qy, dy) + (size,)
-                for i in indices]
-    out = []
-    for i in indices:
-        m = f.members[i]
-        tx, ty = (m.t.x, m.t.y) if base.kind != "box" else m.t[:2]
-        out.append(_float_image(ax, m.s, tx.numerator, tx.denominator)
-                   + _float_image(ay, m.s, ty.numerator, ty.denominator)
-                   + (_float_image(radius, m.s, 0, 1)[0],))
-    return out
+    radius = base.radius if disk else Fraction(1)
+    D, (xs, ys, *_), S = f.scaled_translations()
+    (an, ad), (bn, bd) = [(v.numerator, v.denominator) for v in (ax, ay)]
+    rn, rdD, adD, bdD = radius.numerator, radius.denominator * D, ad * D, bd * D
+    return [_ratio(an * S[i] + xs[i] * ad, adD) + _ratio(bn * S[i] + ys[i] * bd, bdD)
+            + (float(rn * S[i] / rdD),) for i in indices]
+
+
+def _exact_point(p):
+    """(q, P): the point as int numerators P over one denominator q, or
+    None when a coordinate is irrational."""
+    if isinstance(p, RadPoint):
+        if not p.is_rational():
+            return None
+        p = (p.x.as_fraction(), p.y.as_fraction())
+    elif not isinstance(p, tuple):
+        p = (p.x, p.y)
+    q = math.lcm(*[v.denominator for v in p])
+    return q, [v.numerator * (q // v.denominator) for v in p]
+
+
+def _membership(f: Family, points, fpts):
+    """member(i, fm) -> test(k): True or False where member i is decided to
+    contain point k or not, None where the answer is open; fm is member
+    i's float pass entry.
+
+    Polygons and boxes decide exactly on the family's slabs
+    (Family.slabs): the point P/q lies in member i iff
+    q lo <= form . P <= q hi on every slab, so only points with irrational
+    coordinates stay open.  Each point is converted once.  Disks use the
+    float screen.
+    """
+    if f.base.kind == "disk":
+        return lambda i, fm: _float_disk_screen(fm, fpts)
+    forms, lo, hi = f.slabs()
+    exact = []
+    for p in points:
+        e = _exact_point(p)
+        if e is not None:
+            q, P = e
+            e = q, [sum(map(mul, form, P)) for form in forms]
+        exact.append(e)
+
+    def member(i, fm):
+        li, hi_ = lo[i], hi[i]
+
+        def test(k):
+            e = exact[k]
+            if e is None:
+                return None
+            q, us = e
+            return all(q * a <= u <= q * b for a, u, b in zip(li, us, hi_))
+
+        return test
+
+    return member
 
 
 def _disk_screen(body, fpts):
@@ -211,12 +246,12 @@ class PierceCertificate:
         fpts = _float_points(self.points)
         fmembers = _float_members(f, indices)
         candidates = _point_grid(f, fmembers, fpts)
-        disk = f.base.kind == "disk"
+        member = _membership(f, self.points, fpts)
         for i, fm in zip(indices, fmembers):
-            # a member is realized only where floats leave the answer open
-            screen = _float_disk_screen(fm, fpts) if disk else None
+            # a member is realized only where its test leaves the answer open
+            test = member(i, fm)
             for k in candidates(fm):
-                inside = screen(k) if screen else None
+                inside = test(k)
                 if inside is None:
                     inside = f.realize(i).contains(self.points[k])
                 if inside:

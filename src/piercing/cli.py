@@ -136,6 +136,8 @@ def cmd_exact(args) -> int:
 
 def cmd_verify(args) -> int:
     doc = jsonio.load(args.input)
+    if not isinstance(doc, dict):
+        raise ParseError("a certificate or cover pattern must be a JSON object")
     if doc.get("type") == "cover_pattern":
         jsonio.verify_pattern_json(doc)
         print("cover pattern ok: %d offsets" % len(doc["offsets"]))

@@ -17,7 +17,6 @@ from .errors import ConstructionFailed, NotCentrallySymmetric, VerificationFaile
 from .geom import (
     ConvexPolygon,
     Point,
-    chain_area,
     clip_chain,
     frac,
     minkowski_sum,
@@ -156,38 +155,9 @@ def halfplane_four_cover(s: ConvexPolygon, direction: Point = DOWN) -> CoverPatt
     return _cached(("half", _poly_key(s), (direction.x, direction.y)), build)
 
 
-def _search_cover(region_chain, cover: ConvexPolygon, candidates, max_count):
-    """Greedy exact set-cover by area over a candidate offset grid."""
-    chosen = []
-    pieces = [list(region_chain)]
-    total = sum(chain_area(p) for p in pieces)
-    while pieces and len(chosen) < max_count:
-        best = None
-        for q in candidates:
-            if q in chosen:
-                continue
-            poly = cover.translate(q)
-            rest = []
-            for piece in pieces:
-                rest.extend(region_minus_polygons_piece(piece, poly))
-            area = sum(chain_area(p) for p in rest)
-            if best is None or area < best[0]:
-                best = (area, q, rest)
-        if best is None or best[0] >= total:
-            break
-        total, q, pieces = best
-        chosen.append(q)
-    if pieces:
-        raise VerificationFailed("cover search failed within %d translates" % max_count)
-    return chosen
-
-
-def region_minus_polygons_piece(piece, poly):
-    from .geom import subtract_chain
-
-    return subtract_chain(piece, poly)
-
-
+# Offsets on the canonical triangle (0,0), (1,0), (0,1), as vectors for the
+# cover body -T0: five cover the lower half of T0 - T0, twelve all of it.
+# Each mapped pattern is verified exactly when it is built.
 _TRAPEZOID_OFFSETS = [
     Point(0, 0),
     Point(1, 0),
@@ -196,17 +166,20 @@ _TRAPEZOID_OFFSETS = [
     Point(1, Fraction(-1, 2)),
 ]
 
-_UPPER_TRAPEZOID_OFFSETS = [
+_TRIANGLE_DIFF_OFFSETS = [
+    Point(0, 0),
+    Point(1, 0),
     Point(0, 1),
+    Point(Fraction(1, 2), Fraction(-1, 2)),
     Point(Fraction(1, 2), Fraction(1, 2)),
+    Point(Fraction(-1, 2), 1),
+    Point(Fraction(1, 2), 0),
+    Point(1, Fraction(-1, 2)),
     Point(1, Fraction(1, 2)),
     Point(Fraction(1, 2), 1),
-    Point(Fraction(-1, 2), 1),
+    Point(Fraction(-1, 2), Fraction(1, 2)),
+    Point(0, Fraction(1, 2)),
 ]
-
-
-def _unit_triangle():
-    return ConvexPolygon([Point(0, 0), Point(1, 0), Point(0, 1)])
 
 
 def _triangle_normalizer(t: ConvexPolygon):
@@ -222,28 +195,18 @@ def _triangle_normalizer(t: ConvexPolygon):
     return v0, v1 - v0, v2 - v0  # origin, image of (1,0), image of (0,1)
 
 
-def _grid_candidates(step=Fraction(1, 2), span=2):
-    out = []
-    k = int(span / step)
-    for i in range(-k, k + 1):
-        for j in range(-k, k + 1):
-            out.append(Point(step * i, step * j))
-    return out
-
-
 def triangle_trapezoid_cover(t: ConvexPolygon) -> CoverPattern:
     """Cover the lower half of T-T by at most five translates of -T.
 
-    Found on the canonical triangle by a rational grid search with exact
-    verification, then mapped back through the normalizing map; the returned
-    offsets are vectors in the original coordinates.
+    The canonical triangle's offsets (_TRAPEZOID_OFFSETS) are mapped back
+    through the normalizing map and verified exactly; the returned offsets
+    are vectors in the original coordinates.
     """
 
     def build():
-        canon = _cached(("trap-canon",), _build_canonical_trapezoid)
         v0, e1, e2 = _triangle_normalizer(t)
         # map offsets back: q_orig = L(q) with L the inverse normalizer
-        offsets = [e1 * q.x + e2 * q.y for q in canon.offsets]
+        offsets = [e1 * q.x + e2 * q.y for q in _TRAPEZOID_OFFSETS]
         cover = reflect(t.translate(-v0))
         diff = minkowski_sum(t, reflect(t))
         # the kept side in original coordinates: L^{-T} maps the normal
@@ -260,24 +223,6 @@ def _clip_lower_imageside(diff: ConvexPolygon, e1: Point, e2: Point):
     # original coords (p = a e1 + b e2, b = cross(e1, p)/det, det > 0)
     n = Point(-e1.y, e1.x)  # cross(e1, p) = n.p
     return clip_chain(list(diff.vertices), n, Fraction(0))
-
-
-def _build_canonical_trapezoid() -> CoverPattern:
-    t0 = _unit_triangle()
-    cover = reflect(t0)
-    trap = [Point(-1, 0), Point(0, -1), Point(1, -1), Point(1, 0)]
-    candidates = _TRAPEZOID_OFFSETS + _grid_candidates()
-    offsets = _search_cover(trap, cover, candidates, 5)
-    return CoverPattern("diff_half", "polygon", offsets, data={"body": cover})
-
-
-def _build_canonical_triangle_diff() -> CoverPattern:
-    t0 = _unit_triangle()
-    cover = reflect(t0)
-    diff = minkowski_sum(t0, reflect(t0))
-    candidates = _TRAPEZOID_OFFSETS + _UPPER_TRAPEZOID_OFFSETS + _grid_candidates()
-    offsets = _search_cover(list(diff.vertices), cover, candidates, 12)
-    return CoverPattern("diff", "polygon", offsets, data={"body": cover})
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +377,8 @@ def homothet_cover(body) -> CoverPattern:
         return _capped(seven_cover(poly), 7)
     if len(poly.vertices) == 3:
         def build():
-            canon = _cached(("diff12-canon",), _build_canonical_triangle_diff)
             v0, e1, e2 = _triangle_normalizer(poly)
-            offsets = [e1 * q.x + e2 * q.y for q in canon.offsets]
+            offsets = [e1 * q.x + e2 * q.y for q in _TRIANGLE_DIFF_OFFSETS]
             cover = reflect(poly.translate(-v0))
             diff = minkowski_sum(poly, reflect(poly))
             _verify_polygon_pattern(list(diff.vertices), cover, offsets)

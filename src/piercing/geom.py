@@ -197,17 +197,6 @@ class ConvexPolygon:
             s += v[i].cross(v[(i + 1) % len(v)])
         return s / 2
 
-    def centroid(self) -> Point:
-        v = self.vertices
-        cx = cy = Fraction(0)
-        s = Fraction(0)
-        for i in range(len(v)):
-            w = v[i].cross(v[(i + 1) % len(v)])
-            s += w
-            cx += (v[i].x + v[(i + 1) % len(v)].x) * w
-            cy += (v[i].y + v[(i + 1) % len(v)].y) * w
-        return Point(cx / (3 * s), cy / (3 * s))
-
     def translate(self, t: Point) -> "ConvexPolygon":
         return ConvexPolygon([p + t for p in self.vertices], _trusted=True)
 
@@ -234,13 +223,6 @@ class ConvexPolygon:
         v = self.vertices
         for i in range(len(v)):
             if orient(v[i], v[(i + 1) % len(v)], p) < 0:
-                return False
-        return True
-
-    def contains_strict(self, p: Point) -> bool:
-        v = self.vertices
-        for i in range(len(v)):
-            if orient(v[i], v[(i + 1) % len(v)], p) <= 0:
                 return False
         return True
 

@@ -5,80 +5,74 @@ intersecting it contains a translate of the seed, so the difference-body
 cover pattern scaled by the seed's scale and anchored at the seed pierces
 the whole cluster.  Factors: square 4, triangle <= 12, disk 7, centrally
 symmetric <= 7, box 2^d, general polygon <= 16.
+
+The order and every pair test run on the family's scaled int columns
+(bodies.Family.scaled_translations, bodies.pair_checker); no float decides
+anything, and no member is realized to decide a pair.
 """
+
+from fractions import Fraction
+from operator import add
 
 from .bodies import BoxBody, DiskBody, Family, PolygonBody
 from .certificates import PierceCertificate
 from .covers import homothet_cover
 from .errors import DegenerateInput, UnsupportedBase
 from .bodies import neighbor_index, pair_checker
-from .translates import ORACLE_BUDGET, _add_offset, _anchor_fn, dedupe_points
-
-
-def _seed_key(f: Family):
-    """Exact key: smallest scale first; equal scales fall back to topmost."""
-    base_top = f.base.top()
-    if f.base.kind == "box":
-        def key(i):
-            m = f.members[i]
-            return (m.s, -(base_top * m.s + m.t[-1]), m.t, i)
-    else:
-        def key(i):
-            m = f.members[i]
-            return (m.s, -(base_top * m.s + m.t.y), m.t.x, m.t.y, i)
-    return key
-
-
-def _sorted_two_phase(n, fkey, exact_key):
-    """Sort indices by an exact key using a float prepass.
-
-    float(Fraction) is monotone, so any inversion the float sort leaves
-    behind sits inside a run of equal float keys; those runs are re-sorted
-    with the exact key.
-    """
-    order = sorted(range(n), key=lambda i: fkey[i])
-    out = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and fkey[order[j + 1]] == fkey[order[i]]:
-            j += 1
-        if j > i:
-            out.extend(sorted(order[i:j + 1], key=exact_key))
-        else:
-            out.append(order[i])
-        i = j + 1
-    return out
+from .geom import Point
+from .translates import ORACLE_BUDGET, _add_offset, _anchor, _topmost_order, dedupe_points
 
 
 def _smallest_order(f: Family):
-    base_top = float(f.base.top())
-    if f.base.kind == "box":
-        fkey = [(float(m.s), -(base_top * float(m.s) + float(m.t[-1]))) for m in f.members]
-    else:
-        fkey = [(float(m.s), -(base_top * float(m.s) + float(m.t.y))) for m in f.members]
-    return _sorted_two_phase(len(f), fkey, _seed_key(f))
+    """Member indices by (s, -top, t, index), smallest first, with
+    top = s * top(C) + t[-1].
+
+    Members of equal scale share s * top(C), so they tie-break in topmost
+    order; a stable sort on the scale column finishes the order.
+    """
+    order = _topmost_order(f)
+    order.sort(key=f.scaled_translations()[2].__getitem__)
+    return order
 
 
-def _scale_offset(offset, s):
-    if isinstance(offset, tuple):
-        return tuple(o * s for o in offset)
-    return offset * s
+def _placer(f: Family, offsets):
+    """i -> seed i's points a s_i + t_i + o s_i over the offsets o, with a
+    the base anchor.
+
+    Points are placed on the scaled columns: a rational coordinate
+    (a + o) s_i + t_i is ((a + o) S_i + T_i) / D, one Fraction built from
+    two ints.  Disk offsets carry square roots, so only the anchor is
+    placed that way and the offsets are added scaled as Radicals.
+    """
+    D, cols, S = f.scaled_translations()
+    anchor = _anchor(f.base)
+    rational = f.base.kind != "disk"
+    shifted = [map(add, anchor, o) for o in offsets] if rational else [anchor]
+    rows = [[(v.numerator, v.denominator, v.denominator * D) for v in vs] for vs in shifted]
+    make = tuple if f.base.kind == "box" else (lambda xy: Point(*xy))
+
+    def place(i):
+        s, t = S[i], [col[i] for col in cols]
+        pts = [make([Fraction(n * s + d * v, dD) for (n, d, dD), v in zip(row, t)])
+               for row in rows]
+        if rational:
+            return pts
+        s = f.members[i].s
+        return [_add_offset(pts[0], o * s) for o in offsets]
+
+    return place
 
 
 def greedy_pierce_homothets(f: Family, refine: bool = True,
                             oracle_budget: int = ORACLE_BUDGET,
                             verify: bool = True, sample: int = None) -> PierceCertificate:
-    if isinstance(f.base, PolygonBody):
-        pattern = homothet_cover(f.base)
-    elif isinstance(f.base, (DiskBody, BoxBody)):
-        pattern = homothet_cover(f.base)
-    else:
+    if not isinstance(f.base, (PolygonBody, DiskBody, BoxBody)):
         raise UnsupportedBase("unsupported base body")
+    pattern = homothet_cover(f.base)
     order = _smallest_order(f)
     candidates = neighbor_index(f)
     check = pair_checker(f)
-    anchor_of = _anchor_fn(f)
+    place = _placer(f, pattern.offsets)
     alive = [True] * len(f)
     clusters = []
     cluster_points = []
@@ -90,11 +84,8 @@ def greedy_pierce_homothets(f: Family, refine: bool = True,
         hits.sort()
         for j in hits:
             alive[j] = False
-        anchor = anchor_of(i)
-        s = f.members[i].s
-        pts = [_add_offset(anchor, _scale_offset(o, s)) for o in pattern.offsets]
         clusters.append((i, [i] + hits))
-        cluster_points.append(pts)
+        cluster_points.append(place(i))
     if refine and clusters and len(clusters[-1][1]) <= oracle_budget:
         from .oracle import exact_tau
 
@@ -125,8 +116,6 @@ def containment_witness(f: Family, i: int, j: int):
     p = bi.common_point(bj)
     lam = si / sj
     if isinstance(bj, DiskBody):
-        from .geom import Point
-
         center = p + (bj.center - p) * lam
         return DiskBody(center, bj.radius * lam)
     if isinstance(bj, BoxBody):

@@ -88,10 +88,16 @@ class _Reader:
         return _radical_sum(terms)
 
     def pierce_point(self, obj, box_dim=None):
+        """A planar point (rational or radical), or a rational box point
+        with exactly box_dim coordinates."""
         kind = obj.get("kind", "rational")
         if kind == "radical":
+            if box_dim is not None:
+                raise ParseError("box points must be rational")
             return RadPoint(self.radical(obj["x"]), self.radical(obj["y"]))
         xy = obj["xy"]
+        if type(xy) is not list or len(xy) != (box_dim or 2):
+            raise ParseError("a point needs a list of %d coordinates" % (box_dim or 2))
         if box_dim is not None:
             return tuple(self.num(v) for v in xy)
         return Point(self.num(xy[0]), self.num(xy[1]))
@@ -127,6 +133,8 @@ class _Reader:
             for m in obj["members"]:
                 t = m["t"]
                 if base.kind == "box":
+                    if len(t) != base.dim:
+                        raise ParseError("a translation needs %d coordinates" % base.dim)
                     tv = tuple(self.num(v) for v in t)
                 else:
                     tv = self.point(t)
@@ -259,8 +267,20 @@ def pattern_to_json(pat) -> dict:
     return doc
 
 
+def _list(doc, key):
+    value = doc[key]
+    if not isinstance(value, list):
+        raise ParseError("%s must be a list" % key)
+    return value
+
+
 def verify_pattern_json(doc) -> bool:
-    """Exact re-verification of a serialized cover pattern."""
+    """Exact re-verification of a serialized cover pattern.
+
+    Every field is read and checked for type first, so a malformed file is
+    a ParseError; a pattern that does not cover its region is
+    VerificationFailed.
+    """
     from .covers import (
         _verify_box_pattern,
         _verify_disk_half,
@@ -272,35 +292,52 @@ def verify_pattern_json(doc) -> bool:
     from .geom import ConvexPolygon, covers_region
 
     rd = _Reader()
-    kind = doc.get("base_kind")
+    try:
+        kind = doc["base_kind"]
+        half = {"diff": False, "diff_half": True}.get(doc["region_kind"])
+        if half is None:
+            raise ParseError("unknown region kind %r" % (doc["region_kind"],))
+        offsets = _list(doc, "offsets")
+        if kind == "polygon":
+            region = [rd.point(p) for p in _list(doc, "region")]
+            cover = ConvexPolygon([rd.point(p) for p in _list(doc, "cover")])
+            offsets = [rd.pierce_point(p) for p in offsets]
+            if not all(isinstance(o, Point) for o in offsets):
+                raise ParseError("polygon pattern offsets must be rational")
+        elif kind == "disk":
+            r = rd.num(doc["radius"])
+            if r <= 0:
+                raise ParseError("radius must be positive")
+            offsets = [rd.pierce_point(p) for p in offsets]
+        elif kind == "box":
+            sides = tuple(rd.num(v) for v in _list(doc, "sides"))
+            if not sides or min(sides) <= 0:
+                raise ParseError("box sides must be positive")
+            offsets = [rd.pierce_point(p, len(sides)) for p in offsets]
+        else:
+            raise ParseError("unknown pattern kind %r" % (kind,))
+    except ParseError:
+        raise
+    except (AttributeError, DegenerateInput, IndexError, KeyError, TypeError, ValueError) as e:
+        raise ParseError("bad cover pattern: %r" % (e,)) from e
     if kind == "polygon":
-        region = [rd.point(p) for p in doc["region"]]
-        cover = ConvexPolygon([rd.point(p) for p in doc["cover"]])
-        offsets = [rd.pierce_point(p) for p in doc["offsets"]]
         if not covers_region(region, [cover.translate(o) for o in offsets]):
             raise VerificationFailed("pattern residue is nonempty")
-        return True
-    if kind == "disk":
-        r = rd.num(doc["radius"])
-        offsets = [rd.pierce_point(p) for p in doc["offsets"]]
+    elif kind == "disk":
         offsets = [RadPoint.of(p) if isinstance(p, Point) else p for p in offsets]
-        if doc["region_kind"] == "diff":
-            canonical = disk_seven_offsets(r)
-            _verify_disk_seven(r)
-        else:
+        if half:
             canonical = disk_half_offsets(r)
             _verify_disk_half(r)
+        else:
+            canonical = disk_seven_offsets(r)
+            _verify_disk_seven(r)
         got = {p.key() for p in offsets}
         want = {RadPoint.of(p).key() for p in canonical}
         if got != want:
             raise VerificationFailed("disk offsets differ from the verified pattern")
-        return True
-    if kind == "box":
-        sides = tuple(rd.num(v) for v in doc["sides"])
-        offsets = [tuple(rd.num(v) for v in p["xy"]) for p in doc["offsets"]]
-        _verify_box_pattern(sides, offsets, doc["region_kind"] == "diff_half")
-        return True
-    raise ParseError("unknown pattern kind %r" % kind)
+    else:
+        _verify_box_pattern(sides, offsets, half)
+    return True
 
 
 def dump(obj, path=None):

@@ -74,11 +74,12 @@ def _top_key(f: Family):
 
 
 def _topmost_order(f: Family):
-    """Member indices in _top_key order, for a translate family.
+    """Member indices by (-t[-1], t, index): the _top_key order of a
+    translate family, whose members share the base top (so do homothets of
+    one scale).
 
-    Translates share the base top, so the key is -t[-1], then t, then the
-    index: stable sorts on the scaled translations from the least
-    significant axis on.
+    Stable sorts on the scaled translations from the least significant
+    axis on.
     """
     cols = f.scaled_translations()[1]
     order = list(range(len(f)))
@@ -99,21 +100,6 @@ def _anchor(body):
     if c is not None:
         return c
     return min(body.polygon.vertices, key=lambda p: (p.y, p.x))
-
-
-def _anchor_fn(f: Family):
-    """Per-member anchor from the base anchor: all anchor choices commute
-    with positive scaling and translation."""
-    base_anchor = _anchor(f.base)
-    if f.base.kind == "box":
-        def fn(i):
-            m = f.members[i]
-            return tuple(a * m.s + tv for a, tv in zip(base_anchor, m.t))
-    else:
-        def fn(i):
-            m = f.members[i]
-            return base_anchor * m.s + m.t
-    return fn
 
 
 def _radical_parts(r):

@@ -1,13 +1,15 @@
 from fractions import Fraction as F
+import hashlib
 import random
 
 import pytest
 
-from piercing.bodies import BoxBody, DiskBody, Family, Member
+from piercing import jsonio
+from piercing.bodies import BoxBody, DiskBody, Family, Member, PolygonBody
 from piercing.certificates import _float_coord, _float_members
 from piercing.errors import VerificationFailed
-from piercing.generators import random_family, unit_disk, unit_triangle
-from piercing.geom import Point
+from piercing.generators import hexagon_body, random_family, unit_disk, unit_square, unit_triangle
+from piercing.geom import ConvexPolygon, Point
 from piercing.homothets import greedy_pierce_homothets
 from piercing.translates import greedy_pierce
 
@@ -74,3 +76,38 @@ def test_verify_rejects_an_unpierced_member_on_every_path():
         cert.points = [p for p in cert.points if not body.contains(p)]
         with pytest.raises(VerificationFailed, match="contains no piercing point"):
             cert.verify(f)
+
+
+_PENTAGON = PolygonBody(ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Point(2, 5),
+                                       Point(-1, 2)]))
+
+# sha256 of jsonio.dump(certificate_to_json(...)) for greedy_pierce_homothets
+# with its defaults; a change to the kernel, the order or the patterns that
+# moves one byte of a certificate shows up here
+_CORPUS = [
+    (unit_triangle, 200, 40, (1, 3), 11,
+     "eb2a116ca22c8e392f81ef7f3ccc81bba8e37bcf660c1fbad002fca324254d4b"),
+    (unit_square, 200, 40, (1, 3), 12,
+     "1c01932fb6298df0620c92bfbccf7a332da95b374416b12a6abbef67559e5eaf"),
+    (hexagon_body, 200, 40, (1, 3), 13,
+     "60e5aead3dfffe870219958ec4da2fc381eab4a2023b768f20e557289469d9c0"),
+    (lambda: _PENTAGON, 200, 40, (1, 3), 14,
+     "8eb5217c229def68b588707337f77f0959c009ac0809b986f2fd7b32b28cd078"),
+    (unit_disk, 200, 40, (1, 3), 15,
+     "0f098fa5c26c3f9a79cdece83dfde829c8fbc87e5ff15f2a977604d34aaa41f2"),
+    (lambda: BoxBody((0, 0), (1, 1)), 200, 20, (1, 3), 16,
+     "b798e341dfe8bd4435b21f9a758c44f126406d9bdd3cedaea6d63b45beb91e86"),
+    (lambda: BoxBody((0, F(1, 2), 0), (1, F(3, 2), F(2, 3))), 200, 20, (1, 3), 17,
+     "476f72ab92c69f35b814753c9f69908becd5e86517e9eaa41f6531e9b24ea4ae"),
+    # the triangle-homothets-2.5k benchmark instance at seed 1
+    (unit_triangle, 2500, 100, (1, 2), 1,
+     "a89ce9bec6f8c3f0d8cfdd02f8442b5722f42add7ee6e45e137a9d6622abab4a"),
+]
+
+
+@pytest.mark.parametrize("base, n, box, scales, seed, digest", _CORPUS)
+def test_homothet_certificates_are_byte_identical(base, n, box, scales, seed, digest):
+    f = random_family(base(), n, box_size=box, kind="homothets", scale_range=scales, seed=seed)
+    cert = greedy_pierce_homothets(f)
+    text = jsonio.dump(jsonio.certificate_to_json(cert, f))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -4,10 +4,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from piercing import covers, sandwich, translates
+from piercing import covers, jsonio, sandwich, translates
 from piercing.cli import main
 from piercing.errors import ConstructionFailed, ParseError, VerificationFailed
-from piercing.generators import hexagon_body, random_family, unit_square
+from piercing.generators import hexagon_body, random_family, unit_disk, unit_square, unit_triangle
 from piercing.jsonio import _radical_sum, _Reader
 
 
@@ -174,3 +174,111 @@ def test_lattice_witness_lets_real_errors_through(monkeypatch):
     f = random_family(hexagon_body(), 9, box_size=7, seed=10)
     with pytest.raises(ZeroDivisionError):
         translates.lattice_witness(f)
+
+
+@pytest.fixture(scope="module")
+def pattern_docs():
+    """Valid pattern documents, one per base kind."""
+    return {
+        "disk": jsonio.pattern_to_json(covers.homothet_cover(unit_disk())),
+        "polygon": jsonio.pattern_to_json(covers.translate_cluster_cover(unit_triangle())),
+        "box": jsonio.pattern_to_json(covers.box_cover((1, Fraction(1, 2)), half=True)),
+    }
+
+
+def _without(key):
+    return lambda doc: doc.pop(key)
+
+
+def _setting(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+@pytest.mark.parametrize("kind", ["disk", "polygon", "box"])
+def test_unedited_pattern_verifies(tmp_path, pattern_docs, kind):
+    assert verify_doc(tmp_path, pattern_docs[kind]) == 0
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("disk", _without("radius")),
+    ("disk", _setting("radius", [1])),
+    ("disk", _setting("radius", -1)),
+    ("disk", _without("region_kind")),
+    ("disk", _setting("region_kind", 7)),
+    ("disk", _setting("region_kind", ["diff"])),
+    ("disk", _without("offsets")),
+    ("disk", _setting("offsets", 5)),
+    ("disk", _setting("offsets", [5])),
+    ("polygon", _without("region")),
+    ("polygon", _setting("region", 5)),
+    ("polygon", _setting("region", [[0, 0], [1]])),
+    ("polygon", _without("cover")),
+    ("polygon", _setting("cover", "abc")),
+    ("polygon", _setting("cover", [[0, 0], [1, 1], [2, 2]])),
+    ("polygon", _without("offsets")),
+    ("polygon", _setting("offsets", {"xy": [0, 0]})),
+    ("polygon", _setting("offsets", [{"kind": "radical", "x": [[3, 1]], "y": []}])),
+    ("polygon", _setting("offsets", [{"xy": [0]}])),
+    ("polygon", _without("region_kind")),
+    ("box", _without("sides")),
+    ("box", _setting("sides", "12")),
+    ("box", _setting("sides", [])),
+    ("box", _setting("sides", [0, 1])),
+    ("box", _setting("offsets", [{"xy": [0]}])),
+    ("box", _setting("offsets", [{"xy": 0}])),
+    ("box", _setting("base_kind", "sphere")),
+    ("box", _without("base_kind")),
+])
+def test_malformed_pattern_is_a_parse_error(tmp_path, pattern_docs, kind, edit):
+    doc = json.loads(json.dumps(pattern_docs[kind]))
+    edit(doc)
+    assert verify_doc(tmp_path, doc) == 2
+
+
+@pytest.mark.parametrize("doc", [[1, 2], [], "certificate", 3, None])
+def test_non_object_document_is_a_parse_error(tmp_path, doc):
+    assert verify_doc(tmp_path, doc) == 2
+
+
+def test_pattern_with_a_missing_offset_still_fails_verification(tmp_path, pattern_docs):
+    for kind in ("disk", "polygon", "box"):
+        doc = json.loads(json.dumps(pattern_docs[kind]))
+        doc["offsets"].pop()
+        assert verify_doc(tmp_path, doc) == 1
+
+
+def _box_certificate(points, translations=((0, 0, 0), (0, 0, 5))):
+    """Two disjoint unit cubes, one above the other, with the given points."""
+    return {
+        "instance": {"base": {"type": "box", "dim": 3, "side_lengths": [1, 1, 1]},
+                     "kind": "translates",
+                     "members": [{"t": list(t), "s": 1} for t in translations]},
+        "method": "greedy", "factor": 2, "points": points, "clusters": [], "witness": [0, 1],
+    }
+
+
+def test_box_certificate_with_both_cube_centres_verifies(tmp_path):
+    doc = _box_certificate([{"xy": ["1/2", "1/2", "1/2"]}, {"xy": ["1/2", "1/2", "11/2"]}])
+    assert verify_doc(tmp_path, doc) == 0
+
+
+@pytest.mark.parametrize("point", [
+    {"xy": ["1/2", "1/2"]},  # one short point would pierce both cubes
+    {"xy": ["1/2", "1/2", "1/2", 0]},
+    {"xy": "1/2"},
+    {"kind": "radical", "x": [[3, 1]], "y": [[1, 1]]},
+])
+def test_box_point_of_the_wrong_shape_is_a_parse_error(tmp_path, point):
+    assert verify_doc(tmp_path, _box_certificate([point])) == 2
+
+
+def test_box_translation_of_the_wrong_length_is_a_parse_error(tmp_path):
+    doc = _box_certificate([{"xy": ["1/2", "1/2", "1/2"]}], translations=((0, 0, 0), (0, 0)))
+    assert verify_doc(tmp_path, doc) == 2
+
+
+@pytest.mark.parametrize("xy", [["1/2", "1/2", 7], ["1/2"], "12"])
+def test_planar_point_of_the_wrong_shape_is_a_parse_error(tmp_path, disk_cert, xy):
+    doc = json.loads(json.dumps(disk_cert))
+    doc["points"].append({"kind": "rational", "xy": xy})
+    assert verify_doc(tmp_path, doc) == 2

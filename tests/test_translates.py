@@ -262,7 +262,7 @@ class TestTranslateKernel:
     def test_integer_kernel_matches_reference_on_tangent_pairs(self):
         for seed, r in ((1, F(1)), (2, F(5, 4)), (3, F(7, 3))):
             f = _tangent_disk_family(seed, 100, r, lambda rng: F(rng.randrange(20 * 32), 32))
-            D, cols = f.scaled_translations()
+            D, cols, _ = f.scaled_translations()
             assert D > 1 and all(type(v) is int for col in cols for v in col)
             cert = greedy_pierce(f, refine=False)
             assert cert.clusters == _reference_clusters(f)
@@ -276,7 +276,7 @@ class TestTranslateKernel:
 
         f = _tangent_disk_family(4, 40, F(1), coordinate)
         # D needs more than MAX_SCALE_BITS, so the translations stay Fractions
-        D, cols = f.scaled_translations()
+        D, cols, _ = f.scaled_translations()
         assert D == 1 and all(type(v) is F for col in cols for v in col)
         cert = greedy_pierce(f, refine=False)
         assert cert.clusters == _reference_clusters(f)
