@@ -430,8 +430,9 @@ def pair_checker(f: Family):
     n . (T_i - T_j) <= S_j h_C(n) + S_i h_C(-n) over the edge normals n of C
     and -C, the edge normals of S_j C - S_i C.  Disks with centre c and
     radius r meet iff |(S_i - S_j) c + T_i - T_j| <= r (S_i + S_j), cleared
-    of denominators; for translates that is q^2 |dT|^2 <= (2pD)^2 with
-    r = p/q.  Over MAX_SCALE_BITS the same tests run on Fractions.
+    of denominators; the scaled centres and radii are computed once per
+    member, so a pair costs three multiplies for translates and homothets
+    alike.  Over MAX_SCALE_BITS the same tests run on Fractions.
     """
     base = f.base
     if base.kind != "disk":
@@ -443,15 +444,6 @@ def pair_checker(f: Family):
         return check
     D, (xs, ys), S = f.scaled_translations()
     p, q = base.radius.numerator, base.radius.denominator
-    if f.kind == "translates":
-        qq, reach = q * q, (2 * p * D) ** 2
-
-        def check(i, j):
-            dx = xs[i] - xs[j]
-            dy = ys[i] - ys[j]
-            return qq * (dx * dx + dy * dy) <= reach
-
-        return check
     # L times the scaled centres S c + T and radii S r
     c = base.center
     L = math.lcm(c.x.denominator, c.y.denominator, q)

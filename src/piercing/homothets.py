@@ -11,16 +11,12 @@ The order and every pair test run on the family's scaled int columns
 anything, and no member is realized to decide a pair.
 """
 
-from fractions import Fraction
-from operator import add
-
 from .bodies import BoxBody, DiskBody, Family, PolygonBody
 from .certificates import PierceCertificate
 from .covers import homothet_cover
 from .errors import DegenerateInput, UnsupportedBase
 from .bodies import neighbor_index, pair_checker
-from .geom import Point
-from .translates import ORACLE_BUDGET, _add_offset, _anchor, _topmost_order, dedupe_points
+from .translates import ORACLE_BUDGET, _placer, _topmost_order, dedupe_points
 
 
 def _smallest_order(f: Family):
@@ -33,34 +29,6 @@ def _smallest_order(f: Family):
     order = _topmost_order(f)
     order.sort(key=f.scaled_translations()[2].__getitem__)
     return order
-
-
-def _placer(f: Family, offsets):
-    """i -> seed i's points a s_i + t_i + o s_i over the offsets o, with a
-    the base anchor.
-
-    Points are placed on the scaled columns: a rational coordinate
-    (a + o) s_i + t_i is ((a + o) S_i + T_i) / D, one Fraction built from
-    two ints.  Disk offsets carry square roots, so only the anchor is
-    placed that way and the offsets are added scaled as Radicals.
-    """
-    D, cols, S = f.scaled_translations()
-    anchor = _anchor(f.base)
-    rational = f.base.kind != "disk"
-    shifted = [map(add, anchor, o) for o in offsets] if rational else [anchor]
-    rows = [[(v.numerator, v.denominator, v.denominator * D) for v in vs] for vs in shifted]
-    make = tuple if f.base.kind == "box" else (lambda xy: Point(*xy))
-
-    def place(i):
-        s, t = S[i], [col[i] for col in cols]
-        pts = [make([Fraction(n * s + d * v, dD) for (n, d, dD), v in zip(row, t)])
-               for row in rows]
-        if rational:
-            return pts
-        s = f.members[i].s
-        return [_add_offset(pts[0], o * s) for o in offsets]
-
-    return place
 
 
 def greedy_pierce_homothets(f: Family, refine: bool = True,

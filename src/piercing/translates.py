@@ -16,6 +16,7 @@ covering/packing lattices, with exact union areas for the counting bounds.
 
 from fractions import Fraction
 import math
+from operator import add
 import random
 
 from .bodies import (
@@ -108,47 +109,64 @@ def _radical_parts(r):
     return terms.pop(1, 0), terms
 
 
-def _plus(parts, a):
-    """The Radical q + a + rest for parts (q, rest) and a rational a."""
-    q, rest = parts
-    c = q + a if q else a
-    terms = dict(rest)
-    if c:
-        terms[1] = c
-    return Radical(terms)
+def _placer(f: Family, offsets):
+    """i -> member i's pattern points a s_i + t_i + o s_i over the offsets
+    o, with a the base anchor (s_i = 1 for translates).
 
-
-def _add_offset(anchor, offset):
-    if isinstance(offset, RadPoint):
-        return RadPoint(_plus(_radical_parts(offset.x), anchor.x),
-                        _plus(_radical_parts(offset.y), anchor.y))
-    if isinstance(anchor, tuple):
-        return tuple(a + o for a, o in zip(anchor, offset))
-    return anchor + offset
-
-
-def _placer(offsets):
-    """t -> [t + o for o in offsets], for rational t.
-
-    Radical offsets are split once into rational and irrational parts, and
-    offsets with equal parts in a coordinate share that coordinate's
-    Radical, so a point costs at most one Fraction addition per coordinate.
+    Polygon and box points are placed on the scaled columns
+    (Family.scaled_translations): a coordinate (a + o) s_i + t_i is
+    ((a + o) S_i + T_i) / D, one Fraction built from two ints.  Disk offsets
+    are Radicals; each is split once into its rational part plus the anchor
+    and its other terms, and offsets with equal parts in a coordinate share
+    that coordinate's Radical.  A shared part costs one Fraction addition to
+    t_i (none when it is zero), and for homothets a multiply by s_i per term.
     """
-    if not all(isinstance(o, RadPoint) for o in offsets):
-        return lambda t: [_add_offset(t, o) for o in offsets]
-    xparts, yparts, pairs = [], [], []
-    for o in offsets:
-        px, py = _radical_parts(o.x), _radical_parts(o.y)
-        if px not in xparts:
-            xparts.append(px)
-        if py not in yparts:
-            yparts.append(py)
-        pairs.append((xparts.index(px), yparts.index(py)))
+    D, cols, S = f.scaled_translations()
+    anchor = _anchor(f.base)
+    if f.base.kind != "disk":
+        rows = [[(v.numerator, v.denominator, v.denominator * D) for v in map(add, anchor, o)]
+                for o in offsets]
+        make = tuple if f.base.kind == "box" else (lambda xy: Point(*xy))
 
-    def place(t):
-        xs = [_plus(p, t.x) for p in xparts]
-        ys = [_plus(p, t.y) for p in yparts]
-        return [RadPoint(xs[i], ys[j]) for i, j in pairs]
+        def place(i):
+            s, t = S[i], [col[i] for col in cols]
+            return [make([Fraction(n * s + d * v, dD) for (n, d, dD), v in zip(row, t)])
+                    for row in rows]
+
+        return place
+    # per axis, the distinct (rational part + anchor, other terms) of the offsets
+    parts = ([], [])
+    pairs = []
+    for o in offsets:
+        pair = []
+        for axis, a, r in zip(parts, (anchor.x, anchor.y), (o.x, o.y)):
+            q, rest = _radical_parts(r)
+            part = (q + a, rest)
+            if part not in axis:
+                axis.append(part)
+            pair.append(axis.index(part))
+        pairs.append(pair)
+    scaled = f.kind == "homothets"
+
+    def place(i):
+        m = f.members[i]
+        s = m.s
+        coords = []
+        for axis, t in zip(parts, (m.t.x, m.t.y)):
+            out = []
+            for v, rest in axis:
+                if scaled:
+                    terms = {r: c * s for r, c in rest.items()}
+                    v = v * s
+                else:
+                    terms = dict(rest)
+                c = v + t if v else t
+                if c:
+                    terms[1] = c
+                out.append(Radical(terms))
+            coords.append(out)
+        xs, ys = coords
+        return [RadPoint(xs[a], ys[b]) for a, b in pairs]
 
     return place
 
@@ -206,9 +224,7 @@ def _greedy_run(f: Family, refine: bool, oracle_budget: int) -> PierceCertificat
     order = _topmost_order(f)
     candidates = neighbor_index(f)
     check = pair_checker(f)
-    # seed i's points are anchor + o with anchor = base anchor + t_i
-    base_anchor = _anchor(f.base)
-    place = _placer([_add_offset(base_anchor, o) for o in pattern.offsets])
+    place = _placer(f, pattern.offsets)
     alive = [True] * len(f)
     clusters = []
     points = []
@@ -221,7 +237,7 @@ def _greedy_run(f: Family, refine: bool, oracle_budget: int) -> PierceCertificat
         for j in hits:
             alive[j] = False
         clusters.append((i, [i] + hits))
-        points.extend(place(f.members[i].t))
+        points.extend(place(i))
     if refine and clusters and len(clusters[-1][1]) <= oracle_budget:
         from .oracle import exact_tau
 
