@@ -3,7 +3,7 @@
 from fractions import Fraction
 import random
 
-from .bodies import DiskBody, Family, Member, PolygonBody
+from .bodies import DiskBody, Family, Member, PolygonBody, pair_checker
 from .errors import ConstructionFailed, EpsilonTooLarge, TooLarge
 from .geom import ConvexPolygon, Point, frac, minkowski_sum, reflect
 
@@ -60,9 +60,10 @@ def nine_triangles(epsilon=Fraction(1, 100)) -> Family:
     for src, dst in ((a, b), (a, c), (b, a), (b, c), (c, a), (c, b)):
         ts.append(src + (dst - src) * eps)
     fam = Family(unit_triangle(), [Member(t) for t in ts])
+    check = pair_checker(fam)
     for i in range(9):
         for j in range(i + 1, 9):
-            if not fam.intersects(i, j):
+            if not check(i, j):
                 raise EpsilonTooLarge("family is not pairwise-intersecting")
     return fam
 
@@ -139,9 +140,10 @@ def pairwise_intersecting_family(base, n, seed=0, attempts=1000) -> Family:
     else:
         raise ConstructionFailed("unsupported base kind")
     fam = Family(base, members)
+    check = pair_checker(fam)
     for i in range(n):
         for j in range(i + 1, n):
-            if not fam.intersects(i, j):
+            if not check(i, j):
                 raise ConstructionFailed("family is not pairwise-intersecting")
     return fam
 

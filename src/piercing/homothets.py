@@ -6,17 +6,19 @@ cover pattern scaled by the seed's scale and anchored at the seed pierces
 the whole cluster.  Factors: square 4, triangle <= 12, disk 7, centrally
 symmetric <= 7, box 2^d, general polygon <= 16.
 
-The order and every pair test run on the family's scaled int columns
-(bodies.Family.scaled_translations, bodies.pair_checker); no float decides
-anything, and no member is realized to decide a pair.
+The cluster loop is the translates' (translates._greedy); only the seed
+order and the pattern differ.  The order and every pair test run on the
+family's scaled int columns (bodies.Family.scaled_translations,
+bodies.pair_checker); no float decides anything, and no member is realized
+to decide a pair.
 """
 
-from .bodies import BoxBody, DiskBody, Family, PolygonBody
+# pair_checker is unused here but stays bound: perfbench/spans.py traces it by this binding
+from .bodies import BoxBody, DiskBody, Family, PolygonBody, pair_checker  # noqa: F401
 from .certificates import PierceCertificate
 from .covers import homothet_cover
 from .errors import DegenerateInput, UnsupportedBase
-from .bodies import neighbor_index, pair_checker
-from .translates import ORACLE_BUDGET, _placer, _topmost_order, dedupe_points
+from .translates import ORACLE_BUDGET, _greedy, _topmost_order
 
 
 def _smallest_order(f: Family):
@@ -26,45 +28,21 @@ def _smallest_order(f: Family):
     Members of equal scale share s * top(C), so they tie-break in topmost
     order; a stable sort on the scale column finishes the order.
     """
-    order = _topmost_order(f)
-    order.sort(key=f.scaled_translations()[2].__getitem__)
+    _, cols, S = f.scaled_translations()
+    order = _topmost_order(cols)
+    order.sort(key=S.__getitem__)
     return order
 
 
 def greedy_pierce_homothets(f: Family, refine: bool = True,
                             oracle_budget: int = ORACLE_BUDGET,
                             verify: bool = True, sample: int = None) -> PierceCertificate:
+    """The translates' greedy (translates._greedy) on the smallest-first
+    order with the difference-body pattern scaled to each seed."""
     if not isinstance(f.base, (PolygonBody, DiskBody, BoxBody)):
         raise UnsupportedBase("unsupported base body")
-    pattern = homothet_cover(f.base)
-    order = _smallest_order(f)
-    candidates = neighbor_index(f)
-    check = pair_checker(f)
-    place = _placer(f, pattern.offsets)
-    alive = [True] * len(f)
-    clusters = []
-    cluster_points = []
-    for i in order:
-        if not alive[i]:
-            continue
-        alive[i] = False
-        hits = [j for j in candidates(i) if alive[j] and check(i, j)]
-        hits.sort()
-        for j in hits:
-            alive[j] = False
-        clusters.append((i, [i] + hits))
-        cluster_points.append(place(i))
-    if refine and clusters and len(clusters[-1][1]) <= oracle_budget:
-        from .oracle import exact_tau
-
-        last = clusters[-1][1]
-        sub = Family(f.base, [f.members[j] for j in last], f.kind)
-        tau, pts = exact_tau(sub)
-        if tau < len(cluster_points[-1]):
-            cluster_points[-1] = pts
-    points = dedupe_points(cluster_points)
-    witness = [c[0] for c in clusters]
-    cert = PierceCertificate("greedy-homothets", pattern.size, points, clusters, witness)
+    cert = _greedy(f, homothet_cover(f.base), _smallest_order(f), "greedy-homothets",
+                   refine, oracle_budget)
     if verify:
         cert.verify(f, sample=sample)
     return cert

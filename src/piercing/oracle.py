@@ -10,7 +10,7 @@ branch-and-bound and deterministic.
 
 import itertools
 
-from .bodies import Family, intersection_graph_bruteforce
+from .bodies import Family, intersection_graph
 from .circles import circle_circle_points
 from .errors import TooLarge
 from .geom import Point, intersection_chain
@@ -248,7 +248,7 @@ def exact_nu(f: Family, limit: int = NU_LIMIT):
     """Exact packing number with an optimal pairwise-disjoint subfamily."""
     if len(f) > limit:
         raise TooLarge("oracle limit is %d members" % limit)
-    adj = intersection_graph_bruteforce(f)
+    adj = intersection_graph(f)
     members = max_independent_set(adj)
     return len(members), members
 

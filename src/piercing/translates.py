@@ -3,6 +3,8 @@
 greedy_pierce: topmost-seed decomposition with a halfplane cover pattern per
 cluster (squares 2, triangles 5, disks 4, centrally symmetric 4, boxes
 2^(d-1)); the final cluster can be replaced by the exact oracle optimum.
+For a triangle the seed order runs along the cut edge of its trapezoid
+pattern.  The cluster loop (_greedy) is shared with the homothet greedy.
 
 grid_pierce: the sandwich-pair decomposition into lines and residue classes
 with factor gamma = ceil(l_line) * ceil(l_class + 1).
@@ -29,7 +31,7 @@ from .bodies import (
     pair_checker,
 )
 from .certificates import PierceCertificate
-from .covers import translate_cluster_cover
+from .covers import _triangle_normalizer, translate_cluster_cover
 from .errors import (
     CoverageNotVerified,
     NotHexagonBase,
@@ -74,20 +76,33 @@ def _top_key(f: Family):
     return key
 
 
-def _topmost_order(f: Family):
-    """Member indices by (-t[-1], t, index): the _top_key order of a
-    translate family, whose members share the base top (so do homothets of
-    one scale).
-
-    Stable sorts on the scaled translations from the least significant
-    axis on.
-    """
-    cols = f.scaled_translations()[1]
-    order = list(range(len(f)))
+def _topmost_order(cols):
+    """Member indices by (-cols[-1][i], cols[0][i], ..., i), by stable
+    sorts: on the scaled translations, the _top_key order of translates (and
+    of homothets of one scale)."""
+    order = list(range(len(cols[0])))
     for col in reversed(cols[:-1]):
         order.sort(key=col.__getitem__)
     order.sort(key=cols[-1].__getitem__, reverse=True)
     return order
+
+
+def _seed_order(f: Family):
+    """greedy_pierce's seed order: topmost on the scaled columns T, and for
+    a triangle topmost in the frame of covers._triangle_normalizer, where
+    the trapezoid pattern's cut edge is horizontal: by up = e1 x T
+    descending, then across = T x e2, then index, with the triangle's edges
+    e1, e2 from its lowest-leftmost vertex cleared of denominators.
+    """
+    cols = f.scaled_translations()[1]
+    if f.base.kind == "polygon" and len(f.base.polygon.vertices) == 3:
+        _, e1, e2 = _triangle_normalizer(f.base.polygon)
+        L = math.lcm(e1.x.denominator, e1.y.denominator, e2.x.denominator, e2.y.denominator)
+        (ax, ay), (bx, by) = [(int(e.x * L), int(e.y * L)) for e in (e1, e2)]
+        xs, ys = cols
+        cols = [[x * by - y * bx for x, y in zip(xs, ys)],
+                [ax * y - ay * x for x, y in zip(xs, ys)]]
+    return _topmost_order(cols)
 
 
 def _anchor(body):
@@ -171,57 +186,35 @@ def _placer(f: Family, offsets):
     return place
 
 
-def _triangle_normalizer_map(poly: ConvexPolygon):
-    from .bodies import AffineMap
-
-    v = poly.vertices
-    i0 = min(range(3), key=lambda i: (v[i].y, v[i].x))
-    e1 = v[(i0 + 1) % 3] - v[i0]
-    e2 = v[(i0 + 2) % 3] - v[i0]
-    det = e1.cross(e2)
-    # inverse of [e1 e2] as columns
-    fwd = AffineMap(e2.y / det, -e2.x / det, -e1.y / det, e1.x / det)
-    back = AffineMap(e1.x, e2.x, e1.y, e2.y)
-    return fwd, back
-
-
 def greedy_pierce(f: Family, refine: bool = True, oracle_budget: int = ORACLE_BUDGET,
                   verify: bool = True, sample: int = None) -> PierceCertificate:
     """Greedy decomposition for translates of a supported base body.
 
     Repeatedly takes the topmost remaining member as a cluster seed, absorbs
     everything it intersects, and pierces the cluster through the halfplane
-    cover pattern anchored at the seed.  The seeds are a pairwise-disjoint
-    witness.  With refine, the last cluster (within the oracle budget) is
-    re-pierced optimally, which realizes the improved additive constants.
+    cover pattern anchored at the seed.  For a triangle, "topmost" runs
+    along the trapezoid pattern's cut edge (_seed_order).  The seeds are a
+    pairwise-disjoint witness.  With refine, the last cluster (within the
+    oracle budget) is re-pierced optimally, which realizes the improved
+    additive constants.
     """
     if f.kind != "translates":
         raise UnsupportedBase("greedy_pierce needs a translate family")
-    base = f.base
-    if isinstance(base, PolygonBody):
-        poly = base.polygon
+    if isinstance(f.base, PolygonBody):
+        poly = f.base.polygon
         if poly.is_centrally_symmetric() is None and len(poly.vertices) != 3:
             raise UnsupportedBase("polygon base is neither centrally symmetric nor a triangle")
-        if len(poly.vertices) == 3:
-            from .bodies import normalize_affine
-
-            fwd, back = _triangle_normalizer_map(poly)
-            fn = normalize_affine(f, fwd)
-            cert = _greedy_run(fn, refine, oracle_budget)
-            cert.points = [back.apply_point(p) for p in cert.points]
-            cert.method = "greedy"
-            if verify:
-                cert.verify(f, sample=sample)
-            return cert
-    cert = _greedy_run(f, refine, oracle_budget)
+    cert = _greedy(f, translate_cluster_cover(f.base), _seed_order(f), "greedy",
+                   refine, oracle_budget)
     if verify:
         cert.verify(f, sample=sample)
     return cert
 
 
-def _greedy_run(f: Family, refine: bool, oracle_budget: int) -> PierceCertificate:
-    pattern = translate_cluster_cover(f.base)
-    order = _topmost_order(f)
+def _greedy(f: Family, pattern, order, method, refine, oracle_budget) -> PierceCertificate:
+    """The greedy of both family kinds: each member of order still alive
+    seeds a cluster of the alive members it meets, pierced by the pattern
+    placed at the seed (_placer); the seeds are the witness."""
     candidates = neighbor_index(f)
     check = pair_checker(f)
     place = _placer(f, pattern.offsets)
@@ -248,7 +241,7 @@ def _greedy_run(f: Family, refine: bool, oracle_budget: int) -> PierceCertificat
             points[-pattern.size:] = pts
     points = dedupe_points([points])
     witness = [c[0] for c in clusters]
-    return PierceCertificate("greedy", pattern.size, points, clusters, witness)
+    return PierceCertificate(method, pattern.size, points, clusters, witness)
 
 
 def _radical_key(r):
@@ -323,6 +316,7 @@ def grid_pierce(f: Family, pair: SandwichPair = None, verify: bool = True) -> Pi
 
     m_class = math.ceil(e_class + 1)
     k_line = math.ceil(e_line)
+    check = pair_checker(f)
     points = []
     clusters = []
     class_seeds = {}
@@ -335,7 +329,7 @@ def grid_pierce(f: Family, pair: SandwichPair = None, verify: bool = True) -> Pi
             alive.discard(i)
             members = [i]
             for k in list(alive):
-                if f.intersects(i, k):
+                if check(i, k):
                     alive.discard(k)
                     members.append(k)
             c_seed = beta[i] - Fraction(1, 2)
@@ -357,7 +351,7 @@ def grid_pierce(f: Family, pair: SandwichPair = None, verify: bool = True) -> Pi
                 points.append(p)
             clusters.append((i, sorted(members)))
             class_seeds.setdefault(j % m_class, []).append(i)
-    witness = _extend_witness(f, class_seeds)
+    witness = _extend_witness(check, class_seeds)
     points = dedupe_points([points])
     cert = PierceCertificate("grid", pair.gamma, points, clusters, witness,
                              info={"gamma": pair.gamma})
@@ -366,12 +360,12 @@ def grid_pierce(f: Family, pair: SandwichPair = None, verify: bool = True) -> Pi
     return cert
 
 
-def _extend_witness(f: Family, class_seeds):
+def _extend_witness(check, class_seeds):
     """Largest per-class seed set, greedily extended by other disjoint seeds."""
     witness = list(max(class_seeds.values(), key=lambda s: (len(s), -min(s))))
     others = sorted(i for seeds in class_seeds.values() for i in seeds if i not in witness)
     for i in others:
-        if all(not f.intersects(i, j) for j in witness):
+        if all(not check(i, j) for j in witness):
             witness.append(i)
     return witness
 
@@ -405,6 +399,7 @@ def _grid_pierce_box(f: Family, verify: bool) -> PierceCertificate:
             math.floor(norm[i][k] + 1 - offs[k]) for k in range(d - 1)
         )
         lines.setdefault(key, []).append(i)
+    check = pair_checker(f)
     points = []
     clusters = []
     class_seeds = {}
@@ -417,14 +412,14 @@ def _grid_pierce_box(f: Family, verify: bool) -> PierceCertificate:
             alive.discard(i)
             members = [i]
             for k in list(alive):
-                if f.intersects(i, k):
+                if check(i, k):
                     alive.discard(k)
                     members.append(k)
             coord = tuple(key[k] + offs[k] for k in range(d - 1)) + (norm[i][-1] + 1,)
             points.append(tuple(c * s for c, s in zip(coord, base.sides)))
             clusters.append((i, sorted(members)))
             class_seeds.setdefault(tuple(k % 2 for k in key), []).append(i)
-    witness = _extend_witness(f, class_seeds)
+    witness = _extend_witness(check, class_seeds)
     factor = 2 ** (d - 1)
     cert = PierceCertificate("grid", factor, points, clusters, witness)
     if verify:
@@ -502,7 +497,7 @@ def hexagon_pierce(f: Family, verify: bool = True) -> PierceCertificate:
         if tau > 2:
             raise VerificationFailed("no two-point transversal found")
         points = pts
-    top = _topmost_order(f)[0]
+    top = _topmost_order(f.scaled_translations()[1])[0]
     cert = PierceCertificate(
         "hexagon", 2, points, [(top, list(range(n)))], [top]
     )
@@ -771,12 +766,13 @@ def lattice_witness(f: Family, lattice: LatticeSpec = None, eps=Fraction(1, 64),
         if target is not None and len(best) >= target:
             break
     # exact disjointness recheck with greedy removal
+    check = pair_checker(f)
     kept = []
     for i in best:
-        if all(not f.intersects(i, j) for j in kept):
+        if all(not check(i, j) for j in kept):
             kept.append(i)
     # extending with any further disjoint members only strengthens the witness
     for i in range(len(f)):
-        if i not in kept and all(not f.intersects(i, j) for j in kept):
+        if i not in kept and all(not check(i, j) for j in kept):
             kept.append(i)
     return kept, lattice

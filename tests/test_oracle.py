@@ -3,17 +3,26 @@ import random
 
 import pytest
 
-from piercing.bodies import AffineMap, BoxBody, Family, Member, normalize_affine
+from piercing.bodies import (
+    AffineMap,
+    BoxBody,
+    DiskBody,
+    Family,
+    Member,
+    PolygonBody,
+    normalize_affine,
+)
 from piercing.errors import TooLarge
 from piercing.generators import (
     five_square_cycle,
+    hexagon_body,
     nine_triangles,
     random_family,
     unit_disk,
     unit_square,
     unit_triangle,
 )
-from piercing.geom import Point, clip_chain
+from piercing.geom import ConvexPolygon, Point, clip_chain
 from piercing.oracle import (
     candidate_points,
     clique_partition_number,
@@ -165,3 +174,66 @@ class TestAffineInvariance:
             g = normalize_affine(f, m)
             assert exact_tau(f)[0] == exact_tau(g)[0]
             assert exact_nu(f)[0] == exact_nu(g)[0]
+
+
+def _touching_families():
+    """Small families of every base, translates and homothets, rich in
+    pairs that only touch: polygon and box members on a half-integer grid
+    with scales in {1, 3/2, 2} meet along edges and at corners, and every
+    disk family holds pairs at centre distance exactly r (s_i + s_j)."""
+    polygons = [unit_triangle(), unit_square(), hexagon_body(),
+                PolygonBody(ConvexPolygon([Point(0, 0), Point(3, 1), Point(1, 2)])),
+                PolygonBody(ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Point(2, 5),
+                                           Point(-1, 2)]))]
+    boxes = [BoxBody((0, 0), (1, 1)), BoxBody((0, F(1, 2), 0), (1, F(3, 2), F(2, 3)))]
+    disks = [unit_disk(), DiskBody(Point(F(1, 3), F(-2, 5)), F(3, 7))]
+    rng = random.Random(17)
+    for kind in ("translates", "homothets"):
+        def scale():
+            return rng.choice((1, F(3, 2), 2)) if kind == "homothets" else 1
+
+        for base in polygons + boxes:
+            dim = base.dim if base.kind == "box" else 2
+            for _ in range(3):
+                members = []
+                for _ in range(rng.randrange(5, 11)):
+                    t = [F(rng.randrange(0, 7), 2) for _ in range(dim)]
+                    members.append(Member(tuple(t) if base.kind == "box" else Point(*t), scale()))
+                yield Family(base, members, kind)
+        for base in disks:
+            for _ in range(3):
+                members = []
+                for _ in range(rng.randrange(3, 6)):
+                    c = Point(rng.randrange(-6, 7), rng.randrange(-6, 7))
+                    si, sj = scale(), scale()
+                    ux, uy = rng.choice(((1, 0), (F(3, 5), F(4, 5)), (F(-5, 13), F(12, 13))))
+                    reach = base.radius * (si + sj)
+                    # members are s C + t, so the centre is s c + t
+                    members.append(Member(c - base.center * si, si))
+                    members.append(Member(c + Point(ux, uy) * reach - base.center * sj, sj))
+                yield Family(base, members, kind)
+
+
+def test_exact_nu_matches_bruteforce_graph():
+    touching = set()
+    for f in _touching_families():
+        adj = intersection_graph_bruteforce(f)
+        nu, members = exact_nu(f)
+        assert (nu, members) == (len(members), max_independent_set(adj))
+        if any(not _overlap_inside(f, i, j) for i in range(len(f)) for j in adj[i]):
+            touching.add((f.base.kind, f.kind))
+    assert len(touching) == 6  # every base kind, as translates and as homothets
+
+
+def _overlap_inside(f, i, j):
+    """Whether members i and j still meet when each shrinks by 1/1000 about
+    its own reference point s ref + t."""
+    box = f.base.kind == "box"
+    ref = f.base.reference_point
+    ref = ref if box else (ref.x, ref.y)
+    shrunk = []
+    for m in (f.members[i], f.members[j]):
+        s = m.s * F(999, 1000)
+        t = [r * (m.s - s) + v for r, v in zip(ref, m.t if box else (m.t.x, m.t.y))]
+        shrunk.append(Member(tuple(t) if box else Point(*t), s))
+    return Family(f.base, shrunk, "homothets").intersects(0, 1)

@@ -4,8 +4,17 @@ import random
 
 import pytest
 
-from piercing.bodies import DiskBody, Family, Member, PolygonBody, intersection_graph
+from piercing.bodies import (
+    AffineMap,
+    DiskBody,
+    Family,
+    Member,
+    PolygonBody,
+    intersection_graph,
+    normalize_affine,
+)
 from piercing.certificates import _disk_screen, _float_points
+from piercing.covers import _triangle_normalizer, translate_cluster_cover
 from piercing.errors import NotHexagonBase, UnsupportedBase, VerificationFailed
 from piercing.generators import (
     five_square_cycle,
@@ -21,6 +30,8 @@ from piercing.geom import ConvexPolygon, Point
 from piercing.oracle import exact_nu, exact_tau
 from piercing.radicals import RadPoint, Radical
 from piercing.translates import (
+    _greedy,
+    _seed_order,
     _top_key,
     covering_lattice,
     greedy_pierce,
@@ -326,3 +337,56 @@ def test_disk_screen_agrees_with_exact_containment():
         else:
             assert got == body.contains(point)
     assert undecided < 1600  # pairs off the boundary by more than the error are decided
+
+
+def _normalized_top_order(f):
+    """The reference seed order of a triangle family: _top_key on the family
+    mapped into the frame where the triangle is (0,0), (1,0), (0,1)."""
+    _, e1, e2 = _triangle_normalizer(f.base.polygon)
+    det = e1.cross(e2)
+    fwd = AffineMap(e2.y / det, -e2.x / det, -e1.y / det, e1.x / det)
+    return sorted(range(len(f)), key=_top_key(normalize_affine(f, fwd)))
+
+
+_SKEWED = [
+    PolygonBody(ConvexPolygon([Point(0, 0), Point(3, 1), Point(1, 2)])),
+    PolygonBody(ConvexPolygon([Point(1, -1), Point(2, 1), Point(0, 2)])),
+]
+
+
+class TestTriangleSeedOrder:
+    def test_skewed_triangles_with_ties(self):
+        # half-integer translations in a small box: many members share up
+        for base in _SKEWED + [unit_triangle()]:
+            for seed in range(4):
+                rng = random.Random(seed)
+                f = Family(base, [Member(Point(F(rng.randrange(-8, 9), 2),
+                                               F(rng.randrange(-8, 9), 2)))
+                                  for _ in range(300)])
+                assert f.scaled_translations()[0] == 2
+                order = _seed_order(f)
+                assert order == _normalized_top_order(f)
+                _, e1, _ = _triangle_normalizer(base.polygon)
+                ups = [e1.cross(f.members[i].t) for i in order]
+                assert len(set(ups)) < len(ups)
+
+    def test_fraction_columns(self):
+        primes = [p for p in range(1000, 1300) if all(p % d for d in range(2, 37))]
+        rng = random.Random(9)
+        for base in _SKEWED:
+            f = Family(base, [Member(Point(F(rng.randrange(-10 ** 4, 10 ** 4), rng.choice(primes)),
+                                           F(rng.randrange(-10 ** 4, 10 ** 4), rng.choice(primes))))
+                              for _ in range(200)])
+            D, cols, _ = f.scaled_translations()
+            assert D == 1 and all(type(v) is F for col in cols for v in col)
+            assert _seed_order(f) == _normalized_top_order(f)
+
+    def test_plain_top_order_would_fail(self):
+        # seeds taken by their y coordinate leave a member of the skewed
+        # triangle unpierced: the order has to follow the cut edge
+        f = random_family(_SKEWED[0], 60, box_size=8, seed=0)
+        plain = _greedy(f, translate_cluster_cover(f.base), sorted(range(len(f)), key=_top_key(f)),
+                        "greedy", False, 0)
+        with pytest.raises(VerificationFailed, match="contains no piercing point"):
+            plain.verify(f)
+        assert greedy_pierce(f).verify(f)
