@@ -430,9 +430,10 @@ def pair_checker(f: Family):
     n . (T_i - T_j) <= S_j h_C(n) + S_i h_C(-n) over the edge normals n of C
     and -C, the edge normals of S_j C - S_i C.  Disks with centre c and
     radius r meet iff |(S_i - S_j) c + T_i - T_j| <= r (S_i + S_j), cleared
-    of denominators; the scaled centres and radii are computed once per
-    member, so a pair costs three multiplies for translates and homothets
-    alike.  Over MAX_SCALE_BITS the same tests run on Fractions.
+    of denominators: for translates S_i = S_j and the columns T serve as
+    they are; for homothets the scaled centres and radii are computed once
+    per member.  A pair costs three multiplies either way.  Over
+    MAX_SCALE_BITS the same tests run on Fractions.
     """
     base = f.base
     if base.kind != "disk":
@@ -444,6 +445,16 @@ def pair_checker(f: Family):
         return check
     D, (xs, ys), S = f.scaled_translations()
     p, q = base.radius.numerator, base.radius.denominator
+    if f.kind == "translates":
+        # S_i = S_j = D: the centre term vanishes and the reach is 2 r D
+        qq, reach = q * q, (2 * p * D) ** 2
+
+        def check(i, j):
+            dx = xs[i] - xs[j]
+            dy = ys[i] - ys[j]
+            return qq * (dx * dx + dy * dy) <= reach
+
+        return check
     # L times the scaled centres S c + T and radii S r
     c = base.center
     L = math.lcm(c.x.denominator, c.y.denominator, q)
@@ -478,6 +489,14 @@ def intersection_graph(f: Family):
                 adj[i].add(j)
                 adj[j].add(i)
     return adj
+
+
+def pairwise_disjoint(f: Family) -> bool:
+    """True when no two members meet: intersection_graph's candidates and
+    exact test, stopping at the first meeting pair and keeping no graph."""
+    candidates = neighbor_index(f)
+    check = pair_checker(f)
+    return not any(check(i, j) for i in range(len(f)) for j in candidates(i) if j > i)
 
 
 def intersection_graph_bruteforce(f: Family):

@@ -109,7 +109,7 @@ def cmd_gen(args) -> int:
 def cmd_pierce(args) -> int:
     f = _load_family(args.input)
     cert = auto_pierce(f, method=args.method, refine=args.refine, seed=args.seed)
-    doc = jsonio.certificate_to_json(cert, f)
+    doc = jsonio.certificate_to_json(cert.explicit() if args.explicit else cert, f)
     text = jsonio.dump(doc, args.out)
     if text:
         print(text)
@@ -145,7 +145,7 @@ def cmd_verify(args) -> int:
     cert, f = jsonio.certificate_from_json(doc)
     cert.verify(f)
     print("certificate ok: %d points, witness %d, factor %d" % (
-        len(cert.points), len(cert.witness), cert.factor))
+        cert.point_count(), len(cert.witness), cert.factor))
     return EXIT_OK
 
 
@@ -191,7 +191,7 @@ def cmd_experiment(args) -> int:
                 "instance": "%s-%s-n%d-seed%d" % (args.base, args.kind, n, args.seed + trial),
                 "method": cert.method,
                 "n": n,
-                "points": len(cert.points),
+                "points": cert.point_count(),
                 "witness": len(cert.witness),
                 "factor": cert.factor,
                 "ratio": "%d/%d" % (ratio.numerator, ratio.denominator),
@@ -266,14 +266,14 @@ def cmd_bench(args) -> int:
     side = max(1, int(math.sqrt(args.n)))
     f = generators.random_family(base, args.n, box_size=side, seed=args.seed)
     t0 = time.perf_counter()
-    sample = None if args.full_verify else min(args.n, 1000)
-    cert = auto_pierce(f, method="greedy", refine=False, sample=sample)
+    cert = auto_pierce(f, method="greedy", refine=False)
     dt = time.perf_counter() - t0
+    points = cert.point_count()
     print(
         "n=%d method=%s points=%d witness=%d factor=%d wall=%.3fs "
         "rate=%.0f members/s points_rate=%.0f points/s"
-        % (args.n, cert.method, len(cert.points), len(cert.witness), cert.factor,
-           dt, args.n / dt, len(cert.points) / dt)
+        % (args.n, cert.method, points, len(cert.witness), cert.factor,
+           dt, args.n / dt, points / dt)
     )
     return EXIT_OK
 
@@ -299,6 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto", "greedy", "grid", "lattice", "hexagon"])
     p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--explicit", action="store_true",
+                   help="list every piercing point, not a greedy's seeds and clusters")
     p.add_argument("--svg")
     p.add_argument("--out")
     p.set_defaults(func=cmd_pierce)
@@ -345,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, default=10000)
     b.add_argument("--base", default="disk", choices=["disk", "square"])
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--full-verify", action="store_true")
     b.set_defaults(func=cmd_bench)
     return ap
 

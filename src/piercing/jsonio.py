@@ -9,7 +9,7 @@ from fractions import Fraction
 import json
 
 from .bodies import BoxBody, DiskBody, Family, Member, PolygonBody
-from .certificates import PierceCertificate
+from .certificates import PierceCertificate, greedy_rule
 from .errors import DegenerateInput, ParseError
 from .geom import ConvexPolygon, Point
 from .radicals import RadPoint, Radical, canonical_radicands
@@ -209,18 +209,21 @@ def point_to_json(p):
 
 
 def certificate_to_json(cert: PierceCertificate, f: Family) -> dict:
+    """The certificate document.  An explicit certificate lists its points;
+    a symbolic one lists only its refine_points, and verify rebuilds its
+    pattern from the method and the instance's base."""
     info = {}
     for k, v in cert.info.items():
         info[k] = _num_out(v) if isinstance(v, Fraction) else v
-    return {
-        "instance": family_to_json(f),
-        "method": cert.method,
-        "factor": cert.factor,
-        "points": [point_to_json(p) for p in cert.points],
-        "clusters": [[s, list(m)] for s, m in cert.clusters],
-        "witness": list(cert.witness),
-        "info": info,
-    }
+    doc = {"instance": family_to_json(f), "method": cert.method, "factor": cert.factor}
+    if not cert.symbolic:
+        doc["points"] = [point_to_json(p) for p in cert.points]
+    doc["clusters"] = [[s, list(m)] for s, m in cert.clusters]
+    doc["witness"] = list(cert.witness)
+    if cert.symbolic:
+        doc["refine_points"] = [point_to_json(p) for p in cert.extra]
+    doc["info"] = info
+    return doc
 
 
 def _index(i, n: int) -> int:
@@ -230,18 +233,47 @@ def _index(i, n: int) -> int:
     return i
 
 
+def _list(doc, key):
+    value = doc[key]
+    if not isinstance(value, list):
+        raise ParseError("%s must be a list" % key)
+    return value
+
+
 def certificate_from_json(obj):
+    """(certificate, family) from a document.  One with "points" is
+    explicit; one with "refine_points" instead is symbolic, and its method
+    must name a greedy rule (certificates.greedy_rule) for its instance."""
     rd = _Reader()
     try:
         f = rd.family(obj["instance"])
         n = len(f)
         box_dim = f.base.dim if f.base.kind == "box" else None
-        points = [rd.pierce_point(p, box_dim) for p in obj["points"]]
-        clusters = [(_index(s, n), [_index(i, n) for i in m]) for s, m in obj.get("clusters", [])]
-        witness = [_index(i, n) for i in obj["witness"]]
-        cert = PierceCertificate(
-            obj.get("method", "unknown"), int(obj["factor"]), points, clusters, witness
-        )
+        factor = obj["factor"]
+        if type(factor) is not int:
+            raise ParseError("factor must be an integer, got %r" % (factor,))
+        method = obj.get("method", "unknown")
+        symbolic = "points" not in obj
+        if symbolic:
+            if "refine_points" not in obj:
+                raise ParseError("a certificate needs points or refine_points")
+            clusters = _list(obj, "clusters")
+            if _list(obj, "refine_points") and not clusters:
+                raise ParseError("refine_points without a cluster")
+            greedy_rule(f, method)
+        elif "refine_points" in obj:
+            raise ParseError("a certificate has points or refine_points, not both")
+        else:
+            clusters = obj.get("clusters", [])
+        clusters = [(_index(s, n), [_index(i, n) for i in m]) for s, m in clusters]
+        witness = [_index(i, n) for i in _list(obj, "witness")]
+        points = [rd.pierce_point(p, box_dim)
+                  for p in _list(obj, "refine_points" if symbolic else "points")]
+        if symbolic:
+            cert = PierceCertificate(method, factor, None, clusters, witness, family=f,
+                                     extra=points)
+        else:
+            cert = PierceCertificate(method, factor, points, clusters, witness)
     except ParseError:
         raise
     except Exception as e:
@@ -265,13 +297,6 @@ def pattern_to_json(pat) -> dict:
     else:
         doc["sides"] = [_num_out(s) for s in pat.data["sides"]]
     return doc
-
-
-def _list(doc, key):
-    value = doc[key]
-    if not isinstance(value, list):
-        raise ParseError("%s must be a list" % key)
-    return value
 
 
 def verify_pattern_json(doc) -> bool:

@@ -2,21 +2,21 @@
 
 Expressions are built from rationals with +, -, * and square roots of
 nonnegative rationals.  They are kept in a canonical form mapping each
-square class of radicands to a rational coefficient, which makes the zero
-test exact: square roots of rationals in distinct square classes are
-linearly independent over the rationals.  Nonzero signs are then decided
-by interval refinement with exact rational bounds, which always terminates
-on a canonical nonzero value.
+squarefree radicand to a rational coefficient, which makes the zero test
+and equality exact: square roots of distinct squarefree integers are
+linearly independent over the rationals, so equal values have equal terms
+(and equal hashes).  Nonzero signs are then decided by interval refinement
+with exact rational bounds, which always terminates on a canonical nonzero
+value.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import PrecisionExhausted
 from .geom import frac
-
-_SMALL_SQUARES = [p * p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
 
 
 def sqrt_exact(q: Fraction):
@@ -30,36 +30,61 @@ def sqrt_exact(q: Fraction):
     return None
 
 
+# trial division stops at this prime bound, so a radicand below its cube is
+# always reduced to squarefree
+_TRIAL_BOUND = 1 << 16
+
+
+@lru_cache(maxsize=1 << 12)
 def _reduce_radicand(m: int):
-    """Extract small square factors: m = f**2 * m'; returns (f, m')."""
-    f = 1
-    for s in _SMALL_SQUARES:
-        while m % s == 0:
-            m //= s
-            f *= isqrt(s)
-    return f, m
+    """m = f**2 * m' with m' squarefree; returns (f, m').
+
+    Trial division strips every prime p with p**3 <= m (m shrinking as it
+    goes); what is left has at most two prime factors, all larger, so it is
+    squarefree unless it is a perfect square.  The division stops at
+    _TRIAL_BOUND, so a remainder above 48 bits can still hide the square of
+    a larger prime: Radical._add_term merges such a radicand into its
+    square class exactly, but equal values written with it and with its
+    squarefree part hash apart.  Memoised: the oracle's circle
+    intersections repeat a few hundred radicands thousands of times.
+    """
+    f = core = 1
+    p = 2
+    while p * p * p <= m and p < _TRIAL_BOUND:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            f *= p ** (e // 2)
+            if e % 2:
+                core *= p
+        p += 1 if p == 2 else 2
+    r = isqrt(m)
+    if r * r == m:
+        return f * r, core
+    return f, core * m
 
 
 def canonical_radicands(ms) -> bool:
     """True when terms over the integer radicands ms are already in the
     canonical form of Radical, so that {m: c} with nonzero c is their sum:
-    distinct positive radicands, each 1 or a non-square that
-    _reduce_radicand leaves alone, and no two in one square class."""
+    distinct positive radicands that _reduce_radicand leaves alone (1 for
+    the rational part), no two in one square class."""
     if len(set(ms)) != len(ms):
         return False
-    for m in ms:
-        if m < 1 or (m > 1 and (sqrt_exact(m) is not None or _reduce_radicand(m) != (1, m))):
-            return False
-    return not any(sqrt_exact(k * m) is not None for k, m in combinations(ms, 2))
+    if not all(m >= 1 and _reduce_radicand(m) == (1, m) for m in ms):
+        return False
+    return not any(isqrt(k * m) ** 2 == k * m for k, m in combinations(ms, 2))
 
 
 class Radical:
     """A canonical sum of rational multiples of square roots of integers.
 
     The terms dict maps a positive integer radicand (1 for the rational
-    part) to its rational coefficient.  Radicands are merged whenever their
-    ratio is a perfect rational square, so distinct keys lie in distinct
-    square classes.
+    part) to its nonzero rational coefficient.  Radicands are squarefree
+    (_reduce_radicand, with the caveat there) and no two lie in one square
+    class, so equal values have equal terms.
     """
 
     __slots__ = ("terms",)
@@ -89,28 +114,25 @@ class Radical:
         return cls({m: Fraction(f, d)})
 
     def _add_term(self, m: int, coeff: Fraction):
+        """Add coeff * sqrt(m), in place, for m as _reduce_radicand leaves
+        it.  Two such radicands share a square class only if they are equal
+        or one hides a large square (_reduce_radicand); then k*m is a
+        perfect square and the term joins the other."""
         if not coeff:
             return
         terms = self.terms
-        if m in terms:
-            c = terms[m] + coeff
-            if c:
-                terms[m] = c
-            else:
-                del terms[m]
-            return
-        for k in terms:
-            # same square class iff k*m is a perfect square
-            s = sqrt_exact(Fraction(k * m))
-            if s is not None:
-                # sqrt(m) = s/k * sqrt(k)
-                c = terms[k] + coeff * s / k
-                if c:
-                    terms[k] = c
-                else:
-                    del terms[k]
-                return
-        terms[m] = coeff
+        if m not in terms:
+            for k in terms:
+                s = isqrt(k * m)
+                if s * s == k * m:
+                    # sqrt(m) = s/k * sqrt(k)
+                    m, coeff = k, coeff * Fraction(s, k)
+                    break
+        c = terms.get(m, 0) + coeff
+        if c:
+            terms[m] = c
+        else:
+            del terms[m]
 
     def __add__(self, other):
         other = _coerce(other)
@@ -138,8 +160,9 @@ class Radical:
                 if m1 == m2:
                     out._add_term(1, c1 * c2 * m1)
                     continue
-                f, m = _reduce_radicand(m1 * m2)
-                out._add_term(m, c1 * c2 * f)
+                # squarefree m1 = g a and m2 = g b make m1 m2 = g^2 a b
+                g = gcd(m1, m2)
+                out._add_term(m1 // g * (m2 // g), c1 * c2 * g)
         return out
 
     __rmul__ = __mul__

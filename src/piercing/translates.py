@@ -18,20 +18,20 @@ covering/packing lattices, with exact union areas for the counting bounds.
 
 from fractions import Fraction
 import math
-from operator import add
 import random
 
 from .bodies import (
     BoxBody,
-    DiskBody,
     Family,
     PolygonBody,
     intersection_graph,
     neighbor_index,
     pair_checker,
 )
-from .certificates import PierceCertificate
-from .covers import _triangle_normalizer, translate_cluster_cover
+from .certificates import PierceCertificate, dedupe_points, greedy_rule, seed_columns
+# translate_cluster_cover is unused here but stays bound: perfbench/spans.py
+# traces it by this binding
+from .covers import translate_cluster_cover  # noqa: F401
 from .errors import (
     CoverageNotVerified,
     NotHexagonBase,
@@ -47,7 +47,6 @@ from .geom import (
     frac,
     region_minus_polygons,
 )
-from .radicals import RadPoint, Radical
 from .sandwich import (
     SandwichPair,
     hexagon_sandwich,
@@ -88,102 +87,9 @@ def _topmost_order(cols):
 
 
 def _seed_order(f: Family):
-    """greedy_pierce's seed order: topmost on the scaled columns T, and for
-    a triangle topmost in the frame of covers._triangle_normalizer, where
-    the trapezoid pattern's cut edge is horizontal: by up = e1 x T
-    descending, then across = T x e2, then index, with the triangle's edges
-    e1, e2 from its lowest-leftmost vertex cleared of denominators.
-    """
-    cols = f.scaled_translations()[1]
-    if f.base.kind == "polygon" and len(f.base.polygon.vertices) == 3:
-        _, e1, e2 = _triangle_normalizer(f.base.polygon)
-        L = math.lcm(e1.x.denominator, e1.y.denominator, e2.x.denominator, e2.y.denominator)
-        (ax, ay), (bx, by) = [(int(e.x * L), int(e.y * L)) for e in (e1, e2)]
-        xs, ys = cols
-        cols = [[x * by - y * bx for x, y in zip(xs, ys)],
-                [ax * y - ay * x for x, y in zip(xs, ys)]]
-    return _topmost_order(cols)
-
-
-def _anchor(body):
-    """The pattern anchor: center for symmetric bodies, the lowest-leftmost
-    vertex otherwise (the same vertex the triangle pattern is built on)."""
-    if isinstance(body, DiskBody):
-        return body.center
-    if isinstance(body, BoxBody):
-        return tuple(m + s / 2 for m, s in zip(body.mins, body.sides))
-    c = body.polygon.is_centrally_symmetric()
-    if c is not None:
-        return c
-    return min(body.polygon.vertices, key=lambda p: (p.y, p.x))
-
-
-def _radical_parts(r):
-    """(rational part, the other terms) of a Radical."""
-    terms = dict(r.terms)
-    return terms.pop(1, 0), terms
-
-
-def _placer(f: Family, offsets):
-    """i -> member i's pattern points a s_i + t_i + o s_i over the offsets
-    o, with a the base anchor (s_i = 1 for translates).
-
-    Polygon and box points are placed on the scaled columns
-    (Family.scaled_translations): a coordinate (a + o) s_i + t_i is
-    ((a + o) S_i + T_i) / D, one Fraction built from two ints.  Disk offsets
-    are Radicals; each is split once into its rational part plus the anchor
-    and its other terms, and offsets with equal parts in a coordinate share
-    that coordinate's Radical.  A shared part costs one Fraction addition to
-    t_i (none when it is zero), and for homothets a multiply by s_i per term.
-    """
-    D, cols, S = f.scaled_translations()
-    anchor = _anchor(f.base)
-    if f.base.kind != "disk":
-        rows = [[(v.numerator, v.denominator, v.denominator * D) for v in map(add, anchor, o)]
-                for o in offsets]
-        make = tuple if f.base.kind == "box" else (lambda xy: Point(*xy))
-
-        def place(i):
-            s, t = S[i], [col[i] for col in cols]
-            return [make([Fraction(n * s + d * v, dD) for (n, d, dD), v in zip(row, t)])
-                    for row in rows]
-
-        return place
-    # per axis, the distinct (rational part + anchor, other terms) of the offsets
-    parts = ([], [])
-    pairs = []
-    for o in offsets:
-        pair = []
-        for axis, a, r in zip(parts, (anchor.x, anchor.y), (o.x, o.y)):
-            q, rest = _radical_parts(r)
-            part = (q + a, rest)
-            if part not in axis:
-                axis.append(part)
-            pair.append(axis.index(part))
-        pairs.append(pair)
-    scaled = f.kind == "homothets"
-
-    def place(i):
-        m = f.members[i]
-        s = m.s
-        coords = []
-        for axis, t in zip(parts, (m.t.x, m.t.y)):
-            out = []
-            for v, rest in axis:
-                if scaled:
-                    terms = {r: c * s for r, c in rest.items()}
-                    v = v * s
-                else:
-                    terms = dict(rest)
-                c = v + t if v else t
-                if c:
-                    terms[1] = c
-                out.append(Radical(terms))
-            coords.append(out)
-        xs, ys = coords
-        return [RadPoint(xs[a], ys[b]) for a, b in pairs]
-
-    return place
+    """greedy_pierce's seed order: topmost on certificates.seed_columns,
+    which for a triangle runs along the trapezoid pattern's cut edge."""
+    return _topmost_order(seed_columns(f))
 
 
 def greedy_pierce(f: Family, refine: bool = True, oracle_budget: int = ORACLE_BUDGET,
@@ -198,14 +104,8 @@ def greedy_pierce(f: Family, refine: bool = True, oracle_budget: int = ORACLE_BU
     oracle budget) is re-pierced optimally, which realizes the improved
     additive constants.
     """
-    if f.kind != "translates":
-        raise UnsupportedBase("greedy_pierce needs a translate family")
-    if isinstance(f.base, PolygonBody):
-        poly = f.base.polygon
-        if poly.is_centrally_symmetric() is None and len(poly.vertices) != 3:
-            raise UnsupportedBase("polygon base is neither centrally symmetric nor a triangle")
-    cert = _greedy(f, translate_cluster_cover(f.base), _seed_order(f), "greedy",
-                   refine, oracle_budget)
+    pattern, _ = greedy_rule(f, "greedy")
+    cert = _greedy(f, pattern, _seed_order(f), "greedy", refine, oracle_budget)
     if verify:
         cert.verify(f, sample=sample)
     return cert
@@ -213,14 +113,14 @@ def greedy_pierce(f: Family, refine: bool = True, oracle_budget: int = ORACLE_BU
 
 def _greedy(f: Family, pattern, order, method, refine, oracle_budget) -> PierceCertificate:
     """The greedy of both family kinds: each member of order still alive
-    seeds a cluster of the alive members it meets, pierced by the pattern
-    placed at the seed (_placer); the seeds are the witness."""
+    seeds a cluster of the alive members it meets.  The certificate is
+    symbolic: the pattern placed at each seed pierces its cluster
+    (certificates.greedy_rule), the seeds are the witness, and only the
+    oracle's points for a refined last cluster are listed."""
     candidates = neighbor_index(f)
     check = pair_checker(f)
-    place = _placer(f, pattern.offsets)
     alive = [True] * len(f)
     clusters = []
-    points = []
     for i in order:
         if not alive[i]:
             continue
@@ -229,8 +129,8 @@ def _greedy(f: Family, pattern, order, method, refine, oracle_budget) -> PierceC
         hits.sort()
         for j in hits:
             alive[j] = False
-        clusters.append((i, [i] + hits))
-        points.extend(place(i))
+        clusters.append((i, (i, *hits)))
+    extra = []
     if refine and clusters and len(clusters[-1][1]) <= oracle_budget:
         from .oracle import exact_tau
 
@@ -238,42 +138,9 @@ def _greedy(f: Family, pattern, order, method, refine, oracle_budget) -> PierceC
         sub = Family(f.base, [f.members[j] for j in last], f.kind)
         tau, pts = exact_tau(sub)
         if tau < pattern.size:
-            points[-pattern.size:] = pts
-    points = dedupe_points([points])
+            extra = pts
     witness = [c[0] for c in clusters]
-    return PierceCertificate(method, pattern.size, points, clusters, witness)
-
-
-def _radical_key(r):
-    """[m, numerator, denominator, ...] over the terms by radicand."""
-    key = []
-    for m in sorted(r.terms):
-        c = r.terms[m]
-        key += (m, c.numerator, c.denominator)
-    return key
-
-
-def point_key(p):
-    """Hashable canonical key: one flat tuple of ints (and a tag); equal
-    keys imply equal points."""
-    if isinstance(p, RadPoint):
-        kx = _radical_key(p.x)
-        return ("r", len(kx), *kx, *_radical_key(p.y))
-    if isinstance(p, tuple):
-        return ("b", *(v for q in p for v in (q.numerator, q.denominator)))
-    return ("p", p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
-
-
-def dedupe_points(point_lists):
-    seen = set()
-    out = []
-    for pts in point_lists:
-        for p in pts:
-            k = point_key(p)
-            if k not in seen:
-                seen.add(k)
-                out.append(p)
-    return out
+    return PierceCertificate(method, pattern.size, None, clusters, witness, family=f, extra=extra)
 
 
 def grid_pierce(f: Family, pair: SandwichPair = None, verify: bool = True) -> PierceCertificate:
@@ -351,8 +218,8 @@ def grid_pierce(f: Family, pair: SandwichPair = None, verify: bool = True) -> Pi
                 points.append(p)
             clusters.append((i, sorted(members)))
             class_seeds.setdefault(j % m_class, []).append(i)
-    witness = _extend_witness(check, class_seeds)
-    points = dedupe_points([points])
+    witness = _extend_witness(f, check, class_seeds)
+    points = dedupe_points(points)
     cert = PierceCertificate("grid", pair.gamma, points, clusters, witness,
                              info={"gamma": pair.gamma})
     if verify:
@@ -360,13 +227,17 @@ def grid_pierce(f: Family, pair: SandwichPair = None, verify: bool = True) -> Pi
     return cert
 
 
-def _extend_witness(check, class_seeds):
-    """Largest per-class seed set, greedily extended by other disjoint seeds."""
+def _extend_witness(f: Family, check, class_seeds):
+    """Largest per-class seed set, greedily extended by other disjoint seeds;
+    each seed is tested only against its grid neighbours in the witness."""
     witness = list(max(class_seeds.values(), key=lambda s: (len(s), -min(s))))
-    others = sorted(i for seeds in class_seeds.values() for i in seeds if i not in witness)
+    chosen = set(witness)
+    candidates = neighbor_index(f)
+    others = sorted(i for seeds in class_seeds.values() for i in seeds if i not in chosen)
     for i in others:
-        if all(not check(i, j) for j in witness):
+        if not any(j in chosen and check(i, j) for j in candidates(i)):
             witness.append(i)
+            chosen.add(i)
     return witness
 
 
@@ -419,7 +290,7 @@ def _grid_pierce_box(f: Family, verify: bool) -> PierceCertificate:
             points.append(tuple(c * s for c, s in zip(coord, base.sides)))
             clusters.append((i, sorted(members)))
             class_seeds.setdefault(tuple(k % 2 for k in key), []).append(i)
-    witness = _extend_witness(check, class_seeds)
+    witness = _extend_witness(f, check, class_seeds)
     factor = 2 ** (d - 1)
     cert = PierceCertificate("grid", factor, points, clusters, witness)
     if verify:

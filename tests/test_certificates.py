@@ -1,13 +1,15 @@
 from fractions import Fraction as F
 import hashlib
+import json
 import random
+import re
 
 import pytest
 
 from piercing import jsonio
 from piercing.bodies import BoxBody, DiskBody, Family, Member, PolygonBody
 from piercing.certificates import _float_coord, _float_members
-from piercing.cli import auto_pierce
+from piercing.cli import auto_pierce, main
 from piercing.errors import VerificationFailed
 from piercing.generators import (
     hexagon_body,
@@ -89,9 +91,19 @@ def test_verify_rejects_an_unpierced_member_on_every_path():
 _PENTAGON = PolygonBody(ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Point(2, 5),
                                        Point(-1, 2)]))
 
-# sha256 of jsonio.dump(certificate_to_json(...)) for greedy_pierce_homothets
-# with its defaults; a change to the kernel, the order or the patterns that
-# moves one byte of a certificate shows up here
+def _expanded_text(cert, f):
+    """The explicit certificate file of a greedy certificate, by way of its
+    symbolic file: written, read back, verified and expanded."""
+    doc = json.loads(jsonio.dump(jsonio.certificate_to_json(cert, f)))
+    assert "points" not in doc
+    back, g = jsonio.certificate_from_json(doc)
+    assert back.verify(g)
+    return jsonio.dump(jsonio.certificate_to_json(back.explicit(), g))
+
+
+# sha256 of the explicit certificate file (_expanded_text) of
+# greedy_pierce_homothets with its defaults; a change to the kernel, the
+# order or the patterns that moves one byte of a certificate shows up here
 _CORPUS = [
     (unit_triangle, 200, 40, (1, 3), 11,
      "eb2a116ca22c8e392f81ef7f3ccc81bba8e37bcf660c1fbad002fca324254d4b"),
@@ -116,8 +128,7 @@ _CORPUS = [
 @pytest.mark.parametrize("base, n, box, scales, seed, digest", _CORPUS)
 def test_homothet_certificates_are_byte_identical(base, n, box, scales, seed, digest):
     f = random_family(base(), n, box_size=box, kind="homothets", scale_range=scales, seed=seed)
-    cert = greedy_pierce_homothets(f)
-    text = jsonio.dump(jsonio.certificate_to_json(cert, f))
+    text = _expanded_text(greedy_pierce_homothets(f), f)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -137,7 +148,7 @@ _TRANSLATE_BASES = {
     "box-3d": lambda: BoxBody((0, F(1, 2), 0), (1, F(3, 2), F(2, 3))),
 }
 
-# sha256 of the greedy_pierce certificate (defaults) of random_family(base,
+# sha256 of the explicit greedy_pierce certificate (defaults) of random_family(base,
 # n, box_size, seed): at n = 12 in a box of 4 the oracle re-pierces the last
 # cluster, at n = 1000 the pattern points dominate
 _TRANSLATE_CORPUS = [
@@ -183,9 +194,31 @@ _TRANSLATE_CORPUS = [
 @pytest.mark.parametrize("base, n, box, seed, digest", _TRANSLATE_CORPUS)
 def test_translate_certificates_are_byte_identical(base, n, box, seed, digest):
     f = random_family(_TRANSLATE_BASES[base](), n, box_size=box, seed=seed)
-    cert = greedy_pierce(f)
-    text = jsonio.dump(jsonio.certificate_to_json(cert, f))
+    text = _expanded_text(greedy_pierce(f), f)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _corpus_family(corpus, case):
+    if corpus == "homothets":
+        base, n, box, scales, seed, _ = _CORPUS[case]
+        return random_family(base(), n, box_size=box, kind="homothets", scale_range=scales,
+                             seed=seed)
+    base, n, box, seed, _ = _TRANSLATE_CORPUS[case]
+    return random_family(_TRANSLATE_BASES[base](), n, box_size=box, seed=seed)
+
+
+@pytest.mark.parametrize("corpus, case", [("homothets", k) for k in range(len(_CORPUS))]
+                         + [("translates", k) for k in range(len(_TRANSLATE_CORPUS))])
+def test_verify_prints_the_expanded_point_count(tmp_path, capsys, corpus, case):
+    f = _corpus_family(corpus, case)
+    cert = (greedy_pierce_homothets if corpus == "homothets" else greedy_pierce)(f, verify=False)
+    path = tmp_path / "cert.json"
+    jsonio.dump(jsonio.certificate_to_json(cert, f), str(path))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
+    printed = int(re.search(r"ok: (\d+) points", capsys.readouterr().out).group(1))
+    assert printed == len(cert.points) == len(jsonio.certificate_from_json(
+        jsonio.load(str(path)))[0].points)
 
 
 # the same for cli.auto_pierce with an explicit method; "pairwise" families

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from piercing import jsonio
 from piercing.cli import main
 
@@ -9,15 +11,23 @@ def run(*argv):
     return main(list(argv))
 
 
-def test_gen_pierce_verify_roundtrip(tmp_path):
+def test_gen_pierce_verify_roundtrip(tmp_path, capsys):
     inst = tmp_path / "five.json"
     cert = tmp_path / "cert.json"
     assert run("gen", "five-cycle", "--out", str(inst)) == 0
     assert run("pierce", str(inst), "--out", str(cert)) == 0
+    capsys.readouterr()
+    assert run("verify", str(cert)) == 0
+    printed = int(capsys.readouterr().out.split()[2])
+    doc = json.loads(cert.read_text())
+    assert doc["factor"] == 2
+    assert "points" not in doc and printed <= 3
+    # the explicit file lists the same points
+    assert run("pierce", str(inst), "--explicit", "--out", str(cert)) == 0
     assert run("verify", str(cert)) == 0
     doc = json.loads(cert.read_text())
     assert doc["factor"] == 2
-    assert len(doc["points"]) <= 3
+    assert len(doc["points"]) == printed
 
 
 def test_pierce_methods(tmp_path):
@@ -62,7 +72,7 @@ def test_tampered_certificate_fails_verification(tmp_path):
     cert = tmp_path / "c.json"
     assert run("gen", "random", "--base", "square", "--n", "8", "--seed", "4",
                "--out", str(inst)) == 0
-    assert run("pierce", str(inst), "--out", str(cert)) == 0
+    assert run("pierce", str(inst), "--explicit", "--out", str(cert)) == 0
     doc = json.loads(cert.read_text())
     doc["points"] = doc["points"][:1]
     cert.write_text(json.dumps(doc))
@@ -130,7 +140,7 @@ def test_radical_points_roundtrip(tmp_path):
     cert = tmp_path / "cert.json"
     assert run("gen", "random", "--base", "disk", "--n", "12", "--seed", "5",
                "--out", str(inst)) == 0
-    assert run("pierce", str(inst), "--no-refine", "--out", str(cert)) == 0
+    assert run("pierce", str(inst), "--no-refine", "--explicit", "--out", str(cert)) == 0
     doc = json.loads(cert.read_text())
     assert any(p["kind"] == "radical" for p in doc["points"])
     assert run("verify", str(cert)) == 0
@@ -142,3 +152,16 @@ def test_disk_screen_boundary_certificate_fails_verification():
     # |p - c|^2 - R^2 at this scale
     cert = Path(__file__).parent / "fixtures" / "disk_screen_boundary.json"
     assert run("verify", str(cert)) == 1
+
+
+@pytest.mark.parametrize("name, why", [
+    ("symbolic_member_misses_seed", "member 1 misses its seed 0"),
+    ("symbolic_member_above_seed", "member 1 lies above its seed 0"),
+    ("symbolic_homothet_smaller_than_seed", "member 1 lies above its seed 0"),
+    ("symbolic_seeds_meet", "witness members are not pairwise disjoint"),
+    ("symbolic_witness_not_seeds", "witness differs from the cluster seeds"),
+])
+def test_adversarial_symbolic_certificate_fails_verification(capsys, name, why):
+    cert = Path(__file__).parent / "fixtures" / (name + ".json")
+    assert run("verify", str(cert)) == 1
+    assert why in capsys.readouterr().err

@@ -258,7 +258,7 @@ def _reference_smallest_first(f):
             if alive[j] and f.intersects(i, j):
                 alive[j] = False
                 members.append(j)
-        clusters.append((i, members))
+        clusters.append((i, tuple(members)))
     return clusters
 
 

@@ -17,14 +17,27 @@ def run(*argv):
 
 @pytest.fixture(scope="module")
 def disk_cert(tmp_path_factory):
-    """A 30-disk certificate with radical points, as a parsed document."""
+    """An explicit 30-disk certificate with radical points, as a parsed document."""
     d = tmp_path_factory.mktemp("disks")
     inst, cert = d / "disks.json", d / "cert.json"
     assert run("gen", "random", "--base", "disk", "--n", "30", "--seed", "5",
                "--out", str(inst)) == 0
-    assert run("pierce", str(inst), "--no-refine", "--out", str(cert)) == 0
+    assert run("pierce", str(inst), "--no-refine", "--explicit", "--out", str(cert)) == 0
     doc = json.loads(cert.read_text())
     assert any(p["kind"] == "radical" for p in doc["points"])
+    return doc
+
+
+@pytest.fixture(scope="module")
+def symbolic_cert(tmp_path_factory):
+    """A symbolic 12-disk certificate whose last cluster the oracle re-pierced."""
+    d = tmp_path_factory.mktemp("symbolic")
+    inst, cert = d / "disks.json", d / "cert.json"
+    assert run("gen", "random", "--base", "disk", "--n", "12", "--box-size", "4",
+               "--seed", "31", "--out", str(inst)) == 0
+    assert run("pierce", str(inst), "--out", str(cert)) == 0
+    doc = json.loads(cert.read_text())
+    assert "points" not in doc and doc["refine_points"]
     return doc
 
 
@@ -89,7 +102,7 @@ def test_non_canonical_terms_still_verify(tmp_path, disk_cert):
 
 
 # k^2 * m puts many radicands in one square class; 37^2 and 41^2 are past
-# the small squares _reduce_radicand strips, so 2738 = 37^2 * 2 looks canonical
+# the squares of small primes, so 2738 = 37^2 * 2 tests the full reduction
 _RADICANDS = st.one_of(
     st.builds(lambda k, m: k * k * m, st.sampled_from([1, 2, 3, 37, 41]),
               st.sampled_from([1, 2, 3, 5, 6])),
@@ -282,3 +295,62 @@ def test_planar_point_of_the_wrong_shape_is_a_parse_error(tmp_path, disk_cert, x
     doc = json.loads(json.dumps(disk_cert))
     doc["points"].append({"kind": "rational", "xy": xy})
     assert verify_doc(tmp_path, doc) == 2
+
+
+def test_unedited_symbolic_certificate_verifies(tmp_path, symbolic_cert):
+    assert verify_doc(tmp_path, symbolic_cert) == 0
+
+
+def test_symbolic_certificate_with_a_moved_refine_point_fails_verification(tmp_path,
+                                                                           symbolic_cert):
+    doc = json.loads(json.dumps(symbolic_cert))
+    doc["refine_points"][0] = {"kind": "rational", "xy": [100, 100]}
+    assert verify_doc(tmp_path, doc) == 1
+    # without refine points the last cluster falls back on the pattern
+    doc["refine_points"] = []
+    assert verify_doc(tmp_path, doc) == 0
+
+
+def _homothet_family(doc):
+    doc["instance"]["kind"] = "homothets"
+
+
+def _pentagon_base(doc):
+    doc["instance"]["base"] = {"type": "polygon", "vertices": [[0, 0], [4, 0], [5, 3], [2, 5],
+                                                               [-1, 2]]}
+
+
+@pytest.mark.parametrize("edit", [
+    _setting("method", "grid"),
+    _setting("method", 7),
+    _setting("method", None),
+    _without("method"),
+    _homothet_family,  # "greedy" names the translates' rule
+    _pentagon_base,  # no half-plane pattern for this base
+    _without("clusters"),
+    _setting("clusters", 5),
+    _setting("clusters", [[0]]),
+    _setting("clusters", [["0", [0]]]),
+    _setting("clusters", [[0, 3]]),
+    _setting("clusters", [[0, [12]]]),
+    _setting("clusters", [[-1, [0]]]),
+    _setting("clusters", []),  # refine points without a cluster
+    _without("refine_points"),
+    _setting("refine_points", 5),
+    _setting("refine_points", [5]),
+    _setting("refine_points", [{"xy": [0]}]),
+    _setting("points", []),  # both forms at once
+    _without("witness"),
+    _setting("witness", 3),
+    _setting("witness", [12]),
+    _setting("witness", [True]),
+    _without("factor"),
+    _setting("factor", "4"),
+    _setting("factor", 4.0),
+    _setting("factor", True),
+])
+def test_malformed_symbolic_certificate_is_a_parse_error(tmp_path, symbolic_cert, edit, capsys):
+    doc = json.loads(json.dumps(symbolic_cert))
+    edit(doc)
+    assert verify_doc(tmp_path, doc) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,9 +1,12 @@
 from fractions import Fraction as F
+from math import isqrt
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
+from piercing.certificates import value_key
 from piercing.errors import PrecisionExhausted
-from piercing.radicals import RadPoint, Radical, refine_sign, sqrt_exact
+from piercing.radicals import RadPoint, Radical, _reduce_radicand, refine_sign, sqrt_exact
 
 
 def test_simple_signs():
@@ -65,3 +68,33 @@ def test_radpoint_arithmetic_and_key():
     assert (p * 2).x == Radical.sqrt(12)
     assert not p.is_rational()
     assert RadPoint(F(1, 2), 3).is_rational()
+
+
+def test_reduced_radicands_are_squarefree():
+    for m in list(range(1, 3000)) + [2738, 37 ** 2 * 41 ** 2, 10007 ** 2 * 10009, 10007 ** 2]:
+        f, core = _reduce_radicand(m)
+        assert f * f * core == m
+        assert not any(core % (d * d) == 0 for d in range(2, isqrt(core) + 1))
+
+
+# k^2 * m with k past the small primes and m squarefree: one value written
+# with radicands of many sizes
+_SCALES = st.sampled_from([1, 2, 3, 31, 37, 41, 1009, 10007])
+_CORES = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 74, 3 * 41 * 43, 10009])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SCALES, _CORES, st.fractions(max_denominator=20)), max_size=5),
+       st.randoms())
+def test_equal_radicals_have_equal_hashes_and_keys(terms, rnd):
+    # a sums c * sqrt(k^2 m); b sums the same values as (c k) * sqrt(m), reordered
+    a = b = Radical()
+    for k, m, c in terms:
+        a = a + Radical.sqrt(k * k * m) * c
+    rnd.shuffle(terms)
+    for k, m, c in terms:
+        b = b + Radical.sqrt(m) * (c * k)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert value_key(RadPoint(a, b)) == value_key(RadPoint(b, a))
+    assert value_key(RadPoint(a, 1)) == value_key(RadPoint(b, Radical.sqrt(1)))

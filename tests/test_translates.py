@@ -251,7 +251,7 @@ def _reference_clusters(f):
             if alive[j] and f.intersects(i, j):
                 alive[j] = False
                 members.append(j)
-        clusters.append((i, members))
+        clusters.append((i, tuple(members)))
     return clusters
 
 
@@ -388,5 +388,8 @@ class TestTriangleSeedOrder:
         plain = _greedy(f, translate_cluster_cover(f.base), sorted(range(len(f)), key=_top_key(f)),
                         "greedy", False, 0)
         with pytest.raises(VerificationFailed, match="contains no piercing point"):
+            plain.explicit().verify(f)
+        # the symbolic check finds the member that breaks the order
+        with pytest.raises(VerificationFailed, match="lies above its seed"):
             plain.verify(f)
         assert greedy_pierce(f).verify(f)
