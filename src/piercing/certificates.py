@@ -228,9 +228,6 @@ def _point_grid(f: Family, fmembers, fpts):
 # ---------------------------------------------------------------------------
 # the greedies' cluster lemma and pattern points
 
-GREEDY_METHODS = ("greedy", "greedy-homothets")
-
-
 def seed_columns(f: Family):
     """Int columns whose topmost order (last column descending, then the
     others, then index) is greedy_pierce's seed order.
@@ -426,11 +423,12 @@ def _pattern_keys(f: Family, offsets, seeds):
 class PierceCertificate:
     """Points (or a symbolic cover), clusters, a witness and a factor.
 
-    points=None makes the certificate symbolic: method is one of
-    GREEDY_METHODS, family is the family it pierces, and extra holds the
-    points the refine step chose for the last cluster (empty when that
-    cluster keeps the pattern).  Every other cluster is pierced by the
-    method's pattern placed at its seed, and the witness is the seeds.
+    points=None makes the certificate symbolic: method is "greedy" or
+    "greedy-homothets" (greedy_rule), family is the family it pierces, and
+    extra holds the points the refine step chose for the last cluster
+    (empty when that cluster keeps the pattern).  Every other cluster is
+    pierced by the method's pattern placed at its seed, and the witness is
+    the seeds.
     """
 
     def __init__(self, method, factor, points, clusters, witness, info=None,

@@ -255,25 +255,21 @@ def certificate_from_json(obj):
         method = obj.get("method", "unknown")
         symbolic = "points" not in obj
         if symbolic:
-            if "refine_points" not in obj:
-                raise ParseError("a certificate needs points or refine_points")
-            clusters = _list(obj, "clusters")
-            if _list(obj, "refine_points") and not clusters:
-                raise ParseError("refine_points without a cluster")
             greedy_rule(f, method)
         elif "refine_points" in obj:
             raise ParseError("a certificate has points or refine_points, not both")
-        else:
-            clusters = obj.get("clusters", [])
+        clusters = _list(obj, "clusters") if symbolic else obj.get("clusters", [])
         clusters = [(_index(s, n), [_index(i, n) for i in m]) for s, m in clusters]
         witness = [_index(i, n) for i in _list(obj, "witness")]
         points = [rd.pierce_point(p, box_dim)
                   for p in _list(obj, "refine_points" if symbolic else "points")]
-        if symbolic:
+        if not symbolic:
+            cert = PierceCertificate(method, factor, points, clusters, witness)
+        elif points and not clusters:
+            raise ParseError("refine_points without a cluster")
+        else:
             cert = PierceCertificate(method, factor, None, clusters, witness, family=f,
                                      extra=points)
-        else:
-            cert = PierceCertificate(method, factor, points, clusters, witness)
     except ParseError:
         raise
     except Exception as e:
