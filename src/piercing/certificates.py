@@ -470,13 +470,6 @@ class PierceCertificate:
             self._points = dedupe_points(placed + self.extra)
         return self._points
 
-    @points.setter
-    def points(self, points):
-        """Setting the points makes the certificate explicit."""
-        self.symbolic = False
-        self._points = list(points)
-        self._counted = None
-
     def explicit(self):
         """The same certificate with its points listed."""
         return PierceCertificate(self.method, self.factor, self.points, self.clusters,

@@ -109,7 +109,7 @@ def cmd_gen(args) -> int:
 def cmd_pierce(args) -> int:
     f = _load_family(args.input)
     cert = auto_pierce(f, method=args.method, refine=args.refine, seed=args.seed)
-    doc = jsonio.certificate_to_json(cert.explicit() if args.explicit else cert, f)
+    doc = jsonio.certificate_to_json(cert, f)
     text = jsonio.dump(doc, args.out)
     if text:
         print(text)
@@ -299,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto", "greedy", "grid", "lattice", "hexagon"])
     p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--explicit", action="store_true",
-                   help="list every piercing point, not a greedy's seeds and clusters")
     p.add_argument("--svg")
     p.add_argument("--out")
     p.set_defaults(func=cmd_pierce)

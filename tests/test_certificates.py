@@ -8,7 +8,7 @@ import pytest
 
 from piercing import jsonio
 from piercing.bodies import BoxBody, DiskBody, Family, Member, PolygonBody
-from piercing.certificates import _float_coord, _float_members
+from piercing.certificates import PierceCertificate, _float_coord, _float_members
 from piercing.cli import auto_pierce, main
 from piercing.errors import VerificationFailed
 from piercing.generators import (
@@ -69,7 +69,7 @@ def test_float_pass_is_the_rounded_low_corner(make):
 
 def test_verify_realizes_only_undecided_members():
     f = random_family(unit_disk(), 400, box_size=40, seed=6)
-    cert = greedy_pierce(f, verify=False)
+    cert = greedy_pierce(f, verify=False).explicit()
     g = Family(f.base, f.members)
     assert cert.verify(g)
     realized = sum(body is not None for body in g._realized)
@@ -83,7 +83,9 @@ def test_verify_rejects_an_unpierced_member_on_every_path():
         pierce = greedy_pierce if f.kind == "translates" else greedy_pierce_homothets
         cert = pierce(f, verify=False)
         body = f.realize(len(f) // 2)
-        cert.points = [p for p in cert.points if not body.contains(p)]
+        cert = PierceCertificate(cert.method, cert.factor,
+                                 [p for p in cert.points if not body.contains(p)],
+                                 cert.clusters, cert.witness)
         with pytest.raises(VerificationFailed, match="contains no piercing point"):
             cert.verify(f)
 

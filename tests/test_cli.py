@@ -4,11 +4,19 @@ from pathlib import Path
 import pytest
 
 from piercing import jsonio
-from piercing.cli import main
+from piercing.cli import auto_pierce, main
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def pierce_explicit(inst, out, refine=True):
+    """What `piercing pierce` writes, with a greedy certificate expanded
+    to its explicit form (every point listed)."""
+    f = jsonio.family_from_json(jsonio.load(str(inst)))
+    cert = auto_pierce(f, refine=refine)
+    jsonio.dump(jsonio.certificate_to_json(cert.explicit(), f), str(out))
 
 
 def test_gen_pierce_verify_roundtrip(tmp_path, capsys):
@@ -23,7 +31,7 @@ def test_gen_pierce_verify_roundtrip(tmp_path, capsys):
     assert doc["factor"] == 2
     assert "points" not in doc and printed <= 3
     # the explicit file lists the same points
-    assert run("pierce", str(inst), "--explicit", "--out", str(cert)) == 0
+    pierce_explicit(inst, cert)
     assert run("verify", str(cert)) == 0
     doc = json.loads(cert.read_text())
     assert doc["factor"] == 2
@@ -72,7 +80,7 @@ def test_tampered_certificate_fails_verification(tmp_path):
     cert = tmp_path / "c.json"
     assert run("gen", "random", "--base", "square", "--n", "8", "--seed", "4",
                "--out", str(inst)) == 0
-    assert run("pierce", str(inst), "--explicit", "--out", str(cert)) == 0
+    pierce_explicit(inst, cert)
     doc = json.loads(cert.read_text())
     doc["points"] = doc["points"][:1]
     cert.write_text(json.dumps(doc))
@@ -140,7 +148,7 @@ def test_radical_points_roundtrip(tmp_path):
     cert = tmp_path / "cert.json"
     assert run("gen", "random", "--base", "disk", "--n", "12", "--seed", "5",
                "--out", str(inst)) == 0
-    assert run("pierce", str(inst), "--no-refine", "--explicit", "--out", str(cert)) == 0
+    pierce_explicit(inst, cert, refine=False)
     doc = json.loads(cert.read_text())
     assert any(p["kind"] == "radical" for p in doc["points"])
     assert run("verify", str(cert)) == 0

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from piercing import covers, jsonio, sandwich, translates
-from piercing.cli import main
+from piercing.cli import auto_pierce, main
 from piercing.errors import ConstructionFailed, ParseError, VerificationFailed
 from piercing.generators import hexagon_body, random_family, unit_disk, unit_square, unit_triangle
 from piercing.jsonio import _radical_sum, _Reader
@@ -18,12 +18,12 @@ def run(*argv):
 @pytest.fixture(scope="module")
 def disk_cert(tmp_path_factory):
     """An explicit 30-disk certificate with radical points, as a parsed document."""
-    d = tmp_path_factory.mktemp("disks")
-    inst, cert = d / "disks.json", d / "cert.json"
+    inst = tmp_path_factory.mktemp("disks") / "disks.json"
     assert run("gen", "random", "--base", "disk", "--n", "30", "--seed", "5",
                "--out", str(inst)) == 0
-    assert run("pierce", str(inst), "--no-refine", "--explicit", "--out", str(cert)) == 0
-    doc = json.loads(cert.read_text())
+    f = jsonio.family_from_json(jsonio.load(str(inst)))
+    cert = auto_pierce(f, refine=False)
+    doc = json.loads(jsonio.dump(jsonio.certificate_to_json(cert.explicit(), f)))
     assert any(p["kind"] == "radical" for p in doc["points"])
     return doc
 

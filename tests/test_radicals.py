@@ -77,6 +77,19 @@ def test_reduced_radicands_are_squarefree():
         assert not any(core % (d * d) == 0 for d in range(2, isqrt(core) + 1))
 
 
+def test_radicand_past_the_trial_bound_may_keep_a_square():
+    # the known limit of _reduce_radicand: 65537 is the first prime past
+    # _TRIAL_BOUND, and 65537^2 * 65539 (over 2^48) is neither divided by
+    # it nor a perfect square, so it stays whole; equality is still exact,
+    # but the two ways of writing the value hash apart
+    m = 65537 ** 2 * 65539
+    assert _reduce_radicand(m) == (1, m)
+    a, b = Radical.sqrt(m), 65537 * Radical.sqrt(65539)
+    assert a == b and a - b == 0
+    assert hash(a) != hash(b)
+    assert value_key(RadPoint(a, 1)) != value_key(RadPoint(b, 1))
+
+
 # k^2 * m with k past the small primes and m squarefree: one value written
 # with radicands of many sizes
 _SCALES = st.sampled_from([1, 2, 3, 31, 37, 41, 1009, 10007])
