@@ -9,15 +9,17 @@ and scale denominators (Family.scaled_translations), so member i is
 (S_i C + T_i) / D with int columns T and S.  Pair tests (pair_checker), the
 translate grid (neighbor_index) and the homothet/topmost orders run on these
 ints, and polygon and box members are slabs lo <= w.p <= hi with int bounds
-(Family.slabs), which also decide membership in certificate checks.  Over
-MAX_SCALE_BITS the same code runs on Fractions with D = 1.
+(Family.slabs), which also decide membership in certificate checks.  The
+members' scaled bounding boxes (member_boxes) are int too, and one exact
+grid over them (BoxGrid) gives the homothet pair candidates and the points
+a certificate check tests.  Over MAX_SCALE_BITS the same code runs on
+Fractions with D = 1.
 """
 
 from fractions import Fraction
 import itertools
 import math
-from operator import le
-import statistics
+from operator import le, sub
 
 from .errors import (
     DegenerateInput,
@@ -345,6 +347,52 @@ def _member_slabs(f: Family):
     return forms, list(zip(*los)), list(zip(*his))
 
 
+def member_boxes(f: Family, indices):
+    """(scale, boxes): the bounding box of each member in indices times
+    scale = L D, as (lo, hi) tuples with one bound per axis.  L clears the
+    denominators of the base's bounding box B, so on the scaled columns the
+    box of member i is S_i L B + L T_i: ints, or Fractions over
+    MAX_SCALE_BITS."""
+    D, cols, S = f.scaled_translations()
+    bounds = [(iv.lo, iv.hi) for iv in f.base.bbox()]
+    L = math.lcm(*[v.denominator for b in bounds for v in b])
+    los, his = [[v.numerator * (L // v.denominator) for v in b] for b in zip(*bounds)]
+    ss = [S[i] for i in indices]
+    lo_cols, hi_cols = [], []
+    for col, lo, hi in zip(cols, los, his):
+        ts = [L * col[i] for i in indices]
+        lo_cols.append([lo * s + t for s, t in zip(ss, ts)])
+        hi_cols.append([hi * s + t for s, t in zip(ss, ts)])
+    return L * D, list(zip(zip(*lo_cols), zip(*hi_cols)))
+
+
+class BoxGrid:
+    """A uniform grid for boxes given as (lo, hi) tuples with exact bounds.
+
+    The cell is the median of the boxes' widest sides, and a coordinate v
+    lies in cell v // cell, so every key is exact and a box sees every item
+    filed under a cell it meets.
+    """
+
+    def __init__(self, boxes):
+        widths = sorted(max(map(sub, hi, lo)) for lo, hi in boxes)
+        self.cell = widths[len(widths) // 2] if widths else 1
+        self.cells = {}
+
+    def keys(self, box):
+        """The keys of the cells that box meets."""
+        c = self.cell
+        return itertools.product(*[range(a // c, b // c + 1) for a, b in zip(*box)])
+
+    def add(self, key, item):
+        self.cells.setdefault(key, []).append(item)
+
+    def near(self, box):
+        """The items filed under the cells that box meets, with repeats."""
+        cells = self.cells
+        return [item for key in self.keys(box) for item in cells.get(key, ())]
+
+
 def neighbor_index(f: Family):
     """candidates(i): the members j != i whose bodies may meet member i.
 
@@ -352,12 +400,12 @@ def neighbor_index(f: Family):
     test each one exactly.  Translate families are bucketed by their scaled
     translations (Family.scaled_translations) on a grid whose cell is the
     base's widest bounding-box side times D, so members that meet sit in
-    adjacent cells.  Homothet families use a grid over float bounding boxes
-    padded past any conversion error; pair_checker then decides each
-    candidate on the scaled ints.
+    adjacent cells.  Homothet families file each member's exact box
+    (member_boxes) under every BoxGrid cell it meets and keep the members
+    whose boxes overlap; pair_checker then decides each candidate.
     """
     if f.kind != "translates":
-        return _bbox_grid(f)
+        return _homothet_index(f)
     D, cols, _ = f.scaled_translations()
     cell = max(iv.length() for iv in f.base.bbox()) * D
     # one int key per member: the cell coordinates in mixed radix, each
@@ -386,37 +434,18 @@ def neighbor_index(f: Family):
     return candidates
 
 
-def _bbox_grid(f: Family):
-    # each float bound is within a few ulps of the exact s * C + t one
-    base = [(float(iv.lo), float(iv.hi)) for iv in f.base.bbox()]
-    boxes = []
-    for m in f.members:
-        s = float(m.s)
-        t = m.t if isinstance(m.t, tuple) else (m.t.x, m.t.y)
-        span = [(lo * s + float(v), hi * s + float(v)) for (lo, hi), v in zip(base, t)]
-        boxes.append(tuple([lo for lo, _ in span] + [hi for _, hi in span]))
-    # the pad dominates the float error, so exactly overlapping boxes overlap
-    pad = 1e-9 * max(1.0, max(abs(v) for b in boxes for v in b)) + 1e-12
-    dim = len(boxes[0]) // 2
-    cell = statistics.median(max(b[dim + k] - b[k] for k in range(dim)) for b in boxes) or 1.0
-    grid = {}
-    spans = []
-    for i, b in enumerate(boxes):
-        span = [range(math.floor((b[k] - pad) / cell), math.floor((b[dim + k] + pad) / cell) + 1)
-                for k in range(dim)]
-        spans.append(span)
-        for key in itertools.product(*span):
-            grid.setdefault(key, []).append(i)
+def _homothet_index(f: Family):
+    _, boxes = member_boxes(f, range(len(f)))
+    grid = BoxGrid(boxes)
+    for i, box in enumerate(boxes):
+        for key in grid.keys(box):
+            grid.add(key, i)
 
     def candidates(i):
-        near = set()
-        for key in itertools.product(*spans[i]):
-            near.update(grid[key])
+        lo, hi = boxes[i]
+        near = set(grid.near(boxes[i]))
         near.discard(i)
-        bi = boxes[i]
-        return [j for j in near
-                if all(bi[k] <= boxes[j][dim + k] + pad and boxes[j][k] <= bi[dim + k] + pad
-                       for k in range(dim))]
+        return [j for j in near if all(map(le, lo, boxes[j][1])) and all(map(le, boxes[j][0], hi))]
 
     return candidates
 

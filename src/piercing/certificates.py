@@ -4,13 +4,15 @@ A certificate is checkable on its own: every member must contain one of the
 points (exact), the witness members must be pairwise disjoint (exact), and
 |points| <= factor * |witness|.
 
-An explicit certificate lists its points.  Membership checks go through a
-uniform grid over the points, so verification stays near-linear; the grid
-only prunes.  Polygon and box membership of a rational point is decided
-exactly on the family's int slabs (bodies.Family.slabs); the disk screen
-answers only where its float error bound, taken from the operands of each
-comparison, settles the sign.  Everything else is an exact test on the
-realized member.
+An explicit certificate lists its points.  Every decision is exact on ints:
+each point is converted once to (A + B sqrt(m)) / q per coordinate
+(_int_point), and bucketed on an exact grid over the members' boxes
+(bodies.BoxGrid), so verification stays near-linear.  Polygon and box
+membership of a rational point is decided on the family's int slabs
+(bodies.Family.slabs), disk membership by the sign of P + Q sqrt(m) on ints
+(_membership).  Only the points that only hand-written files carry, with
+more than one radicand or irrational in a polygon or box family, are tested
+on the realized member.
 
 A symbolic certificate (the greedies') lists seeds and clusters instead.
 Its method names a cover pattern and an order (greedy_rule), and by the
@@ -25,204 +27,121 @@ from fractions import Fraction
 from itertools import chain
 import math
 from operator import add, mul
-import random
-import statistics
 
-from .bodies import Family, pair_checker, pairwise_disjoint
+from .bodies import BoxGrid, Family, member_boxes, pair_checker, pairwise_disjoint
 from .covers import _triangle_normalizer, homothet_cover, translate_cluster_cover
 from .errors import UnsupportedBase, VerificationFailed
 from .geom import Point
 from .radicals import RadPoint, Radical
 
-_U = 2.0 ** -53  # unit roundoff of a double
-_TINY = 1e-300  # covers the absolute error of conversions that underflow
+
+def _floor_root(b, m):
+    """floor(b sqrt(m)) for ints b and m >= 0: -ceil(|b| sqrt(m)) for b < 0."""
+    n = b * b * m
+    return math.isqrt(n) if b >= 0 or not n else -1 - math.isqrt(n - 1)
 
 
-def _ratio(n, d):
-    """(x, e): the float n / d and its error bound u|x|, for ints n and d
-    (a correctly rounded division) or a Fraction n (float() of a Fraction
-    is correctly rounded too)."""
-    x = float(n / d)
-    return x, _U * abs(x) + _TINY
+def _int_point(p):
+    """(q, m, A, B): coordinate k of p is (A[k] + B[k] sqrt(m)) / q, with
+    ints (B is None for a rational point), or None when p has more than
+    one radicand, which only hand-written files carry."""
+    if isinstance(p, RadPoint):
+        terms = (p.x.terms, p.y.terms)
+        roots = terms[0].keys() | terms[1].keys()
+        roots.discard(1)
+        if len(roots) > 1:
+            return None
+        if roots:
+            m = roots.pop()
+            parts = [(t.get(1, 0), t.get(m, 0)) for t in terms]
+            q = math.lcm(*[v.denominator for part in parts for v in part])
+            A, B = zip(*[[v.numerator * (q // v.denominator) for v in part] for part in parts])
+            return q, m, A, B
+        p = tuple(t.get(1, 0) for t in terms)
+    coords = _coords(p)
+    q = math.lcm(*[v.denominator for v in coords])
+    return q, 1, [v.numerator * (q // v.denominator) for v in coords], None
 
 
-def _float_coord(v):
-    """(x, e): a float x with |x - v| <= e, for a rational or a Radical v.
-
-    int / int is correctly rounded, so a rational is off by at most u|x|.
-    Each radical term c*sqrt(m) is off by at most 4u of itself (converting
-    c and m, the root, the product), and summing k terms adds at most
-    (k - 1)u of their magnitudes; the bound doubles (k + 3)u for the
-    rounding of the bound itself.
-    """
-    if isinstance(v, Radical):
-        x = mag = 0.0
-        for m, c in v.terms.items():
-            t = c.numerator / c.denominator * math.sqrt(m)
-            x += t
-            mag += abs(t)
-        return x, 2 * (len(v.terms) + 3) * _U * mag + _TINY
-    return _ratio(v.numerator, v.denominator)
+def _cell_key(e, scale, cell):
+    """The BoxGrid key of the point _int_point gave as e, in the frame
+    where member boxes are scaled by scale: per coordinate
+    floor(scale (A + B sqrt(m)) / (q cell)), which for cell = num / den is
+    (a + floor(b sqrt(m))) // (q num) with a = scale den A and
+    b = scale den B (_floor_root)."""
+    q, m, A, B = e
+    num, den = cell.numerator, cell.denominator * scale
+    d = q * num
+    if B is None:
+        return tuple([den * a // d for a in A])
+    return tuple([(den * a + _floor_root(den * b, m)) // d for a, b in zip(A, B)])
 
 
-def _float_points(points):
-    """The one float pass: (xs, exs, ys, eys), each point's first two
-    coordinates as floats and their error bounds."""
-    xs, exs, ys, eys = [], [], [], []
-    for p in points:
-        x, ex = _float_coord(p[0] if isinstance(p, tuple) else p.x)
-        y, ey = _float_coord(p[1] if isinstance(p, tuple) else p.y)
-        xs.append(x)
-        exs.append(ex)
-        ys.append(y)
-        eys.append(ey)
-    return xs, exs, ys, eys
+def _membership(f: Family, ipts):
+    """member(i) -> test(k): whether member i contains the point whose
+    _int_point entry is ipts[k], decided on ints; None where that entry is
+    None, or is irrational in a polygon or box family.
 
-
-def _float_members(f: Family, indices):
-    """The one float pass over the checked members: (x, ex, y, ey, size)
-    per index, in the order of indices.
-
-    (x, y) is the member's image s*a + t of the base anchor a (the centre
-    of a disk, else the low corner of the base's bounding box) and ex, ey
-    bound its error; size is the member's radius for disks, else its
-    scale.  Each value is one correctly rounded division on the columns of
-    Family.scaled_translations(): a*s + t = (a.num S + T a.den) / (a.den D).
+    Polygons and boxes decide on the family's slabs (Family.slabs): A/q
+    lies in member i iff q lo <= form . A <= q hi on every slab.  A disk
+    member has centre (U, V) and radius R over L D, as in pair_checker;
+    with X = L D A_x - q U and Y = L D A_y - q V the point lies in it iff
+    P + Q sqrt(m) <= 0 for P = X^2 + Y^2 + m (L D)^2 (B_x^2 + B_y^2) - (q R)^2
+    and Q = 2 L D (X B_x + Y B_y): P^2 against m Q^2 where signs differ.
     """
     base = f.base
-    disk = base.kind == "disk"
-    ax, ay = (base.center.x, base.center.y) if disk else [iv.lo for iv in base.bbox()[:2]]
-    radius = base.radius if disk else Fraction(1)
-    D, (xs, ys, *_), S = f.scaled_translations()
-    (an, ad), (bn, bd) = [(v.numerator, v.denominator) for v in (ax, ay)]
-    rn, rdD, adD, bdD = radius.numerator, radius.denominator * D, ad * D, bd * D
-    return [_ratio(an * S[i] + xs[i] * ad, adD) + _ratio(bn * S[i] + ys[i] * bd, bdD)
-            + (float(rn * S[i] / rdD),) for i in indices]
+    if base.kind != "disk":
+        forms, lo, hi = f.slabs()
+        exact = [None if e is None or e[3] is not None
+                 else (e[0], [sum(map(mul, w, e[2])) for w in forms]) for e in ipts]
 
+        def member(i):
+            li, hi_ = lo[i], hi[i]
 
-def _exact_point(p):
-    """(q, P): the point as int numerators P over one denominator q, or
-    None when a coordinate is irrational."""
-    if isinstance(p, RadPoint):
-        if not p.is_rational():
-            return None
-        p = (p.x.as_fraction(), p.y.as_fraction())
-    elif not isinstance(p, tuple):
-        p = (p.x, p.y)
-    q = math.lcm(*[v.denominator for v in p])
-    return q, [v.numerator * (q // v.denominator) for v in p]
+            def test(k):
+                e = exact[k]
+                if e is None:
+                    return None
+                q, us = e
+                return all(q * a <= u <= q * b for a, u, b in zip(li, us, hi_))
 
+            return test
 
-def _membership(f: Family, points, fpts):
-    """member(i, fm) -> test(k): True or False where member i is decided to
-    contain point k or not, None where the answer is open; fm is member
-    i's float pass entry.
-
-    Polygons and boxes decide exactly on the family's slabs
-    (Family.slabs): the point P/q lies in member i iff
-    q lo <= form . P <= q hi on every slab, so only points with irrational
-    coordinates stay open.  Each point is converted once.  Disks use the
-    float screen.
-    """
-    if f.base.kind == "disk":
-        return lambda i, fm: _float_disk_screen(fm, fpts)
-    forms, lo, hi = f.slabs()
-    exact = []
-    for p in points:
-        e = _exact_point(p)
+        return member
+    c, r = base.center, base.radius
+    L = math.lcm(c.x.denominator, c.y.denominator, r.denominator)
+    cx, cy, cr = [v.numerator * (L // v.denominator) for v in (c.x, c.y, r)]
+    D, (xs, ys), S = f.scaled_translations()
+    LD = L * D
+    pts = []
+    for e in ipts:
         if e is not None:
-            q, P = e
-            e = q, [sum(map(mul, form, P)) for form in forms]
-        exact.append(e)
+            q, m, (ax, ay), B = e
+            bx, by = (0, 0) if B is None else (B[0] * LD, B[1] * LD)
+            e = q, m, ax * LD, ay * LD, bx, by, m * (bx * bx + by * by)
+        pts.append(e)
 
-    def member(i, fm):
-        li, hi_ = lo[i], hi[i]
+    def member(i):
+        s = S[i]
+        u, v, R = cx * s + L * xs[i], cy * s + L * ys[i], cr * s
 
         def test(k):
-            e = exact[k]
+            e = pts[k]
             if e is None:
                 return None
-            q, us = e
-            return all(q * a <= u <= q * b for a, u, b in zip(li, us, hi_))
+            q, m, ax, ay, bx, by, mbb = e
+            X = ax - q * u
+            Y = ay - q * v
+            qR = q * R
+            P = X * X + Y * Y + mbb - qR * qR
+            Q = 2 * (X * bx + Y * by)
+            if Q >= 0:
+                return P <= 0 and m * Q * Q <= P * P
+            return P <= 0 or P * P <= m * Q * Q
 
         return test
 
     return member
-
-
-def _disk_screen(body, fpts):
-    """k -> True/False where floats decide the realized disk body contains
-    point k, else None."""
-    (cx, ecx), (cy, ecy) = _float_coord(body.center.x), _float_coord(body.center.y)
-    return _float_disk_screen((cx, ecx, cy, ecy, _float_coord(body.radius)[0]), fpts)
-
-
-def _float_disk_screen(fdisk, fpts):
-    """k -> True/False where floats decide that the disk contains point k,
-    else None; fdisk is (cx, ecx, cy, ecy, r) as _float_members gives it.
-
-    The float gap |p - c|^2 - r^2 is within tol of the exact one: each
-    difference carries the point's own error, the centre's conversion
-    error and one rounding; squaring, summing and subtracting r^2 add a
-    few ulps of ax^2 + ay^2 + r^2, with ax = |px| + |cx|.
-    """
-    cx, ecx, cy, ecy, r = fdisk
-    rr = r * r
-
-    xs, exs, ys, eys = fpts
-
-    def screen(k):
-        px, py = xs[k], ys[k]
-        dx = px - cx
-        dy = py - cy
-        gap = dx * dx + dy * dy - rr
-        ax = abs(px) + abs(cx)
-        ay = abs(py) + abs(cy)
-        erx = exs[k] + ecx + _U * ax
-        ery = eys[k] + ecy + _U * ay
-        tol = (1.001 * (erx * (2 * ax + erx) + ery * (2 * ay + ery))
-               + 8 * _U * (ax * ax + ay * ay + rr) + _TINY)
-        if gap > tol:
-            return False
-        if gap < -tol:
-            return True
-        return None
-
-    return screen
-
-
-def _point_grid(f: Family, fmembers, fpts):
-    """candidates(fm): the points in the grid cells that the bounding box
-    of the member with float pass entry fm, padded, overlaps.  Only
-    prunes."""
-    base = f.base
-    if base.kind == "disk":
-        offsets = [(-1.0, 1.0)] * 2
-    else:
-        offsets = [(0.0, float(iv.hi - iv.lo)) for iv in base.bbox()[:2]]
-    (xlo, xhi), (ylo, yhi) = offsets
-
-    def box(fm):
-        x, _, y, _, size = fm
-        b = (x + size * xlo, x + size * xhi, y + size * ylo, y + size * yhi)
-        pad = 1e-9 * max(1.0, max(map(abs, b)))
-        return b[0] - pad, b[1] + pad, b[2] - pad, b[3] + pad
-
-    widths = [max(b[1] - b[0], b[3] - b[2]) for b in map(box, fmembers)]
-    cell = (statistics.median(widths) if widths else 0.0) or 1.0
-    grid = {}
-    for k, (x, y) in enumerate(zip(fpts[0], fpts[2])):
-        grid.setdefault((math.floor(x / cell), math.floor(y / cell)), []).append(k)
-
-    def candidates(fm):
-        bxlo, bxhi, bylo, byhi = box(fm)
-        out = []
-        for cx in range(math.floor(bxlo / cell), math.floor(bxhi / cell) + 1):
-            for cy in range(math.floor(bylo / cell), math.floor(byhi / cell) + 1):
-                out.extend(grid.get((cx, cy), ()))
-        return out
-
-    return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +211,6 @@ def _anchor(body):
     return min(body.polygon.vertices, key=lambda p: (p.y, p.x))
 
 
-def _radical_parts(r):
-    """(rational part, the other terms) of a Radical."""
-    terms = dict(r.terms)
-    return terms.pop(1, 0), terms
-
-
 def _placer(f: Family, offsets):
     """i -> member i's pattern points a s_i + t_i + o s_i over the offsets
     o, with a the base anchor (s_i = 1 for translates).
@@ -329,8 +242,8 @@ def _placer(f: Family, offsets):
     for o in offsets:
         pair = []
         for axis, a, r in zip(parts, (anchor.x, anchor.y), (o.x, o.y)):
-            q, rest = _radical_parts(r)
-            part = (q + a, rest)
+            rest = dict(r.terms)
+            part = (rest.pop(1, 0) + a, rest)
             if part not in axis:
                 axis.append(part)
             pair.append(axis.index(part))
@@ -496,23 +409,14 @@ class PierceCertificate:
     def ratio(self):
         return Fraction(self.point_count(), max(1, len(self.witness)))
 
-    def verify(self, f: Family, sample=None, seed=0):
-        """Exact certificate check; raises VerificationFailed.
-
-        sample limits the membership checks of an explicit certificate to a
-        random subset of members (for benchmark-scale runs); a symbolic
-        certificate, the witness and the point budget are always checked
-        completely.
-        """
+    def verify(self, f: Family):
+        """Exact certificate check of every member, the witness and the
+        point budget; raises VerificationFailed."""
         n = len(f)
         if self.symbolic:
             self._verify_clusters(f)
-            sample = None
         else:
-            indices = range(n)
-            if sample is not None and sample < n:
-                indices = random.Random(seed).sample(range(n), sample)
-            _check_members(f, indices, self._points)
+            _check_members(f, range(n), self._points)
         if not self.witness:
             raise VerificationFailed("empty witness")
         wset = set(self.witness)
@@ -531,8 +435,7 @@ class PierceCertificate:
             if listed != list(range(n)):
                 if len(set(listed)) != len(listed):
                     raise VerificationFailed("clusters overlap")
-                if sample is None:
-                    raise VerificationFailed("clusters do not partition the family")
+                raise VerificationFailed("clusters do not partition the family")
         return True
 
     def _verify_clusters(self, f: Family):
@@ -560,24 +463,31 @@ class PierceCertificate:
 
 def _check_members(f: Family, indices, points):
     """Every member in indices contains one of points, decided exactly;
-    raises VerificationFailed."""
+    raises VerificationFailed.
+
+    The points are converted once (_int_point) and bucketed on the exact
+    grid of the members' boxes (bodies.member_boxes, bodies.BoxGrid), so a
+    member sees every point of its box.  A member is realized only for a
+    point that _membership leaves open; points with more than one radicand
+    have no cell and are seen by every member."""
     indices = list(indices)
-    fpts = _float_points(points)
-    fmembers = _float_members(f, indices)
-    candidates = _point_grid(f, fmembers, fpts)
-    member = _membership(f, points, fpts)
-    for i, fm in zip(indices, fmembers):
-        # a member is realized only where its test leaves the answer open
-        test = member(i, fm)
-        for k in candidates(fm):
+    ipts = [_int_point(p) for p in points]
+    scale, boxes = member_boxes(f, indices)
+    grid = BoxGrid(boxes)
+    loose = []
+    for k, e in enumerate(ipts):
+        if e is None:
+            loose.append(k)
+        else:
+            grid.add(_cell_key(e, scale, grid.cell), k)
+    member = _membership(f, ipts)
+    for i, box in zip(indices, boxes):
+        test = member(i)
+        for k in chain(grid.near(box), loose):
             inside = test(k)
             if inside is None:
                 inside = f.realize(i).contains(points[k])
             if inside:
                 break
         else:
-            # the grid can only prune; fall back to the full scan before
-            # declaring failure
-            body = f.realize(i)
-            if not any(body.contains(p) for p in points):
-                raise VerificationFailed("member %d contains no piercing point" % i)
+            raise VerificationFailed("member %d contains no piercing point" % i)

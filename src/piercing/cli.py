@@ -55,7 +55,7 @@ def _greedy_supported(f: Family) -> bool:
     return poly.is_centrally_symmetric() is not None or len(poly.vertices) == 3
 
 
-def auto_pierce(f: Family, method="auto", refine=True, seed=0, verify=True, sample=None):
+def auto_pierce(f: Family, method="auto", refine=True, seed=0, verify=True):
     """Dispatch to the most specific applicable algorithm."""
     if method == "auto":
         if f.kind == "homothets":
@@ -69,9 +69,9 @@ def auto_pierce(f: Family, method="auto", refine=True, seed=0, verify=True, samp
     if f.kind == "homothets":
         if method != "greedy":
             raise VerificationFailed("homothet families use the greedy method")
-        return greedy_pierce_homothets(f, refine=refine, verify=verify, sample=sample)
+        return greedy_pierce_homothets(f, refine=refine, verify=verify)
     if method == "greedy":
-        return greedy_pierce(f, refine=refine, verify=verify, sample=sample)
+        return greedy_pierce(f, refine=refine, verify=verify)
     if method == "grid":
         return grid_pierce(f, verify=verify)
     if method == "hexagon":

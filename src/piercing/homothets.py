@@ -36,7 +36,7 @@ def _smallest_order(f: Family):
 
 def greedy_pierce_homothets(f: Family, refine: bool = True,
                             oracle_budget: int = ORACLE_BUDGET,
-                            verify: bool = True, sample: int = None) -> PierceCertificate:
+                            verify: bool = True) -> PierceCertificate:
     """The translates' greedy (translates._greedy) on the smallest-first
     order with the difference-body pattern scaled to each seed."""
     if not isinstance(f.base, (PolygonBody, DiskBody, BoxBody)):
@@ -44,7 +44,7 @@ def greedy_pierce_homothets(f: Family, refine: bool = True,
     cert = _greedy(f, homothet_cover(f.base), _smallest_order(f), "greedy-homothets",
                    refine, oracle_budget)
     if verify:
-        cert.verify(f, sample=sample)
+        cert.verify(f)
     return cert
 
 

@@ -93,7 +93,7 @@ def _seed_order(f: Family):
 
 
 def greedy_pierce(f: Family, refine: bool = True, oracle_budget: int = ORACLE_BUDGET,
-                  verify: bool = True, sample: int = None) -> PierceCertificate:
+                  verify: bool = True) -> PierceCertificate:
     """Greedy decomposition for translates of a supported base body.
 
     Repeatedly takes the topmost remaining member as a cluster seed, absorbs
@@ -107,7 +107,7 @@ def greedy_pierce(f: Family, refine: bool = True, oracle_budget: int = ORACLE_BU
     pattern, _ = greedy_rule(f, "greedy")
     cert = _greedy(f, pattern, _seed_order(f), "greedy", refine, oracle_budget)
     if verify:
-        cert.verify(f, sample=sample)
+        cert.verify(f)
     return cert
 
 

@@ -239,11 +239,11 @@ def test_criterion_10_performance():
     base = unit_disk()
     f4 = random_family(base, 10_000, box_size=100, seed=0)
     t0 = time.perf_counter()
-    cert4 = greedy_pierce(f4, refine=False, verify=True, sample=1000)
+    cert4 = greedy_pierce(f4, refine=False, verify=True)
     t4 = time.perf_counter() - t0
     f5 = random_family(base, 100_000, box_size=316, seed=0)
     t0 = time.perf_counter()
-    cert5 = greedy_pierce(f5, refine=False, verify=True, sample=1000)
+    cert5 = greedy_pierce(f5, refine=False, verify=True)
     t5 = time.perf_counter() - t0
     assert t5 < 5.0, "100k disks took %.2f s" % t5
     assert t5 / t4 < 15.0, "growth %.1fx" % (t5 / t4)

@@ -1,14 +1,28 @@
+import ast
 from fractions import Fraction as F
 import hashlib
 import json
+import math
+from pathlib import Path
 import random
 import re
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from piercing import jsonio
-from piercing.bodies import BoxBody, DiskBody, Family, Member, PolygonBody
-from piercing.certificates import PierceCertificate, _float_coord, _float_members
+from piercing.bodies import (
+    BoxBody,
+    DiskBody,
+    Family,
+    Member,
+    PolygonBody,
+    graphs_equal,
+    intersection_graph,
+    intersection_graph_bruteforce,
+    member_boxes,
+)
+from piercing.certificates import PierceCertificate, _floor_root
 from piercing.cli import auto_pierce, main
 from piercing.errors import VerificationFailed
 from piercing.generators import (
@@ -21,12 +35,13 @@ from piercing.generators import (
 )
 from piercing.geom import ConvexPolygon, Point
 from piercing.homothets import greedy_pierce_homothets
+from piercing.radicals import RadPoint, Radical
 from piercing.translates import greedy_pierce
 
 
 def _prime_family(n, seed):
     """Disk translates with prime denominators: D is far over the int limit,
-    so the float pass reads Fractions."""
+    so the scaled columns are Fractions."""
     primes = [p for p in range(1000, 1300) if all(p % d for d in range(2, 37))]
     rng = random.Random(seed)
     members = [Member(Point(F(rng.randrange(-10 ** 6, 10 ** 6), rng.choice(primes)),
@@ -37,19 +52,24 @@ def _prime_family(n, seed):
     return f
 
 
+def _assert_boxes_scale_the_realized_bbox(f):
+    indices = random.Random(0).sample(range(len(f)), min(50, len(f)))
+    scale, boxes = member_boxes(f, indices)
+    for i, (lo, hi) in zip(indices, boxes):
+        bbox = f.realize(i).bbox()
+        assert lo == tuple(iv.lo * scale for iv in bbox)
+        assert hi == tuple(iv.hi * scale for iv in bbox)
+        # ints, or Fractions where the columns are Fractions
+        assert {type(v) for v in lo + hi} == {type(f.scaled_translations()[1][0][0])}
+
+
 @pytest.mark.parametrize("make", [
     lambda: random_family(DiskBody(Point(F(1, 3), F(-2, 7)), F(5, 4)), 200, box_size=30, seed=1),
     lambda: random_family(unit_disk(), 200, box_size=30, kind="homothets", seed=2),
     lambda: _prime_family(60, 3),
 ])
-def test_float_pass_is_the_rounded_realized_disk(make):
-    f = make()
-    indices = random.Random(0).sample(range(len(f)), 50)
-    for i, (x, ex, y, ey, r) in zip(indices, _float_members(f, indices)):
-        body = f.realize(i)
-        assert (x, ex) == _float_coord(body.center.x)
-        assert (y, ey) == _float_coord(body.center.y)
-        assert r == _float_coord(body.radius)[0]
+def test_member_boxes_scale_the_realized_disk(make):
+    _assert_boxes_scale_the_realized_bbox(make())
 
 
 @pytest.mark.parametrize("make", [
@@ -58,22 +78,18 @@ def test_float_pass_is_the_rounded_realized_disk(make):
     lambda: Family(BoxBody((F(-1, 2), 0, 3), (2, F(1, 3), 1)),
                    [Member((F(i, 7), F(-i, 5), F(i, 3))) for i in range(40)]),
 ])
-def test_float_pass_is_the_rounded_low_corner(make):
-    f = make()
-    indices = list(range(len(f)))
-    for i, (x, _, y, _, s) in zip(indices, _float_members(f, indices)):
-        lo = [iv.lo for iv in f.realize(i).bbox()[:2]]
-        assert (x, y) == (_float_coord(lo[0])[0], _float_coord(lo[1])[0])
-        assert s == float(f.members[i].s)
+def test_member_boxes_scale_the_realized_bbox(make):
+    _assert_boxes_scale_the_realized_bbox(make())
 
 
 def test_verify_realizes_only_undecided_members():
+    # every point of a greedy disk certificate lies in Q(sqrt 3)^2, which the
+    # int disk test decides: no member is realized
     f = random_family(unit_disk(), 400, box_size=40, seed=6)
     cert = greedy_pierce(f, verify=False).explicit()
     g = Family(f.base, f.members)
     assert cert.verify(g)
-    realized = sum(body is not None for body in g._realized)
-    assert realized < len(g) // 4
+    assert not any(body is not None for body in g._realized)
 
 
 def test_verify_rejects_an_unpierced_member_on_every_path():
@@ -88,6 +104,93 @@ def test_verify_rejects_an_unpierced_member_on_every_path():
                                  cert.clusters, cert.witness)
         with pytest.raises(VerificationFailed, match="contains no piercing point"):
             cert.verify(f)
+
+
+_ROOT_BOUNDARY = st.tuples(st.integers(0, 10 ** 6), st.sampled_from([-1, 0, 1])).map(
+    lambda kd: max(0, kd[0] * kd[0] + kd[1]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.one_of(st.integers(0, 10 ** 12), _ROOT_BOUNDARY))
+def test_floor_root_matches_radical_bounds(b, m):
+    # perfect squares, their neighbours and negative b included
+    got = _floor_root(b, m)
+    lo, hi = Radical({m: F(b)})._bounds(128)
+    assert math.floor(lo) <= got <= math.floor(hi)
+    if math.floor(lo) != math.floor(hi):
+        # b sqrt(m) is within 2^-100 of an integer, so it is that integer
+        r = math.isqrt(b * b * m)
+        assert r * r == b * b * m and got == (r if b >= 0 else -r)
+
+
+def _explicit_file(tmp_path, f, points):
+    path = tmp_path / "cert.json"
+    cert = PierceCertificate("greedy", 4, points, [(0, tuple(range(len(f))))], [0])
+    jsonio.dump(jsonio.certificate_to_json(cert, f), str(path))
+    return str(path)
+
+
+def test_point_with_two_radicands_is_tested_on_the_realized_disk(tmp_path):
+    # a hand-written point with x in Q(sqrt 2) and y in Q(sqrt 3) has no int
+    # form: verify falls back to the realized disk's Radical test
+    f = Family(unit_disk(), [Member(Point(0, 0))])
+    inside = RadPoint(Radical.sqrt(2) * F(1, 2), Radical.sqrt(3) * F(2, 5))  # |p|^2 = 0.98
+    outside = RadPoint(Radical.sqrt(2) * F(1, 2), Radical.sqrt(3) * F(41, 100))  # 1.0043
+    assert main(["verify", _explicit_file(tmp_path, f, [inside])]) == 0
+    assert main(["verify", _explicit_file(tmp_path, f, [outside])]) == 1
+    g = Family(f.base, f.members)
+    assert PierceCertificate("greedy", 4, [inside], [(0, (0,))], [0]).verify(g)
+    assert g._realized[0] is not None
+
+
+def _prime_homothets(base, n, seed):
+    """Homothets with prime denominators: D is far over MAX_SCALE_BITS, so
+    the member boxes hold Fractions."""
+    primes = [p for p in range(1000, 1300) if all(p % d for d in range(2, 37))]
+    rng = random.Random(seed)
+
+    def rational(span):
+        q = rng.choice(primes)
+        return F(rng.randrange(span * q), q)
+
+    f = Family(base, [Member(Point(rational(12), rational(12)), 1 + rational(1))
+                      for _ in range(n)], "homothets")
+    assert f.scaled_translations()[0] == 1
+    return f
+
+
+@pytest.mark.parametrize("base", [unit_triangle, unit_disk])
+def test_fraction_homothets_run_through_the_box_grid(base):
+    f = _prime_homothets(base(), 80, 7)
+    assert graphs_equal(intersection_graph(f), intersection_graph_bruteforce(f))
+    cert = greedy_pierce_homothets(f)
+    assert cert.explicit().verify(f)
+    body = f.realize(len(f) // 2)
+    cut = PierceCertificate(cert.method, cert.factor,
+                            [p for p in cert.points if not body.contains(p)],
+                            cert.clusters, cert.witness)
+    with pytest.raises(VerificationFailed, match="contains no piercing point"):
+        cut.verify(f)
+
+
+def test_certificates_module_has_no_float():
+    # the verifier decides and prunes on ints: no float literal, no float()
+    # and no math.sqrt may come back into certificates.py
+    path = Path(__file__).parents[1] / "src" / "piercing" / "certificates.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append("float literal")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append("float")
+        elif isinstance(node, ast.Attribute) and node.attr == "sqrt" \
+                and isinstance(node.value, ast.Name) and node.value.id == "math":
+            found.append("math.sqrt")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math" \
+                and any(a.name == "sqrt" for a in node.names):
+            found.append("from math import sqrt")
+        if found:
+            pytest.fail("%s at line %d" % (found[0], node.lineno))
 
 
 _PENTAGON = PolygonBody(ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Point(2, 5),

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from piercing.bodies import BoxBody, DiskBody, Family, Member, PolygonBody, pair_checker
-from piercing.certificates import _float_points, _membership
+from piercing.certificates import _int_point, _membership
 from piercing.generators import (
     hexagon_body,
     random_family,
@@ -232,7 +232,7 @@ def boundary_points(draw):
 @given(boundary_points())
 def test_integer_membership_equals_realized_contains(case):
     f, points = case
-    test = _membership(f, points, _float_points(points))(0, None)
+    test = _membership(f, [_int_point(p) for p in points])(0)
     body = f.realize(0)
     for k, p in enumerate(points):
         assert test(k) == body.contains(p)

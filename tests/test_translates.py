@@ -13,7 +13,7 @@ from piercing.bodies import (
     intersection_graph,
     normalize_affine,
 )
-from piercing.certificates import _disk_screen, _float_points
+from piercing.certificates import _int_point, _membership
 from piercing.covers import _triangle_normalizer, translate_cluster_cover
 from piercing.errors import NotHexagonBase, UnsupportedBase, VerificationFailed
 from piercing.generators import (
@@ -298,26 +298,16 @@ def test_witness_disjointness_checked_in_full():
     cert = greedy_pierce(f, refine=False, verify=False)
     adj = intersection_graph(f)
     wit = set(cert.witness)
-    # a member meeting exactly one witness member, such that neither is
-    # among the 50 witness members that a sampled witness check would draw
-    # (verify's default seed 0 drew them with Random(seed + 1))
-    for b in range(len(f)):
-        hits = adj[b] & wit
-        if b in wit or len(hits) != 1:
-            continue
-        bad = cert.witness + [b]
-        if not set(random.Random(1).sample(bad, 50)) & (hits | {b}):
-            break
-    else:
-        pytest.fail("no witness pair outside the sample")
-    cert.witness = bad
+    # a member meeting exactly one witness member: one meeting pair among
+    # the whole witness
+    b = next(b for b in range(len(f)) if b not in wit and len(adj[b] & wit) == 1)
+    cert.witness = cert.witness + [b]
     with pytest.raises(VerificationFailed, match="pairwise disjoint"):
-        cert.verify(f, sample=50)
+        cert.verify(f)
 
 
-def test_disk_screen_agrees_with_exact_containment():
+def test_int_disk_test_agrees_with_exact_containment():
     rng = random.Random(11)
-    undecided = 0
     for trial in range(2000):
         r = F(rng.randrange(1, 10 ** rng.randrange(1, 10)), rng.randrange(1, 50))
         ux, uy = rng.choice(_UNIT_DIRS)
@@ -331,12 +321,8 @@ def test_disk_screen_agrees_with_exact_containment():
         wobble = F(rng.randrange(-1000, 1001), 10 ** rng.randrange(3, 20))
         point = RadPoint(body.center.x + ux * r + Radical.sqrt(3) * wobble,
                          body.center.y + uy * r + wobble)
-        got = _disk_screen(body, _float_points([point]))(0)
-        if got is None:
-            undecided += 1
-        else:
-            assert got == body.contains(point)
-    assert undecided < 1600  # pairs off the boundary by more than the error are decided
+        f = Family(body, [Member(Point(0, 0))])
+        assert _membership(f, [_int_point(point)])(0)(0) == body.contains(point)
 
 
 def _normalized_top_order(f):
