@@ -40,6 +40,13 @@ def _load_family(path) -> Family:
     return jsonio.family_from_json(jsonio.load(path))
 
 
+def _write(doc, path):
+    """Write doc to path, or print it when no path is given."""
+    text = jsonio.dump(doc, path)
+    if text:
+        print(text)
+
+
 def _is_cs_hexagon(f: Family) -> bool:
     return (
         f.base.kind == "polygon"
@@ -100,19 +107,14 @@ def cmd_gen(args) -> int:
         f = generators.pairwise_intersecting_family(_BASES[args.base](), args.n, seed=args.seed)
     else:
         raise ParseError("unknown instance %r" % args.instance)
-    text = jsonio.dump(jsonio.family_to_json(f), args.out)
-    if text:
-        print(text)
+    _write(jsonio.family_to_json(f), args.out)
     return EXIT_OK
 
 
 def cmd_pierce(args) -> int:
     f = _load_family(args.input)
     cert = auto_pierce(f, method=args.method, refine=args.refine, seed=args.seed)
-    doc = jsonio.certificate_to_json(cert, f)
-    text = jsonio.dump(doc, args.out)
-    if text:
-        print(text)
+    _write(jsonio.certificate_to_json(cert, f), args.out)
     if args.svg:
         svg.render(f, cert.points, cert.witness, path=args.svg)
     return EXIT_OK
@@ -128,9 +130,7 @@ def cmd_exact(args) -> int:
         "nu_members": res.nu_members,
         "candidates_used": res.candidates_used,
     }
-    text = jsonio.dump(doc, args.out)
-    if text:
-        print(text)
+    _write(doc, args.out)
     return EXIT_OK
 
 
@@ -157,9 +157,7 @@ def cmd_pattern(args) -> int:
     else:
         base = _BASES[args.base]()
     pat = translate_cluster_cover(base) if args.variant == "half" else homothet_cover(base)
-    text = jsonio.dump(jsonio.pattern_to_json(pat), args.out)
-    if text:
-        print(text)
+    _write(jsonio.pattern_to_json(pat), args.out)
     return EXIT_OK
 
 

@@ -28,9 +28,9 @@ def _num(x) -> Fraction:
     raise ParseError("exact rational expected, got %r" % (x,))
 
 
-def _num_out(q: Fraction):
-    q = Fraction(q)
-    return int(q) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
+def _num_out(q):
+    # ints and Fractions both carry numerator and denominator
+    return q.numerator if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 
 def _point_out(p: Point):
@@ -362,7 +362,7 @@ def verify_pattern_json(doc) -> bool:
 
 
 def dump(obj, path=None):
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj, separators=(",", ":"))
     if path is None:
         return text
     with open(path, "w") as fh:
@@ -371,8 +371,12 @@ def dump(obj, path=None):
 
 
 def load(path) -> dict:
+    """Any JSON layout.  An unreadable, undecodable or too deeply nested
+    file is a ParseError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ParseError("invalid JSON: %s" % e) from e
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ParseError("cannot read %s: %s" % (path, e)) from e
+    except RecursionError as e:
+        raise ParseError("%s is nested too deeply" % path) from e

@@ -196,6 +196,13 @@ def test_certificates_module_has_no_float():
 _PENTAGON = PolygonBody(ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Point(2, 5),
                                        Point(-1, 2)]))
 
+def _indented(text):
+    """A written document re-rendered with indent=2, the layout the corpus
+    digests were first taken on: equal digests mean equal documents, key
+    order and values included, whatever whitespace dump writes."""
+    return json.dumps(json.loads(text), indent=2)
+
+
 def _expanded_text(cert, f):
     """The explicit certificate file of a greedy certificate, by way of its
     symbolic file: written, read back, verified and expanded."""
@@ -203,10 +210,10 @@ def _expanded_text(cert, f):
     assert "points" not in doc
     back, g = jsonio.certificate_from_json(doc)
     assert back.verify(g)
-    return jsonio.dump(jsonio.certificate_to_json(back.explicit(), g))
+    return _indented(jsonio.dump(jsonio.certificate_to_json(back.explicit(), g)))
 
 
-# sha256 of the explicit certificate file (_expanded_text) of
+# sha256 of the explicit certificate document (_expanded_text) of
 # greedy_pierce_homothets with its defaults; a change to the kernel, the
 # order or the patterns that moves one byte of a certificate shows up here
 _CORPUS = [
@@ -352,5 +359,5 @@ def test_method_certificates_are_byte_identical(method, base, n, box, seed, dige
         body = _PENTAGON if base == "pentagon" else _TRANSLATE_BASES[base]()
         f = random_family(body, n, box_size=box, seed=seed)
     cert = auto_pierce(f, method=method)
-    text = jsonio.dump(jsonio.certificate_to_json(cert, f))
+    text = _indented(jsonio.dump(jsonio.certificate_to_json(cert, f)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest

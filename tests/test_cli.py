@@ -69,6 +69,23 @@ def test_parse_error_exit_code(tmp_path):
     assert run("pierce", str(notjsonable)) == 2
 
 
+_UNREADABLE = {
+    "not-utf-8": lambda path: path.write_bytes(b"\xff\xfe"),
+    "nested-100000-deep": lambda path: path.write_text("[" * 100000 + "]" * 100000),
+    "missing": lambda path: None,
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "pierce"])
+@pytest.mark.parametrize("case", sorted(_UNREADABLE))
+def test_unreadable_input_is_a_parse_error(tmp_path, capsys, command, case):
+    path = tmp_path / "in.json"
+    _UNREADABLE[case](path)
+    assert run(command, str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 def test_too_large_exit_code(tmp_path):
     inst = tmp_path / "big.json"
     assert run("gen", "random", "--base", "disk", "--n", "30", "--out", str(inst)) == 0

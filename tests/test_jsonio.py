@@ -8,7 +8,7 @@ from piercing import covers, jsonio, sandwich, translates
 from piercing.cli import auto_pierce, main
 from piercing.errors import ConstructionFailed, ParseError, VerificationFailed
 from piercing.generators import hexagon_body, random_family, unit_disk, unit_square, unit_triangle
-from piercing.jsonio import _radical_sum, _Reader
+from piercing.jsonio import _num_out, _radical_sum, _Reader
 
 
 def run(*argv):
@@ -165,6 +165,47 @@ def test_memoised_rationals_refuse_bool_and_float():
     for x in (True, False, 1.0, 0.5, None, [1]):
         with pytest.raises(ParseError):
             rd.num(x)
+
+
+def _fraction_num_out(q):
+    """The writer's number form as it was computed through Fraction(q)."""
+    q = Fraction(q)
+    return int(q) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.integers(), st.fractions(), st.integers().map(Fraction)))
+def test_num_out_matches_the_fraction_path(q):
+    got = _num_out(q)
+    assert got == _fraction_num_out(q)
+    if Fraction(q).denominator == 1:
+        assert type(got) is int and got == q
+    else:
+        assert type(got) is str and Fraction(got) == q and "/" in got
+
+
+def test_dump_writes_one_compact_line(tmp_path, disk_cert, symbolic_cert):
+    for doc in (disk_cert, symbolic_cert):
+        text = jsonio.dump(doc)
+        assert text == json.dumps(doc, separators=(",", ":")) and "\n" not in text
+        path = tmp_path / "doc.json"
+        jsonio.dump(doc, str(path))
+        assert path.read_text() == text + "\n"
+        assert json.loads(text) == doc
+
+
+def test_indented_certificate_verifies_like_the_compact_one(tmp_path, capsys, disk_cert,
+                                                          symbolic_cert):
+    for doc in (disk_cert, symbolic_cert):
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        jsonio.dump(doc, str(compact))
+        indented.write_text(json.dumps(doc, indent=2) + "\n")
+        capsys.readouterr()
+        assert run("verify", str(compact)) == 0
+        line = capsys.readouterr().out
+        assert line.startswith("certificate ok: ")
+        assert run("verify", str(indented)) == 0
+        assert capsys.readouterr().out == line
 
 
 def test_pattern_size_check_survives_optimisation():
