@@ -1,7 +1,8 @@
 """Command-line surface: instance I/O, piercing, oracle, verification,
 experiments, conjecture search, benchmarks.
 
-Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 size limit.
+Exit codes: 0 ok, 1 verification failure or an output file that cannot be
+written, 2 parse error, 3 size limit.
 """
 
 import argparse
@@ -360,7 +361,7 @@ def main(argv=None) -> int:
     except VerificationFailed as e:
         print("verification failed: %s" % e, file=sys.stderr)
         return EXIT_VERIFY
-    except PiercingError as e:
+    except (PiercingError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_VERIFY
 

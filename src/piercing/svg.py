@@ -5,8 +5,6 @@ a heavy outline.  Coordinates are floats here; rendering is not part of any
 exact check.
 """
 
-import math
-
 HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
     '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

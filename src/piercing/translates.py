@@ -4,10 +4,16 @@ greedy_pierce: topmost-seed decomposition with a halfplane cover pattern per
 cluster (squares 2, triangles 5, disks 4, centrally symmetric 4, boxes
 2^(d-1)); the final cluster can be replaced by the exact oracle optimum.
 For a triangle the seed order runs along the cut edge of its trapezoid
-pattern.  The cluster loop (_greedy) is shared with the homothet greedy.
+pattern.  The greedy core (_greedy) is shared with the homothet greedy.
 
 grid_pierce: the sandwich-pair decomposition into lines and residue classes
-with factor gamma = ceil(l_line) * ceil(l_class + 1).
+with factor gamma = ceil(l_line) * ceil(l_class + 1).  Polygons and boxes
+take the one grid path; a box is the case P = C, with factor 2^(d-1).
+
+There is one cluster loop (_clusters): the greedy runs it over the whole
+family, the grid over each line, both on neighbor_index candidates.  The
+grid and lattice witnesses share one disjoint extension
+(_disjoint_extension).
 
 hexagon_pierce: two points for pairwise-intersecting hexagon translates via
 the three-strip construction, factor-3 grid decomposition otherwise.
@@ -112,24 +118,12 @@ def greedy_pierce(f: Family, refine: bool = True, oracle_budget: int = ORACLE_BU
 
 
 def _greedy(f: Family, pattern, order, method, refine, oracle_budget) -> PierceCertificate:
-    """The greedy of both family kinds: each member of order still alive
-    seeds a cluster of the alive members it meets.  The certificate is
-    symbolic: the pattern placed at each seed pierces its cluster
-    (certificates.greedy_rule), the seeds are the witness, and only the
-    oracle's points for a refined last cluster are listed."""
-    candidates = neighbor_index(f)
-    check = pair_checker(f)
-    alive = [True] * len(f)
-    clusters = []
-    for i in order:
-        if not alive[i]:
-            continue
-        alive[i] = False
-        hits = [j for j in candidates(i) if alive[j] and check(i, j)]
-        hits.sort()
-        for j in hits:
-            alive[j] = False
-        clusters.append((i, (i, *hits)))
+    """The greedy of both family kinds: _clusters over the whole family.
+    The certificate is symbolic: the pattern placed at each seed pierces its
+    cluster (certificates.greedy_rule), the seeds are the witness, and only
+    the oracle's points for a refined last cluster are listed."""
+    clusters = [(i, (i, *hits)) for i, hits in
+                _clusters(len(f), order, neighbor_index(f), pair_checker(f))]
     extra = []
     if refine and clusters and len(clusters[-1][1]) <= oracle_budget:
         from .oracle import exact_tau
@@ -143,102 +137,121 @@ def _greedy(f: Family, pattern, order, method, refine, oracle_budget) -> PierceC
     return PierceCertificate(method, pattern.size, None, clusters, witness, family=f, extra=extra)
 
 
+def _clusters(n, order, candidates, check):
+    """The one cluster loop: each member of order still alive seeds a
+    cluster of the alive members of candidates(seed) it meets.  Returns
+    (seed, sorted hits) pairs in seed order."""
+    alive = [True] * n
+    clusters = []
+    for i in order:
+        if not alive[i]:
+            continue
+        alive[i] = False
+        hits = [j for j in candidates(i) if alive[j] and check(i, j)]
+        hits.sort()
+        for j in hits:
+            alive[j] = False
+        clusters.append((i, hits))
+    return clusters
+
+
+def _disjoint_extension(order, candidates, check):
+    """The members of order, in order, that meet no member kept before
+    them; each is tested only against its candidates (grid neighbours)."""
+    kept = []
+    chosen = set()
+    for i in order:
+        if i not in chosen and not any(j in chosen and check(i, j) for j in candidates(i)):
+            kept.append(i)
+            chosen.add(i)
+    return kept
+
+
 def grid_pierce(f: Family, pair: SandwichPair = None, verify: bool = True) -> PierceCertificate:
-    """Line-and-class decomposition from a sandwich pair (factor gamma)."""
+    """Line-and-class decomposition from a sandwich pair (factor gamma).
+
+    Each member's P-translate has centre coordinates in the basis of the
+    parallelogram P of the pair (P = C for a box, factor 2^(d-1)).  Lines of
+    unit width on every axis but the last cut the family; within a line,
+    the lowest alive member seeds a cluster of the members it meets, pierced
+    at most k_line levels above it.  The seeds of one residue class of lines
+    mod m_class are pairwise disjoint.
+    """
     if f.kind != "translates":
         raise UnsupportedBase("grid_pierce needs a translate family")
-    if isinstance(f.base, BoxBody):
-        return _grid_pierce_box(f, verify)
-    if not isinstance(f.base, PolygonBody):
-        raise UnsupportedBase("grid_pierce needs a polygon or box base")
-    if pair is None:
-        pair = sandwich_parallelograms(f.base.polygon)
-    u, v = pair.p.u, pair.p.v
-    det = u.cross(v)
-    la = pair.line_axis
-    e_line = pair.lambdas[la]
-    e_class = pair.lambdas[1 - la]
-    pc = pair.p.center
+    base = f.base
+    half = Fraction(1, 2)
+    if isinstance(base, BoxBody):
+        sides = base.sides
+        centres = [tuple((lo + side / 2 + t) / side for lo, side, t in zip(base.mins, sides, m.t))
+                   for m in f.members]
 
-    def coords(p):
-        a = p.cross(v) / det
-        b = u.cross(p) / det
-        return (a, b) if la == 1 else (b, a)
+        def place(x):
+            return tuple(a * side for a, side in zip(x, sides))
+
+        k_line, m_class, factor, info = 1, 2, 2 ** (base.dim - 1), None
+    elif isinstance(base, PolygonBody):
+        if pair is None:
+            pair = sandwich_parallelograms(base.polygon)
+        la = pair.line_axis
+        # axes[0] is cut into lines, axes[1] carries the levels
+        axes = (pair.p.u, pair.p.v) if la == 1 else (pair.p.v, pair.p.u)
+        det = axes[0].cross(axes[1])
+        centres = []
+        for m in f.members:
+            p = pair.p.center + m.t
+            centres.append((p.cross(axes[1]) / det, axes[0].cross(p) / det))
+
+        def place(x):
+            return axes[0] * x[0] + axes[1] * x[1]
+
+        k_line = math.ceil(pair.lambdas[la])
+        m_class = math.ceil(pair.lambdas[1 - la] + 1)
+        factor, info = pair.gamma, {"gamma": pair.gamma}
+    else:
+        raise UnsupportedBase("grid_pierce needs a polygon or box base")
 
     n = len(f)
-    alpha = [None] * n
-    beta = [None] * n
-    for i in range(n):
-        ca, cb = coords(pc + f.members[i].t)
-        alpha[i] = ca
-        beta[i] = cb
-
-    b_off = _line_offset(alpha)
-    lines = {}
-    for i in range(n):
-        j = math.floor(alpha[i] + Fraction(1, 2) - b_off)
-        if not (alpha[i] - Fraction(1, 2) < j + b_off < alpha[i] + Fraction(1, 2)):
+    offs = [_line_offset([c[k] for c in centres]) for k in range(len(centres[0]) - 1)]
+    line = []
+    for c in centres:
+        key = tuple(math.floor(x + half - off) for x, off in zip(c, offs))
+        if not all(x - half < j + off < x + half for x, j, off in zip(c, key, offs)):
             raise VerificationFailed("line tangent to a P-translate")
-        lines.setdefault(j, []).append(i)
-
-    m_class = math.ceil(e_class + 1)
-    k_line = math.ceil(e_line)
+        line.append(key)
+    order = sorted(range(n), key=lambda i: (line[i], centres[i][-1], centres[i][:-1], i))
+    near = neighbor_index(f)
     check = pair_checker(f)
+    clusters = _clusters(n, order, lambda i: [j for j in near(i) if line[j] == line[i]], check)
     points = []
-    clusters = []
     class_seeds = {}
-    for j, idxs in sorted(lines.items()):
-        idxs.sort(key=lambda i: (beta[i], alpha[i], i))
-        alive = set(idxs)
-        for i in idxs:
-            if i not in alive:
-                continue
-            alive.discard(i)
-            members = [i]
-            for k in list(alive):
-                if check(i, k):
-                    alive.discard(k)
-                    members.append(k)
-            c_seed = beta[i] - Fraction(1, 2)
-            # each member's P-translate contains the point at its own level
-            used = set()
-            for m in members:
-                c_m = beta[m] - Fraction(1, 2)
-                k = max(1, math.ceil(c_m - c_seed))
-                if k > k_line or not c_m <= c_seed + k <= c_m + 1:
-                    raise VerificationFailed("member escapes its cluster levels")
-                used.add(k)
-            for k in sorted(used):
-                a_coord = j + b_off
-                b_coord = c_seed + k
-                if la == 1:
-                    p = u * a_coord + v * b_coord
-                else:
-                    p = u * b_coord + v * a_coord
-                points.append(p)
-            clusters.append((i, sorted(members)))
-            class_seeds.setdefault(j % m_class, []).append(i)
-    witness = _extend_witness(f, check, class_seeds)
-    points = dedupe_points(points)
-    cert = PierceCertificate("grid", pair.gamma, points, clusters, witness,
-                             info={"gamma": pair.gamma})
+    for i, hits in clusters:
+        key = line[i]
+        c_seed = centres[i][-1] - half
+        # each member's P-translate contains the point at its own level
+        used = set()
+        for m in (i, *hits):
+            c_m = centres[m][-1] - half
+            k = max(1, math.ceil(c_m - c_seed))
+            if k > k_line or not c_m <= c_seed + k <= c_m + 1:
+                raise VerificationFailed("member escapes its cluster levels")
+            used.add(k)
+        pos = tuple(j + off for j, off in zip(key, offs))
+        points.extend(place(pos + (c_seed + k,)) for k in sorted(used))
+        class_seeds.setdefault(tuple(j % m_class for j in key), []).append(i)
+    cert = PierceCertificate("grid", factor, dedupe_points(points),
+                             [(i, sorted((i, *hits))) for i, hits in clusters],
+                             _extend_witness(class_seeds, near, check), info=info)
     if verify:
         cert.verify(f)
     return cert
 
 
-def _extend_witness(f: Family, check, class_seeds):
-    """Largest per-class seed set, greedily extended by other disjoint seeds;
-    each seed is tested only against its grid neighbours in the witness."""
-    witness = list(max(class_seeds.values(), key=lambda s: (len(s), -min(s))))
-    chosen = set(witness)
-    candidates = neighbor_index(f)
-    others = sorted(i for seeds in class_seeds.values() for i in seeds if i not in chosen)
-    for i in others:
-        if not any(j in chosen and check(i, j) for j in candidates(i)):
-            witness.append(i)
-            chosen.add(i)
-    return witness
+def _extend_witness(class_seeds, candidates, check):
+    """Largest per-class seed set, greedily extended by other disjoint seeds."""
+    best = max(class_seeds.values(), key=lambda s: (len(s), -min(s)))
+    seeds = sorted(i for class_ in class_seeds.values() for i in class_)
+    return _disjoint_extension(best + seeds, candidates, check)
 
 
 def _line_offset(alphas):
@@ -254,48 +267,6 @@ def _line_offset(alphas):
             best_gap = gap
             best_mid = (lo + hi) / 2 % 1
     return best_mid
-
-
-def _grid_pierce_box(f: Family, verify: bool) -> PierceCertificate:
-    base = f.base
-    d = base.dim
-    n = len(f)
-    norm = [tuple(m / s for m, s in zip(f.realize(i).mins, base.sides)) for i in range(n)]
-    offs = []
-    for k in range(d - 1):
-        offs.append(_line_offset([norm[i][k] + Fraction(1, 2) for i in range(n)]))
-    lines = {}
-    for i in range(n):
-        key = tuple(
-            math.floor(norm[i][k] + 1 - offs[k]) for k in range(d - 1)
-        )
-        lines.setdefault(key, []).append(i)
-    check = pair_checker(f)
-    points = []
-    clusters = []
-    class_seeds = {}
-    for key, idxs in sorted(lines.items()):
-        idxs.sort(key=lambda i: (norm[i][-1], norm[i][:-1], i))
-        alive = set(idxs)
-        for i in idxs:
-            if i not in alive:
-                continue
-            alive.discard(i)
-            members = [i]
-            for k in list(alive):
-                if check(i, k):
-                    alive.discard(k)
-                    members.append(k)
-            coord = tuple(key[k] + offs[k] for k in range(d - 1)) + (norm[i][-1] + 1,)
-            points.append(tuple(c * s for c, s in zip(coord, base.sides)))
-            clusters.append((i, sorted(members)))
-            class_seeds.setdefault(tuple(k % 2 for k in key), []).append(i)
-    witness = _extend_witness(f, check, class_seeds)
-    factor = 2 ** (d - 1)
-    cert = PierceCertificate("grid", factor, points, clusters, witness)
-    if verify:
-        cert.verify(f)
-    return cert
 
 
 def _hexagon_strips(poly: ConvexPolygon):
@@ -636,14 +607,7 @@ def lattice_witness(f: Family, lattice: LatticeSpec = None, eps=Fraction(1, 64),
             best = list(chosen.values())
         if target is not None and len(best) >= target:
             break
-    # exact disjointness recheck with greedy removal
-    check = pair_checker(f)
-    kept = []
-    for i in best:
-        if all(not check(i, j) for j in kept):
-            kept.append(i)
-    # extending with any further disjoint members only strengthens the witness
-    for i in range(len(f)):
-        if i not in kept and all(not check(i, j) for j in kept):
-            kept.append(i)
+    # exact disjointness recheck, then any further disjoint members, which
+    # only strengthen the witness
+    kept = _disjoint_extension(best + list(range(len(f))), neighbor_index(f), pair_checker(f))
     return kept, lattice

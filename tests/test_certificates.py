@@ -258,6 +258,7 @@ _TRANSLATE_BASES = {
     "off-centre disk": lambda: DiskBody(Point(F(1, 3), F(-2, 5)), F(3, 7)),
     "box": lambda: BoxBody((0, 0), (1, 1)),
     "box-3d": lambda: BoxBody((0, F(1, 2), 0), (1, F(3, 2), F(2, 3))),
+    "box-2d": lambda: BoxBody((F(1, 3), -1), (F(3, 2), F(2, 5))),
 }
 
 # sha256 of the explicit greedy_pierce certificate (defaults) of random_family(base,
@@ -342,12 +343,19 @@ _METHOD_CORPUS = [
      "596cadd8aead15ccc01e0309fcc40efa432b127b80550164f4afe60b157792c1"),
     ("grid", "box-3d", 200, 8, 43,
      "92922af8ad76b476ebd83624dd8a3a5b97f5255a735e6efe9b3d5ed2bdceea2b"),
+    ("grid", "box-2d", 300, 12, 47,
+     "11954bf95b25b016e2cc42fccc713cc5812f8e65f38671b97b10f7519e4798ad"),
+    # 40 lines of about 50 squares each: the grid's line filter matters
+    ("grid", "square", 2000, 40, 48,
+     "bf7bf6c62ac3a88211f7e7b4713f9d2d914a13668577cc05a978eaa91639be6f"),
     ("hexagon", "hexagon", 200, 60, 44,
      "9d7f43d3a8c704d9cc41abe01368091d508e9b863ea0828f5a8b8d305dbbec0c"),
     ("hexagon", "pairwise", 12, None, 45,
      "c409e83a4df23ec2c42f38ccbc088080fca644a043926a1f1830942eb9759891"),
     ("lattice", "hexagon", 9, 6, 46,
      "e1e47ce412f9005cce8accdd92110e460e2877f30dd3aaa4b75a1f31ed026e95"),
+    ("lattice", "hexagon", 12, 8, 49,
+     "d41c76f6764c126a42c512244fd0d1bef2a9df46dd2c4312dc290a39c258073a"),
 ]
 
 

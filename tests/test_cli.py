@@ -86,6 +86,19 @@ def test_unreadable_input_is_a_parse_error(tmp_path, capsys, command, case):
     assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, flag", [("pierce", "--out"), ("pierce", "--svg"),
+                                           ("gen", "--out")])
+def test_unwritable_output_is_one_error_line(tmp_path, capsys, command, flag):
+    inst = tmp_path / "five.json"
+    assert run("gen", "five-cycle", "--out", str(inst)) == 0
+    capsys.readouterr()
+    missing = str(tmp_path / "missing" / "x")
+    source = str(inst) if command == "pierce" else "five-cycle"
+    assert run(command, source, flag, missing) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
+
+
 def test_too_large_exit_code(tmp_path):
     inst = tmp_path / "big.json"
     assert run("gen", "random", "--base", "disk", "--n", "30", "--out", str(inst)) == 0

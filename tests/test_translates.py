@@ -135,6 +135,29 @@ class TestGrid:
         assert cert.factor == 4  # 2^(d-1)
         assert len(cert.points) <= 4 * len(cert.witness)
 
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_pair_tests_per_member_stay_bounded(self, monkeypatch, n):
+        # a seed meets only the grid neighbours on its own line, so the
+        # pair tests per member do not grow with the line length
+        from piercing import translates
+
+        calls = [0]
+        real = translates.pair_checker
+
+        def counting(f):
+            check = real(f)
+
+            def counted(i, j):
+                calls[0] += 1
+                return check(i, j)
+
+            return counted
+
+        monkeypatch.setattr(translates, "pair_checker", counting)
+        f = random_family(unit_square(), n, box_size=math.isqrt(n), seed=12)
+        grid_pierce(f, verify=False)
+        assert calls[0] <= 3 * n
+
 
 class TestHexagon:
     def test_pairwise_intersecting_two_points(self):
