@@ -212,7 +212,7 @@ class Member:
     def __init__(self, t, s=1):
         self.t = t
         self.s = frac(s)
-        if self.s <= 0:
+        if self.s.numerator <= 0:
             raise DegenerateInput("scale must be positive")
 
     def __repr__(self):
@@ -220,34 +220,92 @@ class Member:
 
 
 class Family:
-    """A base convex body plus translate/homothet members."""
+    """A base convex body plus translate/homothet members, held as columns.
+
+    columns[k][i] is coordinate k of member i's translation (one list per
+    axis: two for a polygon or disk base, dim for a box) and scales[i] its
+    scale, exact rationals.  The Member objects (members) are derived from
+    the columns on first access; the greedies, the verifier and the JSON
+    codec work on the columns and their scaled ints alone.
+    """
 
     def __init__(self, base, members, kind="translates"):
+        """members: Member objects, whose translations and scales become
+        the columns."""
+        members = list(members)
+        if base.kind == "box":
+            columns = [list(col) for col in zip(*(m.t for m in members))]
+        else:
+            columns = [[m.t.x for m in members], [m.t.y for m in members]]
+        self._setup(base, columns, [m.s for m in members], kind)
+
+    @classmethod
+    def from_columns(cls, base, columns, scales, kind="translates", scaled=None):
+        """The family whose member i has translation coordinates
+        columns[k][i] and scale scales[i] (Fractions).  scaled, when given,
+        is its scaled_translations() triple."""
+        f = cls.__new__(cls)
+        f._setup(base, columns, scales, kind)
+        f._scaled = scaled
+        return f
+
+    def _setup(self, base, columns, scales, kind):
         if kind not in ("translates", "homothets"):
             raise DegenerateInput("unknown family kind %r" % kind)
-        if not members:
+        if not scales:
             raise DegenerateInput("family must be nonempty")
-        if kind == "translates" and any(m.s != 1 for m in members):
+        # each distinct scale object is checked once
+        distinct = dict(zip(map(id, scales), scales)).values()
+        if any(s.numerator <= 0 for s in distinct):
+            raise DegenerateInput("scale must be positive")
+        if kind == "translates" and any(s != 1 for s in distinct):
             raise DegenerateInput("translate families require scale 1")
         self.base = base
-        self.members = list(members)
+        self.columns = columns
+        self.scales = scales
         self.kind = kind
-        self._realized = [None] * len(members)
+        self._members = None
+        self._realized = {}
         self._scaled = None
         self._slabs = None
 
     def __len__(self):
-        return len(self.members)
+        return len(self.scales)
 
     def dim(self):
         return self.base.dim if self.base.kind == "box" else 2
 
+    def translation(self, i):
+        """Member i's translation: a tuple for a box base, else a Point."""
+        t = tuple(col[i] for col in self.columns)
+        return t if self.base.kind == "box" else Point(*t)
+
+    @property
+    def members(self):
+        """The Member of each index, built from the columns on first access."""
+        if self._members is None:
+            self._members = [Member(self.translation(i), s) for i, s in enumerate(self.scales)]
+        return self._members
+
+    def subfamily(self, indices):
+        """The family of the members in indices, in that order.  It takes
+        its scaled columns from this family's (scaled_translations): any
+        common denominator D scales exactly."""
+        indices = list(indices)
+
+        def pick(col):
+            return [col[i] for i in indices]
+
+        D, cols, S = self.scaled_translations()
+        return Family.from_columns(self.base, [pick(col) for col in self.columns],
+                                   pick(self.scales), self.kind,
+                                   (D, [pick(col) for col in cols], pick(S)))
+
     def realize(self, i):
-        body = self._realized[i]
+        body = self._realized.get(i)
         if body is None:
-            m = self.members[i]
-            body = self.base.scale_translate(m.s, m.t)
-            self._realized[i] = body
+            body = self._realized[i] = self.base.scale_translate(self.scales[i],
+                                                                 self.translation(i))
         return body
 
     def bodies(self):
@@ -263,7 +321,7 @@ class Family:
         D is the lcm of the translation and scale denominators and the
         columns hold ints; when D would need more than MAX_SCALE_BITS bits,
         D is 1 and the columns hold the Fractions themselves.  Computed once
-        per family.
+        per family (jsonio's reader fills it in as it parses).
         """
         if self._scaled is None:
             self._scaled = _scale_translations(self)
@@ -282,25 +340,30 @@ class Family:
         return self._slabs
 
 
-def _translation_columns(f: Family):
-    if f.base.kind == "box":
-        return [list(col) for col in zip(*(m.t for m in f.members))]
-    return [[m.t.x for m in f.members], [m.t.y for m in f.members]]
+def scale_table(values):
+    """(D, scaled) for a dict of Fractions: D is the lcm of their
+    denominators and scaled[k] = D * values[k], an int; when D would need
+    more than MAX_SCALE_BITS bits, D is 1 and scaled is values."""
+    D = 1
+    for d in {v.denominator for v in values.values()}:
+        D = math.lcm(D, d)
+        if D.bit_length() > MAX_SCALE_BITS:
+            return 1, values
+    return D, {k: v.numerator * (D // v.denominator) for k, v in values.items()}
 
 
 def _scale_translations(f: Family):
-    cols = _translation_columns(f)
+    # once per distinct value object: where members share their Fractions,
+    # as random_family's do, a member costs one dict lookup
+    cols = list(f.columns)
     homothets = f.kind == "homothets"
     if homothets:
-        cols.append([m.s for m in f.members])
-    D = 1
-    for d in {v.denominator for col in cols for v in col}:
-        D = math.lcm(D, d)
-        if D.bit_length() > MAX_SCALE_BITS:
-            D = 1
-            break
-    else:
-        cols = [[v.numerator * (D // v.denominator) for v in col] for col in cols]
+        cols.append(f.scales)
+    distinct = {}
+    for col in cols:
+        distinct.update(zip(map(id, col), col))
+    D, scaled = scale_table(distinct)
+    cols = [list(map(scaled.__getitem__, map(id, col))) for col in cols]
     if homothets:
         return D, cols[:-1], cols[-1]
     return D, cols, [D] * len(f)  # every translate has s = 1

@@ -249,12 +249,12 @@ def _placer(f: Family, offsets):
             pair.append(axis.index(part))
         pairs.append(pair)
     scaled = f.kind == "homothets"
+    (txs, tys), scales = f.columns, f.scales
 
     def place(i):
-        m = f.members[i]
-        s = m.s
+        s = scales[i]
         coords = []
-        for axis, t in zip(parts, (m.t.x, m.t.y)):
+        for axis, t in zip(parts, (txs[i], tys[i])):
             out = []
             for v, rest in axis:
                 if scaled:
@@ -422,7 +422,7 @@ class PierceCertificate:
         wset = set(self.witness)
         if len(wset) != len(self.witness):
             raise VerificationFailed("witness repeats a member")
-        if not pairwise_disjoint(Family(f.base, [f.members[i] for i in self.witness], f.kind)):
+        if not pairwise_disjoint(f.subfamily(self.witness)):
             raise VerificationFailed("witness members are not pairwise disjoint")
         if self.symbolic and self.witness != [s for s, _ in self.clusters]:
             raise VerificationFailed("witness differs from the cluster seeds")

@@ -88,18 +88,34 @@ def _rand_frac(rng, lo, hi, denom=32):
     return lo + Fraction(rng.randrange(steps + 1), denom)
 
 
+def _rand_frac_form(lo, hi, denom):
+    """(span, a, b, q): _rand_frac(rng, lo, hi, denom) is
+    Fraction(a + k b, q) for k = rng.randrange(span)."""
+    lo, hi = frac(lo), frac(hi)
+    return int((hi - lo) * denom) + 1, lo.numerator * denom, lo.denominator, lo.denominator * denom
+
+
 def random_family(base, n, box_size=10, kind="translates", scale_range=(1, 3), seed=0) -> Family:
-    """Reproducible random family: rational translations in a square box."""
+    """Reproducible random family: rational translations in a square box.
+
+    Each coordinate, then the scale of a homothet, is one _rand_frac draw
+    (denominators 32 and 8); the draws are taken in that order first, and
+    each distinct one becomes one Fraction, shared by the members that drew
+    it."""
     rng = random.Random(seed)
-    members = []
-    for _ in range(n):
-        if base.kind == "box":
-            t = tuple(_rand_frac(rng, 0, box_size) for _ in range(base.dim))
-        else:
-            t = Point(_rand_frac(rng, 0, box_size), _rand_frac(rng, 0, box_size))
-        s = 1 if kind == "translates" else _rand_frac(rng, scale_range[0], scale_range[1], 8)
-        members.append(Member(t, s))
-    return Family(base, members, kind)
+    dim = base.dim if base.kind == "box" else 2
+    forms = [_rand_frac_form(0, box_size, 32)] * dim
+    if kind != "translates":
+        forms.append(_rand_frac_form(scale_range[0], scale_range[1], 8))
+    spans = [span for span, _, _, _ in forms]
+    draws = [rng.randrange(span) for _ in range(n) for span in spans]
+    cols = []
+    for k, (_, a, b, q) in enumerate(forms):
+        ks = draws[k::len(forms)]
+        value = {j: Fraction(a + j * b, q) for j in set(ks)}
+        cols.append(list(map(value.__getitem__, ks)))
+    scales = cols.pop() if kind != "translates" else [Fraction(1)] * n
+    return Family.from_columns(base, cols, scales, kind)
 
 
 def pairwise_intersecting_family(base, n, seed=0, attempts=1000) -> Family:

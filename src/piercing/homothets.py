@@ -55,7 +55,7 @@ def containment_witness(f: Family, i: int, j: int):
     translate of the seed-sized homothet contained in B_j and meeting B_i at
     p; this is the containment step of the smallest-first argument.
     """
-    si, sj = f.members[i].s, f.members[j].s
+    si, sj = f.scales[i], f.scales[j]
     if si > sj:
         raise DegenerateInput("member i must not be larger")
     bi, bj = f.realize(i), f.realize(j)

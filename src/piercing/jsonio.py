@@ -1,31 +1,45 @@
 """JSON schemas for instances and certificates.
 
-Rationals travel as "p/q" strings or plain integers; floats are rejected so
-files stay exact.  Certificates embed the instance, which makes them
-re-verifiable from the file alone.
+Rationals travel as plain integers or as strings of the grammar
+[+-]digits[/digits]; floats, decimal points and exponents are rejected, so
+files stay exact and no short field expands to a huge integer.
+Certificates embed the instance, which makes them re-verifiable from the
+file alone.  An instance is read and written as columns (bodies.Family),
+one parse and one format per distinct number.
 """
 
 from fractions import Fraction
+from itertools import chain
 import json
+import math
+import re
 
-from .bodies import BoxBody, DiskBody, Family, Member, PolygonBody
+from .bodies import BoxBody, DiskBody, Family, PolygonBody, scale_table
 from .certificates import PierceCertificate, greedy_rule
 from .errors import DegenerateInput, ParseError
 from .geom import ConvexPolygon, Point
 from .radicals import RadPoint, Radical, canonical_radicands
 
 
+# the number grammar of every file: an optional sign, digits, and an
+# optional "/" with digits; exponents, decimal points, spaces and
+# underscores are refused, so a short field cannot expand to a huge int
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _num(x) -> Fraction:
-    if isinstance(x, bool) or isinstance(x, float):
-        raise ParseError("exact rational expected, got %r" % (x,))
-    if isinstance(x, int):
+    """An exact rational from a JSON int or a string of the grammar."""
+    if type(x) is int:
         return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseError("bad rational %r" % x) from e
-    raise ParseError("exact rational expected, got %r" % (x,))
+    if type(x) is not str:
+        raise ParseError("exact rational expected, got %r" % (x,))
+    if not _RATIONAL.fullmatch(x):
+        raise ParseError("bad rational %r" % x)
+    p, _, q = x.partition("/")
+    try:
+        return Fraction(int(p), int(q) if q else 1)
+    except (ValueError, ZeroDivisionError) as e:  # a zero q, or over the digit limit
+        raise ParseError("bad rational %r" % x) from e
 
 
 def _num_out(q):
@@ -126,25 +140,42 @@ class _Reader:
         raise ParseError("unknown body type %r" % kind)
 
     def family(self, obj) -> Family:
+        """The instance's Family, built as columns: every member's t is
+        shape-checked in one pass, each distinct JSON value is parsed once
+        to a Fraction and to its scaled int (bodies.scale_table), and the
+        columns and the scaled_translations() triple are gathered by dict
+        lookups, with no object per member."""
         try:
             base = self.body(obj["base"])
             kind = obj.get("kind", "translates")
-            members = []
-            for m in obj["members"]:
-                t = m["t"]
-                if base.kind == "box":
-                    if len(t) != base.dim:
-                        raise ParseError("a translation needs %d coordinates" % base.dim)
-                    tv = tuple(self.num(v) for v in t)
-                else:
-                    tv = self.point(t)
-                members.append(Member(tv, self.num(m.get("s", 1))))
+            members = obj["members"]
+            ts = [m["t"] for m in members]
+            ss = [m.get("s", 1) for m in members]
         except ParseError:
             raise
         except Exception as e:
             raise ParseError("bad instance: %s" % e) from e
+        dim = base.dim if base.kind == "box" else 2
+        if set(map(type, ts)) - {list} or set(map(len, ts)) - {dim}:
+            raise ParseError("a translation needs a list of %d coordinates" % dim)
+        raw = list(zip(*ts))
+        # an int and a str never compare equal, so once bools and floats
+        # are refused the sets below keep every distinct value apart
+        bad = set(map(type, chain(ss, *raw))) - {int, str}
+        if bad:
+            x = next(x for x in chain(ss, *raw) if type(x) in bad)
+            raise ParseError("exact rational expected, got %r" % (x,))
+        nums = self._nums
+        for x in set(chain(ss, *raw)):
+            if x not in nums:
+                nums[x] = _num(x)
+        homothets = kind == "homothets"
+        D, scaled = scale_table({x: nums[x] for x in set(chain(*raw, ss if homothets else ()))})
+        cols = [list(map(scaled.__getitem__, col)) for col in raw]
+        S = list(map(scaled.__getitem__, ss)) if homothets else [D] * len(ss)
         try:
-            return Family(base, members, kind)
+            return Family.from_columns(base, [list(map(nums.__getitem__, col)) for col in raw],
+                                       list(map(nums.__getitem__, ss)), kind, (D, cols, S))
         except DegenerateInput as e:
             raise ParseError(str(e)) from e
 
@@ -177,16 +208,22 @@ def body_from_json(obj):
 
 
 def family_to_json(f: Family) -> dict:
+    """The instance document, written from the scaled columns
+    (Family.scaled_translations): each distinct scaled value is formatted
+    once, as the reduced v / D."""
+    D, cols, S = f.scaled_translations()
+    out = {}
+    for v in set(S).union(*cols):
+        if D == 1:  # ints, or the Fractions themselves over MAX_SCALE_BITS
+            out[v] = _num_out(v)
+        else:
+            g = math.gcd(v, D)
+            out[v] = v // g if g == D else "%d/%d" % (v // g, D // g)
+    ts = zip(*[map(out.__getitem__, col) for col in cols])
     return {
         "base": body_to_json(f.base),
         "kind": f.kind,
-        "members": [
-            {
-                "t": [_num_out(v) for v in (m.t if isinstance(m.t, tuple) else (m.t.x, m.t.y))],
-                "s": _num_out(m.s),
-            }
-            for m in f.members
-        ],
+        "members": [{"t": list(t), "s": s} for t, s in zip(ts, map(out.__getitem__, S))],
     }
 
 
@@ -226,11 +263,13 @@ def certificate_to_json(cert: PierceCertificate, f: Family) -> dict:
     return doc
 
 
-def _index(i, n: int) -> int:
-    """A member index: an int in [0, n)."""
-    if type(i) is not int or not 0 <= i < n:
+def _indices(values, n: int):
+    """values, a list of member indices: ints in [0, n), checked in one
+    pass over their types and one over their range."""
+    if set(map(type, values)) - {int} or values and not (min(values) >= 0 and max(values) < n):
+        i = next(i for i in values if type(i) is not int or not 0 <= i < n)
         raise ParseError("member index %r outside 0..%d" % (i, n - 1))
-    return i
+    return values
 
 
 def _list(doc, key):
@@ -259,8 +298,10 @@ def certificate_from_json(obj):
         elif "refine_points" in obj:
             raise ParseError("a certificate has points or refine_points, not both")
         clusters = _list(obj, "clusters") if symbolic else obj.get("clusters", [])
-        clusters = [(_index(s, n), [_index(i, n) for i in m]) for s, m in clusters]
-        witness = [_index(i, n) for i in _list(obj, "witness")]
+        clusters = [(s, m) for s, m in clusters]
+        _indices([s for s, _ in clusters], n)
+        _indices(list(chain.from_iterable(m for _, m in clusters)), n)
+        witness = _indices(_list(obj, "witness"), n)
         points = [rd.pierce_point(p, box_dim)
                   for p in _list(obj, "refine_points" if symbolic else "points")]
         if not symbolic:
@@ -372,11 +413,12 @@ def dump(obj, path=None):
 
 def load(path) -> dict:
     """Any JSON layout.  An unreadable, undecodable or too deeply nested
-    file is a ParseError."""
+    file, or one with an integer literal over the interpreter's digit
+    limit, is a ParseError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # UnicodeDecodeError and JSONDecodeError too
         raise ParseError("cannot read %s: %s" % (path, e)) from e
     except RecursionError as e:
         raise ParseError("%s is nested too deeply" % path) from e

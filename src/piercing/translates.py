@@ -66,18 +66,16 @@ ORACLE_BUDGET = 12
 def _top_key(f: Family):
     """Exact sort key: decreasing top coordinate, then translation lex, index.
 
-    Tops come straight from the member fields: top(s*C + t) is s*top(C)
-    shifted by the last translation coordinate.
+    Tops come straight from the columns: top(s*C + t) is s*top(C) shifted
+    by the last translation coordinate.
     """
     base_top = f.base.top()
-    if f.base.kind == "box":
-        def key(i):
-            m = f.members[i]
-            return (-(base_top * m.s + m.t[-1]), m.t, i)
-    else:
-        def key(i):
-            m = f.members[i]
-            return (-(base_top * m.s + m.t.y), m.t.x, m.t.y, i)
+    columns, scales = f.columns, f.scales
+
+    def key(i):
+        t = tuple(col[i] for col in columns)
+        return (-(base_top * scales[i] + t[-1]), t, i)
+
     return key
 
 
@@ -129,8 +127,7 @@ def _greedy(f: Family, pattern, order, method, refine, oracle_budget) -> PierceC
         from .oracle import exact_tau
 
         last = clusters[-1][1]
-        sub = Family(f.base, [f.members[j] for j in last], f.kind)
-        tau, pts = exact_tau(sub)
+        tau, pts = exact_tau(f.subfamily(last))
         if tau < pattern.size:
             extra = pts
     witness = [c[0] for c in clusters]
@@ -183,8 +180,8 @@ def grid_pierce(f: Family, pair: SandwichPair = None, verify: bool = True) -> Pi
     half = Fraction(1, 2)
     if isinstance(base, BoxBody):
         sides = base.sides
-        centres = [tuple((lo + side / 2 + t) / side for lo, side, t in zip(base.mins, sides, m.t))
-                   for m in f.members]
+        centres = [tuple((lo + side / 2 + v) / side for lo, side, v in zip(base.mins, sides, t))
+                   for t in zip(*f.columns)]
 
         def place(x):
             return tuple(a * side for a, side in zip(x, sides))
@@ -198,8 +195,9 @@ def grid_pierce(f: Family, pair: SandwichPair = None, verify: bool = True) -> Pi
         axes = (pair.p.u, pair.p.v) if la == 1 else (pair.p.v, pair.p.u)
         det = axes[0].cross(axes[1])
         centres = []
-        for m in f.members:
-            p = pair.p.center + m.t
+        c = pair.p.center
+        for x, y in zip(*f.columns):
+            p = Point(c.x + x, c.y + y)
             centres.append((p.cross(axes[1]) / det, axes[0].cross(p) / det))
 
         def place(x):
@@ -303,7 +301,7 @@ def hexagon_pierce(f: Family, verify: bool = True) -> PierceCertificate:
         return cert
 
     center, v, normals, widths = _hexagon_strips(poly)
-    centers = [center + f.members[i].t for i in range(n)]
+    centers = [Point(center.x + x, center.y + y) for x, y in zip(*f.columns)]
     mids = []
     for k in range(3):
         vals = [c.dot(normals[k]) for c in centers]

@@ -19,6 +19,16 @@ def pierce_explicit(inst, out, refine=True):
     jsonio.dump(jsonio.certificate_to_json(cert.explicit(), f), str(out))
 
 
+def test_integer_over_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    # json.load raises ValueError on an int literal of more than 4,300 digits
+    cert = tmp_path / "huge.json"
+    cert.write_text('{"instance": {"base": {"type": "disk", "center": [0, 0], "radius": 1}, '
+                    '"members": [{"t": [%s, 0]}]}}' % ("7" * 5000))
+    for command in ("verify", "pierce"):
+        assert run(command, str(cert)) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_gen_pierce_verify_roundtrip(tmp_path, capsys):
     inst = tmp_path / "five.json"
     cert = tmp_path / "cert.json"

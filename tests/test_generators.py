@@ -1,10 +1,12 @@
 from fractions import Fraction as F
+import random
 
 import pytest
 
-from piercing.bodies import Family, Member, intersection_graph_bruteforce
+from piercing.bodies import BoxBody, Family, Member, intersection_graph_bruteforce
 from piercing.errors import EpsilonTooLarge, TooLarge
 from piercing.generators import (
+    _rand_frac,
     five_square_cycle,
     grid_family,
     hexagon_body,
@@ -103,6 +105,38 @@ class TestRandomFamily:
     def test_translates_have_unit_scale(self):
         f = random_family(unit_disk(), 15, seed=7)
         assert all(m.s == 1 for m in f.members)
+
+
+def _reference_random_family(base, n, box_size=10, kind="translates", scale_range=(1, 3),
+                             seed=0):
+    """random_family as one _rand_frac call per coordinate and scale, each
+    converting and subtracting the bounds again."""
+    rng = random.Random(seed)
+    members = []
+    for _ in range(n):
+        if base.kind == "box":
+            t = tuple(_rand_frac(rng, 0, box_size) for _ in range(base.dim))
+        else:
+            t = Point(_rand_frac(rng, 0, box_size), _rand_frac(rng, 0, box_size))
+        s = 1 if kind == "translates" else _rand_frac(rng, scale_range[0], scale_range[1], 8)
+        members.append(Member(t, s))
+    return Family(base, members, kind)
+
+
+@pytest.mark.parametrize("base, kind, box, scales", [
+    (unit_disk(), "translates", 100, (1, 3)),
+    (unit_triangle(), "homothets", 100, (1, 2)),
+    (unit_square(), "homothets", F(7, 3), (F(1, 2), F(9, 4))),
+    (hexagon_body(), "translates", 5, (1, 3)),
+    (BoxBody((0, 0, 0), (1, 2, 3)), "homothets", 9, (1, 3)),
+])
+def test_random_family_matches_the_per_coordinate_draws(base, kind, box, scales):
+    for seed in range(3):
+        f = random_family(base, 300, box_size=box, kind=kind, scale_range=scales, seed=seed)
+        g = _reference_random_family(base, 300, box_size=box, kind=kind, scale_range=scales,
+                                     seed=seed)
+        assert [(m.t, m.s) for m in f.members] == [(m.t, m.s) for m in g.members]
+        assert f.scaled_translations() == g.scaled_translations()
 
 
 class TestPairwiseIntersecting:

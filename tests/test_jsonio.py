@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from piercing import covers, jsonio, sandwich, translates
+from piercing.bodies import BoxBody, DiskBody, Family, Member
 from piercing.cli import auto_pierce, main
 from piercing.errors import ConstructionFailed, ParseError, VerificationFailed
 from piercing.generators import hexagon_body, random_family, unit_disk, unit_square, unit_triangle
+from piercing.geom import Point
 from piercing.jsonio import _num_out, _radical_sum, _Reader
 
 
@@ -131,7 +133,6 @@ def test_radical_reader_memo_keeps_verdicts_apart():
     assert rd.radical([[2, 1], [2738, 1]]).terms == {2: 38}
 
 
-# short texts keep exponents such as "1e9999" cheap to expand
 _TEXT = st.one_of(
     st.text(alphabet="0123456789-+/. e_ ", max_size=6),
     st.fractions().map(str),
@@ -140,23 +141,45 @@ _TEXT = st.one_of(
 )
 
 
-def _fraction_or_error(x):
-    try:
-        return Fraction(x)
-    except (ValueError, ZeroDivisionError):
+def _grammar_or_error(x):
+    """The value of x in the number grammar (an optional sign, then digits,
+    then optionally "/" and digits, nothing else), or "error"."""
+    body = x[1:] if x[:1] in ("+", "-") else x
+    parts = body.split("/")
+    if len(parts) > 2 or not all(p and all(c in "0123456789" for c in p) for p in parts):
         return "error"
+    if len(parts) == 2 and int(parts[1]) == 0:
+        return "error"
+    value = Fraction(int(parts[0]), int(parts[1]) if len(parts) == 2 else 1)
+    return -value if x[:1] == "-" else value
 
 
 @settings(max_examples=600, deadline=None)
 @given(st.lists(_TEXT, max_size=6))
 def test_memoised_rationals_match_fraction(texts):
+    """rd.num gives the Fraction of every text in the number grammar and
+    refuses every other text, which Fraction(text) may still read."""
     rd = _Reader()
     for x in texts + texts:  # the second round reads the memo
         try:
             got = rd.num(x)
         except ParseError:
             got = "error"
-        assert got == _fraction_or_error(x)
+        assert got == _grammar_or_error(x)
+
+
+@pytest.mark.parametrize("text", ["1e100000", "1E5", "0.5", ".5", "1_000", " 1", "1 ",
+                                  "\u0661"])
+def test_numbers_outside_the_grammar_are_refused(tmp_path, text):
+    # Fraction(text) reads every one of these; "1e100000" alone would build
+    # a 332,000-bit integer from an 8-byte field
+    with pytest.raises(ParseError):
+        _Reader().num(text)
+    doc = {"base": {"type": "disk", "center": [0, 0], "radius": 1}, "kind": "translates",
+           "members": [{"t": [text, 0], "s": 1}]}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert run("pierce", str(path)) == 2
 
 
 def test_memoised_rationals_refuse_bool_and_float():
@@ -395,3 +418,137 @@ def test_malformed_symbolic_certificate_is_a_parse_error(tmp_path, symbolic_cert
     edit(doc)
     assert verify_doc(tmp_path, doc) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# --- the columnar family codec -------------------------------------------
+
+_CODEC_BASES = {
+    "disk": DiskBody(Point(Fraction(1, 3), Fraction(-2, 7)), Fraction(5, 4)),
+    "triangle": unit_triangle(),
+    "hexagon": hexagon_body(),
+    "box2": BoxBody((0, Fraction(1, 2)), (Fraction(3, 2), Fraction(2, 5))),
+    "box3": BoxBody((0, 0, 0), (1, 2, 3)),
+}
+# two Mersenne primes whose product has 150 bits: a family with both as
+# denominators keeps its Fractions (D = 1, bodies.MAX_SCALE_BITS)
+_HUGE = (2 ** 61 - 1, 2 ** 89 - 1)
+
+
+def _spellings(q):
+    """Ways a file may write the rational q, the canonical one first."""
+    p, d = q.numerator, q.denominator
+    out = [_num_out(q), "%d/%d" % (2 * p, 2 * d), "%d/%d" % (3 * p, 3 * d)]
+    if d == 1:
+        out += [str(p), "%d/1" % p]
+    if p > 0:
+        out.append("+%d/%d" % (p, d))
+    if p == 0:
+        out += ["-0", "+0", "-0/5"]
+    return out
+
+
+@st.composite
+def _instances(draw):
+    """(document, canonical document, the Member-built family)."""
+    base = _CODEC_BASES[draw(st.sampled_from(sorted(_CODEC_BASES)))]
+    kind = draw(st.sampled_from(["translates", "homothets"]))
+    dens = st.sampled_from((1, 2, 6, *_HUGE) if draw(st.booleans()) else (1, 2, 3, 4, 32))
+    value = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), dens)
+    scale = st.builds(Fraction, st.integers(1, 10 ** 6), dens)
+    dim = base.dim if base.kind == "box" else 2
+    doc_members, canonical, members = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        t = [draw(value) for _ in range(dim)]
+        s = Fraction(1) if kind == "translates" else draw(scale)
+        member = {"t": [draw(st.sampled_from(_spellings(v))) for v in t]}
+        if kind == "homothets" or draw(st.booleans()):
+            member["s"] = draw(st.sampled_from(_spellings(s)))
+        doc_members.append(member)
+        canonical.append({"t": [_num_out(v) for v in t], "s": _num_out(s)})
+        members.append(Member(tuple(t) if base.kind == "box" else Point(*t), s))
+    head = {"base": jsonio.body_to_json(base), "kind": kind}
+    return ({**head, "members": doc_members}, {**head, "members": canonical},
+            Family(base, members, kind))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instances())
+def test_family_round_trip_is_canonical(case):
+    doc, canonical, f = case
+    g = jsonio.family_from_json(json.loads(json.dumps(doc)))
+    assert jsonio.family_to_json(g) == canonical
+    assert jsonio.family_to_json(f) == canonical
+    assert g.scaled_translations() == f.scaled_translations()
+    assert [(m.t, m.s) for m in g.members] == [(m.t, m.s) for m in f.members]
+
+
+def test_family_over_the_scale_bits_keeps_its_fractions():
+    doc = {"base": jsonio.body_to_json(unit_square()), "kind": "homothets",
+           "members": [{"t": ["1/%d" % _HUGE[0], "+2/4"], "s": "3/%d" % _HUGE[1]},
+                       {"t": [-7, "-0"], "s": "4/2"}]}
+    f = jsonio.family_from_json(doc)
+    D, (xs, ys), S = f.scaled_translations()
+    assert D == 1 and xs == [Fraction(1, _HUGE[0]), -7] and ys == [Fraction(1, 2), 0]
+    assert S == [Fraction(3, _HUGE[1]), 2]
+    assert jsonio.family_to_json(f)["members"] == [
+        {"t": ["1/%d" % _HUGE[0], "1/2"], "s": "3/%d" % _HUGE[1]}, {"t": [-7, 0], "s": 2}]
+
+
+def _instance_with(member, kind="translates", base=None):
+    return {"base": base or {"type": "disk", "center": [0, 0], "radius": 1}, "kind": kind,
+            "members": [{"t": [0, 0], "s": 1}, member]}
+
+
+@pytest.mark.parametrize("doc", [
+    _instance_with({"t": "12"}),
+    _instance_with({"t": 5}),
+    _instance_with({"t": {"x": 0, "y": 0}}),
+    _instance_with({"t": [0]}),
+    _instance_with({"t": [0, 0, 0]}),
+    _instance_with({"t": [0, 0]}, base={"type": "box", "side_lengths": [1, 1, 1]}),
+    _instance_with([0, 0]),
+    _instance_with({"s": 1}),
+    _instance_with({"t": [0, None]}),
+    _instance_with({"t": [0, 0.5]}),
+    _instance_with({"t": [True, 0]}),
+    _instance_with({"t": [0, 0], "s": 0}, "homothets"),
+    _instance_with({"t": [0, 0], "s": -1}, "homothets"),
+    _instance_with({"t": [0, 0], "s": "-1/2"}, "homothets"),
+    _instance_with({"t": [0, 0], "s": True}, "homothets"),
+    _instance_with({"t": [0, 0], "s": 1.0}, "homothets"),
+    _instance_with({"t": [0, 0], "s": True}),
+    _instance_with({"t": [0, 0], "s": 1.0}),
+    _instance_with({"t": [0, 0], "s": 2}),
+    _instance_with({"t": [0, 0], "s": "1/2"}),
+    _instance_with({"t": [0, 0]}, "triangles"),
+    {"base": {"type": "disk", "center": [0, 0], "radius": 1}, "members": []},
+    {"base": {"type": "disk", "center": [0, 0], "radius": 1}, "members": 5},
+    {"base": {"type": "disk", "center": [0, 0], "radius": 1}},
+])
+def test_malformed_member_is_a_parse_error(tmp_path, capsys, doc):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert run("pierce", str(path)) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    with pytest.raises(ParseError):
+        jsonio.family_from_json(doc)
+
+
+@pytest.mark.parametrize("base, kind", [("disk", "translates"), ("triangle", "homothets")])
+def test_cli_round_trip_builds_no_member(tmp_path, monkeypatch, base, kind):
+    # pierce, write, read and verify work on the columns alone
+    inst, cert = str(tmp_path / "instance.json"), str(tmp_path / "cert.json")
+    assert run("gen", "random", "--base", base, "--kind", kind, "--n", "300",
+               "--box-size", "20", "--seed", "4", "--out", inst) == 0
+    built = []
+    member_init = Member.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        member_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Member, "__init__", counted)
+    assert run("pierce", inst, "--out", cert) == 0
+    assert run("verify", cert) == 0
+    assert built == []
+    assert jsonio.family_from_json(jsonio.load(inst)).members and built
