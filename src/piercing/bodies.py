@@ -9,7 +9,10 @@ and scale denominators (Family.scaled_translations), so member i is
 (S_i C + T_i) / D with int columns T and S.  Pair tests (pair_checker), the
 translate grid (neighbor_index) and the homothet/topmost orders run on these
 ints, and polygon and box members are slabs lo <= w.p <= hi with int bounds
-(Family.slabs), which also decide membership in certificate checks.  The
+(Family.slabs).  Point membership is decided here too, for certificate
+checks and for the oracle's coverage masks alike: a point becomes ints
+(A + B sqrt(m)) / q once (int_point), and membership tests it against a
+member's slabs, or a disk member by the exact sign of P + Q sqrt(m).  The
 members' scaled bounding boxes (member_boxes) are int too, and one exact
 grid over them (BoxGrid) gives the homothet pair candidates and the points
 a certificate check tests.  Over MAX_SCALE_BITS the same code runs on
@@ -19,7 +22,7 @@ Fractions with D = 1.
 from fractions import Fraction
 import itertools
 import math
-from operator import le, sub
+from operator import le, mul, sub
 
 from .errors import (
     DegenerateInput,
@@ -27,7 +30,7 @@ from .errors import (
     MixedKinds,
     SingularMap,
 )
-from .geom import ConvexPolygon, Interval, Point, frac, intersection_chain, polygons_intersect
+from .geom import ConvexPolygon, Interval, Point, frac, polygons_intersect
 from .radicals import RadPoint, dist2
 
 # A family whose common translation and scale denominator D needs more bits
@@ -85,12 +88,6 @@ class PolygonBody:
     def top(self) -> Fraction:
         return max(p.y for p in self.polygon.vertices)
 
-    def common_point(self, other) -> Point:
-        pts = intersection_chain(self.polygon, other.polygon)
-        if not pts:
-            raise DegenerateInput("bodies are disjoint")
-        return pts[0]
-
 
 class DiskBody:
     kind = "disk"
@@ -133,22 +130,6 @@ class DiskBody:
 
     def top(self) -> Fraction:
         return self.center.y + self.radius
-
-    def common_point(self, other) -> Point:
-        if not self.intersects(other):
-            raise DegenerateInput("bodies are disjoint")
-        v = other.center - self.center
-        if v == Point(0, 0):
-            return self.center
-        # the point of [c1, c2] at distance min(r1, |c1c2|) from c1 lies in both
-        n2 = v.norm2()
-        rr = self.radius * self.radius
-        if n2 <= rr:
-            return other.center
-        # walk from the boundary of self toward other: midpoint of the
-        # overlap interval along the center line, computed with the exact
-        # fraction r1/(r1+r2) which lies in both disks when they intersect
-        return self.center + v * (self.radius / (self.radius + other.radius))
 
 
 class BoxBody:
@@ -194,14 +175,6 @@ class BoxBody:
 
     def top(self) -> Fraction:
         return self.mins[-1] + self.sides[-1]
-
-    def common_point(self, other):
-        if not self.intersects(other):
-            raise DegenerateInput("bodies are disjoint")
-        return tuple(
-            max(m1, m2)
-            for m1, m2 in zip(self.mins, other.mins)
-        )
 
 
 class Member:
@@ -564,6 +537,97 @@ def pair_checker(f: Family):
     return check
 
 
+def int_point(p):
+    """(q, m, A, B): coordinate k of p is (A[k] + B[k] sqrt(m)) / q, with
+    ints (B is None for a rational point), or None when p has more than
+    one radicand, which only hand-written files carry.  p is a Point, a
+    RadPoint or a box tuple."""
+    if isinstance(p, RadPoint):
+        terms = (p.x.terms, p.y.terms)
+        roots = terms[0].keys() | terms[1].keys()
+        roots.discard(1)
+        if len(roots) > 1:
+            return None
+        if roots:
+            m = roots.pop()
+            parts = [(t.get(1, 0), t.get(m, 0)) for t in terms]
+            q = math.lcm(*[v.denominator for part in parts for v in part])
+            A, B = zip(*[[v.numerator * (q // v.denominator) for v in part] for part in parts])
+            return q, m, A, B
+        p = tuple(t.get(1, 0) for t in terms)
+    coords = p if isinstance(p, tuple) else (p.x, p.y)
+    q = math.lcm(*[v.denominator for v in coords])
+    return q, 1, [v.numerator * (q // v.denominator) for v in coords], None
+
+
+def membership(f: Family, ipts):
+    """member(i) -> test(k): whether member i contains the point whose
+    int_point entry is ipts[k], decided on ints; None where that entry is
+    None, or is irrational in a polygon or box family.  Callers decide a
+    None on the realized member (f.realize(i).contains).
+
+    Polygons and boxes decide on the family's slabs (Family.slabs): A/q
+    lies in member i iff q lo <= form . A <= q hi on every slab.  A disk
+    member has centre (U, V) and radius R over L D, as in pair_checker;
+    with X = L D A_x - q U and Y = L D A_y - q V the point lies in it iff
+    P + Q sqrt(m) <= 0 for P = X^2 + Y^2 + m (L D)^2 (B_x^2 + B_y^2) - (q R)^2
+    and Q = 2 L D (X B_x + Y B_y): P^2 against m Q^2 where signs differ.
+    """
+    base = f.base
+    if base.kind != "disk":
+        forms, lo, hi = f.slabs()
+        exact = [None if e is None or e[3] is not None
+                 else (e[0], [sum(map(mul, w, e[2])) for w in forms]) for e in ipts]
+
+        def member(i):
+            li, hi_ = lo[i], hi[i]
+
+            def test(k):
+                e = exact[k]
+                if e is None:
+                    return None
+                q, us = e
+                return all(q * a <= u <= q * b for a, u, b in zip(li, us, hi_))
+
+            return test
+
+        return member
+    c, r = base.center, base.radius
+    L = math.lcm(c.x.denominator, c.y.denominator, r.denominator)
+    cx, cy, cr = [v.numerator * (L // v.denominator) for v in (c.x, c.y, r)]
+    D, (xs, ys), S = f.scaled_translations()
+    LD = L * D
+    pts = []
+    for e in ipts:
+        if e is not None:
+            q, m, (ax, ay), B = e
+            bx, by = (0, 0) if B is None else (B[0] * LD, B[1] * LD)
+            e = q, m, ax * LD, ay * LD, bx, by, m * (bx * bx + by * by)
+        pts.append(e)
+
+    def member(i):
+        s = S[i]
+        u, v, R = cx * s + L * xs[i], cy * s + L * ys[i], cr * s
+
+        def test(k):
+            e = pts[k]
+            if e is None:
+                return None
+            q, m, ax, ay, bx, by, mbb = e
+            X = ax - q * u
+            Y = ay - q * v
+            qR = q * R
+            P = X * X + Y * Y + mbb - qR * qR
+            Q = 2 * (X * bx + Y * by)
+            if Q >= 0:
+                return P <= 0 and m * Q * Q <= P * P
+            return P <= 0 or P * P <= m * Q * Q
+
+        return test
+
+    return member
+
+
 def intersection_graph(f: Family):
     """Adjacency sets over member indices; edge iff the closed bodies meet.
 
@@ -589,21 +653,6 @@ def pairwise_disjoint(f: Family) -> bool:
     candidates = neighbor_index(f)
     check = pair_checker(f)
     return not any(check(i, j) for i in range(len(f)) for j in candidates(i) if j > i)
-
-
-def intersection_graph_bruteforce(f: Family):
-    n = len(f)
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if f.intersects(i, j):
-                adj[i].add(j)
-                adj[j].add(i)
-    return adj
-
-
-def graphs_equal(a, b) -> bool:
-    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
 
 
 class AffineMap:

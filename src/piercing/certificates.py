@@ -4,15 +4,16 @@ A certificate is checkable on its own: every member must contain one of the
 points (exact), the witness members must be pairwise disjoint (exact), and
 |points| <= factor * |witness|.
 
-An explicit certificate lists its points.  Every decision is exact on ints:
-each point is converted once to (A + B sqrt(m)) / q per coordinate
-(_int_point), and bucketed on an exact grid over the members' boxes
+An explicit certificate lists its points.  Every decision is exact on ints,
+on the membership layer that the oracle shares (bodies.int_point,
+bodies.membership): each point is converted once to (A + B sqrt(m)) / q
+per coordinate and bucketed on an exact grid over the members' boxes
 (bodies.BoxGrid), so verification stays near-linear.  Polygon and box
 membership of a rational point is decided on the family's int slabs
-(bodies.Family.slabs), disk membership by the sign of P + Q sqrt(m) on ints
-(_membership).  Only the points that only hand-written files carry, with
-more than one radicand or irrational in a polygon or box family, are tested
-on the realized member.
+(bodies.Family.slabs), disk membership by the sign of P + Q sqrt(m) on
+ints.  Only the points that only hand-written files carry, with more than
+one radicand or irrational in a polygon or box family, are tested on the
+realized member.
 
 A symbolic certificate (the greedies') lists seeds and clusters instead.
 Its method names a cover pattern and an order (greedy_rule), and by the
@@ -26,9 +27,17 @@ are placed and deduplicated only when asked for (PierceCertificate.points).
 from fractions import Fraction
 from itertools import chain
 import math
-from operator import add, mul
+from operator import add
 
-from .bodies import BoxGrid, Family, member_boxes, pair_checker, pairwise_disjoint
+from .bodies import (
+    BoxGrid,
+    Family,
+    int_point,
+    member_boxes,
+    membership,
+    pair_checker,
+    pairwise_disjoint,
+)
 from .covers import _triangle_normalizer, homothet_cover, translate_cluster_cover
 from .errors import UnsupportedBase, VerificationFailed
 from .geom import Point
@@ -41,30 +50,8 @@ def _floor_root(b, m):
     return math.isqrt(n) if b >= 0 or not n else -1 - math.isqrt(n - 1)
 
 
-def _int_point(p):
-    """(q, m, A, B): coordinate k of p is (A[k] + B[k] sqrt(m)) / q, with
-    ints (B is None for a rational point), or None when p has more than
-    one radicand, which only hand-written files carry."""
-    if isinstance(p, RadPoint):
-        terms = (p.x.terms, p.y.terms)
-        roots = terms[0].keys() | terms[1].keys()
-        roots.discard(1)
-        if len(roots) > 1:
-            return None
-        if roots:
-            m = roots.pop()
-            parts = [(t.get(1, 0), t.get(m, 0)) for t in terms]
-            q = math.lcm(*[v.denominator for part in parts for v in part])
-            A, B = zip(*[[v.numerator * (q // v.denominator) for v in part] for part in parts])
-            return q, m, A, B
-        p = tuple(t.get(1, 0) for t in terms)
-    coords = _coords(p)
-    q = math.lcm(*[v.denominator for v in coords])
-    return q, 1, [v.numerator * (q // v.denominator) for v in coords], None
-
-
 def _cell_key(e, scale, cell):
-    """The BoxGrid key of the point _int_point gave as e, in the frame
+    """The BoxGrid key of the point bodies.int_point gave as e, in the frame
     where member boxes are scaled by scale: per coordinate
     floor(scale (A + B sqrt(m)) / (q cell)), which for cell = num / den is
     (a + floor(b sqrt(m))) // (q num) with a = scale den A and
@@ -75,73 +62,6 @@ def _cell_key(e, scale, cell):
     if B is None:
         return tuple([den * a // d for a in A])
     return tuple([(den * a + _floor_root(den * b, m)) // d for a, b in zip(A, B)])
-
-
-def _membership(f: Family, ipts):
-    """member(i) -> test(k): whether member i contains the point whose
-    _int_point entry is ipts[k], decided on ints; None where that entry is
-    None, or is irrational in a polygon or box family.
-
-    Polygons and boxes decide on the family's slabs (Family.slabs): A/q
-    lies in member i iff q lo <= form . A <= q hi on every slab.  A disk
-    member has centre (U, V) and radius R over L D, as in pair_checker;
-    with X = L D A_x - q U and Y = L D A_y - q V the point lies in it iff
-    P + Q sqrt(m) <= 0 for P = X^2 + Y^2 + m (L D)^2 (B_x^2 + B_y^2) - (q R)^2
-    and Q = 2 L D (X B_x + Y B_y): P^2 against m Q^2 where signs differ.
-    """
-    base = f.base
-    if base.kind != "disk":
-        forms, lo, hi = f.slabs()
-        exact = [None if e is None or e[3] is not None
-                 else (e[0], [sum(map(mul, w, e[2])) for w in forms]) for e in ipts]
-
-        def member(i):
-            li, hi_ = lo[i], hi[i]
-
-            def test(k):
-                e = exact[k]
-                if e is None:
-                    return None
-                q, us = e
-                return all(q * a <= u <= q * b for a, u, b in zip(li, us, hi_))
-
-            return test
-
-        return member
-    c, r = base.center, base.radius
-    L = math.lcm(c.x.denominator, c.y.denominator, r.denominator)
-    cx, cy, cr = [v.numerator * (L // v.denominator) for v in (c.x, c.y, r)]
-    D, (xs, ys), S = f.scaled_translations()
-    LD = L * D
-    pts = []
-    for e in ipts:
-        if e is not None:
-            q, m, (ax, ay), B = e
-            bx, by = (0, 0) if B is None else (B[0] * LD, B[1] * LD)
-            e = q, m, ax * LD, ay * LD, bx, by, m * (bx * bx + by * by)
-        pts.append(e)
-
-    def member(i):
-        s = S[i]
-        u, v, R = cx * s + L * xs[i], cy * s + L * ys[i], cr * s
-
-        def test(k):
-            e = pts[k]
-            if e is None:
-                return None
-            q, m, ax, ay, bx, by, mbb = e
-            X = ax - q * u
-            Y = ay - q * v
-            qR = q * R
-            P = X * X + Y * Y + mbb - qR * qR
-            Q = 2 * (X * bx + Y * by)
-            if Q >= 0:
-                return P <= 0 and m * Q * Q <= P * P
-            return P <= 0 or P * P <= m * Q * Q
-
-        return test
-
-    return member
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +385,13 @@ def _check_members(f: Family, indices, points):
     """Every member in indices contains one of points, decided exactly;
     raises VerificationFailed.
 
-    The points are converted once (_int_point) and bucketed on the exact
-    grid of the members' boxes (bodies.member_boxes, bodies.BoxGrid), so a
-    member sees every point of its box.  A member is realized only for a
-    point that _membership leaves open; points with more than one radicand
-    have no cell and are seen by every member."""
+    The points are converted once (bodies.int_point) and bucketed on the
+    exact grid of the members' boxes (bodies.member_boxes, bodies.BoxGrid),
+    so a member sees every point of its box.  A member is realized only for
+    a point that bodies.membership leaves open; points with more than one
+    radicand have no cell and are seen by every member."""
     indices = list(indices)
-    ipts = [_int_point(p) for p in points]
+    ipts = [int_point(p) for p in points]
     scale, boxes = member_boxes(f, indices)
     grid = BoxGrid(boxes)
     loose = []
@@ -480,7 +400,7 @@ def _check_members(f: Family, indices, points):
             loose.append(k)
         else:
             grid.add(_cell_key(e, scale, grid.cell), k)
-    member = _membership(f, ipts)
+    member = membership(f, ipts)
     for i, box in zip(indices, boxes):
         test = member(i)
         for k in chain(grid.near(box), loose):

@@ -17,7 +17,7 @@ to decide a pair.
 from .bodies import BoxBody, DiskBody, Family, PolygonBody, pair_checker  # noqa: F401
 from .certificates import PierceCertificate
 from .covers import homothet_cover
-from .errors import DegenerateInput, UnsupportedBase
+from .errors import UnsupportedBase
 from .translates import ORACLE_BUDGET, _greedy, _topmost_order
 
 
@@ -47,41 +47,3 @@ def greedy_pierce_homothets(f: Family, refine: bool = True,
         cert.verify(f)
     return cert
 
-
-def containment_witness(f: Family, i: int, j: int):
-    """The translate of member i's scale inside member j through a common point.
-
-    For members with s_i <= s_j that intersect, p + (s_i/s_j) * (B_j - p) is a
-    translate of the seed-sized homothet contained in B_j and meeting B_i at
-    p; this is the containment step of the smallest-first argument.
-    """
-    si, sj = f.scales[i], f.scales[j]
-    if si > sj:
-        raise DegenerateInput("member i must not be larger")
-    bi, bj = f.realize(i), f.realize(j)
-    p = bi.common_point(bj)
-    lam = si / sj
-    if isinstance(bj, DiskBody):
-        center = p + (bj.center - p) * lam
-        return DiskBody(center, bj.radius * lam)
-    if isinstance(bj, BoxBody):
-        mins = tuple(pv + (m - pv) * lam for pv, m in zip(p, bj.mins))
-        return BoxBody(mins, tuple(s * lam for s in bj.sides))
-    from .geom import ConvexPolygon
-
-    verts = [p + (v - p) * lam for v in bj.polygon.vertices]
-    return PolygonBody(ConvexPolygon(verts, _trusted=True))
-
-
-def body_contains_body(outer, inner) -> bool:
-    """Exact containment check between realized bodies of the same kind."""
-    if isinstance(outer, DiskBody):
-        d2 = (inner.center - outer.center).norm2()
-        dr = outer.radius - inner.radius
-        return dr >= 0 and d2 <= dr * dr
-    if isinstance(outer, BoxBody):
-        return all(
-            mo <= mi and mi + si <= mo + so
-            for mo, so, mi, si in zip(outer.mins, outer.sides, inner.mins, inner.sides)
-        )
-    return outer.polygon.contains_polygon(inner.polygon)

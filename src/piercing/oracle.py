@@ -6,11 +6,22 @@ boundary intersection point or a vertex/reference point of a member, so
 restricting piercing points to those candidates loses nothing.  nu is a
 maximum independent set of the intersection graph.  Both solvers are
 branch-and-bound and deterministic.
+
+Membership and point identity are decided by the code that verify uses.
+The coverage masks come from the int layer (bodies.int_point,
+bodies.membership), one member at a time; a member is realized only for a
+candidate that layer leaves open (a point with more than one radicand, or
+an irrational point in a polygon family).  Candidates are deduplicated by
+value_key (certificates.dedupe_points), first occurrences in order.  A
+radicand over 2^48 may keep a square factor, so two equal radical
+candidates can both survive; their masks are equal, min_set_cover drops
+the second as dominated, and tau does not change.
 """
 
 import itertools
 
-from .bodies import Family, intersection_graph
+from .bodies import Family, int_point, intersection_graph, membership
+from .certificates import dedupe_points
 from .circles import circle_circle_points
 from .errors import TooLarge
 from .geom import Point, intersection_chain
@@ -46,7 +57,7 @@ def candidate_points(f: Family, limit: int = TAU_LIMIT):
         for i in range(n):
             for j in range(i + 1, n):
                 out.extend(intersection_chain(bodies[i].polygon, bodies[j].polygon))
-        return _dedup_rational(out)
+        return dedupe_points(out)
     if kind == "disk":
         rat = [b.center for b in bodies]
         rad = []
@@ -59,46 +70,31 @@ def candidate_points(f: Family, limit: int = TAU_LIMIT):
                         rat.append(Point(p.x.as_fraction(), p.y.as_fraction()))
                     else:
                         rad.append(p)
-        return _dedup_rational(rat) + _dedup_radical(rad)
+        # rational values never equal irrational ones: the rational points
+        # stay first, in order
+        return dedupe_points(rat + rad)
     if kind == "box":
-        d = f.base.dim
-        axes = [sorted({b.mins[k] for b in bodies}) for k in range(d)]
-        out = []
-        for combo in itertools.product(*axes):
-            if any(b.contains(combo) for b in bodies):
-                out.append(combo)
-        return out
+        axes = [sorted({b.mins[k] for b in bodies}) for k in range(f.base.dim)]
+        combos = list(itertools.product(*axes))
+        return [p for p, m in zip(combos, _coverage_masks(f, combos)) if m]
     raise TooLarge("unsupported family kind")
 
 
-def _dedup_rational(points):
-    seen = set()
-    out = []
-    for p in points:
-        key = (p.x, p.y)
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
-
-
-def _dedup_radical(points):
-    out = []
-    for p in points:
-        if not any(p == q for q in out):
-            out.append(p)
-    return out
-
-
 def _coverage_masks(f: Family, candidates):
-    bodies = f.bodies()
-    masks = []
-    for p in candidates:
-        m = 0
-        for i, b in enumerate(bodies):
-            if b.contains(p):
-                m |= 1 << i
-        masks.append(m)
+    """masks[k] has bit i set iff member i contains candidates[k], decided
+    on the int layer (bodies.membership) as in verify; a member is realized
+    only where that layer returns None."""
+    member = membership(f, [int_point(p) for p in candidates])
+    masks = [0] * len(candidates)
+    for i in range(len(f)):
+        test = member(i)
+        bit = 1 << i
+        for k, p in enumerate(candidates):
+            inside = test(k)
+            if inside is None:
+                inside = f.realize(i).contains(p)
+            if inside:
+                masks[k] |= bit
     return masks
 
 
@@ -236,12 +232,18 @@ def clique_partition_number(adj):
     return best
 
 
+def _tau(f: Family, limit: int):
+    """(points, candidates): an optimal piercing set, chosen by
+    min_set_cover from candidate_points, and the number of candidates."""
+    cands = candidate_points(f, limit)
+    chosen = min_set_cover(len(f), _coverage_masks(f, cands))
+    return [cands[i] for i in chosen], len(cands)
+
+
 def exact_tau(f: Family, limit: int = TAU_LIMIT):
     """Exact transversal number with an optimal piercing set."""
-    cands = candidate_points(f, limit)
-    masks = _coverage_masks(f, cands)
-    chosen = min_set_cover(len(f), masks)
-    return len(chosen), [cands[i] for i in chosen]
+    points, _ = _tau(f, limit)
+    return len(points), points
 
 
 def exact_nu(f: Family, limit: int = NU_LIMIT):
@@ -254,8 +256,6 @@ def exact_nu(f: Family, limit: int = NU_LIMIT):
 
 
 def solve(f: Family, tau_limit: int = TAU_LIMIT, nu_limit: int = NU_LIMIT) -> OracleResult:
-    cands = candidate_points(f, tau_limit)
-    masks = _coverage_masks(f, cands)
-    chosen = min_set_cover(len(f), masks)
+    points, used = _tau(f, tau_limit)
     nu, members = exact_nu(f, nu_limit)
-    return OracleResult(len(chosen), [cands[i] for i in chosen], nu, members, len(cands))
+    return OracleResult(len(points), points, nu, members, used)

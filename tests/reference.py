@@ -1,0 +1,96 @@
+"""Reference implementations the tests compare the package against.
+
+Each decides on realized bodies (Family.realize) with Fraction and Radical
+arithmetic, member by member, with none of the package's int layer: the
+intersection graph by Family.intersects on every pair, the oracle's
+coverage masks by the bodies' own contains, and the containment step of
+the smallest-first argument with an explicit common point.
+"""
+
+from piercing.bodies import BoxBody, DiskBody, PolygonBody
+from piercing.errors import DegenerateInput
+from piercing.geom import ConvexPolygon, Point, intersection_chain
+
+
+def intersection_graph_bruteforce(f):
+    """Adjacency sets over member indices, by Family.intersects on every pair."""
+    n = len(f)
+    adj = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if f.intersects(i, j):
+                adj[i].add(j)
+                adj[j].add(i)
+    return adj
+
+
+def graphs_equal(a, b) -> bool:
+    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
+
+
+def coverage_masks(f, candidates):
+    """masks[k] has bit i set iff the realized member i contains candidates[k]."""
+    bodies = f.bodies()
+    masks = []
+    for p in candidates:
+        m = 0
+        for i, b in enumerate(bodies):
+            if b.contains(p):
+                m |= 1 << i
+        masks.append(m)
+    return masks
+
+
+def common_point(a, b):
+    """A point of both realized bodies a and b, of the same kind."""
+    if isinstance(a, PolygonBody):
+        pts = intersection_chain(a.polygon, b.polygon)
+        if not pts:
+            raise DegenerateInput("bodies are disjoint")
+        return pts[0]
+    if not a.intersects(b):
+        raise DegenerateInput("bodies are disjoint")
+    if isinstance(a, BoxBody):
+        return tuple(max(m1, m2) for m1, m2 in zip(a.mins, b.mins))
+    v = b.center - a.center
+    if v == Point(0, 0) or v.norm2() <= a.radius * a.radius:
+        return b.center
+    # the point of the centre segment at r_a / (r_a + r_b) of the way lies
+    # in both disks when they meet
+    return a.center + v * (a.radius / (a.radius + b.radius))
+
+
+def containment_witness(f, i, j):
+    """The translate of member i's scale inside member j through a common point.
+
+    For members with s_i <= s_j that intersect, p + (s_i/s_j) * (B_j - p) is a
+    translate of the seed-sized homothet contained in B_j and meeting B_i at
+    p; this is the containment step of the smallest-first argument.
+    """
+    si, sj = f.scales[i], f.scales[j]
+    if si > sj:
+        raise DegenerateInput("member i must not be larger")
+    bi, bj = f.realize(i), f.realize(j)
+    p = common_point(bi, bj)
+    lam = si / sj
+    if isinstance(bj, DiskBody):
+        return DiskBody(p + (bj.center - p) * lam, bj.radius * lam)
+    if isinstance(bj, BoxBody):
+        mins = tuple(pv + (m - pv) * lam for pv, m in zip(p, bj.mins))
+        return BoxBody(mins, tuple(s * lam for s in bj.sides))
+    verts = [p + (v - p) * lam for v in bj.polygon.vertices]
+    return PolygonBody(ConvexPolygon(verts, _trusted=True))
+
+
+def body_contains_body(outer, inner) -> bool:
+    """Exact containment check between realized bodies of the same kind."""
+    if isinstance(outer, DiskBody):
+        d2 = (inner.center - outer.center).norm2()
+        dr = outer.radius - inner.radius
+        return dr >= 0 and d2 <= dr * dr
+    if isinstance(outer, BoxBody):
+        return all(
+            mo <= mi and mi + si <= mo + so
+            for mo, so, mi, si in zip(outer.mins, outer.sides, inner.mins, inner.sides)
+        )
+    return outer.polygon.contains_polygon(inner.polygon)

@@ -17,9 +17,7 @@ from piercing.bodies import (
     Family,
     Member,
     PolygonBody,
-    graphs_equal,
     intersection_graph,
-    intersection_graph_bruteforce,
     member_boxes,
 )
 from piercing.certificates import PierceCertificate, _floor_root
@@ -37,6 +35,7 @@ from piercing.geom import ConvexPolygon, Point
 from piercing.homothets import greedy_pierce_homothets
 from piercing.radicals import RadPoint, Radical
 from piercing.translates import greedy_pierce
+from reference import graphs_equal, intersection_graph_bruteforce
 
 
 def _prime_family(n, seed):

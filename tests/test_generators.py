@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from piercing.bodies import BoxBody, Family, Member, intersection_graph_bruteforce
+from piercing.bodies import BoxBody, Family, Member
 from piercing.errors import EpsilonTooLarge, TooLarge
 from piercing.generators import (
     _rand_frac,
@@ -20,6 +20,7 @@ from piercing.generators import (
 from piercing.geom import Point
 from piercing.oracle import exact_tau, solve
 from piercing.translates import hexagon_pierce
+from reference import intersection_graph_bruteforce
 
 
 class TestFiveCycle:

@@ -5,8 +5,16 @@ import random
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from piercing.bodies import BoxBody, DiskBody, Family, Member, PolygonBody, pair_checker
-from piercing.certificates import _int_point, _membership
+from piercing.bodies import (
+    BoxBody,
+    DiskBody,
+    Family,
+    Member,
+    PolygonBody,
+    int_point,
+    membership,
+    pair_checker,
+)
 from piercing.generators import (
     hexagon_body,
     random_family,
@@ -15,8 +23,9 @@ from piercing.generators import (
     unit_triangle,
 )
 from piercing.geom import ConvexPolygon, Point
-from piercing.homothets import body_contains_body, containment_witness, greedy_pierce_homothets
+from piercing.homothets import greedy_pierce_homothets
 from piercing.oracle import exact_nu
+from reference import body_contains_body, containment_witness
 
 PENTAGON = PolygonBody(
     ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Point(2, 5), Point(-1, 2)])
@@ -232,7 +241,7 @@ def boundary_points(draw):
 @given(boundary_points())
 def test_integer_membership_equals_realized_contains(case):
     f, points = case
-    test = _membership(f, [_int_point(p) for p in points])(0)
+    test = membership(f, [int_point(p) for p in points])(0)
     body = f.realize(0)
     for k, p in enumerate(points):
         assert test(k) == body.contains(p)

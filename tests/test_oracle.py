@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 import random
 
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from piercing.bodies import (
@@ -10,6 +11,8 @@ from piercing.bodies import (
     Family,
     Member,
     PolygonBody,
+    int_point,
+    membership,
     normalize_affine,
 )
 from piercing.errors import TooLarge
@@ -17,6 +20,7 @@ from piercing.generators import (
     five_square_cycle,
     hexagon_body,
     nine_triangles,
+    random_centrally_symmetric_polygon,
     random_family,
     unit_disk,
     unit_square,
@@ -24,6 +28,7 @@ from piercing.generators import (
 )
 from piercing.geom import ConvexPolygon, Point, clip_chain
 from piercing.oracle import (
+    _coverage_masks,
     candidate_points,
     clique_partition_number,
     exact_nu,
@@ -32,7 +37,8 @@ from piercing.oracle import (
     min_set_cover,
     solve,
 )
-from piercing.bodies import intersection_graph_bruteforce
+from piercing.radicals import Radical, RadPoint
+from reference import coverage_masks as realized_masks, intersection_graph_bruteforce
 
 
 class TestCandidates:
@@ -237,3 +243,86 @@ def _overlap_inside(f, i, j):
         t = [r * (m.s - s) + v for r, v in zip(ref, m.t if box else (m.t.x, m.t.y))]
         shrunk.append(Member(tuple(t) if box else Point(*t), s))
     return Family(f.base, shrunk, "homothets").intersects(0, 1)
+
+
+def _small_family(name, kind, n, seed, shifted=False):
+    """A random family as the small-exact benchmark draws them.  shifted
+    moves every member by one vector whose denominators need more than
+    MAX_SCALE_BITS bits, so the int layer runs on Fraction columns (D = 1);
+    a common shift keeps every touching pair."""
+    rng = random.Random(seed)
+    base, box = {
+        "square": (unit_square(), 4),
+        "triangle": (unit_triangle(), 4),
+        "disk": (unit_disk(), 5),
+        "cs8": (random_centrally_symmetric_polygon(rng, 4, spread=2), 8),
+        "hexagon": (hexagon_body(), 8),
+        "box": (BoxBody((0, 0), (1, 1)), 4),
+    }[name]
+    f = random_family(base, n, box_size=box, kind=kind, scale_range=(1, 2),
+                      seed=rng.randrange(1 << 30))
+    if shifted:
+        shift = (F(1, 3 ** 82), F(-2, 3 ** 81))
+        cols = [[v + d for v in col] for col, d in zip(f.columns, shift)]
+        f = Family.from_columns(f.base, cols, f.scales, kind)
+        assert f.scaled_translations()[0] == 1
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("square", "triangle", "disk", "cs8", "hexagon", "box")),
+       st.sampled_from(("translates", "homothets")), st.integers(2, 12),
+       st.integers(0, 1 << 30), st.booleans())
+@example("disk", "homothets", 12, 5, True)
+@example("cs8", "translates", 9, 6, True)
+def test_coverage_masks_equal_the_realized_reference(name, kind, n, seed, shifted):
+    """The int-layer masks equal the realized bodies' contains on every
+    candidate, boundary points included."""
+    f = _small_family(name, kind, n, seed, shifted)
+    cands = candidate_points(f)
+    assert _coverage_masks(f, cands) == realized_masks(f, cands)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_family(unit_disk(), 12, box_size=5, seed=31),
+    lambda: random_family(unit_triangle(), 12, box_size=5, kind="homothets",
+                          scale_range=(1, 2), seed=32),
+], ids=["disk-translates", "triangle-homothets"])
+def test_solve_decides_membership_on_ints(make, monkeypatch):
+    """solve never asks a realized body whether it contains a point."""
+    f = make()
+    expected = solve(f)
+
+    def refuse(self, p):
+        raise AssertionError("realized contains called")
+
+    monkeypatch.setattr(DiskBody, "contains", refuse)
+    monkeypatch.setattr(PolygonBody, "contains", refuse)
+    got = solve(f)
+    assert (got.tau, got.tau_points, got.nu, got.nu_members, got.candidates_used) == (
+        expected.tau, expected.tau_points, expected.nu, expected.nu_members,
+        expected.candidates_used)
+
+
+def test_masks_fall_back_to_the_realized_member():
+    """A point the int layer leaves open (irrational in a polygon family,
+    two radicands in a disk family) is decided on the realized member."""
+    half_root2 = Radical.sqrt(2) * F(1, 2)
+    squares = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), 0)),
+                                     Member(Point(3, 3))])
+    extra = [RadPoint(half_root2, F(1, 2)), RadPoint(half_root2 + 3, half_root2 + 3),
+             RadPoint(half_root2 * 3, 0)]
+    assert [membership(squares, [int_point(p)])(0)(0) for p in extra] == [None] * 3
+    cands = candidate_points(squares) + extra
+    masks = _coverage_masks(squares, cands)
+    assert masks == realized_masks(squares, cands)
+    assert masks[-3:] == [0b011, 0b100, 0]
+    disks = Family(unit_disk(), [Member(Point(0, 0)), Member(Point(2, 0))])
+    quarter_root3 = Radical.sqrt(3) * F(1, 4)
+    extra = [RadPoint(half_root2 * F(1, 2), quarter_root3),
+             RadPoint(half_root2 * 3, quarter_root3)]
+    assert [int_point(p) for p in extra] == [None] * 2
+    cands = candidate_points(disks) + extra
+    masks = _coverage_masks(disks, cands)
+    assert masks == realized_masks(disks, cands)
+    assert masks[-2:] == [0b01, 0b10]

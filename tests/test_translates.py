@@ -10,10 +10,11 @@ from piercing.bodies import (
     Family,
     Member,
     PolygonBody,
+    int_point,
     intersection_graph,
+    membership,
     normalize_affine,
 )
-from piercing.certificates import _int_point, _membership
 from piercing.covers import _triangle_normalizer, translate_cluster_cover
 from piercing.errors import NotHexagonBase, UnsupportedBase, VerificationFailed
 from piercing.generators import (
@@ -345,7 +346,7 @@ def test_int_disk_test_agrees_with_exact_containment():
         point = RadPoint(body.center.x + ux * r + Radical.sqrt(3) * wobble,
                          body.center.y + uy * r + wobble)
         f = Family(body, [Member(Point(0, 0))])
-        assert _membership(f, [_int_point(point)])(0)(0) == body.contains(point)
+        assert membership(f, [int_point(point)])(0)(0) == body.contains(point)
 
 
 def _normalized_top_order(f):
