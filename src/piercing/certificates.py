@@ -207,6 +207,12 @@ def value_key(p, scale=1):
 
     Radicals keep squarefree radicands, so equal values have equal keys
     whatever the point's type (Point, RadPoint or box tuple)."""
+    if type(p) is Point:
+        # a rational point has no other terms; a zero coordinate gives
+        # Fraction(0), equal to the general path's int 0
+        if scale == 1:
+            return p.x, p.y, (), ()
+        return p.x * scale, p.y * scale, (), ()
     terms = [_terms(v) for v in _coords(p)]
     return (*[t.get(1, 0) * scale for t in terms],
             *[tuple(x for m in sorted(t) if m != 1 for x in (m, t[m] * scale)) for t in terms])

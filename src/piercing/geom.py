@@ -1,12 +1,16 @@
 """Exact planar geometry over rational coordinates.
 
-Everything in this module is a pure function over immutable values and uses
-Fraction arithmetic only; no epsilon appears anywhere.  Degenerate convex
-regions (segments, single points) are represented by vertex chains of length
-2 and 1 and count as nonempty.
+Everything in this module is a pure function over immutable values and is
+exact; no epsilon appears anywhere.  Points, areas and predicates are
+Fraction arithmetic.  Clipping (clip_chain, intersection_chain,
+subtract_chain, region_minus_polygons, chain_area) runs on one integer
+kernel (_clip) over homogeneous int triples and converts to Points only on
+the way in and out.  Degenerate convex regions (segments, single points) are
+represented by vertex chains of length 2 and 1 and count as nonempty.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DegenerateInput
 
@@ -300,6 +304,137 @@ def minkowski_sum(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
     return ConvexPolygon(out[:-1])
 
 
+# ---------------------------------------------------------------------------
+# the integer clipping kernel
+#
+# A point is a homogeneous int triple (X, Y, W) with W > 0 and
+# gcd(X, Y, W) = 1, the point (X/W, Y/W); in that form tuple equality is value
+# equality.  A halfplane is an int triple (A, B, C) for A*X + B*Y <= C*W.  The
+# public functions take and return Points and convert only at this edge.
+
+
+def _hom(p: Point) -> tuple:
+    """The homogeneous int triple of a Point."""
+    x, y = p.x, p.y
+    dx, dy = x.denominator, y.denominator
+    if dx == dy:
+        return x.numerator, y.numerator, dx
+    w = lcm(dx, dy)
+    return x.numerator * (w // dx), y.numerator * (w // dy), w
+
+
+def _point(h) -> Point:
+    """The Point of a homogeneous int triple."""
+    x, y, w = h
+    return Point(Fraction(x, w), Fraction(y, w))
+
+
+def _planes(poly: ConvexPolygon) -> list:
+    """The int triples of poly's halfplanes, in the order of halfplanes().
+
+    The vertices are scaled by the lcm of their denominators; each triple
+    is divided by its gcd.
+    """
+    v = poly.vertices
+    d = lcm(*(p.x.denominator for p in v), *(p.y.denominator for p in v))
+    xy = [(p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator))
+          for p in v]
+    out = []
+    for i in range(len(xy)):
+        (xa, ya), (xb, yb) = xy[i], xy[(i + 1) % len(xy)]
+        # the outward normal of the ccw edge ab, n.p <= n.a scaled by d
+        a, b = yb - ya, xa - xb
+        t = (a * d, b * d, a * xa + b * ya)
+        g = gcd(*t)
+        out.append((t[0] // g, t[1] // g, t[2] // g))
+    return out
+
+
+def _plane(n: Point, c) -> tuple:
+    """The int triple of the halfplane {p : n.p <= c}."""
+    c = frac(c)
+    d = lcm(n.x.denominator, n.y.denominator, c.denominator)
+    t = (n.x.numerator * (d // n.x.denominator), n.y.numerator * (d // n.y.denominator),
+         c.numerator * (d // c.denominator))
+    g = gcd(*t) or 1
+    return t[0] // g, t[1] // g, t[2] // g
+
+
+def _clip(chain, plane) -> list:
+    """Clip a convex chain of int triples against an int halfplane.
+
+    Vertices inside or on the line stay in order; where an edge ab crosses
+    the line strictly, with signed values da and db, the crossing point is
+    |db|*a + |da|*b, reduced by one gcd.  A two-point chain is a segment,
+    walked both ways.  The result is deduplicated.
+    """
+    p, q, r = plane
+    vals = [p * x + q * y - r * w for x, y, w in chain]
+    m = len(chain)
+    if m == 1:
+        return list(chain) if vals[0] <= 0 else []
+    out = []
+    for i in range(m):
+        a, da = chain[i], vals[i]
+        j = i + 1 if i + 1 < m else 0
+        db = vals[j]
+        if da <= 0:
+            out.append(a)
+            if da == 0 or db <= 0:
+                continue
+            ea, eb = db, -da
+        elif db < 0:
+            ea, eb = -db, da
+        else:
+            continue
+        b = chain[j]
+        x = ea * a[0] + eb * b[0]
+        y = ea * a[1] + eb * b[1]
+        w = ea * a[2] + eb * b[2]
+        g = gcd(x, y, w)
+        out.append((x // g, y // g, w // g))
+    dedup = []
+    for v in out:
+        if v not in dedup:
+            dedup.append(v)
+    return dedup
+
+
+def _has_area(chain) -> bool:
+    """Whether a convex chain of int triples bounds positive area: a sign
+    test on its fan determinants, which share one sign on a convex chain."""
+    if len(chain) < 3:
+        return False
+    x0, y0, w0 = chain[0]
+    for i in range(1, len(chain) - 1):
+        x1, y1, w1 = chain[i]
+        x2, y2, w2 = chain[i + 1]
+        if x0 * (y1 * w2 - w1 * y2) - y0 * (x1 * w2 - w1 * x2) + w0 * (x1 * y2 - y1 * x2):
+            return True
+    return False
+
+
+def _subtract(piece, planes) -> list:
+    """Convex decomposition of a chain minus the polygon with these planes."""
+    out = []
+    rest = piece
+    for a, b, c in planes:
+        # the part of `rest` strictly outside this halfplane leaves the
+        # difference; the rest continues to the next halfplane
+        outside = _clip(rest, (-a, -b, -c))
+        if _has_area(outside):
+            out.append(outside)
+        rest = _clip(rest, (a, b, c))
+        if not rest:
+            break
+    return out
+
+
+def _chain(region) -> list:
+    """Int triples of a ConvexPolygon's vertices or of a chain of Points."""
+    return [_hom(p) for p in (region.vertices if isinstance(region, ConvexPolygon) else region)]
+
+
 def clip_chain(points, n: Point, c) -> list:
     """Clip a convex vertex chain against the halfplane {p : n.p <= c}.
 
@@ -308,41 +443,22 @@ def clip_chain(points, n: Point, c) -> list:
     """
     if not points:
         return []
-    if len(points) == 1:
-        return list(points) if points[0].dot(n) <= c else []
-    out = []
-    m = len(points)
-    if m == 2:
-        pairs = [(points[0], points[1]), (points[1], points[0])]
-    else:
-        pairs = [(points[i], points[(i + 1) % m]) for i in range(m)]
-    for a, b in pairs:
-        da = a.dot(n) - c
-        db = b.dot(n) - c
-        if da <= 0:
-            out.append(a)
-        if (da < 0 < db) or (db < 0 < da):
-            t = da / (da - db)
-            out.append(a + (b - a) * t)
-    dedup = []
-    for p in out:
-        if p not in dedup:
-            dedup.append(p)
-    return dedup
+    return [_point(h) for h in _clip(_chain(points), _plane(n, c))]
 
 
-def intersection_chain(a: ConvexPolygon, b: ConvexPolygon) -> list:
+def intersection_chain(a, b: ConvexPolygon) -> list:
     """Vertices of the (possibly degenerate) intersection of two polygons.
 
-    Returns [] when disjoint, [p] for a touching point, [p, q] for a shared
-    segment, and a ccw vertex list when the intersection has interior.
+    a may also be a convex vertex chain.  Returns [] when disjoint, [p] for a
+    touching point, [p, q] for a shared segment, and a ccw vertex list when
+    the intersection has interior.
     """
-    pts = list(a.vertices)
-    for n, c in b.halfplanes():
-        pts = clip_chain(pts, n, c)
+    pts = _chain(a)
+    for plane in _planes(b):
+        pts = _clip(pts, plane)
         if not pts:
             return []
-    return pts
+    return [_point(h) for h in pts]
 
 
 def intersection(a: ConvexPolygon, b: ConvexPolygon):
@@ -356,12 +472,17 @@ def intersection(a: ConvexPolygon, b: ConvexPolygon):
 
 
 def chain_area(points) -> Fraction:
+    """Area of a convex vertex chain, exact; 0 below three vertices."""
     if len(points) < 3:
         return Fraction(0)
-    s = Fraction(0)
-    for i in range(len(points)):
-        s += points[i].cross(points[(i + 1) % len(points)])
-    return abs(s) / 2
+    hs = [_hom(p) for p in points]
+    d = lcm(*(w for _, _, w in hs))
+    xs = [(x * (d // w), y * (d // w)) for x, y, w in hs]
+    s = 0
+    for i in range(len(xs)):
+        (x1, y1), (x2, y2) = xs[i - 1], xs[i]
+        s += x1 * y2 - y1 * x2
+    return Fraction(abs(s), 2 * d * d)
 
 
 def polygons_intersect(a: ConvexPolygon, b: ConvexPolygon) -> bool:
@@ -383,18 +504,7 @@ def subtract_chain(piece, poly: ConvexPolygon) -> list:
     convex chains whose union is the closed difference (boundary overlaps
     between output pieces are immaterial for area accounting).
     """
-    out = []
-    rest = list(piece)
-    for n, c in poly.halfplanes():
-        # the part of `rest` strictly outside this halfplane leaves the
-        # difference; the rest continues to the next halfplane
-        outside = clip_chain(rest, -n, -c)
-        if chain_area(outside) > 0:
-            out.append(outside)
-        rest = clip_chain(rest, n, c)
-        if not rest:
-            break
-    return out
+    return [[_point(h) for h in c] for c in _subtract(_chain(piece), _planes(poly))]
 
 
 def region_minus_polygons(region, polys) -> list:
@@ -403,15 +513,16 @@ def region_minus_polygons(region, polys) -> list:
     Only full-dimensional residue pieces are kept; a residue of measure zero
     counts as fully covered (bodies are closed).
     """
-    pieces = [list(region.vertices) if isinstance(region, ConvexPolygon) else list(region)]
+    pieces = [_chain(region)]
     for poly in polys:
+        planes = _planes(poly)
         nxt = []
         for piece in pieces:
-            nxt.extend(subtract_chain(piece, poly))
+            nxt.extend(_subtract(piece, planes))
         pieces = nxt
         if not pieces:
             break
-    return pieces
+    return [[_point(h) for h in c] for c in pieces]
 
 
 def covers_region(region, polys) -> bool:

@@ -48,9 +48,11 @@ from .errors import (
 )
 from .geom import (
     ConvexPolygon,
+    Interval,
     Point,
-    clip_chain,
+    chain_area,
     frac,
+    intersection_chain,
     region_minus_polygons,
 )
 from .sandwich import (
@@ -411,8 +413,6 @@ def covering_lattice(s0: ConvexPolygon, cell_poly: ConvexPolygon) -> LatticeSpec
     if b1.cross(b2) < 0:
         cell.reverse()
     bx, by = s0.bounding_box()
-    from .geom import Interval
-
     cx = Interval(min(p.x for p in cell), max(p.x for p in cell))
     cy = Interval(min(p.y for p in cell), max(p.y for p in cell))
     window_x = Interval(cx.lo - bx.hi, cx.hi - bx.lo)
@@ -433,8 +433,6 @@ def packing_lattice(s0: ConvexPolygon, cell_poly: ConvexPolygon, eps=Fraction(1,
     spec = LatticeSpec(b1 * scale, b2 * scale, "packing")
     big = s0.scale(4)  # 2S - 2S = 4S for centered symmetric S
     bx, by = big.bounding_box()
-    from .geom import Interval
-
     for lam in spec.points_in_bbox(Interval(bx.lo, bx.hi), Interval(by.lo, by.hi), Point(0, 0)):
         if lam == Point(0, 0):
             continue
@@ -450,7 +448,6 @@ def union_area_exact(f: Family, limit: int = 15) -> Fraction:
         raise TooLarge("union area limited to %d members" % limit)
     if f.base.kind != "polygon":
         raise TooLarge("exact union area needs polygon members")
-    chains = [list(f.realize(i).polygon.vertices) for i in range(n)]
     polys = [f.realize(i).polygon for i in range(n)]
     total = Fraction(0)
 
@@ -458,24 +455,14 @@ def union_area_exact(f: Family, limit: int = 15) -> Fraction:
         nonlocal total
         total += sign * area
         for i in range(start, n):
-            nxt = list(chain)
-            for nrm, c in polys[i].halfplanes():
-                nxt = clip_chain(nxt, nrm, c)
-                if not nxt:
-                    break
-            if not nxt:
-                continue
-            from .geom import chain_area
-
+            nxt = intersection_chain(chain, polys[i])
             a = chain_area(nxt)
             if a == 0:
                 continue
             rec(i + 1, nxt, -sign, a)
 
     for i in range(n):
-        from .geom import chain_area
-
-        rec(i + 1, chains[i], 1, chain_area(chains[i]))
+        rec(i + 1, polys[i], 1, chain_area(polys[i].vertices))
     return total
 
 
@@ -501,8 +488,6 @@ def _offset_candidates(spec: LatticeSpec, subdivisions, seed):
 
 
 def _union_bbox(f: Family):
-    from .geom import Interval
-
     boxes = [f.realize(i).bbox() for i in range(len(f))]
     return (
         Interval(min(b[0].lo for b in boxes), max(b[0].hi for b in boxes)),
@@ -549,7 +534,8 @@ def lattice_pierce(f: Family, lattice: LatticeSpec = None, seed: int = 0,
             best_pts = pts
         if target is not None and best_pts is not None and len(best_pts) <= target:
             break
-    wit, wspec = lattice_witness(f, seed=seed, subdivisions=subdivisions, sandwich=sw)
+    wit, wspec = lattice_witness(f, seed=seed, subdivisions=subdivisions, sandwich=sw,
+                                 area=area)
     factor = math.ceil(wspec.cell_area / lattice.cell_area)
     cert = PierceCertificate(
         "lattice",
@@ -571,12 +557,13 @@ def lattice_pierce(f: Family, lattice: LatticeSpec = None, seed: int = 0,
 
 
 def lattice_witness(f: Family, lattice: LatticeSpec = None, eps=Fraction(1, 64),
-                    seed: int = 0, subdivisions=(4, 8, 16, 32), sandwich=None):
+                    seed: int = 0, subdivisions=(4, 8, 16, 32), sandwich=None, area=None):
     """Pairwise-disjoint members holding distinct lattice points (Lemma-6 dual).
 
     Returns (member indices, lattice spec).  With the default packing lattice
     of 2*H_out*(1+eps), members containing distinct lattice points are
     disjoint; an exact recheck drops any touching pair (none in practice).
+    area is the family's exact union area when the caller has it.
     """
     sw = sandwich or _default_sandwich(f)
     center = sw.center
@@ -586,11 +573,12 @@ def lattice_witness(f: Family, lattice: LatticeSpec = None, eps=Fraction(1, 64),
         lattice = packing_lattice(s0, h_out0, eps)
     elif lattice.role != "packing":
         raise PackingNotVerified("lattice_witness needs a packing lattice")
-    try:
-        area = union_area_exact(f)
-        target = math.ceil(area / lattice.cell_area)
-    except TooLarge:
-        target = None
+    if area is None:
+        try:
+            area = union_area_exact(f)
+        except TooLarge:
+            pass
+    target = None if area is None else math.ceil(area / lattice.cell_area)
     ix, iy = _union_bbox(f)
     bodies = f.bodies()
     best = []

@@ -4,12 +4,87 @@ Each decides on realized bodies (Family.realize) with Fraction and Radical
 arithmetic, member by member, with none of the package's int layer: the
 intersection graph by Family.intersects on every pair, the oracle's
 coverage masks by the bodies' own contains, and the containment step of
-the smallest-first argument with an explicit common point.
+the smallest-first argument with an explicit common point.  The clipping
+functions are the Fraction versions of geom's integer kernel.
 """
+
+from fractions import Fraction
 
 from piercing.bodies import BoxBody, DiskBody, PolygonBody
 from piercing.errors import DegenerateInput
-from piercing.geom import ConvexPolygon, Point, intersection_chain
+from piercing.geom import ConvexPolygon, Point
+
+
+def clip_chain(points, n, c):
+    """Clip a convex vertex chain against {p : n.p <= c}, in Fractions."""
+    if not points:
+        return []
+    if len(points) == 1:
+        return list(points) if points[0].dot(n) <= c else []
+    out = []
+    m = len(points)
+    if m == 2:
+        pairs = [(points[0], points[1]), (points[1], points[0])]
+    else:
+        pairs = [(points[i], points[(i + 1) % m]) for i in range(m)]
+    for a, b in pairs:
+        da = a.dot(n) - c
+        db = b.dot(n) - c
+        if da <= 0:
+            out.append(a)
+        if (da < 0 < db) or (db < 0 < da):
+            t = da / (da - db)
+            out.append(a + (b - a) * t)
+    dedup = []
+    for p in out:
+        if p not in dedup:
+            dedup.append(p)
+    return dedup
+
+
+def intersection_chain(a, b):
+    """Vertices of the intersection of polygon a (or a chain) and polygon b."""
+    pts = list(a.vertices) if isinstance(a, ConvexPolygon) else list(a)
+    for n, c in b.halfplanes():
+        pts = clip_chain(pts, n, c)
+        if not pts:
+            return []
+    return pts
+
+
+def chain_area(points):
+    if len(points) < 3:
+        return Fraction(0)
+    s = Fraction(0)
+    for i in range(len(points)):
+        s += points[i].cross(points[(i + 1) % len(points)])
+    return abs(s) / 2
+
+
+def subtract_chain(piece, poly):
+    out = []
+    rest = list(piece)
+    for n, c in poly.halfplanes():
+        outside = clip_chain(rest, -n, -c)
+        if chain_area(outside) > 0:
+            out.append(outside)
+        rest = clip_chain(rest, n, c)
+        if not rest:
+            break
+    return out
+
+
+def region_minus_polygons(region, polys):
+    """Full-dimensional residue pieces of a convex region minus polygons."""
+    pieces = [list(region.vertices) if isinstance(region, ConvexPolygon) else list(region)]
+    for poly in polys:
+        nxt = []
+        for piece in pieces:
+            nxt.extend(subtract_chain(piece, poly))
+        pieces = nxt
+        if not pieces:
+            break
+    return pieces
 
 
 def intersection_graph_bruteforce(f):

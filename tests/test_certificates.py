@@ -20,7 +20,7 @@ from piercing.bodies import (
     intersection_graph,
     member_boxes,
 )
-from piercing.certificates import PierceCertificate, _floor_root
+from piercing.certificates import PierceCertificate, _floor_root, dedupe_points, value_key
 from piercing.cli import auto_pierce, main
 from piercing.errors import VerificationFailed
 from piercing.generators import (
@@ -120,6 +120,21 @@ def test_floor_root_matches_radical_bounds(b, m):
         # b sqrt(m) is within 2^-100 of an integer, so it is that integer
         r = math.isqrt(b * b * m)
         assert r * r == b * b * m and got == (r if b >= 0 else -r)
+
+
+_RATIONALS = st.one_of(st.just(F(0)), st.fractions(max_denominator=10 ** 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONALS, _RATIONALS, st.one_of(st.just(1), st.integers(1, 10 ** 9)))
+def test_point_value_key_matches_the_general_path(x, y, scale):
+    # a Point takes the fast path; a RadPoint and a box tuple of the same
+    # value take the general one
+    got = value_key(Point(x, y), scale)
+    for other in (RadPoint(x, y), RadPoint(Radical({1: x} if x else {}), y), (x, y)):
+        want = value_key(other, scale)
+        assert got == want and hash(got) == hash(want)
+    assert dedupe_points([Point(x, y), RadPoint(x, y), (x, y)]) == [Point(x, y)]
 
 
 def _explicit_file(tmp_path, f, points):

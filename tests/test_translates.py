@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from piercing import translates
 from piercing.bodies import (
     AffineMap,
     DiskBody,
@@ -140,8 +141,6 @@ class TestGrid:
     def test_pair_tests_per_member_stay_bounded(self, monkeypatch, n):
         # a seed meets only the grid neighbours on its own line, so the
         # pair tests per member do not grow with the line length
-        from piercing import translates
-
         calls = [0]
         real = translates.pair_checker
 
@@ -210,6 +209,21 @@ class TestLattice:
         cert = lattice_pierce(f)
         area = union_area_exact(f)
         assert cert.info["count"] <= math.floor(area / cert.info["cover_cell_area"])
+
+    def test_union_area_computed_once(self, monkeypatch):
+        f = random_family(hexagon_body(), 9, box_size=7, seed=10)
+        expected = lattice_pierce(f, verify=False)
+        calls = []
+
+        def counting(g, limit=15):
+            calls.append(g)
+            return union_area_exact(g, limit)
+
+        monkeypatch.setattr(translates, "union_area_exact", counting)
+        got = lattice_pierce(f, verify=False)
+        assert len(calls) == 1
+        assert (got.points, got.witness, got.info) == (expected.points, expected.witness,
+                                                      expected.info)
 
     def test_witness_bound(self):
         f = random_family(hexagon_body(), 9, box_size=7, seed=10)
