@@ -20,6 +20,10 @@ the three-strip construction, factor-3 grid decomposition otherwise.
 
 lattice_pierce / lattice_witness: pigeonhole transversals and packings from
 covering/packing lattices, with exact union areas for the counting bounds.
+The hexagon sandwiches and the verified lattices are built once per base
+polygon, on the pattern cache of covers (_cached).  Lattice points are int
+pairs over one denominator, and which members hold them is decided on the
+family's slabs (bodies.membership), never on realized bodies.
 """
 
 from fractions import Fraction
@@ -31,13 +35,15 @@ from .bodies import (
     Family,
     PolygonBody,
     intersection_graph,
+    member_boxes,
+    membership,
     neighbor_index,
     pair_checker,
 )
 from .certificates import PierceCertificate, dedupe_points, greedy_rule, seed_columns
 # translate_cluster_cover is unused here but stays bound: perfbench/spans.py
 # traces it by this binding
-from .covers import translate_cluster_cover  # noqa: F401
+from .covers import _cached, _poly_key, translate_cluster_cover  # noqa: F401
 from .errors import (
     CoverageNotVerified,
     NotHexagonBase,
@@ -297,7 +303,8 @@ def hexagon_pierce(f: Family, verify: bool = True) -> PierceCertificate:
     adj = intersection_graph(f)
     complete = all(len(adj[i]) == n - 1 for i in range(n))
     if not complete:
-        pair = hexagon_sandwich_special(poly)
+        pair = _cached(("hexagon_sandwich_special", _poly_key(poly)),
+                       lambda: hexagon_sandwich_special(poly))
         cert = grid_pierce(f, pair, verify=verify)
         cert.method = "hexagon-grid"
         return cert
@@ -467,12 +474,16 @@ def union_area_exact(f: Family, limit: int = 15) -> Fraction:
 
 
 def _default_sandwich(f: Family):
+    """The hexagon sandwich of a translate family's centrally symmetric
+    polygon base, built once per base polygon."""
+    if f.kind != "translates":
+        raise UnsupportedBase("lattice methods need a translate family")
     if not isinstance(f.base, PolygonBody):
         raise UnsupportedBase("lattice methods need a centrally symmetric polygon base")
     poly = f.base.polygon
     if poly.is_centrally_symmetric() is None:
         raise UnsupportedBase("lattice methods need a centrally symmetric base")
-    return hexagon_sandwich(poly)
+    return _cached(("hexagon_sandwich", _poly_key(poly)), lambda: hexagon_sandwich(poly))
 
 
 def _offset_candidates(spec: LatticeSpec, subdivisions, seed):
@@ -487,12 +498,56 @@ def _offset_candidates(spec: LatticeSpec, subdivisions, seed):
             )
 
 
-def _union_bbox(f: Family):
-    boxes = [f.realize(i).bbox() for i in range(len(f))]
-    return (
-        Interval(min(b[0].lo for b in boxes), max(b[0].hi for b in boxes)),
-        Interval(min(b[1].lo for b in boxes), max(b[1].hi for b in boxes)),
-    )
+def _lattice_hits(f: Family, spec: LatticeSpec):
+    """hits(offset) -> (point, held): held maps each index pair (i, j) whose
+    lattice point i b1 + j b2 + offset lies in a member to the members that
+    hold it, ascending, and point(i, j) is that lattice point.
+
+    The basis and the offset are put over their common denominator q, so a
+    lattice point is an int pair over q.  A member's candidates are the
+    index pairs within the lattice coordinates of its bounding box's
+    corners (member_boxes, ints over scale), and bodies.membership decides
+    each on the family's slabs.
+    """
+    scale, boxes = member_boxes(f, range(len(f)))
+    corners = [[(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])] for lo, hi in boxes]
+
+    def hits(offset):
+        q = math.lcm(*[v.denominator for p in (spec.b1, spec.b2, offset) for v in p])
+        (ux, uy), (vx, vy), (ox, oy) = [[v.numerator * (q // v.denominator) for v in p]
+                                        for p in (spec.b1, spec.b2, offset)]
+        det = scale * (ux * vy - uy * vx)
+        sign = 1 if det > 0 else -1
+        det *= sign
+        index, ipts, candidates = {}, [], []
+        for box in corners:
+            # lattice coordinates of the box corners, times det
+            rel = [(q * x - scale * ox, q * y - scale * oy) for x, y in box]
+            a = [sign * (rx * vy - ry * vx) for rx, ry in rel]
+            b = [sign * (ux * ry - uy * rx) for rx, ry in rel]
+            keys = []
+            for i in range(-(-min(a) // det), max(a) // det + 1):
+                for j in range(-(-min(b) // det), max(b) // det + 1):
+                    k = index.get((i, j))
+                    if k is None:
+                        k = index[(i, j)] = len(ipts)
+                        ipts.append((q, 1, (i * ux + j * vx + ox, i * uy + j * vy + oy), None))
+                    keys.append(((i, j), k))
+            candidates.append(keys)
+        member = membership(f, ipts)
+        held = {}
+        for m, keys in enumerate(candidates):
+            test = member(m)
+            for key, k in keys:
+                if test(k):
+                    held.setdefault(key, []).append(m)
+
+        def point(i, j):
+            return Point(Fraction(i * ux + j * vx + ox, q), Fraction(i * uy + j * vy + oy, q))
+
+        return point, held
+
+    return hits
 
 
 def lattice_pierce(f: Family, lattice: LatticeSpec = None, seed: int = 0,
@@ -502,14 +557,18 @@ def lattice_pierce(f: Family, lattice: LatticeSpec = None, seed: int = 0,
     Any offset yields a valid piercing set once the covering lattice is
     verified; the offset search only minimizes the count toward the
     floor(area/cell) bound.  The witness comes from the packing construction
-    so the certificate is self-contained.
+    so the certificate is self-contained.  The default covering lattice is
+    built once per base and sandwich; an explicit lattice is used as given.
     """
     sw = _default_sandwich(f)
     center = sw.center
-    s0 = f.base.polygon.translate(-center)
-    h_in0 = sw.h_in.translate(-center)
     if lattice is None:
-        lattice = covering_lattice(s0, h_in0)
+        poly = f.base.polygon
+
+        def build():
+            return covering_lattice(poly.translate(-center), sw.h_in.translate(-center))
+
+        lattice = _cached(("covering_lattice", _poly_key(poly), _poly_key(sw.h_in)), build)
     elif lattice.role != "covering":
         raise CoverageNotVerified("lattice_pierce needs a covering lattice")
     area_upper = None
@@ -521,19 +580,16 @@ def lattice_pierce(f: Family, lattice: LatticeSpec = None, seed: int = 0,
         area = None
         area_upper = sum(f.realize(i).measure() for i in range(len(f)))
         target = math.floor(area_upper / lattice.cell_area)
-    ix, iy = _union_bbox(f)
-    bodies = f.bodies()
-    best_pts = None
+    hits = _lattice_hits(f, lattice)
+    best = None
     for off in _offset_candidates(lattice, subdivisions, seed):
-        pts = [
-            p
-            for p in lattice.points_in_bbox(ix, iy, off + center)
-            if any(b.contains(p) for b in bodies)
-        ]
-        if best_pts is None or len(pts) < len(best_pts):
-            best_pts = pts
-        if target is not None and best_pts is not None and len(best_pts) <= target:
+        point, held = hits(off + center)
+        if best is None or len(held) < len(best[1]):
+            best = point, held
+        if len(best[1]) <= target:
             break
+    point, held = best
+    best_pts = [point(i, j) for i, j in sorted(held)]
     wit, wspec = lattice_witness(f, seed=seed, subdivisions=subdivisions, sandwich=sw,
                                  area=area)
     factor = math.ceil(wspec.cell_area / lattice.cell_area)
@@ -561,16 +617,22 @@ def lattice_witness(f: Family, lattice: LatticeSpec = None, eps=Fraction(1, 64),
     """Pairwise-disjoint members holding distinct lattice points (Lemma-6 dual).
 
     Returns (member indices, lattice spec).  With the default packing lattice
-    of 2*H_out*(1+eps), members containing distinct lattice points are
-    disjoint; an exact recheck drops any touching pair (none in practice).
-    area is the family's exact union area when the caller has it.
+    of 2*H_out*(1+eps), built once per base, sandwich and eps, members
+    containing distinct lattice points are disjoint; an exact recheck drops
+    any touching pair (none in practice).  Each lattice point, in index
+    order, takes the lowest-index member holding it that no earlier point
+    took.  area is the family's exact union area when the caller has it.
     """
     sw = sandwich or _default_sandwich(f)
     center = sw.center
-    s0 = f.base.polygon.translate(-center)
-    h_out0 = sw.h_out.translate(-center)
     if lattice is None:
-        lattice = packing_lattice(s0, h_out0, eps)
+        poly = f.base.polygon
+        eps = frac(eps)
+
+        def build():
+            return packing_lattice(poly.translate(-center), sw.h_out.translate(-center), eps)
+
+        lattice = _cached(("packing_lattice", _poly_key(poly), _poly_key(sw.h_out), eps), build)
     elif lattice.role != "packing":
         raise PackingNotVerified("lattice_witness needs a packing lattice")
     if area is None:
@@ -579,18 +641,18 @@ def lattice_witness(f: Family, lattice: LatticeSpec = None, eps=Fraction(1, 64),
         except TooLarge:
             pass
     target = None if area is None else math.ceil(area / lattice.cell_area)
-    ix, iy = _union_bbox(f)
-    bodies = f.bodies()
+    hits = _lattice_hits(f, lattice)
     best = []
     for off in _offset_candidates(lattice, subdivisions, seed):
-        chosen = {}
-        for p in lattice.points_in_bbox(ix, iy, off + center):
-            for i, b in enumerate(bodies):
-                if i not in chosen.values() and b.contains(p):
-                    chosen[(p.x, p.y)] = i
-                    break
+        _, held = hits(off + center)
+        chosen, taken = [], set()
+        for key in sorted(held):
+            m = next((m for m in held[key] if m not in taken), None)
+            if m is not None:
+                chosen.append(m)
+                taken.add(m)
         if len(chosen) > len(best):
-            best = list(chosen.values())
+            best = chosen
         if target is not None and len(best) >= target:
             break
     # exact disjointness recheck, then any further disjoint members, which

@@ -5,14 +5,17 @@ arithmetic, member by member, with none of the package's int layer: the
 intersection graph by Family.intersects on every pair, the oracle's
 coverage masks by the bodies' own contains, and the containment step of
 the smallest-first argument with an explicit common point.  The clipping
-functions are the Fraction versions of geom's integer kernel.
+functions are the Fraction versions of geom's integer kernel, and the
+lattice offset search tests Fraction lattice points against every realized
+member.
 """
 
 from fractions import Fraction
 
 from piercing.bodies import BoxBody, DiskBody, PolygonBody
 from piercing.errors import DegenerateInput
-from piercing.geom import ConvexPolygon, Point
+from piercing.geom import ConvexPolygon, Interval, Point
+from piercing.translates import _offset_candidates
 
 
 def clip_chain(points, n, c):
@@ -169,3 +172,55 @@ def body_contains_body(outer, inner) -> bool:
             for mo, so, mi, si in zip(outer.mins, outer.sides, inner.mins, inner.sides)
         )
     return outer.polygon.contains_polygon(inner.polygon)
+
+
+def _union_bbox(f):
+    boxes = [f.realize(i).bbox() for i in range(len(f))]
+    return (Interval(min(b[0].lo for b in boxes), max(b[0].hi for b in boxes)),
+            Interval(min(b[1].lo for b in boxes), max(b[1].hi for b in boxes)))
+
+
+def lattice_points(f, spec, offset):
+    """Lattice points (+offset) in the union's bounding box, in index order,
+    each with the realized members that contain it, ascending."""
+    ix, iy = _union_bbox(f)
+    bodies = f.bodies()
+    return [(p, [i for i, b in enumerate(bodies) if b.contains(p)])
+            for p in spec.points_in_bbox(ix, iy, offset)]
+
+
+def lattice_offset_points(f, spec, center, target, seed=0, subdivisions=(4, 8, 16, 32)):
+    """lattice_pierce's offset search: the fewest lattice points inside the
+    union over the offsets, stopping once at most target."""
+    best = None
+    for off in _offset_candidates(spec, subdivisions, seed):
+        pts = [p for p, held in lattice_points(f, spec, off + center) if held]
+        if best is None or len(pts) < len(best):
+            best = pts
+        if len(best) <= target:
+            break
+    return best
+
+
+def lattice_offset_members(f, spec, center, target, seed=0, subdivisions=(4, 8, 16, 32)):
+    """lattice_witness's offset search and recheck: each lattice point takes
+    its first containing member not taken yet; the most members over the
+    offsets, stopping once at least target, then extended in index order by
+    every member that meets none kept (Family.intersects)."""
+    best = []
+    for off in _offset_candidates(spec, subdivisions, seed):
+        chosen = []
+        for _, held in lattice_points(f, spec, off + center):
+            free = [i for i in held if i not in chosen]
+            if free:
+                chosen.append(free[0])
+        if len(chosen) > len(best):
+            best = chosen
+        if target is not None and len(best) >= target:
+            break
+    kept = []
+    for i in best + list(range(len(f))):
+        if i not in kept and not any(f.intersects(i, j) for j in kept):
+            kept.append(i)
+    return kept
+

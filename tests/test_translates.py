@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from piercing import translates
+from piercing import covers, sandwich, translates
 from piercing.bodies import (
     AffineMap,
     DiskBody,
@@ -16,8 +16,14 @@ from piercing.bodies import (
     membership,
     normalize_affine,
 )
-from piercing.covers import _triangle_normalizer, translate_cluster_cover
-from piercing.errors import NotHexagonBase, UnsupportedBase, VerificationFailed
+from piercing.covers import _poly_key, _triangle_normalizer, translate_cluster_cover
+from piercing.errors import (
+    CoverageNotVerified,
+    NotHexagonBase,
+    SearchFailed,
+    UnsupportedBase,
+    VerificationFailed,
+)
 from piercing.generators import (
     five_square_cycle,
     hexagon_body,
@@ -31,7 +37,9 @@ from piercing.generators import (
 from piercing.geom import ConvexPolygon, Point
 from piercing.oracle import exact_nu, exact_tau
 from piercing.radicals import RadPoint, Radical
+from piercing.sandwich import hexagon_sandwich, hexagon_sandwich_special
 from piercing.translates import (
+    _default_sandwich,
     _greedy,
     _seed_order,
     _top_key,
@@ -44,6 +52,7 @@ from piercing.translates import (
     packing_lattice,
     union_area_exact,
 )
+from reference import lattice_offset_members, lattice_offset_points
 
 PENTAGON = PolygonBody(
     ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Point(2, 5), Point(-1, 2)])
@@ -245,6 +254,176 @@ class TestLattice:
         f = Family(hexagon_body(), [Member(Point(0, 0))] * 5)
         wit, _ = lattice_witness(f)
         assert len(wit) == 1
+
+
+def _lattice_families():
+    """The 50 families of the lattice acceptance test, squares, and
+    hexagons whose translations keep Fraction columns (D = 1)."""
+    rng = random.Random(1111)
+    out = []
+    for trial in range(50):
+        base = hexagon_body() if trial % 2 else random_cs_hexagon(rng)
+        bx, _ = base.polygon.bounding_box()
+        box = max(4, int(float(bx.length()) * 1.5))
+        out.append(random_family(base, 4 + trial % 9, box_size=box, seed=7000 + trial))
+    out.append(random_family(unit_square(), 10, box_size=5, seed=3))
+    primes = [p for p in range(1000, 1300) if all(p % d for d in range(2, 37))]
+    rng = random.Random(3)
+    out.append(Family(hexagon_body(), [
+        Member(Point(F(rng.randrange(10 * q), q), F(rng.randrange(10 * q), q)))
+        for q in rng.sample(primes, 14)]))
+    assert out[-1].scaled_translations()[0] == 1
+    return out
+
+
+def test_lattice_search_matches_the_fraction_reference():
+    """The int-layer offset searches pick the same points, in the same
+    order, and the same witness members as Fraction points tested against
+    every realized member."""
+    eps = F(1, 64)
+    for f in _lattice_families():
+        sw = _default_sandwich(f)
+        c = sw.center
+        area = union_area_exact(f)
+        cover = covering_lattice(f.base.polygon.translate(-c), sw.h_in.translate(-c))
+        pack = packing_lattice(f.base.polygon.translate(-c), sw.h_out.translate(-c), eps)
+        target = math.ceil(area / pack.cell_area)
+        cert = lattice_pierce(f)
+        assert cert.points == lattice_offset_points(f, cover, c, area // cover.cell_area)
+        members = lattice_offset_members(f, pack, c, target)
+        assert cert.witness == members
+        assert lattice_witness(f, eps=eps)[0] == members
+
+
+def test_lattice_paths_never_ask_a_realized_body(monkeypatch):
+    """Lattice points are decided on the family's slabs alone."""
+    f = random_family(hexagon_body(), 11, box_size=7, seed=13)
+    expected = lattice_pierce(f)
+    wit = lattice_witness(f)[0]
+
+    def refuse(self, p):
+        raise AssertionError("realized contains called")
+
+    monkeypatch.setattr(PolygonBody, "contains", refuse)
+    got = lattice_pierce(f)
+    assert (got.points, got.witness, got.info) == (expected.points, expected.witness,
+                                                  expected.info)
+    assert lattice_witness(f)[0] == wit
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_lattice_paths_reject_homothets(verify):
+    f = random_family(hexagon_body(), 7, box_size=6, kind="homothets", scale_range=(1, 2), seed=1)
+    with pytest.raises(UnsupportedBase):
+        lattice_pierce(f, verify=verify)
+    with pytest.raises(UnsupportedBase):
+        lattice_witness(f)
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty pattern cache for the test, the shared one restored after."""
+    cache = {}
+    monkeypatch.setattr(covers, "_pattern_cache", cache)
+    return cache
+
+
+def _sandwich_values(sw):
+    return [sw.h_in.vertices, sw.h_out.vertices, sw.center, sw.area_ratio]
+
+
+def _pair_values(pair):
+    return [pair.p.center, pair.p.u, pair.p.v, pair.q.center, pair.q.u, pair.q.v,
+            pair.lambdas, pair.line_axis, pair.gamma]
+
+
+def _lattice_values(spec):
+    return [spec.b1, spec.b2, spec.role, spec.cell_area]
+
+
+def _check_cached_entries(cache, base):
+    """The cache's entries for base equal fresh uncached builds."""
+    poly = base.polygon
+    fresh = hexagon_sandwich(poly)
+    c = fresh.center
+    s0 = poly.translate(-c)
+    key = _poly_key(poly)
+    sw = cache[("hexagon_sandwich", key)]
+    assert _sandwich_values(sw) == _sandwich_values(fresh)
+    cover = cache[("covering_lattice", key, _poly_key(fresh.h_in))]
+    assert _lattice_values(cover) == _lattice_values(
+        covering_lattice(s0, fresh.h_in.translate(-c)))
+    pack = cache[("packing_lattice", key, _poly_key(fresh.h_out), F(1, 64))]
+    assert _lattice_values(pack) == _lattice_values(
+        packing_lattice(s0, fresh.h_out.translate(-c)))
+    if len(poly.vertices) == 6:
+        special = cache[("hexagon_sandwich_special", key)]
+        assert _pair_values(special) == _pair_values(hexagon_sandwich_special(poly))
+
+
+def _fill_cache(base):
+    """Run the lattice path and hexagon_pierce's grid branch on base."""
+    f = random_family(base, 9, box_size=10, seed=14)
+    lattice_pierce(f)
+    if len(base.polygon.vertices) == 6:
+        far = Family(base, [Member(Point(0, 0)), Member(Point(100, 0)), Member(Point(0, 100))])
+        assert hexagon_pierce(far).method == "hexagon-grid"
+
+
+class TestLatticeCache:
+    def test_cached_entries_equal_fresh_builds(self, fresh_cache):
+        rng = random.Random(15)
+        bases = [hexagon_body(), unit_square()] + [random_cs_hexagon(rng) for _ in range(3)]
+        for base in bases:
+            _fill_cache(base)
+            _fill_cache(base)  # served from the cache the second time
+            _check_cached_entries(fresh_cache, base)
+
+    def test_built_once_per_base(self, fresh_cache, monkeypatch):
+        calls = []
+        real = translates.hexagon_sandwich
+
+        def counting(poly):
+            calls.append(poly)
+            return real(poly)
+
+        monkeypatch.setattr(translates, "hexagon_sandwich", counting)
+        for seed in range(3):
+            lattice_pierce(random_family(hexagon_body(), 5, box_size=6, seed=seed))
+        assert len(calls) == 1
+
+    def test_translated_and_scaled_bases_get_their_own_entries(self, fresh_cache):
+        poly = hexagon_body().polygon
+        for copy in (poly.translate(Point(F(1, 3), F(5, 7))), poly.scale(2),
+                     poly.scale(F(3, 2)).translate(Point(-4, 1))):
+            base = PolygonBody(copy)
+            _fill_cache(base)
+            _check_cached_entries(fresh_cache, base)
+            sw = fresh_cache[("hexagon_sandwich", _poly_key(copy))]
+            assert sw.center == copy.is_centrally_symmetric()
+        assert sum(key[0] == "hexagon_sandwich" for key in fresh_cache) == 3
+
+    def test_failed_cover_check_stores_nothing(self, fresh_cache, monkeypatch):
+        f = random_family(hexagon_body(), 9, box_size=7, seed=10)
+        with monkeypatch.context() as m:
+            m.setattr(translates, "region_minus_polygons",
+                      lambda region, polys: [[Point(0, 0), Point(1, 0), Point(0, 1)]])
+            with pytest.raises(CoverageNotVerified):
+                lattice_pierce(f)
+            assert not any(key[0] == "covering_lattice" for key in fresh_cache)
+        cert = lattice_pierce(f)
+        assert cert.verify(f)
+        assert any(key[0] == "covering_lattice" for key in fresh_cache)
+
+    def test_failed_pair_check_stores_nothing(self, fresh_cache, monkeypatch):
+        f = Family(hexagon_body(), [Member(Point(0, 0)), Member(Point(100, 0))])
+        with monkeypatch.context() as m:
+            m.setattr(sandwich.SandwichPair, "verify", lambda self, c: False)
+            with pytest.raises(SearchFailed):
+                hexagon_pierce(f)
+        assert not fresh_cache
+        assert hexagon_pierce(f).method == "hexagon-grid"
+        assert list(fresh_cache) == [("hexagon_sandwich_special", _poly_key(f.base.polygon))]
 
 
 class TestUnionArea:
