@@ -7,22 +7,22 @@ for containment because some disk constructions need them.
 The integer kernel: a family is scaled once by the lcm D of its translation
 and scale denominators (Family.scaled_translations), so member i is
 (S_i C + T_i) / D with int columns T and S.  Pair tests (pair_checker), the
-translate grid (neighbor_index) and the homothet/topmost orders run on these
+pair grid (neighbor_index) and the homothet/topmost orders run on these
 ints, and polygon and box members are slabs lo <= w.p <= hi with int bounds
 (Family.slabs).  Point membership is decided here too, for certificate
 checks and for the oracle's coverage masks alike: a point becomes ints
 (A + B sqrt(m)) / q once (int_point), and membership tests it against a
 member's slabs, or a disk member by the exact sign of P + Q sqrt(m).  The
 members' scaled bounding boxes (member_boxes) are int too, and one exact
-grid over them (BoxGrid) gives the homothet pair candidates and the points
-a certificate check tests.  Over MAX_SCALE_BITS the same code runs on
-Fractions with D = 1.
+grid per power-of-two scale class of the members (scale_classes) gives
+the pair candidates (neighbor_index) and, in certificates, the points a
+member tests.  Over MAX_SCALE_BITS the same code runs on Fractions with
+D = 1.
 """
 
 from fractions import Fraction
-import itertools
 import math
-from operator import le, mul, sub
+from operator import le, mul
 
 from .errors import (
     DegenerateInput,
@@ -124,8 +124,6 @@ class DiskBody:
 
     def measure(self):
         # pi * r**2 is irrational; exposed as a float for reporting only
-        import math
-
         return math.pi * float(self.radius) ** 2
 
     def top(self) -> Fraction:
@@ -168,10 +166,7 @@ class BoxBody:
         return tuple(Interval(m, m + s) for m, s in zip(self.mins, self.sides))
 
     def measure(self) -> Fraction:
-        out = Fraction(1)
-        for s in self.sides:
-            out *= s
-        return out
+        return math.prod(self.sides, start=Fraction(1))
 
     def top(self) -> Fraction:
         return self.mins[-1] + self.sides[-1]
@@ -402,51 +397,30 @@ def member_boxes(f: Family, indices):
     return L * D, list(zip(zip(*lo_cols), zip(*hi_cols)))
 
 
-class BoxGrid:
-    """A uniform grid for boxes given as (lo, hi) tuples with exact bounds.
-
-    The cell is the median of the boxes' widest sides, and a coordinate v
-    lies in cell v // cell, so every key is exact and a box sees every item
-    filed under a cell it meets.
-    """
-
-    def __init__(self, boxes):
-        widths = sorted(max(map(sub, hi, lo)) for lo, hi in boxes)
-        self.cell = widths[len(widths) // 2] if widths else 1
-        self.cells = {}
-
-    def keys(self, box):
-        """The keys of the cells that box meets."""
-        c = self.cell
-        return itertools.product(*[range(a // c, b // c + 1) for a, b in zip(*box)])
-
-    def add(self, key, item):
-        self.cells.setdefault(key, []).append(item)
-
-    def near(self, box):
-        """The items filed under the cells that box meets, with repeats."""
-        cells = self.cells
-        return [item for key in self.keys(box) for item in cells.get(key, ())]
+def scale_classes(f: Family, indices):
+    """(L, classes, cells): each member's scale class, the least k >= 0 with
+    S_i <= 2^(k+1) S_min, exact on the scaled columns, and per occupied
+    class its cell in the frame of member_boxes (L D, L clearing the base's
+    bounding box): the base's widest side times the class's largest S.  So
+    no box is wider than the cell of its class or of a coarser one."""
+    bbox = f.base.bbox()
+    L = math.lcm(*[v.denominator for iv in bbox for v in (iv.lo, iv.hi)])
+    unit = int(max(iv.length() for iv in bbox) * L)
+    ss = list(map(f.scaled_translations()[2].__getitem__, indices))
+    smin = min(ss, default=1)
+    of, top = {}, {}
+    for s in set(ss):
+        a, b = s.numerator * smin.denominator, s.denominator * smin.numerator
+        k = a.bit_length() - b.bit_length()
+        of[s] = k = max(k - (a <= b << k), 0)
+        top[k] = max(top.get(k, s), s)
+    return L, [of[s] for s in ss], {k: unit * s for k, s in top.items()}
 
 
-def neighbor_index(f: Family):
-    """candidates(i): the members j != i whose bodies may meet member i.
-
-    Only prunes: the candidates include every true neighbour and callers
-    test each one exactly.  Translate families are bucketed by their scaled
-    translations (Family.scaled_translations) on a grid whose cell is the
-    base's widest bounding-box side times D, so members that meet sit in
-    adjacent cells.  Homothet families file each member's exact box
-    (member_boxes) under every BoxGrid cell it meets and keep the members
-    whose boxes overlap; pair_checker then decides each candidate.
-    """
-    if f.kind != "translates":
-        return _homothet_index(f)
-    D, cols, _ = f.scaled_translations()
-    cell = max(iv.length() for iv in f.base.bbox()) * D
-    # one int key per member: the cell coordinates in mixed radix, each
-    # digit kept off its range ends so that the +-1 steps never carry
-    keys = [0] * len(f)
+def _grid_keys(cols, cell):
+    """(keys, steps): each row's cell floor(v / cell) as one int in mixed
+    radix, digits kept off their range ends so that no +-1 step carries."""
+    keys = [0] * len(cols[0])
     steps = [0]
     stride = 1
     for col in cols:
@@ -455,33 +429,65 @@ def neighbor_index(f: Family):
         keys = [k + (d - lo) * stride for k, d in zip(keys, digits)]
         steps = [s + d * stride for s in steps for d in (-1, 0, 1)]
         stride *= max(digits) - lo + 2
-    grid = {}
-    for i, key in enumerate(keys):
-        grid.setdefault(key, []).append(i)
+    return keys, steps
+
+
+def neighbor_index(f: Family):
+    """candidates(i): the members j != i whose bodies may meet member i,
+    each once.  Only prunes; callers test each candidate exactly.
+
+    A family of one scale (every translate family) is keyed by the cells of
+    its scaled translations, any other by the cells of its members' low box
+    corners (member_boxes) at their scale class (scale_classes); one class
+    is one grid.  Past that, each class has a grid of its own members and
+    one of those of it or finer, and member i looks up the 3^d cells around
+    it in the second at its class and in the first at each coarser class:
+    boxes that meet have low corners in adjacent cells of the coarser one's.
+    """
+    _, cols, S = f.scaled_translations()
+    n = len(f)
+    if S.count(S[0]) == n:
+        cells = {0: max(iv.length() for iv in f.base.bbox()) * S[0]}
+    else:
+        L, cls, cells = scale_classes(f, range(n))
+        los = [int(iv.lo * L) for iv in f.base.bbox()]
+        cols = [[a * s + L * t for s, t in zip(S, col)] for a, col in zip(los, cols)]
+    if len(cells) == 1:
+        keys, steps = _grid_keys(cols, *cells.values())
+        grid = {}
+        for i, key in enumerate(keys):
+            grid.setdefault(key, []).append(i)
+
+        def candidates(i):
+            key = keys[i]
+            out = []
+            for step in steps:
+                out.extend(grid.get(key + step, ()))
+            out.remove(i)
+            return out
+
+        return candidates
+    reach = {k: [] for k in cells}  # per class, the (keys, steps, grid) its members look up
+    for k in sorted(cells):
+        keys, steps = _grid_keys(cols, cells[k])
+        fine, own = {}, {}
+        for i, c in enumerate(cls):
+            if c <= k:
+                fine.setdefault(keys[i], []).append(i)
+                if c == k:
+                    own.setdefault(keys[i], []).append(i)
+        for c in reach:
+            if c <= k:
+                reach[c].append((keys, steps, fine if c == k else own))
 
     def candidates(i):
-        key = keys[i]
         out = []
-        for step in steps:
-            out.extend(grid.get(key + step, ()))
+        for keys, steps, grid in reach[cls[i]]:
+            key = keys[i]
+            for step in steps:
+                out.extend(grid.get(key + step, ()))
         out.remove(i)
         return out
-
-    return candidates
-
-
-def _homothet_index(f: Family):
-    _, boxes = member_boxes(f, range(len(f)))
-    grid = BoxGrid(boxes)
-    for i, box in enumerate(boxes):
-        for key in grid.keys(box):
-            grid.add(key, i)
-
-    def candidates(i):
-        lo, hi = boxes[i]
-        near = set(grid.near(boxes[i]))
-        near.discard(i)
-        return [j for j in near if all(map(le, lo, boxes[j][1])) and all(map(le, boxes[j][0], hi))]
 
     return candidates
 
@@ -675,11 +681,7 @@ class AffineMap:
         and a rational operator norm."""
         from .radicals import sqrt_exact
 
-        if self.b == -self.c and self.a == self.d:
-            pass
-        elif self.b == self.c and self.a == -self.d:
-            pass
-        else:
+        if not (self.b == -self.c and self.a == self.d or self.b == self.c and self.a == -self.d):
             return None
         return sqrt_exact(self.a * self.a + self.b * self.b)
 
@@ -687,19 +689,13 @@ class AffineMap:
 def normalize_affine(f: Family, m: AffineMap) -> Family:
     """Transformed family; the intersection graph is unchanged."""
     if f.base.kind == "polygon":
-        base = PolygonBody(
-            f.base.polygon.linear_map(m.a, m.b, m.c, m.d),
-            m.apply_vector(f.base.reference_point),
-        )
-        members = [Member(m.apply_point(mem.t), mem.s) for mem in f.members]
-        return Family(base, members, f.kind)
-    if f.base.kind == "disk":
+        base = PolygonBody(f.base.polygon.linear_map(m.a, m.b, m.c, m.d),
+                           m.apply_vector(f.base.reference_point))
+    elif f.base.kind == "disk":
         scale = m.is_similarity()
         if scale is None:
-            raise DisksNotClosedUnderAffine(
-                "disks only admit similarity maps with rational scale"
-            )
+            raise DisksNotClosedUnderAffine("disks only admit similarity maps with rational scale")
         base = DiskBody(m.apply_vector(f.base.center), f.base.radius * scale)
-        members = [Member(m.apply_point(mem.t), mem.s) for mem in f.members]
-        return Family(base, members, f.kind)
-    raise SingularMap("affine maps are supported for polygon and disk families")
+    else:
+        raise SingularMap("affine maps are supported for polygon and disk families")
+    return Family(base, [Member(m.apply_point(mem.t), mem.s) for mem in f.members], f.kind)

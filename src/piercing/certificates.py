@@ -7,13 +7,13 @@ points (exact), the witness members must be pairwise disjoint (exact), and
 An explicit certificate lists its points.  Every decision is exact on ints,
 on the membership layer that the oracle shares (bodies.int_point,
 bodies.membership): each point is converted once to (A + B sqrt(m)) / q
-per coordinate and bucketed on an exact grid over the members' boxes
-(bodies.BoxGrid), so verification stays near-linear.  Polygon and box
-membership of a rational point is decided on the family's int slabs
-(bodies.Family.slabs), disk membership by the sign of P + Q sqrt(m) on
-ints.  Only the points that only hand-written files carry, with more than
-one radicand or irrational in a polygon or box family, are tested on the
-realized member.
+per coordinate and bucketed on one exact grid per scale class of the
+members (bodies.scale_classes), so verification stays near-linear however
+far the scales spread.  Polygon and box membership of a rational point is
+decided on the family's int slabs (bodies.Family.slabs), disk membership
+by the sign of P + Q sqrt(m) on ints.  Only the points that only
+hand-written files carry, with more than one radicand or irrational in a
+polygon or box family, are tested on the realized member.
 
 A symbolic certificate (the greedies') lists seeds and clusters instead.
 Its method names a cover pattern and an order (greedy_rule), and by the
@@ -25,18 +25,18 @@ are placed and deduplicated only when asked for (PierceCertificate.points).
 """
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 import math
 from operator import add
 
 from .bodies import (
-    BoxGrid,
     Family,
     int_point,
     member_boxes,
     membership,
     pair_checker,
     pairwise_disjoint,
+    scale_classes,
 )
 from .covers import _triangle_normalizer, homothet_cover, translate_cluster_cover
 from .errors import UnsupportedBase, VerificationFailed
@@ -51,8 +51,9 @@ def _floor_root(b, m):
 
 
 def _cell_key(e, scale, cell):
-    """The BoxGrid key of the point bodies.int_point gave as e, in the frame
-    where member boxes are scaled by scale: per coordinate
+    """The key of the point bodies.int_point gave as e on the grid of one
+    scale class, in the frame where member boxes are scaled by scale
+    (bodies.scale_classes): per coordinate
     floor(scale (A + B sqrt(m)) / (q cell)), which for cell = num / den is
     (a + floor(b sqrt(m))) // (q num) with a = scale den A and
     b = scale den B (_floor_root)."""
@@ -391,25 +392,28 @@ def _check_members(f: Family, indices, points):
     """Every member in indices contains one of points, decided exactly;
     raises VerificationFailed.
 
-    The points are converted once (bodies.int_point) and bucketed on the
-    exact grid of the members' boxes (bodies.member_boxes, bodies.BoxGrid),
-    so a member sees every point of its box.  A member is realized only for
-    a point that bodies.membership leaves open; points with more than one
-    radicand have no cell and are seen by every member."""
+    The points are converted once (bodies.int_point) and filed once per
+    scale class of the members (bodies.scale_classes, _cell_key); a member
+    sees the points of the <= 2^d cells its box meets at its class.  It is
+    realized only for a point that bodies.membership leaves open; points
+    with more than one radicand have no cell and are seen by every member."""
     indices = list(indices)
     ipts = [int_point(p) for p in points]
     scale, boxes = member_boxes(f, indices)
-    grid = BoxGrid(boxes)
+    _, classes, cells = scale_classes(f, indices)
+    grids = {c: {} for c in cells}
     loose = []
     for k, e in enumerate(ipts):
         if e is None:
             loose.append(k)
         else:
-            grid.add(_cell_key(e, scale, grid.cell), k)
+            for c, grid in grids.items():
+                grid.setdefault(_cell_key(e, scale, cells[c]), []).append(k)
     member = membership(f, ipts)
-    for i, box in zip(indices, boxes):
+    for i, box, c in zip(indices, boxes, classes):
         test = member(i)
-        for k in chain(grid.near(box), loose):
+        keys = product(*[range(a // cells[c], b // cells[c] + 1) for a, b in zip(*box)])
+        for k in chain(*[grids[c].get(key, ()) for key in keys], loose):
             inside = test(k)
             if inside is None:
                 inside = f.realize(i).contains(points[k])

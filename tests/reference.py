@@ -7,10 +7,12 @@ coverage masks by the bodies' own contains, and the containment step of
 the smallest-first argument with an explicit common point.  The clipping
 functions are the Fraction versions of geom's integer kernel, and the
 lattice offset search tests Fraction lattice points against every realized
-member.
+member.  call_budget bounds the work of a block by counting its calls, a
+deterministic stand-in for a time or memory limit.
 """
 
 from fractions import Fraction
+import sys
 
 from piercing.bodies import BoxBody, DiskBody, PolygonBody
 from piercing.errors import DegenerateInput
@@ -224,3 +226,30 @@ def lattice_offset_members(f, spec, center, target, seed=0, subdivisions=(4, 8, 
             kept.append(i)
     return kept
 
+
+class CallBudgetExceeded(Exception):
+    pass
+
+
+class call_budget:
+    """A deterministic bound on work, unlike wall time: inside the block,
+    every call of a Python function or a builtin counts (sys.setprofile),
+    and the call past limit raises CallBudgetExceeded."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.calls = 0
+
+    def _count(self, frame, event, arg):
+        if event in ("call", "c_call"):
+            self.calls += 1
+            if self.calls > self.limit:
+                raise CallBudgetExceeded("more than %d calls" % self.limit)
+
+    def __enter__(self):
+        self._outer = sys.getprofile()
+        sys.setprofile(self._count)
+        return self
+
+    def __exit__(self, *exc):
+        sys.setprofile(self._outer)

@@ -11,11 +11,18 @@ from piercing.bodies import (
     Member,
     PolygonBody,
     intersection_graph,
+    neighbor_index,
     normalize_affine,
 )
 from piercing.errors import DisksNotClosedUnderAffine, MixedKinds, SingularMap
-from piercing.generators import five_square_cycle, random_family, unit_disk, unit_square
-from piercing.geom import Point
+from piercing.generators import (
+    five_square_cycle,
+    random_family,
+    unit_disk,
+    unit_square,
+    unit_triangle,
+)
+from piercing.geom import ConvexPolygon, Point
 from reference import graphs_equal, intersection_graph_bruteforce
 
 
@@ -53,15 +60,79 @@ def test_far_translates_empty_graph():
     assert all(not a for a in adj)
 
 
-@pytest.mark.parametrize("base,kind", [("square", "translates"), ("disk", "translates"),
-                                       ("disk", "homothets")])
+GRAPH_BASES = {
+    "square": unit_square,
+    "disk": unit_disk,
+    "triangle": unit_triangle,
+    "box2": lambda: BoxBody((F(-1, 2), 0), (1, F(3, 2))),
+    "box3": lambda: BoxBody((0, F(1, 3), -1), (1, 2, F(1, 2))),
+    # far from the origin, where a member's box corner moves with its scale
+    "far": lambda: PolygonBody(ConvexPolygon([Point(20, 30), Point(21, 30), Point(20, 31)])),
+}
+PRIMES = [p for p in range(1000, 1300) if all(p % d for d in range(2, 37))]
+
+
+def _with_outliers(f, scales, rational):
+    """f plus one member of each scale s, at a translation rational(-s, 12)
+    on every axis, so that it meets some members and misses others."""
+    cols = [list(col) for col in f.columns]
+    for s in scales:
+        for col in cols:
+            col.append(rational(-s, 12))
+    return Family.from_columns(f.base, cols, list(f.scales) + list(map(F, scales)), "homothets")
+
+
+def _graph_families(base, kind, rng):
+    make = GRAPH_BASES[base]
+    if kind in ("translates", "homothets"):
+        for trial in range(4 if base in ("square", "disk") else 2):
+            n = rng.randrange(20, 200)
+            yield random_family(make(), n, box_size=12, kind=kind, seed=100 + trial)
+    elif kind == "outliers":
+        # scales 1-2 and four members 400 and 10^4 times larger
+        for trial in range(2):
+            f = random_family(make(), rng.randrange(60, 150), box_size=12, kind="homothets",
+                              scale_range=(1, 2), seed=200 + trial)
+            yield _with_outliers(f, [400, 400, 10 ** 4, 10 ** 4],
+                                 lambda a, b: F(rng.randrange(4 * a, 4 * b), 4))
+    elif kind == "fractions":
+        # prime denominators: D is over MAX_SCALE_BITS, so the columns are Fractions
+        def rational(a, b):
+            q = rng.choice(PRIMES)
+            return F(rng.randrange(a * q, b * q), q)
+
+        dim = len(make().bbox())
+        f = Family.from_columns(make(), [[rational(0, 12) for _ in range(60)] for _ in range(dim)],
+                                [1 + rational(0, 2) for _ in range(60)], "homothets")
+        f = _with_outliers(f, [400, 10 ** 4], rational)
+        assert f.scaled_translations()[0] == 1
+        yield f
+    else:
+        # one and two members, meeting or not, of equal or very different scales
+        for trial in range(30):
+            scales = [rng.choice([1, F(3, 2), 2, 400, 10 ** 4]) for _ in range(1 + trial % 2)]
+            dim = len(make().bbox())
+            cols = [[F(rng.randrange(-8, 8), 2) for _ in scales] for _ in range(dim)]
+            yield Family.from_columns(make(), cols, list(map(F, scales)), "homothets")
+
+
+@pytest.mark.parametrize("base,kind", [
+    ("square", "translates"), ("disk", "translates"), ("disk", "homothets"),
+    ("triangle", "homothets"), ("box2", "homothets"), ("box3", "homothets"), ("far", "homothets"),
+    ("triangle", "outliers"), ("disk", "outliers"), ("box2", "outliers"), ("box3", "outliers"),
+    ("far", "outliers"),
+    ("triangle", "fractions"), ("disk", "fractions"), ("box2", "fractions"),
+    ("triangle", "small"), ("disk", "small"), ("box3", "small"), ("far", "small"),
+])
 def test_grid_graph_matches_bruteforce(base, kind):
-    bases = {"square": unit_square, "disk": unit_disk}
     rng = random.Random(17)
-    for trial in range(4):
-        n = rng.randrange(20, 200)
-        f = random_family(bases[base](), n, box_size=12, kind=kind, seed=100 + trial)
+    for f in _graph_families(base, kind, rng):
         assert graphs_equal(intersection_graph(f), intersection_graph_bruteforce(f))
+        # the index lists each other member at most once, and never i itself
+        candidates = neighbor_index(f)
+        for i in range(len(f)):
+            near = candidates(i)
+            assert i not in near and len(set(near)) == len(near)
 
 
 def test_mixed_kinds_rejected():

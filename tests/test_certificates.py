@@ -20,7 +20,13 @@ from piercing.bodies import (
     intersection_graph,
     member_boxes,
 )
-from piercing.certificates import PierceCertificate, _floor_root, dedupe_points, value_key
+from piercing.certificates import (
+    PierceCertificate,
+    _check_members,
+    _floor_root,
+    dedupe_points,
+    value_key,
+)
 from piercing.cli import auto_pierce, main
 from piercing.errors import VerificationFailed
 from piercing.generators import (
@@ -35,7 +41,7 @@ from piercing.geom import ConvexPolygon, Point
 from piercing.homothets import greedy_pierce_homothets
 from piercing.radicals import RadPoint, Radical
 from piercing.translates import greedy_pierce
-from reference import graphs_equal, intersection_graph_bruteforce
+from reference import call_budget, graphs_equal, intersection_graph_bruteforce
 
 
 def _prime_family(n, seed):
@@ -155,6 +161,52 @@ def test_point_with_two_radicands_is_tested_on_the_realized_disk(tmp_path):
     g = Family(f.base, f.members)
     assert PierceCertificate("greedy", 4, [inside], [(0, (0,))], [0]).verify(g)
     assert g._realized[0] is not None
+
+
+def test_verify_work_does_not_grow_with_a_member_scale(tmp_path):
+    # five unit triangles and one member 10^6 times larger that holds them
+    # all: its box meets 10^12 cells as wide as a unit member, but at most
+    # 2^2 cells of its own scale class
+    f = Family(unit_triangle(), [Member(Point(3 * k, 0)) for k in range(5)]
+               + [Member(Point(-1, -1), 10 ** 6)], "homothets")
+    points = [Point(3 * k + F(1, 3), F(1, 3)) for k in range(5)]
+    path = tmp_path / "cert.json"
+    cert = PierceCertificate("explicit", 1, points, [], range(5))
+    jsonio.dump(jsonio.certificate_to_json(cert, f), str(path))
+    assert path.stat().st_size < 600
+    with call_budget(100_000):
+        assert main(["verify", str(path)]) == 0
+
+
+@pytest.mark.parametrize("base", [unit_triangle, unit_disk,
+                                  lambda: BoxBody((0, F(1, 2)), (F(3, 2), 1))])
+def test_check_members_matches_realized_membership_across_scale_classes(base):
+    # scales 1-2 with members 5, 400 and 10^4 times larger; the points are
+    # member vertices or corners (on a boundary) and random points
+    rng = random.Random(11)
+    f = random_family(base(), 40, box_size=12, kind="homothets", scale_range=(1, 2), seed=12)
+    cols = [col + [F(rng.randrange(-4 * s, 48), 4) for s in (5, 400, 10 ** 4)]
+            for col in f.columns]
+    f = Family.from_columns(f.base, cols, f.scales + [F(5), F(400), F(10 ** 4)], "homothets")
+    make = tuple if f.base.kind == "box" else (lambda xy: Point(*xy))
+    points = []
+    for _ in range(12):
+        body = f.realize(rng.randrange(len(f)))
+        if body.kind == "polygon":
+            points.append(rng.choice(body.polygon.vertices))
+        elif body.kind == "box":
+            points.append(body.mins)
+        else:
+            points.append(Point(body.center.x, body.top()))
+        points.append(make([F(rng.randrange(-40, 200), 8) for _ in range(2)]))
+    held = [any(f.realize(i).contains(p) for p in points) for i in range(len(f))]
+    assert 3 < sum(held) < len(f) - 3
+    covered = [i for i in range(len(f)) if held[i]]
+    _check_members(f, covered, points)
+    for i in range(len(f)):
+        if not held[i]:
+            with pytest.raises(VerificationFailed, match="member %d contains" % i):
+                _check_members(f, covered + [i], points)
 
 
 def _prime_homothets(base, n, seed):

@@ -13,6 +13,7 @@ from piercing.bodies import (
     PolygonBody,
     int_point,
     membership,
+    neighbor_index,
     pair_checker,
 )
 from piercing.generators import (
@@ -25,7 +26,7 @@ from piercing.generators import (
 from piercing.geom import ConvexPolygon, Point
 from piercing.homothets import greedy_pierce_homothets
 from piercing.oracle import exact_nu
-from reference import body_contains_body, containment_witness
+from reference import body_contains_body, call_budget, containment_witness
 
 PENTAGON = PolygonBody(
     ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Point(2, 5), Point(-1, 2)])
@@ -294,3 +295,20 @@ def test_prime_denominator_homothets_take_fraction_columns(name):
     assert D == 1 and all(type(v) is F for col in cols + [S] for v in col)
     cert = greedy_pierce_homothets(f, refine=False)
     assert cert.clusters == _reference_smallest_first(f)
+
+
+def test_an_outlier_scale_costs_the_index_one_more_class():
+    # 2,000 unit triangles and one member 10^4 times larger: a grid with
+    # cells as wide as a unit member would file it under about 4e7 cells;
+    # on scale classes it is filed twice and looked up in 9 cells per class
+    f = random_family(unit_triangle(), 2000, box_size=60, kind="homothets",
+                      scale_range=(1, 2), seed=1)
+    f = Family.from_columns(f.base, [col + [F(7)] for col in f.columns],
+                            f.scales + [F(10 ** 4)], "homothets")
+    with call_budget(600_000):
+        candidates = neighbor_index(f)
+        assert len(candidates(len(f) - 1)) > 1000
+        assert all(len(candidates(i)) < 60 for i in range(len(f) - 1))
+        cert = greedy_pierce_homothets(f, refine=False)
+    # the outlier is the last seed candidate and meets an earlier seed
+    assert len(f) - 1 not in cert.witness
