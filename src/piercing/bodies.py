@@ -13,7 +13,7 @@ ints, and polygon and box members are slabs lo <= w.p <= hi with int bounds
 checks and for the oracle's coverage masks alike: a point becomes ints
 (A + B sqrt(m)) / q once (int_point), and membership tests it against a
 member's slabs, or a disk member by the exact sign of P + Q sqrt(m).  The
-members' scaled bounding boxes (member_boxes) are int too, and one exact
+members' scaled bounding boxes (box_columns) are int too, and one exact
 grid per power-of-two scale class of the members (scale_classes) gives
 the pair candidates (neighbor_index) and, in certificates, the points a
 member tests.  Over MAX_SCALE_BITS the same code runs on Fractions with
@@ -166,7 +166,10 @@ class BoxBody:
         return tuple(Interval(m, m + s) for m, s in zip(self.mins, self.sides))
 
     def measure(self) -> Fraction:
-        return math.prod(self.sides, start=Fraction(1))
+        out = Fraction(1)
+        for s in self.sides:
+            out *= s
+        return out
 
     def top(self) -> Fraction:
         return self.mins[-1] + self.sides[-1]
@@ -378,43 +381,42 @@ def _member_slabs(f: Family):
     return forms, list(zip(*los)), list(zip(*his))
 
 
-def member_boxes(f: Family, indices):
-    """(scale, boxes): the bounding box of each member in indices times
-    scale = L D, as (lo, hi) tuples with one bound per axis.  L clears the
-    denominators of the base's bounding box B, so on the scaled columns the
-    box of member i is S_i L B + L T_i: ints, or Fractions over
-    MAX_SCALE_BITS."""
+def box_columns(f: Family, indices):
+    """(scale, ss, lo_cols, sides), the frame of member_boxes: scale = L D,
+    L clearing the denominators of the base's bounding box B; ss holds the
+    scales S_i of the members in indices, lo_cols per axis the low bounds
+    S_i L B_lo + L T_i of their boxes, and sides the sides of L B, so a box
+    has high bounds lo + S_i side: ints, or Fractions over MAX_SCALE_BITS."""
     D, cols, S = f.scaled_translations()
-    bounds = [(iv.lo, iv.hi) for iv in f.base.bbox()]
-    L = math.lcm(*[v.denominator for b in bounds for v in b])
-    los, his = [[v.numerator * (L // v.denominator) for v in b] for b in zip(*bounds)]
-    ss = [S[i] for i in indices]
-    lo_cols, hi_cols = [], []
-    for col, lo, hi in zip(cols, los, his):
-        ts = [L * col[i] for i in indices]
-        lo_cols.append([lo * s + t for s, t in zip(ss, ts)])
-        hi_cols.append([hi * s + t for s, t in zip(ss, ts)])
-    return L * D, list(zip(zip(*lo_cols), zip(*hi_cols)))
-
-
-def scale_classes(f: Family, indices):
-    """(L, classes, cells): each member's scale class, the least k >= 0 with
-    S_i <= 2^(k+1) S_min, exact on the scaled columns, and per occupied
-    class its cell in the frame of member_boxes (L D, L clearing the base's
-    bounding box): the base's widest side times the class's largest S.  So
-    no box is wider than the cell of its class or of a coarser one."""
     bbox = f.base.bbox()
     L = math.lcm(*[v.denominator for iv in bbox for v in (iv.lo, iv.hi)])
-    unit = int(max(iv.length() for iv in bbox) * L)
-    ss = list(map(f.scaled_translations()[2].__getitem__, indices))
+    ss = [S[i] for i in indices]
+    lo_cols = [[a * s + L * col[i] for s, i in zip(ss, indices)]
+               for a, col in zip([int(iv.lo * L) for iv in bbox], cols)]
+    return L * D, ss, lo_cols, [int(iv.length() * L) for iv in bbox]
+
+
+def member_boxes(f: Family, indices):
+    """(scale, boxes): the bounding box of each member in indices times
+    scale, as (lo, hi) tuples with one bound per axis (box_columns)."""
+    scale, ss, lo_cols, sides = box_columns(f, indices)
+    hi_cols = [[v + s * w for v, s in zip(col, ss)] for col, w in zip(lo_cols, sides)]
+    return scale, list(zip(zip(*lo_cols), zip(*hi_cols)))
+
+
+def scale_classes(ss, unit):
+    """(classes, cells): the class of each scale s, the least k >= 0 with
+    s <= 2^(k+1) s_min, decided exactly, and per occupied class its cell,
+    unit times its largest scale.  With the widest side of box_columns as
+    unit, no box is wider than the cell of its class or of a coarser one."""
     smin = min(ss, default=1)
-    of, top = {}, {}
+    of, cells = {}, {}
     for s in set(ss):
         a, b = s.numerator * smin.denominator, s.denominator * smin.numerator
         k = a.bit_length() - b.bit_length()
         of[s] = k = max(k - (a <= b << k), 0)
-        top[k] = max(top.get(k, s), s)
-    return L, [of[s] for s in ss], {k: unit * s for k, s in top.items()}
+        cells[k] = max(cells.get(k, 0), unit * s)
+    return [of[s] for s in ss], cells
 
 
 def _grid_keys(cols, cell):
@@ -437,45 +439,30 @@ def neighbor_index(f: Family):
     each once.  Only prunes; callers test each candidate exactly.
 
     A family of one scale (every translate family) is keyed by the cells of
-    its scaled translations, any other by the cells of its members' low box
-    corners (member_boxes) at their scale class (scale_classes); one class
-    is one grid.  Past that, each class has a grid of its own members and
-    one of those of it or finer, and member i looks up the 3^d cells around
-    it in the second at its class and in the first at each coarser class:
-    boxes that meet have low corners in adjacent cells of the coarser one's.
+    its scaled translations on one grid, any other by the cells of its
+    members' low box corners (box_columns) at their scale class
+    (scale_classes).  Each class has a grid of the members of it or finer
+    and, when a finer class exists, one of its own members; member i looks
+    up the 3^d cells around it in the first at its class and in the second
+    at each coarser class: boxes that meet have low corners in adjacent
+    cells of the coarser one's class.
     """
     _, cols, S = f.scaled_translations()
     n = len(f)
     if S.count(S[0]) == n:
-        cells = {0: max(iv.length() for iv in f.base.bbox()) * S[0]}
+        cls, cells = [0] * n, {0: max(iv.length() for iv in f.base.bbox()) * S[0]}
     else:
-        L, cls, cells = scale_classes(f, range(n))
-        los = [int(iv.lo * L) for iv in f.base.bbox()]
-        cols = [[a * s + L * t for s, t in zip(S, col)] for a, col in zip(los, cols)]
-    if len(cells) == 1:
-        keys, steps = _grid_keys(cols, *cells.values())
-        grid = {}
-        for i, key in enumerate(keys):
-            grid.setdefault(key, []).append(i)
-
-        def candidates(i):
-            key = keys[i]
-            out = []
-            for step in steps:
-                out.extend(grid.get(key + step, ()))
-            out.remove(i)
-            return out
-
-        return candidates
+        _, S, cols, sides = box_columns(f, range(n))
+        cls, cells = scale_classes(S, max(sides))
     reach = {k: [] for k in cells}  # per class, the (keys, steps, grid) its members look up
     for k in sorted(cells):
         keys, steps = _grid_keys(cols, cells[k])
         fine, own = {}, {}
-        for i, c in enumerate(cls):
+        for i, (key, c) in enumerate(zip(keys, cls)):
             if c <= k:
-                fine.setdefault(keys[i], []).append(i)
-                if c == k:
-                    own.setdefault(keys[i], []).append(i)
+                fine.setdefault(key, []).append(i)
+                if c == k > 0:  # class 0 is the finest: no class looks up its own members
+                    own.setdefault(key, []).append(i)
         for c in reach:
             if c <= k:
                 reach[c].append((keys, steps, fine if c == k else own))
@@ -681,7 +668,11 @@ class AffineMap:
         and a rational operator norm."""
         from .radicals import sqrt_exact
 
-        if not (self.b == -self.c and self.a == self.d or self.b == self.c and self.a == -self.d):
+        if self.b == -self.c and self.a == self.d:
+            pass
+        elif self.b == self.c and self.a == -self.d:
+            pass
+        else:
             return None
         return sqrt_exact(self.a * self.a + self.b * self.b)
 
@@ -689,13 +680,19 @@ class AffineMap:
 def normalize_affine(f: Family, m: AffineMap) -> Family:
     """Transformed family; the intersection graph is unchanged."""
     if f.base.kind == "polygon":
-        base = PolygonBody(f.base.polygon.linear_map(m.a, m.b, m.c, m.d),
-                           m.apply_vector(f.base.reference_point))
-    elif f.base.kind == "disk":
+        base = PolygonBody(
+            f.base.polygon.linear_map(m.a, m.b, m.c, m.d),
+            m.apply_vector(f.base.reference_point),
+        )
+        members = [Member(m.apply_point(mem.t), mem.s) for mem in f.members]
+        return Family(base, members, f.kind)
+    if f.base.kind == "disk":
         scale = m.is_similarity()
         if scale is None:
-            raise DisksNotClosedUnderAffine("disks only admit similarity maps with rational scale")
+            raise DisksNotClosedUnderAffine(
+                "disks only admit similarity maps with rational scale"
+            )
         base = DiskBody(m.apply_vector(f.base.center), f.base.radius * scale)
-    else:
-        raise SingularMap("affine maps are supported for polygon and disk families")
-    return Family(base, [Member(m.apply_point(mem.t), mem.s) for mem in f.members], f.kind)
+        members = [Member(m.apply_point(mem.t), mem.s) for mem in f.members]
+        return Family(base, members, f.kind)
+    raise SingularMap("affine maps are supported for polygon and disk families")

@@ -8,12 +8,13 @@ An explicit certificate lists its points.  Every decision is exact on ints,
 on the membership layer that the oracle shares (bodies.int_point,
 bodies.membership): each point is converted once to (A + B sqrt(m)) / q
 per coordinate and bucketed on one exact grid per scale class of the
-members (bodies.scale_classes), so verification stays near-linear however
-far the scales spread.  Polygon and box membership of a rational point is
-decided on the family's int slabs (bodies.Family.slabs), disk membership
-by the sign of P + Q sqrt(m) on ints.  Only the points that only
-hand-written files carry, with more than one radicand or irrational in a
-polygon or box family, are tested on the realized member.
+members (bodies.scale_classes), so verification is near-linear per
+occupied class: O((n + points) * classes), with at most
+log2(S_max / S_min) + 1 classes.  Polygon and box membership of a
+rational point is decided on the family's int slabs (bodies.Family.slabs),
+disk membership by the sign of P + Q sqrt(m) on ints.  Only the points
+that only hand-written files carry, with more than one radicand or
+irrational in a polygon or box family, are tested on the realized member.
 
 A symbolic certificate (the greedies') lists seeds and clusters instead.
 Its method names a cover pattern and an order (greedy_rule), and by the
@@ -31,8 +32,8 @@ from operator import add
 
 from .bodies import (
     Family,
+    box_columns,
     int_point,
-    member_boxes,
     membership,
     pair_checker,
     pairwise_disjoint,
@@ -394,13 +395,14 @@ def _check_members(f: Family, indices, points):
 
     The points are converted once (bodies.int_point) and filed once per
     scale class of the members (bodies.scale_classes, _cell_key); a member
-    sees the points of the <= 2^d cells its box meets at its class.  It is
+    sees the points of the <= 2^d cells its box (bodies.box_columns) meets
+    at its class.  It is
     realized only for a point that bodies.membership leaves open; points
     with more than one radicand have no cell and are seen by every member."""
     indices = list(indices)
     ipts = [int_point(p) for p in points]
-    scale, boxes = member_boxes(f, indices)
-    _, classes, cells = scale_classes(f, indices)
+    scale, ss, lo_cols, sides = box_columns(f, indices)
+    classes, cells = scale_classes(ss, max(sides))
     grids = {c: {} for c in cells}
     loose = []
     for k, e in enumerate(ipts):
@@ -410,9 +412,10 @@ def _check_members(f: Family, indices, points):
             for c, grid in grids.items():
                 grid.setdefault(_cell_key(e, scale, cells[c]), []).append(k)
     member = membership(f, ipts)
-    for i, box, c in zip(indices, boxes, classes):
+    for i, s, lo, c in zip(indices, ss, zip(*lo_cols), classes):
         test = member(i)
-        keys = product(*[range(a // cells[c], b // cells[c] + 1) for a, b in zip(*box)])
+        cell = cells[c]
+        keys = product(*[range(a // cell, (a + s * w) // cell + 1) for a, w in zip(lo, sides)])
         for k in chain(*[grids[c].get(key, ()) for key in keys], loose):
             inside = test(k)
             if inside is None:
