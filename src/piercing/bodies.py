@@ -261,16 +261,21 @@ class Family:
     def subfamily(self, indices):
         """The family of the members in indices, in that order.  It takes
         its scaled columns from this family's (scaled_translations): any
-        common denominator D scales exactly."""
+        common denominator D scales exactly; so its slabs are this
+        family's rows, carried over when computed."""
         indices = list(indices)
 
         def pick(col):
             return [col[i] for i in indices]
 
         D, cols, S = self.scaled_translations()
-        return Family.from_columns(self.base, [pick(col) for col in self.columns],
-                                   pick(self.scales), self.kind,
-                                   (D, [pick(col) for col in cols], pick(S)))
+        sub = Family.from_columns(self.base, [pick(col) for col in self.columns],
+                                  pick(self.scales), self.kind,
+                                  (D, [pick(col) for col in cols], pick(S)))
+        if self._slabs is not None:
+            forms, lo, hi = self._slabs
+            sub._slabs = forms, pick(lo), pick(hi)
+        return sub
 
     def realize(self, i):
         body = self._realized.get(i)
@@ -278,9 +283,6 @@ class Family:
             body = self._realized[i] = self.base.scale_translate(self.scales[i],
                                                                  self.translation(i))
         return body
-
-    def bodies(self):
-        return [self.realize(i) for i in range(len(self))]
 
     def intersects(self, i, j) -> bool:
         return self.realize(i).intersects(self.realize(j))

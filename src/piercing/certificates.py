@@ -359,10 +359,15 @@ class PierceCertificate:
         if self.clusters:
             if not all(seed_i in members for seed_i, members in self.clusters):
                 raise VerificationFailed("cluster seed outside its cluster")
-            listed = sorted(chain.from_iterable(members for _, members in self.clusters))
-            if listed != list(range(n)):
-                if len(set(listed)) != len(listed):
-                    raise VerificationFailed("clusters overlap")
+            marks = bytearray(n)
+            for _, members in self.clusters:
+                for j in members:
+                    if not 0 <= j < n:
+                        raise VerificationFailed("clusters do not partition the family")
+                    if marks[j]:
+                        raise VerificationFailed("clusters overlap")
+                    marks[j] = 1
+            if marks.count(0):
                 raise VerificationFailed("clusters do not partition the family")
         return True
 

@@ -26,32 +26,6 @@ from .geom import Point, frac
 from .radicals import RadPoint, Radical, sqrt_exact
 
 
-def circle_circle_points(c1: Point, r1, c2: Point, r2):
-    """Intersection points of two ordinary circles with rational data.
-
-    Returns [] when disjoint or concentric, one RadPoint at a tangency
-    (rational), else two RadPoints in a single sqrt extension.
-    """
-    r1, r2 = frac(r1), frac(r2)
-    u = c2 - c1
-    d2 = u.norm2()
-    if d2 == 0:
-        return []
-    a = (d2 + r1 * r1 - r2 * r2) / (2 * d2)
-    t2 = r1 * r1 / d2 - a * a
-    if t2 < 0:
-        return []
-    mid = c1 + u * a
-    if t2 == 0:
-        return [RadPoint(Radical.of(mid.x), Radical.of(mid.y))]
-    t = Radical.sqrt(t2)
-    px = Radical.of(mid.x)
-    py = Radical.of(mid.y)
-    ox = t * (-u.y)
-    oy = t * u.x
-    return [RadPoint(px + ox, py + oy), RadPoint(px - ox, py - oy)]
-
-
 class Conic:
     """The disk w1*(x-a)^2 + w2*(y-b)^2 <= r2 with positive rational data."""
 

@@ -7,16 +7,22 @@ coverage masks by the bodies' own contains, and the containment step of
 the smallest-first argument with an explicit common point.  The clipping
 functions are the Fraction versions of geom's integer kernel, and the
 lattice offset search tests Fraction lattice points against every realized
-member.  call_budget bounds the work of a block by counting its calls, a
-deterministic stand-in for a time or memory limit.
+member.  The oracle's candidate set is built on the realized members
+(bodies, circle_circle_points) and deduplicated by value.  call_budget
+bounds the work of a block by counting its calls, a deterministic
+stand-in for a time or memory limit.
 """
 
 from fractions import Fraction
+import itertools
 import sys
 
 from piercing.bodies import BoxBody, DiskBody, PolygonBody
+from piercing.certificates import dedupe_points
 from piercing.errors import DegenerateInput
-from piercing.geom import ConvexPolygon, Interval, Point
+from piercing.geom import ConvexPolygon, Interval, Point, frac
+from piercing.oracle import _points
+from piercing.radicals import RadPoint, Radical
 from piercing.translates import _offset_candidates
 
 
@@ -108,13 +114,88 @@ def graphs_equal(a, b) -> bool:
     return len(a) == len(b) and all(x == y for x, y in zip(a, b))
 
 
+def bodies(f):
+    """Every member of f, realized."""
+    return [f.realize(i) for i in range(len(f))]
+
+
+def circle_circle_points(c1, r1, c2, r2):
+    """Intersection points of two ordinary circles with rational data.
+
+    Returns [] when disjoint or concentric, one RadPoint at a tangency
+    (rational), else two RadPoints in a single sqrt extension.
+    """
+    r1, r2 = frac(r1), frac(r2)
+    u = c2 - c1
+    d2 = u.norm2()
+    if d2 == 0:
+        return []
+    a = (d2 + r1 * r1 - r2 * r2) / (2 * d2)
+    t2 = r1 * r1 / d2 - a * a
+    if t2 < 0:
+        return []
+    mid = c1 + u * a
+    if t2 == 0:
+        return [RadPoint(Radical.of(mid.x), Radical.of(mid.y))]
+    t = Radical.sqrt(t2)
+    px = Radical.of(mid.x)
+    py = Radical.of(mid.y)
+    ox = t * (-u.y)
+    oy = t * u.x
+    return [RadPoint(px + ox, py + oy), RadPoint(px - ox, py - oy)]
+
+
+def candidate_points(f):
+    """The oracle's candidate set on the realized members, as values:
+    vertices and reference points then pairwise intersections (polygons),
+    centres then pairwise circle crossings, rational ones first (disks),
+    or the products of low corner coordinates some member contains (boxes);
+    repeated values dropped, first occurrences in order."""
+    bs = bodies(f)
+    n = len(f)
+    kind = f.base.kind
+    if kind == "polygon":
+        out = []
+        for b in bs:
+            out.extend(b.polygon.vertices)
+            out.append(b.reference_point)
+        for i in range(n):
+            for j in range(i + 1, n):
+                out.extend(intersection_chain(bs[i].polygon, bs[j].polygon))
+        return dedupe_points(out)
+    if kind == "disk":
+        rat = [b.center for b in bs]
+        rad = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                for p in circle_circle_points(bs[i].center, bs[i].radius,
+                                              bs[j].center, bs[j].radius):
+                    if p.is_rational():
+                        rat.append(Point(p.x.as_fraction(), p.y.as_fraction()))
+                    else:
+                        rad.append(p)
+        return dedupe_points(rat + rad)
+    axes = [sorted({b.mins[k] for b in bs}) for k in range(f.base.dim)]
+    combos = list(itertools.product(*axes))
+    return [p for p, m in zip(combos, coverage_masks(f, combos)) if m]
+
+
+def _is_entry(p):
+    """Whether p is an int entry (q, m, A, B) of oracle.candidate_points,
+    not a point: a box point's last coordinate is a number."""
+    return isinstance(p, tuple) and len(p) == 4 and isinstance(p[3], (tuple, type(None)))
+
+
 def coverage_masks(f, candidates):
-    """masks[k] has bit i set iff the realized member i contains candidates[k]."""
-    bodies = f.bodies()
+    """masks[k] has bit i set iff the realized member i contains
+    candidates[k], a point or an int entry of oracle.candidate_points."""
+    bs = bodies(f)
     masks = []
     for p in candidates:
+        if _is_entry(p):
+            (p,) = _points(f, [p])
         m = 0
-        for i, b in enumerate(bodies):
+        for i, b in enumerate(bs):
             if b.contains(p):
                 m |= 1 << i
         masks.append(m)
@@ -186,8 +267,8 @@ def lattice_points(f, spec, offset):
     """Lattice points (+offset) in the union's bounding box, in index order,
     each with the realized members that contain it, ascending."""
     ix, iy = _union_bbox(f)
-    bodies = f.bodies()
-    return [(p, [i for i, b in enumerate(bodies) if b.contains(p)])
+    bs = bodies(f)
+    return [(p, [i for i, b in enumerate(bs) if b.contains(p)])
             for p in spec.points_in_bbox(ix, iy, offset)]
 
 

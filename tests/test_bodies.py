@@ -10,6 +10,7 @@ from piercing.bodies import (
     Family,
     Member,
     PolygonBody,
+    _member_slabs,
     intersection_graph,
     neighbor_index,
     normalize_affine,
@@ -181,3 +182,32 @@ def test_box_family_basics():
     assert not f.intersects(0, 2)
     assert f.realize(1).mins == (F(1, 2), 0, 0)
     assert base.measure() == 2
+
+
+def _fraction_columns(f):
+    """f shifted by one vector whose denominators need more than
+    MAX_SCALE_BITS bits, so its scaled columns hold Fractions (D = 1)."""
+    shift = [F(1, 3 ** 82), F(-2, 3 ** 81), F(5, 7 ** 50)]
+    g = Family.from_columns(f.base, [[v + d for v in col] for col, d in zip(f.columns, shift)],
+                            f.scales, f.kind)
+    assert g.scaled_translations()[0] == 1
+    return g
+
+
+@pytest.mark.parametrize("base", [unit_triangle, lambda: BoxBody((0, 0, 0), (1, F(3, 2), 1))],
+                         ids=["triangle", "box"])
+@pytest.mark.parametrize("kind", ["translates", "homothets"])
+@pytest.mark.parametrize("fractions", [False, True], ids=["ints", "fractions"])
+def test_subfamily_carries_the_slab_rows(base, kind, fractions):
+    """A sub-family takes its slab rows from a family that has computed
+    them, equal to the slabs it would compute itself."""
+    f = random_family(base(), 60, box_size=8, kind=kind, scale_range=(1, 3), seed=11)
+    if fractions:
+        f = _fraction_columns(f)
+    indices = random.Random(12).sample(range(len(f)), 20)
+    assert f.subfamily(indices)._slabs is None
+    f.slabs()
+    sub = f.subfamily(indices)
+    assert sub._slabs is not None
+    assert sub.slabs() == _member_slabs(sub)
+    assert sub.slabs() == _member_slabs(Family(f.base, [f.members[i] for i in indices], f.kind))

@@ -111,6 +111,21 @@ def test_verify_rejects_an_unpierced_member_on_every_path():
             cert.verify(f)
 
 
+@pytest.mark.parametrize("clusters, message", [
+    ([(0, (0, 1)), (2, (1, 2, 3))], "clusters overlap"),
+    ([(0, (0,)), (2, (2, 3))], "clusters do not partition the family"),
+    ([(0, (0, 1)), (2, (2, 3, 4))], "clusters do not partition the family"),
+    # -1 must not stand for member 3
+    ([(0, (0, 1)), (2, (2, -1))], "clusters do not partition the family"),
+], ids=["overlap", "missing", "past-the-end", "negative"])
+def test_verify_rejects_clusters_that_do_not_partition(clusters, message):
+    f = Family(unit_square(), [Member(Point(3 * i, 0)) for i in range(4)])
+    points = [Point(3 * i, 0) for i in range(4)]
+    assert PierceCertificate("grid", 2, points, [(0, (0, 1)), (2, (2, 3))], [0, 2]).verify(f)
+    with pytest.raises(VerificationFailed, match=message):
+        PierceCertificate("grid", 2, points, clusters, [0, 2]).verify(f)
+
+
 _ROOT_BOUNDARY = st.tuples(st.integers(0, 10 ** 6), st.sampled_from([-1, 0, 1])).map(
     lambda kd: max(0, kd[0] * kd[0] + kd[1]))
 

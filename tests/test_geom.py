@@ -1,6 +1,7 @@
 import ast
 from fractions import Fraction as F
 import inspect
+import math
 import random
 
 from hypothesis import given, reject, settings, strategies as st
@@ -185,19 +186,23 @@ class TestIntersection:
         chain = intersection_chain(a, b)
         inter = chain_area(chain)
         union_exact = a.area() + b.area() - inter
-        # Monte Carlo oracle over the joint bounding box
+        # Monte Carlo oracle over the joint bounding box: the sample
+        # (xlo + (xhi - xlo) i / 10^4, ylo + (yhi - ylo) j / 10^4) is the
+        # int triple (x0 + xw i, y0 + yw j, w), tested on the int halfplanes
         ax, ay = a.bounding_box()
         bx, by = b.bounding_box()
         xlo, xhi = min(ax.lo, bx.lo), max(ax.hi, bx.hi)
         ylo, yhi = min(ay.lo, by.lo), max(ay.hi, by.hi)
+        d = math.lcm(*(v.denominator for v in (xlo, xhi, ylo, yhi)))
+        x0, xw, y0, yw = (int(v * d) for v in (xlo * 10_000, xhi - xlo, ylo * 10_000, yhi - ylo))
+        w = 10_000 * d
+        planes = [geom._planes(a), geom._planes(b)]
         n = 120_000
         hits = 0
         for _ in range(n):
-            p = Point(
-                xlo + (xhi - xlo) * F(rng.randrange(0, 10_001), 10_000),
-                ylo + (yhi - ylo) * F(rng.randrange(0, 10_001), 10_000),
-            )
-            if a.contains(p) or b.contains(p):
+            x = x0 + xw * rng.randrange(0, 10_001)
+            y = y0 + yw * rng.randrange(0, 10_001)
+            if any(all(p * x + q * y <= r * w for p, q, r in pl) for pl in planes):
                 hits += 1
         approx = float((xhi - xlo) * (yhi - ylo)) * hits / n
         assert abs(approx - float(union_exact)) / float(union_exact) < 1e-1

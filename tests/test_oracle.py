@@ -15,6 +15,7 @@ from piercing.bodies import (
     membership,
     normalize_affine,
 )
+from piercing.certificates import value_key
 from piercing.errors import TooLarge
 from piercing.generators import (
     five_square_cycle,
@@ -29,6 +30,7 @@ from piercing.generators import (
 from piercing.geom import ConvexPolygon, Point, clip_chain
 from piercing.oracle import (
     _coverage_masks,
+    _points,
     candidate_points,
     clique_partition_number,
     exact_nu,
@@ -38,20 +40,21 @@ from piercing.oracle import (
     solve,
 )
 from piercing.radicals import Radical, RadPoint
+import reference
 from reference import coverage_masks as realized_masks, intersection_graph_bruteforce
 
 
 class TestCandidates:
     def test_crossing_points_present(self):
         f = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), F(1, 2)))])
-        cands = candidate_points(f)
+        cands = _points(f, candidate_points(f))
         assert Point(F(1, 2), 1) in cands
         assert Point(1, F(1, 2)) in cands
 
     def test_nested_inner_vertices_present(self):
         f = Family(unit_square(), [Member(Point(0, 0), 1), Member(Point(F(1, 4), F(1, 4)), F(1, 2))],
                    "homothets")
-        cands = candidate_points(f)
+        cands = _points(f, candidate_points(f))
         assert Point(F(1, 4), F(1, 4)) in cands
 
     def test_too_large(self):
@@ -65,7 +68,7 @@ class TestCandidates:
 
         base = random_convex_polygon(rng, max_vertices=8, spread=2)
         f = random_family(base, 8, box_size=4, seed=20)
-        cands = candidate_points(f)
+        cands = _points(f, candidate_points(f))
         polys = [f.realize(i).polygon for i in range(len(f))]
         import itertools
 
@@ -283,6 +286,39 @@ def test_coverage_masks_equal_the_realized_reference(name, kind, n, seed, shifte
     assert _coverage_masks(f, cands) == realized_masks(f, cands)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("square", "triangle", "disk", "cs8", "hexagon", "box")),
+       st.sampled_from(("translates", "homothets")), st.integers(2, 12),
+       st.integers(0, 1 << 30), st.booleans())
+@example("disk", "homothets", 12, 5, True)
+@example("triangle", "translates", 12, 3, True)
+@example("box", "homothets", 9, 7, True)
+def test_int_candidates_equal_the_fraction_reference(name, kind, n, seed, shifted):
+    """candidate_points on the scaled columns gives the candidates of the
+    realized members, Fraction and Radical arithmetic, by value, type and
+    order."""
+    f = _small_family(name, kind, n, seed, shifted)
+    got = _points(f, candidate_points(f))
+    want = reference.candidate_points(f)
+    assert [type(p) for p in got] == [type(p) for p in want]
+    assert [value_key(p) for p in got] == [value_key(p) for p in want]
+
+
+@pytest.mark.parametrize("kind", ["translates", "homothets"])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_disk_tau_points_are_the_reference_radpoints(kind, shifted):
+    """A disk family's tau_points are the points the reference candidates
+    and masks choose, the irrational ones as RadPoints."""
+    f = _small_family("disk", kind, 10, 0, shifted)
+    cands = reference.candidate_points(f)
+    want = [cands[i] for i in min_set_cover(len(f), realized_masks(f, cands))]
+    tau, got = exact_tau(f)
+    assert tau == len(want)
+    assert [type(p) for p in got] == [type(p) for p in want]
+    assert got == want
+    assert sum(isinstance(p, RadPoint) for p in got) >= 2
+
+
 @pytest.mark.parametrize("make", [
     lambda: random_family(unit_disk(), 12, box_size=5, seed=31),
     lambda: random_family(unit_triangle(), 12, box_size=5, kind="homothets",
@@ -313,16 +349,16 @@ def test_masks_fall_back_to_the_realized_member():
     extra = [RadPoint(half_root2, F(1, 2)), RadPoint(half_root2 + 3, half_root2 + 3),
              RadPoint(half_root2 * 3, 0)]
     assert [membership(squares, [int_point(p)])(0)(0) for p in extra] == [None] * 3
-    cands = candidate_points(squares) + extra
-    masks = _coverage_masks(squares, cands)
-    assert masks == realized_masks(squares, cands)
+    cands = candidate_points(squares)
+    masks = _coverage_masks(squares, cands, extra)
+    assert masks == realized_masks(squares, cands + extra)
     assert masks[-3:] == [0b011, 0b100, 0]
     disks = Family(unit_disk(), [Member(Point(0, 0)), Member(Point(2, 0))])
     quarter_root3 = Radical.sqrt(3) * F(1, 4)
     extra = [RadPoint(half_root2 * F(1, 2), quarter_root3),
              RadPoint(half_root2 * 3, quarter_root3)]
     assert [int_point(p) for p in extra] == [None] * 2
-    cands = candidate_points(disks) + extra
-    masks = _coverage_masks(disks, cands)
-    assert masks == realized_masks(disks, cands)
+    cands = candidate_points(disks)
+    masks = _coverage_masks(disks, cands, extra)
+    assert masks == realized_masks(disks, cands + extra)
     assert masks[-2:] == [0b01, 0b10]
