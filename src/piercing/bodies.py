@@ -65,13 +65,8 @@ class PolygonBody:
 
     def contains(self, p) -> bool:
         if isinstance(p, RadPoint):
-            if p.is_rational():
-                p = Point(p.x.as_fraction(), p.y.as_fraction())
-            else:
-                return all(
-                    ((n.x * p.x + n.y * p.y) - c).sign() <= 0
-                    for n, c in self.polygon.halfplanes()
-                )
+            return all(((n.x * p.x + n.y * p.y) - c).sign() <= 0
+                       for n, c in self.polygon.halfplanes())
         return self.polygon.contains(p)
 
     def intersects(self, other) -> bool:
@@ -261,8 +256,7 @@ class Family:
     def subfamily(self, indices):
         """The family of the members in indices, in that order.  It takes
         its scaled columns from this family's (scaled_translations): any
-        common denominator D scales exactly; so its slabs are this
-        family's rows, carried over when computed."""
+        common denominator D scales exactly, and so its slab rows."""
         indices = list(indices)
 
         def pick(col):
@@ -481,6 +475,16 @@ def neighbor_index(f: Family):
     return candidates
 
 
+def disk_columns(base, D, cols, S):
+    """(L D, us, vs, rs): with scaled columns (D, cols, S), disk member i
+    has centre (us[i], vs[i]) / (L D) and radius rs[i] / (L D)."""
+    c, r = base.center, base.radius
+    L = math.lcm(c.x.denominator, c.y.denominator, r.denominator)
+    cx, cy, cr = [v.numerator * (L // v.denominator) for v in (c.x, c.y, r)]
+    return (L * D, [cx * s + L * x for s, x in zip(S, cols[0])],
+            [cy * s + L * y for s, y in zip(S, cols[1])], [cr * s for s in S])
+
+
 def pair_checker(f: Family):
     """Exact pairwise-intersection test check(i, j), with no float.
 
@@ -515,13 +519,7 @@ def pair_checker(f: Family):
             return qq * (dx * dx + dy * dy) <= reach
 
         return check
-    # L times the scaled centres S c + T and radii S r
-    c = base.center
-    L = math.lcm(c.x.denominator, c.y.denominator, q)
-    ax, ay, b = int(c.x * L), int(c.y * L), p * (L // q)
-    us = [ax * s + L * x for s, x in zip(S, xs)]
-    vs = [ay * s + L * y for s, y in zip(S, ys)]
-    rs = [b * s for s in S]
+    _, us, vs, rs = disk_columns(base, D, (xs, ys), S)
 
     def check(i, j):
         dx = us[i] - us[j]

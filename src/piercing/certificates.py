@@ -360,13 +360,12 @@ class PierceCertificate:
             if not all(seed_i in members for seed_i, members in self.clusters):
                 raise VerificationFailed("cluster seed outside its cluster")
             marks = bytearray(n)
-            for _, members in self.clusters:
-                for j in members:
-                    if not 0 <= j < n:
-                        raise VerificationFailed("clusters do not partition the family")
-                    if marks[j]:
-                        raise VerificationFailed("clusters overlap")
-                    marks[j] = 1
+            for j in chain.from_iterable(members for _, members in self.clusters):
+                if not 0 <= j < n:
+                    raise VerificationFailed("clusters do not partition the family")
+                if marks[j]:
+                    raise VerificationFailed("clusters overlap")
+                marks[j] = 1
             if marks.count(0):
                 raise VerificationFailed("clusters do not partition the family")
         return True

@@ -3,18 +3,16 @@
 Everything in this module is a pure function over immutable values and is
 exact; no epsilon appears anywhere.  Points, areas and predicates are
 Fraction arithmetic.  Clipping (clip_chain, intersection_chain,
-subtract_chain, region_minus_polygons, chain_area) runs on one integer
-kernel (_clip) over homogeneous int triples and converts to Points only on
-the way in and out.  Degenerate convex regions (segments, single points) are
-represented by vertex chains of length 2 and 1 and count as nonempty.
+region_minus_polygons, chain_area) runs on one integer kernel (_clip) over
+homogeneous int triples and converts to Points only on the way in and out.
+Degenerate convex regions (segments, single points) are represented by
+vertex chains of length 2 and 1 and count as nonempty.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DegenerateInput
-
-Scalar = Fraction
 
 
 def frac(x) -> Fraction:
@@ -80,9 +78,6 @@ class Point:
 
     def __repr__(self):
         return "Point(%s, %s)" % (self.x, self.y)
-
-
-ORIGIN = Point(0, 0)
 
 
 def orient(a: Point, b: Point, c: Point) -> Fraction:
@@ -229,9 +224,6 @@ class ConvexPolygon:
             if orient(v[i], v[(i + 1) % len(v)], p) < 0:
                 return False
         return True
-
-    def contains_polygon(self, other) -> bool:
-        return all(self.contains(p) for p in other.vertices)
 
     def support(self, d: Point) -> Fraction:
         """max over the polygon of the inner product with d."""
@@ -461,16 +453,6 @@ def intersection_chain(a, b: ConvexPolygon) -> list:
     return [_point(h) for h in pts]
 
 
-def intersection(a: ConvexPolygon, b: ConvexPolygon):
-    """Exact intersection polygon, or the degenerate chain, or None."""
-    pts = intersection_chain(a, b)
-    if not pts:
-        return None
-    if len(pts) >= 3:
-        return ConvexPolygon(pts)
-    return pts
-
-
 def chain_area(points) -> Fraction:
     """Area of a convex vertex chain, exact; 0 below three vertices."""
     if len(points) < 3:
@@ -495,16 +477,6 @@ def polygons_intersect(a: ConvexPolygon, b: ConvexPolygon) -> bool:
             if not ia.overlaps(ib):
                 return False
     return True
-
-
-def subtract_chain(piece, poly: ConvexPolygon) -> list:
-    """Convex decomposition of piece minus poly.
-
-    The piece is a convex vertex chain; the result is a list of disjoint
-    convex chains whose union is the closed difference (boundary overlaps
-    between output pieces are immaterial for area accounting).
-    """
-    return [[_point(h) for h in c] for c in _subtract(_chain(piece), _planes(poly))]
 
 
 def region_minus_polygons(region, polys) -> list:

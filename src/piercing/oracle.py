@@ -7,31 +7,25 @@ restricting piercing points to those candidates loses nothing.  nu is a
 maximum independent set of the intersection graph.  Both solvers are
 branch-and-bound and deterministic.
 
-Candidates are built on ints from the family's scaled columns
-(Family.scaled_translations), as entries (q, m, A, B) of the form
-bodies.int_point gives: coordinate k is (A[k] + B[k] sqrt(m)) / q.  A
-polygon member's vertices and halfplanes are homogeneous int triples and
-pairs are clipped by the geom kernel (geom._clip); disk crossings are
-(A +- B sqrt(m)) / q with m squarefree as Radical.sqrt makes it.
-Candidates are deduplicated on their gcd-normalised entries, first
-occurrences in order, and only the tau_points returned become Points,
-RadPoints or box tuples.  A radicand over 2^48 may keep a square factor,
-so two equal radical candidates can both survive; their masks are equal,
-min_set_cover drops the second as dominated, and tau does not change.
-
-Membership is decided by the code that verify uses: the coverage masks
-come from bodies.membership, one member at a time.  A member is realized
-only for a point a caller adds that the int layer leaves open (more than
-one radicand, or irrational in a polygon family).
+Candidates are int entries (q, m, A, B) (bodies.int_point) built from
+the scaled columns (Fraction columns cleared by their own lcm) and
+deduplicated, first occurrences in order; only the tau_points become
+Points.  Polygon member i has the vertices (S_i v + T_i) / D and the
+halfplanes a x + b y <= c of C carried to (a D, b D, c S_i + a X_i +
+b Y_i).  The masks come from bodies.membership, as in verify; a member is
+realized only for a point a caller adds that it leaves open.  A radicand
+over 2^48 may keep a square factor, so two equal radical candidates can
+both survive; their masks are equal, min_set_cover drops the second as
+dominated, and tau does not change.
 """
 
 from fractions import Fraction
 from itertools import chain, product
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
-from .bodies import Family, int_point, intersection_graph, membership
+from .bodies import Family, box_columns, disk_columns, int_point, intersection_graph, membership
 from .errors import TooLarge
-from .geom import Point, _clip
+from .geom import Point, _clip, _hom, _planes
 from .radicals import Radical, RadPoint, _reduce_radicand
 
 TAU_LIMIT = 16
@@ -50,176 +44,98 @@ class OracleResult:
         return "OracleResult(tau=%d, nu=%d)" % (self.tau, self.nu)
 
 
-def _int_columns(f: Family):
-    """(D, cols, S) of Family.scaled_translations() on ints: Fraction
-    columns (D past MAX_SCALE_BITS) are cleared by the lcm of their own
-    denominators, uncapped, since an oracle family is small."""
-    D, cols, S = f.scaled_translations()
-    E = lcm(*[v.denominator for v in chain(S, *cols)])
-    return D * E, [[v.numerator * (E // v.denominator) for v in col] for col in cols], \
-        [s.numerator * (E // s.denominator) for s in S]
-
-
 def _triple(x, y, w):
-    """The gcd-normalised homogeneous triple of the point (x / w, y / w)."""
     g = gcd(x, y, w)
     return x // g, y // g, w // g
 
 
-def _rational(x, y, w):
-    x, y, w = _triple(x, y, w)
-    return w, 1, (x, y), None
-
-
 def _polygon_candidates(base, D, cols, S):
-    """Member i's vertices are (S_i L v + L T_i) / (L D), L clearing the
-    base's vertex and reference-point denominators; its halfplanes are the
-    base's a x + b y <= c over L v, carried to
-    (a L D, b L D, c S_i + a L X_i + b L Y_i)."""
-    pts = [*base.polygon.vertices, base.reference_point]
-    L = lcm(*[c.denominator for p in pts for c in (p.x, p.y)])
-    vs = [(int(p.x * L), int(p.y * L)) for p in pts]
-    ring = vs[:-1]
-    edges = [(yb - ya, xa - xb, (yb - ya) * xa + (xa - xb) * ya)
-             for (xa, ya), (xb, yb) in zip(ring, ring[1:] + ring[:1])]
-    LD = L * D
+    verts = [_hom(p) for p in (*base.polygon.vertices, base.reference_point)]
+    edges = _planes(base.polygon)
     out, chains, planes = [], [], []
     for s, x, y in zip(S, *cols):
-        tx, ty = L * x, L * y
-        pts = [_triple(s * vx + tx, s * vy + ty, LD) for vx, vy in vs]
+        pts = [_triple(s * vx + x * w, s * vy + y * w, D * w) for vx, vy, w in verts]
         out.extend(pts)
         chains.append(pts[:-1])
-        planes.append([(a * LD, b * LD, c * s + a * tx + b * ty) for a, b, c in edges])
+        planes.append([(a * D, b * D, c * s + a * x + b * y) for a, b, c in edges])
     for i, pts in enumerate(chains):
-        for clip_planes in planes[i + 1:]:
+        for member in planes[i + 1:]:
             clipped = pts
-            for plane in clip_planes:
-                clipped = _clip(clipped, plane)
-                if not clipped:
-                    break
+            for plane in member:
+                clipped = clipped and _clip(clipped, plane)
             out.extend(clipped)
-    return [(w, 1, (x, y), None) for x, y, w in dict.fromkeys(out)]
+    return out, []
 
 
 def _disk_candidates(base, D, cols, S):
-    """The centres, then every pair's boundary crossings, as
-    circles.circle_circle_points finds them for centres (U, V) and radii R
-    over L D: rational points first, then radical ones, each pair in +-
-    order."""
-    c, r = base.center, base.radius
-    L = lcm(c.x.denominator, c.y.denominator, r.denominator)
-    cx, cy, cr = [v.numerator * (L // v.denominator) for v in (c.x, c.y, r)]
-    LD = L * D
-    xs, ys = cols
-    us = [cx * s + L * x for s, x in zip(S, xs)]
-    vs = [cy * s + L * y for s, y in zip(S, ys)]
-    rs = [cr * s for s in S]
-    rat = [_rational(u, v, LD) for u, v in zip(us, vs)]
-    rad = []
-    n = len(S)
-    for i in range(n):
-        u1, v1, r1 = us[i], vs[i], rs[i]
-        for j in range(i + 1, n):
-            du, dv = us[j] - u1, vs[j] - v1
-            N = du * du + dv * dv
-            if not N:
+    # crossings c_i + K / h (du, dv) +- t (-dv, du), h = 2 |du, dv|^2, t^2 = delta / h^2
+    LD, us, vs, rs = disk_columns(base, D, cols, S)
+    rat, rad = [_triple(u, v, LD) for u, v in zip(us, vs)], []
+    for i, (u, v, R) in enumerate(zip(us, vs, rs)):
+        for u2, v2, R2 in zip(us[i + 1:], vs[i + 1:], rs[i + 1:]):
+            du, dv = u2 - u, v2 - v
+            h = 2 * (du * du + dv * dv)
+            K = h // 2 + R * R - R2 * R2
+            delta = 2 * h * R * R - K * K
+            if not h or delta < 0:
                 continue
-            # the crossings are mid +- t (-dv, du) / (L D): mid = c1 + a u
-            # with a = K / 2N, and t^2 = delta / 4N^2
-            K = N + r1 * r1 - rs[j] * rs[j]
-            delta = 4 * N * r1 * r1 - K * K
-            if delta < 0:
-                continue
-            N2 = 2 * N
-            mx, my = N2 * u1 + K * du, N2 * v1 + K * dv
-            if not delta:
-                rat.append(_rational(mx, my, N2 * LD))
-                continue
-            # t = f sqrt(m) / d as Radical.sqrt(delta / 4N^2) writes it
-            g = gcd(delta, N2 * N2)
-            p, d = delta // g, N2 * N2 // g
-            rp, rd = isqrt(p), isqrt(d)
-            if rp * rp == p and rd * rd == d:
-                f, m, d = rp, 1, rd
-            else:
-                f, m = _reduce_radicand(p * d)
-            ax, ay, q = mx * d, my * d, N2 * d * LD
-            bx, by = -f * N2 * dv, f * N2 * du
+            # t = f sqrt(m) / d, as Radical.sqrt writes it; a tangency repeats
+            g = gcd(delta, h * h)
+            d = h * h // g
+            f, m = _reduce_radicand(delta // g * d)
+            ax, ay, q = (h * u + K * du) * d, (h * v + K * dv) * d, h * LD * d
+            bx, by = -h * f * dv, h * f * du
             if m == 1:
-                rat.append(_rational(ax + bx, ay + by, q))
-                rat.append(_rational(ax - bx, ay - by, q))
-                continue
-            g = gcd(q, ax, ay, bx, by)
-            q, ax, ay, bx, by = q // g, ax // g, ay // g, bx // g, by // g
-            rad.append((q, m, (ax, ay), (bx, by)))
-            rad.append((q, m, (ax, ay), (-bx, -by)))
-    # rational values never equal irrational ones: the rational points
-    # stay first, in order
-    return list(dict.fromkeys(rat + rad))
+                rat += [_triple(ax + bx, ay + by, q), _triple(ax - bx, ay - by, q)]
+            else:
+                g = gcd(q, ax, ay, bx, by)
+                rad += [(q // g, m, (ax // g, ay // g), (e * bx // g, e * by // g))
+                        for e in (1, -1)]
+    return rat, rad
 
 
 def candidate_points(f: Family, limit: int = TAU_LIMIT):
-    """A finite piercing-complete candidate set for the family, as int
-    entries (q, m, A, B) (bodies.int_point), first occurrences in order:
-    for polygons every member's vertices and reference point, then each
-    pair i < j's intersection, member i clipped by j's halfplanes in edge
-    order; for disks the centres and the pairwise circle crossings; for
-    boxes the products of the members' low corner coordinates that some
-    member contains."""
-    n = len(f)
-    if n > limit:
+    """A finite piercing-complete candidate set for the family: member
+    vertices, reference points and box corners, and pairwise crossings."""
+    if len(f) > limit:
         raise TooLarge("oracle limit is %d members" % limit)
     base = f.base
-    D, cols, S = _int_columns(f)
-    if base.kind == "polygon":
-        return _polygon_candidates(base, D, cols, S)
-    if base.kind == "disk":
-        return _disk_candidates(base, D, cols, S)
     if base.kind == "box":
-        L = lcm(*[m.denominator for m in base.mins])
-        axes = [sorted({int(m * L) * s + L * v for s, v in zip(S, col)})
-                for m, col in zip(base.mins, cols)]
-        combos = [(L * D, 1, combo, None) for combo in product(*axes)]
+        scale, _, lo_cols, _ = box_columns(f, range(len(f)))
+        combos = [(scale, 1, c, None) for c in product(*[sorted(set(col)) for col in lo_cols])]
         return [e for e, m in zip(combos, _coverage_masks(f, combos)) if m]
-    raise TooLarge("unsupported family kind")
+    D, cols, S = f.scaled_translations()
+    E = lcm(*[v.denominator for v in chain(S, *cols)])
+    *cols, S = [[v.numerator * (E // v.denominator) for v in col] for col in (*cols, S)]
+    build = _polygon_candidates if base.kind == "polygon" else _disk_candidates
+    rat, rad = build(base, D * E, cols, S)
+    return [(w, 1, (x, y), None) for x, y, w in dict.fromkeys(rat)] + list(dict.fromkeys(rad))
 
 
 def _points(f: Family, entries):
-    """The values of candidate entries: box tuples of Fractions, Points,
-    or RadPoints for entries with a radicand."""
+    """The Points (RadPoints, box tuples) of candidate entries."""
     out = []
     for q, m, A, B in entries:
-        if f.base.kind == "box":
-            out.append(tuple(Fraction(a, q) for a in A))
-        elif B is None:
-            out.append(Point(Fraction(A[0], q), Fraction(A[1], q)))
-        else:
-            out.append(RadPoint(*[Radical({k: c for k, c in ((1, Fraction(a, q)),
-                                                             (m, Fraction(b, q))) if c})
-                                  for a, b in zip(A, B)]))
+        xy = [Fraction(a, q) for a in A]
+        if B:
+            xy = [Radical({k: c for k, c in ((1, a), (m, Fraction(b, q))) if c})
+                  for a, b in zip(xy, B)]
+        out.append(tuple(xy) if f.base.kind == "box" else (RadPoint if B else Point)(*xy))
     return out
 
 
 def _coverage_masks(f: Family, candidates, extra=()):
-    """masks[k] has bit i set iff member i contains point k: the int
-    entries candidates (candidate_points), then a caller's points extra
-    (bodies.int_point).  Decided on the int layer (bodies.membership) as
-    in verify; a member is realized only for an extra point that layer
-    returns None for."""
-    extra = list(extra)
-    ipts = list(candidates) + [int_point(p) for p in extra]
-    member = membership(f, ipts)
-    skip = len(candidates)
-    masks = [0] * len(ipts)
+    """masks[k] has bit i set iff member i contains point k of candidates,
+    then of the caller's points extra."""
+    points = [None] * len(candidates) + list(extra)
+    member = membership(f, [*candidates, *map(int_point, extra)])
+    masks = [0] * len(points)
     for i in range(len(f)):
         test = member(i)
-        bit = 1 << i
-        for k in range(len(ipts)):
+        for k, p in enumerate(points):
             inside = test(k)
-            if inside is None:
-                inside = f.realize(i).contains(extra[k - skip])
-            if inside:
-                masks[k] |= bit
+            if inside or inside is None and f.realize(i).contains(p):
+                masks[k] |= 1 << i
     return masks
 
 
@@ -327,34 +243,6 @@ def max_independent_set(adj):
 
     rec(set(range(n)), [])
     return sorted(best)
-
-
-def clique_partition_number(adj):
-    """Exact minimum clique partition (chromatic number of the complement)."""
-    n = len(adj)
-    if n == 0:
-        return 0
-    comp = [set(range(n)) - adj[i] - {i} for i in range(n)]
-    best = n
-
-    def rec(i, classes):
-        nonlocal best
-        if len(classes) >= best:
-            return
-        if i == n:
-            best = len(classes)
-            return
-        for cl in classes:
-            if not cl & comp[i]:
-                cl.add(i)
-                rec(i + 1, classes)
-                cl.remove(i)
-        classes.append({i})
-        rec(i + 1, classes)
-        classes.pop()
-
-    rec(0, [])
-    return best
 
 
 def _tau(f: Family, limit: int):

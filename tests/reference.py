@@ -17,6 +17,7 @@ from fractions import Fraction
 import itertools
 import sys
 
+from piercing import geom
 from piercing.bodies import BoxBody, DiskBody, PolygonBody
 from piercing.certificates import dedupe_points
 from piercing.errors import DegenerateInput
@@ -61,6 +62,14 @@ def intersection_chain(a, b):
         if not pts:
             return []
     return pts
+
+
+def intersection(a, b):
+    """The intersection polygon of a and b, or its degenerate chain, or None."""
+    pts = geom.intersection_chain(a, b)
+    if not pts:
+        return None
+    return ConvexPolygon(pts) if len(pts) >= 3 else pts
 
 
 def chain_area(points):
@@ -180,6 +189,34 @@ def candidate_points(f):
     return [p for p, m in zip(combos, coverage_masks(f, combos)) if m]
 
 
+def clique_partition_number(adj):
+    """Exact minimum clique partition (chromatic number of the complement)."""
+    n = len(adj)
+    if n == 0:
+        return 0
+    comp = [set(range(n)) - adj[i] - {i} for i in range(n)]
+    best = n
+
+    def rec(i, classes):
+        nonlocal best
+        if len(classes) >= best:
+            return
+        if i == n:
+            best = len(classes)
+            return
+        for cl in classes:
+            if not cl & comp[i]:
+                cl.add(i)
+                rec(i + 1, classes)
+                cl.remove(i)
+        classes.append({i})
+        rec(i + 1, classes)
+        classes.pop()
+
+    rec(0, [])
+    return best
+
+
 def _is_entry(p):
     """Whether p is an int entry (q, m, A, B) of oracle.candidate_points,
     not a point: a box point's last coordinate is a number."""
@@ -254,7 +291,7 @@ def body_contains_body(outer, inner) -> bool:
             mo <= mi and mi + si <= mo + so
             for mo, so, mi, si in zip(outer.mins, outer.sides, inner.mins, inner.sides)
         )
-    return outer.polygon.contains_polygon(inner.polygon)
+    return all(outer.polygon.contains(p) for p in inner.polygon.vertices)
 
 
 def _union_bbox(f):

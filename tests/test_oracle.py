@@ -32,7 +32,6 @@ from piercing.oracle import (
     _coverage_masks,
     _points,
     candidate_points,
-    clique_partition_number,
     exact_nu,
     exact_tau,
     max_independent_set,
@@ -41,7 +40,11 @@ from piercing.oracle import (
 )
 from piercing.radicals import Radical, RadPoint
 import reference
-from reference import coverage_masks as realized_masks, intersection_graph_bruteforce
+from reference import (
+    clique_partition_number,
+    coverage_masks as realized_masks,
+    intersection_graph_bruteforce,
+)
 
 
 class TestCandidates:
@@ -302,6 +305,14 @@ def test_int_candidates_equal_the_fraction_reference(name, kind, n, seed, shifte
     want = reference.candidate_points(f)
     assert [type(p) for p in got] == [type(p) for p in want]
     assert [value_key(p) for p in got] == [value_key(p) for p in want]
+
+
+def test_int_candidates_equal_the_reference_on_touching_families():
+    """The same on families rich in pairs that only touch: tangent disks,
+    and polygons and boxes meeting along edges and at corners."""
+    for f in _touching_families():
+        got, want = _points(f, candidate_points(f)), reference.candidate_points(f)
+        assert [value_key(p) for p in got] == [value_key(p) for p in want]
 
 
 @pytest.mark.parametrize("kind", ["translates", "homothets"])
