@@ -266,7 +266,7 @@ class Family:
         sub = Family.from_columns(self.base, [pick(col) for col in self.columns],
                                   pick(self.scales), self.kind,
                                   (D, [pick(col) for col in cols], pick(S)))
-        if self._slabs is not None:
+        if self._slabs:
             forms, lo, hi = self._slabs
             sub._slabs = forms, pick(lo), pick(hi)
         return sub

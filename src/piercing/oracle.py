@@ -59,9 +59,9 @@ def _polygon_candidates(base, D, cols, S):
         chains.append(pts[:-1])
         planes.append([(a * D, b * D, c * s + a * x + b * y) for a, b, c in edges])
     for i, pts in enumerate(chains):
-        for member in planes[i + 1:]:
+        for hps in planes[i + 1:]:
             clipped = pts
-            for plane in member:
+            for plane in hps:
                 clipped = clipped and _clip(clipped, plane)
             out.extend(clipped)
     return out, []
@@ -79,7 +79,7 @@ def _disk_candidates(base, D, cols, S):
             delta = 2 * h * R * R - K * K
             if not h or delta < 0:
                 continue
-            # t = f sqrt(m) / d, as Radical.sqrt writes it; a tangency repeats
+            # t = f sqrt(m) / d as in Radical.sqrt; a tangency repeats
             g = gcd(delta, h * h)
             d = h * h // g
             f, m = _reduce_radicand(delta // g * d)
@@ -108,7 +108,7 @@ def candidate_points(f: Family, limit: int = TAU_LIMIT):
     E = lcm(*[v.denominator for v in chain(S, *cols)])
     *cols, S = [[v.numerator * (E // v.denominator) for v in col] for col in (*cols, S)]
     build = _polygon_candidates if base.kind == "polygon" else _disk_candidates
-    rat, rad = build(base, D * E, cols, S)
+    rat, rad = build(base, D * E, cols, S)  # rational points first
     return [(w, 1, (x, y), None) for x, y, w in dict.fromkeys(rat)] + list(dict.fromkeys(rad))
 
 
