@@ -255,8 +255,8 @@ class Family:
 
     def subfamily(self, indices):
         """The family of the members in indices, in that order.  It takes
-        its scaled columns from this family's (scaled_translations): any
-        common denominator D scales exactly, and so its slab rows."""
+        this family's scaled columns (scaled_translations), as any common
+        denominator D scales exactly, and its slab rows once computed."""
         indices = list(indices)
 
         def pick(col):

@@ -113,7 +113,7 @@ def candidate_points(f: Family, limit: int = TAU_LIMIT):
 
 
 def _points(f: Family, entries):
-    """The Points (RadPoints, box tuples) of candidate entries."""
+    """The Point, RadPoint or box tuple of each entry."""
     out = []
     for q, m, A, B in entries:
         xy = [Fraction(a, q) for a in A]
