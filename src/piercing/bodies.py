@@ -80,9 +80,6 @@ class PolygonBody:
     def measure(self) -> Fraction:
         return self.polygon.area()
 
-    def top(self) -> Fraction:
-        return max(p.y for p in self.polygon.vertices)
-
 
 class DiskBody:
     kind = "disk"
@@ -120,9 +117,6 @@ class DiskBody:
     def measure(self):
         # pi * r**2 is irrational; exposed as a float for reporting only
         return math.pi * float(self.radius) ** 2
-
-    def top(self) -> Fraction:
-        return self.center.y + self.radius
 
 
 class BoxBody:
@@ -166,9 +160,6 @@ class BoxBody:
             out *= s
         return out
 
-    def top(self) -> Fraction:
-        return self.mins[-1] + self.sides[-1]
-
 
 class Member:
     """One family member: a translation vector and a positive scale."""
@@ -190,53 +181,73 @@ class Family:
 
     columns[k][i] is coordinate k of member i's translation (one list per
     axis: two for a polygon or disk base, dim for a box) and scales[i] its
-    scale, exact rationals.  The Member objects (members) are derived from
-    the columns on first access; the greedies, the verifier and the JSON
-    codec work on the columns and their scaled ints alone.
+    scale, exact rationals.  A family holds the form it was built from,
+    these Fraction columns or their scaled ints (from_scaled, as the JSON
+    reader and subfamily build it), and derives the other on first access;
+    the Member objects (members) are derived too.  The greedies, the
+    verifier and the JSON codec work on the scaled ints alone.
     """
 
     def __init__(self, base, members, kind="translates"):
         """members: Member objects, whose translations and scales become
         the columns."""
         members = list(members)
-        if base.kind == "box":
-            columns = [list(col) for col in zip(*(m.t for m in members))]
-        else:
-            columns = [[m.t.x for m in members], [m.t.y for m in members]]
-        self._setup(base, columns, [m.s for m in members], kind)
+        ts = [m.t if base.kind == "box" else (m.t.x, m.t.y) for m in members]
+        self._setup(base, kind, len(ts), list(map(list, zip(*ts))), [m.s for m in members])
 
     @classmethod
-    def from_columns(cls, base, columns, scales, kind="translates", scaled=None):
+    def from_columns(cls, base, columns, scales, kind="translates"):
         """The family whose member i has translation coordinates
-        columns[k][i] and scale scales[i] (Fractions).  scaled, when given,
-        is its scaled_translations() triple."""
+        columns[k][i] and scale scales[i] (Fractions)."""
         f = cls.__new__(cls)
-        f._setup(base, columns, scales, kind)
-        f._scaled = scaled
+        f._setup(base, kind, len(scales), columns, scales)
         return f
 
-    def _setup(self, base, columns, scales, kind):
+    @classmethod
+    def from_scaled(cls, base, scaled, kind="translates"):
+        """The family whose scaled_translations() triple is scaled =
+        (D, cols, S): member i has translation coordinates cols[k][i] / D
+        and scale S[i] / D.  The scales are taken as checked: positive, and
+        S[i] = D for translates."""
+        f = cls.__new__(cls)
+        f._setup(base, kind, len(scaled[2]), scaled=scaled)
+        return f
+
+    def _setup(self, base, kind, n, columns=None, scales=None, scaled=None):
         if kind not in ("translates", "homothets"):
             raise DegenerateInput("unknown family kind %r" % kind)
-        if not scales:
+        if not n:
             raise DegenerateInput("family must be nonempty")
         # each distinct scale object is checked once
-        distinct = dict(zip(map(id, scales), scales)).values()
+        distinct = {id(s): s for s in scales or ()}.values()
         if any(s.numerator <= 0 for s in distinct):
             raise DegenerateInput("scale must be positive")
         if kind == "translates" and any(s != 1 for s in distinct):
             raise DegenerateInput("translate families require scale 1")
         self.base = base
-        self.columns = columns
-        self.scales = scales
         self.kind = kind
+        self._n = n
+        self._fractions = None if columns is None else (columns, scales)
         self._members = None
         self._realized = {}
-        self._scaled = None
+        self._scaled = scaled
         self._slabs = None
 
+    columns = property(lambda self: self._derive_columns()[0])
+    scales = property(lambda self: self._derive_columns()[1])
+
+    def _derive_columns(self):
+        """(columns, scales), from the scaled ints on first access: one
+        Fraction per distinct scaled value, shared by the members."""
+        if self._fractions is None:
+            D, cols, S = self._scaled
+            value = {v: Fraction(v, D) for v in set(S).union(*cols)}
+            self._fractions = ([list(map(value.__getitem__, col)) for col in cols],
+                               list(map(value.__getitem__, S)))
+        return self._fractions
+
     def __len__(self):
-        return len(self.scales)
+        return self._n
 
     def dim(self):
         return self.base.dim if self.base.kind == "box" else 2
@@ -254,18 +265,16 @@ class Family:
         return self._members
 
     def subfamily(self, indices):
-        """The family of the members in indices, in that order.  It takes
+        """The family of the members in indices, in that order, built from
         this family's scaled columns (scaled_translations), as any common
-        denominator D scales exactly, and its slab rows once computed."""
+        denominator D scales exactly; it takes the slab rows once computed."""
         indices = list(indices)
 
         def pick(col):
             return [col[i] for i in indices]
 
         D, cols, S = self.scaled_translations()
-        sub = Family.from_columns(self.base, [pick(col) for col in self.columns],
-                                  pick(self.scales), self.kind,
-                                  (D, [pick(col) for col in cols], pick(S)))
+        sub = Family.from_scaled(self.base, (D, [pick(col) for col in cols], pick(S)), self.kind)
         if self._slabs:
             forms, lo, hi = self._slabs
             sub._slabs = forms, pick(lo), pick(hi)
@@ -288,7 +297,7 @@ class Family:
         D is the lcm of the translation and scale denominators and the
         columns hold ints; when D would need more than MAX_SCALE_BITS bits,
         D is 1 and the columns hold the Fractions themselves.  Computed once
-        per family (jsonio's reader fills it in as it parses).
+        per family, unless the family was built from it (from_scaled).
         """
         if self._scaled is None:
             self._scaled = _scale_translations(self)
@@ -307,33 +316,30 @@ class Family:
         return self._slabs
 
 
-def scale_table(values):
-    """(D, scaled) for a dict of Fractions: D is the lcm of their
-    denominators and scaled[k] = D * values[k], an int; when D would need
-    more than MAX_SCALE_BITS bits, D is 1 and scaled is values."""
+def scale_table(pairs):
+    """(D, scaled) for a dict of reduced pairs (p, q), q > 0: D is the lcm
+    of the qs and scaled[k] = p D / q, an int; when D would need more than
+    MAX_SCALE_BITS bits, D is 1 and scaled[k] is the Fraction p / q."""
     D = 1
-    for d in {v.denominator for v in values.values()}:
-        D = math.lcm(D, d)
+    for q in {q for _, q in pairs.values()}:
+        D = math.lcm(D, q)
         if D.bit_length() > MAX_SCALE_BITS:
-            return 1, values
-    return D, {k: v.numerator * (D // v.denominator) for k, v in values.items()}
+            return 1, {k: Fraction(p, q) for k, (p, q) in pairs.items()}
+    return D, {k: p * (D // q) for k, (p, q) in pairs.items()}
 
 
 def _scale_translations(f: Family):
     # once per distinct value object: where members share their Fractions,
     # as random_family's do, a member costs one dict lookup
-    cols = list(f.columns)
     homothets = f.kind == "homothets"
-    if homothets:
-        cols.append(f.scales)
+    cols = f.columns + [f.scales] * homothets
     distinct = {}
     for col in cols:
         distinct.update(zip(map(id, col), col))
-    D, scaled = scale_table(distinct)
+    D, scaled = scale_table({k: (v.numerator, v.denominator) for k, v in distinct.items()})
     cols = [list(map(scaled.__getitem__, map(id, col))) for col in cols]
-    if homothets:
-        return D, cols[:-1], cols[-1]
-    return D, cols, [D] * len(f)  # every translate has s = 1
+    # every translate has s = 1
+    return (D, cols[:-1], cols[-1]) if homothets else (D, cols, [D] * len(f))
 
 
 def _base_slabs(base):
@@ -421,8 +427,9 @@ def _grid_keys(cols, cell):
     keys = [0] * len(cols[0])
     steps = [0]
     stride = 1
+    num, den = cell.numerator, cell.denominator
     for col in cols:
-        digits = [v * cell.denominator // cell.numerator for v in col]
+        digits = [v * den // num for v in col]
         lo = min(digits) - 1
         keys = [k + (d - lo) * stride for k, d in zip(keys, digits)]
         steps = [s + d * stride for s in steps for d in (-1, 0, 1)]

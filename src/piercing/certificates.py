@@ -339,12 +339,14 @@ class PierceCertificate:
 
     def verify(self, f: Family):
         """Exact certificate check of every member, the witness and the
-        point budget; raises VerificationFailed."""
+        point budget; raises VerificationFailed.  The distinct points are
+        counted only when the points placed exceed the budget."""
         n = len(f)
         if self.symbolic:
-            self._verify_clusters(f)
+            placed = self._verify_clusters(f)
         else:
             _check_members(f, range(n), self._points)
+            placed = len(self._points)
         if not self.witness:
             raise VerificationFailed("empty witness")
         wset = set(self.witness)
@@ -354,7 +356,8 @@ class PierceCertificate:
             raise VerificationFailed("witness members are not pairwise disjoint")
         if self.symbolic and self.witness != [s for s, _ in self.clusters]:
             raise VerificationFailed("witness differs from the cluster seeds")
-        if self._distinct(f) > self.factor * len(self.witness):
+        budget = self.factor * len(self.witness)
+        if placed > budget and self._distinct(f) > budget:
             raise VerificationFailed("|points| exceeds factor * |witness|")
         if self.clusters:
             if not all(seed_i in members for seed_i, members in self.clusters):
@@ -372,9 +375,10 @@ class PierceCertificate:
 
     def _verify_clusters(self, f: Family):
         """The cluster lemma for every pattern cluster (greedy_rule), and
-        exact membership for a refined last cluster."""
+        exact membership for a refined last cluster; returns the number of
+        points placed, which the distinct points never outnumber."""
         try:
-            _, rank = greedy_rule(f, self.method)
+            pattern, rank = greedy_rule(f, self.method)
         except UnsupportedBase as e:
             raise VerificationFailed(str(e)) from e
         if self.extra and not self.clusters:
@@ -391,6 +395,7 @@ class PierceCertificate:
                     raise VerificationFailed("member %d misses its seed %d" % (j, s))
         if self.extra:
             _check_members(f, self.clusters[-1][1], self.extra)
+        return len(pattern.offsets) * len(pattern_clusters) + len(self.extra)
 
 
 def _check_members(f: Family, indices, points):

@@ -93,7 +93,7 @@ def cmd_gen(args) -> int:
     if args.instance == "five-cycle":
         f = generators.five_square_cycle()
     elif args.instance == "nine-triangles":
-        f = generators.nine_triangles(jsonio._num(args.epsilon))
+        f = generators.nine_triangles(jsonio._Reader().num(args.epsilon))
     elif args.instance == "grid":
         f = generators.grid_family(args.n, _BASES[args.base]())
     elif args.instance == "random":

@@ -4,8 +4,9 @@ Rationals travel as plain integers or as strings of the grammar
 [+-]digits[/digits]; floats, decimal points and exponents are rejected, so
 files stay exact and no short field expands to a huge integer.
 Certificates embed the instance, which makes them re-verifiable from the
-file alone.  An instance is read and written as columns (bodies.Family),
-one parse and one format per distinct number.
+file alone.  An instance is read and written as scaled int columns
+(bodies.Family.scaled_translations), one parse and one format per distinct
+number.
 """
 
 from fractions import Fraction
@@ -27,19 +28,24 @@ from .radicals import RadPoint, Radical, canonical_radicands
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
-def _num(x) -> Fraction:
-    """An exact rational from a JSON int or a string of the grammar."""
+def _pair(x):
+    """(p, q), reduced with q > 0, for the exact rational p / q of a JSON
+    int or a string of the grammar."""
     if type(x) is int:
-        return Fraction(x)
+        return x, 1
     if type(x) is not str:
         raise ParseError("exact rational expected, got %r" % (x,))
     if not _RATIONAL.fullmatch(x):
         raise ParseError("bad rational %r" % x)
     p, _, q = x.partition("/")
     try:
-        return Fraction(int(p), int(q) if q else 1)
-    except (ValueError, ZeroDivisionError) as e:  # a zero q, or over the digit limit
+        p, q = int(p), int(q) if q else 1
+    except ValueError as e:  # over the digit limit
         raise ParseError("bad rational %r" % x) from e
+    if not q:
+        raise ParseError("bad rational %r" % x)
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def _num_out(q):
@@ -71,13 +77,14 @@ class _Reader:
         self._canonical = {}
 
     def num(self, x) -> Fraction:
+        """An exact rational from a JSON int or a string of the grammar."""
         # exact type test: True and 1.0 hash like 1 and must not hit the memo
         if type(x) is str or type(x) is int:
             q = self._nums.get(x)
             if q is None:
-                q = self._nums[x] = _num(x)
+                q = self._nums[x] = Fraction(*_pair(x))
             return q
-        return _num(x)
+        return Fraction(*_pair(x))
 
     def point(self, obj) -> Point:
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
@@ -140,11 +147,11 @@ class _Reader:
         raise ParseError("unknown body type %r" % kind)
 
     def family(self, obj) -> Family:
-        """The instance's Family, built as columns: every member's t is
-        shape-checked in one pass, each distinct JSON value is parsed once
-        to a Fraction and to its scaled int (bodies.scale_table), and the
-        columns and the scaled_translations() triple are gathered by dict
-        lookups, with no object per member."""
+        """The instance's Family, built from scaled ints (Family.from_scaled):
+        every member's t is shape-checked in one pass, each distinct JSON
+        value is parsed once to a reduced int pair and scaled once
+        (bodies.scale_table), and the columns are gathered by dict lookups,
+        with no object per member and no Fraction."""
         try:
             base = self.body(obj["base"])
             kind = obj.get("kind", "translates")
@@ -165,17 +172,18 @@ class _Reader:
         if bad:
             x = next(x for x in chain(ss, *raw) if type(x) in bad)
             raise ParseError("exact rational expected, got %r" % (x,))
-        nums = self._nums
-        for x in set(chain(ss, *raw)):
-            if x not in nums:
-                nums[x] = _num(x)
-        homothets = kind == "homothets"
-        D, scaled = scale_table({x: nums[x] for x in set(chain(*raw, ss if homothets else ()))})
+        pairs = {x: _pair(x) for x in set(chain(ss, *raw))}
+        scales = set(map(pairs.__getitem__, set(ss)))
+        if any(p <= 0 for p, _ in scales):
+            raise ParseError("scale must be positive")
+        if kind == "translates" and scales - {(1, 1)}:
+            raise ParseError("translate families require scale 1")
+        # a translate's scale pair is (1, 1), which leaves D as it is
+        D, scaled = scale_table(pairs)
         cols = [list(map(scaled.__getitem__, col)) for col in raw]
-        S = list(map(scaled.__getitem__, ss)) if homothets else [D] * len(ss)
+        S = list(map(scaled.__getitem__, ss)) if kind == "homothets" else [D] * len(ss)
         try:
-            return Family.from_columns(base, [list(map(nums.__getitem__, col)) for col in raw],
-                                       list(map(nums.__getitem__, ss)), kind, (D, cols, S))
+            return Family.from_scaled(base, (D, cols, S), kind)
         except DegenerateInput as e:
             raise ParseError(str(e)) from e
 

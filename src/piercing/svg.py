@@ -61,7 +61,7 @@ def render(f, points=(), witness=(), path=None):
         _emit_body(out, f.realize(i), WITNESS_STYLE % (3 * stroke))
     r = 4 * stroke
     for p in points:
-        x, y = _to_float_point(p)
+        x, y = _fxy(p)
         out.append(
             '<path d="M %.5f %.5f L %.5f %.5f M %.5f %.5f L %.5f %.5f" '
             'stroke="#000000" stroke-width="%.4f"/>'
@@ -75,9 +75,3 @@ def render(f, points=(), witness=(), path=None):
     with open(path, "w") as fh:
         fh.write(text)
     return None
-
-
-def _to_float_point(p):
-    if isinstance(p, tuple):
-        return float(p[0]), float(p[1])
-    return float(p.x), float(p.y)

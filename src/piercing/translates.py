@@ -71,26 +71,10 @@ from .sandwich import (
 ORACLE_BUDGET = 12
 
 
-def _top_key(f: Family):
-    """Exact sort key: decreasing top coordinate, then translation lex, index.
-
-    Tops come straight from the columns: top(s*C + t) is s*top(C) shifted
-    by the last translation coordinate.
-    """
-    base_top = f.base.top()
-    columns, scales = f.columns, f.scales
-
-    def key(i):
-        t = tuple(col[i] for col in columns)
-        return (-(base_top * scales[i] + t[-1]), t, i)
-
-    return key
-
-
 def _topmost_order(cols):
     """Member indices by (-cols[-1][i], cols[0][i], ..., i), by stable
-    sorts: on the scaled translations, the _top_key order of translates (and
-    of homothets of one scale)."""
+    sorts: on the scaled translations, the order of translates (and of
+    homothets of one scale) by decreasing top, then translation, then index."""
     order = list(range(len(cols[0])))
     for col in reversed(cols[:-1]):
         order.sort(key=col.__getitem__)

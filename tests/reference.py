@@ -7,7 +7,8 @@ coverage masks by the bodies' own contains, and the containment step of
 the smallest-first argument with an explicit common point.  The clipping
 functions are the Fraction versions of geom's integer kernel, and the
 lattice offset search tests Fraction lattice points against every realized
-member.  The oracle's candidate set is built on the realized members
+member, and the greedy's seed order is a sort by top_key on the Fraction
+columns.  The oracle's candidate set is built on the realized members
 (bodies, circle_circle_points) and deduplicated by value.  call_budget
 bounds the work of a block by counting its calls, a deterministic
 stand-in for a time or memory limit.
@@ -105,6 +106,23 @@ def region_minus_polygons(region, polys):
         if not pieces:
             break
     return pieces
+
+
+def top_key(f):
+    """Exact sort key: decreasing top coordinate, then translation lex, index.
+
+    Tops come straight from the columns: top(s*C + t) is s*top(C) shifted
+    by the last translation coordinate, with top(C) the high end of the
+    base's bounding box on the last axis.
+    """
+    base_top = f.base.bbox()[-1].hi
+    columns, scales = f.columns, f.scales
+
+    def key(i):
+        t = tuple(col[i] for col in columns)
+        return (-(base_top * scales[i] + t[-1]), t, i)
+
+    return key
 
 
 def intersection_graph_bruteforce(f):

@@ -10,7 +10,7 @@ import re
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from piercing import jsonio
+from piercing import certificates, jsonio
 from piercing.bodies import (
     BoxBody,
     DiskBody,
@@ -126,6 +126,57 @@ def test_verify_rejects_clusters_that_do_not_partition(clusters, message):
         PierceCertificate("grid", 2, points, clusters, [0, 2]).verify(f)
 
 
+def test_symbolic_certificate_over_its_budget_fails(tmp_path, capsys):
+    # the homothet cover's 12 offsets at every seed: with the factor edited
+    # to 11 the placed points exceed the budget, and so do the distinct ones
+    f = random_family(unit_triangle(), 300, box_size=20, kind="homothets", seed=4)
+    doc = jsonio.certificate_to_json(greedy_pierce_homothets(f, verify=False), f)
+    assert doc["factor"] == 12
+    doc["factor"] = 11
+    path = tmp_path / "cert.json"
+    jsonio.dump(doc, str(path))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert "|points| exceeds factor * |witness|" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_explicit_certificate_over_its_budget_fails(tmp_path, capsys, over):
+    f = random_family(unit_square(), 200, box_size=20, seed=5)
+    cert = greedy_pierce(f, verify=False).explicit()
+    budget = cert.factor * len(cert.witness)
+    pad = [Point(1000 + k, 0) for k in range(budget + over - len(cert.points))]
+    cert = PierceCertificate(cert.method, cert.factor, cert.points + pad, cert.clusters,
+                             cert.witness)
+    path = tmp_path / "cert.json"
+    jsonio.dump(jsonio.certificate_to_json(cert, f), str(path))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == over
+    assert ("|points| exceeds factor * |witness|" in capsys.readouterr().err) == bool(over)
+
+
+@pytest.mark.parametrize("base, kind", [(unit_disk, "translates"), (unit_triangle, "homothets")])
+def test_verify_counts_no_point_within_the_bound(monkeypatch, base, kind):
+    # a greedy certificate places as many points per seed as its factor, so
+    # the budget holds before any point is counted
+    f = random_family(base(), 300, box_size=20, kind=kind, seed=4)
+    cert = auto_pierce(f, verify=False)
+    calls = []
+    pattern_keys = certificates._pattern_keys
+
+    def counted(*args):
+        calls.append(args)
+        return pattern_keys(*args)
+
+    monkeypatch.setattr(certificates, "_pattern_keys", counted)
+    assert cert.verify(f) and calls == []
+    assert cert.point_count() == len(cert.points) and calls
+    # the bound verify checks is the number of points placed before dedupe
+    place = certificates._placer(f, certificates.greedy_rule(f, cert.method)[0].offsets)
+    placed = [p for i in cert._pattern_seeds() for p in place(i)] + cert.extra
+    assert cert._verify_clusters(f) == len(placed) >= len(cert.points)
+
+
 _ROOT_BOUNDARY = st.tuples(st.integers(0, 10 ** 6), st.sampled_from([-1, 0, 1])).map(
     lambda kd: max(0, kd[0] * kd[0] + kd[1]))
 
@@ -212,7 +263,7 @@ def test_check_members_matches_realized_membership_across_scale_classes(base):
         elif body.kind == "box":
             points.append(body.mins)
         else:
-            points.append(Point(body.center.x, body.top()))
+            points.append(Point(body.center.x, body.center.y + body.radius))
         points.append(make([F(rng.randrange(-40, 200), 8) for _ in range(2)]))
     held = [any(f.realize(i).contains(p) for p in points) for i in range(len(f))]
     assert 3 < sum(held) < len(f) - 3

@@ -255,7 +255,7 @@ def _reference_smallest_first(f):
     def key(i):
         m = f.members[i]
         t = m.t if isinstance(m.t, tuple) else (m.t.x, m.t.y)
-        return (m.s, -(f.base.top() * m.s + t[-1]), t, i)
+        return (m.s, -(f.base.bbox()[-1].hi * m.s + t[-1]), t, i)
 
     alive = [True] * len(f)
     clusters = []

@@ -1,7 +1,8 @@
 import json
 from fractions import Fraction
+import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from piercing import covers, jsonio, sandwich, translates
@@ -536,19 +537,71 @@ def test_malformed_member_is_a_parse_error(tmp_path, capsys, doc):
 
 @pytest.mark.parametrize("base, kind", [("disk", "translates"), ("triangle", "homothets")])
 def test_cli_round_trip_builds_no_member(tmp_path, monkeypatch, base, kind):
-    # pierce, write, read and verify work on the columns alone
+    # pierce, write, read and verify work on the scaled int columns alone:
+    # no Member and no Fraction column
     inst, cert = str(tmp_path / "instance.json"), str(tmp_path / "cert.json")
     assert run("gen", "random", "--base", base, "--kind", kind, "--n", "300",
                "--box-size", "20", "--seed", "4", "--out", inst) == 0
-    built = []
-    member_init = Member.__init__
+    built, derived = [], []
+    member_init, derive = Member.__init__, Family._derive_columns
 
     def counted(self, *args, **kwargs):
         built.append(args)
         member_init(self, *args, **kwargs)
 
+    def counted_derive(self):
+        derived.append(len(self))
+        return derive(self)
+
     monkeypatch.setattr(Member, "__init__", counted)
+    monkeypatch.setattr(Family, "_derive_columns", counted_derive)
     assert run("pierce", inst, "--out", cert) == 0
     assert run("verify", cert) == 0
-    assert built == []
-    assert jsonio.family_from_json(jsonio.load(inst)).members and built
+    assert built == [] and derived == []
+    assert jsonio.family_from_json(jsonio.load(inst)).members and built and derived
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+def _typed_body(body):
+    if body.kind == "disk":
+        values = [body.center.x, body.center.y, body.radius]
+    elif body.kind == "box":
+        values = [*body.mins, *body.sides]
+    else:
+        values = [c for p in [*body.polygon.vertices, body.reference_point] for c in (p.x, p.y)]
+    return _typed(values)
+
+
+def _member_case(base, kind, ts, ss):
+    """(document, None, the Member-built family), as _instances gives."""
+    doc = {"base": jsonio.body_to_json(base), "kind": kind,
+           "members": [{"t": [_num_out(v) for v in t], "s": _num_out(s)} for t, s in zip(ts, ss)]}
+    members = [Member(tuple(t) if base.kind == "box" else Point(*t), s) for t, s in zip(ts, ss)]
+    return doc, None, Family(base, members, kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_instances(), st.randoms(use_true_random=False))
+@example(_member_case(unit_triangle(), "homothets", [(Fraction(3), Fraction(-4)),
+                                                    (Fraction(0), Fraction(7))],
+                      [Fraction(2), Fraction(5)]), random.Random(0))  # D = 1, all ints
+@example(_member_case(unit_square(), "homothets", [(Fraction(1, _HUGE[0]), Fraction(2)),
+                                                   (Fraction(-7), Fraction(1, 3))],
+                      [Fraction(3, _HUGE[1]), Fraction(2)]), random.Random(0))  # over the bits
+def test_derived_columns_equal_the_member_built_ones(case, rng):
+    """A family read from a file holds scaled ints and derives its Fraction
+    columns, scales and bodies; they equal the Member-built family's by
+    value and by type, in a sub-family too."""
+    doc, _, f = case
+    g = jsonio.family_from_json(json.loads(json.dumps(doc)))
+    assert [_typed(col) for col in g.columns] == [_typed(col) for col in f.columns]
+    assert _typed(g.scales) == _typed(f.scales)
+    assert all(_typed_body(g.realize(i)) == _typed_body(f.realize(i)) for i in range(len(f)))
+    picked = [rng.randrange(len(f)) for _ in range(rng.randint(1, 2 * len(f)))]
+    sub = g.subfamily(picked)
+    assert [_typed(col) for col in sub.columns] == [_typed([col[i] for i in picked])
+                                                    for col in f.columns]
+    assert _typed(sub.scales) == _typed([f.scales[i] for i in picked])

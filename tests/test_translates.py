@@ -42,7 +42,6 @@ from piercing.translates import (
     _default_sandwich,
     _greedy,
     _seed_order,
-    _top_key,
     covering_lattice,
     greedy_pierce,
     grid_pierce,
@@ -52,7 +51,7 @@ from piercing.translates import (
     packing_lattice,
     union_area_exact,
 )
-from reference import lattice_offset_members, lattice_offset_points
+from reference import lattice_offset_members, lattice_offset_points, top_key
 
 PENTAGON = PolygonBody(
     ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Point(2, 5), Point(-1, 2)])
@@ -456,7 +455,7 @@ class TestOracleChain:
 
 def _reference_clusters(f):
     """Topmost greedy on the exact key, absorbing by Family.intersects alone."""
-    order = sorted(range(len(f)), key=_top_key(f))
+    order = sorted(range(len(f)), key=top_key(f))
     alive = [True] * len(f)
     clusters = []
     for i in order:
@@ -543,12 +542,12 @@ def test_int_disk_test_agrees_with_exact_containment():
 
 
 def _normalized_top_order(f):
-    """The reference seed order of a triangle family: _top_key on the family
+    """The reference seed order of a triangle family: top_key on the family
     mapped into the frame where the triangle is (0,0), (1,0), (0,1)."""
     _, e1, e2 = _triangle_normalizer(f.base.polygon)
     det = e1.cross(e2)
     fwd = AffineMap(e2.y / det, -e2.x / det, -e1.y / det, e1.x / det)
-    return sorted(range(len(f)), key=_top_key(normalize_affine(f, fwd)))
+    return sorted(range(len(f)), key=top_key(normalize_affine(f, fwd)))
 
 
 _SKEWED = [
@@ -588,7 +587,7 @@ class TestTriangleSeedOrder:
         # seeds taken by their y coordinate leave a member of the skewed
         # triangle unpierced: the order has to follow the cut edge
         f = random_family(_SKEWED[0], 60, box_size=8, seed=0)
-        plain = _greedy(f, translate_cluster_cover(f.base), sorted(range(len(f)), key=_top_key(f)),
+        plain = _greedy(f, translate_cluster_cover(f.base), sorted(range(len(f)), key=top_key(f)),
                         "greedy", False, 0)
         with pytest.raises(VerificationFailed, match="contains no piercing point"):
             plain.explicit().verify(f)
