@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import chain
 import json
 import math
+from operator import itemgetter
 import re
 
 from .bodies import BoxBody, DiskBody, Family, PolygonBody, scale_table
@@ -165,7 +166,8 @@ class _Reader:
         dim = base.dim if base.kind == "box" else 2
         if set(map(type, ts)) - {list} or set(map(len, ts)) - {dim}:
             raise ParseError("a translation needs a list of %d coordinates" % dim)
-        raw = list(zip(*ts))
+        # per axis, not zip(*ts): that takes one iterator object per member
+        raw = [list(map(itemgetter(k), ts)) for k in range(dim)]
         # an int and a str never compare equal, so once bools and floats
         # are refused the sets below keep every distinct value apart
         bad = set(map(type, chain(ss, *raw))) - {int, str}
