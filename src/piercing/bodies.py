@@ -9,10 +9,10 @@ and scale denominators (Family.scaled_translations), so member i is
 (S_i C + T_i) / D with int columns T and S.  Pair tests (pair_checker), the
 pair grid (neighbor_index) and the homothet/topmost orders run on these
 ints, and polygon and box members are slabs lo <= w.p <= hi with int bounds
-(Family.slabs).  Point membership is decided here too, for certificate
-checks and for the oracle's coverage masks alike: a point becomes ints
-(A + B sqrt(m)) / q once (int_point), and membership tests it against a
-member's slabs, or a disk member by the exact sign of P + Q sqrt(m).  The
+(Family.slabs).  Point membership is decided here too: a point becomes
+ints (A + B sqrt(m)) / q once (int_point), and membership tests it against
+a member's slabs or a disk member's exact sign of P + Q sqrt(m); coverage,
+for the oracle's masks, bisects all members one slab at a time.  The
 members' scaled bounding boxes (box_columns) are int too, and one exact
 grid per power-of-two scale class of the members (scale_classes) gives
 the pair candidates (neighbor_index) and, in certificates, the points a
@@ -20,9 +20,11 @@ member tests.  Over MAX_SCALE_BITS the same code runs on Fractions with
 D = 1.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 import math
-from operator import le, mul
+from operator import le, mul, or_
 
 from .errors import (
     DegenerateInput,
@@ -30,7 +32,7 @@ from .errors import (
     MixedKinds,
     SingularMap,
 )
-from .geom import ConvexPolygon, Interval, Point, frac, polygons_intersect
+from .geom import ConvexPolygon, Interval, Point, _hom, frac, polygons_intersect
 from .radicals import RadPoint, dist2
 
 # A family whose common translation and scale denominator D needs more bits
@@ -344,23 +346,22 @@ def _scale_translations(f: Family):
 
 def _base_slabs(base):
     """(w, lo, hi) per slab of the base: a primitive int vector w and the
-    extent [lo, hi] of w . p over the base.  Polygons take one w per edge
-    direction (the slabs' intersection is the polygon, and the edges of
-    s C - s' C have no other directions), boxes the unit vectors."""
+    extent [lo, hi] of w . p, found on the ints of geom._hom.  Polygons take
+    one w per edge direction (the slabs' intersection is the polygon, and
+    the edges of s C - s' C have no other directions), boxes unit vectors."""
     if base.kind == "box":
         return [(tuple(int(a == k) for a in range(base.dim)), m, m + side)
                 for k, (m, side) in enumerate(zip(base.mins, base.sides))]
+    hom = [_hom(v) for v in base.polygon.vertices]
+    d = math.lcm(*[w for _, _, w in hom])
+    xy = [(x * (d // w), y * (d // w)) for x, y, w in hom]
     out = []
-    for a, b in base.polygon.edges():
-        n = b - a
-        L = math.lcm(n.x.denominator, n.y.denominator)
-        wx, wy = int(n.y * L), -int(n.x * L)
-        g = math.gcd(wx, wy)
-        w = (wx // g, wy // g) if (wx, wy) > (0, 0) else (-wx // g, -wy // g)
-        if any(w == row[0] for row in out):
-            continue
-        vals = [w[0] * v.x + w[1] * v.y for v in base.polygon.vertices]
-        out.append((w, min(vals), max(vals)))
+    for (xa, ya), (xb, yb) in zip(xy, xy[1:] + xy[:1]):
+        g = math.gcd(yb - ya, xa - xb)
+        w = max(((yb - ya) // g, (xa - xb) // g), ((ya - yb) // g, (xb - xa) // g))
+        if all(w != row[0] for row in out):
+            vals = [w[0] * x + w[1] * y for x, y in xy]
+            out.append((w, Fraction(min(vals), d), Fraction(max(vals), d)))
     return out
 
 
@@ -567,9 +568,10 @@ def membership(f: Family, ipts):
     None on the realized member (f.realize(i).contains).
 
     Polygons and boxes decide on the family's slabs (Family.slabs): A/q
-    lies in member i iff q lo <= form . A <= q hi on every slab.  A disk
-    member has centre (U, V) and radius R over L D, as in pair_checker;
-    with X = L D A_x - q U and Y = L D A_y - q V the point lies in it iff
+    lies in member i iff q lo <= form . A <= q hi on every slab (coverage
+    decides many points at once, one slab at a time).  A disk member has
+    centre (U, V) and radius R over L D, as in pair_checker; with
+    X = L D A_x - q U and Y = L D A_y - q V the point lies in it iff
     P + Q sqrt(m) <= 0 for P = X^2 + Y^2 + m (L D)^2 (B_x^2 + B_y^2) - (q R)^2
     and Q = 2 L D (X B_x + Y B_y): P^2 against m Q^2 where signs differ.
     """
@@ -626,6 +628,33 @@ def membership(f: Family, ipts):
         return test
 
     return member
+
+
+def coverage(f: Family, ipts):
+    """masks[k] has bit i set iff member i contains the point of ipts[k]
+    (int_point entries), None where membership leaves it open.  Polygons
+    and boxes go slab by slab: u = form . A lies in member i's slab iff
+    lo <= u // q and -hi <= -u // q (Fraction(+-u, q) for Fraction bounds),
+    so the members holding it are prefixes of the orders by lo and by -hi,
+    whose ORs a bisection finds; disks test member by member."""
+    bits = [1 << i for i in range(len(f))]
+    if f.base.kind == "disk":
+        tests = list(map(membership(f, ipts), range(len(f))))
+        return [None if e is None else sum(b for b, test in zip(bits, tests) if test(k))
+                for k, e in enumerate(ipts)]
+    forms, lo, hi = f.slabs()
+    masks = {k: (1 << len(f)) - 1 for k, e in enumerate(ipts) if e is not None and e[3] is None}
+    for w, los, his in zip(forms, zip(*lo), zip(*hi)):
+        ints = all(type(v) is int for v in los + his)
+        los, lo_bits = zip(*sorted(zip(los, bits)))
+        his, hi_bits = zip(*sorted(zip([-v for v in his], bits)))
+        low, high = [0, *accumulate(lo_bits, or_)], [0, *accumulate(hi_bits, or_)]
+        for k in masks:
+            q, _, A, _ = ipts[k]
+            u = sum(map(mul, w, A))
+            a, b = (u // q, -u // q) if ints else (Fraction(u, q), Fraction(-u, q))
+            masks[k] &= low[bisect_right(los, a)] & high[bisect_right(his, b)]
+    return [masks.get(k) for k in range(len(ipts))]
 
 
 def intersection_graph(f: Family):

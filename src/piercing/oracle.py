@@ -12,18 +12,21 @@ the scaled columns (Fraction columns cleared by their own lcm) and
 deduplicated, first occurrences in order; only the tau_points become
 Points.  Polygon member i has the vertices (S_i v + T_i) / D and the
 halfplanes a x + b y <= c of C carried to (a D, b D, c S_i + a X_i +
-b Y_i).  The masks come from bodies.membership, as in verify; a member is
-realized only for a point a caller adds that it leaves open.  A radicand
-over 2^48 may keep a square factor, so two equal radical candidates can
-both survive; their masks are equal, min_set_cover drops the second as
-dominated, and tau does not change.
+b Y_i), and only pairs that meet (pair_checker) are clipped.  The masks
+come from bodies.coverage, one bisection pair per slab and point over the
+members sorted by their slab bounds (disks: bodies.membership, as in
+verify); a member is realized only for a point a caller adds that the
+int layer leaves open.  A radicand over 2^48 may keep a square factor, so
+two equal radical candidates can both survive; their masks are equal,
+min_set_cover drops the second as dominated, and tau does not change.
 """
 
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm
 
-from .bodies import Family, box_columns, disk_columns, int_point, intersection_graph, membership
+from .bodies import (Family, box_columns, coverage, disk_columns, int_point, intersection_graph,
+                     pair_checker)
 from .errors import TooLarge
 from .geom import Point, _clip, _hom, _planes
 from .radicals import Radical, RadPoint, _reduce_radicand
@@ -49,7 +52,8 @@ def _triple(x, y, w):
     return x // g, y // g, w // g
 
 
-def _polygon_candidates(base, D, cols, S):
+def _polygon_candidates(f, D, cols, S):
+    base, meets = f.base, pair_checker(f)
     verts = [_hom(p) for p in (*base.polygon.vertices, base.reference_point)]
     edges = _planes(base.polygon)
     out, chains, planes = [], [], []
@@ -59,17 +63,17 @@ def _polygon_candidates(base, D, cols, S):
         chains.append(pts[:-1])
         planes.append([(a * D, b * D, c * s + a * x + b * y) for a, b, c in edges])
     for i, pts in enumerate(chains):
-        for hps in planes[i + 1:]:
-            clipped = pts
+        for j, hps in enumerate(planes[i + 1:], i + 1):
+            clipped = pts if meets(i, j) else []  # a pair that does not meet clips to nothing
             for plane in hps:
                 clipped = clipped and _clip(clipped, plane)
             out.extend(clipped)
     return out, []
 
 
-def _disk_candidates(base, D, cols, S):
+def _disk_candidates(f, D, cols, S):
     # crossings c_i + K / h (du, dv) +- t (-dv, du), h = 2 |du, dv|^2, t^2 = delta / h^2
-    LD, us, vs, rs = disk_columns(base, D, cols, S)
+    LD, us, vs, rs = disk_columns(f.base, D, cols, S)
     rat, rad = [_triple(u, v, LD) for u, v in zip(us, vs)], []
     for i, (u, v, R) in enumerate(zip(us, vs, rs)):
         for u2, v2, R2 in zip(us[i + 1:], vs[i + 1:], rs[i + 1:]):
@@ -108,7 +112,7 @@ def candidate_points(f: Family, limit: int = TAU_LIMIT):
     E = lcm(*[v.denominator for v in chain(S, *cols)])
     *cols, S = [[v.numerator * (E // v.denominator) for v in col] for col in (*cols, S)]
     build = _polygon_candidates if base.kind == "polygon" else _disk_candidates
-    rat, rad = build(base, D * E, cols, S)  # rational points first
+    rat, rad = build(f, D * E, cols, S)  # rational points first
     return [(w, 1, (x, y), None) for x, y, w in dict.fromkeys(rat)] + list(dict.fromkeys(rad))
 
 
@@ -127,15 +131,10 @@ def _points(f: Family, entries):
 def _coverage_masks(f: Family, candidates, extra=()):
     """masks[k] has bit i set iff member i contains point k of candidates,
     then of the caller's points extra."""
-    points = [None] * len(candidates) + list(extra)
-    member = membership(f, [*candidates, *map(int_point, extra)])
-    masks = [0] * len(points)
-    for i in range(len(f)):
-        test = member(i)
-        for k, p in enumerate(points):
-            inside = test(k)
-            if inside or inside is None and f.realize(i).contains(p):
-                masks[k] |= 1 << i
+    masks = coverage(f, [*candidates, *map(int_point, extra)])
+    for k, p in enumerate(extra, len(candidates)):
+        if masks[k] is None:
+            masks[k] = sum(1 << i for i in range(len(f)) if f.realize(i).contains(p))
     return masks
 
 
@@ -146,7 +145,7 @@ def min_set_cover(n: int, masks):
     the lower bound packs uncovered elements no single mask covers twice.
     """
     full = (1 << n) - 1
-    order = sorted(range(len(masks)), key=lambda i: (-bin(masks[i]).count("1"), i))
+    order = sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), i))
     keep = []
     seen = 0
     for i in order:
@@ -164,7 +163,7 @@ def min_set_cover(n: int, masks):
     best_sol = []
     uncovered = full
     while uncovered:
-        i = max(keep, key=lambda i: (bin(masks[i] & uncovered).count("1"), -i))
+        i = max(keep, key=lambda i: ((masks[i] & uncovered).bit_count(), -i))
         best_sol.append(i)
         uncovered &= ~masks[i]
     best_size = len(best_sol)
@@ -198,7 +197,7 @@ def min_set_cover(n: int, masks):
             key=lambda x: len([i for i in cover_of[x] if masks[i] & uncovered]),
         )
         cands = sorted(
-            cover_of[e], key=lambda i: (-bin(masks[i] & uncovered).count("1"), i)
+            cover_of[e], key=lambda i: (-(masks[i] & uncovered).bit_count(), i)
         )
         for i in cands:
             chosen.append(i)

@@ -41,6 +41,7 @@ from piercing.oracle import (
 from piercing.radicals import Radical, RadPoint
 import reference
 from reference import (
+    call_budget,
     clique_partition_number,
     coverage_masks as realized_masks,
     intersection_graph_bruteforce,
@@ -287,6 +288,65 @@ def test_coverage_masks_equal_the_realized_reference(name, kind, n, seed, shifte
     f = _small_family(name, kind, n, seed, shifted)
     cands = candidate_points(f)
     assert _coverage_masks(f, cands) == realized_masks(f, cands)
+
+
+def _moved(f, shift):
+    """f with every member moved by the vector shift."""
+    cols = [[v + d for v in col] for col, d in zip(f.columns, shift)]
+    return Family.from_columns(f.base, cols, f.scales, f.kind)
+
+
+def _extra_points(f, rng, count):
+    """Random rational points over the family's members, inside and out."""
+    make = tuple if f.base.kind == "box" else (lambda xy: Point(*xy))
+    out = []
+    for _ in range(count):
+        box = f.realize(rng.randrange(len(f))).bbox()
+        out.append(make([iv.lo + (iv.hi - iv.lo) * F(rng.randrange(-8, 41), 32) for iv in box]))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("square", "triangle", "cs8", "hexagon", "box")),
+       st.sampled_from(("translates", "homothets")), st.integers(2, 12),
+       st.integers(0, 1 << 30), st.booleans())
+@example("cs8", "homothets", 12, 3, True)
+@example("box", "translates", 9, 4, False)
+def test_slab_masks_equal_the_realized_reference_below_the_origin(name, kind, n, seed, shifted):
+    """The slab masks (bodies.coverage) on a family moved below and left of
+    the origin, so that form . A is negative and u // q floors away from
+    zero: candidates and random points over the members, int columns and
+    Fraction columns alike."""
+    f = _moved(_small_family(name, kind, n, seed, shifted), (F(-61, 3), F(-47, 2)))
+    assert (f.scaled_translations()[0] == 1) == shifted
+    extra = _extra_points(f, random.Random(seed), 30)
+    cands = candidate_points(f)
+    assert _coverage_masks(f, cands, extra) == realized_masks(f, cands + extra)
+
+
+def test_slab_masks_equal_the_realized_reference_on_touching_families():
+    """The same where candidates lie exactly on slab bounds: the touching
+    families, as they are and moved below the origin."""
+    rng = random.Random(23)
+    for f in _touching_families():
+        if f.base.kind == "disk":
+            continue
+        dim = f.base.dim if f.base.kind == "box" else 2
+        for g in (f, _moved(f, [F(-23 - k, 2 + k) for k in range(dim)])):
+            cands = candidate_points(g)
+            extra = _extra_points(g, rng, 10)
+            assert _coverage_masks(g, cands, extra) == realized_masks(g, cands + extra)
+
+
+def test_coverage_masks_take_work_per_slab_not_per_member_and_point():
+    """A 16-member cs8 family has about 280 candidates and 4 slabs: one
+    test per member and candidate makes over 25,000 calls, one bisection
+    pair per slab and candidate under 4,000."""
+    f = _small_family("cs8", "homothets", 16, 0)
+    cands = candidate_points(f)
+    assert len(cands) > 250
+    with call_budget(8_000):
+        _coverage_masks(f, cands)
 
 
 @settings(max_examples=60, deadline=None)
