@@ -269,9 +269,7 @@ def _small_family(name, kind, n, seed, shifted=False):
     f = random_family(base, n, box_size=box, kind=kind, scale_range=(1, 2),
                       seed=rng.randrange(1 << 30))
     if shifted:
-        shift = (F(1, 3 ** 82), F(-2, 3 ** 81))
-        cols = [[v + d for v in col] for col, d in zip(f.columns, shift)]
-        f = Family.from_columns(f.base, cols, f.scales, kind)
+        f = _moved(f, (F(1, 3 ** 82), F(-2, 3 ** 81)))
         assert f.scaled_translations()[0] == 1
     return f
 
