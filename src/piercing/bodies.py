@@ -21,7 +21,9 @@ D = 1.
 """
 
 from bisect import bisect_right
+from contextlib import contextmanager
 from fractions import Fraction
+import gc
 from itertools import accumulate
 import math
 from operator import le, mul, or_
@@ -276,7 +278,9 @@ class Family:
             return [col[i] for i in indices]
 
         D, cols, S = self.scaled_translations()
-        sub = Family.from_scaled(self.base, (D, [pick(col) for col in cols], pick(S)), self.kind)
+        # a translate family's S is D throughout
+        S = pick(S) if self.kind == "homothets" else [D] * len(indices)
+        sub = Family.from_scaled(self.base, (D, [pick(col) for col in cols], S), self.kind)
         if self._slabs:
             forms, lo, hi = self._slabs
             sub._slabs = forms, pick(lo), pick(hi)
@@ -316,6 +320,24 @@ class Family:
         if self._slabs is None:
             self._slabs = _member_slabs(self)
         return self._slabs
+
+
+@contextmanager
+def collector_paused():
+    """Hold the cyclic garbage collector off for a pass over a whole family
+    (usable as a decorator).  The greedy and the certificate check build
+    lists, tuples and dicts of ints in proportion to the family, which
+    reference counting frees; none forms a cycle, so a collector pass has
+    nothing to free, and each full pass walks the whole heap of the process,
+    not just the family.  A collector already off is left off."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def scale_table(pairs):

@@ -33,6 +33,7 @@ from operator import add
 from .bodies import (
     Family,
     box_columns,
+    collector_paused,
     int_point,
     membership,
     pair_checker,
@@ -337,6 +338,7 @@ class PierceCertificate:
     def ratio(self):
         return Fraction(self.point_count(), max(1, len(self.witness)))
 
+    @collector_paused()
     def verify(self, f: Family):
         """Exact certificate check of every member, the witness and the
         point budget; raises VerificationFailed.  The distinct points are

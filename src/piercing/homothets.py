@@ -14,7 +14,14 @@ to decide a pair.
 """
 
 # pair_checker is unused here but stays bound: perfbench/spans.py traces it by this binding
-from .bodies import BoxBody, DiskBody, Family, PolygonBody, pair_checker  # noqa: F401
+from .bodies import (  # noqa: F401
+    BoxBody,
+    DiskBody,
+    Family,
+    PolygonBody,
+    collector_paused,
+    pair_checker,
+)
 from .certificates import PierceCertificate
 from .covers import homothet_cover
 from .errors import UnsupportedBase
@@ -34,6 +41,7 @@ def _smallest_order(f: Family):
     return order
 
 
+@collector_paused()
 def greedy_pierce_homothets(f: Family, refine: bool = True,
                             oracle_budget: int = ORACLE_BUDGET,
                             verify: bool = True) -> PierceCertificate:

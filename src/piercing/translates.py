@@ -34,6 +34,7 @@ from .bodies import (
     BoxBody,
     Family,
     PolygonBody,
+    collector_paused,
     intersection_graph,
     member_boxes,
     membership,
@@ -88,6 +89,7 @@ def _seed_order(f: Family):
     return _topmost_order(seed_columns(f))
 
 
+@collector_paused()
 def greedy_pierce(f: Family, refine: bool = True, oracle_budget: int = ORACLE_BUDGET,
                   verify: bool = True) -> PierceCertificate:
     """Greedy decomposition for translates of a supported base body.
@@ -112,8 +114,15 @@ def _greedy(f: Family, pattern, order, method, refine, oracle_budget) -> PierceC
     The certificate is symbolic: the pattern placed at each seed pierces its
     cluster (certificates.greedy_rule), the seeds are the witness, and only
     the oracle's points for a refined last cluster are listed."""
-    clusters = [(i, (i, *hits)) for i, hits in
-                _clusters(len(f), order, neighbor_index(f), pair_checker(f))]
+    # the loop runs on the members renumbered in seed order, position p
+    # being member order[p]: a seed's candidates then sit at nearby
+    # positions, so at 100k members its reads stay local.  The slab rows
+    # are computed on f first, for verify and refine to reuse.
+    if f.base.kind != "disk":
+        f.slabs()
+    g = f.subfamily(order)
+    clusters = [(order[p], (order[p], *sorted(map(order.__getitem__, hits)))) for p, hits in
+                _clusters(len(f), range(len(f)), neighbor_index(g), pair_checker(g))]
     extra = []
     if refine and clusters and len(clusters[-1][1]) <= oracle_budget:
         from .oracle import exact_tau

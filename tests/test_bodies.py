@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+import gc
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from piercing.bodies import (
     Member,
     PolygonBody,
     _member_slabs,
+    collector_paused,
     intersection_graph,
     neighbor_index,
     normalize_affine,
@@ -211,3 +213,43 @@ def test_subfamily_carries_the_slab_rows(base, kind, fractions):
     assert sub._slabs is not None
     assert sub.slabs() == _member_slabs(sub)
     assert sub.slabs() == _member_slabs(Family(f.base, [f.members[i] for i in indices], f.kind))
+
+
+def test_collector_paused_leaves_the_collector_as_found():
+    assert gc.isenabled()
+    with collector_paused():
+        assert not gc.isenabled()
+        with collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    assert gc.isenabled()
+    with pytest.raises(ZeroDivisionError):
+        with collector_paused():
+            1 / 0
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_greedy_and_verify_run_with_the_collector_paused(monkeypatch):
+    from piercing import certificates, translates
+
+    seen = []
+    checker = translates.pair_checker
+
+    def recording(f):
+        seen.append(gc.isenabled())
+        return checker(f)
+
+    monkeypatch.setattr(translates, "pair_checker", recording)
+    monkeypatch.setattr(certificates, "pair_checker", recording)
+    f = random_family(unit_disk(), 40, box_size=8, seed=2)
+    cert = translates.greedy_pierce(f, refine=False, verify=False)
+    cert.verify(f)
+    assert seen == [False, False]
+    assert gc.isenabled()

@@ -7,6 +7,7 @@ import pytest
 from piercing import covers, sandwich, translates
 from piercing.bodies import (
     AffineMap,
+    BoxBody,
     DiskBody,
     Family,
     Member,
@@ -14,7 +15,9 @@ from piercing.bodies import (
     int_point,
     intersection_graph,
     membership,
+    neighbor_index,
     normalize_affine,
+    pair_checker,
 )
 from piercing.covers import _poly_key, _triangle_normalizer, translate_cluster_cover
 from piercing.errors import (
@@ -35,10 +38,12 @@ from piercing.generators import (
     unit_triangle,
 )
 from piercing.geom import ConvexPolygon, Point
+from piercing.homothets import _smallest_order, greedy_pierce_homothets
 from piercing.oracle import exact_nu, exact_tau
 from piercing.radicals import RadPoint, Radical
 from piercing.sandwich import hexagon_sandwich, hexagon_sandwich_special
 from piercing.translates import (
+    _clusters,
     _default_sandwich,
     _greedy,
     _seed_order,
@@ -104,6 +109,21 @@ class TestGreedy:
         f = random_family(PENTAGON, 5, seed=1)
         with pytest.raises(UnsupportedBase):
             greedy_pierce(f)
+
+    @pytest.mark.parametrize("base", [unit_disk, unit_triangle, hexagon_body,
+                                      lambda: BoxBody((0, 0, 0), (1, F(3, 2), 1))],
+                             ids=["disk", "triangle", "hexagon", "box"])
+    @pytest.mark.parametrize("kind", ["translates", "homothets"])
+    def test_clusters_equal_the_loop_on_the_family_numbering(self, base, kind):
+        """The greedy runs its loop on the members renumbered in seed order;
+        mapped back, its clusters are the loop's on the family itself."""
+        f = random_family(base(), 400, box_size=25, kind=kind, seed=13)
+        pierce, seed_order = ((greedy_pierce, _seed_order) if kind == "translates"
+                              else (greedy_pierce_homothets, _smallest_order))
+        cert, order = pierce(f, refine=False, verify=False), seed_order(f)
+        assert f.base.kind == "disk" or f._slabs is not None  # computed on f, for verify
+        assert cert.clusters == [(i, (i, *hits)) for i, hits in
+                                 _clusters(len(f), order, neighbor_index(f), pair_checker(f))]
 
     def test_duplicate_members_allowed(self):
         f = Family(unit_square(), [Member(Point(0, 0))] * 4)
