@@ -24,7 +24,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from fractions import Fraction
 import gc
-from itertools import accumulate
+from itertools import accumulate, chain
 import math
 from operator import le, mul, or_
 
@@ -34,7 +34,7 @@ from .errors import (
     MixedKinds,
     SingularMap,
 )
-from .geom import ConvexPolygon, Interval, Point, _hom, frac, polygons_intersect
+from .geom import ConvexPolygon, Interval, Point, _hom, _planes, frac, polygons_intersect
 from .radicals import RadPoint, dist2
 
 # A family whose common translation and scale denominator D needs more bits
@@ -81,9 +81,6 @@ class PolygonBody:
     def bbox(self):
         return self.polygon.bounding_box()
 
-    def measure(self) -> Fraction:
-        return self.polygon.area()
-
 
 class DiskBody:
     kind = "disk"
@@ -117,10 +114,6 @@ class DiskBody:
     def bbox(self):
         c, r = self.center, self.radius
         return Interval(c.x - r, c.x + r), Interval(c.y - r, c.y + r)
-
-    def measure(self):
-        # pi * r**2 is irrational; exposed as a float for reporting only
-        return math.pi * float(self.radius) ** 2
 
 
 class BoxBody:
@@ -157,12 +150,6 @@ class BoxBody:
 
     def bbox(self):
         return tuple(Interval(m, m + s) for m, s in zip(self.mins, self.sides))
-
-    def measure(self) -> Fraction:
-        out = Fraction(1)
-        for s in self.sides:
-            out *= s
-        return out
 
 
 class Member:
@@ -505,14 +492,50 @@ def neighbor_index(f: Family):
     return candidates
 
 
+def _disk_frame(base):
+    """(L, cx, cy, cr): the base disk's centre and radius as ints over L."""
+    c, r = base.center, base.radius
+    L = math.lcm(c.x.denominator, c.y.denominator, r.denominator)
+    return (L, *[v.numerator * (L // v.denominator) for v in (c.x, c.y, r)])
+
+
 def disk_columns(base, D, cols, S):
     """(L D, us, vs, rs): with scaled columns (D, cols, S), disk member i
     has centre (us[i], vs[i]) / (L D) and radius rs[i] / (L D)."""
-    c, r = base.center, base.radius
-    L = math.lcm(c.x.denominator, c.y.denominator, r.denominator)
-    cx, cy, cr = [v.numerator * (L // v.denominator) for v in (c.x, c.y, r)]
+    L, cx, cy, cr = _disk_frame(base)
     return (L * D, [cx * s + L * x for s, x in zip(S, cols[0])],
             [cy * s + L * y for s, y in zip(S, cols[1])], [cr * s for s in S])
+
+
+def int_translations(f: Family):
+    """scaled_translations() on ints: over MAX_SCALE_BITS, the Fraction
+    columns cleared by the lcm E of their denominators, with D E for D."""
+    D, cols, S = f.scaled_translations()
+    E = math.lcm(*[v.denominator for v in chain(S, *cols)])
+    *cols, S = [[v.numerator * (E // v.denominator) for v in col] for col in (*cols, S)]
+    return D * E, cols, S
+
+
+def _triple(x, y, w):
+    """The homogeneous int triple (x, y, w) divided by its gcd."""
+    g = math.gcd(x, y, w)
+    return x // g, y // g, w // g
+
+
+def member_polygons(base, D, cols, S):
+    """(points, planes) of polygon members on the ints (D, cols, S) of
+    int_translations: points[i] holds member i's vertices (ccw), then its
+    reference point, as reduced homogeneous triples, and planes[i] its edges'
+    halfplanes a x + b y <= c of geom._planes carried to (a D, b D,
+    c S_i + a X_i + b Y_i), equal for two members iff the edges lie on one
+    line facing the same way."""
+    verts = [_hom(p) for p in (*base.polygon.vertices, base.reference_point)]
+    edges = _planes(base.polygon)
+    points, planes = [], []
+    for s, x, y in zip(S, *cols):
+        points.append([_triple(s * vx + x * w, s * vy + y * w, D * w) for vx, vy, w in verts])
+        planes.append([(a * D, b * D, c * s + a * x + b * y) for a, b, c in edges])
+    return points, planes
 
 
 def pair_checker(f: Family):
@@ -616,9 +639,7 @@ def membership(f: Family, ipts):
             return test
 
         return member
-    c, r = base.center, base.radius
-    L = math.lcm(c.x.denominator, c.y.denominator, r.denominator)
-    cx, cy, cr = [v.numerator * (L // v.denominator) for v in (c.x, c.y, r)]
+    L, cx, cy, cr = _disk_frame(base)
     D, (xs, ys), S = f.scaled_translations()
     LD = L * D
     pts = []

@@ -91,6 +91,13 @@ def seed_columns(f: Family):
     return cols
 
 
+def greedy_supported(base) -> bool:
+    """Whether the translate greedy has a cover pattern for base: a disk, a
+    box, or a centrally symmetric or triangular polygon."""
+    return base.kind != "polygon" or base.polygon.is_centrally_symmetric() is not None \
+        or len(base.polygon.vertices) == 3
+
+
 def greedy_rule(f: Family, method):
     """(pattern, rank) for a greedy method on f: a member that meets member
     i and has rank <= rank[i] contains a point of the pattern placed at i
@@ -108,8 +115,7 @@ def greedy_rule(f: Family, method):
     if method == "greedy":
         if f.kind != "translates":
             raise UnsupportedBase("greedy_pierce needs a translate family")
-        if base.kind == "polygon" and base.polygon.is_centrally_symmetric() is None \
-                and len(base.polygon.vertices) != 3:
+        if not greedy_supported(base):
             raise UnsupportedBase("polygon base is neither centrally symmetric nor a triangle")
         return translate_cluster_cover(base), seed_columns(f)[-1]
     if method == "greedy-homothets":

@@ -13,6 +13,7 @@ import time
 
 from . import generators, jsonio, svg
 from .bodies import Family
+from .certificates import greedy_supported
 from .errors import ParseError, PiercingError, TooLarge, VerificationFailed
 from .homothets import greedy_pierce_homothets
 from .oracle import solve as oracle_solve
@@ -56,13 +57,6 @@ def _is_cs_hexagon(f: Family) -> bool:
     )
 
 
-def _greedy_supported(f: Family) -> bool:
-    if f.base.kind in ("disk", "box"):
-        return True
-    poly = f.base.polygon
-    return poly.is_centrally_symmetric() is not None or len(poly.vertices) == 3
-
-
 def auto_pierce(f: Family, method="auto", refine=True, seed=0, verify=True):
     """Dispatch to the most specific applicable algorithm."""
     if method == "auto":
@@ -70,7 +64,7 @@ def auto_pierce(f: Family, method="auto", refine=True, seed=0, verify=True):
             method = "greedy"
         elif _is_cs_hexagon(f):
             method = "hexagon"
-        elif _greedy_supported(f):
+        elif greedy_supported(f.base):
             method = "greedy"
         else:
             method = "grid"

@@ -8,11 +8,10 @@ maximum independent set of the intersection graph.  Both solvers are
 branch-and-bound and deterministic.
 
 Candidates are int entries (q, m, A, B) (bodies.int_point) built from
-the scaled columns (Fraction columns cleared by their own lcm) and
-deduplicated, first occurrences in order; only the tau_points become
-Points.  Polygon member i has the vertices (S_i v + T_i) / D and the
-halfplanes a x + b y <= c of C carried to (a D, b D, c S_i + a X_i +
-b Y_i), and only pairs that meet (pair_checker) are clipped.  The masks
+the int columns of bodies.int_translations and deduplicated, first
+occurrences in order; only the tau_points become Points.  Polygon members
+are the int vertices and halfplanes of bodies.member_polygons, and only
+pairs that meet (pair_checker) are clipped.  The masks
 come from bodies.coverage, one bisection pair per slab and point over the
 members sorted by their slab bounds (disks: bodies.membership, as in
 verify); a member is realized only for a point a caller adds that the
@@ -22,13 +21,13 @@ min_set_cover drops the second as dominated, and tau does not change.
 """
 
 from fractions import Fraction
-from itertools import chain, product
-from math import gcd, lcm
+from itertools import product
+from math import gcd
 
-from .bodies import (Family, box_columns, coverage, disk_columns, int_point, intersection_graph,
-                     pair_checker)
+from .bodies import (Family, _triple, box_columns, coverage, disk_columns, int_point,
+                     int_translations, intersection_graph, member_polygons, pair_checker)
 from .errors import TooLarge
-from .geom import Point, _clip, _hom, _planes
+from .geom import Point, _clip
 from .radicals import Radical, RadPoint, _reduce_radicand
 
 TAU_LIMIT = 16
@@ -47,24 +46,13 @@ class OracleResult:
         return "OracleResult(tau=%d, nu=%d)" % (self.tau, self.nu)
 
 
-def _triple(x, y, w):
-    g = gcd(x, y, w)
-    return x // g, y // g, w // g
-
-
 def _polygon_candidates(f, D, cols, S):
-    base, meets = f.base, pair_checker(f)
-    verts = [_hom(p) for p in (*base.polygon.vertices, base.reference_point)]
-    edges = _planes(base.polygon)
-    out, chains, planes = [], [], []
-    for s, x, y in zip(S, *cols):
-        pts = [_triple(s * vx + x * w, s * vy + y * w, D * w) for vx, vy, w in verts]
-        out.extend(pts)
-        chains.append(pts[:-1])
-        planes.append([(a * D, b * D, c * s + a * x + b * y) for a, b, c in edges])
-    for i, pts in enumerate(chains):
+    meets = pair_checker(f)
+    points, planes = member_polygons(f.base, D, cols, S)
+    out = [p for pts in points for p in pts]
+    for i, pts in enumerate(points):
         for j, hps in enumerate(planes[i + 1:], i + 1):
-            clipped = pts if meets(i, j) else []  # a pair that does not meet clips to nothing
+            clipped = pts[:-1] if meets(i, j) else []  # a pair that does not meet clips to nothing
             for plane in hps:
                 clipped = clipped and _clip(clipped, plane)
             out.extend(clipped)
@@ -108,11 +96,8 @@ def candidate_points(f: Family, limit: int = TAU_LIMIT):
         scale, _, lo_cols, _ = box_columns(f, range(len(f)))
         combos = [(scale, 1, c, None) for c in product(*[sorted(set(col)) for col in lo_cols])]
         return [e for e, m in zip(combos, _coverage_masks(f, combos)) if m]
-    D, cols, S = f.scaled_translations()
-    E = lcm(*[v.denominator for v in chain(S, *cols)])
-    *cols, S = [[v.numerator * (E // v.denominator) for v in col] for col in (*cols, S)]
     build = _polygon_candidates if base.kind == "polygon" else _disk_candidates
-    rat, rad = build(f, D * E, cols, S)  # rational points first
+    rat, rad = build(f, *int_translations(f))  # rational points first
     return [(w, 1, (x, y), None) for x, y, w in dict.fromkeys(rat)] + list(dict.fromkeys(rad))
 
 

@@ -12,7 +12,7 @@ exact rational arithmetic.
 """
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd
 
 from .errors import NotCentrallySymmetric, NotHexagon, SearchFailed, VerificationFailed
 from .geom import ConvexPolygon, Point, clip_chain, frac
@@ -68,23 +68,16 @@ class SandwichPair:
 
 
 def _dedup_directions(dirs):
-    seen = set()
-    out = []
+    keys = {}  # first occurrences, in order
     for d in dirs:
         if d.x == 0 and d.y == 0:
             continue
         # canonical primitive integer vector with positive leading entry
         num = (d.x.numerator * d.y.denominator, d.y.numerator * d.x.denominator)
-        from math import gcd
-
-        g = gcd(abs(num[0]), abs(num[1]))
+        g = gcd(*num)
         key = (num[0] // g, num[1] // g)
-        if key[0] < 0 or (key[0] == 0 and key[1] < 0):
-            key = (-key[0], -key[1])
-        if key not in seen:
-            seen.add(key)
-            out.append(Point(key[0], key[1]))
-    return out
+        keys[(-key[0], -key[1]) if key < (0, 0) else key] = None
+    return [Point(x, y) for x, y in keys]
 
 
 def _candidate_directions(c: ConvexPolygon):
@@ -436,50 +429,27 @@ def hexagon_sandwich_special(c: ConvexPolygon) -> SandwichPair:
     v = [p - center for p in verts]
     best = None
     for k in range(6):
-        p = [v[(k + i) % 6] for i in range(6)]  # p[0] is p1, ...
-        p1, p2, p3, p4, p6 = p[0], p[1], p[2], p[3], p[5]
-        # case B frame: P = parallelogram p1 p3 p4 p6 (center origin)
-        d1 = p3 - p1
-        d2 = p4 - p3
-        if d1.cross(d2) == 0:
-            continue
-        coords = _basis_coords(v, d1, d2)
-        amin = min(q.x for q in coords)
-        amax = max(q.x for q in coords)
-        bmin = min(q.y for q in coords)
-        bmax = max(q.y for q in coords)
-        lam = (amax - amin, bmax - bmin)
-        pgram = Parallelogram(center, d1, d2)
-        q = Parallelogram(
-            center + d1 * ((amin + amax) / 2) + d2 * ((bmin + bmax) / 2),
-            d1 * lam[0],
-            d2 * lam[1],
-        )
-        for line_axis in (0, 1):
-            pair = SandwichPair(pgram, q, lam, line_axis)
-            if pair.gamma <= 3 and pair.verify(c) and (best is None or pair.gamma < best.gamma):
-                best = pair
-        # case A frame: rectangle p2 p3 p5 p6 inside the bounding parallelogram
-        e1 = p3 - p2
-        e2 = -(p3 + p2)
-        if e1.cross(e2) == 0:
-            continue
-        coords = _basis_coords(v, e1, e2)
-        amin = min(q.x for q in coords)
-        amax = max(q.x for q in coords)
-        bmin = min(q.y for q in coords)
-        bmax = max(q.y for q in coords)
-        lam = ((amax - amin), (bmax - bmin))
-        pgram = Parallelogram(center, e1, e2)
-        q = Parallelogram(
-            center + e1 * ((amin + amax) / 2) + e2 * ((bmin + bmax) / 2),
-            e1 * lam[0],
-            e2 * lam[1],
-        )
-        for line_axis in (0, 1):
-            pair = SandwichPair(pgram, q, lam, line_axis)
-            if pair.gamma <= 3 and pair.verify(c) and (best is None or pair.gamma < best.gamma):
-                best = pair
+        p1, p2, p3, p4 = [v[(k + i) % 6] for i in range(4)]
+        # case B frame: P = parallelogram p1 p3 p4 p6 (center origin), then
+        # case A: rectangle p2 p3 p5 p6 inside the bounding parallelogram;
+        # neither is flat, as p1 p3 p4 are not collinear and p2 x p3 != 0
+        for d1, d2 in ((p3 - p1, p4 - p3), (p3 - p2, -(p3 + p2))):
+            coords = _basis_coords(v, d1, d2)
+            amin = min(q.x for q in coords)
+            amax = max(q.x for q in coords)
+            bmin = min(q.y for q in coords)
+            bmax = max(q.y for q in coords)
+            lam = (amax - amin, bmax - bmin)
+            pgram = Parallelogram(center, d1, d2)
+            q = Parallelogram(
+                center + d1 * ((amin + amax) / 2) + d2 * ((bmin + bmax) / 2),
+                d1 * lam[0],
+                d2 * lam[1],
+            )
+            for line_axis in (0, 1):
+                pair = SandwichPair(pgram, q, lam, line_axis)
+                if pair.gamma <= 3 and pair.verify(c) and (best is None or pair.gamma < best.gamma):
+                    best = pair
     if best is None:
         raise SearchFailed("no gamma <= 3 sandwich found for hexagon")
     return best

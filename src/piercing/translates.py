@@ -35,8 +35,10 @@ from .bodies import (
     Family,
     PolygonBody,
     collector_paused,
+    int_translations,
     intersection_graph,
     member_boxes,
+    member_polygons,
     membership,
     neighbor_index,
     pair_checker,
@@ -57,9 +59,8 @@ from .geom import (
     ConvexPolygon,
     Interval,
     Point,
-    chain_area,
+    _clip,
     frac,
-    intersection_chain,
     region_minus_polygons,
 )
 from .sandwich import (
@@ -441,29 +442,51 @@ def packing_lattice(s0: ConvexPolygon, cell_poly: ConvexPolygon, eps=Fraction(1,
     return spec
 
 
-def union_area_exact(f: Family, limit: int = 15) -> Fraction:
-    """Exact area of the union by inclusion-exclusion over convex intersections."""
-    n = len(f)
-    if n > limit:
-        raise TooLarge("union area limited to %d members" % limit)
+def union_area_exact(f: Family) -> Fraction:
+    """Exact area of the union of a polygon family by Green's theorem:
+    half the sum over member edges ab (bodies.member_polygons) of
+    cross(a, b) times the share of ab left uncovered, measured along x (y
+    for a vertical edge).  A member that meets ab's own (neighbor_index,
+    pair_checker) covers what geom._clip keeps of ab in its halfplanes.  Of
+    edges on one line facing the same way (equal halfplane triples) only
+    the lowest index counts; edges facing opposite ways cover each other."""
     if f.base.kind != "polygon":
         raise TooLarge("exact union area needs polygon members")
-    polys = [f.realize(i).polygon for i in range(n)]
-    total = Fraction(0)
-
-    def rec(start, chain, sign, area):
-        nonlocal total
-        total += sign * area
-        for i in range(start, n):
-            nxt = intersection_chain(chain, polys[i])
-            a = chain_area(nxt)
-            if a == 0:
-                continue
-            rec(i + 1, nxt, -sign, a)
-
-    for i in range(n):
-        rec(i + 1, polys[i], 1, chain_area(polys[i].vertices))
-    return total
+    points, planes = member_polygons(f.base, *int_translations(f))
+    near, meets = neighbor_index(f), pair_checker(f)
+    twice = Fraction(0)
+    for i, (pts, own) in enumerate(zip(points, planes)):
+        pts = pts[:-1]  # the last point is the reference point
+        others = [j for j in near(i) if meets(i, j)]
+        for a, b, plane in zip(pts, pts[1:] + pts[:1], own):
+            pieces = []
+            for j in others:
+                if j > i and plane in planes[j]:
+                    continue
+                seg = [a, b]
+                for h in planes[j]:
+                    seg = _clip(seg, h)
+                    if not seg:
+                        break
+                if seg == [a, b]:
+                    break  # covered whole
+                if len(seg) == 2:
+                    pieces.append(seg)
+            else:  # no member covers the whole edge
+                cross = Fraction(a[0] * b[1] - a[1] * b[0], a[2] * b[2])
+                if not pieces:
+                    twice += cross
+                    continue
+                k = 0 if a[0] * b[2] != b[0] * a[2] else 1
+                lo, hi = sorted((Fraction(a[k], a[2]), Fraction(b[k], b[2])))
+                free, reach = hi - lo, lo
+                for start, stop in sorted(sorted(Fraction(p[k], p[2]) for p in seg)
+                                          for seg in pieces):
+                    if stop > reach:
+                        free -= stop - max(start, reach)
+                        reach = stop
+                twice += cross * free / (hi - lo)
+    return twice / 2
 
 
 def _default_sandwich(f: Family):
@@ -564,15 +587,8 @@ def lattice_pierce(f: Family, lattice: LatticeSpec = None, seed: int = 0,
         lattice = _cached(("covering_lattice", _poly_key(poly), _poly_key(sw.h_in)), build)
     elif lattice.role != "covering":
         raise CoverageNotVerified("lattice_pierce needs a covering lattice")
-    area_upper = None
-    try:
-        area = union_area_exact(f)
-        target = math.floor(area / lattice.cell_area)
-    except TooLarge:
-        # the weaker honest bound: the union is at most the sum of areas
-        area = None
-        area_upper = sum(f.realize(i).measure() for i in range(len(f)))
-        target = math.floor(area_upper / lattice.cell_area)
+    area = union_area_exact(f)
+    target = math.floor(area / lattice.cell_area)
     hits = _lattice_hits(f, lattice)
     best = None
     for off in _offset_candidates(lattice, subdivisions, seed):
@@ -597,7 +613,6 @@ def lattice_pierce(f: Family, lattice: LatticeSpec = None, seed: int = 0,
             "cover_cell_area": lattice.cell_area,
             "packing_cell_area": wspec.cell_area,
             "union_area": area,
-            "union_area_upper": area_upper,
         },
     )
     if verify:
@@ -629,11 +644,8 @@ def lattice_witness(f: Family, lattice: LatticeSpec = None, eps=Fraction(1, 64),
     elif lattice.role != "packing":
         raise PackingNotVerified("lattice_witness needs a packing lattice")
     if area is None:
-        try:
-            area = union_area_exact(f)
-        except TooLarge:
-            pass
-    target = None if area is None else math.ceil(area / lattice.cell_area)
+        area = union_area_exact(f)
+    target = math.ceil(area / lattice.cell_area)
     hits = _lattice_hits(f, lattice)
     best = []
     for off in _offset_candidates(lattice, subdivisions, seed):
@@ -646,7 +658,7 @@ def lattice_witness(f: Family, lattice: LatticeSpec = None, eps=Fraction(1, 64),
                 taken.add(m)
         if len(chosen) > len(best):
             best = chosen
-        if target is not None and len(best) >= target:
+        if len(best) >= target:
             break
     # exact disjointness recheck, then any further disjoint members, which
     # only strengthen the witness

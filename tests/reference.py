@@ -8,7 +8,8 @@ the smallest-first argument with an explicit common point.  The clipping
 functions are the Fraction versions of geom's integer kernel, and the
 lattice offset search tests Fraction lattice points against every realized
 member, and the greedy's seed order is a sort by top_key on the Fraction
-columns.  The oracle's candidate set is built on the realized members
+columns.  The union area is inclusion-exclusion over the realized
+polygons.  The oracle's candidate set is built on the realized members
 (bodies, circle_circle_points) and deduplicated by value.  call_budget
 bounds the work of a block by counting its calls, a deterministic
 stand-in for a time or memory limit.
@@ -312,6 +313,27 @@ def body_contains_body(outer, inner) -> bool:
     return all(outer.polygon.contains(p) for p in inner.polygon.vertices)
 
 
+def union_area(f):
+    """Exact area of the union of a polygon family by inclusion-exclusion
+    over the realized members' convex intersections (geom's clipping), which
+    takes 2^n steps when every member meets every other."""
+    polys = [f.realize(i).polygon for i in range(len(f))]
+    total = Fraction(0)
+
+    def rec(start, chain, sign, area):
+        nonlocal total
+        total += sign * area
+        for i in range(start, len(polys)):
+            nxt = geom.intersection_chain(chain, polys[i])
+            a = geom.chain_area(nxt)
+            if a:
+                rec(i + 1, nxt, -sign, a)
+
+    for i, poly in enumerate(polys):
+        rec(i + 1, poly, 1, poly.area())
+    return total
+
+
 def _union_bbox(f):
     boxes = [f.realize(i).bbox() for i in range(len(f))]
     return (Interval(min(b[0].lo for b in boxes), max(b[0].hi for b in boxes)),
@@ -354,7 +376,7 @@ def lattice_offset_members(f, spec, center, target, seed=0, subdivisions=(4, 8, 
                 chosen.append(free[0])
         if len(chosen) > len(best):
             best = chosen
-        if target is not None and len(best) >= target:
+        if len(best) >= target:
             break
     kept = []
     for i in best + list(range(len(f))):

@@ -46,7 +46,7 @@ def test_realize_disk_scaling_convention():
 
 def test_member_polygon_area_scales_quadratically():
     f = Family(unit_square(), [Member(Point(5, 5), F(3, 2))], "homothets")
-    assert f.realize(0).measure() == F(9, 4)
+    assert f.realize(0).polygon.area() == F(9, 4)
 
 
 def test_five_cycle_graph():
@@ -183,7 +183,6 @@ def test_box_family_basics():
     assert f.intersects(0, 1)
     assert not f.intersects(0, 2)
     assert f.realize(1).mins == (F(1, 2), 0, 0)
-    assert base.measure() == 2
 
 
 def _fraction_columns(f):

@@ -485,9 +485,9 @@ _METHOD_CORPUS = [
     ("hexagon", "pairwise", 12, None, 45,
      "c409e83a4df23ec2c42f38ccbc088080fca644a043926a1f1830942eb9759891"),
     ("lattice", "hexagon", 9, 6, 46,
-     "e1e47ce412f9005cce8accdd92110e460e2877f30dd3aaa4b75a1f31ed026e95"),
+     "c06eb047be55437f6f1e48864c5a15bfd7ae7bfa2e1a502cdbfdee83d6214e30"),
     ("lattice", "hexagon", 12, 8, 49,
-     "d41c76f6764c126a42c512244fd0d1bef2a9df46dd2c4312dc290a39c258073a"),
+     "f91d3277e5b52e0bf9e7b16960c0358540f5bb4cddab63190e6d77b702745c84"),
 ]
 
 

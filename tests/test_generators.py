@@ -43,7 +43,7 @@ class TestFiveCycle:
     def test_members_are_unit_squares(self):
         f = five_square_cycle()
         assert all(m.s == 1 for m in f.members)
-        assert f.realize(0).measure() == 1
+        assert f.realize(0).polygon.area() == 1
 
 
 class TestNineTriangles:

@@ -316,6 +316,7 @@ def test_every_clip_reaches_the_integer_kernel(monkeypatch):
         return kernel(chain, plane)
 
     monkeypatch.setattr(geom, "_clip", counting)
+    monkeypatch.setattr(translates, "_clip", counting)  # the union area's own binding
     a, b = square(), square(at=(F(1, 2), F(1, 3)))
     f = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), F(1, 3)))])
     for run in (lambda: intersection_chain(a, b), lambda: region_minus_polygons(a, [b]),

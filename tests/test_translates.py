@@ -31,6 +31,7 @@ from piercing.generators import (
     five_square_cycle,
     hexagon_body,
     pairwise_intersecting_family,
+    random_centrally_symmetric_polygon,
     random_cs_hexagon,
     random_family,
     unit_disk,
@@ -56,7 +57,8 @@ from piercing.translates import (
     packing_lattice,
     union_area_exact,
 )
-from reference import lattice_offset_members, lattice_offset_points, top_key
+from reference import (call_budget, lattice_offset_members, lattice_offset_points, top_key,
+                       union_area)
 
 PENTAGON = PolygonBody(
     ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Point(2, 5), Point(-1, 2)])
@@ -243,9 +245,9 @@ class TestLattice:
         expected = lattice_pierce(f, verify=False)
         calls = []
 
-        def counting(g, limit=15):
+        def counting(g):
             calls.append(g)
-            return union_area_exact(g, limit)
+            return union_area_exact(g)
 
         monkeypatch.setattr(translates, "union_area_exact", counting)
         got = lattice_pierce(f, verify=False)
@@ -293,6 +295,13 @@ def _lattice_families():
         for q in rng.sample(primes, 14)]))
     assert out[-1].scaled_translations()[0] == 1
     return out
+
+
+def test_union_area_matches_inclusion_exclusion():
+    families = _lattice_families() + _union_families()
+    assert sum(len(f) > 15 for f in families) > 50
+    for f in families:
+        assert union_area_exact(f) == union_area(f)
 
 
 def test_lattice_search_matches_the_fraction_reference():
@@ -457,6 +466,60 @@ class TestUnionArea:
     def test_half_overlap(self):
         f = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), 0))])
         assert union_area_exact(f) == F(3, 2)
+
+    @pytest.mark.parametrize("members, area", [
+        # a 3x3 grid: every inner edge is two edges facing opposite ways
+        ([(i, j, 1) for i in range(3) for j in range(3)], 9),
+        # two rows of half-offset squares: in a row the top and bottom edges
+        # overlap facing the same way, the rows' edges facing opposite ways
+        ([(F(k, 2), 0, 1) for k in range(5)] + [(F(k, 2) + F(1, 4), 1, 1) for k in range(5)],
+         6),
+        # corners touching only
+        ([(0, 0, 1), (1, 1, 1), (2, 0, 1), (1, -1, 1)], 4),
+        # duplicates, one of them under a square on its top edge
+        ([(0, 0, 1)] * 3 + [(F(1, 2), 0, 1)] * 2 + [(F(1, 2), 1, 1)], F(5, 2)),
+        # homothets: one inside the big square, one sharing its edge line
+        ([(0, 0, 2), (1, 0, 1), (2, 0, 1), (2, 0, 1)], 5),
+    ])
+    def test_degenerate_contacts(self, members, area):
+        kind = "homothets" if any(s != 1 for *_, s in members) else "translates"
+        f = Family(unit_square(), [Member(Point(x, y), s) for x, y, s in members], kind)
+        assert union_area_exact(f) == union_area(f) == area
+
+    def test_never_realizes_a_member(self, monkeypatch):
+        f = random_family(hexagon_body(), 12, box_size=7, seed=21)
+        area = union_area(f)
+        monkeypatch.setattr(Family, "realize", lambda g, i: pytest.fail("member %d realized" % i))
+        assert union_area_exact(f) == area
+
+    def test_forty_overlapping_squares_in_polynomial_work(self):
+        # every pair meets: inclusion-exclusion would take 2^40 steps
+        f = Family(unit_square(), [Member(Point(F(i, 40), F(i, 80))) for i in range(40)])
+        with call_budget(1_000_000):
+            area = union_area_exact(f)
+        assert area == 1 + 39 * (1 - F(39, 40) * F(79, 80))
+
+
+def _union_families():
+    """240 seeded polygon families of 1 to 24 members: triangles, squares,
+    hexagons and random centrally symmetric 8-gons, as translates and as
+    homothets, in a box that grows with n; every seventh family repeats
+    three of its members."""
+    rng = random.Random(20)
+    out = []
+    for trial in range(240):
+        kind = ("translates", "homothets")[trial % 2]
+        base = trial // 2 % 4
+        base = (random_centrally_symmetric_polygon(rng, 4, spread=2) if base == 3
+                else (unit_triangle, unit_square, hexagon_body)[base]())
+        n = rng.randrange(1, 25)
+        bx, _ = base.polygon.bounding_box()
+        f = random_family(base, n, box_size=max(3, int(bx.length() * (1 + F(n, 3)))),
+                          kind=kind, scale_range=(1, 2), seed=rng.randrange(1 << 30))
+        if trial % 7 == 0:
+            f = Family(f.base, f.members + f.members[:3], kind)
+        out.append(f)
+    return out
 
 
 class TestOracleChain:
