@@ -446,21 +446,21 @@ def union_area_exact(f: Family) -> Fraction:
     """Exact area of the union of a polygon family by Green's theorem:
     half the sum over member edges ab (bodies.member_polygons) of
     cross(a, b) times the share of ab left uncovered, measured along x (y
-    for a vertical edge).  A member that meets ab's own (neighbor_index,
-    pair_checker) covers what geom._clip keeps of ab in its halfplanes.  Of
-    edges on one line facing the same way (equal halfplane triples) only
-    the lowest index counts; edges facing opposite ways cover each other."""
+    for a vertical edge).  Each member meeting ab's member
+    (intersection_graph) covers what geom._clip keeps of ab in its
+    halfplanes.  Of edges on one line facing the same way (equal halfplane
+    triples) only the lowest index counts; edges facing opposite ways
+    cover each other."""
     if f.base.kind != "polygon":
         raise TooLarge("exact union area needs polygon members")
     points, planes = member_polygons(f.base, *int_translations(f))
-    near, meets = neighbor_index(f), pair_checker(f)
+    adj = intersection_graph(f)
     twice = Fraction(0)
     for i, (pts, own) in enumerate(zip(points, planes)):
         pts = pts[:-1]  # the last point is the reference point
-        others = [j for j in near(i) if meets(i, j)]
         for a, b, plane in zip(pts, pts[1:] + pts[:1], own):
             pieces = []
-            for j in others:
+            for j in adj[i]:
                 if j > i and plane in planes[j]:
                     continue
                 seg = [a, b]
