@@ -436,23 +436,3 @@ def translate_cluster_cover(body) -> CoverPattern:
         return _capped(triangle_trapezoid_cover(poly), 5)
     raise VerificationFailed("no halfplane pattern for this base")
 
-
-def kappa_upper_bound(d: int, centrally_symmetric: bool, theta_t=None):
-    """Static covering-number bound for kappa(C-C, C) in dimension d.
-
-    min{(2d)^d, 2^d/(d+1) * 3^(d+1) * theta_T} in general, and additionally
-    min{5^d, 3^d * theta_T} for centrally symmetric bodies; theta_T-dependent
-    terms participate only when a value is supplied.
-    """
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    terms = [Fraction((2 * d) ** d)]
-    if theta_t is not None:
-        theta_t = frac(theta_t)
-        terms.append(Fraction(2 ** d, d + 1) * 3 ** (d + 1) * theta_t)
-    if centrally_symmetric:
-        terms.append(Fraction(5 ** d))
-        if theta_t is not None:
-            terms.append(Fraction(3 ** d) * theta_t)
-    best = min(terms)
-    return int(best) if best.denominator == 1 else best

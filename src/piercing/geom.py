@@ -2,9 +2,9 @@
 
 Everything in this module is a pure function over immutable values and is
 exact; no epsilon appears anywhere.  Points, areas and predicates are
-Fraction arithmetic.  Clipping (clip_chain, intersection_chain,
-region_minus_polygons, chain_area) runs on one integer kernel (_clip) over
-homogeneous int triples and converts to Points only on the way in and out.
+Fraction arithmetic.  Clipping (clip_chain, region_minus_polygons) runs
+on one integer kernel (_clip) over homogeneous int triples and converts to
+Points only on the way in and out.
 Degenerate convex regions (segments, single points) are represented by
 vertex chains of length 2 and 1 and count as nonempty.
 """
@@ -436,35 +436,6 @@ def clip_chain(points, n: Point, c) -> list:
     if not points:
         return []
     return [_point(h) for h in _clip(_chain(points), _plane(n, c))]
-
-
-def intersection_chain(a, b: ConvexPolygon) -> list:
-    """Vertices of the (possibly degenerate) intersection of two polygons.
-
-    a may also be a convex vertex chain.  Returns [] when disjoint, [p] for a
-    touching point, [p, q] for a shared segment, and a ccw vertex list when
-    the intersection has interior.
-    """
-    pts = _chain(a)
-    for plane in _planes(b):
-        pts = _clip(pts, plane)
-        if not pts:
-            return []
-    return [_point(h) for h in pts]
-
-
-def chain_area(points) -> Fraction:
-    """Area of a convex vertex chain, exact; 0 below three vertices."""
-    if len(points) < 3:
-        return Fraction(0)
-    hs = [_hom(p) for p in points]
-    d = lcm(*(w for _, _, w in hs))
-    xs = [(x * (d // w), y * (d // w)) for x, y, w in hs]
-    s = 0
-    for i in range(len(xs)):
-        (x1, y1), (x2, y2) = xs[i - 1], xs[i]
-        s += x1 * y2 - y1 * x2
-    return Fraction(abs(s), 2 * d * d)
 
 
 def polygons_intersect(a: ConvexPolygon, b: ConvexPolygon) -> bool:

@@ -6,16 +6,18 @@ edge-length ratios decide the grid-decomposition factor
     gamma = ceil(lambda_line) * ceil(lambda_class + 1)
 
 minimized over the two axis orderings.  The search is a finite sweep over
-direction pairs drawn from edge directions and vertex differences; floats
-only rank candidates, every returned pair is re-derived and verified with
-exact rational arithmetic.
+direction pairs drawn from edge directions and vertex differences.  Every
+pair is ranked by its exact gamma on int coordinates: the body in the
+pair's basis, scaled to ints, with its sections taken by one walk along
+the lower and upper chains.  No float is used.  Only the winning pair is
+built in Fractions, and it is verified before it is returned.
 """
 
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, gcd, lcm
 
 from .errors import NotCentrallySymmetric, NotHexagon, SearchFailed, VerificationFailed
-from .geom import ConvexPolygon, Point, clip_chain, frac
+from .geom import ConvexPolygon, Point, _clip, _hom, _plane, _point, frac
 
 _UNIFORM_DIRS = 64
 
@@ -39,9 +41,6 @@ class Parallelogram:
 
     def as_polygon(self) -> ConvexPolygon:
         return ConvexPolygon(self.corners())
-
-    def area(self):
-        return abs(self.u.cross(self.v))
 
 
 class SandwichPair:
@@ -90,147 +89,159 @@ def _candidate_directions(c: ConvexPolygon):
     return _dedup_directions(dirs)
 
 
-def _basis_coords(points, u: Point, v: Point):
-    det = u.cross(v)
-    return [Point(p.cross(v) / det, u.cross(p) / det) for p in points]
+# ---------------------------------------------------------------------------
+# int coordinates and sections
+#
+# A convex polygon in the basis (u, v) is a ccw list of int pairs (a, b):
+# the vertices and u, v are scaled by the lcm of their denominators, so
+# that a vertex p is (a * xscale) u + (b * yscale) v for two Fractions.  A
+# section value is an unreduced (numerator, denominator) pair with a
+# positive denominator.
 
 
-def _section(xs, a):
-    """lo/hi extent in y of the convex vertex list xs at abscissa a, or None."""
-    lo = hi = None
-    n = len(xs)
-    for i in range(n):
-        p, q = xs[i], xs[(i + 1) % n]
-        if p.x == q.x:
-            if p.x == a:
-                ylo, yhi = min(p.y, q.y), max(p.y, q.y)
-                lo = ylo if lo is None else min(lo, ylo)
-                hi = yhi if hi is None else max(hi, yhi)
-            continue
-        t = (a - p.x) / (q.x - p.x)
-        if 0 <= t <= 1:
-            y = p.y + t * (q.y - p.y)
-            lo = y if lo is None else min(lo, y)
-            hi = y if hi is None else max(hi, y)
-    if lo is None:
-        return None
-    return lo, hi
+def _int_coords(points, u: Point, v: Point):
+    """(pts, xscale, yscale): the convex ccw vertex list points in the basis
+    (u, v) as a ccw list of int pairs, and the scales back to Fractions."""
+    d = lcm(*(p.x.denominator for p in points), *(p.y.denominator for p in points))
+    ux, uy, du = _hom(u)
+    vx, vy, dv = _hom(v)
+    det = ux * vy - uy * vx
+    s = 1 if det > 0 else -1
+    pts = []
+    for p in points:
+        x = p.x.numerator * (d // p.x.denominator)
+        y = p.y.numerator * (d // p.y.denominator)
+        pts.append((s * (x * vy - y * vx), s * (ux * y - uy * x)))
+    if s < 0:
+        pts.reverse()  # the basis map reverses orientation
+    m = d * abs(det)
+    return pts, Fraction(du, m), Fraction(dv, m)
 
 
-def _best_box_for_span(xs, span):
-    """Maximize the common y-extent of sections at a and a+span (concave 1-D).
+def _walk(chain, ts):
+    """The values of a left-to-right chain at the sorted int abscissae ts."""
+    out = []
+    j, last = 0, len(chain) - 2
+    for t in ts:
+        while j < last and chain[j + 1][0] < t:
+            j += 1
+        (a0, b0), (a1, b1) = chain[j], chain[j + 1]
+        out.append((b0 * (a1 - t) + b1 * (t - a0), a1 - a0))
+    return out
 
-    Returns (a1, ylo, yhi) with the largest exact extent, or None.  The
-    objective is concave piecewise-linear, so breakpoints plus midpoints of
-    adjacent breakpoints locate the optimum well; exactness of the sandwich
-    never depends on the optimum being global.
+
+def _sections(pts, ts):
+    """The section (lo, hi) of the ccw int polygon pts at each abscissa of
+    the sorted int list ts, or None outside it.
+
+    One walk along the lower chain and one along the upper chain, each from
+    the leftmost to the rightmost column with edges parallel to the y-axis
+    left out, so a section at such an edge spans it.
     """
-    axs = sorted({p.x for p in xs} | {p.x - span for p in xs})
-    amin = min(p.x for p in xs)
-    amax = max(p.x for p in xs)
-    cands = [a for a in axs if amin <= a <= amax - span]
-    if not cands:
-        return None
-    cands += [(cands[i] + cands[i + 1]) / 2 for i in range(len(cands) - 1)]
+    n = len(pts)
+    i = pts.index(min(pts))  # leftmost, lowest
+    j = pts.index(max(pts))  # rightmost, highest
+    # a strictly convex polygon has at most one such edge on each side, and
+    # ccw it runs up on the right and down on the left
+    r = j - 1 if pts[j - 1][0] == pts[j][0] else j  # rightmost, lowest
+    l = i - 1 if pts[i - 1][0] == pts[i][0] else i  # leftmost, highest
+    twice = pts + pts
+    lower = twice[i:i + (r - i) % n + 1]
+    upper = twice[j:j + (l - j) % n + 1][::-1]
+    amin, amax = lower[0][0], lower[-1][0]
+    return [s if amin <= t <= amax else None
+            for t, s in zip(ts, zip(_walk(lower, ts), _walk(upper, ts)))]
+
+
+def _best_box(pts, k):
+    """The widest common section of pts at a and a + width/k over the
+    candidate abscissae a, as (a, lo, hi) with the abscissae scaled by 2k,
+    or None.
+
+    The objective is concave piecewise-linear, so breakpoints plus midpoints
+    of adjacent breakpoints locate the optimum well; exactness of the
+    sandwich never depends on the optimum being global.  The scale 2k makes
+    the span and the midpoints ints.  Ties go to the first candidate in
+    order: the breakpoints left to right, then the midpoints.
+    """
+    pts = [(2 * k * a, b) for a, b in pts]
+    xs = [a for a, _ in pts]
+    amin, amax = min(xs), max(xs)
+    span = (amax - amin) // k
+    cands = sorted({a for a in xs if a <= amax - span}
+                   | {a - span for a in xs if a - span >= amin})
+    ts = [cands[0]]
+    for a in cands[1:]:
+        ts += [(ts[-1] + a) // 2, a]
+    left = _sections(pts, ts)
+    right = _sections(pts, [t + span for t in ts])
     best = None
-    for a in cands:
-        s1 = _section(xs, a)
-        s2 = _section(xs, a + span)
-        if s1 is None or s2 is None:
-            continue
-        ylo = max(s1[0], s2[0])
-        yhi = min(s1[1], s2[1])
-        if yhi <= ylo:
-            continue
-        if best is None or yhi - ylo > best[2] - best[1]:
-            best = (a, ylo, yhi)
-    return best
+    for i in [*range(0, len(ts), 2), *range(1, len(ts), 2)]:
+        (l1, h1), (l2, h2) = left[i], right[i]
+        lo = l1 if l1[0] * l2[1] >= l2[0] * l1[1] else l2
+        hi = h1 if h1[0] * h2[1] <= h2[0] * h1[1] else h2
+        en, ed = hi[0] * lo[1] - lo[0] * hi[1], hi[1] * lo[1]
+        if en > 0 and (best is None or en * best[1] > best[0] * ed):
+            best = (en, ed, ts[i], lo, hi)
+    return None if best is None else best[2:]
 
 
-def _evaluate_pair(c, u, v, spans=(1, 2, 3)):
-    """Best sandwich for one direction pair; exact. Returns SandwichPair or None."""
-    best = None
-    for swap in (False, True):
-        uu, vv = (v, u) if swap else (u, v)
-        xs = _basis_coords(c.vertices, uu, vv)
-        amin = min(p.x for p in xs)
-        amax = max(p.x for p in xs)
-        bmin = min(p.y for p in xs)
-        bmax = max(p.y for p in xs)
-        width = amax - amin
-        height = bmax - bmin
-        for k in spans:
-            span = width / k
-            got = _best_box_for_span(xs, span)
-            if got is None:
-                continue
-            a1, ylo, yhi = got
-            lam_a = width / span  # = k exactly
-            lam_b = height / (yhi - ylo)
-            center = uu * (a1 + span / 2) + vv * ((ylo + yhi) / 2)
-            p = Parallelogram(center, uu * span, vv * (yhi - ylo))
-            qcenter = uu * ((amin + amax) / 2) + vv * ((bmin + bmax) / 2)
-            q = Parallelogram(qcenter, uu * width, vv * height)
-            for line_axis in (0, 1):
-                pair = SandwichPair(p, q, (lam_a, lam_b), line_axis)
-                if best is None or pair.gamma < best.gamma:
-                    best = pair
-    return best
+def _build_pair(c, uu, vv, k, line_axis, box) -> SandwichPair:
+    """The SandwichPair, in Fractions, of a box that _best_box found."""
+    pts, xscale, yscale = _int_coords(c.vertices, uu, vv)
+    amin, amax = min(a for a, _ in pts), max(a for a, _ in pts)
+    bmin, bmax = min(b for _, b in pts), max(b for _, b in pts)
+    width, height = (amax - amin) * xscale, (bmax - bmin) * yscale
+    span = width / k
+    t, lo, hi = box
+    a1 = Fraction(t, 2 * k) * xscale
+    ylo, yhi = Fraction(*lo) * yscale, Fraction(*hi) * yscale
+    center = uu * (a1 + span / 2) + vv * ((ylo + yhi) / 2)
+    p = Parallelogram(center, uu * span, vv * (yhi - ylo))
+    qcenter = uu * ((amin + amax) * xscale / 2) + vv * ((bmin + bmax) * yscale / 2)
+    q = Parallelogram(qcenter, uu * width, vv * height)
+    return SandwichPair(p, q, (k, height / (yhi - ylo)), line_axis)
 
 
-def _float_score(c, u, v):
-    """Cheap float estimate of the best gamma for a direction pair."""
+def _pair_gammas(c, u, v):
+    """(gamma, strict score, choice) of the direction pair (u, v), or None.
 
-    def fsection(xs, a):
-        lo = hi = None
-        n = len(xs)
-        for i in range(n):
-            (px, py), (qx, qy) = xs[i], xs[(i + 1) % n]
-            if px == qx:
-                continue
-            t = (a - px) / (qx - px)
-            if 0 <= t <= 1:
-                y = py + t * (qy - py)
-                lo = y if lo is None else min(lo, y)
-                hi = y if hi is None else max(hi, y)
-        return (lo, hi) if lo is not None else None
-
-    best = 99.0
+    gamma is the least over the axis orders, the spans 1/k and the line
+    axes, and choice = (uu, vv, k, line_axis, box) the first item in that
+    order that reaches it.  The strict score is the least of the same
+    products with each ceil(lambda_b) replaced by floor(lambda_b) + 1.
+    """
+    gamma = strict = choice = None
     for uu, vv in ((u, v), (v, u)):
-        det = float(uu.cross(vv))
-        if det == 0:
-            return 99.0
-        xs = [(float(p.cross(vv)) / det, float(uu.cross(p)) / det) for p in c.vertices]
-        axs = sorted(x for x, _ in xs)
-        amin, amax = axs[0], axs[-1]
-        height = max(y for _, y in xs) - min(y for _, y in xs)
-        width = amax - amin
-        if width <= 0 or height <= 0:
-            return 99.0
+        pts, _, _ = _int_coords(c.vertices, uu, vv)
+        height = max(b for _, b in pts) - min(b for _, b in pts)
         for k in (1, 2, 3):
-            span = width / k
-            fbest = 0.0
-            cands = [a for a in axs + [x - span for x in axs] if amin <= a <= amax - span]
-            cands += [(a + b) / 2 for a, b in zip(cands, cands[1:])]
-            for a in cands:
-                s1, s2 = fsection(xs, a), fsection(xs, a + span)
-                if not s1 or not s2:
-                    continue
-                f = min(s1[1], s2[1]) - max(s1[0], s2[0])
-                fbest = max(fbest, f)
-            if fbest <= 0:
+            box = _best_box(pts, k)
+            if box is None:
                 continue
-            lam_b = height / fbest * (1 + 1e-9)
-            best = min(best, ceil(lam_b) * (k + 1), k * ceil(lam_b + 1))
-    return best
+            (ln, ld), (hn, hd) = box[1:]
+            # lambda_b = height / (hi - lo) = num / den
+            num, den = height * hd * ld, hn * ld - ln * hd
+            cb, fb = -(-num // den), num // den + 1
+            for line_axis, (g, gs) in enumerate(((k * (cb + 1), k * (fb + 1)),
+                                                 ((k + 1) * cb, (k + 1) * fb))):
+                if gamma is None or g < gamma:
+                    gamma, choice = g, (uu, vv, k, line_axis, box)
+                strict = gs if strict is None else min(strict, gs)
+    return None if gamma is None else (gamma, strict, choice)
 
 
-def sandwich_parallelograms(c: ConvexPolygon, max_exact: int = 16) -> SandwichPair:
+def sandwich_parallelograms(c: ConvexPolygon) -> SandwichPair:
     """A verified sandwich pair minimizing gamma over the direction sweep.
 
-    Parallelograms short-circuit to P = Q = C with gamma 2.  Raises
-    SearchFailed if no swept pair reaches the planar guarantee gamma <= 6,
-    which would indicate a search bug rather than a valid outcome.
+    Parallelograms short-circuit to P = Q = C with gamma 2.  Every other
+    direction pair gets its exact gamma and strict score (_pair_gammas);
+    the first pair in candidate order with the least (gamma, strict score)
+    is built.  The strict score breaks ties between pairs of equal gamma as
+    the float ranking that preceded it did, so certificates keep their
+    bytes.  Raises SearchFailed if no swept pair reaches the planar
+    guarantee gamma <= 6, which would indicate a search bug rather than a
+    valid outcome.
     """
     if c.is_parallelogram():
         v = c.vertices
@@ -242,32 +253,19 @@ def sandwich_parallelograms(c: ConvexPolygon, max_exact: int = 16) -> SandwichPa
         return pair
 
     dirs = _candidate_directions(c)
-    pairs = []
+    best = None  # (gamma, strict score, choice)
     for i in range(len(dirs)):
         for j in range(i + 1, len(dirs)):
             if dirs[i].cross(dirs[j]) != 0:
-                pairs.append((dirs[i], dirs[j]))
-    ranked = sorted(pairs, key=lambda uv: _float_score(c, uv[0], uv[1]))
-
-    best = None
-    for u, v in ranked[:max_exact]:
-        got = _evaluate_pair(c, u, v)
-        if got is not None and (best is None or got.gamma < best.gamma):
-            best = got
-            if best.gamma <= 2:
-                break
-    if best is None or best.gamma > 6:
-        for u, v in ranked[max_exact:]:
-            got = _evaluate_pair(c, u, v)
-            if got is not None and (best is None or got.gamma < best.gamma):
-                best = got
-                if best.gamma <= 6:
-                    break
-    if best is None or best.gamma > 6:
+                got = _pair_gammas(c, dirs[i], dirs[j])
+                if got is not None and (best is None or got[:2] < best[:2]):
+                    best = got
+    if best is None or best[0] > 6:
         raise SearchFailed("no direction pair reached gamma <= 6")
-    if not best.verify(c):
+    pair = _build_pair(c, *best[2])
+    if not pair.verify(c):
         raise VerificationFailed("best sandwich pair does not verify")
-    return best
+    return pair
 
 
 class HexagonSandwich:
@@ -293,56 +291,49 @@ def inscribed_hexagon(c: ConvexPolygon, direction: Point) -> ConvexPolygon:
     p2 and p5 are the boundary points on the line through the origin with
     the given direction; p1p6 is the parallel chord of exactly half that
     length, found by an exact piecewise-linear solve; p3 = -p6, p4 = -p1.
+    The chords are sections across the direction, on int coordinates
+    (beta, alpha) in the basis (direction.perp(), direction).
     """
     u = direction
     n = u.perp()
-    xs = _basis_coords(c.vertices, u, n)
-    full = _section_width(xs, Fraction(0))
-    half = full / 2
+    pts, bscale, ascale = _int_coords(c.vertices, n, u)
     # beta breakpoints above the axis
-    betas = sorted({p.y for p in xs if p.y > 0})
-    prev_b, prev_w = Fraction(0), full
-    beta_star = None
-    for b in betas:
-        w = _section_width(xs, b)
-        if w <= half:
-            # linear interpolation within this piece is exact
-            beta_star = prev_b + (prev_w - half) * (b - prev_b) / (prev_w - w)
+    betas = sorted({b for b, _ in pts if b > 0})
+    secs = _sections(pts, [0, *betas])
+    if secs[0] is None:
+        raise SearchFailed("section outside polygon")
+    secs = [(Fraction(*lo), Fraction(*hi)) for lo, hi in secs]
+    full = secs[0][1] - secs[0][0]
+    half = full / 2
+    prev_b, (prev_lo, prev_hi) = 0, secs[0]
+    for b, (lo, hi) in zip(betas, secs[1:]):
+        if hi - lo <= half:
+            # both chord ends are linear within this piece, so the
+            # interpolation is exact
+            t = (prev_hi - prev_lo - half) / (prev_hi - prev_lo - hi + lo)
+            beta_star = prev_b + t * (b - prev_b)
+            lo, hi = prev_lo + t * (lo - prev_lo), prev_hi + t * (hi - prev_hi)
             break
-        prev_b, prev_w = b, w
-    a2 = full / 2
-    if beta_star is None:
+        prev_b, prev_lo, prev_hi = b, lo, hi
+    else:
         # an edge parallel to the axis tops the body: the width jumps past
         # half there, so center a half-length chord on that edge
         beta_star = betas[-1]
-    lo, hi = _section_at_beta(xs, beta_star)
-    if hi - lo < a2:
+    if hi - lo < half:
         raise SearchFailed("chord solve inexact")  # guards the linear solve
-    if hi - lo > a2:
+    if hi - lo > half:
         mid = (lo + hi) / 2
-        lo, hi = mid - a2 / 2, mid + a2 / 2
-    # section at beta=0 is [-a2, a2] by central symmetry
-    p2 = u * a2
-    p1 = u * hi + n * beta_star
-    p6 = u * lo + n * beta_star
+        lo, hi = mid - half / 2, mid + half / 2
+    # section at beta=0 is [-half, half] by central symmetry
+    off = n * (beta_star * bscale)
+    p2 = u * (half * ascale)
+    p1 = u * (hi * ascale) + off
+    p6 = u * (lo * ascale) + off
     p3, p4, p5 = -p6, -p1, -p2
     hexagon = ConvexPolygon([p1, p2, p3, p4, p5, p6])
     if len(hexagon) != 6:
         raise SearchFailed("degenerate inscribed hexagon")
     return hexagon
-
-
-def _section_width(xs, b) -> Fraction:
-    got = _section_at_beta(xs, b)
-    return got[1] - got[0]
-
-
-def _section_at_beta(xs, b):
-    swapped = [Point(p.y, p.x) for p in xs]
-    got = _section(swapped, b)
-    if got is None:
-        raise SearchFailed("section outside polygon")
-    return got
 
 
 def support_hexagon(c: ConvexPolygon, h_in: ConvexPolygon) -> ConvexPolygon:
@@ -352,14 +343,10 @@ def support_hexagon(c: ConvexPolygon, h_in: ConvexPolygon) -> ConvexPolygon:
     hexagon's edge normals: a centrally symmetric hexagon (possibly with
     fewer effective sides) containing c.
     """
-    normals = []
     verts = h_in.vertices
-    for i in range(3):
-        e = verts[(i + 1) % 6] - verts[i]
-        normals.append(e.perp())
-    slabs = [(nv, c.support(nv)) for nv in normals]
+    normals = [(verts[i + 1] - verts[i]).perp() for i in range(3)]
+    (n1, h1), (n2, h2), (n3, h3) = [(nv, c.support(nv)) for nv in normals]
     # start from slab 1 x slab 2, then clip with slab 3
-    (n1, h1), (n2, h2), (n3, h3) = slabs
     det = n1.cross(n2)
     corners = []
     for s1 in (h1, -h1):
@@ -367,11 +354,10 @@ def support_hexagon(c: ConvexPolygon, h_in: ConvexPolygon) -> ConvexPolygon:
             # solve n1.p = s1, n2.p = s2
             x = (s1 * n2.y - s2 * n1.y) / det
             y = (s2 * n1.x - s1 * n2.x) / det
-            corners.append(Point(x, y))
+            corners.append(_hom(Point(x, y)))
     chain = [corners[0], corners[1], corners[3], corners[2]]
-    chain = clip_chain(chain, n3, h3)
-    chain = clip_chain(chain, -n3, h3)
-    return ConvexPolygon(chain)
+    chain = _clip(_clip(chain, _plane(n3, h3)), _plane(-n3, h3))
+    return ConvexPolygon([_point(h) for h in chain])
 
 
 def _uniform_directions(k: int):
@@ -434,15 +420,13 @@ def hexagon_sandwich_special(c: ConvexPolygon) -> SandwichPair:
         # case A: rectangle p2 p3 p5 p6 inside the bounding parallelogram;
         # neither is flat, as p1 p3 p4 are not collinear and p2 x p3 != 0
         for d1, d2 in ((p3 - p1, p4 - p3), (p3 - p2, -(p3 + p2))):
-            coords = _basis_coords(v, d1, d2)
-            amin = min(q.x for q in coords)
-            amax = max(q.x for q in coords)
-            bmin = min(q.y for q in coords)
-            bmax = max(q.y for q in coords)
-            lam = (amax - amin, bmax - bmin)
+            pts, xscale, yscale = _int_coords(v, d1, d2)
+            amin, amax = min(a for a, _ in pts), max(a for a, _ in pts)
+            bmin, bmax = min(b for _, b in pts), max(b for _, b in pts)
+            lam = ((amax - amin) * xscale, (bmax - bmin) * yscale)
             pgram = Parallelogram(center, d1, d2)
             q = Parallelogram(
-                center + d1 * ((amin + amax) / 2) + d2 * ((bmin + bmax) / 2),
+                center + d1 * ((amin + amax) * xscale / 2) + d2 * ((bmin + bmax) * yscale / 2),
                 d1 * lam[0],
                 d2 * lam[1],
             )

@@ -9,7 +9,10 @@ functions are the Fraction versions of geom's integer kernel, and the
 lattice offset search tests Fraction lattice points against every realized
 member, and the greedy's seed order is a sort by top_key on the Fraction
 columns.  The union area is inclusion-exclusion over the realized
-polygons.  The oracle's candidate set is built on the realized members
+polygons, clipped on geom's int kernel (kernel_intersection_chain,
+kernel_chain_area), which keeps the equivalence tests fast.  The section of
+a polygon at an abscissa is the Fraction version of the sandwich search's
+int walk, edge by edge.  The oracle's candidate set is built on the realized members
 (bodies, circle_circle_points) and deduplicated by value.  call_budget
 bounds the work of a block by counting its calls, a deterministic
 stand-in for a time or memory limit.
@@ -17,6 +20,7 @@ stand-in for a time or memory limit.
 
 from fractions import Fraction
 import itertools
+import math
 import sys
 
 from piercing import geom
@@ -66,9 +70,37 @@ def intersection_chain(a, b):
     return pts
 
 
+def kernel_intersection_chain(a, b):
+    """Vertices of the (possibly degenerate) intersection of two polygons on
+    geom's int kernel: a (a polygon or a convex chain) clipped by each int
+    halfplane of b.  Returns [] when disjoint, [p] for a touching point,
+    [p, q] for a shared segment, and a ccw vertex list otherwise."""
+    pts = geom._chain(a)
+    for plane in geom._planes(b):
+        pts = geom._clip(pts, plane)
+        if not pts:
+            return []
+    return [geom._point(h) for h in pts]
+
+
+def kernel_chain_area(points):
+    """Area of a convex vertex chain on ints: the shoelace sum over the
+    vertices scaled by the lcm of their denominators; 0 below three."""
+    if len(points) < 3:
+        return Fraction(0)
+    hs = [geom._hom(p) for p in points]
+    d = math.lcm(*(w for _, _, w in hs))
+    xs = [(x * (d // w), y * (d // w)) for x, y, w in hs]
+    s = 0
+    for i in range(len(xs)):
+        (x1, y1), (x2, y2) = xs[i - 1], xs[i]
+        s += x1 * y2 - y1 * x2
+    return Fraction(abs(s), 2 * d * d)
+
+
 def intersection(a, b):
     """The intersection polygon of a and b, or its degenerate chain, or None."""
-    pts = geom.intersection_chain(a, b)
+    pts = kernel_intersection_chain(a, b)
     if not pts:
         return None
     return ConvexPolygon(pts) if len(pts) >= 3 else pts
@@ -81,6 +113,28 @@ def chain_area(points):
     for i in range(len(points)):
         s += points[i].cross(points[(i + 1) % len(points)])
     return abs(s) / 2
+
+
+def section(xs, a):
+    """lo/hi extent in y of the convex vertex list xs at abscissa a, or None."""
+    lo = hi = None
+    n = len(xs)
+    for i in range(n):
+        p, q = xs[i], xs[(i + 1) % n]
+        if p.x == q.x:
+            if p.x == a:
+                ylo, yhi = min(p.y, q.y), max(p.y, q.y)
+                lo = ylo if lo is None else min(lo, ylo)
+                hi = yhi if hi is None else max(hi, yhi)
+            continue
+        t = (a - p.x) / (q.x - p.x)
+        if 0 <= t <= 1:
+            y = p.y + t * (q.y - p.y)
+            lo = y if lo is None else min(lo, y)
+            hi = y if hi is None else max(hi, y)
+    if lo is None:
+        return None
+    return lo, hi
 
 
 def subtract_chain(piece, poly):
@@ -315,7 +369,7 @@ def body_contains_body(outer, inner) -> bool:
 
 def union_area(f):
     """Exact area of the union of a polygon family by inclusion-exclusion
-    over the realized members' convex intersections (geom's clipping), which
+    over the realized members' convex intersections (the int kernel), which
     takes 2^n steps when every member meets every other."""
     polys = [f.realize(i).polygon for i in range(len(f))]
     total = Fraction(0)
@@ -324,8 +378,8 @@ def union_area(f):
         nonlocal total
         total += sign * area
         for i in range(start, len(polys)):
-            nxt = geom.intersection_chain(chain, polys[i])
-            a = geom.chain_area(nxt)
+            nxt = kernel_intersection_chain(chain, polys[i])
+            a = kernel_chain_area(nxt)
             if a:
                 rec(i + 1, nxt, -sign, a)
 

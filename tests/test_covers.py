@@ -10,7 +10,6 @@ from piercing.covers import (
     disk_seven_cover,
     halfplane_four_cover,
     homothet_cover,
-    kappa_upper_bound,
     seven_cover,
     translate_cluster_cover,
     triangle_trapezoid_cover,
@@ -159,13 +158,3 @@ class TestClusterDispatch:
         assert translate_cluster_cover(DiskBody(Point(0, 0), 1)).size == 4
         assert translate_cluster_cover(BoxBody((0, 0), (1, 1))).size == 2
 
-
-def test_kappa_upper_bound_table():
-    assert kappa_upper_bound(3, True) == 125
-    assert kappa_upper_bound(3, False) == 216
-    assert kappa_upper_bound(2, False) == 16
-    # the general (2d)^d term also applies to symmetric bodies and wins at d=2
-    assert kappa_upper_bound(2, True) == 16
-    # a supplied covering density can beat the pure powers
-    assert kappa_upper_bound(3, True, theta_t=2) == 54
-    assert kappa_upper_bound(2, False, theta_t=1) == 16

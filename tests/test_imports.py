@@ -9,6 +9,22 @@ SRC = Path(__file__).parents[1] / "src" / "piercing"
 KEPT = {("homothets", "pair_checker"), ("translates", "translate_cluster_cover")}
 
 
+# top-level names no module in src/ uses, kept on purpose
+UNREFERENCED_OK = {
+    # test instance makers: the tests and benchmarks draw bases from them
+    ("generators", "random_convex_polygon"), ("generators", "random_cs_hexagon"),
+}
+
+
+def _exported(tree):
+    """The names a module lists in __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def _unused_imports(tree):
     """(name, line) of every name a module imports and never uses; a name
     listed in __all__ counts as used."""
@@ -19,10 +35,7 @@ def _unused_imports(tree):
                 name = alias.asname or alias.name.split(".")[0]
                 imported.setdefault(name, node.lineno)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
+    used |= _exported(tree)
     return sorted((name, line) for name, line in imported.items() if name not in used)
 
 
@@ -37,3 +50,36 @@ def test_no_unused_imports(path):
 def test_the_guard_sees_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\n__all__ = ['sep']\n")
     assert _unused_imports(tree) == [("math", 1), ("path", 2)]
+
+
+def _unreferenced(trees):
+    """(module, name) of every top-level function or class of the modules
+    {name: tree} that no module refers to, by name, attribute or import, and
+    no module exports in __all__."""
+    used = set()
+    for tree in trees.values():
+        used |= _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted((module, node.name) for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used)
+
+
+def test_every_top_level_name_is_used():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    dead = [name for name in _unreferenced(trees) if name not in UNREFERENCED_OK]
+    assert not dead, "nothing in src/ uses %s" % ", ".join("%s.%s" % d for d in dead)
+
+
+def test_the_guard_sees_an_unreferenced_name():
+    trees = {
+        "a": ast.parse("__all__ = ['pub']\ndef pub(): return helper()\ndef helper(): pass\n"
+                       "def planted(): pass\nclass Planted: pass\n"),
+        "b": ast.parse("from .a import helper\nimport a\na.pub\n"),
+    }
+    assert _unreferenced(trees) == [("a", "Planted"), ("a", "planted")]

@@ -1,23 +1,28 @@
 from fractions import Fraction as F
+from hashlib import sha256
 import random
 
 import pytest
 
 from piercing.bodies import AffineMap
-from piercing.errors import NotCentrallySymmetric, NotHexagon
+from piercing.errors import DegenerateInput, NotCentrallySymmetric, NotHexagon
 from piercing.generators import (
+    hexagon_body,
     random_centrally_symmetric_polygon,
     random_convex_polygon,
     random_cs_hexagon,
 )
 from piercing.geom import ConvexPolygon, Point
 from piercing.sandwich import (
+    _int_coords,
+    _sections,
     hexagon_sandwich,
     hexagon_sandwich_special,
     inscribed_hexagon,
     sandwich_parallelograms,
     support_hexagon,
 )
+import reference
 
 SQUARE = ConvexPolygon([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])
 TRIANGLE = ConvexPolygon([Point(0, 0), Point(1, 0), Point(0, 1)])
@@ -60,6 +65,66 @@ def test_pair_edges_relation():
     pair = sandwich_parallelograms(TRIANGLE)
     assert pair.q.u == pair.p.u * pair.lambdas[0]
     assert pair.q.v == pair.p.v * pair.lambdas[1]
+
+
+def _pair_values(pair):
+    return (pair.p.center, pair.p.u, pair.p.v, pair.q.center, pair.q.u, pair.q.v,
+            pair.lambdas, pair.line_axis, pair.gamma)
+
+
+def _digest(values):
+    return sha256(repr(values).encode()).hexdigest()
+
+
+# recorded with the float-ranked search that the int walk replaced
+PAIR_DIGEST = "2ddb1a2be6b5b2b38edeb3dfe0b507f61f7862168a559899f45704503ce3f838"
+HEXAGON_DIGEST = "0bae1561988795aa8b6d143f5075828a4310303057cce90028513fa7466c09b8"
+
+
+def test_sandwich_values_are_pinned():
+    rng = random.Random(123)
+    polys = [TRIANGLE] + [random_convex_polygon(rng).polygon for _ in range(12)]
+    assert _digest([_pair_values(sandwich_parallelograms(p)) for p in polys]) == PAIR_DIGEST
+    rng = random.Random(15)
+    bases = [hexagon_body()] + [random_cs_hexagon(rng) for _ in range(3)]
+    sws = [hexagon_sandwich(base.polygon) for base in bases]
+    assert _digest([(sw.h_in.vertices, sw.h_out.vertices) for sw in sws]) == HEXAGON_DIGEST
+
+
+def _section_polygons():
+    """Seeded random polygons, and int polygons of which most have an edge
+    parallel to an axis."""
+    rng = random.Random(41)
+    polys = [random_convex_polygon(rng).polygon for _ in range(15)]
+    polys += [SQUARE, TRIANGLE, HEXAGON]
+    while len(polys) < 40:
+        try:
+            polys.append(ConvexPolygon([Point(rng.randint(-3, 3), rng.randint(-3, 3))
+                                        for _ in range(rng.randint(3, 8))]))
+        except DegenerateInput:
+            pass
+    return polys
+
+
+def test_int_sections_match_the_fraction_reference():
+    polys = _section_polygons()
+    parallel = 0
+    for poly in polys:
+        for u, v in ((Point(1, 0), Point(0, 1)), (Point(2, -1), Point(F(1, 3), F(5, 2)))):
+            for bu, bv in ((u, v), (v, u), (v.perp(), v)):
+                pts, xscale, yscale = _int_coords(poly.vertices, bu, bv)
+                assert {bu * (a * xscale) + bv * (b * yscale) for a, b in pts} == set(poly)
+                assert sum(p[0] * q[1] - p[1] * q[0] for p, q in zip(pts, pts[1:] + pts[:1])) > 0
+                pts = [(2 * a, b) for a, b in pts]  # the midpoints are ints
+                parallel += any(p[0] == q[0] for p, q in zip(pts, pts[1:] + pts[:1]))
+                xs = sorted({a for a, _ in pts})
+                ts = sorted({*xs, *((a + b) // 2 for a, b in zip(xs, xs[1:])),
+                             xs[0] - 1, xs[-1] + 1})
+                want = [reference.section([Point(a, b) for a, b in pts], t) for t in ts]
+                got = [s and (F(*s[0]), F(*s[1])) for s in _sections(pts, ts)]
+                assert got == want
+                assert got[0] is None and got[-1] is None
+    assert parallel > 30  # the reference's p.x == q.x branch runs
 
 
 class TestHexagonSandwich:
