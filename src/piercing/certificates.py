@@ -22,13 +22,15 @@ cluster lemma a member that meets its seed and is not above it in that
 order contains a point of the pattern placed at the seed.  So each member
 costs one exact pair test and one int comparison; only the points the
 refine step chose for the last cluster are checked one by one.  Its points
-are placed and deduplicated only when asked for (PierceCertificate.points).
+are built only when asked for (PierceCertificate.points), from the same int
+keys of the placed pattern that the distinct-point count uses
+(_pattern_keys): repeated keys are dropped and each kept key becomes one
+point.
 """
 
 from fractions import Fraction
 from itertools import chain, product
 import math
-from operator import add
 
 from .bodies import (
     Family,
@@ -101,7 +103,7 @@ def greedy_supported(base) -> bool:
 def greedy_rule(f: Family, method):
     """(pattern, rank) for a greedy method on f: a member that meets member
     i and has rank <= rank[i] contains a point of the pattern placed at i
-    (_placer).  This is the cluster lemma behind both greedies.
+    (_pattern_keys).  This is the cluster lemma behind both greedies.
 
     "greedy" (translates): the pattern covers the lower part of C - C, cut
     by a line through the origin (the trapezoid's cut edge for a triangle),
@@ -138,68 +140,6 @@ def _anchor(body):
     if c is not None:
         return c
     return min(body.polygon.vertices, key=lambda p: (p.y, p.x))
-
-
-def _placer(f: Family, offsets):
-    """i -> member i's pattern points a s_i + t_i + o s_i over the offsets
-    o, with a the base anchor (s_i = 1 for translates).
-
-    Polygon and box points are placed on the scaled columns
-    (Family.scaled_translations): a coordinate (a + o) s_i + t_i is
-    ((a + o) S_i + T_i) / D, one Fraction built from two ints.  Disk offsets
-    are Radicals; each is split once into its rational part plus the anchor
-    and its other terms, and offsets with equal parts in a coordinate share
-    that coordinate's Radical.  A shared part costs one Fraction addition to
-    t_i (none when it is zero), and for homothets a multiply by s_i per term.
-    """
-    D, cols, S = f.scaled_translations()
-    anchor = _anchor(f.base)
-    if f.base.kind != "disk":
-        rows = [[(v.numerator, v.denominator, v.denominator * D) for v in map(add, anchor, o)]
-                for o in offsets]
-        make = tuple if f.base.kind == "box" else (lambda xy: Point(*xy))
-
-        def place(i):
-            s, t = S[i], [col[i] for col in cols]
-            return [make([Fraction(n * s + d * v, dD) for (n, d, dD), v in zip(row, t)])
-                    for row in rows]
-
-        return place
-    # per axis, the distinct (rational part + anchor, other terms) of the offsets
-    parts = ([], [])
-    pairs = []
-    for o in offsets:
-        pair = []
-        for axis, a, r in zip(parts, (anchor.x, anchor.y), (o.x, o.y)):
-            rest = dict(r.terms)
-            part = (rest.pop(1, 0) + a, rest)
-            if part not in axis:
-                axis.append(part)
-            pair.append(axis.index(part))
-        pairs.append(pair)
-    scaled = f.kind == "homothets"
-    (txs, tys), scales = f.columns, f.scales
-
-    def place(i):
-        s = scales[i]
-        coords = []
-        for axis, t in zip(parts, (txs[i], tys[i])):
-            out = []
-            for v, rest in axis:
-                if scaled:
-                    terms = {r: c * s for r, c in rest.items()}
-                    v = v * s
-                else:
-                    terms = dict(rest)
-                c = v + t if v else t
-                if c:
-                    terms[1] = c
-                out.append(Radical(terms))
-            coords.append(out)
-        xs, ys = coords
-        return [RadPoint(xs[a], ys[b]) for a, b in pairs]
-
-    return place
 
 
 def _terms(v):
@@ -268,6 +208,22 @@ def _pattern_keys(f: Family, offsets, seeds):
     return D * L, keys
 
 
+def _key_point(kind, scale, key):
+    """The point p with value_key(p, scale) == key, for a family of kind
+    (the base's): a Point, a box tuple, or for a disk a RadPoint whose
+    coordinates have the rational part and other terms of the key over
+    scale, zero terms dropped."""
+    d = len(key) // 2
+    if kind != "disk":
+        xs = [Fraction(v, scale) for v in key[:d]]
+        return tuple(xs) if kind == "box" else Point(*xs)
+    coords = []
+    for v, rad in zip(key, key[d:]):
+        terms = ((1, v), *zip(rad[::2], rad[1::2]))
+        coords.append(Radical({m: Fraction(c, scale) for m, c in terms if c}))
+    return RadPoint(*coords)
+
+
 class PierceCertificate:
     """Points (or a symbolic cover), clusters, a witness and a factor.
 
@@ -310,12 +266,24 @@ class PierceCertificate:
 
     @property
     def points(self):
-        """The piercing points; a symbolic certificate places its pattern at
-        the seeds and drops repeated values on first access."""
+        """The piercing points.  A symbolic certificate builds them on first
+        access from the int keys that _distinct counts (_pattern_keys):
+        seed by seed, first occurrences of each value, then the refine
+        points whose values are not among them."""
         if self._points is None:
-            place = _placer(self.family, greedy_rule(self.family, self.method)[0].offsets)
-            placed = [p for i in self._pattern_seeds() for p in place(i)]
-            self._points = dedupe_points(placed + self.extra)
+            f = self.family
+            seeds = self._pattern_seeds()
+            scale, keys = _pattern_keys(f, greedy_rule(f, self.method)[0].offsets, seeds)
+            n = len(seeds)
+            # the keys are offset-major: seed i's are keys[i::n]
+            seen = dict.fromkeys(chain.from_iterable(keys[i::n] for i in range(n)))
+            points = [_key_point(f.base.kind, scale, k) for k in seen]
+            for p in self.extra:
+                k = value_key(p, scale)
+                if k not in seen:
+                    seen[k] = None
+                    points.append(p)
+            self._points = points
         return self._points
 
     def explicit(self):

@@ -14,7 +14,7 @@ import time
 from . import generators, jsonio, svg
 from .bodies import Family
 from .certificates import greedy_supported
-from .errors import ParseError, PiercingError, TooLarge, VerificationFailed
+from .errors import ParseError, PiercingError, TooLarge, UnsupportedBase, VerificationFailed
 from .homothets import greedy_pierce_homothets
 from .oracle import solve as oracle_solve
 from .translates import (
@@ -70,7 +70,7 @@ def auto_pierce(f: Family, method="auto", refine=True, seed=0, verify=True):
             method = "grid"
     if f.kind == "homothets":
         if method != "greedy":
-            raise VerificationFailed("homothet families use the greedy method")
+            raise UnsupportedBase("homothet families use the greedy method")
         return greedy_pierce_homothets(f, refine=refine, verify=verify)
     if method == "greedy":
         return greedy_pierce(f, refine=refine, verify=verify)

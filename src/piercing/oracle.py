@@ -14,18 +14,18 @@ are the int vertices and halfplanes of bodies.member_polygons, and only
 pairs that meet (pair_checker) are clipped.  The masks
 come from bodies.coverage, one bisection pair per slab and point over the
 members sorted by their slab bounds (disks: bodies.membership, as in
-verify); a member is realized only for a point a caller adds that the
-int layer leaves open.  A radicand over 2^48 may keep a square factor, so
-two equal radical candidates can both survive; their masks are equal,
-min_set_cover drops the second as dominated, and tau does not change.
+verify); no member is realized.  A radicand over 2^48 may keep a square
+factor, so two equal radical candidates can both survive; their masks are
+equal, min_set_cover drops the second as dominated, and tau does not
+change.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .bodies import (Family, _triple, box_columns, coverage, disk_columns, int_point,
-                     int_translations, intersection_graph, member_polygons, pair_checker)
+from .bodies import (Family, _triple, box_columns, coverage, disk_columns, int_translations,
+                     intersection_graph, member_polygons, pair_checker)
 from .errors import TooLarge
 from .geom import Point, _clip
 from .radicals import Radical, RadPoint, _reduce_radicand
@@ -95,7 +95,7 @@ def candidate_points(f: Family, limit: int = TAU_LIMIT):
     if base.kind == "box":
         scale, _, lo_cols, _ = box_columns(f, range(len(f)))
         combos = [(scale, 1, c, None) for c in product(*[sorted(set(col)) for col in lo_cols])]
-        return [e for e, m in zip(combos, _coverage_masks(f, combos)) if m]
+        return [e for e, m in zip(combos, coverage(f, combos)) if m]
     build = _polygon_candidates if base.kind == "polygon" else _disk_candidates
     rat, rad = build(f, *int_translations(f))  # rational points first
     return [(w, 1, (x, y), None) for x, y, w in dict.fromkeys(rat)] + list(dict.fromkeys(rad))
@@ -111,16 +111,6 @@ def _points(f: Family, entries):
                   for a, b in zip(xy, B)]
         out.append(tuple(xy) if f.base.kind == "box" else (RadPoint if B else Point)(*xy))
     return out
-
-
-def _coverage_masks(f: Family, candidates, extra=()):
-    """masks[k] has bit i set iff member i contains point k of candidates,
-    then of the caller's points extra."""
-    masks = coverage(f, [*candidates, *map(int_point, extra)])
-    for k, p in enumerate(extra, len(candidates)):
-        if masks[k] is None:
-            masks[k] = sum(1 << i for i in range(len(f)) if f.realize(i).contains(p))
-    return masks
 
 
 def min_set_cover(n: int, masks):
@@ -233,7 +223,7 @@ def _tau(f: Family, limit: int):
     """(points, candidates): an optimal piercing set, chosen by
     min_set_cover from candidate_points, and the number of candidates."""
     cands = candidate_points(f, limit)
-    chosen = min_set_cover(len(f), _coverage_masks(f, cands))
+    chosen = min_set_cover(len(f), coverage(f, cands))
     return _points(f, [cands[i] for i in chosen]), len(cands)
 
 

@@ -16,7 +16,9 @@ grid and lattice witnesses share one disjoint extension
 (_disjoint_extension).
 
 hexagon_pierce: two points for pairwise-intersecting hexagon translates via
-the three-strip construction, factor-3 grid decomposition otherwise.
+the three-strip construction, factor-3 grid decomposition otherwise.  The
+strips are the family's three slabs (bodies.Family.slabs), so the points are
+found, and tested against the members (bodies.membership), on ints.
 
 lattice_pierce / lattice_witness: pigeonhole transversals and packings from
 covering/packing lattices, with exact union areas for the counting bounds.
@@ -35,6 +37,7 @@ from .bodies import (
     Family,
     PolygonBody,
     collector_paused,
+    int_point,
     int_translations,
     intersection_graph,
     member_boxes,
@@ -269,18 +272,6 @@ def _line_offset(alphas):
     return best_mid
 
 
-def _hexagon_strips(poly: ConvexPolygon):
-    center = poly.is_centrally_symmetric()
-    v = [p - center for p in poly.vertices]
-    normals = []
-    for k in range(3):
-        e = v[(k + 1) % 6] - v[k]
-        n = e.perp()
-        normals.append(n)
-    widths = [max(p.dot(n) for p in v) for n in normals]
-    return center, v, normals, widths
-
-
 def hexagon_pierce(f: Family, verify: bool = True) -> PierceCertificate:
     """Theorem-6 piercing for translates of a centrally symmetric hexagon.
 
@@ -303,35 +294,31 @@ def hexagon_pierce(f: Family, verify: bool = True) -> PierceCertificate:
         cert.method = "hexagon-grid"
         return cert
 
-    center, v, normals, widths = _hexagon_strips(poly)
-    centers = [Point(center.x + x, center.y + y) for x, y in zip(*f.columns)]
+    # the three slabs of f.slabs() are the strips of the hexagon's edge
+    # directions; a pairwise-intersecting family's slabs k share the
+    # interval [max lo, min hi], whose midline is forms[k] . p = mid[k]
+    forms, lo, hi = f.slabs()
     mids = []
     for k in range(3):
-        vals = [c.dot(normals[k]) for c in centers]
-        lo, hi = min(vals), max(vals)
-        if hi - lo > 2 * widths[k]:
+        a, b = max(row[k] for row in lo), min(row[k] for row in hi)
+        if a > b:
             raise VerificationFailed("strip bound violated for intersecting family")
-        mids.append((lo + hi) / 2)
+        mids.append(Fraction(a + b, 2))
 
     def solve(k1, k2):
-        n1, n2 = normals[k1], normals[k2]
-        det = n1.cross(n2)
-        x = (mids[k1] * n2.y - mids[k2] * n1.y) / det
-        y = (mids[k2] * n1.x - mids[k1] * n2.x) / det
-        return Point(x, y)
+        (a1, b1), (a2, b2) = forms[k1], forms[k2]
+        det = a1 * b2 - a2 * b1
+        return Point((mids[k1] * b2 - mids[k2] * b1) / det, (a1 * mids[k2] - a2 * mids[k1]) / det)
 
-    # the center of H_ab sits where the slab midlines a and b cross; a member
-    # contains that point iff the member's center lies in the hexagon
-    # translate there.  Very flat hexagons can defeat one pairing, so all
-    # three are tried and checked exactly; the oracle is a last resort.
-    poly0 = poly.translate(-center)
-    t12, t13, t23 = solve(0, 1), solve(0, 2), solve(1, 2)
+    # the center of H_ab sits where the midlines a and b cross.  Very flat
+    # hexagons can defeat one pairing, so all three are tried and checked
+    # exactly on the slabs (bodies.membership); the oracle is a last resort.
+    ts = [solve(0, 1), solve(0, 2), solve(1, 2)]
+    tests = list(map(membership(f, list(map(int_point, ts))), range(n)))
     points = None
-    for ta, tb in ((t12, t13), (t12, t23), (t13, t23)):
-        ha = poly0.translate(ta)
-        hb = poly0.translate(tb)
-        if all(ha.contains(c) or hb.contains(c) for c in centers):
-            points = [ta, tb]
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        if all(test(a) or test(b) for test in tests):
+            points = [ts[a], ts[b]]
             break
     if points is None:
         from .oracle import exact_tau

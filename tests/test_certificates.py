@@ -44,15 +44,22 @@ from piercing.translates import greedy_pierce
 from reference import call_budget, graphs_equal, intersection_graph_bruteforce
 
 
-def _prime_family(n, seed):
-    """Disk translates with prime denominators: D is far over the int limit,
-    so the scaled columns are Fractions."""
+def _prime_family(n, seed, kind="translates", reach=10 ** 6):
+    """Disk translates (or homothets, scales 1 to 3) with prime
+    denominators near 1000 and numerators below reach: D is far over the int
+    limit, so the scaled columns are Fractions."""
     primes = [p for p in range(1000, 1300) if all(p % d for d in range(2, 37))]
     rng = random.Random(seed)
-    members = [Member(Point(F(rng.randrange(-10 ** 6, 10 ** 6), rng.choice(primes)),
-                            F(rng.randrange(-10 ** 6, 10 ** 6), rng.choice(primes))))
-               for _ in range(n)]
-    f = Family(DiskBody(Point(F(1, 3), F(-2, 7)), F(5, 4)), members)
+
+    def member():
+        t = Point(F(rng.randrange(-reach, reach), rng.choice(primes)),
+                  F(rng.randrange(-reach, reach), rng.choice(primes)))
+        if kind == "translates":
+            return Member(t)
+        q = rng.choice(primes)
+        return Member(t, F(rng.randrange(q, 3 * q), q))
+
+    f = Family(DiskBody(Point(F(1, 3), F(-2, 7)), F(5, 4)), [member() for _ in range(n)], kind)
     assert not isinstance(f.scaled_translations()[1][0][0], int)
     return f
 
@@ -172,9 +179,9 @@ def test_verify_counts_no_point_within_the_bound(monkeypatch, base, kind):
     assert cert.verify(f) and calls == []
     assert cert.point_count() == len(cert.points) and calls
     # the bound verify checks is the number of points placed before dedupe
-    place = certificates._placer(f, certificates.greedy_rule(f, cert.method)[0].offsets)
-    placed = [p for i in cert._pattern_seeds() for p in place(i)] + cert.extra
-    assert cert._verify_clusters(f) == len(placed) >= len(cert.points)
+    offsets = certificates.greedy_rule(f, cert.method)[0].offsets
+    _, keys = pattern_keys(f, offsets, cert._pattern_seeds())
+    assert cert._verify_clusters(f) == len(keys) + len(cert.extra) >= len(cert.points)
 
 
 _ROOT_BOUNDARY = st.tuples(st.integers(0, 10 ** 6), st.sampled_from([-1, 0, 1])).map(
@@ -227,6 +234,22 @@ def test_point_with_two_radicands_is_tested_on_the_realized_disk(tmp_path):
     g = Family(f.base, f.members)
     assert PierceCertificate("greedy", 4, [inside], [(0, (0,))], [0]).verify(g)
     assert g._realized[0] is not None
+
+
+def test_irrational_point_is_tested_on_the_realized_square():
+    # a point in Q(sqrt 2)^2 has no slab test in a polygon family
+    # (bodies.membership leaves it open): verify decides it on the realized
+    # member
+    half_root2 = Radical.sqrt(2) * F(1, 2)
+    f = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), 0)),
+                               Member(Point(3, 3))])
+    low = RadPoint(half_root2, F(1, 2))  # in members 0 and 1
+    high = RadPoint(half_root2 + 3, half_root2 + 3)  # in member 2
+    far = RadPoint(half_root2 * 3, 0)  # in none
+    assert PierceCertificate("explicit", 1, [low, high], [], [0, 2]).verify(f)
+    assert sorted(f._realized) == [0, 1, 2]
+    with pytest.raises(VerificationFailed, match="member 2 contains no piercing point"):
+        PierceCertificate("explicit", 1, [low, far], [], [0, 2]).verify(f)
 
 
 def test_verify_work_does_not_grow_with_a_member_scale(tmp_path):
@@ -440,6 +463,33 @@ _TRANSLATE_CORPUS = [
 def test_translate_certificates_are_byte_identical(base, n, box, seed, digest):
     f = random_family(_TRANSLATE_BASES[base](), n, box_size=box, seed=seed)
     text = _expanded_text(greedy_pierce(f), f)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# the same for families the corpora above lack: disk members whose common
+# denominator D is over MAX_SCALE_BITS (D = 1, Fraction columns), and one
+# whose refine point repeats a point of the pattern
+_EDGE_CORPUS = {
+    "prime disk homothets": (lambda: _prime_family(200, 51, "homothets", 10 ** 4),
+                             "6e1ec9e3787ee6c928cc0de430702c8cb346c2851175baf6cbb4a08602dd36d0"),
+    "prime disk translates": (lambda: _prime_family(200, 52, reach=10 ** 4),
+                              "e06add9edda6298e260c22f1b5fc5fd8c013089babc918df02a210f74cb40021"),
+    "refine repeats a pattern point": (
+        lambda: random_family(unit_triangle(), 12, box_size=4, kind="homothets", seed=142),
+        "b09893d7f4bcb7f767026c4cc883ea20feb90d11ae4a81e7e2b5f44737421866"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_CORPUS))
+def test_edge_certificates_are_byte_identical(case):
+    make, digest = _EDGE_CORPUS[case]
+    f = make()
+    cert = auto_pierce(f, verify=False)
+    if case.startswith("refine"):
+        scale, keys = certificates._pattern_keys(
+            f, certificates.greedy_rule(f, cert.method)[0].offsets, cert._pattern_seeds())
+        assert [value_key(p, scale) in set(keys) for p in cert.extra] == [True]
+    text = _expanded_text(cert, f)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -109,6 +109,19 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys, command, flag):
     assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
 
 
+@pytest.mark.parametrize("method", ["grid", "hexagon", "lattice"])
+def test_homothets_with_another_method_is_a_usage_error(tmp_path, capsys, method):
+    # a method the family kind has none of is an error of the call, not a
+    # failed verification
+    inst = tmp_path / "homothets.json"
+    assert run("gen", "random", "--base", "square", "--kind", "homothets", "--n", "10",
+               "--out", str(inst)) == 0
+    capsys.readouterr()
+    assert run("pierce", str(inst), "--method", method) == 1
+    err = capsys.readouterr().err
+    assert err == "error: homothet families use the greedy method\n"
+
+
 def test_too_large_exit_code(tmp_path):
     inst = tmp_path / "big.json"
     assert run("gen", "random", "--base", "disk", "--n", "30", "--out", str(inst)) == 0

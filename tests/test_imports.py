@@ -1,7 +1,13 @@
 import ast
+import json
 from pathlib import Path
 
 import pytest
+
+from piercing import jsonio
+from piercing.bodies import Family
+from piercing.generators import random_family, unit_disk
+from piercing.translates import greedy_pierce
 
 SRC = Path(__file__).parents[1] / "src" / "piercing"
 
@@ -83,3 +89,57 @@ def test_the_guard_sees_an_unreferenced_name():
         "b": ast.parse("from .a import helper\nimport a\na.pub\n"),
     }
     assert _unreferenced(trees) == [("a", "Planted"), ("a", "planted")]
+
+
+# where the Fraction columns of a family (Family.columns, Family.scales) may
+# be read: bodies.py derives them, and grid_pierce places its lines on them
+COLUMN_READERS_OK = {("bodies", None), ("translates", "grid_pierce")}
+
+
+def _column_reads(trees):
+    """(module, function, line) of every read of an attribute named columns
+    or scales outside COLUMN_READERS_OK; function is the enclosing top-level
+    function, or None."""
+    out = []
+    for module, tree in trees.items():
+        if (module, None) in COLUMN_READERS_OK:
+            continue
+        for top in tree.body:
+            name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if (module, name) in COLUMN_READERS_OK:
+                continue
+            out.extend((module, name, node.lineno) for node in ast.walk(top)
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                       and node.attr in ("columns", "scales"))
+    return sorted(out)
+
+
+def test_fraction_columns_are_read_only_where_allowed():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    reads = _column_reads(trees)
+    assert not reads, "src/ reads the Fraction columns at %s" % ", ".join(
+        "%s.%s line %d" % r for r in reads)
+
+
+def test_the_guard_sees_a_column_read():
+    trees = {
+        "bodies": ast.parse("def f(g): return g.columns\n"),
+        "translates": ast.parse("def grid_pierce(f): return f.columns\n"
+                                "def other(f):\n    return f.scales[0]\n"),
+        "a": ast.parse("x = fam.columns\nfam.columns = 1\n"),
+    }
+    assert _column_reads(trees) == [("a", None, 1), ("translates", "other", 3)]
+
+
+def test_points_of_a_read_disk_certificate_build_no_fraction_column(monkeypatch):
+    # the symbolic points come from the int keys of the scaled columns
+    f = random_family(unit_disk(), 300, box_size=20, seed=4)
+    doc = jsonio.certificate_to_json(greedy_pierce(f, verify=False), f)
+    cert, g = jsonio.certificate_from_json(json.loads(jsonio.dump(doc)))
+    assert cert.symbolic and cert.family is g
+
+    def refuse(self):
+        raise AssertionError("Fraction columns derived")
+
+    monkeypatch.setattr(Family, "_derive_columns", refuse)
+    assert len(cert.points) == cert.point_count()

@@ -11,6 +11,7 @@ from piercing.bodies import (
     Family,
     Member,
     PolygonBody,
+    coverage,
     int_point,
     membership,
     normalize_affine,
@@ -29,7 +30,6 @@ from piercing.generators import (
 )
 from piercing.geom import ConvexPolygon, Point, clip_chain
 from piercing.oracle import (
-    _coverage_masks,
     _points,
     candidate_points,
     exact_nu,
@@ -285,7 +285,7 @@ def test_coverage_masks_equal_the_realized_reference(name, kind, n, seed, shifte
     candidate, boundary points included."""
     f = _small_family(name, kind, n, seed, shifted)
     cands = candidate_points(f)
-    assert _coverage_masks(f, cands) == realized_masks(f, cands)
+    assert coverage(f, cands) == realized_masks(f, cands)
 
 
 def _moved(f, shift):
@@ -319,7 +319,7 @@ def test_slab_masks_equal_the_realized_reference_below_the_origin(name, kind, n,
     assert (f.scaled_translations()[0] == 1) == shifted
     extra = _extra_points(f, random.Random(seed), 30)
     cands = candidate_points(f)
-    assert _coverage_masks(f, cands, extra) == realized_masks(f, cands + extra)
+    assert coverage(f, [*cands, *map(int_point, extra)]) == realized_masks(f, cands + extra)
 
 
 def test_slab_masks_equal_the_realized_reference_on_touching_families():
@@ -333,7 +333,8 @@ def test_slab_masks_equal_the_realized_reference_on_touching_families():
         for g in (f, _moved(f, [F(-23 - k, 2 + k) for k in range(dim)])):
             cands = candidate_points(g)
             extra = _extra_points(g, rng, 10)
-            assert _coverage_masks(g, cands, extra) == realized_masks(g, cands + extra)
+            masks = coverage(g, [*cands, *map(int_point, extra)])
+            assert masks == realized_masks(g, cands + extra)
 
 
 def test_coverage_masks_take_work_per_slab_not_per_member_and_point():
@@ -344,7 +345,7 @@ def test_coverage_masks_take_work_per_slab_not_per_member_and_point():
     cands = candidate_points(f)
     assert len(cands) > 250
     with call_budget(8_000):
-        _coverage_masks(f, cands)
+        coverage(f, cands)
 
 
 @settings(max_examples=60, deadline=None)
@@ -410,8 +411,9 @@ def test_solve_decides_membership_on_ints(make, monkeypatch):
 
 
 def test_masks_fall_back_to_the_realized_member():
-    """A point the int layer leaves open (irrational in a polygon family,
-    two radicands in a disk family) is decided on the realized member."""
+    """coverage leaves a point the int layer cannot decide (irrational in a
+    polygon family, two radicands in a disk family) to the caller, as None;
+    verify then decides it on the realized member (test_certificates)."""
     half_root2 = Radical.sqrt(2) * F(1, 2)
     squares = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), 0)),
                                      Member(Point(3, 3))])
@@ -419,15 +421,13 @@ def test_masks_fall_back_to_the_realized_member():
              RadPoint(half_root2 * 3, 0)]
     assert [membership(squares, [int_point(p)])(0)(0) for p in extra] == [None] * 3
     cands = candidate_points(squares)
-    masks = _coverage_masks(squares, cands, extra)
-    assert masks == realized_masks(squares, cands + extra)
-    assert masks[-3:] == [0b011, 0b100, 0]
+    masks = coverage(squares, [*cands, *map(int_point, extra)])
+    assert masks[:-3] == realized_masks(squares, cands) and masks[-3:] == [None] * 3
     disks = Family(unit_disk(), [Member(Point(0, 0)), Member(Point(2, 0))])
     quarter_root3 = Radical.sqrt(3) * F(1, 4)
     extra = [RadPoint(half_root2 * F(1, 2), quarter_root3),
              RadPoint(half_root2 * 3, quarter_root3)]
     assert [int_point(p) for p in extra] == [None] * 2
     cands = candidate_points(disks)
-    masks = _coverage_masks(disks, cands, extra)
-    assert masks == realized_masks(disks, cands + extra)
-    assert masks[-2:] == [0b01, 0b10]
+    masks = coverage(disks, [*cands, *map(int_point, extra)])
+    assert masks[:-2] == realized_masks(disks, cands) and masks[-2:] == [None] * 2

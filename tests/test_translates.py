@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+import hashlib
 import math
 import random
 
@@ -215,6 +216,24 @@ class TestHexagon:
             f = random_family(base, 30, box_size=25, seed=80 + trial)
             cert = hexagon_pierce(f)
             assert len(cert.points) <= 3 * len(cert.witness)
+
+    def test_two_points_are_pinned_and_decided_on_the_slabs(self, monkeypatch):
+        # sha256 of the points of 20 seeded pairwise-intersecting families,
+        # taken when the strips came from Fraction centres and the points
+        # were tested on realized polygon translates; the slabs decide now
+        families = [pairwise_intersecting_family(random_cs_hexagon(seed), 6 + seed % 10,
+                                                 seed=seed) for seed in range(100, 120)]
+
+        def refuse(self, p):
+            raise AssertionError("realized contains called")
+
+        monkeypatch.setattr(PolygonBody, "contains", refuse)
+        monkeypatch.setattr(ConvexPolygon, "contains", refuse)
+        certs = [hexagon_pierce(f) for f in families]
+        assert {cert.method for cert in certs} == {"hexagon"}
+        text = "\n".join(repr(cert.points) for cert in certs)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "18f47c11ca8a1e70ea1950d3cc72c937b0522c2a2a12fbcab762f2774636c8c6")
 
     def test_non_hexagon_rejected(self):
         f = random_family(unit_square(), 4, seed=8)
