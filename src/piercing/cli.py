@@ -2,7 +2,7 @@
 experiments, conjecture search, benchmarks.
 
 Exit codes: 0 ok, 1 verification failure or an output file that cannot be
-written, 2 parse error, 3 size limit.
+written, 2 parse or usage error, 3 size limit.
 """
 
 import argparse
@@ -36,6 +36,21 @@ _BASES = {
     "disk": generators.unit_disk,
     "hexagon": generators.hexagon_body,
 }
+
+
+def _trials(text) -> int:
+    """An argparse type: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
+    return int(text)
+
+
+def _n_range(text):
+    """An argparse type: lo:hi with 1 <= lo <= hi, as the pair (lo, hi)."""
+    lo, hi = map(_trials, text.split(":")) if text.count(":") == 1 else (1, 0)
+    if lo > hi:
+        raise argparse.ArgumentTypeError("expected lo:hi with 1 <= lo <= hi, got %r" % text)
+    return lo, hi
 
 
 def _load_family(path) -> Family:
@@ -159,12 +174,12 @@ def cmd_pattern(args) -> int:
 def cmd_experiment(args) -> int:
     import csv
 
-    lo, hi = (int(x) for x in args.n_range.split(":"))
+    lo, hi = args.n_range
     base = _BASES[args.base]()
     rows = []
     max_ratio = 0.0
     for trial in range(args.trials):
-        n = lo + (trial % max(1, hi - lo + 1))
+        n = lo + trial % (hi - lo + 1)
         f = generators.random_family(
             base, n, box_size=args.box_size, kind=args.kind, seed=args.seed + trial
         )
@@ -315,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     x = sub.add_parser("experiment", help="batch random instances to CSV")
     x.add_argument("--base", default="disk", choices=sorted(_BASES))
     x.add_argument("--kind", default="translates", choices=["translates", "homothets"])
-    x.add_argument("--n-range", default="10:40")
-    x.add_argument("--trials", type=int, default=20)
+    x.add_argument("--n-range", type=_n_range, default="10:40")
+    x.add_argument("--trials", type=_trials, default=20)
     x.add_argument("--box-size", type=int, default=10)
     x.add_argument("--seed", type=int, default=0)
     x.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)
@@ -328,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--body", help="JSON file with a centrally symmetric polygon body")
     c.add_argument("--base", default="hexagon", choices=["hexagon", "square"])
     c.add_argument("--n", type=int, default=8)
-    c.add_argument("--trials", type=int, default=20)
+    c.add_argument("--trials", type=_trials, default=20)
     c.add_argument("--box-size", type=int, default=6)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--log", help="append-only JSONL record file")

@@ -1,12 +1,12 @@
 """JSON schemas for instances and certificates.
 
-Rationals travel as plain integers or as strings of the grammar
+Rationals travel as JSON ints or as strings of the grammar
 [+-]digits[/digits]; floats, decimal points and exponents are rejected, so
 files stay exact and no short field expands to a huge integer.
 Certificates embed the instance, which makes them re-verifiable from the
-file alone.  An instance is read and written as scaled int columns
-(bodies.Family.scaled_translations), one parse and one format per distinct
-number.
+file alone.  An instance is written as its scaled int columns "D", "t" (D t
+per axis) and, for homothets, "s" (D s) (bodies.Family.scaled_translations);
+the hand-written "members" form is read too, one parse per distinct number.
 """
 
 from fractions import Fraction
@@ -16,7 +16,7 @@ import math
 from operator import itemgetter
 import re
 
-from .bodies import BoxBody, DiskBody, Family, PolygonBody, scale_table
+from .bodies import BoxBody, DiskBody, Family, PolygonBody, collector_paused, scale_table
 from .certificates import PierceCertificate, greedy_rule
 from .errors import DegenerateInput, ParseError
 from .geom import ConvexPolygon, Point
@@ -29,22 +29,22 @@ from .radicals import RadPoint, Radical, canonical_radicands
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
-def _pair(x):
-    """(p, q), reduced with q > 0, for the exact rational p / q of a JSON
-    int or a string of the grammar."""
-    if type(x) is int:
-        return x, 1
-    if type(x) is not str:
-        raise ParseError("exact rational expected, got %r" % (x,))
-    if not _RATIONAL.fullmatch(x):
-        raise ParseError("bad rational %r" % x)
-    p, _, q = x.partition("/")
-    try:
-        p, q = int(p), int(q) if q else 1
-    except ValueError as e:  # over the digit limit
-        raise ParseError("bad rational %r" % x) from e
-    if not q:
-        raise ParseError("bad rational %r" % x)
+def _pair(x, d=1):
+    """(p, q), reduced with q > 0, for the exact rational p / q = x / d of a
+    JSON int or a string x of the grammar and an int d > 0."""
+    p, q = x, d
+    if type(x) is not int:
+        if type(x) is not str:
+            raise ParseError("exact rational expected, got %r" % (x,))
+        if not _RATIONAL.fullmatch(x):
+            raise ParseError("bad rational %r" % x)
+        p, _, q = x.partition("/")
+        try:
+            p, q = int(p), int(q or 1) * d
+        except ValueError as e:  # over the digit limit
+            raise ParseError("bad rational %r" % x) from e
+        if not q:
+            raise ParseError("bad rational %r" % x)
     g = math.gcd(p, q)
     return p // g, q // g
 
@@ -148,33 +148,42 @@ class _Reader:
         raise ParseError("unknown body type %r" % kind)
 
     def family(self, obj) -> Family:
-        """The instance's Family, built from scaled ints (Family.from_scaled):
-        every member's t is shape-checked in one pass, each distinct JSON
-        value is parsed once to a reduced int pair and scaled once
+        """The instance's Family, built from scaled ints (Family.from_scaled).
+        The members form becomes columns over D = 1; each distinct JSON value
+        is parsed once to a reduced int pair over D and scaled once
         (bodies.scale_table), and the columns are gathered by dict lookups,
         with no object per member and no Fraction."""
         try:
             base = self.body(obj["base"])
             kind = obj.get("kind", "translates")
-            members = obj["members"]
-            ts = [m["t"] for m in members]
-            ss = [m.get("s", 1) for m in members]
+            dim = base.dim if base.kind == "box" else 2
+            if "members" in obj:
+                if obj.keys() & {"D", "t", "s"}:
+                    raise ParseError("an instance has members or columns, not both")
+                ts = [m["t"] for m in obj["members"]]
+                if set(map(type, ts)) - {list} or set(map(len, ts)) - {dim}:
+                    raise ParseError("a translation needs a list of %d coordinates" % dim)
+                # per axis, not zip(*ts): that takes one iterator object per member
+                obj = {"D": 1, "t": [list(map(itemgetter(k), ts)) for k in range(dim)],
+                       "s": [m.get("s", 1) for m in obj["members"]]}
+            D0, raw, n = obj["D"], obj["t"], len(obj["t"][0])
+            ss = obj.get("s", [D0] * n if kind == "translates" else None)
+            if type(D0) is not int or D0 <= 0:
+                raise ParseError("D must be a positive integer, got %r" % (D0,))
+            if type(raw) is not list or len(raw) != dim or set(map(type, raw)) - {list} \
+                    or set(map(len, raw)) != {n} or type(ss) is not list or len(ss) != n:
+                raise ParseError("an instance needs %d lists t and a list s of equal length" % dim)
         except ParseError:
             raise
         except Exception as e:
             raise ParseError("bad instance: %s" % e) from e
-        dim = base.dim if base.kind == "box" else 2
-        if set(map(type, ts)) - {list} or set(map(len, ts)) - {dim}:
-            raise ParseError("a translation needs a list of %d coordinates" % dim)
-        # per axis, not zip(*ts): that takes one iterator object per member
-        raw = [list(map(itemgetter(k), ts)) for k in range(dim)]
         # an int and a str never compare equal, so once bools and floats
         # are refused the sets below keep every distinct value apart
         bad = set(map(type, chain(ss, *raw))) - {int, str}
         if bad:
             x = next(x for x in chain(ss, *raw) if type(x) in bad)
             raise ParseError("exact rational expected, got %r" % (x,))
-        pairs = {x: _pair(x) for x in set(chain(ss, *raw))}
+        pairs = {x: _pair(x, D0) for x in set(chain(ss, *raw))}
         scales = set(map(pairs.__getitem__, set(ss)))
         if any(p <= 0 for p, _ in scales):
             raise ParseError("scale must be positive")
@@ -218,25 +227,19 @@ def body_from_json(obj):
 
 
 def family_to_json(f: Family) -> dict:
-    """The instance document, written from the scaled columns
-    (Family.scaled_translations): each distinct scaled value is formatted
-    once, as the reduced v / D."""
+    """The instance document: the scaled columns (Family.scaled_translations)
+    as they are, D and D * t per axis, and D * s for homothets only.  Over
+    MAX_SCALE_BITS D is 1 and the entries are the rationals themselves."""
     D, cols, S = f.scaled_translations()
-    out = {}
-    for v in set(S).union(*cols):
-        if D == 1:  # ints, or the Fractions themselves over MAX_SCALE_BITS
-            out[v] = _num_out(v)
-        else:
-            g = math.gcd(v, D)
-            out[v] = v // g if g == D else "%d/%d" % (v // g, D // g)
-    ts = zip(*[map(out.__getitem__, col) for col in cols])
-    return {
-        "base": body_to_json(f.base),
-        "kind": f.kind,
-        "members": [{"t": list(t), "s": s} for t, s in zip(ts, map(out.__getitem__, S))],
-    }
+    if D == 1:
+        cols, S = [list(map(_num_out, col)) for col in cols], list(map(_num_out, S))
+    doc = {"base": body_to_json(f.base), "kind": f.kind, "D": D, "t": cols}
+    if f.kind == "homothets":
+        doc["s"] = S
+    return doc
 
 
+@collector_paused()
 def family_from_json(obj) -> Family:
     return _Reader().family(obj)
 
@@ -289,6 +292,7 @@ def _list(doc, key):
     return value
 
 
+@collector_paused()
 def certificate_from_json(obj):
     """(certificate, family) from a document.  One with "points" is
     explicit; one with "refine_points" instead is symbolic, and its method
@@ -421,6 +425,7 @@ def dump(obj, path=None):
     return None
 
 
+@collector_paused()
 def load(path) -> dict:
     """Any JSON layout.  An unreadable, undecodable or too deeply nested
     file, or one with an integer literal over the interpreter's digit

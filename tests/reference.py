@@ -15,7 +15,9 @@ a polygon at an abscissa is the Fraction version of the sandwich search's
 int walk, edge by edge.  The oracle's candidate set is built on the realized members
 (bodies, circle_circle_points) and deduplicated by value.  call_budget
 bounds the work of a block by counting its calls, a deterministic
-stand-in for a time or memory limit.
+stand-in for a time or memory limit.  members_document writes an instance
+in the hand-written members form, one object per member, which the reader
+still takes and the certificate digests were taken on.
 """
 
 from fractions import Fraction
@@ -465,3 +467,22 @@ class call_budget:
 
     def __exit__(self, *exc):
         sys.setprofile(self._outer)
+
+
+def members_document(instance):
+    """The members form of a columnar instance document: one
+    {"t": [...], "s": ...} per member, each value the reduced v / D (an int
+    when whole), and s = 1 for a translate.  With D = 1 the entries are
+    taken as written."""
+    D, cols = instance["D"], instance["t"]
+    scales = instance.get("s", [D] * len(cols[0]))
+
+    def out(v):
+        if D == 1:
+            return v
+        g = math.gcd(v, D)
+        return v // g if g == D else "%d/%d" % (v // g, D // g)
+
+    ts = zip(*[map(out, col) for col in cols])
+    return {"base": instance["base"], "kind": instance["kind"],
+            "members": [{"t": list(t), "s": out(s)} for t, s in zip(ts, scales)]}

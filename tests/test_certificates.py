@@ -41,7 +41,12 @@ from piercing.geom import ConvexPolygon, Point
 from piercing.homothets import greedy_pierce_homothets
 from piercing.radicals import RadPoint, Radical
 from piercing.translates import greedy_pierce
-from reference import call_budget, graphs_equal, intersection_graph_bruteforce
+from reference import (
+    call_budget,
+    graphs_equal,
+    intersection_graph_bruteforce,
+    members_document,
+)
 
 
 def _prime_family(n, seed, kind="translates", reach=10 ** 6):
@@ -352,10 +357,14 @@ _PENTAGON = PolygonBody(ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Po
                                        Point(-1, 2)]))
 
 def _indented(text):
-    """A written document re-rendered with indent=2, the layout the corpus
+    """A written certificate re-rendered with indent=2 and its instance in
+    the members form (reference.members_document), the layout the corpus
     digests were first taken on: equal digests mean equal documents, key
-    order and values included, whatever whitespace dump writes."""
-    return json.dumps(json.loads(text), indent=2)
+    order and values included, whatever whitespace and instance columns
+    dump writes."""
+    doc = json.loads(text)
+    doc["instance"] = members_document(doc["instance"])
+    return json.dumps(doc, indent=2)
 
 
 def _expanded_text(cert, f):
@@ -494,6 +503,8 @@ def test_edge_certificates_are_byte_identical(case):
 
 
 def _corpus_family(corpus, case):
+    if corpus == "edge":
+        return _EDGE_CORPUS[case][0]()
     if corpus == "homothets":
         base, n, box, scales, seed, _ = _CORPUS[case]
         return random_family(base(), n, box_size=box, kind="homothets", scale_range=scales,
@@ -514,6 +525,36 @@ def test_verify_prints_the_expanded_point_count(tmp_path, capsys, corpus, case):
     printed = int(re.search(r"ok: (\d+) points", capsys.readouterr().out).group(1))
     assert printed == len(cert.points) == len(jsonio.certificate_from_json(
         jsonio.load(str(path)))[0].points)
+
+
+@pytest.mark.parametrize("corpus, case", [("homothets", k) for k in range(len(_CORPUS))]
+                         + [("translates", k) for k in range(len(_TRANSLATE_CORPUS))]
+                         + [("edge", k) for k in sorted(_EDGE_CORPUS)])
+def test_members_form_reads_to_the_written_columns(corpus, case):
+    # the digests above hash the instance in the members form; it reads to
+    # the same scaled columns as the columnar form the writer puts out
+    f = _corpus_family(corpus, case)
+    doc = json.loads(jsonio.dump(jsonio.family_to_json(f)))
+    scaled = jsonio.family_from_json(doc).scaled_translations()
+    assert jsonio.family_from_json(members_document(doc)).scaled_translations() == scaled
+    assert scaled == f.scaled_translations()
+
+
+# sha256 of the bytes `piercing pierce` writes (the symbolic certificate
+# with its instance as columns, jsonio.dump) for one entry of each corpus,
+# taken when the writer first put the instance out as columns
+_WRITTEN_CORPUS = [
+    ("homothets", 0, "1b1d779a209bcf64d01b8bd5d1a74622a834bb66739b241e6b729ccacfd07d1e"),
+    ("translates", 11, "2d4958b44be5b7a9ce5a2e85802fef73acdf4109f3ad0a97cb39509b50aed94f"),
+]
+
+
+@pytest.mark.parametrize("corpus, case, digest", _WRITTEN_CORPUS)
+def test_written_certificates_are_byte_identical(corpus, case, digest):
+    f = _corpus_family(corpus, case)
+    cert = (greedy_pierce_homothets if corpus == "homothets" else greedy_pierce)(f, verify=False)
+    text = jsonio.dump(jsonio.certificate_to_json(cert, f))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # the same for cli.auto_pierce with an explicit method; "pairwise" families

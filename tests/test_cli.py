@@ -160,6 +160,25 @@ def test_experiment_csv(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--n-range", "10"],
+    ["experiment", "--n-range", "9:6"],
+    ["experiment", "--n-range", "0:4"],
+    ["experiment", "--n-range", "a:b"],
+    ["experiment", "--n-range", "1:2:3"],
+    ["experiment", "--trials", "0"],
+    ["experiment", "--trials", "-2"],
+    ["experiment", "--trials", "x"],
+    ["conjecture", "--trials", "0"],
+])
+def test_bad_count_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        run(*argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "Traceback" not in err
+
+
 def test_conjecture_log(tmp_path):
     log = tmp_path / "rec.jsonl"
     assert run("conjecture", "--base", "hexagon", "--n", "5", "--trials", "2",

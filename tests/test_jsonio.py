@@ -12,6 +12,7 @@ from piercing.errors import ConstructionFailed, ParseError, VerificationFailed
 from piercing.generators import hexagon_body, random_family, unit_disk, unit_square, unit_triangle
 from piercing.geom import Point
 from piercing.jsonio import _num_out, _radical_sum, _Reader
+from reference import members_document
 
 
 def run(*argv):
@@ -477,8 +478,9 @@ def _instances(draw):
 def test_family_round_trip_is_canonical(case):
     doc, canonical, f = case
     g = jsonio.family_from_json(json.loads(json.dumps(doc)))
-    assert jsonio.family_to_json(g) == canonical
-    assert jsonio.family_to_json(f) == canonical
+    written = jsonio.family_to_json(g)
+    assert written == jsonio.family_to_json(f)
+    assert members_document(written) == canonical
     assert g.scaled_translations() == f.scaled_translations()
     assert [(m.t, m.s) for m in g.members] == [(m.t, m.s) for m in f.members]
 
@@ -491,8 +493,30 @@ def test_family_over_the_scale_bits_keeps_its_fractions():
     D, (xs, ys), S = f.scaled_translations()
     assert D == 1 and xs == [Fraction(1, _HUGE[0]), -7] and ys == [Fraction(1, 2), 0]
     assert S == [Fraction(3, _HUGE[1]), 2]
-    assert jsonio.family_to_json(f)["members"] == [
-        {"t": ["1/%d" % _HUGE[0], "1/2"], "s": "3/%d" % _HUGE[1]}, {"t": [-7, 0], "s": 2}]
+    assert jsonio.family_to_json(f) == {
+        "base": doc["base"], "kind": "homothets", "D": 1,
+        "t": [["1/%d" % _HUGE[0], -7], ["1/2", 0]], "s": ["3/%d" % _HUGE[1], 2]}
+    back = jsonio.family_from_json(json.loads(json.dumps(jsonio.family_to_json(f))))
+    assert back.scaled_translations() == (D, [xs, ys], S)
+
+
+@pytest.mark.parametrize("kind", ["translates", "homothets"])
+def test_columns_over_any_common_denominator_read_the_same(kind):
+    # D = 64 and even entries, or a mixture of ints and grammar strings over
+    # D = 1: the same family as its written form, which is over the lcm
+    f = random_family(unit_triangle(), 40, box_size=6, kind=kind, seed=7)
+    doc = jsonio.family_to_json(f)
+    D, cols, S = f.scaled_translations()
+    assert doc["D"] == D > 1 and doc["t"] == cols
+    doubled = {**doc, "D": 2 * D, "t": [[2 * v for v in col] for col in cols]}
+    spelled = {**doc, "D": 1, "t": [[_num_out(Fraction(v, D)) for v in col] for col in cols]}
+    if kind == "homothets":
+        doubled["s"] = [2 * v for v in S]
+        spelled["s"] = ["%d/%d" % (v, D) for v in S]
+    for other in (doubled, spelled, members_document(doc)):
+        g = jsonio.family_from_json(other)
+        assert g.scaled_translations() == (D, cols, S)
+        assert jsonio.family_to_json(g) == doc
 
 
 def _instance_with(member, kind="translates", base=None):
@@ -533,6 +557,74 @@ def test_malformed_member_is_a_parse_error(tmp_path, capsys, doc):
     assert "Traceback" not in capsys.readouterr().err
     with pytest.raises(ParseError):
         jsonio.family_from_json(doc)
+
+
+@pytest.fixture(scope="module")
+def greedy_certs(tmp_path_factory, symbolic_cert):
+    """Symbolic certificates of a translate and a homothet family, by kind."""
+    d = tmp_path_factory.mktemp("homothets")
+    inst, cert = d / "triangles.json", d / "cert.json"
+    assert run("gen", "random", "--base", "triangle", "--kind", "homothets", "--n", "12",
+               "--box-size", "4", "--seed", "8", "--out", str(inst)) == 0
+    assert run("pierce", str(inst), "--out", str(cert)) == 0
+    return {"translates": symbolic_cert, "homothets": json.loads(cert.read_text())}
+
+
+def _last_entry(value, axis=None):
+    """An edit that sets the last entry of column t[axis], or of s."""
+    def edit(inst):
+        (inst["s"] if axis is None else inst["t"][axis])[-1] = value
+    return edit
+
+
+_COLUMNAR_EDITS = {
+    "D zero": ("translates", _setting("D", 0)),
+    "D negative": ("translates", _setting("D", -32)),
+    "D float": ("translates", _setting("D", 32.0)),
+    "D bool": ("translates", _setting("D", True)),
+    "D string": ("translates", _setting("D", "32")),
+    "D null": ("translates", _setting("D", None)),
+    "no D": ("translates", _without("D")),
+    "no t": ("translates", _without("t")),
+    "t not a list": ("translates", _setting("t", 5)),
+    "one column": ("translates", lambda inst: inst["t"].pop()),
+    "three columns": ("translates", lambda inst: inst["t"].append(inst["t"][0])),
+    "column not a list": ("translates", lambda inst: inst["t"].__setitem__(1, "0")),
+    "short column": ("translates", lambda inst: inst["t"][1].pop()),
+    "float entry": ("translates", _last_entry(0.5, 0)),
+    "bool entry": ("translates", _last_entry(True, 1)),
+    "null entry": ("translates", _last_entry(None, 0)),
+    "list entry": ("translates", _last_entry([1], 1)),
+    "bad string entry": ("translates", _last_entry("0.5", 0)),
+    "members and columns": ("translates", _setting("members", [{"t": [0, 0]}])),
+    "translate s not D": ("translates",
+                          lambda inst: inst.__setitem__("s", [inst["D"]] * 11 + [2 * inst["D"]])),
+    "translate s short": ("translates", lambda inst: inst.__setitem__("s", [inst["D"]] * 11)),
+    "homothet without s": ("homothets", _without("s")),
+    "homothet s zero": ("homothets", _last_entry(0)),
+    "homothet s negative": ("homothets", _last_entry(-1)),
+    "homothet s float": ("homothets", _last_entry(1.5)),
+    "homothet s short": ("homothets", lambda inst: inst["s"].pop()),
+    "homothet s not a list": ("homothets", _setting("s", 1)),
+    "homothets and members": ("homothets", _setting("members", [{"t": [0, 0], "s": 1}])),
+}
+
+
+@pytest.mark.parametrize("command", ["pierce", "verify"])
+@pytest.mark.parametrize("case", sorted(_COLUMNAR_EDITS))
+def test_malformed_columns_are_a_parse_error(tmp_path, capsys, greedy_certs, command, case):
+    kind, edit = _COLUMNAR_EDITS[case]
+    doc = json.loads(json.dumps(greedy_certs[kind]))
+    assert len(doc["instance"]["t"][0]) == 12
+    edit(doc["instance"])
+    with pytest.raises(ParseError):
+        jsonio.family_from_json(doc["instance"])
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc if command == "verify" else doc["instance"]))
+    capsys.readouterr()
+    assert run(command, str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("base, kind", [("disk", "translates"), ("triangle", "homothets")])
