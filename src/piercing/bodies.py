@@ -4,20 +4,20 @@ A member body is s*C + t: the base scaled about the origin, then translated.
 All coordinates are exact rationals; disks admit radical (sqrt) query points
 for containment because some disk constructions need them.
 
-The integer kernel: a family is scaled once by the lcm D of its translation
-and scale denominators (Family.scaled_translations), so member i is
-(S_i C + T_i) / D with int columns T and S.  Pair tests (pair_checker), the
-pair grid (neighbor_index) and the homothet/topmost orders run on these
-ints, and polygon and box members are slabs lo <= w.p <= hi with int bounds
-(Family.slabs).  Point membership is decided here too: a point becomes
-ints (A + B sqrt(m)) / q once (int_point), and membership tests it against
-a member's slabs or a disk member's exact sign of P + Q sqrt(m); coverage,
-for the oracle's masks, bisects all members one slab at a time.  The
-members' scaled bounding boxes (box_columns) are int too, and one exact
-grid per power-of-two scale class of the members (scale_classes) gives
-the pair candidates (neighbor_index) and, in certificates, the points a
-member tests.  Over MAX_SCALE_BITS the same code runs on Fractions with
-D = 1.
+The integer kernel: a family is held only as its translations and scales
+times the lcm D of their denominators (Family.scaled_translations), so
+member i is (S_i C + T_i) / D with int columns T and S.  Pair tests
+(pair_checker), the pair grid (neighbor_index) and the homothet/topmost
+orders run on these ints, and polygon and box members are slabs
+lo <= w.p <= hi with int bounds (Family.slabs).  Point membership is
+decided here too: a point becomes ints (A + B sqrt(m)) / q once
+(int_point), and membership tests it against a member's slabs or a disk
+member's exact sign of P + Q sqrt(m); coverage, for the oracle's masks,
+bisects all members one slab at a time.  The members' scaled bounding
+boxes (box_columns) are int too, and one exact grid per power-of-two scale
+class of the members (scale_classes) gives the pair candidates
+(neighbor_index) and, in certificates, the points a member tests.  Over
+MAX_SCALE_BITS the same code runs on Fractions with D = 1.
 """
 
 from bisect import bisect_right
@@ -168,31 +168,30 @@ class Member:
 
 
 class Family:
-    """A base convex body plus translate/homothet members, held as columns.
-
-    columns[k][i] is coordinate k of member i's translation (one list per
-    axis: two for a polygon or disk base, dim for a box) and scales[i] its
-    scale, exact rationals.  A family holds the form it was built from,
-    these Fraction columns or their scaled ints (from_scaled, as the JSON
-    reader and subfamily build it), and derives the other on first access;
-    the Member objects (members) are derived too.  The greedies, the
-    verifier and the JSON codec work on the scaled ints alone.
-    """
+    """A base convex body plus translate/homothet members, held only as
+    their scaled columns (scaled_translations), which the greedies, the
+    grid, the oracle, the verifier and the JSON codec work on.  A member's
+    translation and scale become Fractions only on demand (translation,
+    members, realize)."""
 
     def __init__(self, base, members, kind="translates"):
-        """members: Member objects, whose translations and scales become
-        the columns."""
+        """members: Member objects, whose scales Member checked positive.  D
+        is the lcm of their translation denominators, and of their scale
+        denominators for homothets (scale_table)."""
         members = list(members)
+        ss = [m.s for m in members]
+        # each distinct scale object is checked once
+        if kind == "translates" and any(s != 1 for s in {id(s): s for s in ss}.values()):
+            raise DegenerateInput("translate families require scale 1")
         ts = [m.t if base.kind == "box" else (m.t.x, m.t.y) for m in members]
-        self._setup(base, kind, len(ts), list(map(list, zip(*ts))), [m.s for m in members])
-
-    @classmethod
-    def from_columns(cls, base, columns, scales, kind="translates"):
-        """The family whose member i has translation coordinates
-        columns[k][i] and scale scales[i] (Fractions)."""
-        f = cls.__new__(cls)
-        f._setup(base, kind, len(scales), columns, scales)
-        return f
+        cols = list(map(list, zip(*ts))) + [ss] * (kind == "homothets")
+        # once per distinct value object: members that share their values
+        # cost one dict lookup each
+        values = {id(v): v for col in cols for v in col}
+        D, scaled = scale_table({k: (v.numerator, v.denominator) for k, v in values.items()})
+        cols = [[scaled[id(v)] for v in col] for col in cols]
+        S = cols.pop() if kind == "homothets" else [D] * len(members)
+        self._setup(base, kind, (D, cols, S))
 
     @classmethod
     def from_scaled(cls, base, scaled, kind="translates"):
@@ -201,41 +200,21 @@ class Family:
         and scale S[i] / D.  The scales are taken as checked: positive, and
         S[i] = D for translates."""
         f = cls.__new__(cls)
-        f._setup(base, kind, len(scaled[2]), scaled=scaled)
+        f._setup(base, kind, scaled)
         return f
 
-    def _setup(self, base, kind, n, columns=None, scales=None, scaled=None):
+    def _setup(self, base, kind, scaled):
         if kind not in ("translates", "homothets"):
             raise DegenerateInput("unknown family kind %r" % kind)
-        if not n:
+        if not scaled[2]:
             raise DegenerateInput("family must be nonempty")
-        # each distinct scale object is checked once
-        distinct = {id(s): s for s in scales or ()}.values()
-        if any(s.numerator <= 0 for s in distinct):
-            raise DegenerateInput("scale must be positive")
-        if kind == "translates" and any(s != 1 for s in distinct):
-            raise DegenerateInput("translate families require scale 1")
         self.base = base
         self.kind = kind
-        self._n = n
-        self._fractions = None if columns is None else (columns, scales)
+        self._n = len(scaled[2])
+        self._scaled = scaled
         self._members = None
         self._realized = {}
-        self._scaled = scaled
         self._slabs = None
-
-    columns = property(lambda self: self._derive_columns()[0])
-    scales = property(lambda self: self._derive_columns()[1])
-
-    def _derive_columns(self):
-        """(columns, scales), from the scaled ints on first access: one
-        Fraction per distinct scaled value, shared by the members."""
-        if self._fractions is None:
-            D, cols, S = self._scaled
-            value = {v: Fraction(v, D) for v in set(S).union(*cols)}
-            self._fractions = ([list(map(value.__getitem__, col)) for col in cols],
-                               list(map(value.__getitem__, S)))
-        return self._fractions
 
     def __len__(self):
         return self._n
@@ -244,15 +223,17 @@ class Family:
         return self.base.dim if self.base.kind == "box" else 2
 
     def translation(self, i):
-        """Member i's translation: a tuple for a box base, else a Point."""
-        t = tuple(col[i] for col in self.columns)
+        """Member i's translation, cols[k][i] / D: a box tuple or a Point."""
+        D, cols, _ = self._scaled
+        t = tuple(Fraction(col[i], D) for col in cols)
         return t if self.base.kind == "box" else Point(*t)
 
     @property
     def members(self):
-        """The Member of each index, built from the columns on first access."""
+        """The Member of each index, built on first access."""
         if self._members is None:
-            self._members = [Member(self.translation(i), s) for i, s in enumerate(self.scales)]
+            D, _, S = self._scaled
+            self._members = [Member(self.translation(i), Fraction(s, D)) for i, s in enumerate(S)]
         return self._members
 
     def subfamily(self, indices):
@@ -276,7 +257,8 @@ class Family:
     def realize(self, i):
         body = self._realized.get(i)
         if body is None:
-            body = self._realized[i] = self.base.scale_translate(self.scales[i],
+            D, _, S = self._scaled
+            body = self._realized[i] = self.base.scale_translate(Fraction(S[i], D),
                                                                  self.translation(i))
         return body
 
@@ -284,16 +266,14 @@ class Family:
         return self.realize(i).intersects(self.realize(j))
 
     def scaled_translations(self):
-        """(D, cols, S) with cols[k][i] = D * t_i[k], one list per axis, and
-        S[i] = D * s_i, so member i is (S_i C + T_i) / D.
+        """(D, cols, S) with cols[k][i] = D * t_i[k], one list per axis (two
+        for a polygon or disk base, dim for a box), and S[i] = D * s_i, so
+        member i is (S_i C + T_i) / D.
 
         D is the lcm of the translation and scale denominators and the
         columns hold ints; when D would need more than MAX_SCALE_BITS bits,
-        D is 1 and the columns hold the Fractions themselves.  Computed once
-        per family, unless the family was built from it (from_scaled).
+        D is 1 and the columns hold the Fractions themselves.
         """
-        if self._scaled is None:
-            self._scaled = _scale_translations(self)
         return self._scaled
 
     def slabs(self):
@@ -337,20 +317,6 @@ def scale_table(pairs):
         if D.bit_length() > MAX_SCALE_BITS:
             return 1, {k: Fraction(p, q) for k, (p, q) in pairs.items()}
     return D, {k: p * (D // q) for k, (p, q) in pairs.items()}
-
-
-def _scale_translations(f: Family):
-    # once per distinct value object: where members share their Fractions,
-    # as random_family's do, a member costs one dict lookup
-    homothets = f.kind == "homothets"
-    cols = f.columns + [f.scales] * homothets
-    distinct = {}
-    for col in cols:
-        distinct.update(zip(map(id, col), col))
-    D, scaled = scale_table({k: (v.numerator, v.denominator) for k, v in distinct.items()})
-    cols = [list(map(scaled.__getitem__, map(id, col))) for col in cols]
-    # every translate has s = 1
-    return (D, cols[:-1], cols[-1]) if homothets else (D, cols, [D] * len(f))
 
 
 def _base_slabs(base):

@@ -167,18 +167,6 @@ def value_key(p, scale=1):
             *[tuple(x for m in sorted(t) if m != 1 for x in (m, t[m] * scale)) for t in terms])
 
 
-def dedupe_points(points):
-    """points without repeated values, first occurrences in order."""
-    seen = set()
-    out = []
-    for p in points:
-        k = value_key(p)
-        if k not in seen:
-            seen.add(k)
-            out.append(p)
-    return out
-
-
 def _pattern_keys(f: Family, offsets, seeds):
     """(scale, keys): value_key(p, scale) for every pattern point p placed
     at the seeds, computed from ints alone, one offset at a time.
@@ -291,6 +279,7 @@ class PierceCertificate:
         return PierceCertificate(self.method, self.factor, self.points, self.clusters,
                                  self.witness, self.info)
 
+    @collector_paused()
     def _distinct(self, f: Family):
         """The number of distinct points, for the certificate on f; a
         symbolic certificate counts value keys on ints, placing nothing."""

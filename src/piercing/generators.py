@@ -3,8 +3,8 @@
 from fractions import Fraction
 import random
 
-from .bodies import DiskBody, Family, Member, PolygonBody, pair_checker
-from .errors import ConstructionFailed, EpsilonTooLarge, TooLarge
+from .bodies import DiskBody, Family, Member, PolygonBody, pair_checker, scale_table
+from .errors import ConstructionFailed, DegenerateInput, EpsilonTooLarge, TooLarge
 from .geom import ConvexPolygon, Point, frac, minkowski_sum, reflect
 
 GRID_CAP = 4096
@@ -99,9 +99,10 @@ def random_family(base, n, box_size=10, kind="translates", scale_range=(1, 3), s
     """Reproducible random family: rational translations in a square box.
 
     Each coordinate, then the scale of a homothet, is one _rand_frac draw
-    (denominators 32 and 8); the draws are taken in that order first, and
-    each distinct one becomes one Fraction, shared by the members that drew
-    it."""
+    (denominators 32 and 8); the draws are taken in that order first.  The
+    family is built from its scaled columns (Family.from_scaled): D is the
+    lcm of the reduced denominators drawn, and each distinct draw is scaled
+    once (scale_table)."""
     rng = random.Random(seed)
     dim = base.dim if base.kind == "box" else 2
     forms = [_rand_frac_form(0, box_size, 32)] * dim
@@ -109,13 +110,18 @@ def random_family(base, n, box_size=10, kind="translates", scale_range=(1, 3), s
         forms.append(_rand_frac_form(scale_range[0], scale_range[1], 8))
     spans = [span for span, _, _, _ in forms]
     draws = [rng.randrange(span) for _ in range(n) for span in spans]
-    cols = []
-    for k, (_, a, b, q) in enumerate(forms):
-        ks = draws[k::len(forms)]
-        value = {j: Fraction(a + j * b, q) for j in set(ks)}
-        cols.append(list(map(value.__getitem__, ks)))
-    scales = cols.pop() if kind != "translates" else [Fraction(1)] * n
-    return Family.from_columns(base, cols, scales, kind)
+    cols = [draws[k::len(forms)] for k in range(len(forms))]
+    drawn = [set(ks) for ks in cols]
+    pairs = {}  # draw j of form k, (span, a, b, q), is (a + j b) / q
+    for k, ((_, a, b, q), js) in enumerate(zip(forms, drawn)):
+        pairs.update({(k, j): Fraction(a + j * b, q).as_integer_ratio() for j in js})
+    D, scaled = scale_table(pairs)
+    cols = [list(map({j: scaled[k, j] for j in js}.__getitem__, ks))
+            for k, (ks, js) in enumerate(zip(cols, drawn))]
+    S = cols.pop() if kind != "translates" else [D] * n
+    if S and min(S) <= 0:
+        raise DegenerateInput("scale must be positive")
+    return Family.from_scaled(base, (D, cols, S), kind)
 
 
 def pairwise_intersecting_family(base, n, seed=0, attempts=1000) -> Family:
@@ -193,7 +199,6 @@ def random_centrally_symmetric_polygon(rng_or_seed, half_vertices=4, spread=10) 
 def random_convex_polygon(rng_or_seed, max_vertices=12, spread=10) -> PolygonBody:
     rng = rng_or_seed if isinstance(rng_or_seed, random.Random) else random.Random(rng_or_seed)
     from .geom import convex_hull
-    from .errors import DegenerateInput
 
     while True:
         k = rng.randrange(3, max_vertices + 1)

@@ -258,6 +258,7 @@ def point_to_json(p):
     return {"kind": "rational", "xy": [_num_out(v) for v in p]}  # box tuple
 
 
+@collector_paused()
 def certificate_to_json(cert: PierceCertificate, f: Family) -> dict:
     """The certificate document.  An explicit certificate lists its points;
     a symbolic one lists only its refine_points, and verify rebuilds its

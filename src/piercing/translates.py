@@ -8,7 +8,8 @@ pattern.  The greedy core (_greedy) is shared with the homothet greedy.
 
 grid_pierce: the sandwich-pair decomposition into lines and residue classes
 with factor gamma = ceil(l_line) * ceil(l_class + 1).  Polygons and boxes
-take the one grid path; a box is the case P = C, with factor 2^(d-1).
+take the one grid path; a box is the case P = C, with factor 2^(d-1).  It
+runs on the ints of bodies.int_translations.
 
 There is one cluster loop (_clusters): the greedy runs it over the whole
 family, the grid over each line, both on neighbor_index candidates.  The
@@ -30,6 +31,7 @@ family's slabs (bodies.membership), never on realized bodies.
 
 from fractions import Fraction
 import math
+from operator import mul
 import random
 
 from .bodies import (
@@ -46,7 +48,7 @@ from .bodies import (
     neighbor_index,
     pair_checker,
 )
-from .certificates import PierceCertificate, dedupe_points, greedy_rule, seed_columns
+from .certificates import PierceCertificate, greedy_rule, seed_columns
 # translate_cluster_cover is unused here but stays bound: perfbench/spans.py
 # traces it by this binding
 from .covers import _cached, _poly_key, translate_cluster_cover  # noqa: F401
@@ -177,77 +179,103 @@ def grid_pierce(f: Family, pair: SandwichPair = None, verify: bool = True) -> Pi
     unit width on every axis but the last cut the family; within a line,
     the lowest alive member seeds a cluster of the members it meets, pierced
     at most k_line levels above it.  The seeds of one residue class of lines
-    mod m_class are pairwise disjoint.
+    mod m_class are pairwise disjoint.  All of it runs on ints over one
+    denominator (_grid_lines); only the placed points become Points.
     """
     if f.kind != "translates":
         raise UnsupportedBase("grid_pierce needs a translate family")
-    base = f.base
-    half = Fraction(1, 2)
-    if isinstance(base, BoxBody):
-        sides = base.sides
-        centres = [tuple((lo + side / 2 + v) / side for lo, side, v in zip(base.mins, sides, t))
-                   for t in zip(*f.columns)]
-
-        def place(x):
-            return tuple(a * side for a, side in zip(x, sides))
-
-        k_line, m_class, factor, info = 1, 2, 2 ** (base.dim - 1), None
-    elif isinstance(base, PolygonBody):
-        if pair is None:
-            pair = sandwich_parallelograms(base.polygon)
-        la = pair.line_axis
-        # axes[0] is cut into lines, axes[1] carries the levels
-        axes = (pair.p.u, pair.p.v) if la == 1 else (pair.p.v, pair.p.u)
-        det = axes[0].cross(axes[1])
-        centres = []
-        c = pair.p.center
-        for x, y in zip(*f.columns):
-            p = Point(c.x + x, c.y + y)
-            centres.append((p.cross(axes[1]) / det, axes[0].cross(p) / det))
-
-        def place(x):
-            return axes[0] * x[0] + axes[1] * x[1]
-
-        k_line = math.ceil(pair.lambdas[la])
-        m_class = math.ceil(pair.lambdas[1 - la] + 1)
-        factor, info = pair.gamma, {"gamma": pair.gamma}
-    else:
-        raise UnsupportedBase("grid_pierce needs a polygon or box base")
-
-    n = len(f)
-    offs = [_line_offset([c[k] for c in centres]) for k in range(len(centres[0]) - 1)]
-    line = []
-    for c in centres:
-        key = tuple(math.floor(x + half - off) for x, off in zip(c, offs))
-        if not all(x - half < j + off < x + half for x, j, off in zip(c, key, offs)):
-            raise VerificationFailed("line tangent to a P-translate")
-        line.append(key)
-    order = sorted(range(n), key=lambda i: (line[i], centres[i][-1], centres[i][:-1], i))
+    forms, basis, k_line, m_class, factor, info = _grid_frame(f.base, pair)
+    E, centres, offs, line, order = _grid_lines(f, forms)
+    level = centres[-1]
     near = neighbor_index(f)
     check = pair_checker(f)
-    clusters = _clusters(n, order, lambda i: [j for j in near(i) if line[j] == line[i]], check)
-    points = []
+    clusters = _clusters(len(f), order, lambda i: [j for j in near(i) if line[j] == line[i]],
+                         check)
+    # the point with coordinates x / (4 E) in the basis is rows . x / (4 E M)
+    M = math.lcm(*[v.denominator for b in basis for v in b])
+    rows = list(zip(*[[int(v * M) for v in b] for b in basis]))
+    placed = {}  # the points' int numerators, first occurrences in order
     class_seeds = {}
     for i, hits in clusters:
         key = line[i]
-        c_seed = centres[i][-1] - half
-        # each member's P-translate contains the point at its own level
+        seed = level[i]
+        # each member's P-translate, levels [c - E/2, c + E/2] over E,
+        # contains the point at its own level k: c_seed - E/2 + k E
         used = set()
         for m in (i, *hits):
-            c_m = centres[m][-1] - half
-            k = max(1, math.ceil(c_m - c_seed))
-            if k > k_line or not c_m <= c_seed + k <= c_m + 1:
+            k = max(1, -((seed - level[m]) // E))
+            if k > k_line or not level[m] <= seed + k * E <= level[m] + E:
                 raise VerificationFailed("member escapes its cluster levels")
             used.add(k)
-        pos = tuple(j + off for j, off in zip(key, offs))
-        points.extend(place(pos + (c_seed + k,)) for k in sorted(used))
+        pos = [4 * E * j + off for j, off in zip(key, offs)]
+        for k in sorted(used):
+            x = (*pos, 2 * (2 * seed + (2 * k - 1) * E))
+            placed.setdefault(tuple(sum(map(mul, row, x)) for row in rows), None)
         class_seeds.setdefault(tuple(j % m_class for j in key), []).append(i)
-    cert = PierceCertificate("grid", factor, dedupe_points(points),
+    make = tuple if isinstance(f.base, BoxBody) else (lambda xy: Point(*xy))
+    points = [make(Fraction(v, 4 * E * M) for v in p) for p in placed]
+    cert = PierceCertificate("grid", factor, points,
                              [(i, sorted((i, *hits))) for i, hits in clusters],
                              _extend_witness(class_seeds, near, check), info=info)
     if verify:
         cert.verify(f)
     return cert
+
+
+def _grid_frame(base, pair):
+    """(forms, basis, k_line, m_class, factor, info): coordinates x in the
+    basis of P are the point sum x_k basis[k], and coordinate k of the centre
+    of a member's P-translate is w . t + h, (w, h) = forms[k], t its translation."""
+    if isinstance(base, BoxBody):
+        sides = base.sides
+        # centre coordinate k is (lo_k + side_k / 2 + t_k) / side_k
+        forms = [([1 / side if a == k else 0 for a in range(base.dim)], lo / side + Fraction(1, 2))
+                 for k, (lo, side) in enumerate(zip(base.mins, sides))]
+        basis = [[side if a == k else 0 for a in range(base.dim)] for k, side in enumerate(sides)]
+        return forms, basis, 1, 2, 2 ** (base.dim - 1), None
+    if isinstance(base, PolygonBody):
+        if pair is None:
+            pair = sandwich_parallelograms(base.polygon)
+        la = pair.line_axis
+        # a0 is cut into lines, a1 carries the levels; the centre p = c + t
+        # of a P-translate is (p x a1, a0 x p) / det in this basis
+        a0, a1 = (pair.p.u, pair.p.v) if la == 1 else (pair.p.v, pair.p.u)
+        det = a0.cross(a1)
+        c = pair.p.center
+        forms = [((a1.y / det, -a1.x / det), c.cross(a1) / det),
+                 ((-a0.y / det, a0.x / det), a0.cross(c) / det)]
+        return (forms, [(a0.x, a0.y), (a1.x, a1.y)], math.ceil(pair.lambdas[la]),
+                math.ceil(pair.lambdas[1 - la] + 1), pair.gamma, {"gamma": pair.gamma})
+    raise UnsupportedBase("grid_pierce needs a polygon or box base")
+
+
+def _grid_lines(f: Family, forms):
+    """(E, centres, offs, line, order): centres[k][i] / E is coordinate k of
+    member i's centre (_grid_frame), on the columns of int_translations; axis
+    k < last is cut into lines j + offs[k] / (4 E), line[i] holds member i's
+    j per axis, and order sorts by line, last coordinate, the others, index."""
+    D, cols, _ = int_translations(f)
+    n = len(f)
+    L = math.lcm(*[v.denominator for w, h in forms for v in (*w, h)])
+    E = L * D
+    centres = []
+    for w, h in forms:
+        col = [int(h * E)] * n
+        for a, t in zip(w, cols):
+            if a:
+                a = int(a * L)
+                col = [v + a * x for v, x in zip(col, t)]
+        centres.append(col)
+    offs = [_line_offset(col, E) for col in centres[:-1]]
+    # member i's line on axis k is floor(x + 1/2 - off) for x = centres[k][i] / E
+    keys = [[(4 * x + 2 * E - off) // (4 * E) for x in col] for col, off in zip(centres, offs)]
+    # a line on the end x + 1/2 of an interval would be tangent to it
+    if any((4 * x + 2 * E - off) % (4 * E) == 0 for col, off in zip(centres, offs) for x in col):
+        raise VerificationFailed("line tangent to a P-translate")
+    line = list(zip(*keys))
+    order = sorted(range(n), key=lambda i: (line[i], centres[-1][i],
+                                            tuple(col[i] for col in centres[:-1]), i))
+    return E, centres, offs, line, order
 
 
 def _extend_witness(class_seeds, candidates, check):
@@ -257,19 +285,13 @@ def _extend_witness(class_seeds, candidates, check):
     return _disjoint_extension(best + seeds, candidates, check)
 
 
-def _line_offset(alphas):
-    """A rational offset no line x = j + b is tangent to any unit interval."""
-    fracs = sorted({(a + Fraction(1, 2)) % 1 for a in alphas})
-    if not fracs:
-        return Fraction(0)
-    best_gap, best_mid = None, None
-    for i, lo in enumerate(fracs):
-        hi = fracs[i + 1] if i + 1 < len(fracs) else fracs[0] + 1
-        gap = hi - lo
-        if best_gap is None or gap > best_gap:
-            best_gap = gap
-            best_mid = (lo + hi) / 2 % 1
-    return best_mid
+def _line_offset(col, E):
+    """off / (4 E): the middle of the first widest gap between the ends mod 1
+    of the unit intervals centred at v / E for v in col, where no line
+    x = j + off / (4 E) is tangent to one."""
+    ends = sorted({(2 * v + E) % (2 * E) for v in col})  # over 2 E
+    lo, hi = max(zip(ends, ends[1:] + [ends[0] + 2 * E]), key=lambda g: g[1] - g[0])
+    return (lo + hi) % (4 * E)
 
 
 def hexagon_pierce(f: Family, verify: bool = True) -> PierceCertificate:

@@ -8,7 +8,9 @@ the smallest-first argument with an explicit common point.  The clipping
 functions are the Fraction versions of geom's integer kernel, and the
 lattice offset search tests Fraction lattice points against every realized
 member, and the greedy's seed order is a sort by top_key on the Fraction
-columns.  The union area is inclusion-exclusion over the realized
+columns (fraction_columns, which family_of_columns builds a family
+from).  The grid's centres, line keys, order and points are its Fraction
+version (grid_lines).  The union area is inclusion-exclusion over the realized
 polygons, clipped on geom's int kernel (kernel_intersection_chain,
 kernel_chain_area), which keeps the equivalence tests fast.  The section of
 a polygon at an abscissa is the Fraction version of the sandwich search's
@@ -26,13 +28,22 @@ import math
 import sys
 
 from piercing import geom
-from piercing.bodies import BoxBody, DiskBody, PolygonBody
-from piercing.certificates import dedupe_points
+from piercing.bodies import (
+    BoxBody,
+    DiskBody,
+    Family,
+    Member,
+    PolygonBody,
+    neighbor_index,
+    pair_checker,
+)
+from piercing.certificates import value_key
 from piercing.errors import DegenerateInput
 from piercing.geom import ConvexPolygon, Interval, Point, frac
 from piercing.oracle import _points
 from piercing.radicals import RadPoint, Radical
-from piercing.translates import _offset_candidates
+from piercing.sandwich import sandwich_parallelograms
+from piercing.translates import _clusters, _offset_candidates
 
 
 def clip_chain(points, n, c):
@@ -165,6 +176,34 @@ def region_minus_polygons(region, polys):
     return pieces
 
 
+def dedupe_points(points):
+    """points without repeated values (certificates.value_key), first
+    occurrences in order."""
+    seen = set()
+    out = []
+    for p in points:
+        k = value_key(p)
+        if k not in seen:
+            seen.add(k)
+            out.append(p)
+    return out
+
+
+def fraction_columns(f):
+    """(columns, scales): columns[k][i] is coordinate k of member i's
+    translation and scales[i] its scale, Fractions from f.members."""
+    members = f.members
+    ts = [m.t if f.base.kind == "box" else (m.t.x, m.t.y) for m in members]
+    return [list(col) for col in zip(*ts)], [m.s for m in members]
+
+
+def family_of_columns(base, columns, scales, kind="translates"):
+    """The family whose member i has translation coordinates columns[k][i]
+    and scale scales[i], built from Member objects."""
+    make = tuple if base.kind == "box" else (lambda t: Point(*t))
+    return Family(base, [Member(make(t), s) for t, s in zip(zip(*columns), scales)], kind)
+
+
 def top_key(f):
     """Exact sort key: decreasing top coordinate, then translation lex, index.
 
@@ -173,13 +212,80 @@ def top_key(f):
     base's bounding box on the last axis.
     """
     base_top = f.base.bbox()[-1].hi
-    columns, scales = f.columns, f.scales
+    columns, scales = fraction_columns(f)
 
     def key(i):
         t = tuple(col[i] for col in columns)
         return (-(base_top * scales[i] + t[-1]), t, i)
 
     return key
+
+
+def grid_lines(f, pair=None):
+    """(line, order, points) of translates.grid_pierce on Fractions: the
+    centres of the members' P-translates in the basis of the sandwich
+    pair's P (a box's own sides for a box base), the line offset per line
+    axis, each member's line keys, the cluster order, and the deduplicated
+    points placed over the clusters of neighbor_index and pair_checker."""
+    base = f.base
+    half = Fraction(1, 2)
+    columns, _ = fraction_columns(f)
+    if isinstance(base, BoxBody):
+        sides = base.sides
+        centres = [tuple((lo + side / 2 + v) / side for lo, side, v in zip(base.mins, sides, t))
+                   for t in zip(*columns)]
+
+        def place(x):
+            return tuple(a * side for a, side in zip(x, sides))
+
+        k_line = 1
+    else:
+        pair = pair or sandwich_parallelograms(base.polygon)
+        la = pair.line_axis
+        axes = (pair.p.u, pair.p.v) if la == 1 else (pair.p.v, pair.p.u)
+        det = axes[0].cross(axes[1])
+        c = pair.p.center
+        centres = []
+        for x, y in zip(*columns):
+            p = Point(c.x + x, c.y + y)
+            centres.append((p.cross(axes[1]) / det, axes[0].cross(p) / det))
+
+        def place(x):
+            return axes[0] * x[0] + axes[1] * x[1]
+
+        k_line = math.ceil(pair.lambdas[la])
+
+    def line_offset(alphas):
+        fracs = sorted({(a + half) % 1 for a in alphas})
+        best_gap, best_mid = None, None
+        for i, lo in enumerate(fracs):
+            hi = fracs[i + 1] if i + 1 < len(fracs) else fracs[0] + 1
+            if best_gap is None or hi - lo > best_gap:
+                best_gap, best_mid = hi - lo, (lo + hi) / 2 % 1
+        return best_mid
+
+    n = len(f)
+    offs = [line_offset([c[k] for c in centres]) for k in range(len(centres[0]) - 1)]
+    line = []
+    for c in centres:
+        key = tuple(math.floor(x + half - off) for x, off in zip(c, offs))
+        assert all(x - half < j + off < x + half for x, j, off in zip(c, key, offs))
+        line.append(key)
+    order = sorted(range(n), key=lambda i: (line[i], centres[i][-1], centres[i][:-1], i))
+    near = neighbor_index(f)
+    points = []
+    for i, hits in _clusters(n, order, lambda i: [j for j in near(i) if line[j] == line[i]],
+                             pair_checker(f)):
+        c_seed = centres[i][-1] - half
+        used = set()
+        for m in (i, *hits):
+            c_m = centres[m][-1] - half
+            k = max(1, math.ceil(c_m - c_seed))
+            assert k <= k_line and c_m <= c_seed + k <= c_m + 1
+            used.add(k)
+        pos = tuple(j + off for j, off in zip(line[i], offs))
+        points.extend(place(pos + (c_seed + k,)) for k in sorted(used))
+    return line, order, dedupe_points(points)
 
 
 def intersection_graph_bruteforce(f):
@@ -340,7 +446,7 @@ def containment_witness(f, i, j):
     translate of the seed-sized homothet contained in B_j and meeting B_i at
     p; this is the containment step of the smallest-first argument.
     """
-    si, sj = f.scales[i], f.scales[j]
+    si, sj = f.members[i].s, f.members[j].s
     if si > sj:
         raise DegenerateInput("member i must not be larger")
     bi, bj = f.realize(i), f.realize(j)

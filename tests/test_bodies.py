@@ -26,7 +26,12 @@ from piercing.generators import (
     unit_triangle,
 )
 from piercing.geom import ConvexPolygon, Point
-from reference import graphs_equal, intersection_graph_bruteforce
+from reference import (
+    family_of_columns,
+    fraction_columns,
+    graphs_equal,
+    intersection_graph_bruteforce,
+)
 
 
 def test_realize_identity():
@@ -78,11 +83,11 @@ PRIMES = [p for p in range(1000, 1300) if all(p % d for d in range(2, 37))]
 def _with_outliers(f, scales, rational):
     """f plus one member of each scale s, at a translation rational(-s, 12)
     on every axis, so that it meets some members and misses others."""
-    cols = [list(col) for col in f.columns]
+    cols, ss = fraction_columns(f)
     for s in scales:
         for col in cols:
             col.append(rational(-s, 12))
-    return Family.from_columns(f.base, cols, list(f.scales) + list(map(F, scales)), "homothets")
+    return family_of_columns(f.base, cols, ss + list(map(F, scales)), "homothets")
 
 
 def _graph_families(base, kind, rng):
@@ -105,8 +110,8 @@ def _graph_families(base, kind, rng):
             return F(rng.randrange(a * q, b * q), q)
 
         dim = len(make().bbox())
-        f = Family.from_columns(make(), [[rational(0, 12) for _ in range(60)] for _ in range(dim)],
-                                [1 + rational(0, 2) for _ in range(60)], "homothets")
+        f = family_of_columns(make(), [[rational(0, 12) for _ in range(60)] for _ in range(dim)],
+                              [1 + rational(0, 2) for _ in range(60)], "homothets")
         f = _with_outliers(f, [400, 10 ** 4], rational)
         assert f.scaled_translations()[0] == 1
         yield f
@@ -116,7 +121,7 @@ def _graph_families(base, kind, rng):
             scales = [rng.choice([1, F(3, 2), 2, 400, 10 ** 4]) for _ in range(1 + trial % 2)]
             dim = len(make().bbox())
             cols = [[F(rng.randrange(-8, 8), 2) for _ in scales] for _ in range(dim)]
-            yield Family.from_columns(make(), cols, list(map(F, scales)), "homothets")
+            yield family_of_columns(make(), cols, list(map(F, scales)), "homothets")
 
 
 @pytest.mark.parametrize("base,kind", [
@@ -189,8 +194,9 @@ def _fraction_columns(f):
     """f shifted by one vector whose denominators need more than
     MAX_SCALE_BITS bits, so its scaled columns hold Fractions (D = 1)."""
     shift = [F(1, 3 ** 82), F(-2, 3 ** 81), F(5, 7 ** 50)]
-    g = Family.from_columns(f.base, [[v + d for v in col] for col, d in zip(f.columns, shift)],
-                            f.scales, f.kind)
+    cols, ss = fraction_columns(f)
+    g = family_of_columns(f.base, [[v + d for v in col] for col, d in zip(cols, shift)], ss,
+                          f.kind)
     assert g.scaled_translations()[0] == 1
     return g
 

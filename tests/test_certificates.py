@@ -24,7 +24,6 @@ from piercing.certificates import (
     PierceCertificate,
     _check_members,
     _floor_root,
-    dedupe_points,
     value_key,
 )
 from piercing.cli import auto_pierce, main
@@ -43,16 +42,19 @@ from piercing.radicals import RadPoint, Radical
 from piercing.translates import greedy_pierce
 from reference import (
     call_budget,
+    dedupe_points,
+    family_of_columns,
+    fraction_columns,
     graphs_equal,
     intersection_graph_bruteforce,
     members_document,
 )
 
 
-def _prime_family(n, seed, kind="translates", reach=10 ** 6):
-    """Disk translates (or homothets, scales 1 to 3) with prime
-    denominators near 1000 and numerators below reach: D is far over the int
-    limit, so the scaled columns are Fractions."""
+def _prime_family(n, seed, kind="translates", reach=10 ** 6, base=None):
+    """Translates (or homothets, scales 1 to 3) of base, a disk by default,
+    with prime denominators near 1000 and numerators below reach: D is far
+    over the int limit, so the scaled columns are Fractions."""
     primes = [p for p in range(1000, 1300) if all(p % d for d in range(2, 37))]
     rng = random.Random(seed)
 
@@ -64,7 +66,8 @@ def _prime_family(n, seed, kind="translates", reach=10 ** 6):
         q = rng.choice(primes)
         return Member(t, F(rng.randrange(q, 3 * q), q))
 
-    f = Family(DiskBody(Point(F(1, 3), F(-2, 7)), F(5, 4)), [member() for _ in range(n)], kind)
+    f = Family(base or DiskBody(Point(F(1, 3), F(-2, 7)), F(5, 4)), [member() for _ in range(n)],
+               kind)
     assert not isinstance(f.scaled_translations()[1][0][0], int)
     return f
 
@@ -279,9 +282,9 @@ def test_check_members_matches_realized_membership_across_scale_classes(base):
     # member vertices or corners (on a boundary) and random points
     rng = random.Random(11)
     f = random_family(base(), 40, box_size=12, kind="homothets", scale_range=(1, 2), seed=12)
-    cols = [col + [F(rng.randrange(-4 * s, 48), 4) for s in (5, 400, 10 ** 4)]
-            for col in f.columns]
-    f = Family.from_columns(f.base, cols, f.scales + [F(5), F(400), F(10 ** 4)], "homothets")
+    cols, ss = fraction_columns(f)
+    cols = [col + [F(rng.randrange(-4 * s, 48), 4) for s in (5, 400, 10 ** 4)] for col in cols]
+    f = family_of_columns(f.base, cols, ss + [F(5), F(400), F(10 ** 4)], "homothets")
     make = tuple if f.base.kind == "box" else (lambda xy: Point(*xy))
     points = []
     for _ in range(12):
@@ -558,7 +561,9 @@ def test_written_certificates_are_byte_identical(corpus, case, digest):
 
 
 # the same for cli.auto_pierce with an explicit method; "pairwise" families
-# make hexagon_pierce take its two-point branch
+# make hexagon_pierce take its two-point branch, and "prime-pentagon" is
+# _prime_family's pentagon translates (D = 1, Fraction columns) with
+# coordinates within about box / 2 of the origin
 _METHOD_CORPUS = [
     ("grid", "square", 200, 20, 41,
      "9a6c167b941fee74c7436b057eff8f3fa264404d8befcafe1063c42dfdd4e7c1"),
@@ -579,6 +584,8 @@ _METHOD_CORPUS = [
      "c06eb047be55437f6f1e48864c5a15bfd7ae7bfa2e1a502cdbfdee83d6214e30"),
     ("lattice", "hexagon", 12, 8, 49,
      "f91d3277e5b52e0bf9e7b16960c0358540f5bb4cddab63190e6d77b702745c84"),
+    ("grid", "prime-pentagon", 200, 40, 50,
+     "aca4bc09ea15a9ef8296788e83a983cead17ff75565299e19af86d07f1d0590e"),
 ]
 
 
@@ -586,6 +593,8 @@ _METHOD_CORPUS = [
 def test_method_certificates_are_byte_identical(method, base, n, box, seed, digest):
     if base == "pairwise":
         f = pairwise_intersecting_family(hexagon_body(), n, seed=seed)
+    elif base == "prime-pentagon":
+        f = _prime_family(n, seed, reach=500 * box, base=_PENTAGON)
     else:
         body = _PENTAGON if base == "pentagon" else _TRANSLATE_BASES[base]()
         f = random_family(body, n, box_size=box, seed=seed)

@@ -26,7 +26,13 @@ from piercing.generators import (
 from piercing.geom import ConvexPolygon, Point
 from piercing.homothets import greedy_pierce_homothets
 from piercing.oracle import exact_nu
-from reference import body_contains_body, call_budget, containment_witness
+from reference import (
+    body_contains_body,
+    call_budget,
+    containment_witness,
+    family_of_columns,
+    fraction_columns,
+)
 
 PENTAGON = PolygonBody(
     ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Point(2, 5), Point(-1, 2)])
@@ -303,8 +309,8 @@ def test_an_outlier_scale_costs_the_index_one_more_class():
     # on scale classes it is filed twice and looked up in 9 cells per class
     f = random_family(unit_triangle(), 2000, box_size=60, kind="homothets",
                       scale_range=(1, 2), seed=1)
-    f = Family.from_columns(f.base, [col + [F(7)] for col in f.columns],
-                            f.scales + [F(10 ** 4)], "homothets")
+    cols, ss = fraction_columns(f)
+    f = family_of_columns(f.base, [col + [F(7)] for col in cols], ss + [F(10 ** 4)], "homothets")
     with call_budget(600_000):
         candidates = neighbor_index(f)
         assert len(candidates(len(f) - 1)) > 1000

@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from piercing import jsonio
-from piercing.bodies import Family
-from piercing.generators import random_family, unit_disk
-from piercing.translates import greedy_pierce
+from piercing import bodies, jsonio
+from piercing.bodies import BoxBody, Family
+from piercing.generators import random_family, unit_disk, unit_triangle
+from piercing.translates import greedy_pierce, grid_pierce
 
 SRC = Path(__file__).parents[1] / "src" / "piercing"
 
@@ -91,46 +91,6 @@ def test_the_guard_sees_an_unreferenced_name():
     assert _unreferenced(trees) == [("a", "Planted"), ("a", "planted")]
 
 
-# where the Fraction columns of a family (Family.columns, Family.scales) may
-# be read: bodies.py derives them, and grid_pierce places its lines on them
-COLUMN_READERS_OK = {("bodies", None), ("translates", "grid_pierce")}
-
-
-def _column_reads(trees):
-    """(module, function, line) of every read of an attribute named columns
-    or scales outside COLUMN_READERS_OK; function is the enclosing top-level
-    function, or None."""
-    out = []
-    for module, tree in trees.items():
-        if (module, None) in COLUMN_READERS_OK:
-            continue
-        for top in tree.body:
-            name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-            if (module, name) in COLUMN_READERS_OK:
-                continue
-            out.extend((module, name, node.lineno) for node in ast.walk(top)
-                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-                       and node.attr in ("columns", "scales"))
-    return sorted(out)
-
-
-def test_fraction_columns_are_read_only_where_allowed():
-    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
-    reads = _column_reads(trees)
-    assert not reads, "src/ reads the Fraction columns at %s" % ", ".join(
-        "%s.%s line %d" % r for r in reads)
-
-
-def test_the_guard_sees_a_column_read():
-    trees = {
-        "bodies": ast.parse("def f(g): return g.columns\n"),
-        "translates": ast.parse("def grid_pierce(f): return f.columns\n"
-                                "def other(f):\n    return f.scales[0]\n"),
-        "a": ast.parse("x = fam.columns\nfam.columns = 1\n"),
-    }
-    assert _column_reads(trees) == [("a", None, 1), ("translates", "other", 3)]
-
-
 def test_points_of_a_read_disk_certificate_build_no_fraction_column(monkeypatch):
     # the symbolic points come from the int keys of the scaled columns
     f = random_family(unit_disk(), 300, box_size=20, seed=4)
@@ -138,8 +98,28 @@ def test_points_of_a_read_disk_certificate_build_no_fraction_column(monkeypatch)
     cert, g = jsonio.certificate_from_json(json.loads(jsonio.dump(doc)))
     assert cert.symbolic and cert.family is g
 
-    def refuse(self):
-        raise AssertionError("Fraction columns derived")
+    def refuse(self, i):
+        raise AssertionError("a member's Fraction translation derived")
 
-    monkeypatch.setattr(Family, "_derive_columns", refuse)
+    # the one place a member's translation becomes Fractions, for members
+    # and realize too
+    monkeypatch.setattr(Family, "translation", refuse)
     assert len(cert.points) == cert.point_count()
+
+
+@pytest.mark.parametrize("base", [unit_triangle, lambda: BoxBody((0, 0, 0), (1, 2, 1))],
+                         ids=["triangle", "box"])
+def test_grid_pierce_builds_no_fraction_member(monkeypatch, base):
+    # centres, lines, order and levels on the scaled int columns of a family
+    # read from its file, and verify decides the points on the members'
+    # slabs: once the slabs are built, bodies makes no Fraction (a member's
+    # translation, scale or realized body would take one)
+    f = jsonio.family_from_json(jsonio.family_to_json(random_family(base(), 300, box_size=12,
+                                                                    seed=5)))
+    f.slabs()
+
+    def refuse(*args):
+        raise AssertionError("bodies made a Fraction")
+
+    monkeypatch.setattr(bodies, "Fraction", refuse)
+    assert grid_pierce(f, verify=True).points

@@ -12,7 +12,7 @@ from piercing.errors import ConstructionFailed, ParseError, VerificationFailed
 from piercing.generators import hexagon_body, random_family, unit_disk, unit_square, unit_triangle
 from piercing.geom import Point
 from piercing.jsonio import _num_out, _radical_sum, _Reader
-from reference import members_document
+from reference import fraction_columns, members_document
 
 
 def run(*argv):
@@ -630,23 +630,23 @@ def test_malformed_columns_are_a_parse_error(tmp_path, capsys, greedy_certs, com
 @pytest.mark.parametrize("base, kind", [("disk", "translates"), ("triangle", "homothets")])
 def test_cli_round_trip_builds_no_member(tmp_path, monkeypatch, base, kind):
     # pierce, write, read and verify work on the scaled int columns alone:
-    # no Member and no Fraction column
+    # no Member and no member's Fraction translation
     inst, cert = str(tmp_path / "instance.json"), str(tmp_path / "cert.json")
     assert run("gen", "random", "--base", base, "--kind", kind, "--n", "300",
                "--box-size", "20", "--seed", "4", "--out", inst) == 0
     built, derived = [], []
-    member_init, derive = Member.__init__, Family._derive_columns
+    member_init, translation = Member.__init__, Family.translation
 
     def counted(self, *args, **kwargs):
         built.append(args)
         member_init(self, *args, **kwargs)
 
-    def counted_derive(self):
-        derived.append(len(self))
-        return derive(self)
+    def counted_translation(self, i):
+        derived.append(i)
+        return translation(self, i)
 
     monkeypatch.setattr(Member, "__init__", counted)
-    monkeypatch.setattr(Family, "_derive_columns", counted_derive)
+    monkeypatch.setattr(Family, "translation", counted_translation)
     assert run("pierce", inst, "--out", cert) == 0
     assert run("verify", cert) == 0
     assert built == [] and derived == []
@@ -655,6 +655,17 @@ def test_cli_round_trip_builds_no_member(tmp_path, monkeypatch, base, kind):
 
 def _typed(values):
     return [(type(v), v) for v in values]
+
+
+def _typed_scaled(f):
+    D, cols, S = f.scaled_translations()
+    return D, [_typed(col) for col in (*cols, S)]
+
+
+def _typed_columns(f):
+    """(columns, scales) of reference.fraction_columns, with their types."""
+    cols, ss = fraction_columns(f)
+    return [_typed(col) for col in cols], _typed(ss)
 
 
 def _typed_body(body):
@@ -684,16 +695,15 @@ def _member_case(base, kind, ts, ss):
                                                    (Fraction(-7), Fraction(1, 3))],
                       [Fraction(3, _HUGE[1]), Fraction(2)]), random.Random(0))  # over the bits
 def test_derived_columns_equal_the_member_built_ones(case, rng):
-    """A family read from a file holds scaled ints and derives its Fraction
-    columns, scales and bodies; they equal the Member-built family's by
-    value and by type, in a sub-family too."""
+    """A family read from a file and the Member-built one hold the same
+    scaled columns, and derive the same Fraction translations, scales and
+    bodies, by value and by type, in a sub-family too."""
     doc, _, f = case
     g = jsonio.family_from_json(json.loads(json.dumps(doc)))
-    assert [_typed(col) for col in g.columns] == [_typed(col) for col in f.columns]
-    assert _typed(g.scales) == _typed(f.scales)
+    assert _typed_scaled(g) == _typed_scaled(f)
+    assert _typed_columns(g) == _typed_columns(f)
     assert all(_typed_body(g.realize(i)) == _typed_body(f.realize(i)) for i in range(len(f)))
     picked = [rng.randrange(len(f)) for _ in range(rng.randint(1, 2 * len(f)))]
-    sub = g.subfamily(picked)
-    assert [_typed(col) for col in sub.columns] == [_typed([col[i] for i in picked])
-                                                    for col in f.columns]
-    assert _typed(sub.scales) == _typed([f.scales[i] for i in picked])
+    cols, ss = _typed_columns(f)
+    assert _typed_columns(g.subfamily(picked)) == (
+        [[col[i] for i in picked] for col in cols], [ss[i] for i in picked])

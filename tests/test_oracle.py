@@ -44,6 +44,8 @@ from reference import (
     call_budget,
     clique_partition_number,
     coverage_masks as realized_masks,
+    family_of_columns,
+    fraction_columns,
     intersection_graph_bruteforce,
 )
 
@@ -290,8 +292,9 @@ def test_coverage_masks_equal_the_realized_reference(name, kind, n, seed, shifte
 
 def _moved(f, shift):
     """f with every member moved by the vector shift."""
-    cols = [[v + d for v in col] for col, d in zip(f.columns, shift)]
-    return Family.from_columns(f.base, cols, f.scales, f.kind)
+    cols, ss = fraction_columns(f)
+    return family_of_columns(f.base, [[v + d for v in col] for col, d in zip(cols, shift)], ss,
+                             f.kind)
 
 
 def _extra_points(f, rng, count):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from piercing import covers, sandwich, translates
+from piercing import covers, oracle, sandwich, translates
 from piercing.bodies import (
     AffineMap,
     BoxBody,
@@ -43,7 +43,7 @@ from piercing.geom import ConvexPolygon, Point
 from piercing.homothets import _smallest_order, greedy_pierce_homothets
 from piercing.oracle import exact_nu, exact_tau
 from piercing.radicals import RadPoint, Radical
-from piercing.sandwich import hexagon_sandwich, hexagon_sandwich_special
+from piercing.sandwich import hexagon_sandwich, hexagon_sandwich_special, sandwich_parallelograms
 from piercing.translates import (
     _clusters,
     _default_sandwich,
@@ -58,8 +58,9 @@ from piercing.translates import (
     packing_lattice,
     union_area_exact,
 )
-from reference import (call_budget, lattice_offset_members, lattice_offset_points, top_key,
-                       union_area)
+import reference
+from reference import (call_budget, family_of_columns, fraction_columns, lattice_offset_members,
+                       lattice_offset_points, top_key, union_area)
 
 PENTAGON = PolygonBody(
     ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Point(2, 5), Point(-1, 2)])
@@ -190,6 +191,42 @@ class TestGrid:
         assert calls[0] <= 3 * n
 
 
+def _shifted_to_fractions(f):
+    """f shifted by one vector whose denominators need more than
+    MAX_SCALE_BITS bits, so its scaled columns hold Fractions (D = 1)."""
+    cols, ss = fraction_columns(f)
+    shift = [F(1, 3 ** 82), F(-2, 7 ** 50)]
+    g = family_of_columns(f.base, [[v + d for v in col] for col, d in zip(cols, shift)], ss)
+    assert g.scaled_translations()[0] == 1
+    return g
+
+
+_GRID_REFERENCE_CASES = {
+    "square": lambda: random_family(unit_square(), 300, box_size=20, seed=61),
+    "triangle": lambda: random_family(unit_triangle(), 300, box_size=20, seed=62),
+    "pentagon": lambda: random_family(PENTAGON, 200, box_size=40, seed=63),
+    "cs polygon": lambda: random_family(random_centrally_symmetric_polygon(64), 150,
+                                        box_size=80, seed=64),
+    "box-2d": lambda: random_family(BoxBody((F(-1, 2), 0), (1, F(3, 2))), 300, box_size=12,
+                                    seed=65),
+    "box-3d": lambda: random_family(BoxBody((0, F(1, 3), -1), (1, 2, F(1, 2))), 200,
+                                    box_size=8, seed=66),
+    "pentagon, D = 1": lambda: _shifted_to_fractions(random_family(PENTAGON, 200, box_size=40,
+                                                                   seed=67)),
+}
+
+
+@pytest.mark.parametrize("case", list(_GRID_REFERENCE_CASES))
+def test_grid_lines_equal_the_fraction_reference(case):
+    # the int centres give the Fraction version's line keys, order and points
+    f = _GRID_REFERENCE_CASES[case]()
+    pair = None if f.base.kind == "box" else sandwich_parallelograms(f.base.polygon)
+    line, order, points = reference.grid_lines(f, pair)
+    forms = translates._grid_frame(f.base, pair)[0]
+    assert translates._grid_lines(f, forms)[3:] == (line, order)
+    assert grid_pierce(f, pair).points == points
+
+
 class TestHexagon:
     def test_pairwise_intersecting_two_points(self):
         f = pairwise_intersecting_family(hexagon_body(), 15, seed=6)
@@ -238,6 +275,36 @@ class TestHexagon:
     def test_non_hexagon_rejected(self):
         f = random_family(unit_square(), 4, seed=8)
         with pytest.raises(NotHexagonBase):
+            hexagon_pierce(f)
+
+    @staticmethod
+    def _no_pair_pierces(monkeypatch):
+        """Let no member hold a midline crossing, so that no pair of them
+        pierces the family and hexagon_pierce falls back to the oracle."""
+        monkeypatch.setattr(translates, "membership", lambda f, ipts: lambda i: lambda k: False)
+
+    def test_oracle_fallback_gives_exact_tau_points(self, monkeypatch):
+        # three translates touching pairwise at three distinct points: tau = 2
+        f = Family(hexagon_body(), [Member(Point(0, 0)), Member(Point(4, 0)), Member(Point(2, 4))])
+        self._no_pair_pierces(monkeypatch)
+        found = []
+
+        def spy(g, limit):
+            found.append(exact_tau(g, limit=limit))
+            return found[-1]
+
+        monkeypatch.setattr(oracle, "exact_tau", spy)
+        cert = hexagon_pierce(f, verify=False)
+        assert cert.method == "hexagon" and len(found) == 1
+        tau, pts = found[0]
+        assert tau == 2 and cert.points == pts
+        assert cert.verify(f)
+
+    def test_oracle_fallback_over_two_points_fails(self, monkeypatch):
+        f = pairwise_intersecting_family(hexagon_body(), 12, seed=6)
+        self._no_pair_pierces(monkeypatch)
+        monkeypatch.setattr(oracle, "exact_tau", lambda g, limit: (3, []))
+        with pytest.raises(VerificationFailed, match="no two-point transversal found"):
             hexagon_pierce(f)
 
 
