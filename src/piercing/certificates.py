@@ -69,6 +69,21 @@ def _cell_key(e, scale, cell):
     return tuple([(den * a + _floor_root(den * b, m)) // d for a, b in zip(A, B)])
 
 
+def _enclosure(p, scale):
+    """Per coordinate v of the RadPoint p, rationals lo <= scale v <= hi with
+    hi - lo < 1 (Radical._bounds), so that they meet at most two cells of
+    any grid at least one unit wide."""
+    box = []
+    for v in (p.x * scale, p.y * scale):
+        bits = 16
+        lo, hi = v._bounds(bits)
+        while hi - lo >= 1:
+            bits *= 2
+            lo, hi = v._bounds(bits)
+        box.append((lo, hi))
+    return box
+
+
 # ---------------------------------------------------------------------------
 # the greedies' cluster lemma and pattern points
 
@@ -371,17 +386,21 @@ def _check_members(f: Family, indices, points):
     scale class of the members (bodies.scale_classes, _cell_key); a member
     sees the points of the <= 2^d cells its box (bodies.box_columns) meets
     at its class.  It is
-    realized only for a point that bodies.membership leaves open; points
-    with more than one radicand have no cell and are seen by every member."""
+    realized only for a point that bodies.membership leaves open.  A point
+    with more than one radicand has no int form: it is filed in every cell
+    that a rational enclosure of its coordinates meets (_enclosure)."""
     indices = list(indices)
     ipts = [int_point(p) for p in points]
     scale, ss, lo_cols, sides = box_columns(f, indices)
     classes, cells = scale_classes(ss, max(sides))
     grids = {c: {} for c in cells}
-    loose = []
     for k, e in enumerate(ipts):
         if e is None:
-            loose.append(k)
+            box = _enclosure(points[k], scale)
+            for c, grid in grids.items():
+                cell = cells[c]
+                for key in product(*[range(lo // cell, hi // cell + 1) for lo, hi in box]):
+                    grid.setdefault(key, []).append(k)
         else:
             for c, grid in grids.items():
                 grid.setdefault(_cell_key(e, scale, cells[c]), []).append(k)
@@ -390,7 +409,7 @@ def _check_members(f: Family, indices, points):
         test = member(i)
         cell = cells[c]
         keys = product(*[range(a // cell, (a + s * w) // cell + 1) for a, w in zip(lo, sides)])
-        for k in chain(*[grids[c].get(key, ()) for key in keys], loose):
+        for k in chain(*[grids[c].get(key, ()) for key in keys]):
             inside = test(k)
             if inside is None:
                 inside = f.realize(i).contains(points[k])

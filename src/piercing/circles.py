@@ -13,12 +13,13 @@ halfplane) is covered by a union of conic disks iff
       sample point in the union,
   (c) every arc of a cover circle whose sample lies strictly inside the
       region is covered by some other disk.
-Samples are rational points on the conic, located by float bisection and
-accepted only after exact betweenness checks, so the verdict is exact.
+Each circle's vertices are ordered by their exact stereographic parameter
+(Conic.param), and every arc is sampled at a rational point between its
+ends, so the verdict is exact.
 """
 
 from fractions import Fraction
-from functools import cmp_to_key
+from itertools import combinations
 import math
 
 from .errors import VerificationFailed
@@ -66,87 +67,24 @@ class Conic:
         lam = -2 * self.w2 * r / (self.w1 * t * t + self.w2)
         return RadPoint(Radical.of(self.a + lam * t), Radical.of(self.b + r + lam))
 
-    def angle_cmp(self, p: RadPoint, q: RadPoint) -> int:
-        """Compare two boundary points by ccw angle from the +x axis."""
-        kp, kq = self._bucket(p), self._bucket(q)
-        if kp != kq:
-            return -1 if kp < kq else 1
-        # within an open quadrant the x coordinate is strictly monotone
-        s = (p.x - q.x).sign()
-        if s == 0:
-            return 0
-        if kp in (1, 3):  # upper half: angle grows as x falls
-            return -s
-        return s
-
-    def _bucket(self, p: RadPoint) -> int:
-        sx = (p.x - self.a).sign()
-        sy = (p.y - self.b).sign()
-        order = {
-            (1, 0): 0,
-            (1, 1): 1,
-            (0, 1): 2,
-            (-1, 1): 3,
-            (-1, 0): 4,
-            (-1, -1): 5,
-            (0, -1): 6,
-            (1, -1): 7,
-        }
-        return order[(sx, sy)]
-
-    def strictly_between(self, p, u, v) -> bool:
-        """Is p strictly inside the ccw arc from u to v?"""
-        if self.angle_cmp(p, u) == 0 or self.angle_cmp(p, v) == 0:
-            return False
-        uv = self.angle_cmp(u, v)
-        up = self.angle_cmp(u, p)
-        pv = self.angle_cmp(p, v)
-        if uv < 0:
-            return up < 0 and pv < 0
-        return up < 0 or pv < 0
-
-    def float_angle(self, p: RadPoint) -> float:
-        return math.atan2(float(p.y) - float(self.b), float(p.x) - float(self.a))
-
-    def arc_sample(self, u, v) -> RadPoint:
-        """A rational boundary point strictly inside the ccw arc (u, v).
-
-        Float bisection proposes parameters; every acceptance is an exact
-        betweenness check, so a wrong float can only cost retries.
-        """
+    def param(self, p: RadPoint):
+        """The t with param_point(t) == p for a boundary point p, or None at
+        the base point: the slope of the line from the base point to p.  It
+        is exact when p's coordinates share one square root, as every
+        arrangement vertex's do, and it is monotone along the boundary."""
         _, axis, r = self.base_point()
-        au = self.float_angle(u)
-        av = self.float_angle(v)
-        if av <= au:
-            av += 2 * math.pi
-        for k in range(1, 64):
-            # walk candidate angles through the arc, densifying each round
-            for j in range(1, 2 ** min(k, 6)):
-                theta = au + (av - au) * j / (2 ** min(k, 6))
-                t = self._t_for_angle(theta, axis)
-                if t is None:
-                    continue
-                t = Fraction(t).limit_denominator(2 ** (10 + k))
-                p = self.param_point(t)
-                if self.strictly_between(p, u, v):
-                    return p
-        raise VerificationFailed("arc sample not found")
-
-    def _t_for_angle(self, theta, axis):
-        """Float inverse of param_point at an unscaled boundary angle."""
-        w1, w2 = float(self.w1), float(self.w2)
-        # the scaled angle makes the conic a circle
-        psi = math.atan2(math.sqrt(w2) * math.sin(theta), math.sqrt(w1) * math.cos(theta))
-        c, s = math.cos(psi), math.sin(psi)
         if axis == "x":
-            if 1 - c < 1e-12:
-                return None  # at the base point
-            tau = -math.copysign(math.sqrt((1 + c) / (1 - c)), s)
-            return tau * math.sqrt(w1 / w2)
-        if 1 - s < 1e-12:
+            num, den = p.y - self.b, p.x - self.a - r
+        else:
+            num, den = p.x - self.a, p.y - self.b - r
+        if not den.terms:
             return None
-        sigma = -math.copysign(math.sqrt((1 + s) / (1 - s)), c)
-        return sigma * math.sqrt(w2 / w1)
+        # times the conjugate of den over its rational norm
+        conj = Radical({m: c if m == 1 else -c for m, c in den.terms.items()})
+        norm = den * conj
+        if not norm.is_rational():
+            raise VerificationFailed("boundary point with several square roots")
+        return num * conj * (1 / norm.as_fraction())
 
     def intersect_line(self, n: Point, c):
         """Conic boundary meets the line n.p = c."""
@@ -221,18 +159,10 @@ class CoverageCheck:
         return any(i != skip and c.side(p) <= 0 for i, c in enumerate(self.covers))
 
     def verify(self) -> bool:
-        curves = [("region", self.region)]
-        for i, c in enumerate(self.covers):
-            curves.append((i, c))
-        # all pairwise vertices
-        vertices = []
-        for i in range(len(curves)):
-            for j in range(i + 1, len(curves)):
-                vertices.extend(curves[i][1].intersect_conic(curves[j][1]))
+        curves = [self.region, *self.covers]
+        vertices = [p for u, v in combinations(curves, 2) for p in u.intersect_conic(v)]
         if self.halfplane is not None:
-            n, c = self.halfplane
-            for _, curve in curves:
-                vertices.extend(curve.intersect_line(n, c))
+            vertices += [p for c in curves for p in c.intersect_line(*self.halfplane)]
         vertices = _dedup(vertices)
 
         # (a) vertices inside the region are covered
@@ -241,68 +171,55 @@ class CoverageCheck:
                 return False
 
         # (b) region boundary arcs
-        if not self._check_circle_arcs(self.region, vertices, skip=None, boundary=True):
+        if not self._check_circle_arcs(self.region, vertices):
             return False
         if self.halfplane is not None and not self._check_line(vertices):
             return False
 
         # (c) cover circle arcs strictly inside the region
-        for i, cover in enumerate(self.covers):
-            if not self._check_circle_arcs(cover, vertices, skip=i, boundary=False):
-                return False
-        return True
+        return all(self._check_circle_arcs(cover, vertices, skip=i)
+                   for i, cover in enumerate(self.covers))
 
-    def _check_circle_arcs(self, circle: Conic, vertices, skip, boundary) -> bool:
+    def _check_circle_arcs(self, circle: Conic, vertices, skip=None) -> bool:
+        """Whether each arc sample of circle in the region lies in the union,
+        or for cover skip, each one strictly inside lies in another cover."""
         on = [v for v in vertices if circle.side(v) == 0]
-        on = _dedup(on)
-        on.sort(key=cmp_to_key(circle.angle_cmp))
-        samples = []
-        if not on:
-            samples.append(circle.param_point(Fraction(1, 3)))
-        else:
-            for i in range(len(on)):
-                u = on[i]
-                v = on[(i + 1) % len(on)]
-                if len(on) == 1:
-                    # one vertex: sample anywhere else on the circle
-                    for t in (Fraction(1, 3), Fraction(3), Fraction(-1, 3), Fraction(-3)):
-                        p = circle.param_point(t)
-                        if circle.angle_cmp(p, u) != 0:
-                            samples.append(p)
-                            break
-                    break
-                samples.append(circle.arc_sample(u, v))
-        for s in samples:
-            if boundary:
-                if self._in_region(s) and not self._in_union(s):
-                    return False
-            else:
-                if self._in_region(s, strict=True) and not self._in_union(s, skip=skip):
-                    return False
-        return True
+        return not any(self._in_region(s, strict=skip is not None) and not self._in_union(s, skip)
+                       for s in arc_samples(circle, on))
 
     def _check_line(self, vertices) -> bool:
         n, c = self.halfplane
         d = n.perp()
-        on = [v for v in vertices if (v.x * n.x + v.y * n.y - c).sign() == 0]
-        on = _dedup(on)
-        if not on:
-            return True  # the line misses the region circle entirely
-        # sort along the line by the d-parameter
-        def cmp(p, q):
-            return (p.x * d.x + p.y * d.y - (q.x * d.x + q.y * d.y)).sign()
-
-        on.sort(key=cmp_to_key(cmp))
-        for u, v in zip(on, on[1:]):
-            tu = u.x * d.x + u.y * d.y
-            tv = v.x * d.x + v.y * d.y
-            tm = _rational_between(tu, tv)
-            n2 = n.norm2()
-            p0 = Point(n.x * c / n2, n.y * c / n2)
-            sample = RadPoint(Radical.of(p0.x) + d.x * tm, Radical.of(p0.y) + d.y * tm)
+        n2 = n.norm2()
+        # the line is n c / n2 + s d, at d-coordinate p.d = s n2
+        ts = sorted(v.x * d.x + v.y * d.y for v in vertices
+                    if (v.x * n.x + v.y * n.y - c).sign() == 0)
+        for tu, tv in zip(ts, ts[1:]):
+            s = _rational_between(tu, tv) / n2
+            sample = RadPoint(n.x * c / n2 + d.x * s, n.y * c / n2 + d.y * s)
             if self._in_region(sample) and not self._in_union(sample):
                 return False
         return True
+
+
+def arc_samples(circle: Conic, on) -> list:
+    """One rational point strictly inside each arc into which the distinct
+    boundary points on cut circle (one point anywhere when on is empty).
+
+    Conic.param orders the points along the boundary.  Between neighbours
+    the sample is at a rational parameter; on the arc through the base
+    point it is the base point, or, when that is one of on, an integer
+    parameter below the first and one above the last."""
+    ts = sorted(t for t in map(circle.param, on) if t is not None)
+    samples = [circle.param_point(_rational_between(u, v)) for u, v in zip(ts, ts[1:])]
+    if len(ts) == len(on):
+        samples.append(RadPoint.of(circle.base_point()[0]))
+    elif ts:
+        lo, hi = ts[0]._bounds(16)[0], ts[-1]._bounds(16)[1]
+        samples += [circle.param_point(math.floor(lo) - 1), circle.param_point(math.floor(hi) + 1)]
+    else:
+        samples.append(circle.param_point(0))
+    return samples
 
 
 def _rational_between(a: Radical, b: Radical) -> Fraction:

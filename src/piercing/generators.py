@@ -3,7 +3,8 @@
 from fractions import Fraction
 import random
 
-from .bodies import DiskBody, Family, Member, PolygonBody, pair_checker, scale_table
+from .bodies import (DiskBody, Family, Member, PolygonBody, collector_paused, pair_checker,
+                     scale_table)
 from .errors import ConstructionFailed, DegenerateInput, EpsilonTooLarge, TooLarge
 from .geom import ConvexPolygon, Point, frac, minkowski_sum, reflect
 
@@ -95,6 +96,7 @@ def _rand_frac_form(lo, hi, denom):
     return int((hi - lo) * denom) + 1, lo.numerator * denom, lo.denominator, lo.denominator * denom
 
 
+@collector_paused()
 def random_family(base, n, box_size=10, kind="translates", scale_range=(1, 3), seed=0) -> Family:
     """Reproducible random family: rational translations in a square box.
 
@@ -102,7 +104,8 @@ def random_family(base, n, box_size=10, kind="translates", scale_range=(1, 3), s
     (denominators 32 and 8); the draws are taken in that order first.  The
     family is built from its scaled columns (Family.from_scaled): D is the
     lcm of the reduced denominators drawn, and each distinct draw is scaled
-    once (scale_table)."""
+    once (scale_table).  Its lists of ints form no cycle, so the cyclic
+    collector is held off (collector_paused)."""
     rng = random.Random(seed)
     dim = base.dim if base.kind == "box" else 2
     forms = [_rand_frac_form(0, box_size, 32)] * dim

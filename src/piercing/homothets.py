@@ -25,7 +25,7 @@ from .bodies import (  # noqa: F401
 from .certificates import PierceCertificate
 from .covers import homothet_cover
 from .errors import UnsupportedBase
-from .translates import ORACLE_BUDGET, _greedy, _topmost_order
+from .translates import _greedy, _topmost_order
 
 
 def _smallest_order(f: Family):
@@ -43,14 +43,12 @@ def _smallest_order(f: Family):
 
 @collector_paused()
 def greedy_pierce_homothets(f: Family, refine: bool = True,
-                            oracle_budget: int = ORACLE_BUDGET,
                             verify: bool = True) -> PierceCertificate:
     """The translates' greedy (translates._greedy) on the smallest-first
     order with the difference-body pattern scaled to each seed."""
     if not isinstance(f.base, (PolygonBody, DiskBody, BoxBody)):
         raise UnsupportedBase("unsupported base body")
-    cert = _greedy(f, homothet_cover(f.base), _smallest_order(f), "greedy-homothets",
-                   refine, oracle_budget)
+    cert = _greedy(f, homothet_cover(f.base), _smallest_order(f), "greedy-homothets", refine)
     if verify:
         cert.verify(f)
     return cert

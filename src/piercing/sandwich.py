@@ -369,14 +369,14 @@ def _uniform_directions(k: int):
     return out
 
 
-def hexagon_sandwich(c: ConvexPolygon, extra_directions: int = _UNIFORM_DIRS) -> HexagonSandwich:
+def hexagon_sandwich(c: ConvexPolygon) -> HexagonSandwich:
     """Best inscribed/circumscribed hexagon sandwich over the direction sweep."""
     center = require_centrally_symmetric(c)
     centered = c.translate(-center)
     dirs = [p for p in centered.vertices]
     for a, b in centered.edges():
         dirs.append((b - a).perp())
-    dirs += _uniform_directions(extra_directions)
+    dirs += _uniform_directions(_UNIFORM_DIRS)
     dirs = _dedup_directions(dirs)
     best = None
     for d in dirs:

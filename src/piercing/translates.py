@@ -96,26 +96,25 @@ def _seed_order(f: Family):
 
 
 @collector_paused()
-def greedy_pierce(f: Family, refine: bool = True, oracle_budget: int = ORACLE_BUDGET,
-                  verify: bool = True) -> PierceCertificate:
+def greedy_pierce(f: Family, refine: bool = True, verify: bool = True) -> PierceCertificate:
     """Greedy decomposition for translates of a supported base body.
 
     Repeatedly takes the topmost remaining member as a cluster seed, absorbs
     everything it intersects, and pierces the cluster through the halfplane
     cover pattern anchored at the seed.  For a triangle, "topmost" runs
     along the trapezoid pattern's cut edge (_seed_order).  The seeds are a
-    pairwise-disjoint witness.  With refine, the last cluster (within the
-    oracle budget) is re-pierced optimally, which realizes the improved
-    additive constants.
+    pairwise-disjoint witness.  With refine, the last cluster, when it has
+    at most ORACLE_BUDGET members, is re-pierced optimally, which realizes
+    the improved additive constants.
     """
     pattern, _ = greedy_rule(f, "greedy")
-    cert = _greedy(f, pattern, _seed_order(f), "greedy", refine, oracle_budget)
+    cert = _greedy(f, pattern, _seed_order(f), "greedy", refine)
     if verify:
         cert.verify(f)
     return cert
 
 
-def _greedy(f: Family, pattern, order, method, refine, oracle_budget) -> PierceCertificate:
+def _greedy(f: Family, pattern, order, method, refine) -> PierceCertificate:
     """The greedy of both family kinds: _clusters over the whole family.
     The certificate is symbolic: the pattern placed at each seed pierces its
     cluster (certificates.greedy_rule), the seeds are the witness, and only
@@ -130,7 +129,7 @@ def _greedy(f: Family, pattern, order, method, refine, oracle_budget) -> PierceC
     clusters = [(order[p], (order[p], *sorted(map(order.__getitem__, hits)))) for p, hits in
                 _clusters(len(f), range(len(f)), neighbor_index(g), pair_checker(g))]
     extra = []
-    if refine and clusters and len(clusters[-1][1]) <= oracle_budget:
+    if refine and clusters and len(clusters[-1][1]) <= ORACLE_BUDGET:
         from .oracle import exact_tau
 
         last = clusters[-1][1]
@@ -269,9 +268,6 @@ def _grid_lines(f: Family, forms):
     offs = [_line_offset(col, E) for col in centres[:-1]]
     # member i's line on axis k is floor(x + 1/2 - off) for x = centres[k][i] / E
     keys = [[(4 * x + 2 * E - off) // (4 * E) for x in col] for col, off in zip(centres, offs)]
-    # a line on the end x + 1/2 of an interval would be tangent to it
-    if any((4 * x + 2 * E - off) % (4 * E) == 0 for col, off in zip(centres, offs) for x in col):
-        raise VerificationFailed("line tangent to a P-translate")
     line = list(zip(*keys))
     order = sorted(range(n), key=lambda i: (line[i], centres[-1][i],
                                             tuple(col[i] for col in centres[:-1]), i))
@@ -511,9 +507,13 @@ def _default_sandwich(f: Family):
     return _cached(("hexagon_sandwich", _poly_key(poly)), lambda: hexagon_sandwich(poly))
 
 
-def _offset_candidates(spec: LatticeSpec, subdivisions, seed):
+# the offset search's grids: m x m cell midpoints, then m seeded draws
+_SUBDIVISIONS = (4, 8, 16, 32)
+
+
+def _offset_candidates(spec: LatticeSpec, seed):
     rng = random.Random(seed)
-    for m in subdivisions:
+    for m in _SUBDIVISIONS:
         for uu in range(m):
             for vv in range(m):
                 yield spec.b1 * Fraction(2 * uu + 1, 2 * m) + spec.b2 * Fraction(2 * vv + 1, 2 * m)
@@ -576,7 +576,7 @@ def _lattice_hits(f: Family, spec: LatticeSpec):
 
 
 def lattice_pierce(f: Family, lattice: LatticeSpec = None, seed: int = 0,
-                   subdivisions=(4, 8, 16, 32), verify: bool = True) -> PierceCertificate:
+                   verify: bool = True) -> PierceCertificate:
     """Pigeonhole transversal: lattice points inside the union pierce everything.
 
     Any offset yields a valid piercing set once the covering lattice is
@@ -600,7 +600,7 @@ def lattice_pierce(f: Family, lattice: LatticeSpec = None, seed: int = 0,
     target = math.floor(area / lattice.cell_area)
     hits = _lattice_hits(f, lattice)
     best = None
-    for off in _offset_candidates(lattice, subdivisions, seed):
+    for off in _offset_candidates(lattice, seed):
         point, held = hits(off + center)
         if best is None or len(held) < len(best[1]):
             best = point, held
@@ -608,8 +608,7 @@ def lattice_pierce(f: Family, lattice: LatticeSpec = None, seed: int = 0,
             break
     point, held = best
     best_pts = [point(i, j) for i, j in sorted(held)]
-    wit, wspec = lattice_witness(f, seed=seed, subdivisions=subdivisions, sandwich=sw,
-                                 area=area)
+    wit, wspec = lattice_witness(f, seed=seed, sandwich=sw, area=area)
     factor = math.ceil(wspec.cell_area / lattice.cell_area)
     cert = PierceCertificate(
         "lattice",
@@ -630,7 +629,7 @@ def lattice_pierce(f: Family, lattice: LatticeSpec = None, seed: int = 0,
 
 
 def lattice_witness(f: Family, lattice: LatticeSpec = None, eps=Fraction(1, 64),
-                    seed: int = 0, subdivisions=(4, 8, 16, 32), sandwich=None, area=None):
+                    seed: int = 0, sandwich=None, area=None):
     """Pairwise-disjoint members holding distinct lattice points (Lemma-6 dual).
 
     Returns (member indices, lattice spec).  With the default packing lattice
@@ -657,7 +656,7 @@ def lattice_witness(f: Family, lattice: LatticeSpec = None, eps=Fraction(1, 64),
     target = math.ceil(area / lattice.cell_area)
     hits = _lattice_hits(f, lattice)
     best = []
-    for off in _offset_candidates(lattice, subdivisions, seed):
+    for off in _offset_candidates(lattice, seed):
         _, held = hits(off + center)
         chosen, taken = [], set()
         for key in sorted(held):

@@ -15,7 +15,9 @@ polygons, clipped on geom's int kernel (kernel_intersection_chain,
 kernel_chain_area), which keeps the equivalence tests fast.  The section of
 a polygon at an abscissa is the Fraction version of the sandwich search's
 int walk, edge by edge.  The oracle's candidate set is built on the realized members
-(bodies, circle_circle_points) and deduplicated by value.  call_budget
+(bodies, circle_circle_points) and deduplicated by value.  The points of a
+circle are ordered by angle about its centre with a quadrant comparator
+(angle_cmp, strictly_between).  call_budget
 bounds the work of a block by counting its calls, a deterministic
 stand-in for a time or memory limit.  members_document writes an instance
 in the hand-written members form, one object per member, which the reader
@@ -335,6 +337,35 @@ def circle_circle_points(c1, r1, c2, r2):
     return [RadPoint(px + ox, py + oy), RadPoint(px - ox, py - oy)]
 
 
+_QUADRANTS = {(1, 0): 0, (1, 1): 1, (0, 1): 2, (-1, 1): 3,
+              (-1, 0): 4, (-1, -1): 5, (0, -1): 6, (1, -1): 7}
+
+
+def angle_cmp(circle, p, q):
+    """Compare two boundary points of a circles.Conic by ccw angle from
+    the +x axis about its centre: by the quadrant or half-axis each lies
+    on, then by x, which is strictly monotone within an open quadrant."""
+    def bucket(u):
+        return _QUADRANTS[(u.x - circle.a).sign(), (u.y - circle.b).sign()]
+
+    kp, kq = bucket(p), bucket(q)
+    if kp != kq:
+        return -1 if kp < kq else 1
+    s = (p.x - q.x).sign()
+    return -s if kp in (1, 3) else s  # in the upper half the angle grows as x falls
+
+
+def strictly_between(circle, p, u, v):
+    """Is p strictly inside the ccw arc of circle from u to v (the whole
+    circle but u when u == v)?"""
+    if angle_cmp(circle, p, u) == 0 or angle_cmp(circle, p, v) == 0:
+        return False
+    up, pv = angle_cmp(circle, u, p), angle_cmp(circle, p, v)
+    if angle_cmp(circle, u, v) < 0:
+        return up < 0 and pv < 0
+    return up < 0 or pv < 0
+
+
 def candidate_points(f):
     """The oracle's candidate set on the realized members, as values:
     vertices and reference points then pairwise intersections (polygons),
@@ -511,11 +542,11 @@ def lattice_points(f, spec, offset):
             for p in spec.points_in_bbox(ix, iy, offset)]
 
 
-def lattice_offset_points(f, spec, center, target, seed=0, subdivisions=(4, 8, 16, 32)):
+def lattice_offset_points(f, spec, center, target, seed=0):
     """lattice_pierce's offset search: the fewest lattice points inside the
     union over the offsets, stopping once at most target."""
     best = None
-    for off in _offset_candidates(spec, subdivisions, seed):
+    for off in _offset_candidates(spec, seed):
         pts = [p for p, held in lattice_points(f, spec, off + center) if held]
         if best is None or len(pts) < len(best):
             best = pts
@@ -524,13 +555,13 @@ def lattice_offset_points(f, spec, center, target, seed=0, subdivisions=(4, 8, 1
     return best
 
 
-def lattice_offset_members(f, spec, center, target, seed=0, subdivisions=(4, 8, 16, 32)):
+def lattice_offset_members(f, spec, center, target, seed=0):
     """lattice_witness's offset search and recheck: each lattice point takes
     its first containing member not taken yet; the most members over the
     offsets, stopping once at least target, then extended in index order by
     every member that meets none kept (Family.intersects)."""
     best = []
-    for off in _offset_candidates(spec, subdivisions, seed):
+    for off in _offset_candidates(spec, seed):
         chosen = []
         for _, held in lattice_points(f, spec, off + center):
             free = [i for i in held if i not in chosen]

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+import gc
 import random
 
 import pytest
@@ -138,6 +139,24 @@ def test_random_family_matches_the_per_coordinate_draws(base, kind, box, scales)
                                      seed=seed)
         assert [(m.t, m.s) for m in f.members] == [(m.t, m.s) for m in g.members]
         assert f.scaled_translations() == g.scaled_translations()
+
+
+def test_random_family_runs_no_collector_pass():
+    # 20k disks allocate enough lists and tuples for 24 collector passes
+    # with the collector on; random_family holds it off and leaves it on, so
+    # at most the one pass that its allocations are due is left, right after
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        random_family(unit_disk(), 20_000, box_size=140, seed=0)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(passes) <= 1 and gc.isenabled()
 
 
 class TestPairwiseIntersecting:

@@ -227,6 +227,23 @@ def test_grid_lines_equal_the_fraction_reference(case):
     assert grid_pierce(f, pair).points == points
 
 
+@pytest.mark.parametrize("case", list(_GRID_REFERENCE_CASES) + ["square, 40 seeds"])
+def test_no_grid_line_is_tangent_to_a_member(case):
+    # _line_offset puts each line axis's offset in the middle of the widest
+    # gap between the ends of the members' unit intervals: no line lands on
+    # an end, at x + 1/2 - off = j over 4 E
+    if case == "square, 40 seeds":
+        families = [random_family(unit_square(), 1 + seed, box_size=1 + seed % 4, seed=seed)
+                    for seed in range(40)]
+    else:
+        families = [_GRID_REFERENCE_CASES[case]()]
+    for f in families:
+        pair = None if f.base.kind == "box" else sandwich_parallelograms(f.base.polygon)
+        E, centres, offs, _, _ = translates._grid_lines(f, translates._grid_frame(f.base, pair)[0])
+        assert offs and all((4 * x + 2 * E - off) % (4 * E) for col, off in zip(centres, offs)
+                            for x in col)
+
+
 class TestHexagon:
     def test_pairwise_intersecting_two_points(self):
         f = pairwise_intersecting_family(hexagon_body(), 15, seed=6)
@@ -757,7 +774,7 @@ class TestTriangleSeedOrder:
         # triangle unpierced: the order has to follow the cut edge
         f = random_family(_SKEWED[0], 60, box_size=8, seed=0)
         plain = _greedy(f, translate_cluster_cover(f.base), sorted(range(len(f)), key=top_key(f)),
-                        "greedy", False, 0)
+                        "greedy", False)
         with pytest.raises(VerificationFailed, match="contains no piercing point"):
             plain.explicit().verify(f)
         # the symbolic check finds the member that breaks the order
