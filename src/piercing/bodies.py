@@ -34,7 +34,8 @@ from .errors import (
     MixedKinds,
     SingularMap,
 )
-from .geom import ConvexPolygon, Interval, Point, _hom, _planes, frac, polygons_intersect
+from .geom import (ConvexPolygon, Interval, Point, _centre, _contains, _hom, _planes, _scaled,
+                   frac, polygons_intersect)
 from .radicals import RadPoint, dist2
 
 # A family whose common translation and scale denominator D needs more bits
@@ -50,15 +51,16 @@ class PolygonBody:
 
     def __init__(self, polygon: ConvexPolygon, reference_point: Point = None):
         self.polygon = polygon
+        d, xy = _scaled(polygon.vertices)
         if reference_point is None:
-            c = polygon.is_centrally_symmetric()
+            c = _centre(d, xy)
             if c is not None:
                 reference_point = c
             else:
                 # lowest-then-leftmost vertex; for a triangle with a
                 # horizontal lower side this is the lower-left vertex
                 reference_point = min(polygon.vertices, key=lambda p: (p.y, p.x))
-        if not polygon.contains(reference_point):
+        if not _contains(d, xy, reference_point):
             raise DegenerateInput("reference point outside body")
         self.reference_point = reference_point
 

@@ -74,6 +74,11 @@ def _poly_key(poly: ConvexPolygon):
     return tuple((p.x, p.y) for p in poly.vertices)
 
 
+def _sandwich_pair(poly: ConvexPolygon):
+    """sandwich_parallelograms(poly), built once per polygon."""
+    return _cached(("sandwich", _poly_key(poly)), lambda: sandwich_parallelograms(poly))
+
+
 # ---------------------------------------------------------------------------
 # polygon patterns
 
@@ -395,7 +400,7 @@ def _general_polygon_cover(poly: ConvexPolygon) -> CoverPattern:
     def build():
         import math
 
-        pair = sandwich_parallelograms(poly)
+        pair = _sandwich_pair(poly)
         ref = PolygonBody(poly).reference_point
         cover = reflect(poly.translate(-ref))
         # unit-step grid of P-translates covering 2*(Q - q_center) in P's basis

@@ -6,7 +6,7 @@ import random
 from .bodies import (DiskBody, Family, Member, PolygonBody, collector_paused, pair_checker,
                      scale_table)
 from .errors import ConstructionFailed, DegenerateInput, EpsilonTooLarge, TooLarge
-from .geom import ConvexPolygon, Point, frac, minkowski_sum, reflect
+from .geom import ConvexPolygon, Point, convex_hull, frac, minkowski_sum, reflect
 
 GRID_CAP = 4096
 
@@ -177,22 +177,17 @@ def random_centrally_symmetric_polygon(rng_or_seed, half_vertices=4, spread=10) 
     """A random centrally symmetric polygon with 2*half_vertices vertices.
 
     Vertices sit on a common circle through the rational parametrization
-    ((1-t^2, 2t)/(1+t^2)), so they are always in strictly convex position
-    and the mirrored set closes up exactly.
+    ((1-t^2, 2t)/(1+t^2)) at t = a/64, that is ((64^2-a^2, 2*64a)/(64^2+a^2)),
+    so they are always in strictly convex position and the mirrored set
+    closes up exactly.
     """
     rng = rng_or_seed if isinstance(rng_or_seed, random.Random) else random.Random(rng_or_seed)
-    from .geom import convex_hull
-
-    denom = 64
     while True:
-        ts = sorted({Fraction(rng.randrange(-denom + 1, denom), denom)
-                     for _ in range(half_vertices)})
-        if len(ts) < half_vertices:
+        params = sorted({rng.randrange(-63, 64) for _ in range(half_vertices)})
+        if len(params) < half_vertices:
             continue
-        pts = []
-        for t in ts:
-            w = 1 + t * t
-            pts.append(Point(spread * (1 - t * t) / w, spread * 2 * t / w))
+        pts = [Point(spread * Fraction(4096 - a * a, 4096 + a * a),
+                     spread * Fraction(128 * a, 4096 + a * a)) for a in params]
         pts = pts + [-p for p in pts]
         hull = convex_hull(pts)
         if len(hull) == 2 * half_vertices and hull.is_centrally_symmetric() is not None:
@@ -201,8 +196,6 @@ def random_centrally_symmetric_polygon(rng_or_seed, half_vertices=4, spread=10) 
 
 def random_convex_polygon(rng_or_seed, max_vertices=12, spread=10) -> PolygonBody:
     rng = rng_or_seed if isinstance(rng_or_seed, random.Random) else random.Random(rng_or_seed)
-    from .geom import convex_hull
-
     while True:
         k = rng.randrange(3, max_vertices + 1)
         pts = [

@@ -1,10 +1,12 @@
 """Exact planar geometry over rational coordinates.
 
 Everything in this module is a pure function over immutable values and is
-exact; no epsilon appears anywhere.  Points, areas and predicates are
-Fraction arithmetic.  Clipping (clip_chain, region_minus_polygons) runs
-on one integer kernel (_clip) over homogeneous int triples and converts to
-Points only on the way in and out.
+exact; no epsilon appears anywhere.  Points and areas are Fraction
+arithmetic.  The hull, polygon containment and the symmetry centre run on
+one scaled form (_scaled: the vertices times the lcm of their denominators,
+as int pairs), which _planes shares; clipping (clip_chain,
+region_minus_polygons) runs on one integer kernel (_clip) over homogeneous
+int triples.  Both convert to Points only on the way in and out.
 Degenerate convex regions (segments, single points) are represented by
 vertex chains of length 2 and 1 and count as nonempty.
 """
@@ -80,9 +82,16 @@ class Point:
         return "Point(%s, %s)" % (self.x, self.y)
 
 
-def orient(a: Point, b: Point, c: Point) -> Fraction:
-    """Twice the signed area of triangle abc; positive iff ccw."""
-    return (b - a).cross(c - a)
+def orient(a, b, c):
+    """Twice the signed area of triangle abc of (x, y) pairs; positive iff ccw."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _scaled(points) -> tuple:
+    """(d, [(X, Y), ...]): the points times the lcm d of their denominators."""
+    d = lcm(*(p.x.denominator for p in points), *(p.y.denominator for p in points))
+    return d, [(p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator))
+               for p in points]
 
 
 class Interval:
@@ -118,9 +127,12 @@ def convex_hull(points) -> "ConvexPolygon":
 
     Collinear points on the hull boundary are dropped, so the result is
     strictly convex.  Raises DegenerateInput if the points span less than
-    two dimensions.
+    two dimensions.  The vertices are the caller's Points, the first of
+    any duplicates; the chain runs on their scaled int pairs.
     """
-    pts = sorted(set(points))
+    points = list(points)
+    first = dict(zip(reversed(_scaled(points)[1]), reversed(points)))
+    pts = sorted(first)
     if len(pts) < 3:
         raise DegenerateInput("need at least 3 distinct points")
 
@@ -137,7 +149,7 @@ def convex_hull(points) -> "ConvexPolygon":
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise DegenerateInput("all points collinear")
-    return ConvexPolygon(hull, _trusted=True)
+    return ConvexPolygon([first[k] for k in hull], _trusted=True)
 
 
 class ConvexPolygon:
@@ -219,11 +231,7 @@ class ConvexPolygon:
 
     def contains(self, p: Point) -> bool:
         """Closed containment test, exact."""
-        v = self.vertices
-        for i in range(len(v)):
-            if orient(v[i], v[(i + 1) % len(v)], p) < 0:
-                return False
-        return True
+        return _contains(*_scaled(self.vertices), p)
 
     def support(self, d: Point) -> Fraction:
         """max over the polygon of the inner product with d."""
@@ -240,18 +248,36 @@ class ConvexPolygon:
 
     def is_centrally_symmetric(self):
         """Return the center if the polygon is centrally symmetric, else None."""
-        v = self.vertices
-        n = len(v)
-        if n % 2:
-            return None
-        c = (v[0] + v[n // 2]) / 2
-        for i in range(n // 2):
-            if v[i] + v[i + n // 2] != c * 2:
-                return None
-        return c
+        return _centre(*_scaled(self.vertices))
 
     def is_parallelogram(self):
         return len(self.vertices) == 4 and self.is_centrally_symmetric() is not None
+
+
+def _contains(d, xy, p: Point) -> bool:
+    """Whether p is in the ccw polygon with scaled vertices xy over d.
+
+    With p = (X, Y) / W, each edge ab's orient(a, b, d p) has the sign of
+    the int (b - a) x (d (X, Y) - W a).
+    """
+    X, Y, W = _hom(p)
+    X, Y = X * d, Y * d
+    for (ax, ay), (bx, by) in zip(xy[-1:] + xy, xy):
+        if (bx - ax) * (Y - W * ay) < (by - ay) * (X - W * ax):
+            return False
+    return True
+
+
+def _centre(d, xy):
+    """The centre of the polygon with scaled vertices xy over d, if it is
+    centrally symmetric, else None: opposite vertices share one int sum."""
+    if len(xy) % 2:
+        return None
+    h = len(xy) // 2
+    cx, cy = xy[0][0] + xy[h][0], xy[0][1] + xy[h][1]
+    if any(ax + bx != cx or ay + by != cy for (ax, ay), (bx, by) in zip(xy, xy[h:])):
+        return None
+    return Point(Fraction(cx, 2 * d), Fraction(cy, 2 * d))
 
 
 def reflect(c: ConvexPolygon) -> ConvexPolygon:
@@ -327,10 +353,7 @@ def _planes(poly: ConvexPolygon) -> list:
     The vertices are scaled by the lcm of their denominators; each triple
     is divided by its gcd.
     """
-    v = poly.vertices
-    d = lcm(*(p.x.denominator for p in v), *(p.y.denominator for p in v))
-    xy = [(p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator))
-          for p in v]
+    d, xy = _scaled(poly.vertices)
     out = []
     for i in range(len(xy)):
         (xa, ya), (xb, yb) = xy[i], xy[(i + 1) % len(xy)]

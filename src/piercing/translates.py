@@ -51,7 +51,7 @@ from .bodies import (
 from .certificates import PierceCertificate, greedy_rule, seed_columns
 # translate_cluster_cover is unused here but stays bound: perfbench/spans.py
 # traces it by this binding
-from .covers import _cached, _poly_key, translate_cluster_cover  # noqa: F401
+from .covers import _cached, _poly_key, _sandwich_pair, translate_cluster_cover  # noqa: F401
 from .errors import (
     CoverageNotVerified,
     NotHexagonBase,
@@ -68,12 +68,7 @@ from .geom import (
     frac,
     region_minus_polygons,
 )
-from .sandwich import (
-    SandwichPair,
-    hexagon_sandwich,
-    hexagon_sandwich_special,
-    sandwich_parallelograms,
-)
+from .sandwich import SandwichPair, hexagon_sandwich, hexagon_sandwich_special
 
 ORACLE_BUDGET = 12
 
@@ -234,7 +229,7 @@ def _grid_frame(base, pair):
         return forms, basis, 1, 2, 2 ** (base.dim - 1), None
     if isinstance(base, PolygonBody):
         if pair is None:
-            pair = sandwich_parallelograms(base.polygon)
+            pair = _sandwich_pair(base.polygon)
         la = pair.line_axis
         # a0 is cut into lines, a1 carries the levels; the centre p = c + t
         # of a P-translate is (p x a1, a0 x p) / det in this basis

@@ -21,7 +21,9 @@ circle are ordered by angle about its centre with a quadrant comparator
 bounds the work of a block by counting its calls, a deterministic
 stand-in for a time or memory limit.  members_document writes an instance
 in the hand-written members form, one object per member, which the reader
-still takes and the certificate digests were taken on.
+still takes and the certificate digests were taken on.  convex_hull,
+contains and centre are the Fraction versions of geom's hull, containment
+and symmetry centre, which run on scaled int pairs.
 """
 
 from fractions import Fraction
@@ -46,6 +48,49 @@ from piercing.oracle import _points
 from piercing.radicals import RadPoint, Radical
 from piercing.sandwich import sandwich_parallelograms
 from piercing.translates import _clusters, _offset_candidates
+
+
+def orient(a, b, c):
+    """Twice the signed area of triangle abc of Points, in Fractions."""
+    return (b - a).cross(c - a)
+
+
+def convex_hull(points):
+    """The ccw hull of Points by the monotone chain on sorted(set(points))."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        raise DegenerateInput("need at least 3 distinct points")
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) > 1 and orient(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = chain(pts)[:-1] + chain(reversed(pts))[:-1]
+    if len(hull) < 3:
+        raise DegenerateInput("all points collinear")
+    return ConvexPolygon(hull, _trusted=True)
+
+
+def contains(poly, p):
+    """Closed containment of a Point in a ccw ConvexPolygon, in Fractions."""
+    v = poly.vertices
+    return all(orient(v[i], v[(i + 1) % len(v)], p) >= 0 for i in range(len(v)))
+
+
+def centre(poly):
+    """The centre of a centrally symmetric ConvexPolygon, else None."""
+    v = poly.vertices
+    n = len(v)
+    if n % 2:
+        return None
+    c = (v[0] + v[n // 2]) / 2
+    if any(v[i] + v[i + n // 2] != c * 2 for i in range(n // 2)):
+        return None
+    return c
 
 
 def clip_chain(points, n, c):

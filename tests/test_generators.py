@@ -13,6 +13,7 @@ from piercing.generators import (
     hexagon_body,
     nine_triangles,
     pairwise_intersecting_family,
+    random_centrally_symmetric_polygon,
     random_family,
     unit_disk,
     unit_square,
@@ -175,3 +176,21 @@ class TestPairwiseIntersecting:
             f = pairwise_intersecting_family(unit_disk(), 10, seed=30 + seed)
             tau, _ = exact_tau(f)
             assert tau <= 3
+
+
+def test_random_centrally_symmetric_polygons_are_pinned():
+    # two draws from one generator, as the benchmark's set-up makes them:
+    # the first half of the vertices, the second half their negations
+    rng = random.Random(3)
+    pinned = [
+        (4, 2, [("-2030/1033", "-384/1033"), ("-494/265", "-192/265"),
+                ("3774/6305", "-12032/6305"), ("6014/5185", "-8448/5185")]),
+        (3, 10, [("-9750/1073", "-4480/1073"), ("-2950/1753", "-17280/1753"),
+                 ("150/17", "-80/17")]),
+    ]
+    for half_vertices, spread, half in pinned:
+        body = random_centrally_symmetric_polygon(rng, half_vertices, spread=spread)
+        want = [Point(F(x), F(y)) for x, y in half]
+        assert body.polygon.vertices == want + [-p for p in want]
+        assert body.reference_point == Point(0, 0)
+    assert rng.random() == 0.47405353654712656

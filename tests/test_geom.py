@@ -336,3 +336,115 @@ def test_geom_has_no_fraction_clipping_loop():
                         and node.attr in ("dot", "cross", "halfplanes")), name
             assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)), name
     assert "da / (da - db)" not in inspect.getsource(geom)
+
+
+# ---------------------------------------------------------------------------
+# hull, containment and symmetry centre on scaled ints against the Fraction
+# reference
+
+_WIDE = st.builds(F, st.integers(-2**140, 2**140), st.sampled_from([1, 7, 2**129 + 1, 3**83]))
+_WIDE_POINT = st.builds(Point, _WIDE, _WIDE)
+
+
+def _same_hull(points):
+    """Both hulls raise the same DegenerateInput or return the same Points,
+    object for object."""
+    try:
+        want = reference.convex_hull(points)
+    except DegenerateInput as e:
+        with pytest.raises(DegenerateInput, match=str(e)):
+            convex_hull(points)
+        return None
+    got = convex_hull(points)
+    assert len(got.vertices) == len(want.vertices)
+    assert all(a is b for a, b in zip(got.vertices, want.vertices))
+    return got
+
+
+def _copies(points):
+    """The points followed by equal but distinct Points of every other one."""
+    return points + [Point(p.x, p.y) for p in points[::2]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_POINT, _WIDE_POINT), max_size=9), st.booleans())
+def test_hull_matches_the_fraction_reference(points, dup):
+    _same_hull(_copies(points) if dup else points)
+
+
+def test_hull_matches_the_fraction_reference_on_random_sets():
+    rng = random.Random(5)
+    for n in (3, 4, 5, 8, 20, 60):
+        for _ in range(20):
+            pts = rand_points(rng, n, spread=rng.choice((1, 3, 10)))
+            _same_hull(_copies(pts))
+            _same_hull([p * F(1, 2**129 + 1) for p in pts])
+
+
+def test_hull_drops_boundary_points_and_keeps_the_first_duplicate():
+    corners = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
+    mids = [Point(1, 0), Point(2, 1), Point(1, 2), Point(0, 1), Point(1, 1)]
+    again = [Point(0, 0), Point(2, 2)]
+    h = _same_hull(again + mids + corners)
+    assert h.vertices == [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
+    assert h.vertices[0] is again[0] and h.vertices[2] is again[1]
+
+
+@pytest.mark.parametrize("points", [
+    [],
+    [Point(1, 1)],
+    [Point(1, 1), Point(1, 1), Point(1, 1)],
+    [Point(0, 0), Point(1, 2), Point(0, 0), Point(1, 2)],
+    [Point(0, 0), Point(1, 1), Point(2, 2), Point(F(1, 2), F(1, 2))],
+    [Point(F(k, 2**130 + 1), F(3 * k, 2**130 + 1)) for k in range(6)],
+])
+def test_hull_of_degenerate_input_raises_as_the_reference(points):
+    with pytest.raises(DegenerateInput):
+        convex_hull(points)
+    assert _same_hull(points) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_convex(), st.one_of(_POINT, _WIDE_POINT), st.integers(0, 7))
+def test_contains_matches_the_fraction_reference(a, p, i):
+    v = a.vertices
+    q, r = v[i % len(v)], v[(i + 1) % len(v)]
+    tiny = F(1, 2**140 + 1)
+    # a vertex, an edge midpoint and points a hair off them, on both sides
+    for x in (p, q, (q + r) / 2, q + Point(tiny, 0), q - Point(tiny, tiny),
+              (q + r) / 2 + (r - q).perp() * tiny, (q + r) / 2 - (r - q).perp() * tiny):
+        assert a.contains(x) == reference.contains(a, x)
+    assert a.contains(q) and a.contains((q + r) / 2)
+    assert not a.contains((q + r) / 2 - (r - q).perp() * tiny)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_convex(), st.one_of(_POINT, _WIDE_POINT), st.booleans())
+def test_centre_matches_the_fraction_reference(a, c, symmetric):
+    if symmetric:
+        a = convex_hull(a.vertices + [c * 2 - p for p in a.vertices])
+    got = a.is_centrally_symmetric()
+    assert got == reference.centre(a)
+    assert (got is not None) >= symmetric
+    if symmetric:
+        assert got == c
+
+
+def test_hull_contains_and_centre_do_no_fraction_arithmetic(monkeypatch):
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "__lt__",
+                 "__le__", "__eq__", "__hash__", "__radd__", "__rsub__", "__rmul__"):
+        def counting(*args, _fn=getattr(F, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(F, name, counting)
+    big = F(1, 2**129 + 1)
+    pts = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2), Point(1, 0), Point(0, 0),
+           Point(F(3, 2), F(1, 3)), Point(big, 2 - big)]
+    for grid in (pts, [Point(3 - p.x, p.y + big) for p in pts]):
+        calls.clear()
+        hull = convex_hull(grid)
+        hull.is_centrally_symmetric()
+        hull.contains(Point(1, F(1, 7)))
+        hull.contains(Point(big, 3))
+        assert calls == []

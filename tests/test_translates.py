@@ -472,6 +472,21 @@ def _lattice_values(spec):
     return [spec.b1, spec.b2, spec.role, spec.cell_area]
 
 
+def test_grid_and_general_cover_build_the_sandwich_pair_once(monkeypatch, fresh_cache):
+    # every sandwich_parallelograms call on a non-parallelogram sweeps the
+    # candidate directions once, whichever module's binding it went through
+    calls = []
+    sweep = sandwich._candidate_directions
+    monkeypatch.setattr(sandwich, "_candidate_directions", lambda c: calls.append(c) or sweep(c))
+    a = grid_pierce(random_family(PENTAGON, 20, box_size=10, seed=1))
+    b = grid_pierce(random_family(PENTAGON, 30, box_size=12, seed=2))
+    covers.homothet_cover(PENTAGON)
+    assert len(calls) == 1
+    pair = fresh_cache[("sandwich", _poly_key(PENTAGON.polygon))]
+    assert _pair_values(pair) == _pair_values(sandwich_parallelograms(PENTAGON.polygon))
+    assert a.info == b.info == {"gamma": pair.gamma}
+
+
 def _check_cached_entries(cache, base):
     """The cache's entries for base equal fresh uncached builds."""
     poly = base.polygon
