@@ -36,7 +36,7 @@ from .errors import (
 )
 from .geom import (ConvexPolygon, Interval, Point, _centre, _contains, _hom, _planes, _scaled,
                    frac, polygons_intersect)
-from .radicals import RadPoint, dist2
+from .radicals import RadPoint
 
 # A family whose common translation and scale denominator D needs more bits
 # than this keeps its translations and scales as Fractions (D = 1):
@@ -63,6 +63,7 @@ class PolygonBody:
         if not _contains(d, xy, reference_point):
             raise DegenerateInput("reference point outside body")
         self.reference_point = reference_point
+        self._bbox = None
 
     def scale_translate(self, s, t: Point):
         s = frac(s)
@@ -81,7 +82,10 @@ class PolygonBody:
         return polygons_intersect(self.polygon, other.polygon)
 
     def bbox(self):
-        return self.polygon.bounding_box()
+        """The polygon's bounding box, computed on the first call."""
+        if self._bbox is None:
+            self._bbox = self.polygon.bounding_box()
+        return self._bbox
 
 
 class DiskBody:
@@ -101,8 +105,8 @@ class DiskBody:
 
     def contains(self, p) -> bool:
         if isinstance(p, RadPoint):
-            d = dist2(p, RadPoint.of(self.center))
-            return (d - self.radius * self.radius).sign() <= 0
+            dx, dy = p.x - self.center.x, p.y - self.center.y
+            return (dx * dx + dy * dy - self.radius * self.radius).sign() <= 0
         d = p - self.center
         return d.norm2() <= self.radius * self.radius
 
@@ -574,6 +578,18 @@ def int_point(p):
     return q, 1, [v.numerator * (q // v.denominator) for v in coords], None
 
 
+def root_sign(P, Q, m) -> int:
+    """The sign of P + Q sqrt(m) for ints P, Q and m >= 1: where P and Q
+    differ in sign, that of P times that of P^2 - m Q^2."""
+    s, t = (P > 0) - (P < 0), (Q > 0) - (Q < 0)
+    if s == t or not t:
+        return s
+    if not s:
+        return t
+    d = P * P - m * Q * Q
+    return s * ((d > 0) - (d < 0))
+
+
 def membership(f: Family, ipts):
     """member(i) -> test(k): whether member i contains the point whose
     int_point entry is ipts[k], decided on ints; None where that entry is
@@ -586,7 +602,7 @@ def membership(f: Family, ipts):
     centre (U, V) and radius R over L D, as in pair_checker; with
     X = L D A_x - q U and Y = L D A_y - q V the point lies in it iff
     P + Q sqrt(m) <= 0 for P = X^2 + Y^2 + m (L D)^2 (B_x^2 + B_y^2) - (q R)^2
-    and Q = 2 L D (X B_x + Y B_y): P^2 against m Q^2 where signs differ.
+    and Q = 2 L D (X B_x + Y B_y) (root_sign).
     """
     base = f.base
     if base.kind != "disk":
@@ -630,11 +646,7 @@ def membership(f: Family, ipts):
             X = ax - q * u
             Y = ay - q * v
             qR = q * R
-            P = X * X + Y * Y + mbb - qR * qR
-            Q = 2 * (X * bx + Y * by)
-            if Q >= 0:
-                return P <= 0 and m * Q * Q <= P * P
-            return P <= 0 or P * P <= m * Q * Q
+            return root_sign(X * X + Y * Y + mbb - qR * qR, 2 * (X * bx + Y * by), m) <= 0
 
         return test
 

@@ -84,9 +84,7 @@ def _sandwich_pair(poly: ConvexPolygon):
 
 
 def _verify_polygon_pattern(region_chain, cover: ConvexPolygon, offsets):
-    translates = [cover.translate(o) for o in offsets]
-    pieces = region_minus_polygons(region_chain, translates)
-    if pieces:
+    if region_minus_polygons(region_chain, [cover], offsets):
         raise VerificationFailed("cover residue is nonempty")
 
 

@@ -1,6 +1,7 @@
 """Constructors for the extremal paper instances and random experiment families."""
 
 from fractions import Fraction
+from math import gcd
 import random
 
 from .bodies import (DiskBody, Family, Member, PolygonBody, collector_paused, pair_checker,
@@ -115,9 +116,11 @@ def random_family(base, n, box_size=10, kind="translates", scale_range=(1, 3), s
     draws = [rng.randrange(span) for _ in range(n) for span in spans]
     cols = [draws[k::len(forms)] for k in range(len(forms))]
     drawn = [set(ks) for ks in cols]
-    pairs = {}  # draw j of form k, (span, a, b, q), is (a + j b) / q
+    pairs = {}  # draw j of form k, (span, a, b, q), is (a + j b) / q, reduced
     for k, ((_, a, b, q), js) in enumerate(zip(forms, drawn)):
-        pairs.update({(k, j): Fraction(a + j * b, q).as_integer_ratio() for j in js})
+        for j in js:
+            g = gcd(a + j * b, q)
+            pairs[k, j] = (a + j * b) // g, q // g
     D, scaled = scale_table(pairs)
     cols = [list(map({j: scaled[k, j] for j in js}.__getitem__, ks))
             for k, (ks, js) in enumerate(zip(cols, drawn))]

@@ -5,8 +5,10 @@ exact; no epsilon appears anywhere.  Points and areas are Fraction
 arithmetic.  The hull, polygon containment and the symmetry centre run on
 one scaled form (_scaled: the vertices times the lcm of their denominators,
 as int pairs), which _planes shares; clipping (clip_chain,
-region_minus_polygons) runs on one integer kernel (_clip) over homogeneous
-int triples.  Both convert to Points only on the way in and out.
+region_minus_polygons) runs on one integer kernel (_split, whose inside
+half is _clip) over homogeneous int triples, and a translate's halfplanes
+are its polygon's shifted on ints (_shifted).  Both convert to Points only
+on the way in and out.
 Degenerate convex regions (segments, single points) are represented by
 vertex chains of length 2 and 1 and count as nonempty.
 """
@@ -375,44 +377,74 @@ def _plane(n: Point, c) -> tuple:
     return t[0] // g, t[1] // g, t[2] // g
 
 
-def _clip(chain, plane) -> list:
-    """Clip a convex chain of int triples against an int halfplane.
+def _crossing(a, b, da, db) -> tuple:
+    """The point where the edge ab of int triples, with signed values da
+    and db of opposite signs, crosses the line: |db| a + |da| b, reduced by
+    one gcd."""
+    ea, eb = abs(db), abs(da)
+    x = ea * a[0] + eb * b[0]
+    y = ea * a[1] + eb * b[1]
+    w = ea * a[2] + eb * b[2]
+    g = gcd(x, y, w)
+    return x // g, y // g, w // g
 
-    Vertices inside or on the line stay in order; where an edge ab crosses
-    the line strictly, with signed values da and db, the crossing point is
-    |db|*a + |da|*b, reduced by one gcd.  A two-point chain is a segment,
-    walked both ways.  The result is deduplicated.
+
+def _split(chain, plane, both=True) -> tuple:
+    """(inside, outside): a convex chain of distinct int triples cut by an
+    int halfplane, the part in it and the part in the closure of its
+    complement, from one pass of signed values.
+
+    Each part keeps the chain's vertices on its side or on the line, in
+    order, and after each edge that crosses the line strictly the crossing
+    point (_crossing), deduplicated.  A chain wholly on one side is returned
+    as it is.  A two-point chain is a segment, walked both ways, and is cut
+    without the list of values.  With both False the outside is not built
+    and reads [].
     """
     p, q, r = plane
-    vals = [p * x + q * y - r * w for x, y, w in chain]
     m = len(chain)
-    if m == 1:
-        return list(chain) if vals[0] <= 0 else []
-    out = []
+    if m == 2:
+        a, b = chain
+        da = p * a[0] + q * a[1] - r * a[2]
+        db = p * b[0] + q * b[1] - r * b[2]
+        if da < 0 and db < 0:
+            return chain, []
+        if (da < 0 < db) or (db < 0 < da):
+            x = _crossing(a, b, da, db)
+            parts = ([a, x], [x, b]) if da < 0 else ([x, b], [a, x])
+            return parts if both else (parts[0], [])
+        return ([v for v, d in ((a, da), (b, db)) if d <= 0],
+                [v for v, d in ((a, da), (b, db)) if d >= 0] if both else [])
+    vals = [p * x + q * y - r * w for x, y, w in chain]
+    if not vals or max(vals) < 0:
+        return chain, []
+    if min(vals) > 0:
+        return [], chain if both else []
+    inside, outside = [], []
+    crossed = False
     for i in range(m):
         a, da = chain[i], vals[i]
         j = i + 1 if i + 1 < m else 0
         db = vals[j]
         if da <= 0:
-            out.append(a)
-            if da == 0 or db <= 0:
-                continue
-            ea, eb = db, -da
-        elif db < 0:
-            ea, eb = -db, da
-        else:
-            continue
-        b = chain[j]
-        x = ea * a[0] + eb * b[0]
-        y = ea * a[1] + eb * b[1]
-        w = ea * a[2] + eb * b[2]
-        g = gcd(x, y, w)
-        out.append((x // g, y // g, w // g))
-    dedup = []
-    for v in out:
-        if v not in dedup:
-            dedup.append(v)
-    return dedup
+            inside.append(a)
+        if both and da >= 0:
+            outside.append(a)
+        if (da < 0 < db) or (db < 0 < da):
+            x = _crossing(a, chain[j], da, db)
+            inside.append(x)
+            if both:
+                outside.append(x)
+            crossed = True
+    if crossed:
+        inside, outside = list(dict.fromkeys(inside)), list(dict.fromkeys(outside))
+    return inside, outside
+
+
+def _clip(chain, plane) -> list:
+    """The part of a convex chain of distinct int triples in an int
+    halfplane: the inside half of _split."""
+    return _split(chain, plane, False)[0]
 
 
 def _has_area(chain) -> bool:
@@ -430,24 +462,38 @@ def _has_area(chain) -> bool:
 
 
 def _subtract(piece, planes) -> list:
-    """Convex decomposition of a chain minus the polygon with these planes."""
+    """Convex decomposition of a chain minus the polygon with these planes:
+    the part of the chain outside each halfplane leaves the difference, and
+    the rest continues to the next halfplane."""
     out = []
     rest = piece
-    for a, b, c in planes:
-        # the part of `rest` strictly outside this halfplane leaves the
-        # difference; the rest continues to the next halfplane
-        outside = _clip(rest, (-a, -b, -c))
-        if _has_area(outside):
+    for plane in planes:
+        rest, outside = _split(rest, plane)
+        if outside and _has_area(outside):
             out.append(outside)
-        rest = _clip(rest, (a, b, c))
         if not rest:
             break
     return out
 
 
+def _shifted(planes, o: Point) -> list:
+    """The int halfplanes of a polygon translated by o, from its own planes
+    (_planes): a x + b y <= c becomes (a W, b W, c W + a X + b Y) for o =
+    (X, Y) / W, divided by its gcd, the triple _planes gives the translate."""
+    X, Y, W = _hom(o)
+    out = []
+    for a, b, c in planes:
+        t = (a * W, b * W, c * W + a * X + b * Y)
+        g = gcd(*t)
+        out.append((t[0] // g, t[1] // g, t[2] // g))
+    return out
+
+
 def _chain(region) -> list:
-    """Int triples of a ConvexPolygon's vertices or of a chain of Points."""
-    return [_hom(p) for p in (region.vertices if isinstance(region, ConvexPolygon) else region)]
+    """Int triples of a ConvexPolygon's vertices or of a chain of Points,
+    a repeated vertex kept once."""
+    pts = region.vertices if isinstance(region, ConvexPolygon) else region
+    return list(dict.fromkeys(map(_hom, pts)))
 
 
 def clip_chain(points, n: Point, c) -> list:
@@ -473,15 +519,20 @@ def polygons_intersect(a: ConvexPolygon, b: ConvexPolygon) -> bool:
     return True
 
 
-def region_minus_polygons(region, polys) -> list:
-    """Residue of a convex region after removing a list of convex polygons.
+def region_minus_polygons(region, polys, offsets=None) -> list:
+    """Residue of a convex region after removing a list of convex polygons,
+    or, given offsets, the translates p + o of each polygon p by each offset
+    o, p by p: their halfplanes are p's shifted on ints (_shifted), so no
+    translate is built.
 
     Only full-dimensional residue pieces are kept; a residue of measure zero
     counts as fully covered (bodies are closed).
     """
     pieces = [_chain(region)]
-    for poly in polys:
-        planes = _planes(poly)
+    plane_lists = map(_planes, polys)
+    if offsets is not None:
+        plane_lists = (_shifted(planes, o) for planes in plane_lists for o in offsets)
+    for planes in plane_lists:
         nxt = []
         for piece in pieces:
             nxt.extend(_subtract(piece, planes))
@@ -491,6 +542,7 @@ def region_minus_polygons(region, polys) -> list:
     return [[_point(h) for h in c] for c in pieces]
 
 
-def covers_region(region, polys) -> bool:
-    """Exact test that the union of `polys` covers the convex `region`."""
-    return not region_minus_polygons(region, polys)
+def covers_region(region, polys, offsets=None) -> bool:
+    """Exact test that the union of `polys`, or of their translates by
+    `offsets`, covers the convex `region` (region_minus_polygons)."""
+    return not region_minus_polygons(region, polys, offsets)

@@ -398,7 +398,7 @@ def verify_pattern_json(doc) -> bool:
     except (AttributeError, DegenerateInput, IndexError, KeyError, TypeError, ValueError) as e:
         raise ParseError("bad cover pattern: %r" % (e,)) from e
     if kind == "polygon":
-        if not covers_region(region, [cover.translate(o) for o in offsets]):
+        if not covers_region(region, [cover], offsets):
             raise VerificationFailed("pattern residue is nonempty")
     elif kind == "disk":
         offsets = [RadPoint.of(p) if isinstance(p, Point) else p for p in offsets]

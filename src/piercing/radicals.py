@@ -181,9 +181,6 @@ class Radical:
         """Exact sign: -1, 0 or +1."""
         if not self.terms:
             return 0
-        if len(self.terms) == 1:
-            ((m, c),) = self.terms.items()
-            return 1 if c > 0 else -1
         if all(c > 0 for c in self.terms.values()):
             return 1
         if all(c < 0 for c in self.terms.values()):
@@ -208,14 +205,11 @@ class Radical:
                 hi += c
                 continue
             s = isqrt(m * scale * scale)
-            r_lo = Fraction(s, scale)
-            r_hi = Fraction(s + 1, scale)
-            if c > 0:
-                lo += c * r_lo
-                hi += c * r_hi
-            else:
-                lo += c * r_hi
-                hi += c * r_lo
+            r_lo, r_hi = Fraction(s, scale), Fraction(s + 1, scale)
+            if c < 0:
+                r_lo, r_hi = r_hi, r_lo
+            lo += c * r_lo
+            hi += c * r_hi
         return lo, hi
 
     def __float__(self):
@@ -230,14 +224,8 @@ class Radical:
     def __lt__(self, other):
         return (self - _coerce(other)).sign() < 0
 
-    def __le__(self, other):
-        return (self - _coerce(other)).sign() <= 0
-
     def __gt__(self, other):
         return (self - _coerce(other)).sign() > 0
-
-    def __ge__(self, other):
-        return (self - _coerce(other)).sign() >= 0
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
@@ -308,9 +296,3 @@ class RadPoint:
 
     def __repr__(self):
         return "RadPoint(%r, %r)" % (self.x, self.y)
-
-
-def dist2(p: RadPoint, q) -> Radical:
-    dx = p.x - q.x
-    dy = p.y - q.y
-    return dx * dx + dy * dy

@@ -285,50 +285,59 @@ def require_centrally_symmetric(c: ConvexPolygon) -> Point:
     return center
 
 
+def _chord(pts):
+    """The chord p6 p1 of the hexagon inscribed_hexagon builds, in its int
+    frame pts (coordinates (beta, alpha)), as ints (Z, B, L, H, F) over one
+    denominator Z: the chord lies at beta = B/Z from alpha = L/Z to H/Z,
+    and its length F/Z is half that of the section at beta = 0.  None when
+    that section is empty.
+
+    The sections at 0 and at each vertex beta above it come from one walk
+    (_sections) and are put over one even denominator M.  The width shrinks
+    linearly between neighbouring betas, so the first beta where it is at
+    most F/M is passed by a linear solve, exact on ints; when none is (an
+    edge parallel to the axis tops the body) the chord is centred on that
+    edge.
+    """
+    ts = [0, *sorted({b for b, _ in pts if b > 0})]
+    secs = _sections(pts, ts)
+    if secs[0] is None:
+        return None
+    M = 2 * lcm(*(d for sec in secs for _, d in sec))
+    L = [n * (M // d) for (n, d), _ in secs]
+    H = [n * (M // d) for _, (n, d) in secs]
+    F = (H[0] - L[0]) // 2  # every value over M is even
+    for k in range(1, len(ts)):
+        if H[k] - L[k] <= F:
+            # t = tn / td of the way from beta ts[k-1] to ts[k]
+            j = k - 1
+            td = H[j] - L[j] - H[k] + L[k]
+            tn = H[j] - L[j] - F
+            return (M * td, M * (ts[j] * td + tn * (ts[k] - ts[j])),
+                    L[j] * td + tn * (L[k] - L[j]), H[j] * td + tn * (H[k] - H[j]), F * td)
+    return 2 * M, 2 * M * ts[-1], L[-1] + H[-1] - F, L[-1] + H[-1] + F, 2 * F
+
+
 def inscribed_hexagon(c: ConvexPolygon, direction: Point) -> ConvexPolygon:
     """Affinely regular hexagon inscribed in a centered symmetric polygon.
 
     p2 and p5 are the boundary points on the line through the origin with
     the given direction; p1p6 is the parallel chord of exactly half that
-    length, found by an exact piecewise-linear solve; p3 = -p6, p4 = -p1.
-    The chords are sections across the direction, on int coordinates
-    (beta, alpha) in the basis (direction.perp(), direction).
+    length (_chord); p3 = -p6, p4 = -p1.  The chords are sections across
+    the direction, on int coordinates (beta, alpha) in the basis
+    (direction.perp(), direction).
     """
     u = direction
     n = u.perp()
     pts, bscale, ascale = _int_coords(c.vertices, n, u)
-    # beta breakpoints above the axis
-    betas = sorted({b for b, _ in pts if b > 0})
-    secs = _sections(pts, [0, *betas])
-    if secs[0] is None:
+    chord = _chord(pts)
+    if chord is None:
         raise SearchFailed("section outside polygon")
-    secs = [(Fraction(*lo), Fraction(*hi)) for lo, hi in secs]
-    full = secs[0][1] - secs[0][0]
-    half = full / 2
-    prev_b, (prev_lo, prev_hi) = 0, secs[0]
-    for b, (lo, hi) in zip(betas, secs[1:]):
-        if hi - lo <= half:
-            # both chord ends are linear within this piece, so the
-            # interpolation is exact
-            t = (prev_hi - prev_lo - half) / (prev_hi - prev_lo - hi + lo)
-            beta_star = prev_b + t * (b - prev_b)
-            lo, hi = prev_lo + t * (lo - prev_lo), prev_hi + t * (hi - prev_hi)
-            break
-        prev_b, prev_lo, prev_hi = b, lo, hi
-    else:
-        # an edge parallel to the axis tops the body: the width jumps past
-        # half there, so center a half-length chord on that edge
-        beta_star = betas[-1]
-    if hi - lo < half:
-        raise SearchFailed("chord solve inexact")  # guards the linear solve
-    if hi - lo > half:
-        mid = (lo + hi) / 2
-        lo, hi = mid - half / 2, mid + half / 2
-    # section at beta=0 is [-half, half] by central symmetry
-    off = n * (beta_star * bscale)
-    p2 = u * (half * ascale)
-    p1 = u * (hi * ascale) + off
-    p6 = u * (lo * ascale) + off
+    Z, B, L, H, F = chord
+    off = n * (Fraction(B, Z) * bscale)
+    p2 = u * (Fraction(F, Z) * ascale)
+    p1 = u * (Fraction(H, Z) * ascale) + off
+    p6 = u * (Fraction(L, Z) * ascale) + off
     p3, p4, p5 = -p6, -p1, -p2
     hexagon = ConvexPolygon([p1, p2, p3, p4, p5, p6])
     if len(hexagon) != 6:
@@ -369,28 +378,62 @@ def _uniform_directions(k: int):
     return out
 
 
+def _twice_area(chain):
+    """(num, den): twice the area of a convex chain of int triples, num / den
+    with num >= 0, over the squared lcm of their weights."""
+    W = lcm(*(w for _, _, w in chain))
+    xy = [(x * (W // w), y * (W // w)) for x, y, w in chain]
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(xy, xy[1:] + xy[:1]))), W * W
+
+
+def _hexagon_ratio(pts):
+    """(num, den): the area of the hexagon that inscribed_hexagon builds in
+    the int frame pts over that of its support_hexagon, or None.
+
+    In the frame, with _chord's (Z, B, L, H, F), the hexagon is p1 = (B, H),
+    p2 = (0, F), p6 = (B, L) over Z and their reflexions, of area 3 B F /
+    Z^2 as H - L = F.  Its edges p1p2 and p2p3 have the normals (H - F, -B)
+    and (L + F, -B), whose determinant is B F, and p3p4 the beta axis; the
+    three support slabs meet in the parallelogram of the first two cut to
+    the third.  A linear map keeps the ratio.
+    """
+    chord = _chord(pts)
+    if chord is None:
+        return None
+    Z, B, L, H, F = chord
+    (ax, ay), (bx, by) = (H - F, -B), (L + F, -B)
+    h1 = max(ax * x + ay * y for x, y in pts)
+    h2 = max(bx * x + by * y for x, y in pts)
+    h3 = max(x for x, _ in pts)
+    # the corners with a.p = s1, b.p = s2, in turn
+    det = B * F
+    corners = [(s1 * by - s2 * ay, s2 * ax - s1 * bx, det)
+               for s1, s2 in ((h1, h2), (h1, -h2), (-h1, -h2), (-h1, h2))]
+    num, den = _twice_area(_clip(_clip(corners, (1, 0, h3)), (-1, 0, h3)))
+    return 6 * B * F * den, Z * Z * num
+
+
 def hexagon_sandwich(c: ConvexPolygon) -> HexagonSandwich:
-    """Best inscribed/circumscribed hexagon sandwich over the direction sweep."""
+    """Best inscribed/circumscribed hexagon sandwich over the direction sweep.
+
+    Each direction is scored on ints (_hexagon_ratio), and the first with
+    the greatest area ratio is built in Fractions."""
     center = require_centrally_symmetric(c)
     centered = c.translate(-center)
     dirs = [p for p in centered.vertices]
     for a, b in centered.edges():
         dirs.append((b - a).perp())
     dirs += _uniform_directions(_UNIFORM_DIRS)
-    dirs = _dedup_directions(dirs)
-    best = None
-    for d in dirs:
-        try:
-            h_in = inscribed_hexagon(centered, d)
-            h_out = support_hexagon(centered, h_in)
-        except (SearchFailed, NotHexagon):
-            continue
-        ratio = h_in.area() / h_out.area()
-        if best is None or ratio > best.area_ratio:
-            best = HexagonSandwich(h_in.translate(center), h_out.translate(center), center)
+    best = best_ratio = None
+    for d in _dedup_directions(dirs):
+        ratio = _hexagon_ratio(_int_coords(centered.vertices, d.perp(), d)[0])
+        if ratio is not None and (best is None or ratio[0] * best_ratio[1] > best_ratio[0] * ratio[1]):
+            best, best_ratio = d, ratio
     if best is None:
         raise SearchFailed("no inscribed hexagon found")
-    return best
+    h_in = inscribed_hexagon(centered, best)
+    h_out = support_hexagon(centered, h_in)
+    return HexagonSandwich(h_in.translate(center), h_out.translate(center), center)
 
 
 def _hexagon_vertices(c: ConvexPolygon):

@@ -418,10 +418,7 @@ def covering_lattice(s0: ConvexPolygon, cell_poly: ConvexPolygon) -> LatticeSpec
     cy = Interval(min(p.y for p in cell), max(p.y for p in cell))
     window_x = Interval(cx.lo - bx.hi, cx.hi - bx.lo)
     window_y = Interval(cy.lo - by.hi, cy.hi - by.lo)
-    translates = []
-    for lam in spec.points_in_bbox(window_x, window_y, Point(0, 0)):
-        translates.append(s0.translate(lam))
-    if region_minus_polygons(cell, translates):
+    if region_minus_polygons(cell, [s0], spec.points_in_bbox(window_x, window_y, Point(0, 0))):
         raise CoverageNotVerified("lattice translates do not cover the cell")
     return spec
 

@@ -23,7 +23,10 @@ stand-in for a time or memory limit.  members_document writes an instance
 in the hand-written members form, one object per member, which the reader
 still takes and the certificate digests were taken on.  convex_hull,
 contains and centre are the Fraction versions of geom's hull, containment
-and symmetry centre, which run on scaled int pairs.
+and symmetry centre, which run on scaled int pairs.  translates_residue
+is the polygon pattern check on translates built in Fractions, and
+hexagon_sandwich the hexagon sandwich search with Fraction chords, slabs
+and areas (inscribed_hexagon).
 """
 
 from fractions import Fraction
@@ -221,6 +224,77 @@ def region_minus_polygons(region, polys):
         if not pieces:
             break
     return pieces
+
+
+def translates_residue(region, cover, offsets):
+    """region minus the translates cover + o, each built in Fractions and
+    subtracted in Fractions: the path of the polygon pattern checks before
+    the translates' halfplanes were shifted on ints."""
+    return region_minus_polygons(region, [cover.translate(o) for o in offsets])
+
+
+def _chord(c, u):
+    """(n, pts, beta, lo, hi, half) of sandwich.inscribed_hexagon(c, u), in
+    Fractions: pts holds the vertices in coordinates (beta, alpha) of the
+    basis (n, u), n = u.perp(), as pairs; the sections across u come from
+    section, and the chord of half the central section at beta from lo to
+    hi from a linear solve between neighbouring vertex betas."""
+    n = u.perp()
+    det = n.cross(u)
+    pts = [(p.cross(u) / det, n.cross(p) / det) for p in c.vertices]
+    xs = [Point(b, a) for b, a in pts]
+    lo0, hi0 = section(xs, 0)
+    half = (hi0 - lo0) / 2
+    prev = (Fraction(0), lo0, hi0)
+    for b in sorted({b for b, _ in pts if b > 0}):
+        lo, hi = section(xs, b)
+        if hi - lo <= half:
+            pb, plo, phi = prev
+            t = (phi - plo - half) / (phi - plo - hi + lo)
+            return n, pts, pb + t * (b - pb), plo + t * (lo - plo), phi + t * (hi - phi), half
+        prev = (b, lo, hi)
+    mid = (lo + hi) / 2
+    return n, pts, b, mid - half / 2, mid + half / 2, half
+
+
+def inscribed_hexagon(c, u):
+    """The six vertices of sandwich.inscribed_hexagon(c, u), in Fractions
+    (_chord)."""
+    n, _, beta, lo, hi, half = _chord(c, u)
+    p1, p2, p6 = n * beta + u * hi, u * half, n * beta + u * lo
+    return [p1, p2, -p6, -p1, -p2, p6]
+
+
+def hexagon_sandwich(c):
+    """(direction, inner hexagon, ratio): the first candidate direction of
+    sandwich.hexagon_sandwich with the greatest area ratio of the inscribed
+    hexagon to the intersection of the support slabs of c across its edges,
+    about the centre of c.  The ratio is taken in Fractions in the (beta,
+    alpha) coordinates of _chord, as a linear map keeps it."""
+    from piercing.sandwich import _dedup_directions, _uniform_directions
+
+    o = centre(c)
+    cen = ConvexPolygon([p - o for p in c.vertices], _trusted=True)
+    v = cen.vertices
+    dirs = v + [(v[(i + 1) % len(v)] - v[i]).perp() for i in range(len(v))]
+    best = None
+    for u in _dedup_directions(dirs + _uniform_directions(64)):
+        _, pts, beta, lo, hi, half = _chord(cen, u)
+        hexagon = [(beta, hi), (0, half), (-beta, -lo), (-beta, -hi), (0, -half), (beta, lo)]
+        slabs = []
+        for (x0, y0), (x1, y1) in zip(hexagon, hexagon[1:4]):
+            a, b = y0 - y1, x1 - x0  # normal to the edge
+            slabs.append((a, b, max(a * x + b * y for x, y in pts)))
+        (a1, b1, h1), (a2, b2, h2), (a3, b3, h3) = slabs
+        det = a1 * b2 - b1 * a2
+        corners = [Point((s1 * b2 - s2 * b1) / det, (s2 * a1 - s1 * a2) / det)
+                   for s1, s2 in ((h1, h2), (h1, -h2), (-h1, -h2), (-h1, h2))]
+        outer = clip_chain(clip_chain(corners, Point(a3, b3), h3), Point(-a3, -b3), h3)
+        ratio = chain_area([Point(x, y) for x, y in hexagon]) / chain_area(outer)
+        if best is None or ratio > best[1]:
+            best = (u, ratio)
+    u, ratio = best
+    return u, [p + o for p in inscribed_hexagon(cen, u)], ratio
 
 
 def dedupe_points(points):

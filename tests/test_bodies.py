@@ -16,6 +16,7 @@ from piercing.bodies import (
     intersection_graph,
     neighbor_index,
     normalize_affine,
+    root_sign,
 )
 from piercing.errors import DisksNotClosedUnderAffine, MixedKinds, SingularMap
 from piercing.generators import (
@@ -26,6 +27,7 @@ from piercing.generators import (
     unit_triangle,
 )
 from piercing.geom import ConvexPolygon, Point
+from piercing.radicals import Radical
 from reference import (
     family_of_columns,
     fraction_columns,
@@ -258,3 +260,27 @@ def test_greedy_and_verify_run_with_the_collector_paused(monkeypatch):
     cert.verify(f)
     assert seen == [False, False]
     assert gc.isenabled()
+
+
+def test_root_sign_is_the_sign_of_the_radical():
+    # zeros with a square m, opposite signs either way, and random ints
+    rng = random.Random(9)
+    cases = [(0, 0, 2), (3, 0, 5), (0, -2, 7), (-2, 1, 4), (2, -1, 4), (4, -2, 4), (-3, 1, 9),
+             (1, -1, 1), (7, -5, 2), (-7, 5, 2), (-1, 1, 2), (1, -1, 2)]
+    cases += [(rng.randint(-60, 60), rng.randint(-60, 60), rng.choice([1, 2, 3, 4, 5, 9, 12]))
+              for _ in range(400)]
+    for P, Q, m in cases:
+        assert root_sign(P, Q, m) == (Radical.of(P) + Radical.sqrt(m) * Q).sign(), (P, Q, m)
+
+
+def test_a_polygon_base_computes_its_bounding_box_once(monkeypatch):
+    # box_columns and neighbor_index read the base's box on every call
+    calls = []
+    box = ConvexPolygon.bounding_box
+    monkeypatch.setattr(ConvexPolygon, "bounding_box", lambda self: calls.append(self) or box(self))
+    f = random_family(unit_triangle(), 50, box_size=6, kind="homothets", scale_range=(1, 2),
+                      seed=3)
+    for _ in range(2):
+        intersection_graph(f)
+        neighbor_index(f)
+    assert calls == [f.base.polygon]

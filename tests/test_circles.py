@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 from functools import cmp_to_key
 from itertools import combinations
+import random
 
 import pytest
 
-from piercing import covers
+from piercing import circles, covers
+from piercing.bodies import int_point
 from piercing.circles import Conic, CoverageCheck, arc_samples
 from piercing.geom import Point
 from piercing.radicals import RadPoint, Radical
@@ -33,11 +35,9 @@ def test_circle_circle_disjoint_and_concentric():
 
 def test_conic_sides():
     c = Conic(3, 1, Point(0, 0), 4)
-    from piercing.radicals import RadPoint
-
-    assert c.side(RadPoint(0, 0)) < 0
-    assert c.side(RadPoint(0, 2)) == 0
-    assert c.side(RadPoint(2, 2)) > 0
+    assert c.side(int_point(RadPoint(0, 0))) < 0
+    assert c.side(int_point(RadPoint(0, 2))) == 0
+    assert c.side(int_point(RadPoint(2, 2))) > 0
 
 
 def test_conic_line_intersection():
@@ -117,7 +117,7 @@ def _circles_with_vertices(check):
     if check.halfplane is not None:
         vertices += [p for c in curves for p in c.intersect_line(*check.halfplane)]
     vertices = dedupe_points(vertices)
-    return [(c, [v for v in vertices if c.side(v) == 0]) for c in curves]
+    return [(c, [v for v in vertices if c.side(int_point(v)) == 0]) for c in curves]
 
 
 def test_arc_samples_lie_strictly_inside_their_arcs():
@@ -128,7 +128,7 @@ def test_arc_samples_lie_strictly_inside_their_arcs():
     for check in checks:
         for circle, on in _circles_with_vertices(check):
             samples = arc_samples(circle, on)
-            assert all(s.is_rational() and circle.side(s) == 0 for s in samples)
+            assert all(s.is_rational() and circle.side(int_point(s)) == 0 for s in samples)
             if not on:
                 seen["no vertex"] += 1
                 assert len(samples) == 1
@@ -168,3 +168,70 @@ def test_arrangement_verdicts():
     assert verdicts == {"four covers": True, "two covers": False, "lower half": True,
                         "lower half, normal (0, 2)": True, "lower half, whole disk": False,
                         "base arc gap": False, "apart": False}
+
+
+def _arrangement(seed):
+    """Seeded arrangement seed of the 400 in BENCH_arc_params.json: weights
+    (1, 1), (3, 1) or (1, 3), a region of radius 2 about the origin, 3-7
+    covers with centres on a 1/4 grid in [-3/2, 3/2]^2 and radii 5/4..10/4,
+    no halfplane in 2 of 5 draws, else y <= 0, -y <= 1/2 or x <= -1/4."""
+    rng = random.Random(seed)
+    w = rng.choice([(1, 1), (3, 1), (1, 3)])
+    k = rng.randrange(2)
+    region = Conic(w[0], w[1], Point(0, 0), w[k] * 4)
+    covers = []
+    for _ in range(rng.randint(3, 7)):
+        c = Point(F(rng.randrange(-6, 7), 4), F(rng.randrange(-6, 7), 4))
+        s = F(rng.randrange(5, 11), 4)
+        covers.append(Conic(w[0], w[1], c, w[rng.randrange(2)] * s * s))
+    hp = rng.choice([None, None, (Point(0, 1), 0), (Point(0, -1), F(1, 2)),
+                     (Point(1, 0), F(-1, 4))])
+    return region, covers, hp
+
+
+# bit k: arrangement k is covered, as CoverageCheck decided it with every
+# side test a Radical sign (206 of 400 covered)
+_VERDICTS = int("ca72783688323c09523afb518fc80c6ca2eedba546779832f5ddbfa235f3545c"
+                "31f96d65c071d8972563fd7e2a22311dbf43", 16)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_verdicts_on_400_arrangements_are_pinned(block):
+    for seed in range(100 * block, 100 * block + 100):
+        assert CoverageCheck(*_arrangement(seed)).verify() == bool(_VERDICTS >> seed & 1), seed
+
+
+def test_side_tests_make_no_radical(monkeypatch):
+    # every side test, against a circle or the halfplane, decides on the
+    # ints of bodies.int_point: no Radical is multiplied, added or signed
+    # inside one, while the arcs are still sampled with Radicals
+    depth = []
+    used = []
+
+    def guarded(name):
+        fn = getattr(Radical, name)
+
+        def run(*args):
+            assert not depth, "a side test used Radical.%s" % name
+            used.append(name)
+            return fn(*args)
+
+        return run
+
+    def tracked(fn):
+        def run(*args):
+            depth.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                depth.pop()
+
+        return run
+
+    for name in ("sign", "__mul__", "__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(Radical, name, guarded(name))
+    monkeypatch.setattr(Conic, "side", tracked(Conic.side))
+    monkeypatch.setattr(circles, "_line_side", tracked(circles._line_side))
+    verdicts = [CoverageCheck(*a).verify() for a in _ARRANGEMENTS.values()]
+    assert verdicts == [True, False, True, True, False, False, False]
+    assert "sign" in used

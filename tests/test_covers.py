@@ -1,8 +1,10 @@
+import contextlib
 from fractions import Fraction as F
 import random
 
 import pytest
 
+from piercing import covers
 from piercing.bodies import BoxBody, DiskBody, PolygonBody
 from piercing.covers import (
     box_cover,
@@ -15,8 +17,9 @@ from piercing.covers import (
     triangle_trapezoid_cover,
 )
 from piercing.errors import NotCentrallySymmetric, VerificationFailed
-from piercing.generators import random_centrally_symmetric_polygon
-from piercing.geom import ConvexPolygon, Point, covers_region, reflect
+from piercing.generators import random_centrally_symmetric_polygon, random_convex_polygon
+from piercing.geom import ConvexPolygon, Point, covers_region, reflect, region_minus_polygons
+import reference
 
 SQUARE = ConvexPolygon([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])
 TRIANGLE = ConvexPolygon([Point(0, 0), Point(1, 0), Point(0, 1)])
@@ -158,3 +161,58 @@ class TestClusterDispatch:
         assert translate_cluster_cover(DiskBody(Point(0, 0), 1)).size == 4
         assert translate_cluster_cover(BoxBody((0, 0), (1, 1))).size == 2
 
+
+
+def _pattern_bases():
+    """Seeded bases of every polygon pattern: centrally symmetric octagons
+    and hexagons (seven, half), triangles (trap, diff12) and general
+    polygons (gen16)."""
+    rng = random.Random(58)
+    bases = [random_centrally_symmetric_polygon(rng, k, spread=2).polygon for k in (3, 4, 4, 4)]
+    bases += [random_convex_polygon(rng, 3).polygon for _ in range(3)]
+    while len(bases) < 9:
+        poly = random_convex_polygon(rng, 6).polygon
+        if len(poly) > 3 and poly.is_centrally_symmetric() is None:
+            bases.append(poly)
+    return bases
+
+
+def test_polygon_pattern_verdicts_match_translates_built_in_fractions():
+    # each pattern's check, with its translates' halfplanes shifted on ints,
+    # against the translates built and subtracted in Fractions: the full
+    # offsets cover, and with an offset dropped or moved the residues agree
+    # piece for piece
+    covers._pattern_cache.clear()
+    residues = []
+    for poly in _pattern_bases():
+        pats = [homothet_cover(PolygonBody(poly))]
+        if poly.is_centrally_symmetric() is not None:
+            pats.append(translate_cluster_cover(PolygonBody(poly)))
+        elif len(poly) == 3:
+            pats.append(triangle_trapezoid_cover(poly))
+        for pat in pats:
+            region, body, offsets = pat.data["region"], pat.data["body"], pat.offsets
+            assert reference.translates_residue(region, body, offsets) == []
+            last = len(offsets) - 1
+            for variant in (offsets[1:], offsets[:last] + [offsets[last] + Point(F(1, 7), F(-1, 5))]):
+                got = region_minus_polygons(region, [body], variant)
+                assert got == reference.translates_residue(region, body, variant)
+                with pytest.raises(VerificationFailed) if got else contextlib.nullcontext():
+                    covers._verify_polygon_pattern(region, body, variant)
+                residues.append(len(got))
+    assert {key[0] for key in covers._pattern_cache} >= {"seven", "half", "trap", "diff12", "gen16"}
+    assert min(residues) == 0 < max(residues)
+
+
+def test_fresh_base_patterns_fit_a_call_budget():
+    # the seven and half covers of one octagon and both disk patterns, built
+    # on an empty cache: about 81,000 calls with the int kernel, 212,000
+    # with translates built in Fractions and Radical side tests
+    poly = random_centrally_symmetric_polygon(2027, 4, spread=2).polygon
+    covers._pattern_cache.clear()
+    with reference.call_budget(100_000):
+        seven_cover(poly)
+        halfplane_four_cover(poly)
+        disk_seven_cover(1)
+        disk_half_cover(1)
+    assert {key[0] for key in covers._pattern_cache} == {"seven", "half", "disk7", "diskhalf"}

@@ -142,6 +142,17 @@ def test_random_family_matches_the_per_coordinate_draws(base, kind, box, scales)
         assert f.scaled_translations() == g.scaled_translations()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_small_random_families_match_the_per_coordinate_draws(n):
+    # a few draws leave few denominators: each draw is reduced, so D is the
+    # lcm of the reduced denominators, not of the draws' common one
+    for seed in range(20):
+        for base, kind in ((unit_square(), "translates"), (unit_triangle(), "homothets")):
+            f = random_family(base, n, kind=kind, scale_range=(1, 2), seed=seed)
+            g = _reference_random_family(base, n, kind=kind, scale_range=(1, 2), seed=seed)
+            assert f.scaled_translations() == g.scaled_translations()
+
+
 def test_random_family_runs_no_collector_pass():
     # 20k disks allocate enough lists and tuples for 24 collector passes
     # with the collector on; random_family holds it off and leaves it on, so

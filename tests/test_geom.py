@@ -307,33 +307,46 @@ def test_residues_match_the_fraction_reference(region, body, offsets):
 
 
 def test_every_clip_reaches_the_integer_kernel(monkeypatch):
-    calls = []
-    kernel = geom._clip
+    # _split is the one clipping loop and _clip its inside half: every clip
+    # runs the loop, and the clips that keep only the inside go through _clip
+    calls = {"_split": [], "_clip": []}
 
-    def counting(chain, plane):
-        calls.append(plane)
-        return kernel(chain, plane)
+    def counting(name):
+        kernel = getattr(geom, name)
 
-    monkeypatch.setattr(geom, "_clip", counting)
-    monkeypatch.setattr(translates, "_clip", counting)  # the union area's own binding
+        def count(chain, plane, *rest):
+            calls[name].append(plane)
+            return kernel(chain, plane, *rest)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(geom, name, counting(name))
+    monkeypatch.setattr(translates, "_clip", geom._clip)  # the union area's own binding
     a, b = square(), square(at=(F(1, 2), F(1, 3)))
     f = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), F(1, 3)))])
-    for run in (lambda: region_minus_polygons(a, [b]),
-                lambda: clip_chain(a.vertices, Point(1, 0), F(1, 2)),
-                lambda: translates.union_area_exact(f)):
-        calls.clear()
+    for run, inside_only in ((lambda: region_minus_polygons(a, [b]), False),
+                             (lambda: region_minus_polygons(a, [square()], [Point(F(1, 2), 0)]),
+                              False),
+                             (lambda: clip_chain(a.vertices, Point(1, 0), F(1, 2)), True),
+                             (lambda: translates.union_area_exact(f), True)):
+        for got in calls.values():
+            got.clear()
         run()
-        assert calls
+        assert calls["_split"]
+        assert bool(calls["_clip"]) == inside_only
+        assert len(calls["_clip"]) <= len(calls["_split"])
 
 
 def test_geom_has_no_fraction_clipping_loop():
     # the clipping functions use no Point products, no Fraction halfplanes
     # and no true division
-    for name in ("clip_chain", "region_minus_polygons", "_clip", "_subtract", "_has_area"):
+    for name in ("clip_chain", "region_minus_polygons", "covers_region", "_clip", "_split",
+                 "_crossing", "_shifted", "_subtract", "_has_area"):
         tree = ast.parse(inspect.getsource(getattr(geom, name)))
         for node in ast.walk(tree):
             assert not (isinstance(node, ast.Attribute)
-                        and node.attr in ("dot", "cross", "halfplanes")), name
+                        and node.attr in ("dot", "cross", "halfplanes", "translate")), name
             assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)), name
     assert "da / (da - db)" not in inspect.getsource(geom)
 
@@ -448,3 +461,73 @@ def test_hull_contains_and_centre_do_no_fraction_arithmetic(monkeypatch):
         hull.contains(Point(1, F(1, 7)))
         hull.contains(Point(big, 3))
         assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# one pass of values for both sides of a halfplane
+
+
+@st.composite
+def _chain_and_plane(draw):
+    """A convex chain of int triples (a polygon's, reversed, or its first
+    two, one or no vertices; coordinates small or over 2^128) and an int
+    halfplane, free or with its line through a vertex."""
+    try:
+        poly = convex_hull(draw(st.lists(st.one_of(_POINT, _WIDE_POINT), min_size=3,
+                                         max_size=7)))
+    except DegenerateInput:
+        reject()
+    chain = geom._chain(poly)
+    chain = draw(st.sampled_from([chain, chain[::-1], chain[:2], chain[1::-1], chain[:1], []]))
+    n = draw(st.one_of(_POINT, _WIDE_POINT))
+    if chain and draw(st.booleans()):
+        c = n.dot(geom._point(draw(st.sampled_from(chain))))  # touching the line
+    else:
+        c = draw(st.one_of(_COORD, _WIDE))
+    if n == Point(0, 0):
+        reject()
+    return chain, n, c
+
+
+def _points(chain):
+    return [geom._point(h) for h in chain]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chain_and_plane())
+def test_split_is_both_clips(chain_plane):
+    chain, n, c = chain_plane
+    plane = geom._plane(n, c)
+    inside, outside = geom._split(chain, plane)
+    assert (inside, outside) == (geom._clip(chain, plane),
+                                 geom._clip(chain, tuple(-v for v in plane)))
+    assert geom._split(chain, plane, False) == (inside, [])
+    assert _points(inside) == reference.clip_chain(_points(chain), n, c)
+    assert _points(outside) == reference.clip_chain(_points(chain), -n, -c)
+
+
+def test_split_of_a_segment_walks_it_both_ways():
+    a, b = (0, 0, 1), (4, 2, 1)
+    # the line x = 1 crosses at (1, 1/2), kept once on each side
+    assert geom._split([a, b], (1, 0, 1)) == ([a, (2, 1, 2)], [(2, 1, 2), b])
+    assert geom._split([b, a], (1, 0, 1)) == ([(2, 1, 2), a], [b, (2, 1, 2)])
+    # an end on the line goes to both sides
+    assert geom._split([a, b], (1, 0, 0)) == ([a], [a, b])
+    assert geom._split([a, b], (-1, 0, 0)) == ([a, b], [a])
+    assert geom._split([a, b], (0, 0, 1)) == ([a, b], [])
+    assert geom._split([a, b], (0, 0, -1)) == ([], [a, b])
+    assert geom._split([], (1, 0, 1)) == ([], [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_convex(), _convex(), st.lists(st.one_of(_POINT, _WIDE_POINT), min_size=1, max_size=5))
+def test_translate_planes_are_the_planes_of_the_translate(region, body, offsets):
+    # shifted on ints, the triples of each translate and so its residues are
+    # those of the translate built in Fractions
+    for o in offsets:
+        assert geom._shifted(geom._planes(body), o) == geom._planes(body.translate(o))
+    polys = [body.translate(o) for o in offsets]
+    got = region_minus_polygons(region, [body], offsets)
+    assert got == region_minus_polygons(region, polys)
+    assert got == reference.region_minus_polygons(region, polys)
+    assert covers_region(region, [body], offsets) == (not got)

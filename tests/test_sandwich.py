@@ -12,7 +12,7 @@ from piercing.generators import (
     random_convex_polygon,
     random_cs_hexagon,
 )
-from piercing.geom import ConvexPolygon, Point
+from piercing.geom import ConvexPolygon, Point, convex_hull
 from piercing.sandwich import (
     _int_coords,
     _sections,
@@ -125,6 +125,39 @@ def test_int_sections_match_the_fraction_reference():
                 assert got == want
                 assert got[0] is None and got[-1] is None
     assert parallel > 30  # the reference's p.x == q.x branch runs
+
+
+def _cs_polygons(n):
+    """n seeded centrally symmetric polygons: the hulls of a few small int
+    points and their reflexions, moved off the origin by a rational vector."""
+    rng = random.Random(77)
+    polys = []
+    while len(polys) < n:
+        pts = [Point(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.choice((2, 3, 4)))]
+        try:
+            c = convex_hull(pts + [-p for p in pts])
+        except DegenerateInput:
+            continue
+        polys.append(c.translate(Point(F(rng.randint(-9, 9), 4), F(rng.randint(-9, 9), 3))))
+    return polys
+
+
+def test_hexagon_sandwich_matches_the_fraction_reference():
+    # directions scored on ints, the winner built in Fractions: the same
+    # direction, hexagons and ratio as the search in Fractions
+    sizes = set()
+    for c in _cs_polygons(50):
+        u, h_in, ratio = reference.hexagon_sandwich(c)
+        sw = hexagon_sandwich(c)
+        assert sw.area_ratio == ratio
+        assert sw.h_in == ConvexPolygon(h_in)
+        assert sw.h_out == support_hexagon(c.translate(-sw.center), sw.h_in.translate(-sw.center)
+                                           ).translate(sw.center)
+        cen = c.translate(-sw.center)
+        for d in (u, Point(1, 0), Point(0, 1), cen.vertices[0]):
+            assert inscribed_hexagon(cen, d) == ConvexPolygon(reference.inscribed_hexagon(cen, d))
+        sizes.add(len(c))
+    assert sizes == {4, 6, 8}
 
 
 class TestHexagonSandwich:

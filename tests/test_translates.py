@@ -553,7 +553,7 @@ class TestLatticeCache:
         f = random_family(hexagon_body(), 9, box_size=7, seed=10)
         with monkeypatch.context() as m:
             m.setattr(translates, "region_minus_polygons",
-                      lambda region, polys: [[Point(0, 0), Point(1, 0), Point(0, 1)]])
+                      lambda region, polys, offsets=None: [[Point(0, 0), Point(1, 0), Point(0, 1)]])
             with pytest.raises(CoverageNotVerified):
                 lattice_pierce(f)
             assert not any(key[0] == "covering_lattice" for key in fresh_cache)
