@@ -11,13 +11,19 @@ Candidates are int entries (q, m, A, B) (bodies.int_point) built from
 the int columns of bodies.int_translations and deduplicated, first
 occurrences in order; only the tau_points become Points.  Polygon members
 are the int vertices and halfplanes of bodies.member_polygons, and only
-pairs that meet (pair_checker) are clipped.  The masks
+pairs that meet (pair_checker) are clipped.  Edge e has one normal in
+every member, so member i lies in member j's halfplane e iff its offset is
+at most j's; that clip would keep the chain and is skipped.  The masks
 come from bodies.coverage, one bisection pair per slab and point over the
 members sorted by their slab bounds (disks: bodies.membership, as in
-verify); no member is realized.  A radicand over 2^48 may keep a square
-factor, so two equal radical candidates can both survive; their masks are
-equal, min_set_cover drops the second as dominated, and tau does not
-change.
+verify); no member is realized.  min_set_cover keeps the first of
+repeated masks, then drops dominated ones.  A radicand over 2^48 may keep
+a square factor, so two equal radical candidates can both survive; their
+masks are equal, min_set_cover drops the second, and tau does not change.
+
+nu decides every pair with pair_checker (at most NU_LIMIT members, whose
+pairs candidate generation walks anyway) into int bitsets of neighbours,
+on which the independent set search and its clique cover bound run.
 """
 
 from fractions import Fraction
@@ -25,7 +31,7 @@ from itertools import product
 from math import gcd
 
 from .bodies import (Family, _triple, box_columns, coverage, disk_columns, int_translations,
-                     intersection_graph, member_polygons, pair_checker)
+                     member_polygons, pair_checker)
 from .errors import TooLarge
 from .geom import Point, _clip
 from .radicals import Radical, RadPoint, _reduce_radicand
@@ -51,10 +57,19 @@ def _polygon_candidates(f, D, cols, S):
     points, planes = member_polygons(f.base, D, cols, S)
     out = [p for pts in points for p in pts]
     for i, pts in enumerate(points):
-        for j, hps in enumerate(planes[i + 1:], i + 1):
-            clipped = pts[:-1] if meets(i, j) else []  # a pair that does not meet clips to nothing
-            for plane in hps:
-                clipped = clipped and _clip(clipped, plane)
+        own = [c for _, _, c in planes[i]]
+        for j in range(i + 1, len(points)):
+            if not meets(i, j):
+                continue  # a pair that does not meet clips to nothing
+            clipped = pts[:-1]
+            for c, plane in zip(own, planes[j]):
+                # edge e of every member has one normal, so member i lies in
+                # member j's halfplane e, and the clip keeps the chain, iff
+                # its offset is at most j's
+                if c > plane[2]:
+                    clipped = _clip(clipped, plane)
+                    if not clipped:
+                        break
             out.extend(clipped)
     return out, []
 
@@ -71,12 +86,12 @@ def _disk_candidates(f, D, cols, S):
             delta = 2 * h * R * R - K * K
             if not h or delta < 0:
                 continue
-            # t = f sqrt(m) / d as in Radical.sqrt; a tangency repeats
+            # t = k sqrt(m) / d as in Radical.sqrt; a tangency repeats
             g = gcd(delta, h * h)
             d = h * h // g
-            f, m = _reduce_radicand(delta // g * d)
+            k, m = _reduce_radicand(delta // g * d)
             ax, ay, q = (h * u + K * du) * d, (h * v + K * dv) * d, h * LD * d
-            bx, by = -h * f * dv, h * f * du
+            bx, by = -h * k * dv, h * k * du
             if m == 1:
                 rat += [_triple(ax + bx, ay + by, q), _triple(ax - bx, ay - by, q)]
             else:
@@ -116,11 +131,15 @@ def _points(f: Family, entries):
 def min_set_cover(n: int, masks):
     """Minimum subfamily of masks covering {0..n-1}; exact branch and bound.
 
-    Returns chosen indices into masks.  Dominated masks are dropped first;
-    the lower bound packs uncovered elements no single mask covers twice.
+    Returns chosen indices into masks.  Repeated and then dominated masks
+    are dropped first; the lower bound packs uncovered elements no single
+    mask covers twice.
     """
     full = (1 << n) - 1
-    order = sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), i))
+    first = {}
+    for i, m in enumerate(masks):
+        first.setdefault(m, i)  # a repeat of a mask is dominated by its first index
+    order = sorted(first.values(), key=lambda i: (-masks[i].bit_count(), i))
     keep = []
     seen = 0
     for i in order:
@@ -184,20 +203,28 @@ def min_set_cover(n: int, masks):
 
 
 def max_independent_set(adj):
-    """Maximum independent set, exact; greedy clique cover as the bound."""
-    n = len(adj)
+    """Maximum independent set, exact; greedy clique cover as the bound.
+
+    adj[v] holds v's neighbours as a set of indices or as an int bitset
+    (bit u set iff u and v are adjacent); the search runs on bitsets.  A
+    branch takes the vertex with the most neighbours left, the lowest on
+    ties; the bound covers what is left by greedy cliques, each grown from
+    its lowest vertex in increasing order.
+    """
+    adj = [a if isinstance(a, int) else sum(1 << u for u in a) for a in adj]
     best = []
 
     def clique_cover_bound(verts):
         bound = 0
-        rest = set(verts)
-        while rest:
-            v = min(rest)
-            clique = {v}
-            for u in sorted(rest - {v}):
-                if all(u in adj[w] or u == w for w in clique):
-                    clique.add(u)
-            rest -= clique
+        while verts:
+            v = verts & -verts
+            clique = v
+            common = adj[v.bit_length() - 1] & verts  # adjacent to all of the clique
+            while common:
+                u = common & -common
+                clique |= u
+                common &= adj[u.bit_length() - 1]
+            verts &= ~clique
             bound += 1
         return bound
 
@@ -209,13 +236,19 @@ def max_independent_set(adj):
             return
         if len(chosen) + clique_cover_bound(verts) <= len(best):
             return
-        v = max(verts, key=lambda x: (len(adj[x] & verts), -x))
+        v, most, rest = -1, -1, verts
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            d = (adj[x] & verts).bit_count()
+            if d > most:
+                v, most = x, d
         # branch: v in the set
-        rec(verts - {v} - adj[v], chosen + [v])
+        rec(verts & ~(1 << v) & ~adj[v], chosen + [v])
         # v out of the set
-        rec(verts - {v}, chosen)
+        rec(verts & ~(1 << v), chosen)
 
-    rec(set(range(n)), [])
+    rec((1 << len(adj)) - 1, [])
     return sorted(best)
 
 
@@ -233,12 +266,24 @@ def exact_tau(f: Family, limit: int = TAU_LIMIT):
     return len(points), points
 
 
+def _adjacency(f: Family):
+    """The intersection graph as int bitsets, every pair by pair_checker."""
+    n = len(f)
+    meets = pair_checker(f)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if meets(i, j):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
 def exact_nu(f: Family, limit: int = NU_LIMIT):
     """Exact packing number with an optimal pairwise-disjoint subfamily."""
     if len(f) > limit:
         raise TooLarge("oracle limit is %d members" % limit)
-    adj = intersection_graph(f)
-    members = max_independent_set(adj)
+    members = max_independent_set(_adjacency(f))
     return len(members), members
 
 

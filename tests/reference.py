@@ -15,7 +15,10 @@ polygons, clipped on geom's int kernel (kernel_intersection_chain,
 kernel_chain_area), which keeps the equivalence tests fast.  The section of
 a polygon at an abscissa is the Fraction version of the sandwich search's
 int walk, edge by edge.  The oracle's candidate set is built on the realized members
-(bodies, circle_circle_points) and deduplicated by value.  The points of a
+(bodies, circle_circle_points) and deduplicated by value;
+polygon_candidates is its int loop that clips every meeting pair against
+every halfplane, and max_independent_set the oracle's independent set
+search on adjacency sets.  The points of a
 circle are ordered by angle about its centre with a quadrant comparator
 (angle_cmp, strictly_between).  call_budget
 bounds the work of a block by counting its calls, a deterministic
@@ -41,6 +44,8 @@ from piercing.bodies import (
     Family,
     Member,
     PolygonBody,
+    int_translations,
+    member_polygons,
     neighbor_index,
     pair_checker,
 )
@@ -518,6 +523,57 @@ def candidate_points(f):
     axes = [sorted({b.mins[k] for b in bs}) for k in range(f.base.dim)]
     combos = list(itertools.product(*axes))
     return [p for p, m in zip(combos, coverage_masks(f, combos)) if m]
+
+
+def polygon_candidates(f):
+    """The oracle's polygon candidates on the int kernel, before dedupe:
+    member vertices and reference points, then for each meeting pair i < j
+    member i's vertices clipped against every halfplane of member j."""
+    meets = pair_checker(f)
+    points, planes = member_polygons(f.base, *int_translations(f))
+    out = [p for pts in points for p in pts]
+    for i, pts in enumerate(points):
+        for j, hps in enumerate(planes[i + 1:], i + 1):
+            clipped = pts[:-1] if meets(i, j) else []
+            for plane in hps:
+                clipped = clipped and geom._clip(clipped, plane)
+            out.extend(clipped)
+    return out
+
+
+def max_independent_set(adj):
+    """Maximum independent set on adjacency sets, exact: branch on the
+    vertex with the most neighbours left (the lowest on ties), bounded by a
+    greedy clique cover grown from the lowest vertex in increasing order."""
+    best = []
+
+    def clique_cover_bound(verts):
+        bound = 0
+        rest = set(verts)
+        while rest:
+            v = min(rest)
+            clique = {v}
+            for u in sorted(rest - {v}):
+                if all(u in adj[w] or u == w for w in clique):
+                    clique.add(u)
+            rest -= clique
+            bound += 1
+        return bound
+
+    def rec(verts, chosen):
+        nonlocal best
+        if not verts:
+            if len(chosen) > len(best):
+                best = list(chosen)
+            return
+        if len(chosen) + clique_cover_bound(verts) <= len(best):
+            return
+        v = max(verts, key=lambda x: (len(adj[x] & verts), -x))
+        rec(verts - {v} - adj[v], chosen + [v])
+        rec(verts - {v}, chosen)
+
+    rec(set(range(len(adj))), [])
+    return sorted(best)
 
 
 def clique_partition_number(adj):

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+import hashlib
 import random
 
 from hypothesis import example, given, settings, strategies as st
@@ -13,8 +14,11 @@ from piercing.bodies import (
     PolygonBody,
     coverage,
     int_point,
+    int_translations,
+    member_polygons,
     membership,
     normalize_affine,
+    pair_checker,
 )
 from piercing.certificates import value_key
 from piercing.errors import TooLarge
@@ -30,7 +34,9 @@ from piercing.generators import (
 )
 from piercing.geom import ConvexPolygon, Point, clip_chain
 from piercing.oracle import (
+    _adjacency,
     _points,
+    _polygon_candidates,
     candidate_points,
     exact_nu,
     exact_tau,
@@ -434,3 +440,125 @@ def test_masks_fall_back_to_the_realized_member():
     cands = candidate_points(disks)
     masks = coverage(disks, [*cands, *map(int_point, extra)])
     assert masks[:-2] == realized_masks(disks, cands) and masks[-2:] == [None] * 2
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_bitset_independent_set_equals_the_set_reference(n):
+    """The independent set search on int bitsets returns what the search on
+    adjacency sets returns, members and order, whether it is given sets or
+    bitsets, on random graphs of every density, the empty and the complete
+    graph included."""
+    rng = random.Random(n)
+    for p in (0, 0.15, 0.35, 0.6, 0.85, 1):
+        for _ in range(4):
+            adj = [set() for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < p:
+                        adj[i].add(j)
+                        adj[j].add(i)
+            want = reference.max_independent_set(adj)
+            assert max_independent_set(adj) == want
+            assert max_independent_set([sum(1 << u for u in a) for a in adj]) == want
+
+
+def _polygon_families():
+    for name in ("square", "triangle", "cs8", "hexagon"):
+        for kind in ("translates", "homothets"):
+            for seed in range(4):
+                yield _small_family(name, kind, 4 + 3 * seed, seed, shifted=seed == 3)
+    yield from (f for f in _touching_families() if f.base.kind == "polygon")
+
+
+def test_polygon_candidates_skipping_held_halfplanes_equal_clipping_every_plane():
+    """Skipping the halfplanes of member j that hold all of member i leaves
+    the candidates as clipping against every halfplane gives them, in order,
+    also where two members' edges lie on one line (equal offsets)."""
+    equal_offsets = 0
+    for f in _polygon_families():
+        D, cols, S = int_translations(f)
+        assert _polygon_candidates(f, D, cols, S) == (reference.polygon_candidates(f), [])
+        meets = pair_checker(f)
+        _, planes = member_polygons(f.base, D, cols, S)
+        equal_offsets += sum(a[2] == b[2] for i in range(len(f)) for j in range(i + 1, len(f))
+                             if meets(i, j) for a, b in zip(planes[i], planes[j]))
+    assert equal_offsets > 50
+
+
+def test_min_set_cover_ignores_repeated_masks():
+    """Repeats of a mask change no choice: with copies of the masks inserted
+    after their first occurrence, the cover is the same masks at their first
+    indices."""
+    rng = random.Random(3)
+    for n in range(1, 13):
+        for _ in range(10):
+            masks = [rng.getrandbits(n) for _ in range(2 * n)] + [1 << e for e in range(n)]
+            masks = list(dict.fromkeys(rng.sample(masks, len(masks))))
+            repeated = list(masks)
+            for _ in range(2 * n):
+                m = rng.choice(masks)
+                repeated.insert(rng.randrange(repeated.index(m) + 1, len(repeated) + 1), m)
+            first = [repeated.index(m) for m in masks]
+            assert min_set_cover(n, repeated) == [first[i] for i in min_set_cover(n, masks)]
+    f = _small_family("cs8", "homothets", 12, 0)
+    masks = coverage(f, candidate_points(f))
+    distinct = list(dict.fromkeys(masks))
+    assert len(distinct) < len(masks) / 2
+    first = [masks.index(m) for m in distinct]
+    assert min_set_cover(len(f), masks) == [first[i] for i in min_set_cover(len(f), distinct)]
+
+
+def test_nu_adjacency_equals_the_bruteforce_graph():
+    """exact_nu's bitsets, every pair by pair_checker, hold the graph of
+    Family.intersects on every pair, touching pairs included."""
+    families = [*_touching_families(),
+                *(_small_family(name, kind, 12, seed, shifted=seed == 1)
+                  for name in ("square", "triangle", "disk", "cs8", "hexagon", "box")
+                  for kind in ("translates", "homothets") for seed in range(2))]
+    for f in families:
+        adj = [{j for j in range(len(f)) if bits >> j & 1} for bits in _adjacency(f)]
+        assert adj == intersection_graph_bruteforce(f)
+
+
+def _small_exact_block(seed):
+    """The 90 families of one block of the small-exact benchmark workload:
+    square, triangle, disk, a fresh centrally symmetric 8-gon and the
+    hexagon, as translates and as homothets, of 4 to 12 members."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(4, 13):
+        for kind in ("translates", "homothets"):
+            for name in ("square", "triangle", "disk", "cs8", "hexagon"):
+                base, box = {
+                    "square": lambda: (unit_square(), 4),
+                    "triangle": lambda: (unit_triangle(), 4),
+                    "disk": lambda: (unit_disk(), 5),
+                    "cs8": lambda: (random_centrally_symmetric_polygon(rng, 4, spread=2), 8),
+                    "hexagon": lambda: (hexagon_body(), 8),
+                }[name]()
+                out.append(random_family(base, n, box_size=box, kind=kind, scale_range=(1, 2),
+                                         seed=rng.randrange(1 << 30)))
+    return out
+
+
+# sha256 of every field of solve over the block of seed 7, taken while nu
+# searched adjacency sets of the grid's graph and the candidates clipped
+# every meeting pair against every halfplane
+SOLVE_DIGEST = "e124b2122ae824a9d6fcb34492173be862eaff506d4d213871b6ab847b07adb1"
+
+
+def test_solve_is_pinned_on_a_small_exact_block():
+    text = "".join("%d %r %d %r %d\n" % (r.tau, r.tau_points, r.nu, r.nu_members,
+                                          r.candidates_used)
+                   for r in map(solve, _small_exact_block(7)))
+    assert hashlib.sha256(text.encode()).hexdigest() == SOLVE_DIGEST
+
+
+def test_polygon_candidates_skip_the_halfplanes_that_hold_a_member():
+    """A 12-member cs8 homothet family: clipping every meeting pair against
+    every halfplane makes about 5,200 calls, skipping the halfplanes that
+    hold all of the clipped member about 4,400."""
+    f = _small_family("cs8", "homothets", 12, 0)
+    with call_budget(4_800):
+        cands = candidate_points(f)
+    assert len(cands) == 186
