@@ -1,11 +1,12 @@
-"""Exact circle-arrangement checks.
+"""Exact circle-arrangement checks on rational vertices.
 
 Disk constructions live on the lattice generated by sqrt(3), so in suitably
 substituted coordinates (x or y divided by sqrt(3)) every circle becomes a
-diagonal conic  w1*(x-a)^2 + w2*(y-b)^2 = r2  with rational data.  Pairwise
-curve intersections then have coordinates in a single square-root extension,
-(A + B sqrt(m)) / q with ints (bodies.int_point), and every side test is
-the sign of P + Q sqrt(m) on ints (bodies.root_sign).
+diagonal conic  w1*(x-a)^2 + w2*(y-b)^2 = r2  with rational data.  The disk
+patterns' arrangements are the radius-1 arrangement scaled by r, so every
+vertex is a rational Point; a pair of curves meeting at an irrational point
+raises VerificationFailed instead of giving a verdict.  Every side test is
+the sign of an int on the point's homogeneous triple (geom._hom).
 
 The coverage criterion: a region (conic disk, optionally cut by a rational
 halfplane) is covered by a union of conic disks iff
@@ -14,20 +15,18 @@ halfplane) is covered by a union of conic disks iff
       sample point in the union,
   (c) every arc of a cover circle whose sample lies strictly inside the
       region is covered by some other disk.
-Each circle's vertices are ordered by their exact stereographic parameter
-(Conic.param), and every arc is sampled at a rational point between its
-ends, so the verdict is exact.  Radicals build and order the vertices
-only: each vertex and sample is converted to ints once.
+Each circle's vertices are ordered by their rational stereographic
+parameter (Conic.param), and every arc is sampled at the midpoint of its
+two end parameters, so the verdict is exact.
 """
 
 from fractions import Fraction
 from itertools import combinations
-import math
+from math import isqrt
 
-from .bodies import int_point, root_sign
 from .errors import VerificationFailed
-from .geom import Point, _plane, _scaled, frac
-from .radicals import RadPoint, Radical, canonical_radicands, sqrt_exact
+from .geom import Point, _hom, _plane, _scaled, frac
+from .radicals import sqrt_exact
 
 
 class Conic:
@@ -46,19 +45,15 @@ class Conic:
         l, [(U, V)] = _scaled([center])
         self._ints = (W1, W2, R2 * l * l, U, V, l)
 
-    def side(self, e) -> int:
-        """The sign of w1 (x-a)^2 + w2 (y-b)^2 - r2 at the point of the
-        int_point entry e = (q, m, A, B): times k l^2 q^2, P + Q sqrt(m) with
-        X = l A_x - q U, Y = l A_y - q V, P = W1 (X^2 + m l^2 B_x^2) +
-        W2 (Y^2 + m l^2 B_y^2) - R2 l^2 q^2, Q = 2 l (W1 X B_x + W2 Y B_y)."""
+    def side(self, p: Point) -> int:
+        """The sign of w1 (x-a)^2 + w2 (y-b)^2 - r2 at p: times k l^2 w^2
+        on the triple (X, Y, w) of p, W1 (l X - w U)^2 + W2 (l Y - w V)^2
+        - R2 l^2 w^2."""
         W1, W2, R, U, V, l = self._ints
-        q, m, (ax, ay), B = e
-        X, Y = l * ax - q * U, l * ay - q * V
-        P = W1 * X * X + W2 * Y * Y - R * q * q
-        if B is None:
-            return (P > 0) - (P < 0)
-        bx, by = l * B[0], l * B[1]
-        return root_sign(P + m * (W1 * bx * bx + W2 * by * by), 2 * (W1 * X * bx + W2 * Y * by), m)
+        X, Y, w = _hom(p)
+        X, Y = l * X - w * U, l * Y - w * V
+        P = W1 * X * X + W2 * Y * Y - R * w * w
+        return (P > 0) - (P < 0)
 
     def base_point(self):
         """A rational point on the boundary, with its parametrization axis."""
@@ -70,56 +65,49 @@ class Conic:
             return Point(self.a, self.b + r), "y", r
         raise VerificationFailed("no rational point on conic")
 
-    def param_point(self, t: Fraction) -> RadPoint:
+    def param_point(self, t) -> Point:
         """Rational point from the stereographic sweep off the base point."""
         _, axis, r = self.base_point()
         t = frac(t)
         if axis == "x":
             lam = -2 * self.w1 * r / (self.w1 + self.w2 * t * t)
-            return RadPoint(Radical.of(self.a + r + lam), Radical.of(self.b + lam * t))
+            return Point(self.a + r + lam, self.b + lam * t)
         lam = -2 * self.w2 * r / (self.w1 * t * t + self.w2)
-        return RadPoint(Radical.of(self.a + lam * t), Radical.of(self.b + r + lam))
+        return Point(self.a + lam * t, self.b + r + lam)
 
-    def param(self, p: RadPoint):
+    def param(self, p: Point):
         """The t with param_point(t) == p for a boundary point p, or None at
-        the base point: the slope of the line from the base point to p.  It
-        is exact when p's coordinates share one square root, as every
-        arrangement vertex's do, and it is monotone along the boundary."""
+        the base point: the slope of the line from the base point to p,
+        which is monotone along the boundary."""
         _, axis, r = self.base_point()
         if axis == "x":
             num, den = p.y - self.b, p.x - self.a - r
         else:
             num, den = p.x - self.a, p.y - self.b - r
-        if not den.terms:
-            return None
-        # times the conjugate of den over its rational norm
-        conj = Radical({m: c if m == 1 else -c for m, c in den.terms.items()})
-        norm = den * conj
-        if not norm.is_rational():
-            raise VerificationFailed("boundary point with several square roots")
-        return num * conj * (1 / norm.as_fraction())
+        return None if den == 0 else num / den
 
     def intersect_line(self, n: Point, c):
-        """Conic boundary meets the line n.p = c."""
-        c = frac(c)
-        n2 = n.norm2()
-        p0 = Point(n.x * c / n2, n.y * c / n2)
-        d = n.perp()
-        A = self.w1 * d.x * d.x + self.w2 * d.y * d.y
-        B = 2 * (self.w1 * d.x * (p0.x - self.a) + self.w2 * d.y * (p0.y - self.b))
-        C = (
-            self.w1 * (p0.x - self.a) ** 2
-            + self.w2 * (p0.y - self.b) ** 2
-            - self.r2
-        )
-        disc = B * B - 4 * A * C
+        """Conic boundary meets the line n.p = c, at rational points only.
+
+        On the int line a x + b y = c and the shifted coordinates
+        (u, v) = (l x - U, l y - V), where the boundary is W1 u^2 + W2 v^2
+        = R, the line is a u + b v = e; its points (a e - b s, b e + a s) / N
+        with N = a^2 + b^2 meet the boundary where A s^2 + 2 H s + C = 0."""
+        W1, W2, R, U, V, l = self._ints
+        a, b, c = _plane(n, c)
+        e = c * l - a * U - b * V
+        N = a * a + b * b
+        A = W1 * b * b + W2 * a * a
+        H = a * b * e * (W2 - W1)
+        disc = H * H - A * (e * e * (W1 * a * a + W2 * b * b) - R * N * N)
         if disc < 0:
             return []
-        if disc == 0:
-            return [_line_point(p0, d, Radical.of(-B / (2 * A)))]
-        root = Radical.sqrt(disc)
-        return [_line_point(p0, d, (Radical.of(-B) + s * root) * (Fraction(1, 2) / A))
-                for s in (1, -1)]
+        root = isqrt(disc)
+        if root * root != disc:
+            raise VerificationFailed("curves meet at an irrational point")
+        x, y, q = (a * e + U * N) * A, (b * e + V * N) * A, l * N * A
+        return [Point(Fraction(x - b * s, q), Fraction(y + a * s, q))
+                for s in {-H + root, -H - root}]
 
     def intersect_conic(self, other):
         """Boundary intersection of two conics with the same quadratic part."""
@@ -135,17 +123,13 @@ class Conic:
         return self.intersect_line(Point(nx, ny), c)
 
 
-def _line_point(p0: Point, d: Point, t: Radical) -> RadPoint:
-    return RadPoint(Radical.of(p0.x) + t * d.x, Radical.of(p0.y) + t * d.y)
-
-
-def _line_side(plane, e) -> int:
-    """The sign of A x + B y - C at the point of the int_point entry e, for
-    the int halfplane (A, B, C) of geom._plane."""
+def _line_side(plane, p: Point) -> int:
+    """The sign of A x + B y - C at p, for the int halfplane (A, B, C) of
+    geom._plane: A X + B Y - C w on the triple (X, Y, w) of p."""
     a, b, c = plane
-    q, m, (ax, ay), B = e
-    P = a * ax + b * ay - c * q
-    return root_sign(P, 0 if B is None else a * B[0] + b * B[1], m)
+    X, Y, w = _hom(p)
+    P = a * X + b * Y - c * w
+    return (P > 0) - (P < 0)
 
 
 class CoverageCheck:
@@ -157,55 +141,51 @@ class CoverageCheck:
         self.halfplane = halfplane  # (normal Point, offset): keep n.p <= c
         self._plane = None if halfplane is None else _plane(*halfplane)
 
-    def _in_region(self, e, strict=False) -> bool:
-        """Whether the point of the int_point entry e is in the region."""
+    def _in_region(self, p: Point, strict=False) -> bool:
         most = -1 if strict else 0
-        return self.region.side(e) <= most and (self._plane is None
-                                                or _line_side(self._plane, e) <= most)
+        return self.region.side(p) <= most and (self._plane is None
+                                                or _line_side(self._plane, p) <= most)
 
-    def _in_union(self, e, skip=None) -> bool:
-        return any(i != skip and c.side(e) <= 0 for i, c in enumerate(self.covers))
+    def _in_union(self, p: Point, skip=None) -> bool:
+        return any(i != skip and c.side(p) <= 0 for i, c in enumerate(self.covers))
 
     def verify(self) -> bool:
         curves = [self.region, *self.covers]
         vertices = [p for u, v in combinations(curves, 2) for p in u.intersect_conic(v)]
         if self.halfplane is not None:
             vertices += [p for c in curves for p in c.intersect_line(*self.halfplane)]
-        # every vertex has one square root at most, so int_point takes it
-        vertices, ints = _dedup(vertices, list(map(int_point, vertices)))
+        vertices = list(dict.fromkeys(vertices))
 
         # (a) vertices inside the region are covered
-        for e in ints:
-            if self._in_region(e) and not self._in_union(e):
+        for p in vertices:
+            if self._in_region(p) and not self._in_union(p):
                 return False
 
         # (b) region boundary arcs
-        if not self._check_circle_arcs(self.region, vertices, ints):
+        if not self._check_circle_arcs(self.region, vertices):
             return False
-        if self.halfplane is not None and not self._check_line(vertices, ints):
+        if self.halfplane is not None and not self._check_line(vertices):
             return False
 
         # (c) cover circle arcs strictly inside the region
-        return all(self._check_circle_arcs(cover, vertices, ints, skip=i)
+        return all(self._check_circle_arcs(cover, vertices, skip=i)
                    for i, cover in enumerate(self.covers))
 
-    def _check_circle_arcs(self, circle: Conic, vertices, ints, skip=None) -> bool:
+    def _check_circle_arcs(self, circle: Conic, vertices, skip=None) -> bool:
         """Whether each arc sample of circle in the region lies in the union,
         or for cover skip, each one strictly inside lies in another cover."""
-        on = [v for v, e in zip(vertices, ints) if circle.side(e) == 0]
-        return not any(self._in_region(e, strict=skip is not None) and not self._in_union(e, skip)
-                       for e in map(int_point, arc_samples(circle, on)))
+        on = [p for p in vertices if circle.side(p) == 0]
+        return not any(self._in_region(p, strict=skip is not None) and not self._in_union(p, skip)
+                       for p in arc_samples(circle, on))
 
-    def _check_line(self, vertices, ints) -> bool:
+    def _check_line(self, vertices) -> bool:
         n, c = self.halfplane
         d = n.perp()
         n2 = n.norm2()
         # the line is n c / n2 + s d, at d-coordinate p.d = s n2
-        ts = sorted(v.x * d.x + v.y * d.y for v, e in zip(vertices, ints)
-                    if _line_side(self._plane, e) == 0)
+        ts = sorted(p.dot(d) for p in vertices if _line_side(self._plane, p) == 0)
         for tu, tv in zip(ts, ts[1:]):
-            s = _rational_between(tu, tv) / n2
-            sample = int_point(Point(n.x * c / n2 + d.x * s, n.y * c / n2 + d.y * s))
+            sample = (n * c + d * ((tu + tv) / 2)) / n2
             if self._in_region(sample) and not self._in_union(sample):
                 return False
         return True
@@ -216,45 +196,15 @@ def arc_samples(circle: Conic, on) -> list:
     boundary points on cut circle (one point anywhere when on is empty).
 
     Conic.param orders the points along the boundary.  Between neighbours
-    the sample is at a rational parameter; on the arc through the base
-    point it is the base point, or, when that is one of on, an integer
-    parameter below the first and one above the last."""
+    the sample is at the midpoint of their parameters; on the arc through
+    the base point it is the base point, or, when that is one of on, the
+    parameters one below the first and one above the last."""
     ts = sorted(t for t in map(circle.param, on) if t is not None)
-    samples = [circle.param_point(_rational_between(u, v)) for u, v in zip(ts, ts[1:])]
+    samples = [circle.param_point((u + v) / 2) for u, v in zip(ts, ts[1:])]
     if len(ts) == len(on):
-        samples.append(RadPoint.of(circle.base_point()[0]))
+        samples.append(circle.base_point()[0])
     elif ts:
-        lo, hi = ts[0]._bounds(16)[0], ts[-1]._bounds(16)[1]
-        samples += [circle.param_point(math.floor(lo) - 1), circle.param_point(math.floor(hi) + 1)]
+        samples += [circle.param_point(ts[0] - 1), circle.param_point(ts[-1] + 1)]
     else:
         samples.append(circle.param_point(0))
     return samples
-
-
-def _rational_between(a: Radical, b: Radical) -> Fraction:
-    """An exact rational strictly between two distinct radical values."""
-    if a > b:
-        a, b = b, a
-    bits = 16
-    while bits <= 1 << 20:
-        alo, ahi = a._bounds(bits)
-        blo, bhi = b._bounds(bits)
-        if ahi < blo:
-            return (ahi + blo) / 2
-        bits *= 2
-    raise VerificationFailed("values too close to separate")
-
-
-def _dedup(points, ints):
-    """The distinct points, first occurrences in order, and their int_point
-    entries.  Over radicands in canonical form (canonical_radicands) equal
-    points have equal entries; otherwise the points are compared as
-    Radicals."""
-    if canonical_radicands(sorted({e[1] for e in ints})):
-        first = {}
-        for k, (q, m, A, B) in enumerate(ints):
-            first.setdefault((q, m, tuple(A), B), k)
-        keep = first.values()
-    else:
-        keep = [k for k, p in enumerate(points) if not any(p == q for q in points[:k])]
-    return [points[k] for k in keep], [ints[k] for k in keep]

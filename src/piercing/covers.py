@@ -32,13 +32,11 @@ DOWN = Point(0, -1)
 class CoverPattern:
     """An exactly verified claim: region <= union of cover_body translates."""
 
-    def __init__(self, region_kind, base_kind, offsets, halfplane=None, data=None):
+    def __init__(self, region_kind, base_kind, offsets, data=None):
         self.region_kind = region_kind  # "diff" or "diff_half"
         self.base_kind = base_kind
         self.offsets = list(offsets)
-        self.halfplane = halfplane
         self.data = data or {}
-        self.verified = True
 
     @property
     def size(self):
@@ -139,10 +137,8 @@ def halfplane_four_cover(s: ConvexPolygon, direction: Point = DOWN) -> CoverPatt
             if len(kept) == 2:
                 try:
                     _verify_polygon_pattern(region_chain, s0, kept)
-                    return CoverPattern(
-                        "diff_half", "polygon", kept, halfplane=d,
-                        data={"body": s0, "region": region_chain},
-                    )
+                    return CoverPattern("diff_half", "polygon", kept,
+                                        data={"body": s0, "region": region_chain})
                 except VerificationFailed:
                     pass
         hexagon = inscribed_hexagon(region2, -d.perp())
@@ -152,7 +148,7 @@ def halfplane_four_cover(s: ConvexPolygon, direction: Point = DOWN) -> CoverPatt
         if len(offsets) != 4:
             raise VerificationFailed("expected three kept side midpoints")
         _verify_polygon_pattern(region_chain, s0, offsets)
-        return CoverPattern("diff_half", "polygon", offsets, halfplane=d,
+        return CoverPattern("diff_half", "polygon", offsets,
                             data={"body": s0, "region": region_chain})
 
     return _cached(("half", _poly_key(s), (direction.x, direction.y)), build)
@@ -215,7 +211,7 @@ def triangle_trapezoid_cover(t: ConvexPolygon) -> CoverPattern:
         # the kept side in original coordinates: L^{-T} maps the normal
         region_chain = _clip_lower_imageside(diff, e1, e2)
         _verify_polygon_pattern(region_chain, cover, offsets)
-        return CoverPattern("diff_half", "polygon", offsets, halfplane=None,
+        return CoverPattern("diff_half", "polygon", offsets,
                             data={"body": cover, "region": region_chain})
 
     return _cached(("trap", _poly_key(t)), build)
@@ -264,7 +260,9 @@ def disk_half_offsets(r):
 
 
 def _verify_disk_seven(r):
-    # substitute x = sqrt(3) X: weights (3, 1), all centers rational
+    # substitute x = sqrt(3) X: weights (3, 1), all centers rational.  The
+    # arrangement is the radius-1 one scaled by r, so its vertices are
+    # rational Points, the only kind CoverageCheck decides
     r = frac(r)
     region = Conic(3, 1, Point(0, 0), 4 * r * r)
     covers = [Conic(3, 1, Point(0, 0), r * r)]
@@ -276,7 +274,8 @@ def _verify_disk_seven(r):
 
 
 def _verify_disk_half(r):
-    # substitute y = sqrt(3) Y: weights (1, 3)
+    # substitute y = sqrt(3) Y: weights (1, 3); the line y = 0 meets every
+    # circle at rational points too, like the pairs of circles
     r = frac(r)
     region = Conic(1, 3, Point(0, 0), 4 * r * r)
     covers = [
@@ -303,9 +302,7 @@ def disk_half_cover(r) -> CoverPattern:
 
     def build():
         _verify_disk_half(r)
-        return CoverPattern(
-            "diff_half", "disk", disk_half_offsets(r), halfplane=DOWN, data={"radius": frac(r)}
-        )
+        return CoverPattern("diff_half", "disk", disk_half_offsets(r), data={"radius": frac(r)})
 
     return _cached(("diskhalf", frac(r)), build)
 
@@ -328,13 +325,8 @@ def box_cover(sides, half: bool) -> CoverPattern:
         rest = itertools.product(*[(-s / 2, s / 2) for s in sides[:-1]])
         offsets = [tuple(r) + l for r in rest for l in last]
         _verify_box_pattern(sides, offsets, half)
-        return CoverPattern(
-            "diff_half" if half else "diff",
-            "box",
-            offsets,
-            halfplane="down" if half else None,
-            data={"sides": sides},
-        )
+        return CoverPattern("diff_half" if half else "diff", "box", offsets,
+                            data={"sides": sides})
 
     return _cached(("box", sides, half), build)
 

@@ -358,13 +358,7 @@ def verify_pattern_json(doc) -> bool:
     a ParseError; a pattern that does not cover its region is
     VerificationFailed.
     """
-    from .covers import (
-        _verify_box_pattern,
-        _verify_disk_half,
-        _verify_disk_seven,
-        disk_half_offsets,
-        disk_seven_offsets,
-    )
+    from .covers import _verify_box_pattern, disk_half_cover, disk_seven_cover
     from .errors import VerificationFailed
     from .geom import ConvexPolygon, covers_region
 
@@ -402,14 +396,8 @@ def verify_pattern_json(doc) -> bool:
             raise VerificationFailed("pattern residue is nonempty")
     elif kind == "disk":
         offsets = [RadPoint.of(p) if isinstance(p, Point) else p for p in offsets]
-        if half:
-            canonical = disk_half_offsets(r)
-            _verify_disk_half(r)
-        else:
-            canonical = disk_seven_offsets(r)
-            _verify_disk_seven(r)
         got = {p.key() for p in offsets}
-        want = {RadPoint.of(p).key() for p in canonical}
+        want = {p.key() for p in (disk_half_cover if half else disk_seven_cover)(r).offsets}
         if got != want:
             raise VerificationFailed("disk offsets differ from the verified pattern")
     else:

@@ -18,8 +18,8 @@ int walk, edge by edge.  The oracle's candidate set is built on the realized mem
 (bodies, circle_circle_points) and deduplicated by value;
 polygon_candidates is its int loop that clips every meeting pair against
 every halfplane, and max_independent_set the oracle's independent set
-search on adjacency sets.  The points of a
-circle are ordered by angle about its centre with a quadrant comparator
+search on adjacency sets.  The rational points
+of a circle are ordered by angle about its centre with a quadrant comparator
 (angle_cmp, strictly_between).  call_budget
 bounds the work of a block by counting its calls, a deterministic
 stand-in for a time or memory limit.  members_document writes an instance
@@ -465,17 +465,21 @@ _QUADRANTS = {(1, 0): 0, (1, 1): 1, (0, 1): 2, (-1, 1): 3,
               (-1, 0): 4, (-1, -1): 5, (0, -1): 6, (1, -1): 7}
 
 
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
 def angle_cmp(circle, p, q):
-    """Compare two boundary points of a circles.Conic by ccw angle from
-    the +x axis about its centre: by the quadrant or half-axis each lies
-    on, then by x, which is strictly monotone within an open quadrant."""
+    """Compare two rational boundary Points of a circles.Conic by ccw angle
+    from the +x axis about its centre: by the quadrant or half-axis each
+    lies on, then by x, which is strictly monotone within an open quadrant."""
     def bucket(u):
-        return _QUADRANTS[(u.x - circle.a).sign(), (u.y - circle.b).sign()]
+        return _QUADRANTS[_sign(u.x - circle.a), _sign(u.y - circle.b)]
 
     kp, kq = bucket(p), bucket(q)
     if kp != kq:
         return -1 if kp < kq else 1
-    s = (p.x - q.x).sign()
+    s = _sign(p.x - q.x)
     return -s if kp in (1, 3) else s  # in the upper half the angle grows as x falls
 
 

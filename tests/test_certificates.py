@@ -414,7 +414,7 @@ def test_fraction_homothets_run_through_the_box_grid(base):
 
 def test_certificates_module_has_no_float():
     # the verifier decides and prunes on ints, and the disk patterns' cover
-    # check on exact radicals: no float literal, no float(), no math.sqrt,
+    # check on rational points and ints: no float literal, no float(), no math.sqrt,
     # atan2, sin or cos and no limit_denominator may come back into
     # certificates.py or circles.py
     for name in ("certificates.py", "circles.py"):

@@ -5,7 +5,7 @@ import random
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from piercing import covers, jsonio, sandwich, translates
+from piercing import circles, covers, jsonio, sandwich, translates
 from piercing.bodies import BoxBody, DiskBody, Family, Member
 from piercing.cli import auto_pierce, main
 from piercing.errors import ConstructionFailed, ParseError, VerificationFailed
@@ -312,6 +312,24 @@ def test_malformed_pattern_is_a_parse_error(tmp_path, pattern_docs, kind, edit):
     doc = json.loads(json.dumps(pattern_docs[kind]))
     edit(doc)
     assert verify_doc(tmp_path, doc) == 2
+
+
+@pytest.mark.parametrize("half", [False, True])
+def test_disk_pattern_is_checked_once_per_radius(monkeypatch, half):
+    # verify_pattern_json takes the disk pattern from covers' per-radius
+    # cache, so only the first build runs the arrangement check
+    monkeypatch.setattr(covers, "_pattern_cache", {})
+    calls = []
+    check = circles.CoverageCheck.verify
+    monkeypatch.setattr(circles.CoverageCheck, "verify", lambda self: calls.append(1) or check(self))
+    build = covers.disk_half_cover if half else covers.disk_seven_cover
+    doc = jsonio.pattern_to_json(build(Fraction(17, 19)))
+    for _ in range(3):
+        assert jsonio.verify_pattern_json(json.loads(json.dumps(doc)))
+    doc["offsets"] = doc["offsets"][1:]
+    with pytest.raises(VerificationFailed, match="differ"):
+        jsonio.verify_pattern_json(doc)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("doc", [[1, 2], [], "certificate", 3, None])
