@@ -1,8 +1,9 @@
 """Convex bodies, families of translates/homothets, intersection graphs.
 
 A member body is s*C + t: the base scaled about the origin, then translated.
-All coordinates are exact rationals; disks admit radical (sqrt) query points
-for containment because some disk constructions need them.
+All coordinates are exact rationals; query points may be radical, with one
+radicand m shared by both coordinates, because some disk constructions need
+them.
 
 The integer kernel: a family is held only as its translations and scales
 times the lcm D of their denominators (Family.scaled_translations), so
@@ -10,14 +11,14 @@ member i is (S_i C + T_i) / D with int columns T and S.  Pair tests
 (pair_checker), the pair grid (neighbor_index) and the homothet/topmost
 orders run on these ints, and polygon and box members are slabs
 lo <= w.p <= hi with int bounds (Family.slabs).  Point membership is
-decided here too: a point becomes ints (A + B sqrt(m)) / q once
-(int_point), and membership tests it against a member's slabs or a disk
-member's exact sign of P + Q sqrt(m); coverage, for the oracle's masks,
-bisects all members one slab at a time.  The members' scaled bounding
-boxes (box_columns) are int too, and one exact grid per power-of-two scale
-class of the members (scale_classes) gives the pair candidates
-(neighbor_index) and, in certificates, the points a member tests.  Over
-MAX_SCALE_BITS the same code runs on Fractions with D = 1.
+decided here too, and only here: a point becomes ints (A + B sqrt(m)) / q
+once (int_point), and membership tests it by exact signs of P + Q sqrt(m)
+against a member's slabs or a disk member; coverage, for the oracle's
+masks, bisects all members one slab at a time on rational points.  The
+members' scaled bounding boxes (box_columns) are int too, and one exact
+grid per power-of-two scale class of the members (scale_classes) gives the
+pair candidates (neighbor_index) and, in certificates, the points a member
+tests.  Over MAX_SCALE_BITS the same code runs on Fractions with D = 1.
 """
 
 from bisect import bisect_right
@@ -33,6 +34,7 @@ from .errors import (
     DisksNotClosedUnderAffine,
     MixedKinds,
     SingularMap,
+    VerificationFailed,
 )
 from .geom import (ConvexPolygon, Interval, Point, _centre, _contains, _hom, _planes, _scaled,
                    frac, polygons_intersect)
@@ -557,15 +559,15 @@ def pair_checker(f: Family):
 
 def int_point(p):
     """(q, m, A, B): coordinate k of p is (A[k] + B[k] sqrt(m)) / q, with
-    ints (B is None for a rational point), or None when p has more than
-    one radicand, which only hand-written files carry.  p is a Point, a
-    RadPoint or a box tuple."""
+    ints (B is None for a rational point).  p is a Point, a RadPoint or a
+    box tuple; a RadPoint with more than one radicand has no such form and
+    raises VerificationFailed."""
     if isinstance(p, RadPoint):
         terms = (p.x.terms, p.y.terms)
         roots = terms[0].keys() | terms[1].keys()
         roots.discard(1)
         if len(roots) > 1:
-            return None
+            raise VerificationFailed("a point has more than one radicand")
         if roots:
             m = roots.pop()
             parts = [(t.get(1, 0), t.get(m, 0)) for t in terms]
@@ -592,33 +594,35 @@ def root_sign(P, Q, m) -> int:
 
 def membership(f: Family, ipts):
     """member(i) -> test(k): whether member i contains the point whose
-    int_point entry is ipts[k], decided on ints; None where that entry is
-    None, or is irrational in a polygon or box family.  Callers decide a
-    None on the realized member (f.realize(i).contains).
+    int_point entry is ipts[k], decided on ints.
 
-    Polygons and boxes decide on the family's slabs (Family.slabs): A/q
-    lies in member i iff q lo <= form . A <= q hi on every slab (coverage
-    decides many points at once, one slab at a time).  A disk member has
-    centre (U, V) and radius R over L D, as in pair_checker; with
-    X = L D A_x - q U and Y = L D A_y - q V the point lies in it iff
-    P + Q sqrt(m) <= 0 for P = X^2 + Y^2 + m (L D)^2 (B_x^2 + B_y^2) - (q R)^2
-    and Q = 2 L D (X B_x + Y B_y) (root_sign).
+    Polygons and boxes decide on the family's slabs (Family.slabs): with
+    u = form . A and v = form . B, (A + B sqrt(m)) / q lies in member i iff
+    q lo <= u + v sqrt(m) <= q hi on every slab, which for a rational point
+    is q lo <= u <= q hi (coverage decides many points at once, one slab at
+    a time) and otherwise the signs of u - q lo + v sqrt(m) and
+    q hi - u - v sqrt(m) (root_sign).  A disk member has centre (U, V) and
+    radius R over L D, as in pair_checker; with X = L D A_x - q U and
+    Y = L D A_y - q V the point lies in it iff P + Q sqrt(m) <= 0 for
+    P = X^2 + Y^2 + m (L D)^2 (B_x^2 + B_y^2) - (q R)^2 and
+    Q = 2 L D (X B_x + Y B_y).
     """
     base = f.base
     if base.kind != "disk":
         forms, lo, hi = f.slabs()
-        exact = [None if e is None or e[3] is not None
-                 else (e[0], [sum(map(mul, w, e[2])) for w in forms]) for e in ipts]
+        exact = [(q, m, [sum(map(mul, w, A)) for w in forms],
+                  None if B is None else [sum(map(mul, w, B)) for w in forms])
+                 for q, m, A, B in ipts]
 
         def member(i):
             li, hi_ = lo[i], hi[i]
 
             def test(k):
-                e = exact[k]
-                if e is None:
-                    return None
-                q, us = e
-                return all(q * a <= u <= q * b for a, u, b in zip(li, us, hi_))
+                q, m, us, vs = exact[k]
+                if vs is None:
+                    return all(q * a <= u <= q * b for a, u, b in zip(li, us, hi_))
+                return all(root_sign(u - q * a, v, m) >= 0 and root_sign(q * b - u, -v, m) >= 0
+                           for a, u, v, b in zip(li, us, vs, hi_))
 
             return test
 
@@ -627,22 +631,16 @@ def membership(f: Family, ipts):
     D, (xs, ys), S = f.scaled_translations()
     LD = L * D
     pts = []
-    for e in ipts:
-        if e is not None:
-            q, m, (ax, ay), B = e
-            bx, by = (0, 0) if B is None else (B[0] * LD, B[1] * LD)
-            e = q, m, ax * LD, ay * LD, bx, by, m * (bx * bx + by * by)
-        pts.append(e)
+    for q, m, (ax, ay), B in ipts:
+        bx, by = (0, 0) if B is None else (B[0] * LD, B[1] * LD)
+        pts.append((q, m, ax * LD, ay * LD, bx, by, m * (bx * bx + by * by)))
 
     def member(i):
         s = S[i]
         u, v, R = cx * s + L * xs[i], cy * s + L * ys[i], cr * s
 
         def test(k):
-            e = pts[k]
-            if e is None:
-                return None
-            q, m, ax, ay, bx, by, mbb = e
+            q, m, ax, ay, bx, by, mbb = pts[k]
             X = ax - q * u
             Y = ay - q * v
             qR = q * R
@@ -655,29 +653,33 @@ def membership(f: Family, ipts):
 
 def coverage(f: Family, ipts):
     """masks[k] has bit i set iff member i contains the point of ipts[k]
-    (int_point entries), None where membership leaves it open.  Polygons
-    and boxes go slab by slab: u = form . A lies in member i's slab iff
-    lo <= u // q and -hi <= -u // q (Fraction(+-u, q) for Fraction bounds),
-    so the members holding it are prefixes of the orders by lo and by -hi,
-    whose ORs a bisection finds; disks test member by member."""
+    (int_point entries).  Rational points in polygon and box families go
+    slab by slab: u = form . A lies in member i's slab iff lo <= u // q and
+    -hi <= -u // q (Fraction(+-u, q) for Fraction bounds), so the members
+    holding it are prefixes of the orders by lo and by -hi, whose ORs a
+    bisection finds; every other point is tested member by member
+    (membership)."""
     bits = [1 << i for i in range(len(f))]
-    if f.base.kind == "disk":
+    masks = {}
+    if f.base.kind != "disk":
+        forms, lo, hi = f.slabs()
+        masks = {k: (1 << len(f)) - 1 for k, e in enumerate(ipts) if e[3] is None}
+        for w, los, his in zip(forms, zip(*lo), zip(*hi)):
+            ints = all(type(v) is int for v in los + his)
+            los, lo_bits = zip(*sorted(zip(los, bits)))
+            his, hi_bits = zip(*sorted(zip([-v for v in his], bits)))
+            low, high = [0, *accumulate(lo_bits, or_)], [0, *accumulate(hi_bits, or_)]
+            for k in masks:
+                q, _, A, _ = ipts[k]
+                u = sum(map(mul, w, A))
+                a, b = (u // q, -u // q) if ints else (Fraction(u, q), Fraction(-u, q))
+                masks[k] &= low[bisect_right(los, a)] & high[bisect_right(his, b)]
+    if len(masks) < len(ipts):
         tests = list(map(membership(f, ipts), range(len(f))))
-        return [None if e is None else sum(b for b, test in zip(bits, tests) if test(k))
-                for k, e in enumerate(ipts)]
-    forms, lo, hi = f.slabs()
-    masks = {k: (1 << len(f)) - 1 for k, e in enumerate(ipts) if e is not None and e[3] is None}
-    for w, los, his in zip(forms, zip(*lo), zip(*hi)):
-        ints = all(type(v) is int for v in los + his)
-        los, lo_bits = zip(*sorted(zip(los, bits)))
-        his, hi_bits = zip(*sorted(zip([-v for v in his], bits)))
-        low, high = [0, *accumulate(lo_bits, or_)], [0, *accumulate(hi_bits, or_)]
-        for k in masks:
-            q, _, A, _ = ipts[k]
-            u = sum(map(mul, w, A))
-            a, b = (u // q, -u // q) if ints else (Fraction(u, q), Fraction(-u, q))
-            masks[k] &= low[bisect_right(los, a)] & high[bisect_right(his, b)]
-    return [masks.get(k) for k in range(len(ipts))]
+        for k in range(len(ipts)):
+            if k not in masks:
+                masks[k] = sum(b for b, test in zip(bits, tests) if test(k))
+    return [masks[k] for k in range(len(ipts))]
 
 
 def intersection_graph(f: Family):

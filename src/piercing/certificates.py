@@ -10,11 +10,10 @@ bodies.membership): each point is converted once to (A + B sqrt(m)) / q
 per coordinate and bucketed on one exact grid per scale class of the
 members (bodies.scale_classes), so verification is near-linear per
 occupied class: O((n + points) * classes), with at most
-log2(S_max / S_min) + 1 classes.  Polygon and box membership of a
-rational point is decided on the family's int slabs (bodies.Family.slabs),
-disk membership by the sign of P + Q sqrt(m) on ints.  Only the points
-that only hand-written files carry, with more than one radicand or
-irrational in a polygon or box family, are tested on the realized member.
+log2(S_max / S_min) + 1 classes.  Polygon and box membership is decided on
+the family's int slabs (bodies.Family.slabs), disk membership by the sign
+of P + Q sqrt(m) on ints; no member is realized.  A point with more than
+one radicand has no such form and fails verification.
 
 A symbolic certificate (the greedies') lists seeds and clusters instead.
 Its method names a cover pattern and an order (greedy_rule), and by the
@@ -67,21 +66,6 @@ def _cell_key(e, scale, cell):
     if B is None:
         return tuple([den * a // d for a in A])
     return tuple([(den * a + _floor_root(den * b, m)) // d for a, b in zip(A, B)])
-
-
-def _enclosure(p, scale):
-    """Per coordinate v of the RadPoint p, rationals lo <= scale v <= hi with
-    hi - lo < 1 (Radical._bounds), so that they meet at most two cells of
-    any grid at least one unit wide."""
-    box = []
-    for v in (p.x * scale, p.y * scale):
-        bits = 16
-        lo, hi = v._bounds(bits)
-        while hi - lo >= 1:
-            bits *= 2
-            lo, hi = v._bounds(bits)
-        box.append((lo, hi))
-    return box
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +155,6 @@ def value_key(p, scale=1):
 
     Radicals keep squarefree radicands, so equal values have equal keys
     whatever the point's type (Point, RadPoint or box tuple)."""
-    if type(p) is Point:
-        # a rational point has no other terms; a zero coordinate gives
-        # Fraction(0), equal to the general path's int 0
-        if scale == 1:
-            return p.x, p.y, (), ()
-        return p.x * scale, p.y * scale, (), ()
     terms = [_terms(v) for v in _coords(p)]
     return (*[t.get(1, 0) * scale for t in terms],
             *[tuple(x for m in sorted(t) if m != 1 for x in (m, t[m] * scale)) for t in terms])
@@ -382,38 +360,22 @@ def _check_members(f: Family, indices, points):
     """Every member in indices contains one of points, decided exactly;
     raises VerificationFailed.
 
-    The points are converted once (bodies.int_point) and filed once per
-    scale class of the members (bodies.scale_classes, _cell_key); a member
-    sees the points of the <= 2^d cells its box (bodies.box_columns) meets
-    at its class.  It is
-    realized only for a point that bodies.membership leaves open.  A point
-    with more than one radicand has no int form: it is filed in every cell
-    that a rational enclosure of its coordinates meets (_enclosure)."""
+    The points are converted once (bodies.int_point, which rejects a point
+    with more than one radicand) and filed once per scale class of the
+    members (bodies.scale_classes, _cell_key); a member sees the points of
+    the <= 2^d cells its box (bodies.box_columns) meets at its class, and
+    bodies.membership decides each on ints."""
     indices = list(indices)
     ipts = [int_point(p) for p in points]
     scale, ss, lo_cols, sides = box_columns(f, indices)
     classes, cells = scale_classes(ss, max(sides))
     grids = {c: {} for c in cells}
     for k, e in enumerate(ipts):
-        if e is None:
-            box = _enclosure(points[k], scale)
-            for c, grid in grids.items():
-                cell = cells[c]
-                for key in product(*[range(lo // cell, hi // cell + 1) for lo, hi in box]):
-                    grid.setdefault(key, []).append(k)
-        else:
-            for c, grid in grids.items():
-                grid.setdefault(_cell_key(e, scale, cells[c]), []).append(k)
+        for c, grid in grids.items():
+            grid.setdefault(_cell_key(e, scale, cells[c]), []).append(k)
     member = membership(f, ipts)
     for i, s, lo, c in zip(indices, ss, zip(*lo_cols), classes):
-        test = member(i)
         cell = cells[c]
         keys = product(*[range(a // cell, (a + s * w) // cell + 1) for a, w in zip(lo, sides)])
-        for k in chain(*[grids[c].get(key, ()) for key in keys]):
-            inside = test(k)
-            if inside is None:
-                inside = f.realize(i).contains(points[k])
-            if inside:
-                break
-        else:
+        if not any(map(member(i), chain(*[grids[c].get(key, ()) for key in keys]))):
             raise VerificationFailed("member %d contains no piercing point" % i)

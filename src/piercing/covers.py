@@ -81,9 +81,12 @@ def _sandwich_pair(poly: ConvexPolygon):
 # polygon patterns
 
 
-def _verify_polygon_pattern(region_chain, cover: ConvexPolygon, offsets):
-    if region_minus_polygons(region_chain, [cover], offsets):
+def _polygon_pattern(region_kind, region, cover: ConvexPolygon, offsets) -> CoverPattern:
+    """The pattern of the cover translates at offsets, once they leave no
+    residue of the region chain (region_minus_polygons)."""
+    if region_minus_polygons(region, [cover], offsets):
         raise VerificationFailed("cover residue is nonempty")
+    return CoverPattern(region_kind, "polygon", offsets, data={"body": cover, "region": region})
 
 
 def seven_cover(s: ConvexPolygon) -> CoverPattern:
@@ -102,16 +105,11 @@ def seven_cover(s: ConvexPolygon) -> CoverPattern:
         region = s0.scale(2)
         if s0.is_parallelogram():
             # the four quadrant translates are centered on the vertices
-            offsets = list(s0.vertices)
-            _verify_polygon_pattern(list(region.vertices), s0, offsets)
-            return CoverPattern("diff", "polygon", offsets,
-                                data={"body": s0, "region": list(region.vertices)})
+            return _polygon_pattern("diff", list(region.vertices), s0, list(s0.vertices))
         hexagon = inscribed_hexagon(region, s0.vertices[0])
         hv = hexagon.vertices
         offsets = [Point(0, 0)] + [(hv[i] + hv[(i + 1) % 6]) / 2 for i in range(6)]
-        _verify_polygon_pattern(list(region.vertices), s0, offsets)
-        return CoverPattern("diff", "polygon", offsets,
-                            data={"body": s0, "region": list(region.vertices)})
+        return _polygon_pattern("diff", list(region.vertices), s0, offsets)
 
     return _cached(("seven", _poly_key(s)), build)
 
@@ -136,9 +134,7 @@ def halfplane_four_cover(s: ConvexPolygon, direction: Point = DOWN) -> CoverPatt
             kept = [o for o in s0.vertices if o.dot(d) > 0]
             if len(kept) == 2:
                 try:
-                    _verify_polygon_pattern(region_chain, s0, kept)
-                    return CoverPattern("diff_half", "polygon", kept,
-                                        data={"body": s0, "region": region_chain})
+                    return _polygon_pattern("diff_half", region_chain, s0, kept)
                 except VerificationFailed:
                     pass
         hexagon = inscribed_hexagon(region2, -d.perp())
@@ -147,9 +143,7 @@ def halfplane_four_cover(s: ConvexPolygon, direction: Point = DOWN) -> CoverPatt
         offsets = [Point(0, 0)] + [m for m in mids if m.dot(d) > 0]
         if len(offsets) != 4:
             raise VerificationFailed("expected three kept side midpoints")
-        _verify_polygon_pattern(region_chain, s0, offsets)
-        return CoverPattern("diff_half", "polygon", offsets,
-                            data={"body": s0, "region": region_chain})
+        return _polygon_pattern("diff_half", region_chain, s0, offsets)
 
     return _cached(("half", _poly_key(s), (direction.x, direction.y)), build)
 
@@ -210,9 +204,7 @@ def triangle_trapezoid_cover(t: ConvexPolygon) -> CoverPattern:
         diff = minkowski_sum(t, reflect(t))
         # the kept side in original coordinates: L^{-T} maps the normal
         region_chain = _clip_lower_imageside(diff, e1, e2)
-        _verify_polygon_pattern(region_chain, cover, offsets)
-        return CoverPattern("diff_half", "polygon", offsets,
-                            data={"body": cover, "region": region_chain})
+        return _polygon_pattern("diff_half", region_chain, cover, offsets)
 
     return _cached(("trap", _poly_key(t)), build)
 
@@ -376,9 +368,7 @@ def homothet_cover(body) -> CoverPattern:
             offsets = [e1 * q.x + e2 * q.y for q in _TRIANGLE_DIFF_OFFSETS]
             cover = reflect(poly.translate(-v0))
             diff = minkowski_sum(poly, reflect(poly))
-            _verify_polygon_pattern(list(diff.vertices), cover, offsets)
-            return CoverPattern("diff", "polygon", offsets,
-                                data={"body": cover, "region": list(diff.vertices)})
+            return _polygon_pattern("diff", list(diff.vertices), cover, offsets)
 
         return _capped(_cached(("diff12", _poly_key(poly)), build), 12)
     return _general_polygon_cover(poly)
@@ -407,9 +397,7 @@ def _general_polygon_cover(poly: ConvexPolygon) -> CoverPattern:
         pc = pair.p.center
         offsets = [g + pc - ref for g in cells]
         diff = minkowski_sum(poly, reflect(poly))
-        _verify_polygon_pattern(list(diff.vertices), cover, offsets)
-        return CoverPattern("diff", "polygon", offsets,
-                            data={"body": cover, "region": list(diff.vertices)})
+        return _polygon_pattern("diff", list(diff.vertices), cover, offsets)
 
     return _capped(_cached(("gen16", _poly_key(poly)), build), 16)
 

@@ -15,11 +15,12 @@ pairs that meet (pair_checker) are clipped.  Edge e has one normal in
 every member, so member i lies in member j's halfplane e iff its offset is
 at most j's; that clip would keep the chain and is skipped.  The masks
 come from bodies.coverage, one bisection pair per slab and point over the
-members sorted by their slab bounds (disks: bodies.membership, as in
-verify); no member is realized.  min_set_cover keeps the first of
-repeated masks, then drops dominated ones.  A radicand over 2^48 may keep
-a square factor, so two equal radical candidates can both survive; their
-masks are equal, min_set_cover drops the second, and tau does not change.
+members sorted by their slab bounds (disks, and any irrational entry:
+bodies.membership member by member, as in verify); no member is
+realized.  min_set_cover keeps the first of repeated masks, then drops
+dominated ones.  A radicand over 2^48 may keep a square factor, so two
+equal radical candidates can both survive; their masks are equal,
+min_set_cover drops the second, and tau does not change.
 
 nu decides every pair with pair_checker (at most NU_LIMIT members, whose
 pairs candidate generation walks anyway) into int bitsets of neighbours,
@@ -287,7 +288,7 @@ def exact_nu(f: Family, limit: int = NU_LIMIT):
     return len(members), members
 
 
-def solve(f: Family, tau_limit: int = TAU_LIMIT, nu_limit: int = NU_LIMIT) -> OracleResult:
-    points, used = _tau(f, tau_limit)
-    nu, members = exact_nu(f, nu_limit)
+def solve(f: Family) -> OracleResult:
+    points, used = _tau(f, TAU_LIMIT)
+    nu, members = exact_nu(f)
     return OracleResult(len(points), points, nu, members, used)

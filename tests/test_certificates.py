@@ -20,9 +20,11 @@ from piercing.bodies import (
     int_point,
     intersection_graph,
     member_boxes,
+    membership,
 )
 from piercing.certificates import (
     PierceCertificate,
+    _cell_key,
     _check_members,
     _floor_root,
     value_key,
@@ -40,7 +42,7 @@ from piercing.generators import (
 from piercing.geom import ConvexPolygon, Point
 from piercing.homothets import greedy_pierce_homothets
 from piercing.radicals import RadPoint, Radical
-from piercing.translates import greedy_pierce
+from piercing.translates import greedy_pierce, grid_pierce, hexagon_pierce, lattice_pierce
 from reference import (
     call_budget,
     dedupe_points,
@@ -216,8 +218,8 @@ _RATIONALS = st.one_of(st.just(F(0)), st.fractions(max_denominator=10 ** 6))
 @settings(max_examples=300, deadline=None)
 @given(_RATIONALS, _RATIONALS, st.one_of(st.just(1), st.integers(1, 10 ** 9)))
 def test_point_value_key_matches_the_general_path(x, y, scale):
-    # a Point takes the fast path; a RadPoint and a box tuple of the same
-    # value take the general one
+    # a Point, a RadPoint and a box tuple of the same value have one key,
+    # a zero coordinate's Fraction(0) equal to the int 0 of a missing term
     got = value_key(Point(x, y), scale)
     for other in (RadPoint(x, y), RadPoint(Radical({1: x} if x else {}), y), (x, y)):
         want = value_key(other, scale)
@@ -232,23 +234,27 @@ def _explicit_file(tmp_path, f, points):
     return str(path)
 
 
-def test_point_with_two_radicands_is_tested_on_the_realized_disk(tmp_path):
-    # a hand-written point with x in Q(sqrt 2) and y in Q(sqrt 3) has no int
-    # form: verify falls back to the realized disk's Radical test
+def test_point_with_two_radicands_is_rejected(tmp_path, capsys):
+    # a hand-written point with x in Q(sqrt 2) and y in Q(sqrt 3), or with x
+    # in Q(sqrt 2, sqrt 3), has no int form (A + B sqrt(m)) / q: the file
+    # is rejected whether or not the point lies in the disk, and no member
+    # is realized
     f = Family(unit_disk(), [Member(Point(0, 0))])
     inside = RadPoint(Radical.sqrt(2) * F(1, 2), Radical.sqrt(3) * F(2, 5))  # |p|^2 = 0.98
     outside = RadPoint(Radical.sqrt(2) * F(1, 2), Radical.sqrt(3) * F(41, 100))  # 1.0043
-    assert main(["verify", _explicit_file(tmp_path, f, [inside])]) == 0
-    assert main(["verify", _explicit_file(tmp_path, f, [outside])]) == 1
-    g = Family(f.base, f.members)
-    assert PierceCertificate("greedy", 4, [inside], [(0, (0,))], [0]).verify(g)
-    assert g._realized[0] is not None
+    mixed = RadPoint((Radical.sqrt(2) - Radical.sqrt(3)) * F(1, 2), 0)  # |p| = 0.159
+    for p in (inside, outside, mixed):
+        assert main(["verify", _explicit_file(tmp_path, f, [p])]) == 1
+        assert "a point has more than one radicand" in capsys.readouterr().err
+        with pytest.raises(VerificationFailed, match="more than one radicand"):
+            PierceCertificate("greedy", 4, [p], [(0, (0,))], [0]).verify(f)
+    assert f._realized == {}
 
 
-def test_irrational_point_is_tested_on_the_realized_square():
-    # a point in Q(sqrt 2)^2 has no slab test in a polygon family
-    # (bodies.membership leaves it open): verify decides it on the realized
-    # member
+def test_irrational_point_is_decided_on_the_square_slabs():
+    # a point in Q(sqrt 2)^2 is decided on the family's slabs by the signs
+    # of u - q lo + v sqrt 2 and q hi - u - v sqrt 2: the verdicts of the
+    # realized squares, with no member realized
     half_root2 = Radical.sqrt(2) * F(1, 2)
     f = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), 0)),
                                Member(Point(3, 3))])
@@ -256,9 +262,13 @@ def test_irrational_point_is_tested_on_the_realized_square():
     high = RadPoint(half_root2 + 3, half_root2 + 3)  # in member 2
     far = RadPoint(half_root2 * 3, 0)  # in none
     assert PierceCertificate("explicit", 1, [low, high], [], [0, 2]).verify(f)
-    assert sorted(f._realized) == [0, 1, 2]
     with pytest.raises(VerificationFailed, match="member 2 contains no piercing point"):
         PierceCertificate("explicit", 1, [low, far], [], [0, 2]).verify(f)
+    assert f._realized == {}
+    test = membership(f, [int_point(p) for p in (low, high, far)])
+    got = [[test(i)(k) for k in range(3)] for i in range(3)]
+    assert got == [[f.realize(i).contains(p) for p in (low, high, far)] for i in range(3)]
+    assert got == [[True, False, False], [True, False, False], [False, True, False]]
 
 
 def test_verify_work_does_not_grow_with_a_member_scale(tmp_path):
@@ -313,18 +323,20 @@ def _scale_class_family(base, rng):
     return family_of_columns(f.base, cols, ss + [F(5), F(400), F(10 ** 4)], "homothets")
 
 
-@pytest.mark.parametrize("family", ["disk", "triangle", "prime disk"])
-def test_points_with_two_radicands_match_realized_membership(family):
-    # points within 10^-4 of a member's boundary with x in Q(sqrt 2) and y
-    # in Q(sqrt 3) have no int form: each is filed by a rational enclosure
-    # in the cells of every scale class (cells of Fraction width for the
-    # prime disks)
+@pytest.mark.parametrize("family", ["disk", "triangle", "prime disk", "prime triangle"])
+def test_radical_points_match_realized_membership(family):
+    # points within 10^-4 of a member's boundary, in Q(sqrt m)^2 for m = 2,
+    # 3 or 5, filed by their exact cells in every scale class and decided
+    # on ints: disk signs, or root signs against the slabs (Fraction bounds
+    # for the prime families)
     rng = random.Random(13)
-    if family == "prime disk":
-        f = _prime_homothets(unit_disk(), 60, 7)
+    base = unit_disk() if family.endswith("disk") else unit_triangle()
+    if family.startswith("prime"):
+        f = _prime_homothets(base, 60, 7)
     else:
-        f = _scale_class_family(unit_disk() if family == "disk" else unit_triangle(), rng)
-    e2, e3 = Radical.sqrt(2) - F(99, 70), Radical.sqrt(3) - F(97, 56)
+        f = _scale_class_family(base, rng)
+    # sqrt(m) less a close rational: each within 10^-4 of 0
+    eps = [Radical.sqrt(2) - F(99, 70), Radical.sqrt(3) - F(97, 56), Radical.sqrt(5) - F(161, 72)]
     points = []
     for _ in range(24):
         body = f.realize(rng.randrange(len(f)))
@@ -332,8 +344,9 @@ def test_points_with_two_radicands_match_realized_membership(family):
             q = rng.choice(body.polygon.vertices)
         else:
             q = Point(body.center.x, body.center.y + body.radius)
-        points.append(RadPoint(e2 * rng.choice((-1, 1)) + q.x, e3 * rng.choice((-1, 1)) + q.y))
-    assert all(int_point(p) is None for p in points)
+        e = rng.choice(eps)
+        points.append(RadPoint(e * rng.choice((-1, 1)) + q.x, e * rng.choice((-1, 1)) + q.y))
+    assert all(int_point(p)[3] is not None for p in points)
     held = [any(f.realize(i).contains(p) for p in points) for i in range(len(f))]
     assert 3 < sum(held) < len(f) - 3
     covered = [i for i in range(len(f)) if held[i]]
@@ -344,23 +357,28 @@ def test_points_with_two_radicands_match_realized_membership(family):
                 _check_members(f, covered + [i], points)
 
 
-def test_point_across_a_cell_edge_is_filed_on_both_sides():
+def test_point_near_a_cell_edge_is_filed_by_its_exact_floor():
     # the unit disk at (3, 0) has box [2, 4], the first of its cells of
-    # width 2; x = 2 + 7e-9 has terms in sqrt 2, 3 and 6 and an enclosure
-    # from below 2
-    tiny = (F(99, 70) - Radical.sqrt(2)) * (F(97, 56) - Radical.sqrt(3))
+    # width 2; with tiny = 99/70 - sqrt 2, about 7.2e-5, x = 2 - tiny lies
+    # in the cell before the box and outside the disk, x = 2 + tiny in the
+    # box's first cell and in the disk
+    tiny = F(99, 70) - Radical.sqrt(2)
     f = Family(unit_disk(), [Member(Point(3, 0))])
-    p = RadPoint(tiny + 2, 0)
-    assert certificates._enclosure(p, 1)[0][0] < 2
-    _check_members(f, [0], [p])
+    left, right = RadPoint(2 - tiny, 0), RadPoint(tiny + 2, 0)
+    assert [_cell_key(int_point(p), 1, F(2)) for p in (left, right)] == [(0, 0), (1, 0)]
+    _check_members(f, [0], [left, right])
+    _check_members(f, [0], [RadPoint(4 - tiny, 0)])
+    for p in (left, RadPoint(tiny + 4, 0)):
+        with pytest.raises(VerificationFailed, match="member 0 contains no piercing point"):
+            _check_members(f, [0], [p])
 
 
 def _far_radical_file(tmp_path, n, moved=None):
     """An explicit certificate of n disjoint unit disks 4 apart with, listed
-    in reverse, one point per member at x = 4 i + sqrt(2)/4 - sqrt(3)/8,
-    y = 0, or 1 further right for member moved, which then holds none."""
+    in reverse, one point per member at x = 4 i + sqrt(2)/4 - 1/8, y = 0,
+    or 1 further right for member moved, which then holds none."""
     f = Family(unit_disk(), [Member(Point(4 * i, 0)) for i in range(n)])
-    off = Radical.sqrt(2) * F(1, 4) - Radical.sqrt(3) * F(1, 8)
+    off = Radical.sqrt(2) * F(1, 4) - F(1, 8)
     points = [RadPoint(off + 4 * i + (i == moved), 0) for i in reversed(range(n))]
     path = tmp_path / "cert.json"
     cert = PierceCertificate("explicit", 1, points, [], range(n))
@@ -368,18 +386,60 @@ def _far_radical_file(tmp_path, n, moved=None):
     return str(path)
 
 
-def test_points_with_two_radicands_verify_in_linear_work(tmp_path):
-    # each point is filed only in the cells its enclosure meets, so a
-    # member no longer scans every such point: 54.8 million calls before,
-    # about 0.33 million now
+def test_radical_points_verify_in_linear_work(tmp_path):
+    # each point is filed in the one cell its exact floor gives, so a
+    # member scans only the points near it: about 47,000 calls, where a
+    # scan of every point by every member makes 160,000 tests
     path = _far_radical_file(tmp_path, 400)
-    with call_budget(1_000_000):
+    with call_budget(200_000):
         assert main(["verify", path]) == 0
 
 
-def test_member_missing_its_two_radicand_point_is_rejected(tmp_path, capsys):
+def test_member_missing_its_radical_point_is_rejected(tmp_path, capsys):
     assert main(["verify", _far_radical_file(tmp_path, 40, moved=17)]) == 1
     assert "member 17 contains no piercing point" in capsys.readouterr().err
+
+
+def test_verify_realizes_no_member_and_takes_no_radical_sign(monkeypatch):
+    # every certificate kind, symbolic and explicit, is decided on the int
+    # layer: inside verify no member is realized and no Radical sign or
+    # enclosure is computed, radical points included
+    made = []
+    for base in (unit_disk(), unit_triangle(), unit_square(), BoxBody((0, 0), (1, 2))):
+        f = random_family(base, 40, box_size=8, seed=21)
+        made.append((f, greedy_pierce(f, verify=False)))
+    f = random_family(unit_disk(), 40, box_size=12, kind="homothets", seed=22)
+    made.append((f, greedy_pierce_homothets(f, verify=False)))
+    f = random_family(unit_triangle(), 30, box_size=8, seed=23)
+    made.append((f, grid_pierce(f, verify=False)))
+    f = pairwise_intersecting_family(hexagon_body(), 12, seed=24)
+    made.append((f, hexagon_pierce(f, verify=False)))
+    f = random_family(hexagon_body(), 30, box_size=12, seed=25)
+    made.append((f, hexagon_pierce(f, verify=False)))
+    f = random_family(hexagon_body(), 6, box_size=4, seed=26)
+    made.append((f, lattice_pierce(f, verify=False)))
+    half_root2 = Radical.sqrt(2) * F(1, 2)
+    f = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), 0)),
+                               Member(Point(3, 3))])
+    points = [RadPoint(half_root2, F(1, 2)), RadPoint(half_root2 + 3, half_root2 + 3)]
+    made.append((f, PierceCertificate("explicit", 1, points, [], [0, 2])))
+    f = Family(unit_disk(), [Member(Point(0, 0)), Member(Point(3, 0))])
+    points = [RadPoint(half_root2, half_root2 - 1), RadPoint(3 - half_root2, half_root2)]
+    made.append((f, PierceCertificate("explicit", 1, points, [], [0, 1])))
+    made += [(f, cert.explicit()) for f, cert in made if cert.symbolic]
+    assert {cert.method for _, cert in made} == {
+        "greedy", "greedy-homothets", "grid", "hexagon", "hexagon-grid", "lattice", "explicit"}
+    assert any(cert.symbolic and cert.extra for _, cert in made)
+
+    def refused(name):
+        def run(*args, **kwargs):
+            raise AssertionError("verify used %s" % name)
+        return run
+
+    for cls, name in ((Family, "realize"), (Radical, "sign"), (Radical, "_bounds")):
+        monkeypatch.setattr(cls, name, refused("%s.%s" % (cls.__name__, name)))
+    for f, cert in made:
+        assert cert.verify(f)
 
 
 def _prime_homothets(base, n, seed):

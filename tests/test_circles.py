@@ -112,14 +112,30 @@ def _pattern_checks():
     return built
 
 
-def _circles_with_vertices(check):
-    """(circle, the arrangement vertices on it) for each circle of check."""
+def _vertices(check):
+    """The arrangement vertices of check: where two curves meet."""
     curves = [check.region, *check.covers]
     vertices = [p for a, b in combinations(curves, 2) for p in a.intersect_conic(b)]
     if check.halfplane is not None:
         vertices += [p for c in curves for p in c.intersect_line(*check.halfplane)]
-    vertices = dedupe_points(vertices)
-    return [(c, [v for v in vertices if c.side(v) == 0]) for c in curves]
+    return dedupe_points(vertices)
+
+
+def _circles_with_vertices(check):
+    """(circle, the arrangement vertices on it) for each circle of check."""
+    vertices = _vertices(check)
+    return [(c, [v for v in vertices if c.side(v) == 0])
+            for c in [check.region, *check.covers]]
+
+
+def test_line_check_rejects_an_uncovered_segment():
+    # the line check alone: with both lower covers every segment of y = 0
+    # between two vertices is covered; the first cover alone meets the line
+    # at (0, 0) and (5, 0), and leaves the segment from (-5, 0) to (0, 0)
+    region, lower, line = _ARRANGEMENTS["lower half"]
+    for kept, covered in ((lower, True), (lower[:1], False)):
+        check = CoverageCheck(region, kept, line)
+        assert check._check_line(_vertices(check)) is covered
 
 
 def test_arc_samples_lie_strictly_inside_their_arcs():

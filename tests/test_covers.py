@@ -198,7 +198,7 @@ def test_polygon_pattern_verdicts_match_translates_built_in_fractions():
                 got = region_minus_polygons(region, [body], variant)
                 assert got == reference.translates_residue(region, body, variant)
                 with pytest.raises(VerificationFailed) if got else contextlib.nullcontext():
-                    covers._verify_polygon_pattern(region, body, variant)
+                    covers._polygon_pattern(pat.region_kind, region, body, variant)
                 residues.append(len(got))
     assert {key[0] for key in covers._pattern_cache} >= {"seven", "half", "trap", "diff12", "gen16"}
     assert min(residues) == 0 < max(residues)

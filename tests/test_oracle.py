@@ -16,7 +16,6 @@ from piercing.bodies import (
     int_point,
     int_translations,
     member_polygons,
-    membership,
     normalize_affine,
     pair_checker,
 )
@@ -419,27 +418,28 @@ def test_solve_decides_membership_on_ints(make, monkeypatch):
         expected.candidates_used)
 
 
-def test_masks_fall_back_to_the_realized_member():
-    """coverage leaves a point the int layer cannot decide (irrational in a
-    polygon family, two radicands in a disk family) to the caller, as None;
-    verify then decides it on the realized member (test_certificates)."""
+def test_masks_of_radical_points_equal_realized_masks():
+    """coverage decides points with one radicand on ints too: in a polygon
+    family member by member on the slabs' root signs, in a disk family with
+    the crossings' code.  Their masks equal the realized reference, and so
+    do those of the candidates listed with them."""
     half_root2 = Radical.sqrt(2) * F(1, 2)
     squares = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), 0)),
                                      Member(Point(3, 3))])
     extra = [RadPoint(half_root2, F(1, 2)), RadPoint(half_root2 + 3, half_root2 + 3),
              RadPoint(half_root2 * 3, 0)]
-    assert [membership(squares, [int_point(p)])(0)(0) for p in extra] == [None] * 3
     cands = candidate_points(squares)
     masks = coverage(squares, [*cands, *map(int_point, extra)])
-    assert masks[:-3] == realized_masks(squares, cands) and masks[-3:] == [None] * 3
+    assert squares._realized == {}
+    assert masks == realized_masks(squares, cands + extra) and masks[-3:] == [0b011, 0b100, 0]
     disks = Family(unit_disk(), [Member(Point(0, 0)), Member(Point(2, 0))])
     quarter_root3 = Radical.sqrt(3) * F(1, 4)
-    extra = [RadPoint(half_root2 * F(1, 2), quarter_root3),
-             RadPoint(half_root2 * 3, quarter_root3)]
-    assert [int_point(p) for p in extra] == [None] * 2
+    extra = [RadPoint(quarter_root3, quarter_root3), RadPoint(quarter_root3 + 1, quarter_root3),
+             RadPoint(1, quarter_root3 * 4)]
     cands = candidate_points(disks)
     masks = coverage(disks, [*cands, *map(int_point, extra)])
-    assert masks[:-2] == realized_masks(disks, cands) and masks[-2:] == [None] * 2
+    assert disks._realized == {}
+    assert masks == realized_masks(disks, cands + extra) and masks[-3:] == [0b01, 0b10, 0]
 
 
 @pytest.mark.parametrize("n", range(21))
