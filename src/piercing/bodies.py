@@ -227,9 +227,6 @@ class Family:
     def __len__(self):
         return self._n
 
-    def dim(self):
-        return self.base.dim if self.base.kind == "box" else 2
-
     def translation(self, i):
         """Member i's translation, cols[k][i] / D: a box tuple or a Point."""
         D, cols, _ = self._scaled
@@ -316,7 +313,7 @@ def collector_paused():
 
 
 def scale_table(pairs):
-    """(D, scaled) for a dict of reduced pairs (p, q), q > 0: D is the lcm
+    """(D, scaled) for a dict of int pairs (p, q), q > 0: D is the lcm
     of the qs and scaled[k] = p D / q, an int; when D would need more than
     MAX_SCALE_BITS bits, D is 1 and scaled[k] is the Fraction p / q."""
     D = 1
@@ -485,6 +482,8 @@ def int_translations(f: Family):
     """scaled_translations() on ints: over MAX_SCALE_BITS, the Fraction
     columns cleared by the lcm E of their denominators, with D E for D."""
     D, cols, S = f.scaled_translations()
+    if D > 1:  # the columns hold ints already
+        return D, cols, S
     E = math.lcm(*[v.denominator for v in chain(S, *cols)])
     *cols, S = [[v.numerator * (E // v.denominator) for v in col] for col in (*cols, S)]
     return D * E, cols, S

@@ -21,21 +21,22 @@ cluster lemma a member that meets its seed and is not above it in that
 order contains a point of the pattern placed at the seed.  So each member
 costs one exact pair test and one int comparison; only the points the
 refine step chose for the last cluster are checked one by one.  Its points
-are built only when asked for (PierceCertificate.points), from the same int
-keys of the placed pattern that the distinct-point count uses
-(_pattern_keys): repeated keys are dropped and each kept key becomes one
-point.
+are built only when asked for (PierceCertificate.points), from the one int
+key per placed point that the distinct-point count uses (_packed_keys):
+repeated keys are dropped and each kept key is decoded to one point.
 """
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import accumulate, chain, product
 import math
+from operator import add, mul
 
 from .bodies import (
     Family,
     box_columns,
     collector_paused,
     int_point,
+    int_translations,
     membership,
     pair_checker,
     pairwise_disjoint,
@@ -102,7 +103,7 @@ def greedy_supported(base) -> bool:
 def greedy_rule(f: Family, method):
     """(pattern, rank) for a greedy method on f: a member that meets member
     i and has rank <= rank[i] contains a point of the pattern placed at i
-    (_pattern_keys).  This is the cluster lemma behind both greedies.
+    (_packed_keys).  This is the cluster lemma behind both greedies.
 
     "greedy" (translates): the pattern covers the lower part of C - C, cut
     by a line through the origin (the trapezoid's cut edge for a triangle),
@@ -148,61 +149,63 @@ def _terms(v):
     return {1: v} if v else {}
 
 
-def value_key(p, scale=1):
-    """Hashable key of the value of point p times scale: the rational part
-    of each coordinate, then for each coordinate a flat tuple of its other
-    terms' radicands and coefficients, by increasing radicand.
+def _packed_keys(f: Family, offsets, seeds):
+    """(rows, key, point): rows[o] holds the int key of offsets[o] placed at
+    each seed, key(p) is the key of any point p, and point(k) decodes one.
 
-    Radicals keep squarefree radicands, so equal values have equal keys
-    whatever the point's type (Point, RadPoint or box tuple)."""
-    terms = [_terms(v) for v in _coords(p)]
-    return (*[t.get(1, 0) * scale for t in terms],
-            *[tuple(x for m in sorted(t) if m != 1 for x in (m, t[m] * scale)) for t in terms])
-
-
-def _pattern_keys(f: Family, offsets, seeds):
-    """(scale, keys): value_key(p, scale) for every pattern point p placed
-    at the seeds, computed from ints alone, one offset at a time.
-
-    With L the lcm of the denominators of the anchored offsets a + o, the
-    scale D L makes a placed coordinate ((a + o) S_i + T_i) L an int
-    combination of square roots: q S_i + L T_i plus c S_i sqrt(m) over the
-    other terms c sqrt(m) of L (a + o).  Those terms depend on S_i alone,
-    so they are built once per distinct scale.
-    """
-    D, cols, S = f.scaled_translations()
+    On bodies.int_translations, with L the lcm of the denominators of the
+    anchored offsets a + o, a placed coordinate times D L has the int digit
+    q S_i + L T_i for its rational part and c S_i per term c sqrt(m) of
+    L (a + o).  A key is the digits in mixed radix over bounds from the seed
+    columns' extents, so equal keys are equal values, and it is linear:
+    A_o S_i + B_i.  A point out of bounds is no pattern point; its key is
+    the tuple of its terms."""
+    D, cols, S = int_translations(f)
     anchor = _coords(_anchor(f.base))
     terms = [[_terms(a + v) for a, v in zip(anchor, _coords(o))] for o in offsets]
     L = math.lcm(*(c.denominator for row in terms for t in row for c in t.values()))
-    ss = [S[i] for i in seeds]
-    ts = [[L * col[i] for i in seeds] for col in cols]
-    keys = []
-    for row in terms:
-        rational = [[q * s + v for s, v in zip(ss, tcol)]
-                    for q, tcol in zip([int(t.get(1, 0) * L) for t in row], ts)]
-        radical = []
-        for t in row:
-            rad = [(m, int(c * L)) for m, c in sorted(t.items()) if m != 1]
-            by_scale = {s: tuple(x for m, c in rad for x in (m, c * s)) for s in set(ss)}
-            radical.append([by_scale[s] for s in ss])
-        keys.extend(zip(*rational, *radical))
-    return D * L, keys
+    scale = D * L
+    ss = list(map(S.__getitem__, seeds))
+    ts = [list(map(col.__getitem__, seeds)) for col in cols]
+    # one digit per (axis, radicand), the rational part's radicand being 1
+    digits = sorted({(k, 1) for k in range(len(cols))}
+                    | {(k, m) for row in terms for k, t in enumerate(row) for m in t})
+    coefs = [[int(row[k].get(m, 0) * L) for k, m in digits] for row in terms]
+    ends = (min(ss, default=1), max(ss, default=1))
+    lo, hi = [], []
+    for (k, m), cs in zip(digits, zip(*coefs)):
+        v = [c * s for c in (min(cs), max(cs)) for s in ends]
+        t = (L * min(ts[k], default=0), L * max(ts[k], default=0)) if m == 1 else (0, 0)
+        lo.append(min(v) + t[0])
+        hi.append(max(v) + t[1])
+    radices = [b - a + 1 for a, b in zip(lo, hi)]
+    weights = list(accumulate(radices[:-1], mul, initial=1))
+    B = [0] * len(seeds)
+    for (k, m), w in zip(digits, weights):
+        if m == 1:
+            B = list(map(add, B, map((L * w).__mul__, ts[k])))
+    A = [sum(map(mul, c, weights)) for c in coefs]
+    rows = [list(map(add, map(a.__mul__, ss), B)) for a in A]
 
+    def key(p):
+        terms = {(k, m): c * scale for k, v in enumerate(_coords(p)) for m, c in _terms(v).items()}
+        digit = [terms.get(km, 0) for km in digits]
+        if terms.keys() - digits or not all(
+                a <= c <= b and c.denominator == 1 for a, c, b in zip(lo, digit, hi)):
+            return tuple(sorted(terms.items()))
+        return sum(map(mul, map(int, digit), weights))
 
-def _key_point(kind, scale, key):
-    """The point p with value_key(p, scale) == key, for a family of kind
-    (the base's): a Point, a box tuple, or for a disk a RadPoint whose
-    coordinates have the rational part and other terms of the key over
-    scale, zero terms dropped."""
-    d = len(key) // 2
-    if kind != "disk":
-        xs = [Fraction(v, scale) for v in key[:d]]
-        return tuple(xs) if kind == "box" else Point(*xs)
-    coords = []
-    for v, rad in zip(key, key[d:]):
-        terms = ((1, v), *zip(rad[::2], rad[1::2]))
-        coords.append(Radical({m: Fraction(c, scale) for m, c in terms if c}))
-    return RadPoint(*coords)
+    def point(k):
+        v, xs = k - sum(map(mul, lo, weights)), [{} for _ in cols]
+        for (axis, m), a, r in zip(digits, lo, radices):
+            v, x = divmod(v, r)
+            xs[axis][m] = Fraction(a + x, scale)
+        if f.base.kind == "disk":
+            return RadPoint(*[Radical({m: c for m, c in x.items() if c}) for x in xs])
+        xs = [x[1] for x in xs]
+        return tuple(xs) if f.base.kind == "box" else Point(*xs)
+
+    return rows, key, point
 
 
 class PierceCertificate:
@@ -248,19 +251,17 @@ class PierceCertificate:
     @property
     def points(self):
         """The piercing points.  A symbolic certificate builds them on first
-        access from the int keys that _distinct counts (_pattern_keys):
-        seed by seed, first occurrences of each value, then the refine
-        points whose values are not among them."""
+        access from the keys that _distinct counts (_packed_keys): seed by
+        seed, first occurrences of each value, then the refine points whose
+        values are not among them."""
         if self._points is None:
             f = self.family
-            seeds = self._pattern_seeds()
-            scale, keys = _pattern_keys(f, greedy_rule(f, self.method)[0].offsets, seeds)
-            n = len(seeds)
-            # the keys are offset-major: seed i's are keys[i::n]
-            seen = dict.fromkeys(chain.from_iterable(keys[i::n] for i in range(n)))
-            points = [_key_point(f.base.kind, scale, k) for k in seen]
+            rows, key, point = _packed_keys(f, greedy_rule(f, self.method)[0].offsets,
+                                            self._pattern_seeds())
+            seen = dict.fromkeys(chain.from_iterable(zip(*rows)))
+            points = list(map(point, seen))
             for p in self.extra:
-                k = value_key(p, scale)
+                k = key(p)
                 if k not in seen:
                     seen[k] = None
                     points.append(p)
@@ -275,15 +276,13 @@ class PierceCertificate:
     @collector_paused()
     def _distinct(self, f: Family):
         """The number of distinct points, for the certificate on f; a
-        symbolic certificate counts value keys on ints, placing nothing."""
+        symbolic certificate counts packed int keys, placing nothing."""
         if not self.symbolic:
             return len(self._points)
         if self._counted is None or self._counted[0] is not f:
             offsets = greedy_rule(f, self.method)[0].offsets
-            scale, keys = _pattern_keys(f, offsets, self._pattern_seeds())
-            seen = set(keys)
-            seen.update(value_key(p, scale) for p in self.extra)
-            self._counted = (f, len(seen))
+            rows, key, _ = _packed_keys(f, offsets, self._pattern_seeds())
+            self._counted = (f, len(set(chain(*rows, map(key, self.extra)))))
         return self._counted[1]
 
     def point_count(self) -> int:

@@ -6,6 +6,7 @@ written, 2 parse or usage error, 3 size limit.
 """
 
 import argparse
+from functools import cache
 import json
 import math
 import sys
@@ -286,6 +287,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@cache  # once per process: each parse starts from a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="piercing")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -464,15 +464,16 @@ def _has_area(chain) -> bool:
 def _subtract(piece, planes) -> list:
     """Convex decomposition of a chain minus the polygon with these planes:
     the part of the chain outside each halfplane leaves the difference, and
-    the rest continues to the next halfplane."""
+    the rest continues to the next halfplane.  A rest of fewer than three
+    vertices meets the polygon in measure zero: the chain is kept whole."""
     out = []
     rest = piece
     for plane in planes:
         rest, outside = _split(rest, plane)
+        if len(rest) < 3:
+            return [piece] if _has_area(piece) else []
         if outside and _has_area(outside):
             out.append(outside)
-        if not rest:
-            break
     return out
 
 

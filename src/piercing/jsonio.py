@@ -5,8 +5,8 @@ Rationals travel as JSON ints or as strings of the grammar
 files stay exact and no short field expands to a huge integer.
 Certificates embed the instance, which makes them re-verifiable from the
 file alone.  An instance is written as its scaled int columns "D", "t" (D t
-per axis) and, for homothets, "s" (D s) (bodies.Family.scaled_translations);
-the hand-written "members" form is read too, one parse per distinct number.
+per axis) and, for homothets, "s" (D s) (bodies.Family.scaled_translations),
+and read back as written (_rescaled); the hand-written "members" form too.
 """
 
 from fractions import Fraction
@@ -16,7 +16,8 @@ import math
 from operator import itemgetter
 import re
 
-from .bodies import BoxBody, DiskBody, Family, PolygonBody, collector_paused, scale_table
+from .bodies import (MAX_SCALE_BITS, BoxBody, DiskBody, Family, PolygonBody, collector_paused,
+                     scale_table)
 from .certificates import PierceCertificate, greedy_rule
 from .errors import DegenerateInput, ParseError
 from .geom import ConvexPolygon, Point
@@ -67,6 +68,24 @@ def _radical_sum(terms) -> Radical:
     return out
 
 
+def _rescaled(D0, cols, strings):
+    """(D, cols): columns of JSON ints x / D0 and, if strings, grammar
+    strings, over their least common denominator D (bodies.scale_table).
+    For the ints that is D0 / gcd(D0, x_1, ..., x_n), so a written family's
+    entries are taken as they are; each distinct string is parsed once.
+    The columns hold one int object per distinct value, not the document's
+    one per entry, which would outlive the document."""
+    distinct = set(chain(*cols)) if strings else ()
+    pairs = {x: _pair(x, D0) for x in distinct if type(x) is str}
+    g = math.gcd(D0, *([x for x in distinct if type(x) is int] if strings else chain(*cols)))
+    if g == 1 and not pairs and D0.bit_length() <= MAX_SCALE_BITS:
+        table = {}
+        return D0, [list(map(table.setdefault, col, col)) for col in cols]
+    pairs.update((x, (x // g, D0 // g)) for x in distinct or set(chain(*cols)) if type(x) is int)
+    D, table = scale_table(pairs)
+    return D, [list(map(table.__getitem__, col)) for col in cols]
+
+
 class _Reader:
     """Reads one document.  Rationals are memoised by their JSON value and
     the canonical-form verdict by radicand tuple; both memos live only as
@@ -83,7 +102,7 @@ class _Reader:
         if type(x) is str or type(x) is int:
             q = self._nums.get(x)
             if q is None:
-                q = self._nums[x] = Fraction(*_pair(x))
+                q = self._nums[x] = Fraction(x) if type(x) is int else Fraction(*_pair(x))
             return q
         return Fraction(*_pair(x))
 
@@ -149,10 +168,9 @@ class _Reader:
 
     def family(self, obj) -> Family:
         """The instance's Family, built from scaled ints (Family.from_scaled).
-        The members form becomes columns over D = 1; each distinct JSON value
-        is parsed once to a reduced int pair over D and scaled once
-        (bodies.scale_table), and the columns are gathered by dict lookups,
-        with no object per member and no Fraction."""
+        The members form becomes columns over D = 1, and the columns go to
+        their least common denominator (_rescaled) with no object per member
+        and no Fraction."""
         try:
             base = self.body(obj["base"])
             kind = obj.get("kind", "translates")
@@ -177,22 +195,18 @@ class _Reader:
             raise
         except Exception as e:
             raise ParseError("bad instance: %s" % e) from e
-        # an int and a str never compare equal, so once bools and floats
-        # are refused the sets below keep every distinct value apart
-        bad = set(map(type, chain(ss, *raw))) - {int, str}
-        if bad:
-            x = next(x for x in chain(ss, *raw) if type(x) in bad)
+        # exact type test first: True hashes like 1 and 1.0 equals it
+        types = set(map(type, chain(ss, *raw)))
+        if types - {int, str}:
+            x = next(x for x in chain(ss, *raw) if type(x) not in (int, str))
             raise ParseError("exact rational expected, got %r" % (x,))
-        pairs = {x: _pair(x, D0) for x in set(chain(ss, *raw))}
-        scales = set(map(pairs.__getitem__, set(ss)))
-        if any(p <= 0 for p, _ in scales):
+        D, cols = _rescaled(D0, raw + [ss] if "s" in obj else raw, str in types)
+        S = cols.pop() if "s" in obj else [D] * n
+        if S and min(S) <= 0:
             raise ParseError("scale must be positive")
-        if kind == "translates" and scales - {(1, 1)}:
+        if kind == "translates" and set(S) - {D}:
             raise ParseError("translate families require scale 1")
-        # a translate's scale pair is (1, 1), which leaves D as it is
-        D, scaled = scale_table(pairs)
-        cols = [list(map(scaled.__getitem__, col)) for col in raw]
-        S = list(map(scaled.__getitem__, ss)) if kind == "homothets" else [D] * len(ss)
+        S = S if kind == "homothets" else [D] * n
         try:
             return Family.from_scaled(base, (D, cols, S), kind)
         except DegenerateInput as e:

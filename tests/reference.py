@@ -24,7 +24,12 @@ of a circle are ordered by angle about its centre with a quadrant comparator
 bounds the work of a block by counting its calls, a deterministic
 stand-in for a time or memory limit.  members_document writes an instance
 in the hand-written members form, one object per member, which the reader
-still takes and the certificate digests were taken on.  convex_hull,
+still takes and the certificate digests were taken on.  value_key is an
+exact key of a point's value, and dedupe_points drops repeated keys.
+pairs_scaled reads an instance's columns one distinct value at a time,
+through jsonio._pair and bodies.scale_table.  pattern_keys and
+tuple_key_count count a symbolic certificate's distinct points on
+per-seed tuples of value_key.  convex_hull,
 contains and centre are the Fraction versions of geom's hull, containment
 and symmetry centre, which run on scaled int pairs.  translates_residue
 is the polygon pattern check on translates built in Fractions, and
@@ -37,7 +42,7 @@ import itertools
 import math
 import sys
 
-from piercing import geom
+from piercing import geom, jsonio
 from piercing.bodies import (
     BoxBody,
     DiskBody,
@@ -48,8 +53,9 @@ from piercing.bodies import (
     member_polygons,
     neighbor_index,
     pair_checker,
+    scale_table,
 )
-from piercing.certificates import value_key
+from piercing.certificates import _anchor, _coords, _terms, greedy_rule
 from piercing.errors import DegenerateInput
 from piercing.geom import ConvexPolygon, Interval, Point, frac
 from piercing.oracle import _points
@@ -206,15 +212,18 @@ def section(xs, a):
 
 
 def subtract_chain(piece, poly):
+    """piece minus poly, halfplane by halfplane; a piece whose rest inside
+    the halfplanes so far has fewer than three vertices meets poly in
+    measure zero and is kept whole."""
     out = []
     rest = list(piece)
     for n, c in poly.halfplanes():
         outside = clip_chain(rest, -n, -c)
+        rest = clip_chain(rest, n, c)
+        if len(rest) < 3:
+            return [list(piece)] if chain_area(piece) else []
         if chain_area(outside) > 0:
             out.append(outside)
-        rest = clip_chain(rest, n, c)
-        if not rest:
-            break
     return out
 
 
@@ -302,9 +311,21 @@ def hexagon_sandwich(c):
     return u, [p + o for p in inscribed_hexagon(cen, u)], ratio
 
 
+def value_key(p, scale=1):
+    """Hashable key of the value of point p times scale: the rational part
+    of each coordinate, then for each coordinate a flat tuple of its other
+    terms' radicands and coefficients, by increasing radicand.
+
+    Radicals keep squarefree radicands, so equal values have equal keys
+    whatever the point's type (Point, RadPoint or box tuple)."""
+    terms = [_terms(v) for v in _coords(p)]
+    return (*[t.get(1, 0) * scale for t in terms],
+            *[tuple(x for m in sorted(t) if m != 1 for x in (m, t[m] * scale)) for t in terms])
+
+
 def dedupe_points(points):
-    """points without repeated values (certificates.value_key), first
-    occurrences in order."""
+    """points without repeated values (value_key), first occurrences in
+    order."""
     seen = set()
     out = []
     for p in points:
@@ -802,3 +823,51 @@ def members_document(instance):
     ts = zip(*[map(out, col) for col in cols])
     return {"base": instance["base"], "kind": instance["kind"],
             "members": [{"t": list(t), "s": out(s)} for t, s in zip(ts, scales)]}
+
+
+def pairs_scaled(instance):
+    """(D, cols, S) of a columnar instance document: each distinct value
+    v / D0 reduced to a pair by jsonio._pair, then rescaled over the lcm of
+    the pairs' denominators (bodies.scale_table).  The members form is
+    read as columns over D0 = 1."""
+    if "members" in instance:
+        ms = instance["members"]
+        instance = {"kind": instance.get("kind", "translates"), "D": 1,
+                    "t": [list(col) for col in zip(*[m["t"] for m in ms])],
+                    "s": [m.get("s", 1) for m in ms]}
+    D0, raw = instance["D"], instance["t"]
+    ss = instance.get("s", [D0] * len(raw[0]))
+    pairs = {x: jsonio._pair(x, D0) for x in set(itertools.chain(ss, *raw))}
+    D, scaled = scale_table(pairs)
+    cols = [[scaled[x] for x in col] for col in raw]
+    S = [scaled[x] for x in ss] if instance.get("kind") == "homothets" else [D] * len(ss)
+    return D, cols, S
+
+
+def pattern_keys(f, offsets, seeds):
+    """(scale, keys): value_key(p, scale) for every pattern point p placed
+    at the seeds, as tuples of ints and of radicand-coefficient tuples,
+    offset by offset on the scaled columns."""
+    D, cols, S = f.scaled_translations()
+    anchor = _coords(_anchor(f.base))
+    terms = [[_terms(a + v) for a, v in zip(anchor, _coords(o))] for o in offsets]
+    L = math.lcm(*(c.denominator for row in terms for t in row for c in t.values()))
+    ss = [S[i] for i in seeds]
+    ts = [[L * col[i] for i in seeds] for col in cols]
+    keys = []
+    for row in terms:
+        rational = [[q * s + v for s, v in zip(ss, tcol)]
+                    for q, tcol in zip([int(t.get(1, 0) * L) for t in row], ts)]
+        radical = []
+        for t in row:
+            rad = [(m, int(c * L)) for m, c in sorted(t.items()) if m != 1]
+            radical.append([tuple(x for m, c in rad for x in (m, c * s)) for s in ss])
+        keys.extend(zip(*rational, *radical))
+    return D * L, keys
+
+
+def tuple_key_count(cert, f):
+    """The number of distinct points of a symbolic certificate on f, from
+    pattern_keys and the value_key of each refine point."""
+    scale, keys = pattern_keys(f, greedy_rule(f, cert.method)[0].offsets, cert._pattern_seeds())
+    return len(set(keys) | {value_key(p, scale) for p in cert.extra})

@@ -1,6 +1,7 @@
 import ast
 from fractions import Fraction as F
 import hashlib
+from itertools import chain
 import json
 import math
 from pathlib import Path
@@ -27,7 +28,6 @@ from piercing.certificates import (
     _cell_key,
     _check_members,
     _floor_root,
-    value_key,
 )
 from piercing.cli import auto_pierce, main
 from piercing.errors import VerificationFailed
@@ -51,6 +51,8 @@ from reference import (
     graphs_equal,
     intersection_graph_bruteforce,
     members_document,
+    tuple_key_count,
+    value_key,
 )
 
 
@@ -173,6 +175,59 @@ def test_explicit_certificate_over_its_budget_fails(tmp_path, capsys, over):
     assert ("|points| exceeds factor * |witness|" in capsys.readouterr().err) == bool(over)
 
 
+def _common_point_family():
+    """Two disjoint hexagon translates whose seeds' patterns share a point:
+    the second is placed at o_a - o_b for two pattern offsets."""
+    base = hexagon_body()
+    offsets = certificates.translate_cluster_cover(base).offsets
+    t = max((a - b for a in offsets for b in offsets), key=lambda v: (abs(v.x), abs(v.y)))
+    f = Family(base, [Member(Point(0, 0)), Member(t)])
+    assert not intersection_graph(f)[0]
+    return f
+
+
+_COUNT_CASES = {
+    "disk translates": lambda: random_family(unit_disk(), 300, box_size=20, seed=4),
+    "disk homothets": lambda: random_family(unit_disk(), 300, box_size=20, kind="homothets",
+                                            seed=4),
+    "triangle homothets": lambda: random_family(unit_triangle(), 300, box_size=20,
+                                                kind="homothets", seed=4),
+    "square homothets": lambda: random_family(unit_square(), 300, box_size=20,
+                                              kind="homothets", seed=4),
+    "3-d boxes": lambda: random_family(BoxBody((0, F(1, 2), 0), (1, F(3, 2), F(2, 3))), 300,
+                                       box_size=6, seed=4),
+    "prime disk homothets": lambda: _prime_family(200, 51, "homothets", 10 ** 4),
+    "prime disk translates": lambda: _prime_family(200, 52, reach=10 ** 4),
+    "two seeds share a point": _common_point_family,
+    "refine repeats a pattern point": lambda: random_family(
+        unit_triangle(), 12, box_size=4, kind="homothets", seed=142),
+}
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("case", sorted(_COUNT_CASES))
+def test_packed_count_equals_the_tuple_key_count(case, refine):
+    # one packed int per placed point counts as per-seed value_key tuples
+    # do, and as deduplicating the expanded points does
+    f = _COUNT_CASES[case]()
+    cert = auto_pierce(f, method="greedy", refine=refine, verify=False)
+    count = cert.point_count()
+    assert count == tuple_key_count(cert, f) == len(dedupe_points(cert.points))
+    assert len(cert.points) == count
+    rows, key, point = certificates._packed_keys(
+        f, certificates.greedy_rule(f, cert.method)[0].offsets, cert._pattern_seeds())
+    placed = list(chain.from_iterable(rows))
+    if case == "two seeds share a point" and not refine:
+        assert len(cert.clusters) == 2 and len(set(placed)) == len(placed) - 1
+    if case.startswith("refine") and refine:
+        assert [key(p) in set(placed) for p in cert.extra] == [True]
+        assert count == len(set(placed))
+    # decoding a key gives the point whose key it is, whatever its type
+    assert all(key(point(k)) == k for k in placed[:50])
+    if f.base.kind != "box":
+        assert all(key(RadPoint.of(point(k))) == k for k in placed[:50])
+
+
 @pytest.mark.parametrize("base, kind", [(unit_disk, "translates"), (unit_triangle, "homothets")])
 def test_verify_counts_no_point_within_the_bound(monkeypatch, base, kind):
     # a greedy certificate places as many points per seed as its factor, so
@@ -180,18 +235,19 @@ def test_verify_counts_no_point_within_the_bound(monkeypatch, base, kind):
     f = random_family(base(), 300, box_size=20, kind=kind, seed=4)
     cert = auto_pierce(f, verify=False)
     calls = []
-    pattern_keys = certificates._pattern_keys
+    packed_keys = certificates._packed_keys
 
     def counted(*args):
         calls.append(args)
-        return pattern_keys(*args)
+        return packed_keys(*args)
 
-    monkeypatch.setattr(certificates, "_pattern_keys", counted)
+    monkeypatch.setattr(certificates, "_packed_keys", counted)
     assert cert.verify(f) and calls == []
     assert cert.point_count() == len(cert.points) and calls
     # the bound verify checks is the number of points placed before dedupe
     offsets = certificates.greedy_rule(f, cert.method)[0].offsets
-    _, keys = pattern_keys(f, offsets, cert._pattern_seeds())
+    rows, _, _ = packed_keys(f, offsets, cert._pattern_seeds())
+    keys = list(chain.from_iterable(rows))
     assert cert._verify_clusters(f) == len(keys) + len(cert.extra) >= len(cert.points)
 
 
@@ -642,9 +698,9 @@ def test_edge_certificates_are_byte_identical(case):
     f = make()
     cert = auto_pierce(f, verify=False)
     if case.startswith("refine"):
-        scale, keys = certificates._pattern_keys(
+        rows, key, _ = certificates._packed_keys(
             f, certificates.greedy_rule(f, cert.method)[0].offsets, cert._pattern_seeds())
-        assert [value_key(p, scale) in set(keys) for p in cert.extra] == [True]
+        assert [key(p) in set(chain.from_iterable(rows)) for p in cert.extra] == [True]
     text = _expanded_text(cert, f)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from piercing import jsonio
-from piercing.cli import auto_pierce, main
+from piercing.cli import auto_pierce, build_parser, main
 
 
 def run(*argv):
@@ -46,6 +46,22 @@ def test_gen_pierce_verify_roundtrip(tmp_path, capsys):
     doc = json.loads(cert.read_text())
     assert doc["factor"] == 2
     assert len(doc["points"]) == printed
+
+
+def test_one_parser_carries_no_option_to_the_next_call(tmp_path):
+    # main reuses one parser per process; each call starts from the defaults
+    inst = tmp_path / "triangles.json"
+    assert run("gen", "random", "--base", "triangle", "--n", "12", "--box-size", "4",
+               "--seed", "5", "--out", str(inst)) == 0
+    runs = [("--no-refine",), (), ("--method", "grid"), ()]
+    docs = []
+    for k, flags in enumerate(runs):
+        out = tmp_path / ("c%d.json" % k)
+        assert run("pierce", str(inst), *flags, "--out", str(out)) == 0
+        docs.append(json.loads(out.read_text()))
+    assert [d["method"] for d in docs] == ["greedy", "greedy", "grid", "greedy"]
+    assert [len(d.get("refine_points", ())) for d in docs] == [0, 2, 0, 2]
+    assert build_parser() is build_parser()
 
 
 def test_pierce_methods(tmp_path):

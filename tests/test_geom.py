@@ -306,6 +306,17 @@ def test_residues_match_the_fraction_reference(region, body, offsets):
                 == sum(map(reference.chain_area, want), F(0)))
 
 
+def test_a_piece_that_meets_a_polygon_in_measure_zero_stays_whole():
+    # a square touching the region along an edge or at a corner, or missing
+    # it, leaves the region as one piece; a segment region is covered
+    region = square(2)
+    for other in (square(1, at=(2, 0)), square(1, at=(2, 2)), square(1, at=(5, 5))):
+        assert region_minus_polygons(region, [other]) == [region.vertices]
+    segment = [Point(0, 0), Point(1, 0)]
+    for other in (square(1, at=(0, -1)), square(1, at=(5, 5))):
+        assert region_minus_polygons(segment, [other]) == []
+
+
 def test_every_clip_reaches_the_integer_kernel(monkeypatch):
     # _split is the one clipping loop and _clip its inside half: every clip
     # runs the loop, and the clips that keep only the inside go through _clip

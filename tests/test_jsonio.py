@@ -1,5 +1,6 @@
-import json
 from fractions import Fraction
+from itertools import chain
+import json
 import random
 
 from hypothesis import example, given, settings, strategies as st
@@ -12,7 +13,7 @@ from piercing.errors import ConstructionFailed, ParseError, VerificationFailed
 from piercing.generators import hexagon_body, random_family, unit_disk, unit_square, unit_triangle
 from piercing.geom import Point
 from piercing.jsonio import _num_out, _radical_sum, _Reader
-from reference import fraction_columns, members_document
+from reference import fraction_columns, members_document, pairs_scaled
 
 
 def run(*argv):
@@ -537,6 +538,104 @@ def test_columns_over_any_common_denominator_read_the_same(kind):
         assert jsonio.family_to_json(g) == doc
 
 
+def _written(kind, base=unit_triangle, n=40):
+    return jsonio.family_to_json(random_family(base(), n, box_size=6, kind=kind, seed=7))
+
+
+def _shared_factor(doc, g=6):
+    out = {**doc, "D": g * doc["D"], "t": [[g * v for v in col] for col in doc["t"]]}
+    if "s" in doc:
+        out["s"] = [g * v for v in doc["s"]]
+    return out
+
+
+def _mixed(doc):
+    # every third entry v as the unreduced string "3v/3", which the file's D
+    # divides like an int
+    spell = ("%d/3" % (3 * v) if k % 3 == 0 else v for k, v in enumerate(
+        chain(*doc["t"], doc.get("s", ()))))
+    n = len(doc["t"][0])
+    out = {**doc, "t": [[next(spell) for _ in range(n)] for _ in doc["t"]]}
+    if "s" in doc:
+        out["s"] = [next(spell) for _ in range(n)]
+    return out
+
+
+def _over_the_bits(doc):
+    # ints over a D of more than MAX_SCALE_BITS bits, their gcd with D 1
+    p = _HUGE[0] * _HUGE[1]
+    out = {**doc, "D": p * doc["D"], "t": [[p * v + 1 for v in col] for col in doc["t"]]}
+    if "s" in doc:
+        out["s"] = [p * v + 1 for v in doc["s"]]
+    return out
+
+
+_READER_CASES = {
+    "written": lambda doc: doc,
+    "shared factor": _shared_factor,
+    "ints and strings": _mixed,
+    "members form": members_document,
+    "over the scale bits": _over_the_bits,
+    "members over the scale bits": lambda doc: members_document(_over_the_bits(doc)),
+    "strings over the scale bits": lambda doc: _mixed(_over_the_bits(doc)),
+}
+
+
+@pytest.mark.parametrize("kind", ["translates", "homothets"])
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+def test_reader_matches_the_per_value_reduction(kind, case):
+    # one gcd over the ints gives the D and columns that reducing each
+    # distinct value to a pair and rescaling by the lcm gives
+    doc = _READER_CASES[case](_written(kind))
+    got = jsonio.family_from_json(doc).scaled_translations()
+    want = pairs_scaled(doc)
+    assert got == want and list(map(type, chain(*got[1], got[2]))) == list(
+        map(type, chain(*want[1], want[2])))
+    assert (got[0] == 1) == case.endswith("over the scale bits")
+    if case in ("shared factor", "ints and strings", "members form"):
+        assert got == jsonio.family_from_json(_written(kind)).scaled_translations()
+
+
+def test_written_columns_are_copied_not_shared():
+    # new lists, holding one int object per distinct value: the document's
+    # ints, one object per entry, are not kept alive by the family
+    doc = json.loads(json.dumps(jsonio.family_to_json(
+        random_family(unit_disk(), 300, box_size=100, kind="homothets", seed=7))))
+    D, cols, S = jsonio.family_from_json(doc).scaled_translations()
+    assert (D, cols, S) == (doc["D"], doc["t"], doc["s"])
+    assert not any(a is b for a, b in zip((*cols, S), (*doc["t"], doc["s"])))
+    entries = list(chain(*cols, S))
+    assert len(set(map(id, entries))) == len(set(entries)) < len(entries)
+    assert max(entries) > 256  # past CPython's cached small ints
+
+
+@pytest.mark.parametrize("base, kind", [("disk", "translates"), ("triangle", "homothets")])
+def test_reading_a_written_file_reduces_no_value(tmp_path, monkeypatch, base, kind):
+    # the written int columns are read as they are: jsonio._pair runs only
+    # for the numbers of a certificate's refine points
+    inst, plain, refined = (str(tmp_path / name) for name in ("i.json", "a.json", "b.json"))
+    assert run("gen", "random", "--base", base, "--kind", kind, "--n", "300",
+               "--box-size", "20", "--seed", "4", "--out", inst) == 0
+    assert run("pierce", inst, "--no-refine", "--out", plain) == 0
+    assert run("pierce", inst, "--out", refined) == 0
+    calls = []
+    pair = jsonio._pair
+
+    def counted(*args):
+        calls.append(args)
+        return pair(*args)
+
+    monkeypatch.setattr(jsonio, "_pair", counted)
+    jsonio.family_from_json(jsonio.load(inst))
+    jsonio.certificate_from_json(jsonio.load(plain))
+    assert calls == []
+    doc = jsonio.load(refined)
+    numbers = {json.dumps(v) for p in doc["refine_points"]
+               for v in p.get("xy") or [c for terms in (p["x"], p["y"]) for _, c in terms]}
+    jsonio.certificate_from_json(doc)
+    assert doc["refine_points"] and 0 < len(calls) <= len(numbers)
+
+
 def _instance_with(member, kind="translates", base=None):
     return {"base": base or {"type": "disk", "center": [0, 0], "radius": 1}, "kind": kind,
             "members": [{"t": [0, 0], "s": 1}, member]}
@@ -595,6 +694,14 @@ def _last_entry(value, axis=None):
     return edit
 
 
+def _last_two(a, b, axis=0):
+    """An edit that sets the last two entries of column t[axis], or of s:
+    values that hash alike but only one of which is an int."""
+    def edit(inst):
+        (inst["s"] if axis is None else inst["t"][axis])[-2:] = [a, b]
+    return edit
+
+
 _COLUMNAR_EDITS = {
     "D zero": ("translates", _setting("D", 0)),
     "D negative": ("translates", _setting("D", -32)),
@@ -611,6 +718,9 @@ _COLUMNAR_EDITS = {
     "short column": ("translates", lambda inst: inst["t"][1].pop()),
     "float entry": ("translates", _last_entry(0.5, 0)),
     "bool entry": ("translates", _last_entry(True, 1)),
+    "bool next to an equal int": ("translates", _last_two(1, True)),
+    "float next to an equal int": ("translates", _last_two(1, 1.0)),
+    "homothet s bool next to an equal int": ("homothets", _last_two(1, True, None)),
     "null entry": ("translates", _last_entry(None, 0)),
     "list entry": ("translates", _last_entry([1], 1)),
     "bad string entry": ("translates", _last_entry("0.5", 0)),

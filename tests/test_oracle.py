@@ -19,7 +19,6 @@ from piercing.bodies import (
     normalize_affine,
     pair_checker,
 )
-from piercing.certificates import value_key
 from piercing.errors import TooLarge
 from piercing.generators import (
     five_square_cycle,
@@ -52,6 +51,7 @@ from reference import (
     family_of_columns,
     fraction_columns,
     intersection_graph_bruteforce,
+    value_key,
 )
 
 

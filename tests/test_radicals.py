@@ -4,9 +4,9 @@ from math import isqrt
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from piercing.certificates import value_key
 from piercing.errors import PrecisionExhausted
 from piercing.radicals import RadPoint, Radical, _reduce_radicand, refine_sign, sqrt_exact
+from reference import value_key
 
 
 def test_simple_signs():
