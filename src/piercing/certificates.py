@@ -100,6 +100,20 @@ def greedy_supported(base) -> bool:
         or len(base.polygon.vertices) == 3
 
 
+def greedy_pattern(f: Family, method):
+    """The cover pattern of a greedy method on f (greedy_rule); raises
+    UnsupportedBase when the method does not apply to f."""
+    if method == "greedy":
+        if f.kind != "translates":
+            raise UnsupportedBase("greedy_pierce needs a translate family")
+        if not greedy_supported(f.base):
+            raise UnsupportedBase("polygon base is neither centrally symmetric nor a triangle")
+        return translate_cluster_cover(f.base)
+    if method == "greedy-homothets":
+        return homothet_cover(f.base)
+    raise UnsupportedBase("no greedy rule for method %r" % (method,))
+
+
 def greedy_rule(f: Family, method):
     """(pattern, rank) for a greedy method on f: a member that meets member
     i and has rank <= rank[i] contains a point of the pattern placed at i
@@ -111,18 +125,13 @@ def greedy_rule(f: Family, method):
     the seed has its offset in that part.  "greedy-homothets": the pattern
     covers C - C and rank is -S, since a member at least as large as the
     seed that meets it contains a seed-sized translate meeting it.  Raises
-    UnsupportedBase when the method does not apply to f.
+    UnsupportedBase when the method does not apply to f.  The rank is an
+    O(n) column; greedy_pattern gives the pattern alone.
     """
-    base = f.base
+    pattern = greedy_pattern(f, method)
     if method == "greedy":
-        if f.kind != "translates":
-            raise UnsupportedBase("greedy_pierce needs a translate family")
-        if not greedy_supported(base):
-            raise UnsupportedBase("polygon base is neither centrally symmetric nor a triangle")
-        return translate_cluster_cover(base), seed_columns(f)[-1]
-    if method == "greedy-homothets":
-        return homothet_cover(base), [-s for s in f.scaled_translations()[2]]
-    raise UnsupportedBase("no greedy rule for method %r" % (method,))
+        return pattern, seed_columns(f)[-1]
+    return pattern, [-s for s in f.scaled_translations()[2]]
 
 
 def _coords(p):
@@ -150,8 +159,9 @@ def _terms(v):
 
 
 def _packed_keys(f: Family, offsets, seeds):
-    """(rows, key, point): rows[o] holds the int key of offsets[o] placed at
-    each seed, key(p) is the key of any point p, and point(k) decodes one.
+    """(rows, key, point): rows[o] iterates over the int key of offsets[o]
+    placed at each seed, key(p) is the key of any point p, and point(k)
+    decodes one.
 
     On bodies.int_translations, with L the lcm of the denominators of the
     anchored offsets a + o, a placed coordinate times D L has the int digit
@@ -185,7 +195,7 @@ def _packed_keys(f: Family, offsets, seeds):
         if m == 1:
             B = list(map(add, B, map((L * w).__mul__, ts[k])))
     A = [sum(map(mul, c, weights)) for c in coefs]
-    rows = [list(map(add, map(a.__mul__, ss), B)) for a in A]
+    rows = [map(add, map(a.__mul__, ss), B) for a in A]
 
     def key(p):
         terms = {(k, m): c * scale for k, v in enumerate(_coords(p)) for m, c in _terms(v).items()}
@@ -256,7 +266,7 @@ class PierceCertificate:
         values are not among them."""
         if self._points is None:
             f = self.family
-            rows, key, point = _packed_keys(f, greedy_rule(f, self.method)[0].offsets,
+            rows, key, point = _packed_keys(f, greedy_pattern(f, self.method).offsets,
                                             self._pattern_seeds())
             seen = dict.fromkeys(chain.from_iterable(zip(*rows)))
             points = list(map(point, seen))
@@ -280,7 +290,7 @@ class PierceCertificate:
         if not self.symbolic:
             return len(self._points)
         if self._counted is None or self._counted[0] is not f:
-            offsets = greedy_rule(f, self.method)[0].offsets
+            offsets = greedy_pattern(f, self.method).offsets
             rows, key, _ = _packed_keys(f, offsets, self._pattern_seeds())
             self._counted = (f, len(set(chain(*rows, map(key, self.extra)))))
         return self._counted[1]

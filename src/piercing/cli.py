@@ -154,6 +154,7 @@ def cmd_verify(args) -> int:
         print("cover pattern ok: %d offsets" % len(doc["offsets"]))
         return EXIT_OK
     cert, f = jsonio.certificate_from_json(doc)
+    del doc  # the certificate and family hold what verify reads
     cert.verify(f)
     print("certificate ok: %d points, witness %d, factor %d" % (
         cert.point_count(), len(cert.witness), cert.factor))

@@ -1,15 +1,16 @@
 """Constructors for the extremal paper instances and random experiment families."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 import random
 
-from .bodies import (DiskBody, Family, Member, PolygonBody, collector_paused, pair_checker,
-                     scale_table)
+from .bodies import (MAX_SCALE_BITS, DiskBody, Family, Member, PolygonBody, collector_paused,
+                     pair_checker)
 from .errors import ConstructionFailed, DegenerateInput, EpsilonTooLarge, TooLarge
 from .geom import ConvexPolygon, Point, convex_hull, frac, minkowski_sum, reflect
 
 GRID_CAP = 4096
+_BLOCK = 4096  # members random_family draws at a time
 
 
 def unit_square() -> PolygonBody:
@@ -97,33 +98,48 @@ def _rand_frac_form(lo, hi, denom):
     return int((hi - lo) * denom) + 1, lo.numerator * denom, lo.denominator, lo.denominator * denom
 
 
+def _draw_columns(rng, spans, n):
+    """n members' draws rng.randrange(span), span by span, as one column
+    per span holding one int object per distinct draw.  The members are
+    drawn _BLOCK at a time, so no list of every draw is built."""
+    randrange, table, cols = rng.randrange, {}, [[] for _ in spans]
+    for start in range(0, n, _BLOCK):
+        drawn = [randrange(span) for _ in range(min(_BLOCK, n - start)) for span in spans]
+        drawn = list(map(table.setdefault, drawn, drawn))
+        for k, col in enumerate(cols):
+            col += drawn[k::len(spans)]
+    return cols
+
+
 @collector_paused()
 def random_family(base, n, box_size=10, kind="translates", scale_range=(1, 3), seed=0) -> Family:
     """Reproducible random family: rational translations in a square box.
 
     Each coordinate, then the scale of a homothet, is one _rand_frac draw
-    (denominators 32 and 8); the draws are taken in that order first.  The
-    family is built from its scaled columns (Family.from_scaled): D is the
-    lcm of the reduced denominators drawn, and each distinct draw is scaled
-    once (scale_table).  Its lists of ints form no cycle, so the cyclic
+    (denominators 32 and 8), member by member, into one column per axis
+    and one for the scales (_draw_columns).  Draw j of a form
+    (_rand_frac_form) is (a + j b) / q, so the lcm D of the reduced
+    denominators drawn is the lcm over the forms of q / gcd(q, a + j b over
+    the drawn j), and a draw's scaled value is (a + j b) D / q.  Over
+    MAX_SCALE_BITS, D is 1 and the values are the Fractions themselves, as
+    scale_table gives them.  The family is built from these columns
+    (Family.from_scaled); its lists of ints form no cycle, so the cyclic
     collector is held off (collector_paused)."""
     rng = random.Random(seed)
     dim = base.dim if base.kind == "box" else 2
     forms = [_rand_frac_form(0, box_size, 32)] * dim
     if kind != "translates":
         forms.append(_rand_frac_form(scale_range[0], scale_range[1], 8))
-    spans = [span for span, _, _, _ in forms]
-    draws = [rng.randrange(span) for _ in range(n) for span in spans]
-    cols = [draws[k::len(forms)] for k in range(len(forms))]
-    drawn = [set(ks) for ks in cols]
-    pairs = {}  # draw j of form k, (span, a, b, q), is (a + j b) / q, reduced
+    cols = _draw_columns(rng, [span for span, _, _, _ in forms], n)
+    drawn = [set(col) for col in cols]
+    D = 1
+    for (_, a, b, q), js in zip(forms, drawn):
+        D = lcm(D, q // gcd(q, *[a + j * b for j in js]))
+    wide = D.bit_length() > MAX_SCALE_BITS
     for k, ((_, a, b, q), js) in enumerate(zip(forms, drawn)):
-        for j in js:
-            g = gcd(a + j * b, q)
-            pairs[k, j] = (a + j * b) // g, q // g
-    D, scaled = scale_table(pairs)
-    cols = [list(map({j: scaled[k, j] for j in js}.__getitem__, ks))
-            for k, (ks, js) in enumerate(zip(cols, drawn))]
+        value = {j: Fraction(a + j * b, q) if wide else (a + j * b) * D // q for j in js}
+        cols[k] = list(map(value.__getitem__, cols[k]))
+    D = 1 if wide else D
     S = cols.pop() if kind != "translates" else [D] * n
     if S and min(S) <= 0:
         raise DegenerateInput("scale must be positive")

@@ -18,7 +18,7 @@ import re
 
 from .bodies import (MAX_SCALE_BITS, BoxBody, DiskBody, Family, PolygonBody, collector_paused,
                      scale_table)
-from .certificates import PierceCertificate, greedy_rule
+from .certificates import PierceCertificate, greedy_pattern
 from .errors import DegenerateInput, ParseError
 from .geom import ConvexPolygon, Point
 from .radicals import RadPoint, Radical, canonical_radicands
@@ -185,11 +185,14 @@ class _Reader:
                 obj = {"D": 1, "t": [list(map(itemgetter(k), ts)) for k in range(dim)],
                        "s": [m.get("s", 1) for m in obj["members"]]}
             D0, raw, n = obj["D"], obj["t"], len(obj["t"][0])
-            ss = obj.get("s", [D0] * n if kind == "translates" else None)
+            # a translate file may leave out s, the scales D0 of its members
+            has_s = "s" in obj or kind != "translates"
+            ss = obj.get("s") if has_s else []
             if type(D0) is not int or D0 <= 0:
                 raise ParseError("D must be a positive integer, got %r" % (D0,))
             if type(raw) is not list or len(raw) != dim or set(map(type, raw)) - {list} \
-                    or set(map(len, raw)) != {n} or type(ss) is not list or len(ss) != n:
+                    or set(map(len, raw)) != {n} \
+                    or has_s and (type(ss) is not list or len(ss) != n):
                 raise ParseError("an instance needs %d lists t and a list s of equal length" % dim)
         except ParseError:
             raise
@@ -200,8 +203,8 @@ class _Reader:
         if types - {int, str}:
             x = next(x for x in chain(ss, *raw) if type(x) not in (int, str))
             raise ParseError("exact rational expected, got %r" % (x,))
-        D, cols = _rescaled(D0, raw + [ss] if "s" in obj else raw, str in types)
-        S = cols.pop() if "s" in obj else [D] * n
+        D, cols = _rescaled(D0, raw + [ss] if has_s else raw, str in types)
+        S = cols.pop() if has_s else [D] * n
         if S and min(S) <= 0:
             raise ParseError("scale must be positive")
         if kind == "translates" and set(S) - {D}:
@@ -283,7 +286,7 @@ def certificate_to_json(cert: PierceCertificate, f: Family) -> dict:
     doc = {"instance": family_to_json(f), "method": cert.method, "factor": cert.factor}
     if not cert.symbolic:
         doc["points"] = [point_to_json(p) for p in cert.points]
-    doc["clusters"] = [[s, list(m)] for s, m in cert.clusters]
+    doc["clusters"] = cert.clusters  # (seed, members) tuples, written as arrays
     doc["witness"] = list(cert.witness)
     if cert.symbolic:
         doc["refine_points"] = [point_to_json(p) for p in cert.extra]
@@ -311,7 +314,7 @@ def _list(doc, key):
 def certificate_from_json(obj):
     """(certificate, family) from a document.  One with "points" is
     explicit; one with "refine_points" instead is symbolic, and its method
-    must name a greedy rule (certificates.greedy_rule) for its instance."""
+    must name a greedy rule (certificates.greedy_pattern) for its instance."""
     rd = _Reader()
     try:
         f = rd.family(obj["instance"])
@@ -323,7 +326,7 @@ def certificate_from_json(obj):
         method = obj.get("method", "unknown")
         symbolic = "points" not in obj
         if symbolic:
-            greedy_rule(f, method)
+            greedy_pattern(f, method)
         elif "refine_points" in obj:
             raise ParseError("a certificate has points or refine_points, not both")
         clusters = _list(obj, "clusters") if symbolic else obj.get("clusters", [])
@@ -419,12 +422,54 @@ def verify_pattern_json(doc) -> bool:
     return True
 
 
+# entries per piece of a long list that dump writes
+_SLICE = 512
+
+
+def _long(x):
+    return isinstance(x, (list, tuple)) and len(x) > _SLICE
+
+
+def _pieces(obj):
+    """json.dumps(obj, separators=(",", ":")) as consecutive pieces, each
+    from one json.dumps call: a dict item by item, a list longer than
+    _SLICE in slices of _SLICE entries, a list holding such a list item by
+    item, and any other value whole.  Only one piece is built at a time."""
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        sep = "{"
+        for k, v in obj.items():
+            yield sep + _dumps(k) + ":"
+            yield from _pieces(v)
+            sep = ","
+        yield "}"
+    elif _long(obj):
+        for a in range(0, len(obj), _SLICE):
+            yield ("[" if a == 0 else ",") + _dumps(obj[a:a + _SLICE])[1:-1]
+        yield "]"
+    elif isinstance(obj, (list, tuple)) and any(map(_long, obj)):
+        sep = "["
+        for v in obj:
+            yield sep
+            yield from _pieces(v)
+            sep = ","
+        yield "]"
+    else:
+        yield _dumps(obj)
+
+
+def _dumps(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def dump(obj, path=None):
-    text = json.dumps(obj, separators=(",", ":"))
+    """obj as compact JSON, json.dumps(obj, separators=(",", ":")): written
+    to path with a newline, piece by piece (_pieces), so that the whole text
+    never exists at once; with no path, returned."""
     if path is None:
-        return text
+        return "".join(_pieces(obj))
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.writelines(_pieces(obj))
+        fh.write("\n")
     return None
 
 

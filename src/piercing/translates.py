@@ -48,7 +48,7 @@ from .bodies import (
     neighbor_index,
     pair_checker,
 )
-from .certificates import PierceCertificate, greedy_rule, seed_columns
+from .certificates import PierceCertificate, greedy_pattern, seed_columns
 # translate_cluster_cover is unused here but stays bound: perfbench/spans.py
 # traces it by this binding
 from .covers import _cached, _poly_key, _sandwich_pair, translate_cluster_cover  # noqa: F401
@@ -102,8 +102,7 @@ def greedy_pierce(f: Family, refine: bool = True, verify: bool = True) -> Pierce
     at most ORACLE_BUDGET members, is re-pierced optimally, which realizes
     the improved additive constants.
     """
-    pattern, _ = greedy_rule(f, "greedy")
-    cert = _greedy(f, pattern, _seed_order(f), "greedy", refine)
+    cert = _greedy(f, greedy_pattern(f, "greedy"), _seed_order(f), "greedy", refine)
     if verify:
         cert.verify(f)
     return cert
@@ -138,17 +137,17 @@ def _greedy(f: Family, pattern, order, method, refine) -> PierceCertificate:
 def _clusters(n, order, candidates, check):
     """The one cluster loop: each member of order still alive seeds a
     cluster of the alive members of candidates(seed) it meets.  Returns
-    (seed, sorted hits) pairs in seed order."""
-    alive = [True] * n
+    (seed, hits) pairs in seed order, the hits in candidates' order: each
+    caller sorts the members it keeps."""
+    alive = bytearray(b"\1") * n
     clusters = []
     for i in order:
         if not alive[i]:
             continue
-        alive[i] = False
+        alive[i] = 0
         hits = [j for j in candidates(i) if alive[j] and check(i, j)]
-        hits.sort()
         for j in hits:
-            alive[j] = False
+            alive[j] = 0
         clusters.append((i, hits))
     return clusters
 

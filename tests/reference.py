@@ -34,12 +34,15 @@ contains and centre are the Fraction versions of geom's hull, containment
 and symmetry centre, which run on scaled int pairs.  translates_residue
 is the polygon pattern check on translates built in Fractions, and
 hexagon_sandwich the hexagon sandwich search with Fraction chords, slabs
-and areas (inscribed_hexagon).
+and areas (inscribed_hexagon).  random_family is the generator as it was
+before it drew into columns: one list of every draw and a (form, draw)
+dict scaled by bodies.scale_table.
 """
 
 from fractions import Fraction
 import itertools
 import math
+import random
 import sys
 
 from piercing import geom, jsonio
@@ -55,8 +58,9 @@ from piercing.bodies import (
     pair_checker,
     scale_table,
 )
-from piercing.certificates import _anchor, _coords, _terms, greedy_rule
+from piercing.certificates import _anchor, _coords, _terms, greedy_pattern
 from piercing.errors import DegenerateInput
+from piercing.generators import _rand_frac_form
 from piercing.geom import ConvexPolygon, Interval, Point, frac
 from piercing.oracle import _points
 from piercing.radicals import RadPoint, Radical
@@ -869,5 +873,33 @@ def pattern_keys(f, offsets, seeds):
 def tuple_key_count(cert, f):
     """The number of distinct points of a symbolic certificate on f, from
     pattern_keys and the value_key of each refine point."""
-    scale, keys = pattern_keys(f, greedy_rule(f, cert.method)[0].offsets, cert._pattern_seeds())
+    scale, keys = pattern_keys(f, greedy_pattern(f, cert.method).offsets, cert._pattern_seeds())
     return len(set(keys) | {value_key(p, scale) for p in cert.extra})
+
+
+def random_family(base, n, box_size=10, kind="translates", scale_range=(1, 3), seed=0):
+    """generators.random_family as it was before it drew into columns: all
+    2n (or 3n) draws in one list, sliced per axis, then one reduced pair
+    per distinct draw of each form in a (form, draw)-keyed dict, scaled by
+    bodies.scale_table."""
+    rng = random.Random(seed)
+    dim = base.dim if base.kind == "box" else 2
+    forms = [_rand_frac_form(0, box_size, 32)] * dim
+    if kind != "translates":
+        forms.append(_rand_frac_form(scale_range[0], scale_range[1], 8))
+    spans = [span for span, _, _, _ in forms]
+    draws = [rng.randrange(span) for _ in range(n) for span in spans]
+    cols = [draws[k::len(forms)] for k in range(len(forms))]
+    drawn = [set(ks) for ks in cols]
+    pairs = {}  # draw j of form k, (span, a, b, q), is (a + j b) / q, reduced
+    for k, ((_, a, b, q), js) in enumerate(zip(forms, drawn)):
+        for j in js:
+            g = math.gcd(a + j * b, q)
+            pairs[k, j] = (a + j * b) // g, q // g
+    D, scaled = scale_table(pairs)
+    cols = [list(map({j: scaled[k, j] for j in js}.__getitem__, ks))
+            for k, (ks, js) in enumerate(zip(cols, drawn))]
+    S = cols.pop() if kind != "translates" else [D] * n
+    if S and min(S) <= 0:
+        raise DegenerateInput("scale must be positive")
+    return Family.from_scaled(base, (D, cols, S), kind)

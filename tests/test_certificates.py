@@ -215,7 +215,7 @@ def test_packed_count_equals_the_tuple_key_count(case, refine):
     assert count == tuple_key_count(cert, f) == len(dedupe_points(cert.points))
     assert len(cert.points) == count
     rows, key, point = certificates._packed_keys(
-        f, certificates.greedy_rule(f, cert.method)[0].offsets, cert._pattern_seeds())
+        f, certificates.greedy_pattern(f, cert.method).offsets, cert._pattern_seeds())
     placed = list(chain.from_iterable(rows))
     if case == "two seeds share a point" and not refine:
         assert len(cert.clusters) == 2 and len(set(placed)) == len(placed) - 1
@@ -245,10 +245,22 @@ def test_verify_counts_no_point_within_the_bound(monkeypatch, base, kind):
     assert cert.verify(f) and calls == []
     assert cert.point_count() == len(cert.points) and calls
     # the bound verify checks is the number of points placed before dedupe
-    offsets = certificates.greedy_rule(f, cert.method)[0].offsets
+    offsets = certificates.greedy_pattern(f, cert.method).offsets
     rows, _, _ = packed_keys(f, offsets, cert._pattern_seeds())
     keys = list(chain.from_iterable(rows))
     assert cert._verify_clusters(f) == len(keys) + len(cert.extra) >= len(cert.points)
+
+
+def test_triangle_translate_verify_builds_the_seed_columns_once(tmp_path, monkeypatch, capsys):
+    # only the cluster lemma reads the rank column; the method check and the
+    # point count take the pattern alone (greedy_pattern)
+    f = random_family(unit_triangle(), 300, box_size=20, seed=4)
+    path = tmp_path / "cert.json"
+    jsonio.dump(jsonio.certificate_to_json(greedy_pierce(f, verify=False), f), str(path))
+    calls, seed_columns = [], certificates.seed_columns
+    monkeypatch.setattr(certificates, "seed_columns", lambda g: calls.append(g) or seed_columns(g))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("certificate ok: ") and len(calls) == 1
 
 
 _ROOT_BOUNDARY = st.tuples(st.integers(0, 10 ** 6), st.sampled_from([-1, 0, 1])).map(
@@ -699,8 +711,9 @@ def test_edge_certificates_are_byte_identical(case):
     cert = auto_pierce(f, verify=False)
     if case.startswith("refine"):
         rows, key, _ = certificates._packed_keys(
-            f, certificates.greedy_rule(f, cert.method)[0].offsets, cert._pattern_seeds())
-        assert [key(p) in set(chain.from_iterable(rows)) for p in cert.extra] == [True]
+            f, certificates.greedy_pattern(f, cert.method).offsets, cert._pattern_seeds())
+        placed = set(chain.from_iterable(rows))
+        assert [key(p) in placed for p in cert.extra] == [True]
     text = _expanded_text(cert, f)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

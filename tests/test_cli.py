@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
+import tracemalloc
 
 import pytest
 
 from piercing import jsonio
+from piercing.certificates import PierceCertificate
 from piercing.cli import auto_pierce, build_parser, main
 
 
@@ -261,3 +263,34 @@ def test_adversarial_symbolic_certificate_fails_verification(capsys, name, why):
     cert = Path(__file__).parent / "fixtures" / (name + ".json")
     assert run("verify", str(cert)) == 1
     assert why in capsys.readouterr().err
+
+
+def test_verify_holds_no_document_while_it_checks(tmp_path, monkeypatch, capsys):
+    # what verify holds when it starts is the certificate and family read
+    # from the file; the parsed document, as large again, is gone by then
+    inst, cert = tmp_path / "disks.json", tmp_path / "cert.json"
+    assert run("gen", "random", "--base", "disk", "--n", "5000", "--box-size", "70",
+               "--seed", "3", "--out", str(inst)) == 0
+    assert run("pierce", str(inst), "--out", str(cert)) == 0
+    held, verify = [], PierceCertificate.verify
+
+    def entered(self, f):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return verify(self, f)
+
+    monkeypatch.setattr(PierceCertificate, "verify", entered)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        doc = jsonio.load(str(cert))
+        document = tracemalloc.get_traced_memory()[0] - before
+        parsed = jsonio.certificate_from_json(doc)
+        del doc
+        read = tracemalloc.get_traced_memory()[0] - before
+        del parsed
+        before = tracemalloc.get_traced_memory()[0]
+        assert run("verify", str(cert)) == 0
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.startswith("certificate ok: ")
+    assert held[0] - before < read + document / 2 and read < document

@@ -22,6 +22,7 @@ from piercing.generators import (
 from piercing.geom import Point
 from piercing.oracle import exact_tau, solve
 from piercing.translates import hexagon_pierce
+import reference
 from reference import intersection_graph_bruteforce
 
 
@@ -151,6 +152,31 @@ def test_small_random_families_match_the_per_coordinate_draws(n):
             f = random_family(base, n, kind=kind, scale_range=(1, 2), seed=seed)
             g = _reference_random_family(base, n, kind=kind, scale_range=(1, 2), seed=seed)
             assert f.scaled_translations() == g.scaled_translations()
+
+
+# a scale range whose lower end has a 143-bit denominator: D would need more
+# than bodies.MAX_SCALE_BITS bits, so the entries are the Fractions themselves
+_WIDE = (1 + F(1, 3 ** 90), 2)
+
+
+@pytest.mark.parametrize("base", [unit_disk, unit_triangle, lambda: BoxBody((0, 0, 0), (1, 2, 3))],
+                         ids=["disk", "triangle", "box"])
+@pytest.mark.parametrize("kind", ["translates", "homothets"])
+@pytest.mark.parametrize("n", [1, 4, 300, 9000])  # 9000 spans three draw blocks
+@pytest.mark.parametrize("scales", [(1, 3), (F(1, 2), F(9, 4)), _WIDE], ids=["1-3", "half", "wide"])
+def test_random_family_equals_the_draw_list_version(base, kind, n, scales):
+    # the columns, D and the entries' types, against the generator that drew
+    # every value into one list and scaled a (form, draw) dict
+    for seed in range(3):
+        f = random_family(base(), n, box_size=17, kind=kind, scale_range=scales, seed=seed)
+        g = reference.random_family(base(), n, box_size=17, kind=kind, scale_range=scales,
+                                    seed=seed)
+        (D, cols, S), want = f.scaled_translations(), g.scaled_translations()
+        assert (D, cols, S) == want
+        assert [list(map(type, col)) for col in (*cols, S)] == \
+            [list(map(type, col)) for col in (*want[1], want[2])]
+        wide = kind == "homothets" and scales == _WIDE
+        assert (D == 1 and type(S[0]) is F) == wide
 
 
 def test_random_family_runs_no_collector_pass():

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import chain
 import json
 import random
+import tracemalloc
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
@@ -218,6 +219,83 @@ def test_dump_writes_one_compact_line(tmp_path, disk_cert, symbolic_cert):
         jsonio.dump(doc, str(path))
         assert path.read_text() == text + "\n"
         assert json.loads(text) == doc
+
+
+@pytest.fixture(scope="module")
+def written_docs(tmp_path_factory):
+    """The documents the commands hand to jsonio.dump: an instance, symbolic,
+    explicit and box certificates, a cover pattern and exact output."""
+    d = tmp_path_factory.mktemp("written")
+    disks, boxes, squares = d / "disks.json", d / "boxes.json", d / "squares.json"
+    assert run("gen", "random", "--base", "disk", "--n", "700", "--box-size", "30",
+               "--seed", "2", "--out", str(disks)) == 0
+    f = random_family(BoxBody((0, 0, 0), (1, 2, 3)), 300, box_size=9, kind="homothets", seed=3)
+    jsonio.dump(jsonio.family_to_json(f), str(boxes))
+    assert run("gen", "random", "--n", "8", "--box-size", "3", "--seed", "4",
+               "--out", str(squares)) == 0
+    docs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jsonio, "dump", lambda doc, path=None: docs.append(doc))
+        for argv in (["gen", "random", "--base", "disk", "--n", "700", "--box-size", "30",
+                      "--seed", "2"], ["pierce", str(disks)], ["pierce", str(boxes)],
+                     ["pattern", "--base", "triangle"], ["exact", str(squares)]):
+            assert main(argv) == 0
+    f = jsonio.family_from_json(jsonio.load(str(disks)))
+    explicit = jsonio.certificate_to_json(auto_pierce(f).explicit(), f)
+    return dict(zip(["instance", "symbolic", "box", "pattern", "exact", "explicit"],
+                    docs + [explicit]))
+
+
+@pytest.mark.parametrize("case", ["instance", "symbolic", "explicit", "box", "pattern", "exact"])
+@pytest.mark.parametrize("slice_", [3, jsonio._SLICE])
+def test_dump_pieces_join_to_the_compact_text(tmp_path, monkeypatch, written_docs, case,
+                                              slice_):
+    # in slices of 3 every list of more than 3 entries is cut, and every
+    # dict and list that holds one is written item by item
+    monkeypatch.setattr(jsonio, "_SLICE", slice_)
+    doc = written_docs[case]
+    want = json.dumps(doc, separators=(",", ":"))
+    assert jsonio.dump(doc) == want
+    path = tmp_path / "doc.json"
+    jsonio.dump(doc, str(path))
+    assert path.read_text() == want + "\n"
+    assert slice_ > 3 or len(list(jsonio._pieces(doc))) > 10
+
+
+def test_dump_holds_one_piece_at_a_time(tmp_path):
+    # the pieces go to the file as they come, so dump's transient memory is
+    # that of its largest json.dumps call, not the text of the whole
+    # document and the encoder's chunks of it
+    f = random_family(unit_disk(), 4000, box_size=63, seed=2)
+    doc = jsonio.certificate_to_json(auto_pierce(f, verify=False).explicit(), f)
+    path = str(tmp_path / "doc.json")
+    dumps, calls = jsonio._dumps, []
+
+    def measured(obj):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        text = dumps(obj)
+        calls.append(tracemalloc.get_traced_memory()[1] - before)
+        return text
+
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jsonio, "_dumps", measured)
+            jsonio.dump(doc, path)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        jsonio.dump(doc, path)
+        transient = tracemalloc.get_traced_memory()[1] - before
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        json.dumps(doc, separators=(",", ":"))
+        whole = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(calls) > 10
+    # the file's buffers and the slice being dumped come on top of one call
+    assert transient <= max(calls) + 64 * 1024 < whole / 2
 
 
 def test_indented_certificate_verifies_like_the_compact_one(tmp_path, capsys, disk_cert,
