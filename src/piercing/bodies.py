@@ -32,12 +32,10 @@ from operator import le, mul, or_
 from .errors import (
     DegenerateInput,
     DisksNotClosedUnderAffine,
-    MixedKinds,
     SingularMap,
     VerificationFailed,
 )
-from .geom import (ConvexPolygon, Interval, Point, _centre, _contains, _hom, _planes, _scaled,
-                   frac, polygons_intersect)
+from .geom import ConvexPolygon, Interval, Point, _centre, _contains, _hom, _planes, _scaled, frac
 from .radicals import RadPoint
 
 # A family whose common translation and scale denominator D needs more bits
@@ -78,11 +76,6 @@ class PolygonBody:
                        for n, c in self.polygon.halfplanes())
         return self.polygon.contains(p)
 
-    def intersects(self, other) -> bool:
-        if not isinstance(other, PolygonBody):
-            raise MixedKinds("polygon vs %s" % other.kind)
-        return polygons_intersect(self.polygon, other.polygon)
-
     def bbox(self):
         """The polygon's bounding box, computed on the first call."""
         if self._bbox is None:
@@ -112,13 +105,6 @@ class DiskBody:
         d = p - self.center
         return d.norm2() <= self.radius * self.radius
 
-    def intersects(self, other) -> bool:
-        if not isinstance(other, DiskBody):
-            raise MixedKinds("disk vs %s" % other.kind)
-        d = self.center - other.center
-        rr = self.radius + other.radius
-        return d.norm2() <= rr * rr
-
     def bbox(self):
         c, r = self.center, self.radius
         return Interval(c.x - r, c.x + r), Interval(c.y - r, c.y + r)
@@ -147,14 +133,6 @@ class BoxBody:
 
     def contains(self, p) -> bool:
         return all(m <= frac(v) <= m + s for v, m, s in zip(p, self.mins, self.sides))
-
-    def intersects(self, other) -> bool:
-        if not isinstance(other, BoxBody):
-            raise MixedKinds("box vs %s" % other.kind)
-        return all(
-            m1 <= m2 + s2 and m2 <= m1 + s1
-            for m1, s1, m2, s2 in zip(self.mins, self.sides, other.mins, other.sides)
-        )
 
     def bbox(self):
         return tuple(Interval(m, m + s) for m, s in zip(self.mins, self.sides))
@@ -266,9 +244,6 @@ class Family:
             body = self._realized[i] = self.base.scale_translate(Fraction(S[i], D),
                                                                  self.translation(i))
         return body
-
-    def intersects(self, i, j) -> bool:
-        return self.realize(i).intersects(self.realize(j))
 
     def scaled_translations(self):
         """(D, cols, S) with cols[k][i] = D * t_i[k], one list per axis (two

@@ -508,18 +508,6 @@ def clip_chain(points, n: Point, c) -> list:
     return [_point(h) for h in _clip(_chain(points), _plane(n, c))]
 
 
-def polygons_intersect(a: ConvexPolygon, b: ConvexPolygon) -> bool:
-    """Closed intersection test via separating axes over both edge normal sets."""
-    for poly in (a, b):
-        for p, q in poly.edges():
-            n = (q - p).perp()
-            ia = a.extent(n)
-            ib = b.extent(n)
-            if not ia.overlaps(ib):
-                return False
-    return True
-
-
 def region_minus_polygons(region, polys, offsets=None) -> list:
     """Residue of a convex region after removing a list of convex polygons,
     or, given offsets, the translates p + o of each polygon p by each offset

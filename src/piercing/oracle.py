@@ -1,33 +1,52 @@
 """Exact transversal and packing numbers for small families.
 
-tau is a minimum set cover over a finite complete candidate set: every
-nonempty intersection region of a subfamily contains either a pairwise
-boundary intersection point or a vertex/reference point of a member, so
-restricting piercing points to those candidates loses nothing.  nu is a
+tau is a minimum set cover over a finite complete candidate set, and nu a
 maximum independent set of the intersection graph.  Both solvers are
 branch-and-bound and deterministic.
 
-Candidates are int entries (q, m, A, B) (bodies.int_point) built from
-the int columns of bodies.int_translations and deduplicated, first
-occurrences in order; only the tau_points become Points.  Polygon members
-are the int vertices and halfplanes of bodies.member_polygons, and only
-pairs that meet (pair_checker) are clipped.  Edge e has one normal in
-every member, so member i lies in member j's halfplane e iff its offset is
-at most j's; that clip would keep the chain and is skipped.  The masks
-come from bodies.coverage, one bisection pair per slab and point over the
-members sorted by their slab bounds (disks, and any irrational entry:
-bodies.membership member by member, as in verify); no member is
+The candidates are the lowest point (least y, then least x) of each member
+and of the intersection of each meeting pair.  They are complete by Helly's
+theorem.  Let p be the lowest point of a nonempty intersection of members
+I.  The set of points below p is convex and shares no point with that
+intersection, so some three of these convex sets (the set below p and the
+members of I) share none.  The three are not all members, as p lies in
+every member, so the set below p and members a and b (possibly a = b)
+share no point: p is the lowest point of a and b's intersection, a
+candidate.  (Lowest points of intersections are an LP-type problem of
+combinatorial dimension 2, Sharir and Welzl 1992.)  So every nonempty
+intersection holds a candidate, and the candidates' masks hold every
+inclusion-maximal set of members with a common point: tau is exact.
+Each candidate is also the lowest point of the intersection of the members
+that hold it.  Box families keep the products of the members' low corner
+coordinates that some member holds.
+
+Candidates are int entries (q, m, A, B) (bodies.int_point) built from the
+int columns of bodies.int_translations, rational ones first, and
+deduplicated, first occurrences in order; only the tau_points become
+Points.  A meeting pair where one member holds the other's lowest point has
+that point as its own and is left out; the meeting pairs are the bitsets
+of _adjacency, which nu searches too.  Polygon members are the int vertices
+and halfplanes of bodies.member_polygons, and a pair's lowest point is a
+vertex of one member clipped by the other.  Edge e has one normal in every
+member, so member i lies in member j's halfplane e iff its offset is at
+most j's; that clip would keep the chain and is skipped.  A disk pair's
+lowest point is the lower crossing of its circles, (A + B sqrt(m)) / q.
+The masks come from bodies.coverage, one bisection pair per slab and point
+over the members sorted by their slab bounds (disks, and any irrational
+entry: bodies.membership member by member, as in verify); no member is
 realized.  min_set_cover keeps the first of repeated masks, then drops
 dominated ones.  A radicand over 2^48 may keep a square factor, so two
 equal radical candidates can both survive; their masks are equal,
 min_set_cover drops the second, and tau does not change.
 
-nu decides every pair with pair_checker (at most NU_LIMIT members, whose
-pairs candidate generation walks anyway) into int bitsets of neighbours,
-on which the independent set search and its clique cover bound run.
+nu decides every pair with pair_checker (at most NU_LIMIT members) into
+int bitsets of neighbours, on which the independent set search and its
+clique cover bound run.  _adjacency keeps the last family's bitsets, so
+solve tests each pair once for its candidates and nu.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd
 
@@ -53,68 +72,93 @@ class OracleResult:
         return "OracleResult(tau=%d, nu=%d)" % (self.tau, self.nu)
 
 
-def _polygon_candidates(f, D, cols, S):
-    meets = pair_checker(f)
+def _lowest(chain):
+    """The lowest point (least y, then least x) of a chain of int triples
+    (x, y, w), w > 0."""
+    best = chain[0]
+    for p in chain[1:]:
+        d = p[1] * best[2] - best[1] * p[2]
+        if d < 0 or not d and p[0] * best[2] < best[0] * p[2]:
+            best = p
+    return best
+
+
+def _entry(x, y, w):
+    """The candidate entry (q, m, A, B) of a reduced int triple."""
+    return w, 1, (x, y), None
+
+
+def _polygon_lows(f, D, cols, S):
+    """(bottoms, low): the lowest point of each polygon member, and low(i, j)
+    that of the intersection of members i and j, which must meet."""
     points, planes = member_polygons(f.base, D, cols, S)
-    out = [p for pts in points for p in pts]
-    for i, pts in enumerate(points):
-        own = [c for _, _, c in planes[i]]
-        for j in range(i + 1, len(points)):
-            if not meets(i, j):
-                continue  # a pair that does not meet clips to nothing
-            clipped = pts[:-1]
-            for c, plane in zip(own, planes[j]):
-                # edge e of every member has one normal, so member i lies in
-                # member j's halfplane e, and the clip keeps the chain, iff
-                # its offset is at most j's
-                if c > plane[2]:
-                    clipped = _clip(clipped, plane)
-                    if not clipped:
-                        break
-            out.extend(clipped)
-    return out, []
+    vs = f.base.polygon.vertices
+    k = min(range(len(vs)), key=lambda k: (vs[k].y, vs[k].x))  # the same vertex in every member
+
+    def low(i, j):
+        clipped = points[i][:-1]
+        for (_, _, c), plane in zip(planes[i], planes[j]):
+            # edge e of every member has one normal, so member i lies in
+            # member j's halfplane e, and the clip keeps the chain, iff
+            # its offset is at most j's
+            if c > plane[2]:
+                clipped = _clip(clipped, plane)
+        return _entry(*_lowest(clipped))
+
+    return [_entry(*pts[k]) for pts in points], low
 
 
-def _disk_candidates(f, D, cols, S):
-    # crossings c_i + K / h (du, dv) +- t (-dv, du), h = 2 |du, dv|^2, t^2 = delta / h^2
+def _disk_lows(f, D, cols, S):
+    """_polygon_lows for disk members: a disk's bottom point, and the lower
+    crossing of two circles where neither disk holds the other's bottom."""
     LD, us, vs, rs = disk_columns(f.base, D, cols, S)
-    rat, rad = [_triple(u, v, LD) for u, v in zip(us, vs)], []
-    for i, (u, v, R) in enumerate(zip(us, vs, rs)):
-        for u2, v2, R2 in zip(us[i + 1:], vs[i + 1:], rs[i + 1:]):
-            du, dv = u2 - u, v2 - v
-            h = 2 * (du * du + dv * dv)
-            K = h // 2 + R * R - R2 * R2
-            delta = 2 * h * R * R - K * K
-            if not h or delta < 0:
-                continue
-            # t = k sqrt(m) / d as in Radical.sqrt; a tangency repeats
-            g = gcd(delta, h * h)
-            d = h * h // g
-            k, m = _reduce_radicand(delta // g * d)
-            ax, ay, q = (h * u + K * du) * d, (h * v + K * dv) * d, h * LD * d
-            bx, by = -h * k * dv, h * k * du
-            if m == 1:
-                rat += [_triple(ax + bx, ay + by, q), _triple(ax - bx, ay - by, q)]
-            else:
-                g = gcd(q, ax, ay, bx, by)
-                rad += [(q // g, m, (ax // g, ay // g), (e * bx // g, e * by // g))
-                        for e in (1, -1)]
-    return rat, rad
+
+    def low(i, j):
+        # crossings c_i + K / h (du, dv) +- t (-dv, du), h = 2 |du, dv|^2,
+        # t^2 = delta / h^2; neither disk holds the other, so h > 0 and
+        # delta >= 0, and t = k sqrt(m) / d as in Radical.sqrt (k = 0 at a
+        # tangency)
+        u, v, R = us[i], vs[i], rs[i]
+        du, dv = us[j] - u, vs[j] - v
+        h = 2 * (du * du + dv * dv)
+        K = h // 2 + R * R - rs[j] * rs[j]
+        delta = 2 * h * R * R - K * K
+        g = gcd(delta, h * h)
+        d = h * h // g
+        k, m = _reduce_radicand(delta // g * d)
+        ax, ay, q = (h * u + K * du) * d, (h * v + K * dv) * d, h * LD * d
+        bx, by = -h * k * dv, h * k * du
+        if by > 0 or not by and bx > 0:  # the lower crossing takes -t
+            bx, by = -bx, -by
+        if m == 1:
+            return _entry(*_triple(ax + bx, ay + by, q))
+        g = gcd(q, ax, ay, bx, by)
+        return q // g, m, (ax // g, ay // g), (bx // g, by // g)
+
+    return [_entry(*_triple(u, v - R, LD)) for u, v, R in zip(us, vs, rs)], low
 
 
 def candidate_points(f: Family, limit: int = TAU_LIMIT):
-    """A finite piercing-complete candidate set for the family: member
-    vertices, reference points and box corners, and pairwise crossings."""
+    """A finite piercing-complete candidate set for the family: the lowest
+    point of each member and of each meeting pair (_adjacency), or for
+    boxes the products of low corner coordinates that some member holds.
+    A pair where one member holds the other's lowest point has that point as
+    its own and is left out."""
     if len(f) > limit:
         raise TooLarge("oracle limit is %d members" % limit)
-    base = f.base
-    if base.kind == "box":
+    if f.base.kind == "box":
         scale, _, lo_cols, _ = box_columns(f, range(len(f)))
         combos = [(scale, 1, c, None) for c in product(*[sorted(set(col)) for col in lo_cols])]
         return [e for e, m in zip(combos, coverage(f, combos)) if m]
-    build = _polygon_candidates if base.kind == "polygon" else _disk_candidates
-    rat, rad = build(f, *int_translations(f))  # rational points first
-    return [(w, 1, (x, y), None) for x, y, w in dict.fromkeys(rat)] + list(dict.fromkeys(rad))
+    adj = _adjacency(f)
+    bottoms, low = (_polygon_lows if f.base.kind == "polygon" else _disk_lows)(
+        f, *int_translations(f))
+    held = coverage(f, bottoms)
+    n = len(f)
+    pairs = [low(i, j) for i in range(n) for j in range(i + 1, n)
+             if adj[i] >> j & 1 and not (held[i] >> j | held[j] >> i) & 1]
+    pairs.sort(key=lambda e: e[1] > 1)  # rational points first
+    return list(dict.fromkeys(bottoms + pairs))
 
 
 def _points(f: Family, entries):
@@ -267,8 +311,11 @@ def exact_tau(f: Family, limit: int = TAU_LIMIT):
     return len(points), points
 
 
+@lru_cache(maxsize=1)
 def _adjacency(f: Family):
-    """The intersection graph as int bitsets, every pair by pair_checker."""
+    """The intersection graph as a tuple of int bitsets, every pair by
+    pair_checker.  A family's members never change, so the last family's
+    tuple is kept: solve's candidates and nu test each pair once."""
     n = len(f)
     meets = pair_checker(f)
     adj = [0] * n
@@ -277,7 +324,7 @@ def _adjacency(f: Family):
             if meets(i, j):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return adj
+    return tuple(adj)
 
 
 def exact_nu(f: Family, limit: int = NU_LIMIT):

@@ -2,7 +2,8 @@
 
 Each decides on realized bodies (Family.realize) with Fraction and Radical
 arithmetic, member by member, with none of the package's int layer: the
-intersection graph by Family.intersects on every pair, the oracle's
+intersection graph by intersects on every pair (bodies_intersect,
+separating axes for polygons: polygons_intersect), the oracle's
 coverage masks by the bodies' own contains, and the containment step of
 the smallest-first argument with an explicit common point.  The clipping
 functions are the Fraction versions of geom's integer kernel, and the
@@ -14,10 +15,12 @@ version (grid_lines).  The union area is inclusion-exclusion over the realized
 polygons, clipped on geom's int kernel (kernel_intersection_chain,
 kernel_chain_area), which keeps the equivalence tests fast.  The section of
 a polygon at an abscissa is the Fraction version of the sandwich search's
-int walk, edge by edge.  The oracle's candidate set is built on the realized members
-(bodies, circle_circle_points) and deduplicated by value;
-polygon_candidates is its int loop that clips every meeting pair against
-every halfplane, and max_independent_set the oracle's independent set
+int walk, edge by edge.  lowest_point is the lowest point of an
+intersection of realized members (circle_circle_points for disks), which
+each oracle candidate is for the members holding it; padded_candidates is
+the oracle's larger candidate set of every vertex, reference point, centre
+and crossing, on ints, whose maximal masks the oracle's must keep
+(maximal_masks), and max_independent_set the oracle's independent set
 search on adjacency sets.  The rational points
 of a circle are ordered by angle about its centre with a quadrant comparator
 (angle_cmp, strictly_between).  call_budget
@@ -52,6 +55,10 @@ from piercing.bodies import (
     Family,
     Member,
     PolygonBody,
+    _triple,
+    box_columns,
+    coverage,
+    disk_columns,
     int_translations,
     member_polygons,
     neighbor_index,
@@ -63,7 +70,7 @@ from piercing.errors import DegenerateInput
 from piercing.generators import _rand_frac_form
 from piercing.geom import ConvexPolygon, Interval, Point, frac
 from piercing.oracle import _points
-from piercing.radicals import RadPoint, Radical
+from piercing.radicals import RadPoint, Radical, _reduce_radicand
 from piercing.sandwich import sandwich_parallelograms
 from piercing.translates import _clusters, _offset_candidates
 
@@ -439,13 +446,48 @@ def grid_lines(f, pair=None):
     return line, order, dedupe_points(points)
 
 
+class MixedKinds(Exception):
+    """Two bodies of different kinds were tested against each other."""
+
+
+def polygons_intersect(a, b):
+    """Whether two ConvexPolygons meet (closed): separating axes over both
+    edge normal sets, on Fraction extents."""
+    for poly in (a, b):
+        for p, q in poly.edges():
+            n = (q - p).perp()
+            if not a.extent(n).overlaps(b.extent(n)):
+                return False
+    return True
+
+
+def bodies_intersect(a, b):
+    """Whether two realized bodies of one kind meet (closed): polygons by
+    polygons_intersect, disks by centre distance against the radius sum,
+    boxes by overlapping sides on every axis."""
+    if a.kind != b.kind:
+        raise MixedKinds("%s vs %s" % (a.kind, b.kind))
+    if a.kind == "polygon":
+        return polygons_intersect(a.polygon, b.polygon)
+    if a.kind == "disk":
+        rr = a.radius + b.radius
+        return (a.center - b.center).norm2() <= rr * rr
+    return all(m1 <= m2 + s2 and m2 <= m1 + s1
+               for m1, s1, m2, s2 in zip(a.mins, a.sides, b.mins, b.sides))
+
+
+def intersects(f, i, j):
+    """Whether members i and j of f meet, on their realized bodies."""
+    return bodies_intersect(f.realize(i), f.realize(j))
+
+
 def intersection_graph_bruteforce(f):
-    """Adjacency sets over member indices, by Family.intersects on every pair."""
+    """Adjacency sets over member indices, by intersects on every pair."""
     n = len(f)
     adj = [set() for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if f.intersects(i, j):
+            if intersects(f, i, j):
                 adj[i].add(j)
                 adj[j].add(i)
     return adj
@@ -519,55 +561,91 @@ def strictly_between(circle, p, u, v):
     return up < 0 or pv < 0
 
 
-def candidate_points(f):
-    """The oracle's candidate set on the realized members, as values:
-    vertices and reference points then pairwise intersections (polygons),
-    centres then pairwise circle crossings, rational ones first (disks),
-    or the products of low corner coordinates some member contains (boxes);
-    repeated values dropped, first occurrences in order."""
-    bs = bodies(f)
-    n = len(f)
-    kind = f.base.kind
-    if kind == "polygon":
-        out = []
-        for b in bs:
-            out.extend(b.polygon.vertices)
-            out.append(b.reference_point)
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.extend(intersection_chain(bs[i].polygon, bs[j].polygon))
-        return dedupe_points(out)
-    if kind == "disk":
-        rat = [b.center for b in bs]
-        rad = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for p in circle_circle_points(bs[i].center, bs[i].radius,
-                                              bs[j].center, bs[j].radius):
-                    if p.is_rational():
-                        rat.append(Point(p.x.as_fraction(), p.y.as_fraction()))
-                    else:
-                        rad.append(p)
-        return dedupe_points(rat + rad)
-    axes = [sorted({b.mins[k] for b in bs}) for k in range(f.base.dim)]
-    combos = list(itertools.product(*axes))
-    return [p for p, m in zip(combos, coverage_masks(f, combos)) if m]
-
-
-def polygon_candidates(f):
-    """The oracle's polygon candidates on the int kernel, before dedupe:
-    member vertices and reference points, then for each meeting pair i < j
-    member i's vertices clipped against every halfplane of member j."""
+def padded_candidates(f):
+    """The oracle's candidate entries (q, m, A, B) as it built them before
+    it kept only lowest points, on the int columns: every vertex and the
+    reference point of each polygon member, then every vertex of each
+    meeting pair's intersection (member i clipped by every halfplane of
+    member j); each disk centre, then both crossings of each pair of
+    circles; for boxes the products of low corner coordinates that some
+    member holds.  Repeated entries are dropped, first occurrences in order,
+    rational ones first."""
+    if f.base.kind == "box":
+        scale, _, lo_cols, _ = box_columns(f, range(len(f)))
+        combos = [(scale, 1, c, None)
+                  for c in itertools.product(*[sorted(set(col)) for col in lo_cols])]
+        return [e for e, m in zip(combos, coverage(f, combos)) if m]
+    D, cols, S = int_translations(f)
     meets = pair_checker(f)
-    points, planes = member_polygons(f.base, *int_translations(f))
-    out = [p for pts in points for p in pts]
-    for i, pts in enumerate(points):
-        for j, hps in enumerate(planes[i + 1:], i + 1):
-            clipped = pts[:-1] if meets(i, j) else []
-            for plane in hps:
-                clipped = clipped and geom._clip(clipped, plane)
-            out.extend(clipped)
-    return out
+    rad = []
+    if f.base.kind == "polygon":
+        points, planes = member_polygons(f.base, D, cols, S)
+        rat = [p for pts in points for p in pts]
+        for i, pts in enumerate(points):
+            for j, hps in enumerate(planes[i + 1:], i + 1):
+                clipped = pts[:-1] if meets(i, j) else []
+                for plane in hps:
+                    clipped = clipped and geom._clip(clipped, plane)
+                rat.extend(clipped)
+    else:
+        # crossings c_i + K / h (du, dv) +- t (-dv, du), h = 2 |du, dv|^2,
+        # t^2 = delta / h^2, t = k sqrt(m) / d as in Radical.sqrt
+        LD, us, vs, rs = disk_columns(f.base, D, cols, S)
+        rat = [_triple(u, v, LD) for u, v in zip(us, vs)]
+        for i, (u, v, R) in enumerate(zip(us, vs, rs)):
+            for u2, v2, R2 in zip(us[i + 1:], vs[i + 1:], rs[i + 1:]):
+                du, dv = u2 - u, v2 - v
+                h = 2 * (du * du + dv * dv)
+                K = h // 2 + R * R - R2 * R2
+                delta = 2 * h * R * R - K * K
+                if not h or delta < 0:
+                    continue
+                g = math.gcd(delta, h * h)
+                d = h * h // g
+                k, m = _reduce_radicand(delta // g * d)
+                ax, ay, q = (h * u + K * du) * d, (h * v + K * dv) * d, h * LD * d
+                bx, by = -h * k * dv, h * k * du
+                if m == 1:
+                    rat += [_triple(ax + bx, ay + by, q), _triple(ax - bx, ay - by, q)]
+                else:
+                    g = math.gcd(q, ax, ay, bx, by)
+                    rad += [(q // g, m, (ax // g, ay // g), (e * bx // g, e * by // g))
+                            for e in (1, -1)]
+    return [(w, 1, (x, y), None) for x, y, w in dict.fromkeys(rat)] + list(dict.fromkeys(rad))
+
+
+def maximal_masks(masks):
+    """The set of masks that no other mask strictly contains."""
+    masks = set(masks)
+    return {m for m in masks if not any(m != o and m & o == m for o in masks)}
+
+
+def lowest_point(f, members):
+    """The lowest point (least y, then least x) of the intersection of the
+    realized members, as a RadPoint; None when it is empty.  Polygons: one
+    member clipped by the others in Fractions.  Disks: the highest of the
+    lowest points of the members' pairs (a member paired with itself), each
+    the lowest of the two bottom points and the two circle crossings that
+    lie in both disks.  No point of the intersection lies below it, so it
+    is the intersection's lowest point iff every member holds it; by Helly
+    it is whenever the intersection is nonempty."""
+    bs = [f.realize(i) for i in members]
+    if f.base.kind == "polygon":
+        chain = list(bs[0].polygon.vertices)
+        for b in bs[1:]:
+            chain = chain and intersection_chain(chain, b.polygon)
+        pts = [RadPoint.of(p) for p in chain]
+        return min(pts, key=lambda p: (p.y, p.x)) if pts else None
+    lows = []
+    for a, b in itertools.combinations_with_replacement(bs, 2):
+        pts = [RadPoint.of(c.center - Point(0, c.radius)) for c in (a, b)]
+        pts += circle_circle_points(a.center, a.radius, b.center, b.radius)
+        pts = [p for p in pts if a.contains(p) and b.contains(p)]
+        if not pts:
+            return None
+        lows.append(min(pts, key=lambda p: (p.y, p.x)))
+    p = max(lows, key=lambda p: (p.y, p.x))
+    return p if all(b.contains(p) for b in bs) else None
 
 
 def max_independent_set(adj):
@@ -662,7 +740,7 @@ def common_point(a, b):
         if not pts:
             raise DegenerateInput("bodies are disjoint")
         return pts[0]
-    if not a.intersects(b):
+    if not bodies_intersect(a, b):
         raise DegenerateInput("bodies are disjoint")
     if isinstance(a, BoxBody):
         return tuple(max(m1, m2) for m1, m2 in zip(a.mins, b.mins))
@@ -763,7 +841,7 @@ def lattice_offset_members(f, spec, center, target, seed=0):
     """lattice_witness's offset search and recheck: each lattice point takes
     its first containing member not taken yet; the most members over the
     offsets, stopping once at least target, then extended in index order by
-    every member that meets none kept (Family.intersects)."""
+    every member that meets none kept (intersects)."""
     best = []
     for off in _offset_candidates(spec, seed):
         chosen = []
@@ -777,7 +855,7 @@ def lattice_offset_members(f, spec, center, target, seed=0):
             break
     kept = []
     for i in best + list(range(len(f))):
-        if i not in kept and not any(f.intersects(i, j) for j in kept):
+        if i not in kept and not any(intersects(f, i, j) for j in kept):
             kept.append(i)
     return kept
 
@@ -789,14 +867,20 @@ class CallBudgetExceeded(Exception):
 class call_budget:
     """A deterministic bound on work, unlike wall time: inside the block,
     every call of a Python function or a builtin counts (sys.setprofile),
-    and the call past limit raises CallBudgetExceeded."""
+    or with a name only the calls of Python functions of that name, and
+    the call past limit raises CallBudgetExceeded."""
 
-    def __init__(self, limit):
+    def __init__(self, limit, name=None):
         self.limit = limit
+        self.name = name
         self.calls = 0
 
     def _count(self, frame, event, arg):
-        if event in ("call", "c_call"):
+        if self.name:
+            counted = event == "call" and frame.f_code.co_name == self.name
+        else:
+            counted = event in ("call", "c_call")
+        if counted:
             self.calls += 1
             if self.calls > self.limit:
                 raise CallBudgetExceeded("more than %d calls" % self.limit)

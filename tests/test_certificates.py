@@ -601,11 +601,11 @@ _CORPUS = [
     (unit_square, 200, 40, (1, 3), 12,
      "1c01932fb6298df0620c92bfbccf7a332da95b374416b12a6abbef67559e5eaf"),
     (hexagon_body, 200, 40, (1, 3), 13,
-     "60e5aead3dfffe870219958ec4da2fc381eab4a2023b768f20e557289469d9c0"),
+     "1923e3ddccec7b223cf8da1173dab3b5274bbe98b68309874ee71a74135470fc"),
     (lambda: _PENTAGON, 200, 40, (1, 3), 14,
-     "8eb5217c229def68b588707337f77f0959c009ac0809b986f2fd7b32b28cd078"),
+     "016d4d7a5fc7c91104ec1aa9a3f5f199d7803f9e87f6d78c137f49a4f89daaba"),
     (unit_disk, 200, 40, (1, 3), 15,
-     "0f098fa5c26c3f9a79cdece83dfde829c8fbc87e5ff15f2a977604d34aaa41f2"),
+     "8f7cf2c9a229a0027ca124d651794e91715ea563f299df3ed256863566a287ac"),
     (lambda: BoxBody((0, 0), (1, 1)), 200, 20, (1, 3), 16,
      "b798e341dfe8bd4435b21f9a758c44f126406d9bdd3cedaea6d63b45beb91e86"),
     (lambda: BoxBody((0, F(1, 2), 0), (1, F(3, 2), F(2, 3))), 200, 20, (1, 3), 17,
@@ -645,7 +645,7 @@ _TRANSLATE_BASES = {
 # cluster, at n = 1000 the pattern points dominate
 _TRANSLATE_CORPUS = [
     ("triangle", 12, 4, 21,
-     "4567ca2793c26b9c44e056c9cfc606e3602745623d7d941abc73725e577b5fb6"),
+     "62a757d4e12f430347e61bffba4a98ecccb13eae843b14d96a3e791fb9816540"),
     ("triangle", 1000, 30, 22,
      "7901227c962f287c2210ccd158f532976c80e0bf47f206790c25435d9bd05ed6"),
     ("skewed-a", 12, 4, 23,
@@ -655,23 +655,23 @@ _TRANSLATE_CORPUS = [
     ("skewed-b", 12, 4, 25,
      "8567b34e621009940fe2449e186355e51b5d4c226f87eb8f919cb009bd3118d3"),
     ("skewed-b", 1000, 30, 26,
-     "892aefcb3a2aa196ea3f0222128ccb2e9c3d53802cde697ab46eb86417ccde8b"),
+     "2f79805b0e1f599cf2dc06c327262785d887ba0df7227a8247ee1701759857f4"),
     ("square", 12, 4, 27,
      "e50459fcb0478f63425e8b1b2516e881d52c1ada5fb02124ef88f9b80794bc61"),
     ("square", 1000, 30, 28,
      "10761a98f15e10ac0b60f2767a836a7d92c90e99be6740052e5cb1153c69e791"),
     ("hexagon", 12, 4, 29,
-     "1c05a6c6875b7d19103b53eb77fcadd9ec529aa5b8ab7a7c4f4569ef846d714a"),
+     "d2c7dbe58a8daa82e6a22b997687a3168126f9463e9cce37c6f2152e61bef05e"),
     ("hexagon", 1000, 60, 30,
-     "4b147768d754edf5b7e2875a04ee873ebe8b0c1cc8e22fce46c18a9820a0c560"),
+     "806ce7384fb4b5455f7d68020748de4e49bed519462f00479b537261f3f7e52c"),
     ("disk", 12, 4, 31,
-     "91bfa4a537781d8c86d96cf349b6c1eef1c2638618195466ef93f9777c7b4668"),
+     "2ddb85a66b259398cb7b7586562d104f5ff6475a96111fe36de5b08d98e7941f"),
     ("disk", 1000, 40, 32,
-     "f308a3fd7042d1b0ba8533d210a085278658dc34aa7e43a6d9051da2797a0488"),
+     "087d75bd3eb60ec66b1c66c7da48c5ba54656110d01d950bfdb4583c88d34471"),
     ("off-centre disk", 12, 4, 33,
-     "f474ed35b49e9a3649440d945bba23f94c1a317613b1dfd2f1e371a8647a1ece"),
+     "c9055970547b52368073cc0d30b45c3c91abbe05b16fe2cbeddfde99abab3b5a"),
     ("off-centre disk", 1000, 20, 34,
-     "f1b69bf7ab162d4bf6add96ebf74630eee501ffb732657a89065020f2e2c61e3"),
+     "cb3810365e9999350558cd83a9f0c3318800125680b7816e9953dbffaa9c2b9c"),
     ("box", 12, 4, 35,
      "67ce70b3848f26d1b9fb90f8b02aa4dc58ece4b015459ba6405e928356d66147"),
     ("box", 1000, 30, 36,
@@ -695,9 +695,9 @@ def test_translate_certificates_are_byte_identical(base, n, box, seed, digest):
 # whose refine point repeats a point of the pattern
 _EDGE_CORPUS = {
     "prime disk homothets": (lambda: _prime_family(200, 51, "homothets", 10 ** 4),
-                             "6e1ec9e3787ee6c928cc0de430702c8cb346c2851175baf6cbb4a08602dd36d0"),
+                             "19e3486f1985e88273fc1dcd993f4fb8a26e7d05765481ca2432ffc67cb59862"),
     "prime disk translates": (lambda: _prime_family(200, 52, reach=10 ** 4),
-                              "e06add9edda6298e260c22f1b5fc5fd8c013089babc918df02a210f74cb40021"),
+                              "5e169b724152d5555b49bb1bf2dfd1a18158e5bf813fd9a763e605d30f7039e8"),
     "refine repeats a pattern point": (
         lambda: random_family(unit_triangle(), 12, box_size=4, kind="homothets", seed=142),
         "b09893d7f4bcb7f767026c4cc883ea20feb90d11ae4a81e7e2b5f44737421866"),
@@ -761,7 +761,7 @@ def test_members_form_reads_to_the_written_columns(corpus, case):
 # taken when the writer first put the instance out as columns
 _WRITTEN_CORPUS = [
     ("homothets", 0, "1b1d779a209bcf64d01b8bd5d1a74622a834bb66739b241e6b729ccacfd07d1e"),
-    ("translates", 11, "2d4958b44be5b7a9ce5a2e85802fef73acdf4109f3ad0a97cb39509b50aed94f"),
+    ("translates", 11, "93d3c5d8fd2f38a06bcbf9235e460792093aaed07f551e59f27d14190eb1e0df"),
 ]
 
 

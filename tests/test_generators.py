@@ -23,7 +23,7 @@ from piercing.geom import Point
 from piercing.oracle import exact_tau, solve
 from piercing.translates import hexagon_pierce
 import reference
-from reference import intersection_graph_bruteforce
+from reference import intersection_graph_bruteforce, intersects
 
 
 class TestFiveCycle:
@@ -58,7 +58,7 @@ class TestNineTriangles:
         f = nine_triangles(F(1, 100))
         for i in range(9):
             for j in range(i + 1, 9):
-                assert f.intersects(i, j)
+                assert intersects(f, i, j)
 
     def test_epsilon_bounds(self):
         with pytest.raises(EpsilonTooLarge):

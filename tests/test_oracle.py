@@ -14,10 +14,7 @@ from piercing.bodies import (
     PolygonBody,
     coverage,
     int_point,
-    int_translations,
-    member_polygons,
     normalize_affine,
-    pair_checker,
 )
 from piercing.errors import TooLarge
 from piercing.generators import (
@@ -34,7 +31,6 @@ from piercing.geom import ConvexPolygon, Point, clip_chain
 from piercing.oracle import (
     _adjacency,
     _points,
-    _polygon_candidates,
     candidate_points,
     exact_nu,
     exact_tau,
@@ -51,16 +47,23 @@ from reference import (
     family_of_columns,
     fraction_columns,
     intersection_graph_bruteforce,
-    value_key,
+    intersects,
+    lowest_point,
+    maximal_masks,
+    padded_candidates,
 )
 
 
 class TestCandidates:
     def test_crossing_points_present(self):
-        f = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), F(1, 2)))])
-        cands = _points(f, candidate_points(f))
-        assert Point(F(1, 2), 1) in cands
-        assert Point(1, F(1, 2)) in cands
+        """Each member's lowest point, then each meeting pair's where neither
+        member holds the other's, here where two edges cross; the second
+        member holds the first's lowest point."""
+        f = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), F(1, 2))),
+                                   Member(Point(F(3, 4), F(-1, 2)))])
+        assert _points(f, candidate_points(f)) == [
+            Point(0, 0), Point(F(1, 2), F(1, 2)), Point(F(3, 4), F(-1, 2)), Point(F(3, 4), 0),
+            Point(F(3, 4), F(1, 2))]
 
     def test_nested_inner_vertices_present(self):
         f = Family(unit_square(), [Member(Point(0, 0), 1), Member(Point(F(1, 4), F(1, 4)), F(1, 2))],
@@ -129,7 +132,7 @@ class TestExactValues:
         nu, members = exact_nu(f)
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
-                assert not f.intersects(members[a], members[b])
+                assert not intersects(f, members[a], members[b])
 
 
 class TestSolvers:
@@ -256,7 +259,7 @@ def _overlap_inside(f, i, j):
         s = m.s * F(999, 1000)
         t = [r * (m.s - s) + v for r, v in zip(ref, m.t if box else (m.t.x, m.t.y))]
         shrunk.append(Member(tuple(t) if box else Point(*t), s))
-    return Family(f.base, shrunk, "homothets").intersects(0, 1)
+    return intersects(Family(f.base, shrunk, "homothets"), 0, 1)
 
 
 def _small_family(name, kind, n, seed, shifted=False):
@@ -346,14 +349,33 @@ def test_slab_masks_equal_the_realized_reference_on_touching_families():
 
 
 def test_coverage_masks_take_work_per_slab_not_per_member_and_point():
-    """A 16-member cs8 family has about 280 candidates and 4 slabs: one
-    test per member and candidate makes over 25,000 calls, one bisection
-    pair per slab and candidate under 4,000."""
+    """A 16-member cs8 family has about 280 padded candidates and 4 slabs:
+    one test per member and candidate makes over 25,000 calls, one
+    bisection pair per slab and candidate under 4,000."""
     f = _small_family("cs8", "homothets", 16, 0)
-    cands = candidate_points(f)
+    cands = padded_candidates(f)
     assert len(cands) > 250
     with call_budget(8_000):
         coverage(f, cands)
+
+
+def _assert_lowest_points(f):
+    """The candidates keep the inclusion-maximal masks of the padded set,
+    tau and nu equal the padded set's and the brute-force graph's, and each
+    polygon or disk candidate is the lowest point of the intersection of
+    the realized members holding it (box candidates are the padded set's
+    own corners)."""
+    cands = candidate_points(f)
+    masks = coverage(f, cands)
+    padded = coverage(f, padded_candidates(f))
+    assert maximal_masks(masks) == maximal_masks(padded)
+    res = solve(f)
+    assert res.tau == len(res.tau_points) == len(min_set_cover(len(f), padded))
+    assert res.nu_members == reference.max_independent_set(intersection_graph_bruteforce(f))
+    assert res.nu == len(res.nu_members)
+    if f.base.kind != "box":
+        for p, m in zip(_points(f, cands), masks):
+            assert RadPoint.of(p) == lowest_point(f, [i for i in range(len(f)) if m >> i & 1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -364,37 +386,34 @@ def test_coverage_masks_take_work_per_slab_not_per_member_and_point():
 @example("triangle", "translates", 12, 3, True)
 @example("box", "homothets", 9, 7, True)
 def test_int_candidates_equal_the_fraction_reference(name, kind, n, seed, shifted):
-    """candidate_points on the scaled columns gives the candidates of the
-    realized members, Fraction and Radical arithmetic, by value, type and
-    order."""
-    f = _small_family(name, kind, n, seed, shifted)
-    got = _points(f, candidate_points(f))
-    want = reference.candidate_points(f)
-    assert [type(p) for p in got] == [type(p) for p in want]
-    assert [value_key(p) for p in got] == [value_key(p) for p in want]
+    """Each candidate of candidate_points, on the scaled columns, is the
+    lowest point of its members as the realized bodies give it in Fraction
+    and Radical arithmetic, and the candidates keep the padded set's
+    maximal masks, tau and nu (_assert_lowest_points); int and Fraction
+    columns alike."""
+    _assert_lowest_points(_small_family(name, kind, n, seed, shifted))
 
 
 def test_int_candidates_equal_the_reference_on_touching_families():
     """The same on families rich in pairs that only touch: tangent disks,
     and polygons and boxes meeting along edges and at corners."""
     for f in _touching_families():
-        got, want = _points(f, candidate_points(f)), reference.candidate_points(f)
-        assert [value_key(p) for p in got] == [value_key(p) for p in want]
+        _assert_lowest_points(f)
 
 
 @pytest.mark.parametrize("kind", ["translates", "homothets"])
 @pytest.mark.parametrize("shifted", [False, True])
 def test_disk_tau_points_are_the_reference_radpoints(kind, shifted):
-    """A disk family's tau_points are the points the reference candidates
-    and masks choose, the irrational ones as RadPoints."""
+    """A disk family's tau_points are the lowest points of the realized
+    members each holds (lowest_point), the irrational ones as RadPoints,
+    and as many as the padded candidates need."""
     f = _small_family("disk", kind, 10, 0, shifted)
-    cands = reference.candidate_points(f)
-    want = [cands[i] for i in min_set_cover(len(f), realized_masks(f, cands))]
     tau, got = exact_tau(f)
-    assert tau == len(want)
-    assert [type(p) for p in got] == [type(p) for p in want]
-    assert got == want
-    assert sum(isinstance(p, RadPoint) for p in got) >= 2
+    assert tau == len(min_set_cover(len(f), coverage(f, padded_candidates(f))))
+    for p in got:
+        held = [i for i in range(len(f)) if f.realize(i).contains(p)]
+        assert RadPoint.of(p) == lowest_point(f, held)
+    assert any(isinstance(p, RadPoint) for p in got)
 
 
 @pytest.mark.parametrize("make", [
@@ -462,29 +481,6 @@ def test_bitset_independent_set_equals_the_set_reference(n):
             assert max_independent_set([sum(1 << u for u in a) for a in adj]) == want
 
 
-def _polygon_families():
-    for name in ("square", "triangle", "cs8", "hexagon"):
-        for kind in ("translates", "homothets"):
-            for seed in range(4):
-                yield _small_family(name, kind, 4 + 3 * seed, seed, shifted=seed == 3)
-    yield from (f for f in _touching_families() if f.base.kind == "polygon")
-
-
-def test_polygon_candidates_skipping_held_halfplanes_equal_clipping_every_plane():
-    """Skipping the halfplanes of member j that hold all of member i leaves
-    the candidates as clipping against every halfplane gives them, in order,
-    also where two members' edges lie on one line (equal offsets)."""
-    equal_offsets = 0
-    for f in _polygon_families():
-        D, cols, S = int_translations(f)
-        assert _polygon_candidates(f, D, cols, S) == (reference.polygon_candidates(f), [])
-        meets = pair_checker(f)
-        _, planes = member_polygons(f.base, D, cols, S)
-        equal_offsets += sum(a[2] == b[2] for i in range(len(f)) for j in range(i + 1, len(f))
-                             if meets(i, j) for a, b in zip(planes[i], planes[j]))
-    assert equal_offsets > 50
-
-
 def test_min_set_cover_ignores_repeated_masks():
     """Repeats of a mask change no choice: with copies of the masks inserted
     after their first occurrence, the cover is the same masks at their first
@@ -501,7 +497,7 @@ def test_min_set_cover_ignores_repeated_masks():
             first = [repeated.index(m) for m in masks]
             assert min_set_cover(n, repeated) == [first[i] for i in min_set_cover(n, masks)]
     f = _small_family("cs8", "homothets", 12, 0)
-    masks = coverage(f, candidate_points(f))
+    masks = coverage(f, padded_candidates(f))
     distinct = list(dict.fromkeys(masks))
     assert len(distinct) < len(masks) / 2
     first = [masks.index(m) for m in distinct]
@@ -510,7 +506,7 @@ def test_min_set_cover_ignores_repeated_masks():
 
 def test_nu_adjacency_equals_the_bruteforce_graph():
     """exact_nu's bitsets, every pair by pair_checker, hold the graph of
-    Family.intersects on every pair, touching pairs included."""
+    intersects on every pair, touching pairs included."""
     families = [*_touching_families(),
                 *(_small_family(name, kind, 12, seed, shifted=seed == 1)
                   for name in ("square", "triangle", "disk", "cs8", "hexagon", "box")
@@ -520,45 +516,71 @@ def test_nu_adjacency_equals_the_bruteforce_graph():
         assert adj == intersection_graph_bruteforce(f)
 
 
-def _small_exact_block(seed):
-    """The 90 families of one block of the small-exact benchmark workload:
-    square, triangle, disk, a fresh centrally symmetric 8-gon and the
-    hexagon, as translates and as homothets, of 4 to 12 members."""
+def _small_exact_families(seed, blocks=2):
+    """The families of the small-exact benchmark workload at seed, two
+    blocks as a run of it draws them: per block one family for each size
+    from 4 to 12, kind (translates, homothets) and base (square, triangle,
+    disk, a fresh centrally symmetric 8-gon, the hexagon), 90 families."""
     rng = random.Random(seed)
     out = []
-    for n in range(4, 13):
-        for kind in ("translates", "homothets"):
-            for name in ("square", "triangle", "disk", "cs8", "hexagon"):
-                base, box = {
-                    "square": lambda: (unit_square(), 4),
-                    "triangle": lambda: (unit_triangle(), 4),
-                    "disk": lambda: (unit_disk(), 5),
-                    "cs8": lambda: (random_centrally_symmetric_polygon(rng, 4, spread=2), 8),
-                    "hexagon": lambda: (hexagon_body(), 8),
-                }[name]()
-                out.append(random_family(base, n, box_size=box, kind=kind, scale_range=(1, 2),
-                                         seed=rng.randrange(1 << 30)))
+    for _ in range(blocks):
+        for n in range(4, 13):
+            for kind in ("translates", "homothets"):
+                for name in ("square", "triangle", "disk", "cs8", "hexagon"):
+                    base, box = {
+                        "square": lambda: (unit_square(), 4),
+                        "triangle": lambda: (unit_triangle(), 4),
+                        "disk": lambda: (unit_disk(), 5),
+                        "cs8": lambda: (random_centrally_symmetric_polygon(rng, 4, spread=2), 8),
+                        "hexagon": lambda: (hexagon_body(), 8),
+                    }[name]()
+                    out.append(random_family(base, n, box_size=box, kind=kind,
+                                             scale_range=(1, 2), seed=rng.randrange(1 << 30)))
     return out
 
 
-# sha256 of every field of solve over the block of seed 7, taken while nu
-# searched adjacency sets of the grid's graph and the candidates clipped
-# every meeting pair against every halfplane
-SOLVE_DIGEST = "e124b2122ae824a9d6fcb34492173be862eaff506d4d213871b6ab847b07adb1"
+# sha256 of tau, |tau_points|, nu and nu_members of solve over the 720
+# small-exact families of seeds 1-4 and the touching families, taken while
+# the candidates were every vertex, reference point, centre and crossing
+# (reference.padded_candidates)
+SOLVE_DIGEST = "59665135516222f9df12951478a1ea843d653e6412202bf138e5083580a521c2"
 
 
 def test_solve_is_pinned_on_a_small_exact_block():
-    text = "".join("%d %r %d %r %d\n" % (r.tau, r.tau_points, r.nu, r.nu_members,
-                                          r.candidates_used)
-                   for r in map(solve, _small_exact_block(7)))
+    """tau, |tau_points|, nu and nu_members of solve on eight small-exact
+    blocks and the touching families equal the padded candidates'."""
+    families = [f for seed in (1, 2, 3, 4) for f in _small_exact_families(seed)]
+    assert len(families) == 720
+    text = "".join("%d %d %d %r\n" % (r.tau, len(r.tau_points), r.nu, r.nu_members)
+                   for r in map(solve, families + list(_touching_families())))
     assert hashlib.sha256(text.encode()).hexdigest() == SOLVE_DIGEST
 
 
+def test_solve_checks_each_pair_once():
+    """solve decides each pair with pair_checker once, for nu and for the
+    candidates alike: n (n - 1) / 2 checks.  Polygon families took twice
+    as many while the candidates tested every pair again."""
+    for name in ("triangle", "disk", "cs8"):
+        f = _small_family(name, "homothets", 12, 0)
+        with call_budget(66, name="check") as budget:
+            solve(f)
+        assert budget.calls == 66
+
+
 def test_polygon_candidates_skip_the_halfplanes_that_hold_a_member():
-    """A 12-member cs8 homothet family: clipping every meeting pair against
-    every halfplane makes about 5,200 calls, skipping the halfplanes that
-    hold all of the clipped member about 4,400."""
+    """A 12-member cs8 homothet family: clipping every meeting pair and
+    skipping the halfplanes that hold all of the clipped member made about
+    4,400 calls; clipping only the pairs where neither member holds the
+    other's lowest point, with the same skip, about 2,600."""
     f = _small_family("cs8", "homothets", 12, 0)
-    with call_budget(4_800):
-        cands = candidate_points(f)
-    assert len(cands) == 186
+    with call_budget(3_600):
+        candidate_points(f)
+
+
+def test_candidates_and_masks_take_half_the_padded_work():
+    """A 16-member cs8 homothet family: its 284 padded candidates and their
+    masks made about 11,900 calls, its 51 lowest points and theirs about
+    5,300."""
+    f = _small_family("cs8", "homothets", 16, 0)
+    with call_budget(8_000):
+        coverage(f, candidate_points(f))

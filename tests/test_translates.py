@@ -59,8 +59,8 @@ from piercing.translates import (
     union_area_exact,
 )
 import reference
-from reference import (call_budget, family_of_columns, fraction_columns, lattice_offset_members,
-                       lattice_offset_points, top_key, union_area)
+from reference import (call_budget, family_of_columns, fraction_columns, intersects,
+                       lattice_offset_members, lattice_offset_points, top_key, union_area)
 
 PENTAGON = PolygonBody(
     ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Point(2, 5), Point(-1, 2)])
@@ -98,7 +98,7 @@ class TestGreedy:
         assert cert.witness == seeds
         for a in range(len(seeds)):
             for b in range(a + 1, len(seeds)):
-                assert not f.intersects(seeds[a], seeds[b])
+                assert not intersects(f, seeds[a], seeds[b])
 
     def test_refined_bound_against_oracle(self):
         for base, k, alpha1 in [(unit_square(), 2, 1), (unit_triangle(), 5, 3),
@@ -365,7 +365,7 @@ class TestLattice:
         assert len(wit) >= math.ceil(area / spec.cell_area)
         for a in range(len(wit)):
             for b in range(a + 1, len(wit)):
-                assert not f.intersects(wit[a], wit[b])
+                assert not intersects(f, wit[a], wit[b])
 
     def test_lattice_roles_verified(self):
         base = hexagon_body().polygon
@@ -655,7 +655,7 @@ class TestOracleChain:
 
 
 def _reference_clusters(f):
-    """Topmost greedy on the exact key, absorbing by Family.intersects alone."""
+    """Topmost greedy on the exact key, absorbing by intersects alone."""
     order = sorted(range(len(f)), key=top_key(f))
     alive = [True] * len(f)
     clusters = []
@@ -665,7 +665,7 @@ def _reference_clusters(f):
         alive[i] = False
         members = [i]
         for j in range(len(f)):
-            if alive[j] and f.intersects(i, j):
+            if alive[j] and intersects(f, i, j):
                 alive[j] = False
                 members.append(j)
         clusters.append((i, tuple(members)))
