@@ -14,7 +14,10 @@ from piercing.bodies import (
     PolygonBody,
     coverage,
     int_point,
+    int_translations,
+    member_polygons,
     normalize_affine,
+    pair_checker,
 )
 from piercing.errors import TooLarge
 from piercing.generators import (
@@ -27,10 +30,13 @@ from piercing.generators import (
     unit_square,
     unit_triangle,
 )
-from piercing.geom import ConvexPolygon, Point, clip_chain
+from piercing.geom import ConvexPolygon, Point, _clip, clip_chain
 from piercing.oracle import (
     _adjacency,
+    _entry,
+    _lowest,
     _points,
+    _polygon_lows,
     candidate_points,
     exact_nu,
     exact_tau,
@@ -479,6 +485,40 @@ def test_bitset_independent_set_equals_the_set_reference(n):
             want = reference.max_independent_set(adj)
             assert max_independent_set(adj) == want
             assert max_independent_set([sum(1 << u for u in a) for a in adj]) == want
+
+
+def _polygon_families():
+    for name in ("square", "triangle", "cs8", "hexagon"):
+        for kind in ("translates", "homothets"):
+            for seed in range(4):
+                yield _small_family(name, kind, 4 + 3 * seed, seed, shifted=seed == 3)
+    yield from (f for f in _touching_families() if f.base.kind == "polygon")
+
+
+def test_polygon_candidates_skipping_held_halfplanes_equal_clipping_every_plane():
+    """Skipping the halfplanes of member j that hold all of member i leaves
+    the lowest point of each meeting pair, either way round, as clipping
+    against every halfplane gives it, and that is the lowest point of the
+    realized pair, also where two members' edges lie on one line (equal
+    offsets)."""
+    equal_offsets = 0
+    for f in _polygon_families():
+        D, cols, S = int_translations(f)
+        meets = pair_checker(f)
+        points, planes = member_polygons(f.base, D, cols, S)
+        _, low = _polygon_lows(f, D, cols, S)
+        for i in range(len(f)):
+            for j in range(len(f)):
+                if i == j or not meets(i, j):
+                    continue
+                clipped = points[i][:-1]
+                for plane in planes[j]:
+                    clipped = _clip(clipped, plane)
+                assert low(i, j) == _entry(*_lowest(clipped))
+                [p] = _points(f, [low(i, j)])
+                assert RadPoint.of(p) == lowest_point(f, [i, j])
+                equal_offsets += i < j and sum(a[2] == b[2] for a, b in zip(planes[i], planes[j]))
+    assert equal_offsets > 50
 
 
 def test_min_set_cover_ignores_repeated_masks():
