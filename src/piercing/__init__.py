@@ -11,7 +11,7 @@ from .bodies import (
     intersection_graph,
     normalize_affine,
 )
-from .radicals import Radical, RadPoint, refine_sign
+from .radicals import RadPoint
 
 __all__ = [
     "AffineMap",
@@ -24,11 +24,9 @@ __all__ = [
     "Point",
     "PolygonBody",
     "RadPoint",
-    "Radical",
     "convex_hull",
     "intersection_graph",
     "minkowski_sum",
     "normalize_affine",
     "reflect",
-    "refine_sign",
 ]

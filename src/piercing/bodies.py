@@ -1,9 +1,9 @@
 """Convex bodies, families of translates/homothets, intersection graphs.
 
 A member body is s*C + t: the base scaled about the origin, then translated.
-All coordinates are exact rationals; query points may be radical, with one
-radicand m shared by both coordinates, because some disk constructions need
-them.
+All coordinates are exact rationals; query points may be radical
+(radicals.RadPoint), with one radicand m shared by both coordinates,
+because some disk constructions need them.
 
 The integer kernel: a family is held only as its translations and scales
 times the lcm D of their denominators (Family.scaled_translations), so
@@ -12,9 +12,10 @@ member i is (S_i C + T_i) / D with int columns T and S.  Pair tests
 orders run on these ints, and polygon and box members are slabs
 lo <= w.p <= hi with int bounds (Family.slabs).  Point membership is
 decided here too, and only here: a point becomes ints (A + B sqrt(m)) / q
-once (int_point), and membership tests it by exact signs of P + Q sqrt(m)
-against a member's slabs or a disk member; coverage, for the oracle's
-masks, bisects all members one slab at a time on rational points.  The
+once (int_point; a RadPoint holds them already), and membership tests it
+by exact signs of P + Q sqrt(m) against a member's slabs or a disk member;
+coverage, for the oracle's masks, bisects all members one slab at a time
+on rational points.  The
 members' scaled bounding boxes (box_columns) are int too, and one exact
 grid per power-of-two scale class of the members (scale_classes) gives the
 pair candidates (neighbor_index) and, in certificates, the points a member
@@ -33,7 +34,6 @@ from .errors import (
     DegenerateInput,
     DisksNotClosedUnderAffine,
     SingularMap,
-    VerificationFailed,
 )
 from .geom import ConvexPolygon, Interval, Point, _centre, _contains, _hom, _planes, _scaled, frac
 from .radicals import RadPoint
@@ -71,9 +71,6 @@ class PolygonBody:
         return PolygonBody(poly, self.reference_point * s + t)
 
     def contains(self, p) -> bool:
-        if isinstance(p, RadPoint):
-            return all(((n.x * p.x + n.y * p.y) - c).sign() <= 0
-                       for n, c in self.polygon.halfplanes())
         return self.polygon.contains(p)
 
     def bbox(self):
@@ -99,9 +96,6 @@ class DiskBody:
         return DiskBody(self.center * s + t, self.radius * s)
 
     def contains(self, p) -> bool:
-        if isinstance(p, RadPoint):
-            dx, dy = p.x - self.center.x, p.y - self.center.y
-            return (dx * dx + dy * dy - self.radius * self.radius).sign() <= 0
         d = p - self.center
         return d.norm2() <= self.radius * self.radius
 
@@ -472,12 +466,11 @@ def _triple(x, y, w):
 
 def member_polygons(base, D, cols, S):
     """(points, planes) of polygon members on the ints (D, cols, S) of
-    int_translations: points[i] holds member i's vertices (ccw), then its
-    reference point, as reduced homogeneous triples, and planes[i] its edges'
-    halfplanes a x + b y <= c of geom._planes carried to (a D, b D,
-    c S_i + a X_i + b Y_i), equal for two members iff the edges lie on one
-    line facing the same way."""
-    verts = [_hom(p) for p in (*base.polygon.vertices, base.reference_point)]
+    int_translations: points[i] holds member i's vertices (ccw) as reduced
+    homogeneous triples, and planes[i] its edges' halfplanes a x + b y <= c
+    of geom._planes carried to (a D, b D, c S_i + a X_i + b Y_i), equal for
+    two members iff the edges lie on one line facing the same way."""
+    verts = list(map(_hom, base.polygon.vertices))
     edges = _planes(base.polygon)
     points, planes = [], []
     for s, x, y in zip(S, *cols):
@@ -533,22 +526,10 @@ def pair_checker(f: Family):
 
 def int_point(p):
     """(q, m, A, B): coordinate k of p is (A[k] + B[k] sqrt(m)) / q, with
-    ints (B is None for a rational point).  p is a Point, a RadPoint or a
-    box tuple; a RadPoint with more than one radicand has no such form and
-    raises VerificationFailed."""
+    ints (B is None for a rational point).  p is a Point, a RadPoint, whose
+    own fields these are, or a box tuple."""
     if isinstance(p, RadPoint):
-        terms = (p.x.terms, p.y.terms)
-        roots = terms[0].keys() | terms[1].keys()
-        roots.discard(1)
-        if len(roots) > 1:
-            raise VerificationFailed("a point has more than one radicand")
-        if roots:
-            m = roots.pop()
-            parts = [(t.get(1, 0), t.get(m, 0)) for t in terms]
-            q = math.lcm(*[v.denominator for part in parts for v in part])
-            A, B = zip(*[[v.numerator * (q // v.denominator) for v in part] for part in parts])
-            return q, m, A, B
-        p = tuple(t.get(1, 0) for t in terms)
+        return p.q, p.m, p.A, p.B
     coords = p if isinstance(p, tuple) else (p.x, p.y)
     q = math.lcm(*[v.denominator for v in coords])
     return q, 1, [v.numerator * (q // v.denominator) for v in coords], None

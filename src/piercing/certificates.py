@@ -12,8 +12,9 @@ members (bodies.scale_classes), so verification is near-linear per
 occupied class: O((n + points) * classes), with at most
 log2(S_max / S_min) + 1 classes.  Polygon and box membership is decided on
 the family's int slabs (bodies.Family.slabs), disk membership by the sign
-of P + Q sqrt(m) on ints; no member is realized.  A point with more than
-one radicand has no such form and fails verification.
+of P + Q sqrt(m) on ints; no member is realized.  The point budget counts
+distinct points (radicals.point_key).  A file's point with more than one
+radicand has no such form and fails verification (jsonio).
 
 A symbolic certificate (the greedies') lists seeds and clusters instead.
 Its method names a cover pattern and an order (greedy_rule), and by the
@@ -45,7 +46,7 @@ from .bodies import (
 from .covers import _triangle_normalizer, homothet_cover, translate_cluster_cover
 from .errors import UnsupportedBase, VerificationFailed
 from .geom import Point
-from .radicals import RadPoint, Radical
+from .radicals import RadPoint, point_key
 
 
 def _floor_root(b, m):
@@ -151,11 +152,14 @@ def _anchor(body):
     return min(body.polygon.vertices, key=lambda p: (p.y, p.x))
 
 
-def _terms(v):
-    """{radicand: coefficient} of a rational or Radical coordinate."""
-    if isinstance(v, Radical):
-        return v.terms
-    return {1: v} if v else {}
+def _terms(p):
+    """Per coordinate of a point, {radicand: coefficient} of its nonzero
+    terms, the rational part's radicand being 1."""
+    if isinstance(p, RadPoint):
+        q, m = p.q, p.m
+        return [{k: Fraction(c, q) for k, c in ((1, a), (m, b)) if c}
+                for a, b in zip(p.A, p.B or (0,) * len(p.A))]
+    return [{1: v} if v else {} for v in _coords(p)]
 
 
 def _packed_keys(f: Family, offsets, seeds):
@@ -168,11 +172,12 @@ def _packed_keys(f: Family, offsets, seeds):
     q S_i + L T_i for its rational part and c S_i per term c sqrt(m) of
     L (a + o).  A key is the digits in mixed radix over bounds from the seed
     columns' extents, so equal keys are equal values, and it is linear:
-    A_o S_i + B_i.  A point out of bounds is no pattern point; its key is
-    the tuple of its terms."""
+    A_o S_i + B_i.  A point whose radicand m is not the pattern's m' but
+    has m m' a perfect square is first written over m'.  A point out of
+    bounds is no pattern point; its key is radicals.point_key."""
     D, cols, S = int_translations(f)
     anchor = _coords(_anchor(f.base))
-    terms = [[_terms(a + v) for a, v in zip(anchor, _coords(o))] for o in offsets]
+    terms = [[{**t, 1: t.get(1, 0) + a} for t, a in zip(_terms(o), anchor)] for o in offsets]
     L = math.lcm(*(c.denominator for row in terms for t in row for c in t.values()))
     scale = D * L
     ss = list(map(S.__getitem__, seeds))
@@ -196,23 +201,33 @@ def _packed_keys(f: Family, offsets, seeds):
             B = list(map(add, B, map((L * w).__mul__, ts[k])))
     A = [sum(map(mul, c, weights)) for c in coefs]
     rows = [map(add, map(a.__mul__, ss), B) for a in A]
+    roots = {m for _, m in digits if m > 1}
 
     def key(p):
-        terms = {(k, m): c * scale for k, v in enumerate(_coords(p)) for m, c in _terms(v).items()}
+        if isinstance(p, RadPoint) and p.B and p.m not in roots:
+            for m in roots:
+                s = math.isqrt(p.m * m)
+                if s * s == p.m * m:  # sqrt(p.m) = s / m sqrt(m)
+                    p = RadPoint(p.q * m, m, [a * m for a in p.A], [b * s for b in p.B])
+                    break
+        terms = {(k, m): c * scale for k, t in enumerate(_terms(p)) for m, c in t.items()}
         digit = [terms.get(km, 0) for km in digits]
         if terms.keys() - digits or not all(
                 a <= c <= b and c.denominator == 1 for a, c, b in zip(lo, digit, hi)):
-            return tuple(sorted(terms.items()))
+            return point_key(p)
         return sum(map(mul, map(int, digit), weights))
 
     def point(k):
         v, xs = k - sum(map(mul, lo, weights)), [{} for _ in cols]
         for (axis, m), a, r in zip(digits, lo, radices):
             v, x = divmod(v, r)
-            xs[axis][m] = Fraction(a + x, scale)
-        if f.base.kind == "disk":
-            return RadPoint(*[Radical({m: c for m, c in x.items() if c}) for x in xs])
-        xs = [x[1] for x in xs]
+            xs[axis][m] = a + x
+        A = [x[1] for x in xs]
+        if roots:
+            (m,) = roots
+            B = [x.get(m, 0) for x in xs]
+            return RadPoint(scale, m, A, B if any(B) else None)
+        xs = [Fraction(a, scale) for a in A]
         return tuple(xs) if f.base.kind == "box" else Point(*xs)
 
     return rows, key, point
@@ -285,14 +300,17 @@ class PierceCertificate:
 
     @collector_paused()
     def _distinct(self, f: Family):
-        """The number of distinct points, for the certificate on f; a
-        symbolic certificate counts packed int keys, placing nothing."""
-        if not self.symbolic:
-            return len(self._points)
+        """The number of distinct points, for the certificate on f: an
+        explicit certificate counts their keys (radicals.point_key), and a
+        symbolic one packed int keys, placing nothing."""
         if self._counted is None or self._counted[0] is not f:
-            offsets = greedy_pattern(f, self.method).offsets
-            rows, key, _ = _packed_keys(f, offsets, self._pattern_seeds())
-            self._counted = (f, len(set(chain(*rows, map(key, self.extra)))))
+            if self.symbolic:
+                offsets = greedy_pattern(f, self.method).offsets
+                rows, key, _ = _packed_keys(f, offsets, self._pattern_seeds())
+                keys = chain(*rows, map(key, self.extra))
+            else:
+                keys = map(point_key, self._points)
+            self._counted = (f, len(set(keys)))
         return self._counted[1]
 
     def point_count(self) -> int:

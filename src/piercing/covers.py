@@ -23,7 +23,7 @@ from .geom import (
     reflect,
     region_minus_polygons,
 )
-from .radicals import RadPoint, Radical
+from .radicals import RadPoint
 from .sandwich import inscribed_hexagon, sandwich_parallelograms
 
 DOWN = Point(0, -1)
@@ -220,35 +220,22 @@ def _clip_lower_imageside(diff: ConvexPolygon, e1: Point, e2: Point):
 # disk patterns
 
 
-def _sqrt3(v) -> Radical:
-    return Radical.sqrt(3) * frac(v)
-
-
 def disk_seven_offsets(r):
     """{0} plus sqrt(3)*r times the sixth roots of unity."""
     r = frac(r)
-    out = [RadPoint(0, 0)]
-    coords = [
-        (_sqrt3(r), Radical.of(0)),
-        (_sqrt3(r / 2), Radical.of(3 * r / 2)),
-        (_sqrt3(-r / 2), Radical.of(3 * r / 2)),
-        (_sqrt3(-r), Radical.of(0)),
-        (_sqrt3(-r / 2), Radical.of(-3 * r / 2)),
-        (_sqrt3(r / 2), Radical.of(-3 * r / 2)),
-    ]
-    out.extend(RadPoint(x, y) for x, y in coords)
-    return out
+    n, q = r.numerator, 2 * r.denominator
+    # the root at k * 60 degrees is (b sqrt(3), a) n / q
+    return [RadPoint(1, 1, (0, 0))] + [
+        RadPoint(q, 3, (0, a * n), (b * n, 0))
+        for b, a in ((2, 0), (1, 3), (-1, 3), (-2, 0), (-1, -3), (1, -3))]
 
 
 def disk_half_offsets(r):
     """{0, (0, -sqrt3 r), (+-3r/2, -sqrt3 r/2)}: the lower half of the 7-cover."""
     r = frac(r)
-    return [
-        RadPoint(0, 0),
-        RadPoint(Radical.of(0), _sqrt3(-r)),
-        RadPoint(Radical.of(3 * r / 2), _sqrt3(-r / 2)),
-        RadPoint(Radical.of(-3 * r / 2), _sqrt3(-r / 2)),
-    ]
+    n, q = r.numerator, 2 * r.denominator
+    return [RadPoint(1, 1, (0, 0))] + [
+        RadPoint(q, 3, (a * n, 0), (0, b * n)) for a, b in ((0, -2), (3, -1), (-3, -1))]
 
 
 def _verify_disk_seven(r):

@@ -6,10 +6,6 @@ class DegenerateInput(PiercingError):
     pass
 
 
-class PrecisionExhausted(PiercingError):
-    pass
-
-
 class SingularMap(PiercingError):
     pass
 

@@ -108,9 +108,6 @@ class Interval:
         self.lo = lo
         self.hi = hi
 
-    def overlaps(self, other) -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def length(self):
         return self.hi - self.lo
 
@@ -197,12 +194,6 @@ class ConvexPolygon:
         for i in range(n):
             yield v[i], v[(i + 1) % n]
 
-    def halfplanes(self):
-        """Yield (normal, offset) with the polygon equal to {p : n.p <= c}."""
-        for a, b in self.edges():
-            n = (b - a).perp()  # inward for ccw; flip for outward
-            yield Point(-n.x, -n.y), (-n.x) * a.x + (-n.y) * a.y
-
     def area(self) -> Fraction:
         v = self.vertices
         s = Fraction(0)
@@ -238,10 +229,6 @@ class ConvexPolygon:
     def support(self, d: Point) -> Fraction:
         """max over the polygon of the inner product with d."""
         return max(p.dot(d) for p in self.vertices)
-
-    def extent(self, d: Point) -> Interval:
-        vals = [p.dot(d) for p in self.vertices]
-        return Interval(min(vals), max(vals))
 
     def bounding_box(self):
         xs = [p.x for p in self.vertices]
@@ -350,7 +337,7 @@ def _point(h) -> Point:
 
 
 def _planes(poly: ConvexPolygon) -> list:
-    """The int triples of poly's halfplanes, in the order of halfplanes().
+    """The int triples of poly's edges' halfplanes, edge by edge (ccw).
 
     The vertices are scaled by the lcm of their denominators; each triple
     is divided by its gcd.

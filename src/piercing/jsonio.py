@@ -7,6 +7,8 @@ Certificates embed the instance, which makes them re-verifiable from the
 file alone.  An instance is written as its scaled int columns "D", "t" (D t
 per axis) and, for homothets, "s" (D s) (bodies.Family.scaled_translations),
 and read back as written (_rescaled); the hand-written "members" form too.
+A radical point is written as its RadPoint's terms and read with one rule
+that needs no factoring (_Reader.radical).
 """
 
 from fractions import Fraction
@@ -19,9 +21,9 @@ import re
 from .bodies import (MAX_SCALE_BITS, BoxBody, DiskBody, Family, PolygonBody, collector_paused,
                      scale_table)
 from .certificates import PierceCertificate, greedy_pattern
-from .errors import DegenerateInput, ParseError
+from .errors import DegenerateInput, ParseError, VerificationFailed
 from .geom import ConvexPolygon, Point
-from .radicals import RadPoint, Radical, canonical_radicands
+from .radicals import RadPoint, is_square, point_key
 
 
 # the number grammar of every file: an optional sign, digits, and an
@@ -59,15 +61,6 @@ def _point_out(p: Point):
     return [_num_out(p.x), _num_out(p.y)]
 
 
-def _radical_sum(terms) -> Radical:
-    """The sum of c * sqrt(m) over (m, c) pairs, through Radical's own
-    arithmetic: the one canonicaliser."""
-    out = Radical()
-    for m, c in terms:
-        out = out + Radical.sqrt(m) * c
-    return out
-
-
 def _rescaled(D0, cols, strings):
     """(D, cols): columns of JSON ints x / D0 and, if strings, grammar
     strings, over their least common denominator D (bodies.scale_table).
@@ -87,14 +80,12 @@ def _rescaled(D0, cols, strings):
 
 
 class _Reader:
-    """Reads one document.  Rationals are memoised by their JSON value and
-    the canonical-form verdict by radicand tuple; both memos live only as
-    long as the document, so no work carries over from one file to the
-    next."""
+    """Reads one document.  Rationals are memoised by their JSON value; the
+    memo lives only as long as the document, so no work carries over from
+    one file to the next."""
 
     def __init__(self):
         self._nums = {}
-        self._canonical = {}
 
     def num(self, x) -> Fraction:
         """An exact rational from a JSON int or a string of the grammar."""
@@ -111,37 +102,65 @@ class _Reader:
             raise ParseError("point must be a pair")
         return Point(self.num(obj[0]), self.num(obj[1]))
 
-    def radical(self, obj) -> Radical:
-        """A Radical from [[m, c], ...] terms.  Canonical terms are taken as
-        they are; any other list goes through Radical's own arithmetic, the
-        one canonicaliser."""
-        terms = []
-        for m, c in obj:
-            if type(m) is not int or m < 0:
-                raise ParseError("radicand must be a nonnegative integer, got %r" % (m,))
-            terms.append((m, self.num(c)))
-        ms = tuple(m for m, _ in terms)
-        canonical = self._canonical.get(ms)
-        if canonical is None:
-            canonical = self._canonical[ms] = canonical_radicands(ms)
-        if canonical:
-            return Radical({m: c for m, c in terms if c})
-        return _radical_sum(terms)
+    def radical(self, coords):
+        """(m, a, b): coordinate k sums c sqrt(m') over the [[m', c], ...]
+        terms coords[k], and is a[k] + b[k] sqrt(m) with rationals a[k] and
+        b[k] (b is None and m is 1 when the sum is rational).  A term whose
+        m' is a perfect square is rational, and two radicands merge iff
+        their product is a perfect square, with no factoring; a sum left
+        with two radicands raises VerificationFailed."""
+        a, roots = [Fraction(0)] * len(coords), {}  # radicand -> coefficients
+        for k, terms in enumerate(coords):
+            for m, c in terms:
+                if type(m) is not int or m < 0:
+                    raise ParseError("radicand must be a nonnegative integer, got %r" % (m,))
+                c = self.num(c)
+                if is_square(m):
+                    a[k] += c * math.isqrt(m)
+                    continue
+                for r, b in roots.items():
+                    if is_square(r * m):  # sqrt(m) = isqrt(r m) / r sqrt(r)
+                        b[k] += c * math.isqrt(r * m) / r
+                        break
+                else:
+                    b = roots[m] = [Fraction(0)] * len(coords)
+                    b[k] = c
+        roots = [(m, b) for m, b in roots.items() if any(b)]
+        if len(roots) > 1:
+            raise VerificationFailed("a point has more than one radicand")
+        (m, b), = roots or [(1, None)]
+        return m, a, b
 
     def pierce_point(self, obj, box_dim=None):
-        """A planar point (rational or radical), or a rational box point
-        with exactly box_dim coordinates."""
+        """A planar point (a Point, or a RadPoint when it has a radicand),
+        or a rational box point with exactly box_dim coordinates."""
         kind = obj.get("kind", "rational")
         if kind == "radical":
             if box_dim is not None:
                 raise ParseError("box points must be rational")
-            return RadPoint(self.radical(obj["x"]), self.radical(obj["y"]))
+            m, a, b = self.radical([obj["x"], obj["y"]])
+            return Point(*a) if b is None else RadPoint.of_fractions(m, a, b)
         xy = obj["xy"]
         if type(xy) is not list or len(xy) != (box_dim or 2):
             raise ParseError("a point needs a list of %d coordinates" % (box_dim or 2))
         if box_dim is not None:
             return tuple(self.num(v) for v in xy)
         return Point(self.num(xy[0]), self.num(xy[1]))
+
+    def pierce_points(self, objs, box_dim=None):
+        """(points, mixed): pierce_point of each entry, None for one with
+        more than one radicand, and the VerificationFailed of the first
+        such (None if there is none).  The caller raises it once the whole
+        document has parsed, so a malformed file is a ParseError whatever
+        its points."""
+        points, mixed = [], None
+        for obj in objs:
+            try:
+                points.append(self.pierce_point(obj, box_dim))
+            except VerificationFailed as e:
+                points.append(None)
+                mixed = mixed or e
+        return points, mixed
 
     def body(self, obj):
         try:
@@ -261,17 +280,18 @@ def family_from_json(obj) -> Family:
     return _Reader().family(obj)
 
 
-def _radical_out(r: Radical):
-    return [[m, _num_out(c)] for m, c in sorted(r.terms.items())]
-
-
 def point_to_json(p):
+    """A rational point's coordinates, or a RadPoint's terms
+    [[1, A/q], [m, B/q]] per coordinate with zero terms dropped."""
     if isinstance(p, Point):
         return {"kind": "rational", "xy": _point_out(p)}
     if isinstance(p, RadPoint):
-        if p.is_rational():
-            return {"kind": "rational", "xy": [_num_out(p.x.as_fraction()), _num_out(p.y.as_fraction())]}
-        return {"kind": "radical", "x": _radical_out(p.x), "y": _radical_out(p.y)}
+        q, m, A, B = p.q, p.m, p.A, p.B
+        if not any(B or ()):
+            return {"kind": "rational", "xy": [_num_out(Fraction(a, q)) for a in A]}
+        x, y = ([[r, _num_out(Fraction(c, q))] for r, c in ((1, a), (m, b)) if c]
+                for a, b in zip(A, B))
+        return {"kind": "radical", "x": x, "y": y}
     return {"kind": "rational", "xy": [_num_out(v) for v in p]}  # box tuple
 
 
@@ -334,8 +354,8 @@ def certificate_from_json(obj):
         _indices([s for s, _ in clusters], n)
         _indices(list(chain.from_iterable(m for _, m in clusters)), n)
         witness = _indices(_list(obj, "witness"), n)
-        points = [rd.pierce_point(p, box_dim)
-                  for p in _list(obj, "refine_points" if symbolic else "points")]
+        points, mixed = rd.pierce_points(_list(obj, "refine_points" if symbolic else "points"),
+                                         box_dim)
         if not symbolic:
             cert = PierceCertificate(method, factor, points, clusters, witness)
         elif points and not clusters:
@@ -347,6 +367,8 @@ def certificate_from_json(obj):
         raise
     except Exception as e:
         raise ParseError("bad certificate: %s" % e) from e
+    if mixed:
+        raise mixed
     return cert, f
 
 
@@ -376,8 +398,7 @@ def verify_pattern_json(doc) -> bool:
     VerificationFailed.
     """
     from .covers import _verify_box_pattern, disk_half_cover, disk_seven_cover
-    from .errors import VerificationFailed
-    from .geom import ConvexPolygon, covers_region
+    from .geom import covers_region
 
     rd = _Reader()
     try:
@@ -389,14 +410,14 @@ def verify_pattern_json(doc) -> bool:
         if kind == "polygon":
             region = [rd.point(p) for p in _list(doc, "region")]
             cover = ConvexPolygon([rd.point(p) for p in _list(doc, "cover")])
-            offsets = [rd.pierce_point(p) for p in offsets]
+            offsets, _ = rd.pierce_points(offsets)
             if not all(isinstance(o, Point) for o in offsets):
                 raise ParseError("polygon pattern offsets must be rational")
         elif kind == "disk":
             r = rd.num(doc["radius"])
             if r <= 0:
                 raise ParseError("radius must be positive")
-            offsets = [rd.pierce_point(p) for p in offsets]
+            offsets, mixed = rd.pierce_points(offsets)
         elif kind == "box":
             sides = tuple(rd.num(v) for v in _list(doc, "sides"))
             if not sides or min(sides) <= 0:
@@ -412,9 +433,10 @@ def verify_pattern_json(doc) -> bool:
         if not covers_region(region, [cover], offsets):
             raise VerificationFailed("pattern residue is nonempty")
     elif kind == "disk":
-        offsets = [RadPoint.of(p) if isinstance(p, Point) else p for p in offsets]
-        got = {p.key() for p in offsets}
-        want = {p.key() for p in (disk_half_cover if half else disk_seven_cover)(r).offsets}
+        if mixed:
+            raise mixed
+        got = set(map(point_key, offsets))
+        want = set(map(point_key, (disk_half_cover if half else disk_seven_cover)(r).offsets))
         if got != want:
             raise VerificationFailed("disk offsets differ from the verified pattern")
     else:

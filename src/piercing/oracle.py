@@ -23,21 +23,23 @@ coordinates that some member holds.
 Candidates are int entries (q, m, A, B) (bodies.int_point) built from the
 int columns of bodies.int_translations, rational ones first, and
 deduplicated, first occurrences in order; only the tau_points become
-Points.  A meeting pair where one member holds the other's lowest point has
-that point as its own and is left out; the meeting pairs are the bitsets
-of _adjacency, which nu searches too.  Polygon members are the int vertices
-and halfplanes of bodies.member_polygons, and a pair's lowest point is a
-vertex of one member clipped by the other.  Edge e has one normal in every
+Points and RadPoints.  A meeting pair where one member holds the other's
+lowest point has that point as its own and is left out; the meeting pairs
+are the bitsets of _adjacency, which nu searches too.  Polygon members
+are the int vertices and halfplanes of bodies.member_polygons, and a
+pair's lowest point is a vertex of one member clipped by the other.  Edge e has one normal in every
 member, so member i lies in member j's halfplane e iff its offset is at
 most j's; that clip would keep the chain and is skipped.  A disk pair's
 lowest point is the lower crossing of its circles, (A + B sqrt(m)) / q.
 The masks come from bodies.coverage, one bisection pair per slab and point
 over the members sorted by their slab bounds (disks, and any irrational
 entry: bodies.membership member by member, as in verify); no member is
-realized.  min_set_cover keeps the first of repeated masks, then drops
-dominated ones.  A radicand over 2^48 may keep a square factor, so two
-equal radical candidates can both survive; their masks are equal,
-min_set_cover drops the second, and tau does not change.
+realized, and the lowest points' masks, which pick the pairs, are reused.
+min_set_cover keeps the first of repeated masks, then drops dominated
+ones.  A radicand over 2^48 may keep a square factor
+(radicals._reduce_radicand), so two equal radical candidates can both
+survive; their masks are equal, min_set_cover drops the second, and tau
+does not change.
 
 nu decides every pair with pair_checker (at most NU_LIMIT members) into
 int bitsets of neighbours, on which the independent set search and its
@@ -54,7 +56,7 @@ from .bodies import (Family, _triple, box_columns, coverage, disk_columns, int_t
                      member_polygons, pair_checker)
 from .errors import TooLarge
 from .geom import Point, _clip
-from .radicals import Radical, RadPoint, _reduce_radicand
+from .radicals import RadPoint, _reduce_radicand
 
 TAU_LIMIT = 16
 NU_LIMIT = 24
@@ -96,7 +98,7 @@ def _polygon_lows(f, D, cols, S):
     k = min(range(len(vs)), key=lambda k: (vs[k].y, vs[k].x))  # the same vertex in every member
 
     def low(i, j):
-        clipped = points[i][:-1]
+        clipped = points[i]
         for (_, _, c), plane in zip(planes[i], planes[j]):
             # edge e of every member has one normal, so member i lies in
             # member j's halfplane e, and the clip keeps the chain, iff
@@ -116,7 +118,7 @@ def _disk_lows(f, D, cols, S):
     def low(i, j):
         # crossings c_i + K / h (du, dv) +- t (-dv, du), h = 2 |du, dv|^2,
         # t^2 = delta / h^2; neither disk holds the other, so h > 0 and
-        # delta >= 0, and t = k sqrt(m) / d as in Radical.sqrt (k = 0 at a
+        # delta >= 0, and t = k sqrt(m) / d with m squarefree (k = 0 at a
         # tangency)
         u, v, R = us[i], vs[i], rs[i]
         du, dv = us[j] - u, vs[j] - v
@@ -139,17 +141,20 @@ def _disk_lows(f, D, cols, S):
 
 
 def candidate_points(f: Family, limit: int = TAU_LIMIT):
-    """A finite piercing-complete candidate set for the family: the lowest
+    """(candidates, masks): a finite piercing-complete candidate set for the
+    family and the coverage mask of each.  The candidates are the lowest
     point of each member and of each meeting pair (_adjacency), or for
     boxes the products of low corner coordinates that some member holds.
     A pair where one member holds the other's lowest point has that point as
-    its own and is left out."""
+    its own and is left out; the members' lowest points' masks decide that
+    and are kept."""
     if len(f) > limit:
         raise TooLarge("oracle limit is %d members" % limit)
     if f.base.kind == "box":
         scale, _, lo_cols, _ = box_columns(f, range(len(f)))
         combos = [(scale, 1, c, None) for c in product(*[sorted(set(col)) for col in lo_cols])]
-        return [e for e, m in zip(combos, coverage(f, combos)) if m]
+        masks = coverage(f, combos)
+        return [e for e, m in zip(combos, masks) if m], [m for m in masks if m]
     adj = _adjacency(f)
     bottoms, low = (_polygon_lows if f.base.kind == "polygon" else _disk_lows)(
         f, *int_translations(f))
@@ -158,18 +163,22 @@ def candidate_points(f: Family, limit: int = TAU_LIMIT):
     pairs = [low(i, j) for i in range(n) for j in range(i + 1, n)
              if adj[i] >> j & 1 and not (held[i] >> j | held[j] >> i) & 1]
     pairs.sort(key=lambda e: e[1] > 1)  # rational points first
-    return list(dict.fromkeys(bottoms + pairs))
+    # first occurrences in order; a repeated entry has the same mask
+    masks = dict(zip(bottoms, held))
+    pairs = [e for e in dict.fromkeys(pairs) if e not in masks]
+    masks.update(zip(pairs, coverage(f, pairs)))
+    return list(masks), list(masks.values())
 
 
 def _points(f: Family, entries):
     """The Point, RadPoint or box tuple of each entry."""
     out = []
     for q, m, A, B in entries:
-        xy = [Fraction(a, q) for a in A]
         if B:
-            xy = [Radical({k: c for k, c in ((1, a), (m, Fraction(b, q))) if c})
-                  for a, b in zip(xy, B)]
-        out.append(tuple(xy) if f.base.kind == "box" else (RadPoint if B else Point)(*xy))
+            out.append(RadPoint(q, m, A, B))
+            continue
+        xy = [Fraction(a, q) for a in A]
+        out.append(tuple(xy) if f.base.kind == "box" else Point(*xy))
     return out
 
 
@@ -300,8 +309,8 @@ def max_independent_set(adj):
 def _tau(f: Family, limit: int):
     """(points, candidates): an optimal piercing set, chosen by
     min_set_cover from candidate_points, and the number of candidates."""
-    cands = candidate_points(f, limit)
-    chosen = min_set_cover(len(f), coverage(f, cands))
+    cands, masks = candidate_points(f, limit)
+    chosen = min_set_cover(len(f), masks)
     return _points(f, [cands[i] for i in chosen]), len(cands)
 
 

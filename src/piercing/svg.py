@@ -5,6 +5,10 @@ a heavy outline.  Coordinates are floats here; rendering is not part of any
 exact check.
 """
 
+import math
+
+from .radicals import RadPoint
+
 HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
     '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -16,6 +20,9 @@ WITNESS_STYLE = 'fill="none" stroke="#cc3311" stroke-width="%.4f"'
 
 
 def _fxy(p):
+    if isinstance(p, RadPoint):
+        q, root = p.q, math.sqrt(p.m)
+        return tuple(a / q + b / q * root for a, b in zip(p.A, p.B or (0, 0)))
     if isinstance(p, tuple):
         return float(p[0]), float(p[1])
     return float(p.x), float(p.y)

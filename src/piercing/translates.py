@@ -453,7 +453,6 @@ def union_area_exact(f: Family) -> Fraction:
     adj = intersection_graph(f)
     twice = Fraction(0)
     for i, (pts, own) in enumerate(zip(points, planes)):
-        pts = pts[:-1]  # the last point is the reference point
         for a, b, plane in zip(pts, pts[1:] + pts[:1], own):
             pieces = []
             for j in adj[i]:

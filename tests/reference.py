@@ -1,11 +1,16 @@
 """Reference implementations the tests compare the package against.
 
 Each decides on realized bodies (Family.realize) with Fraction and Radical
-arithmetic, member by member, with none of the package's int layer: the
-intersection graph by intersects on every pair (bodies_intersect,
-separating axes for polygons: polygons_intersect), the oracle's
-coverage masks by the bodies' own contains, and the containment step of
-the smallest-first argument with an explicit common point.  The clipping
+arithmetic, member by member, with none of the package's int layer.
+Radical is the general sum of square roots that the package's one-radicand
+RadPoint replaced, RadicalPoint a point of two of them, rad_point the
+RadPoint of one, and body_contains a realized body's containment of such a
+point, decided by Radical signs.  The intersection graph is decided by
+intersects on every pair (bodies_intersect, separating axes for polygons:
+polygons_intersect, on the Fraction extent and overlaps), the oracle's
+coverage masks by body_contains, and the containment step of the
+smallest-first argument with an explicit common point.  halfplanes gives
+a polygon's Fraction halfplanes.  The clipping
 functions are the Fraction versions of geom's integer kernel, and the
 lattice offset search tests Fraction lattice points against every realized
 member, and the greedy's seed order is a sort by top_key on the Fraction
@@ -70,7 +75,7 @@ from piercing.errors import DegenerateInput
 from piercing.generators import _rand_frac_form
 from piercing.geom import ConvexPolygon, Interval, Point, frac
 from piercing.oracle import _points
-from piercing.radicals import RadPoint, Radical, _reduce_radicand
+from piercing.radicals import RadPoint, _reduce_radicand, sqrt_exact
 from piercing.sandwich import sandwich_parallelograms
 from piercing.translates import _clusters, _offset_candidates
 
@@ -145,10 +150,28 @@ def clip_chain(points, n, c):
     return dedup
 
 
+def halfplanes(poly):
+    """Yield (normal, offset) with the polygon equal to {p : n.p <= c}."""
+    for a, b in poly.edges():
+        n = (b - a).perp()  # inward for ccw; flip for outward
+        yield Point(-n.x, -n.y), (-n.x) * a.x + (-n.y) * a.y
+
+
+def extent(poly, d):
+    """The Interval of p . d over the polygon's vertices p."""
+    vals = [p.dot(d) for p in poly.vertices]
+    return Interval(min(vals), max(vals))
+
+
+def overlaps(a, b):
+    """Whether the closed Intervals a and b meet."""
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
 def intersection_chain(a, b):
     """Vertices of the intersection of polygon a (or a chain) and polygon b."""
     pts = list(a.vertices) if isinstance(a, ConvexPolygon) else list(a)
-    for n, c in b.halfplanes():
+    for n, c in halfplanes(b):
         pts = clip_chain(pts, n, c)
         if not pts:
             return []
@@ -228,7 +251,7 @@ def subtract_chain(piece, poly):
     measure zero and is kept whole."""
     out = []
     rest = list(piece)
-    for n, c in poly.halfplanes():
+    for n, c in halfplanes(poly):
         outside = clip_chain(rest, -n, -c)
         rest = clip_chain(rest, n, c)
         if len(rest) < 3:
@@ -322,14 +345,251 @@ def hexagon_sandwich(c):
     return u, [p + o for p in inscribed_hexagon(cen, u)], ratio
 
 
+class PrecisionExhausted(Exception):
+    """Radical.sign found no sign within its bit budget."""
+
+
+class Radical:
+    """A canonical sum of rational multiples of square roots of integers:
+    the general arithmetic that the one-radicand RadPoint replaced, kept to
+    check it.
+
+    The terms dict maps a positive integer radicand (1 for the rational
+    part) to its nonzero rational coefficient.  Radicands are squarefree
+    (_reduce_radicand, up to its trial bound) and no two lie in one square
+    class, so equal values have equal terms.  Nonzero signs are decided by
+    interval refinement with exact rational bounds.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = terms or {}
+
+    @classmethod
+    def of(cls, q) -> "Radical":
+        q = frac(q)
+        return cls({1: q} if q else {})
+
+    @classmethod
+    def sqrt(cls, q) -> "Radical":
+        """sqrt of a nonnegative rational, as a Radical."""
+        q = frac(q)
+        if q < 0:
+            raise ValueError("negative radicand %s" % q)
+        if q == 0:
+            return cls({})
+        r = sqrt_exact(q)
+        if r is not None:
+            return cls({1: r})
+        # sqrt(p/d) = sqrt(p*d)/d with an integer radicand
+        p, d = q.numerator, q.denominator
+        f, m = _reduce_radicand(p * d)
+        return cls({m: Fraction(f, d)})
+
+    def _add_term(self, m: int, coeff: Fraction):
+        """Add coeff * sqrt(m), in place, for m as _reduce_radicand leaves
+        it; a radicand that hides a large square joins its square class."""
+        if not coeff:
+            return
+        terms = self.terms
+        if m not in terms:
+            for k in terms:
+                s = math.isqrt(k * m)
+                if s * s == k * m:
+                    # sqrt(m) = s/k * sqrt(k)
+                    m, coeff = k, coeff * Fraction(s, k)
+                    break
+        c = terms.get(m, 0) + coeff
+        if c:
+            terms[m] = c
+        else:
+            del terms[m]
+
+    def __add__(self, other):
+        other = _coerce(other)
+        out = Radical(dict(self.terms))
+        for m, c in other.terms.items():
+            out._add_term(m, c)
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Radical({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-_coerce(other))
+
+    def __rsub__(self, other):
+        return _coerce(other) + (-self)
+
+    def __mul__(self, other):
+        other = _coerce(other)
+        out = Radical()
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                if m1 == m2:
+                    out._add_term(1, c1 * c2 * m1)
+                    continue
+                # squarefree m1 = g a and m2 = g b make m1 m2 = g^2 a b
+                g = math.gcd(m1, m2)
+                out._add_term(m1 // g * (m2 // g), c1 * c2 * g)
+        return out
+
+    __rmul__ = __mul__
+
+    def is_rational(self):
+        return all(m == 1 for m in self.terms)
+
+    def as_fraction(self) -> Fraction:
+        if not self.terms:
+            return Fraction(0)
+        if self.is_rational():
+            return self.terms[1]
+        raise ValueError("not rational: %r" % self)
+
+    def sign(self, max_bits: int = 4096) -> int:
+        """Exact sign: -1, 0 or +1."""
+        if not self.terms:
+            return 0
+        if all(c > 0 for c in self.terms.values()):
+            return 1
+        if all(c < 0 for c in self.terms.values()):
+            return -1
+        bits = 16
+        while bits <= max_bits:
+            lo, hi = self._bounds(bits)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            bits *= 2
+        raise PrecisionExhausted("sign undecided after %d bits" % max_bits)
+
+    def _bounds(self, bits: int):
+        """Exact rational lower/upper bounds on the value."""
+        lo = hi = Fraction(0)
+        scale = 1 << bits
+        for m, c in self.terms.items():
+            if m == 1:
+                lo += c
+                hi += c
+                continue
+            s = math.isqrt(m * scale * scale)
+            r_lo, r_hi = Fraction(s, scale), Fraction(s + 1, scale)
+            if c < 0:
+                r_lo, r_hi = r_hi, r_lo
+            lo += c * r_lo
+            hi += c * r_hi
+        return lo, hi
+
+    def __eq__(self, other):
+        return (self - _coerce(other)).sign() == 0
+
+    def __lt__(self, other):
+        return (self - _coerce(other)).sign() < 0
+
+    def __gt__(self, other):
+        return (self - _coerce(other)).sign() > 0
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.terms.items())))
+
+    def __repr__(self):
+        if not self.terms:
+            return "Radical(0)"
+        bits = []
+        for m, c in sorted(self.terms.items()):
+            bits.append(str(c) if m == 1 else "%s*sqrt(%d)" % (c, m))
+        return "Radical(%s)" % " + ".join(bits)
+
+
+def _coerce(x) -> Radical:
+    if isinstance(x, Radical):
+        return x
+    return Radical.of(x)
+
+
+def refine_sign(expr, max_bits: int = 4096) -> int:
+    """Sign of a Radical or rational expression: -1, 0 or +1."""
+    return _coerce(expr).sign(max_bits)
+
+
+def radical_sum(terms) -> Radical:
+    """The sum of c * sqrt(m) over (m, c) pairs, in Radical arithmetic."""
+    out = Radical()
+    for m, c in terms:
+        out = out + Radical.sqrt(m) * c
+    return out
+
+
+class RadicalPoint:
+    """A 2-D point with Radical coordinates, any number of radicands."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x, y):
+        self.x = _coerce(x)
+        self.y = _coerce(y)
+
+    @classmethod
+    def of(cls, p):
+        """The RadicalPoint of a Point, a RadPoint or a RadicalPoint."""
+        if isinstance(p, RadicalPoint):
+            return p
+        if isinstance(p, RadPoint):
+            root = Radical.sqrt(p.m)
+            return cls(*[Radical.of(Fraction(a, p.q)) + root * Fraction(b, p.q)
+                         for a, b in zip(p.A, p.B or (0, 0))])
+        return cls(p.x, p.y)
+
+    def __eq__(self, other):
+        other = RadicalPoint.of(other)
+        return self.x == other.x and self.y == other.y
+
+    def is_rational(self):
+        return self.x.is_rational() and self.y.is_rational()
+
+    def __repr__(self):
+        return "RadicalPoint(%r, %r)" % (self.x, self.y)
+
+
+def rad_point(x, y):
+    """The RadPoint (x, y) of Radicals or rationals x and y that share at
+    most one radicand; ValueError when they have two."""
+    x, y = _coerce(x), _coerce(y)
+    roots = (x.terms.keys() | y.terms.keys()) - {1}
+    if len(roots) > 1:
+        raise ValueError("more than one radicand")
+    m = max(roots, default=1)
+    a = [v.terms.get(1, Fraction(0)) for v in (x, y)]
+    b = [v.terms.get(m, Fraction(0)) for v in (x, y)] if roots else None
+    return RadPoint.of_fractions(m, a, b)
+
+
+def body_contains(body, p):
+    """Whether the realized body contains p, a RadPoint or RadicalPoint too:
+    the signs of n . p - c over the polygon's halfplanes, or of
+    |p - c|^2 - r^2 for a disk, in Radical arithmetic."""
+    if not isinstance(p, (RadPoint, RadicalPoint)):
+        return body.contains(p)
+    p = RadicalPoint.of(p)
+    if body.kind == "polygon":
+        return all(((n.x * p.x + n.y * p.y) - c).sign() <= 0
+                   for n, c in halfplanes(body.polygon))
+    dx, dy = p.x - body.center.x, p.y - body.center.y
+    return (dx * dx + dy * dy - body.radius * body.radius).sign() <= 0
+
+
 def value_key(p, scale=1):
     """Hashable key of the value of point p times scale: the rational part
     of each coordinate, then for each coordinate a flat tuple of its other
     terms' radicands and coefficients, by increasing radicand.
 
-    Radicals keep squarefree radicands, so equal values have equal keys
-    whatever the point's type (Point, RadPoint or box tuple)."""
-    terms = [_terms(v) for v in _coords(p)]
+    Squarefree radicands give equal values equal keys whatever the point's
+    type (Point, RadPoint, RadicalPoint or box tuple)."""
+    terms = [p.x.terms, p.y.terms] if isinstance(p, RadicalPoint) else _terms(p)
     return (*[t.get(1, 0) * scale for t in terms],
             *[tuple(x for m in sorted(t) if m != 1 for x in (m, t[m] * scale)) for t in terms])
 
@@ -456,7 +716,7 @@ def polygons_intersect(a, b):
     for poly in (a, b):
         for p, q in poly.edges():
             n = (q - p).perp()
-            if not a.extent(n).overlaps(b.extent(n)):
+            if not overlaps(extent(a, n), extent(b, n)):
                 return False
     return True
 
@@ -505,8 +765,8 @@ def bodies(f):
 def circle_circle_points(c1, r1, c2, r2):
     """Intersection points of two ordinary circles with rational data.
 
-    Returns [] when disjoint or concentric, one RadPoint at a tangency
-    (rational), else two RadPoints in a single sqrt extension.
+    Returns [] when disjoint or concentric, one RadicalPoint at a tangency
+    (rational), else two RadicalPoints in a single sqrt extension.
     """
     r1, r2 = frac(r1), frac(r2)
     u = c2 - c1
@@ -519,13 +779,13 @@ def circle_circle_points(c1, r1, c2, r2):
         return []
     mid = c1 + u * a
     if t2 == 0:
-        return [RadPoint(Radical.of(mid.x), Radical.of(mid.y))]
+        return [RadicalPoint(mid.x, mid.y)]
     t = Radical.sqrt(t2)
     px = Radical.of(mid.x)
     py = Radical.of(mid.y)
     ox = t * (-u.y)
     oy = t * u.x
-    return [RadPoint(px + ox, py + oy), RadPoint(px - ox, py - oy)]
+    return [RadicalPoint(px + ox, py + oy), RadicalPoint(px - ox, py - oy)]
 
 
 _QUADRANTS = {(1, 0): 0, (1, 1): 1, (0, 1): 2, (-1, 1): 3,
@@ -580,10 +840,12 @@ def padded_candidates(f):
     rad = []
     if f.base.kind == "polygon":
         points, planes = member_polygons(f.base, D, cols, S)
-        rat = [p for pts in points for p in pts]
+        rx, ry, w = geom._hom(f.base.reference_point)
+        refs = [_triple(s * rx + x * w, s * ry + y * w, D * w) for s, x, y in zip(S, *cols)]
+        rat = [p for pts, ref in zip(points, refs) for p in (*pts, ref)]
         for i, pts in enumerate(points):
             for j, hps in enumerate(planes[i + 1:], i + 1):
-                clipped = pts[:-1] if meets(i, j) else []
+                clipped = pts if meets(i, j) else []
                 for plane in hps:
                     clipped = clipped and geom._clip(clipped, plane)
                 rat.extend(clipped)
@@ -622,7 +884,7 @@ def maximal_masks(masks):
 
 def lowest_point(f, members):
     """The lowest point (least y, then least x) of the intersection of the
-    realized members, as a RadPoint; None when it is empty.  Polygons: one
+    realized members, as a RadicalPoint; None when it is empty.  Polygons: one
     member clipped by the others in Fractions.  Disks: the highest of the
     lowest points of the members' pairs (a member paired with itself), each
     the lowest of the two bottom points and the two circle crossings that
@@ -634,18 +896,18 @@ def lowest_point(f, members):
         chain = list(bs[0].polygon.vertices)
         for b in bs[1:]:
             chain = chain and intersection_chain(chain, b.polygon)
-        pts = [RadPoint.of(p) for p in chain]
+        pts = [RadicalPoint.of(p) for p in chain]
         return min(pts, key=lambda p: (p.y, p.x)) if pts else None
     lows = []
     for a, b in itertools.combinations_with_replacement(bs, 2):
-        pts = [RadPoint.of(c.center - Point(0, c.radius)) for c in (a, b)]
+        pts = [RadicalPoint.of(c.center - Point(0, c.radius)) for c in (a, b)]
         pts += circle_circle_points(a.center, a.radius, b.center, b.radius)
-        pts = [p for p in pts if a.contains(p) and b.contains(p)]
+        pts = [p for p in pts if body_contains(a, p) and body_contains(b, p)]
         if not pts:
             return None
         lows.append(min(pts, key=lambda p: (p.y, p.x)))
     p = max(lows, key=lambda p: (p.y, p.x))
-    return p if all(b.contains(p) for b in bs) else None
+    return p if all(body_contains(b, p) for b in bs) else None
 
 
 def max_independent_set(adj):
@@ -727,7 +989,7 @@ def coverage_masks(f, candidates):
             (p,) = _points(f, [p])
         m = 0
         for i, b in enumerate(bs):
-            if b.contains(p):
+            if body_contains(b, p):
                 m |= 1 << i
         masks.append(m)
     return masks
@@ -938,7 +1200,7 @@ def pattern_keys(f, offsets, seeds):
     offset by offset on the scaled columns."""
     D, cols, S = f.scaled_translations()
     anchor = _coords(_anchor(f.base))
-    terms = [[_terms(a + v) for a, v in zip(anchor, _coords(o))] for o in offsets]
+    terms = [[{**t, 1: t.get(1, 0) + a} for t, a in zip(_terms(o), anchor)] for o in offsets]
     L = math.lcm(*(c.denominator for row in terms for t in row for c in t.values()))
     ss = [S[i] for i in seeds]
     ts = [[L * col[i] for i in seeds] for col in cols]

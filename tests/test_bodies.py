@@ -27,7 +27,7 @@ from piercing.generators import (
     unit_triangle,
 )
 from piercing.geom import ConvexPolygon, Point
-from piercing.radicals import Radical
+from reference import Radical
 from reference import (
     MixedKinds,
     bodies_intersect,

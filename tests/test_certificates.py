@@ -41,9 +41,11 @@ from piercing.generators import (
 )
 from piercing.geom import ConvexPolygon, Point
 from piercing.homothets import greedy_pierce_homothets
-from piercing.radicals import RadPoint, Radical
+from piercing.radicals import RadPoint
 from piercing.translates import greedy_pierce, grid_pierce, hexagon_pierce, lattice_pierce
 from reference import (
+    Radical,
+    body_contains,
     call_budget,
     dedupe_points,
     family_of_columns,
@@ -51,6 +53,7 @@ from reference import (
     graphs_equal,
     intersection_graph_bruteforce,
     members_document,
+    rad_point,
     tuple_key_count,
     value_key,
 )
@@ -125,7 +128,7 @@ def test_verify_rejects_an_unpierced_member_on_every_path():
         cert = pierce(f, verify=False)
         body = f.realize(len(f) // 2)
         cert = PierceCertificate(cert.method, cert.factor,
-                                 [p for p in cert.points if not body.contains(p)],
+                                 [p for p in cert.points if not body_contains(body, p)],
                                  cert.clusters, cert.witness)
         with pytest.raises(VerificationFailed, match="contains no piercing point"):
             cert.verify(f)
@@ -225,7 +228,10 @@ def test_packed_count_equals_the_tuple_key_count(case, refine):
     # decoding a key gives the point whose key it is, whatever its type
     assert all(key(point(k)) == k for k in placed[:50])
     if f.base.kind != "box":
-        assert all(key(RadPoint.of(point(k))) == k for k in placed[:50])
+        assert all(key(RadPoint(*int_point(point(k)))) == k for k in placed[:50])
+    if f.base.kind == "disk":  # each radical point written over 12 = 2^2 3 instead of 3
+        assert all(key(RadPoint(2 * p.q, 12, [2 * a for a in p.A], p.B)) == k
+                   for k, p in zip(placed[:50], map(point, placed)) if p.B)
 
 
 @pytest.mark.parametrize("base, kind", [(unit_disk, "translates"), (unit_triangle, "homothets")])
@@ -289,10 +295,10 @@ def test_point_value_key_matches_the_general_path(x, y, scale):
     # a Point, a RadPoint and a box tuple of the same value have one key,
     # a zero coordinate's Fraction(0) equal to the int 0 of a missing term
     got = value_key(Point(x, y), scale)
-    for other in (RadPoint(x, y), RadPoint(Radical({1: x} if x else {}), y), (x, y)):
+    for other in (rad_point(x, y), rad_point(Radical({1: x} if x else {}), y), (x, y)):
         want = value_key(other, scale)
         assert got == want and hash(got) == hash(want)
-    assert dedupe_points([Point(x, y), RadPoint(x, y), (x, y)]) == [Point(x, y)]
+    assert dedupe_points([Point(x, y), rad_point(x, y), (x, y)]) == [Point(x, y)]
 
 
 def _explicit_file(tmp_path, f, points):
@@ -305,18 +311,46 @@ def _explicit_file(tmp_path, f, points):
 def test_point_with_two_radicands_is_rejected(tmp_path, capsys):
     # a hand-written point with x in Q(sqrt 2) and y in Q(sqrt 3), or with x
     # in Q(sqrt 2, sqrt 3), has no int form (A + B sqrt(m)) / q: the file
-    # is rejected whether or not the point lies in the disk, and no member
-    # is realized
+    # is rejected whether or not the point lies in the disk
     f = Family(unit_disk(), [Member(Point(0, 0))])
-    inside = RadPoint(Radical.sqrt(2) * F(1, 2), Radical.sqrt(3) * F(2, 5))  # |p|^2 = 0.98
-    outside = RadPoint(Radical.sqrt(2) * F(1, 2), Radical.sqrt(3) * F(41, 100))  # 1.0043
-    mixed = RadPoint((Radical.sqrt(2) - Radical.sqrt(3)) * F(1, 2), 0)  # |p| = 0.159
+    doc = jsonio.certificate_to_json(
+        PierceCertificate("greedy", 4, [Point(0, 0)], [(0, (0,))], [0]), f)
+    inside = {"x": [[2, "1/2"]], "y": [[3, "2/5"]]}  # |p|^2 = 0.98
+    outside = {"x": [[2, "1/2"]], "y": [[3, "41/100"]]}  # 1.0043
+    mixed = {"x": [[2, "1/2"], [3, "-1/2"]], "y": []}  # |p| = 0.159
+    path = tmp_path / "cert.json"
     for p in (inside, outside, mixed):
-        assert main(["verify", _explicit_file(tmp_path, f, [p])]) == 1
+        doc["points"] = [{"kind": "radical", **p}]
+        jsonio.dump(doc, str(path))
+        assert main(["verify", str(path)]) == 1
         assert "a point has more than one radicand" in capsys.readouterr().err
         with pytest.raises(VerificationFailed, match="more than one radicand"):
-            PierceCertificate("greedy", 4, [p], [(0, (0,))], [0]).verify(f)
-    assert f._realized == {}
+            jsonio.certificate_from_json(doc)
+    # a malformed file is a parse error first, whatever its points
+    doc["points"].append({"kind": "radical", "x": [[2.5, 1]], "y": []})
+    jsonio.dump(doc, str(path))
+    assert main(["verify", str(path)]) == 2
+
+
+def test_explicit_points_count_once_per_value(tmp_path, capsys):
+    # an explicit file counts its distinct points, as its symbolic form
+    # does: a repeated point, or one written over another radicand, counts
+    # once, and repeats alone never exceed the budget of 4
+    f = Family(unit_disk(), [Member(Point(0, 0))])
+    p = RadPoint(4, 2, (0, 1), (1, 0))  # (sqrt(2) / 4, 1 / 4)
+    same = RadPoint(8, 8, (0, 2), (1, 0))  # sqrt(8) / 8 = sqrt(2) / 4
+    for points, count in (([p, Point(0, 0), same, p], 2), ([p] * 5, 1)):
+        assert main(["verify", _explicit_file(tmp_path, f, points)]) == 0
+        assert capsys.readouterr().out == "certificate ok: %d points, witness 1, factor 4\n" % count
+    f = random_family(unit_disk(), 60, box_size=6, seed=3)
+    cert = auto_pierce(f, method="greedy", refine=True, verify=False)
+    out = []
+    for c in (cert, cert.explicit()):
+        path = tmp_path / "cert.json"
+        jsonio.dump(jsonio.certificate_to_json(c, f), str(path))
+        assert main(["verify", str(path)]) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
 
 
 def test_irrational_point_is_decided_on_the_square_slabs():
@@ -326,16 +360,16 @@ def test_irrational_point_is_decided_on_the_square_slabs():
     half_root2 = Radical.sqrt(2) * F(1, 2)
     f = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), 0)),
                                Member(Point(3, 3))])
-    low = RadPoint(half_root2, F(1, 2))  # in members 0 and 1
-    high = RadPoint(half_root2 + 3, half_root2 + 3)  # in member 2
-    far = RadPoint(half_root2 * 3, 0)  # in none
+    low = rad_point(half_root2, F(1, 2))  # in members 0 and 1
+    high = rad_point(half_root2 + 3, half_root2 + 3)  # in member 2
+    far = rad_point(half_root2 * 3, 0)  # in none
     assert PierceCertificate("explicit", 1, [low, high], [], [0, 2]).verify(f)
     with pytest.raises(VerificationFailed, match="member 2 contains no piercing point"):
         PierceCertificate("explicit", 1, [low, far], [], [0, 2]).verify(f)
     assert f._realized == {}
     test = membership(f, [int_point(p) for p in (low, high, far)])
     got = [[test(i)(k) for k in range(3)] for i in range(3)]
-    assert got == [[f.realize(i).contains(p) for p in (low, high, far)] for i in range(3)]
+    assert got == [[body_contains(f.realize(i), p) for p in (low, high, far)] for i in range(3)]
     assert got == [[True, False, False], [True, False, False], [False, True, False]]
 
 
@@ -372,7 +406,7 @@ def test_check_members_matches_realized_membership_across_scale_classes(base):
         else:
             points.append(Point(body.center.x, body.center.y + body.radius))
         points.append(make([F(rng.randrange(-40, 200), 8) for _ in range(2)]))
-    held = [any(f.realize(i).contains(p) for p in points) for i in range(len(f))]
+    held = [any(body_contains(f.realize(i), p) for p in points) for i in range(len(f))]
     assert 3 < sum(held) < len(f) - 3
     covered = [i for i in range(len(f)) if held[i]]
     _check_members(f, covered, points)
@@ -413,9 +447,9 @@ def test_radical_points_match_realized_membership(family):
         else:
             q = Point(body.center.x, body.center.y + body.radius)
         e = rng.choice(eps)
-        points.append(RadPoint(e * rng.choice((-1, 1)) + q.x, e * rng.choice((-1, 1)) + q.y))
+        points.append(rad_point(e * rng.choice((-1, 1)) + q.x, e * rng.choice((-1, 1)) + q.y))
     assert all(int_point(p)[3] is not None for p in points)
-    held = [any(f.realize(i).contains(p) for p in points) for i in range(len(f))]
+    held = [any(body_contains(f.realize(i), p) for p in points) for i in range(len(f))]
     assert 3 < sum(held) < len(f) - 3
     covered = [i for i in range(len(f)) if held[i]]
     _check_members(f, covered, points)
@@ -432,11 +466,11 @@ def test_point_near_a_cell_edge_is_filed_by_its_exact_floor():
     # box's first cell and in the disk
     tiny = F(99, 70) - Radical.sqrt(2)
     f = Family(unit_disk(), [Member(Point(3, 0))])
-    left, right = RadPoint(2 - tiny, 0), RadPoint(tiny + 2, 0)
+    left, right = rad_point(2 - tiny, 0), rad_point(tiny + 2, 0)
     assert [_cell_key(int_point(p), 1, F(2)) for p in (left, right)] == [(0, 0), (1, 0)]
     _check_members(f, [0], [left, right])
-    _check_members(f, [0], [RadPoint(4 - tiny, 0)])
-    for p in (left, RadPoint(tiny + 4, 0)):
+    _check_members(f, [0], [rad_point(4 - tiny, 0)])
+    for p in (left, rad_point(tiny + 4, 0)):
         with pytest.raises(VerificationFailed, match="member 0 contains no piercing point"):
             _check_members(f, [0], [p])
 
@@ -447,7 +481,7 @@ def _far_radical_file(tmp_path, n, moved=None):
     or 1 further right for member moved, which then holds none."""
     f = Family(unit_disk(), [Member(Point(4 * i, 0)) for i in range(n)])
     off = Radical.sqrt(2) * F(1, 4) - F(1, 8)
-    points = [RadPoint(off + 4 * i + (i == moved), 0) for i in reversed(range(n))]
+    points = [rad_point(off + 4 * i + (i == moved), 0) for i in reversed(range(n))]
     path = tmp_path / "cert.json"
     cert = PierceCertificate("explicit", 1, points, [], range(n))
     jsonio.dump(jsonio.certificate_to_json(cert, f), str(path))
@@ -489,10 +523,10 @@ def test_verify_realizes_no_member_and_takes_no_radical_sign(monkeypatch):
     half_root2 = Radical.sqrt(2) * F(1, 2)
     f = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), 0)),
                                Member(Point(3, 3))])
-    points = [RadPoint(half_root2, F(1, 2)), RadPoint(half_root2 + 3, half_root2 + 3)]
+    points = [rad_point(half_root2, F(1, 2)), rad_point(half_root2 + 3, half_root2 + 3)]
     made.append((f, PierceCertificate("explicit", 1, points, [], [0, 2])))
     f = Family(unit_disk(), [Member(Point(0, 0)), Member(Point(3, 0))])
-    points = [RadPoint(half_root2, half_root2 - 1), RadPoint(3 - half_root2, half_root2)]
+    points = [rad_point(half_root2, half_root2 - 1), rad_point(3 - half_root2, half_root2)]
     made.append((f, PierceCertificate("explicit", 1, points, [], [0, 1])))
     made += [(f, cert.explicit()) for f, cert in made if cert.symbolic]
     assert {cert.method for _, cert in made} == {
@@ -534,7 +568,7 @@ def test_fraction_homothets_run_through_the_box_grid(base):
     assert cert.explicit().verify(f)
     body = f.realize(len(f) // 2)
     cut = PierceCertificate(cert.method, cert.factor,
-                            [p for p in cert.points if not body.contains(p)],
+                            [p for p in cert.points if not body_contains(body, p)],
                             cert.clusters, cert.witness)
     with pytest.raises(VerificationFailed, match="contains no piercing point"):
         cut.verify(f)

@@ -11,8 +11,8 @@ from piercing import circles, covers
 from piercing.circles import Conic, CoverageCheck, arc_samples
 from piercing.errors import VerificationFailed
 from piercing.geom import Point
-from piercing.radicals import RadPoint, Radical
-from reference import angle_cmp, circle_circle_points, dedupe_points, strictly_between
+from piercing.radicals import RadPoint
+from reference import Radical, angle_cmp, circle_circle_points, dedupe_points, strictly_between
 
 
 def test_circle_circle_secant():

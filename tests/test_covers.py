@@ -118,14 +118,12 @@ class TestHomothetCovers:
 
 class TestDiskPatterns:
     def test_seven_cover_offsets(self):
-        from piercing.radicals import Radical, RadPoint
-
         pat = disk_seven_cover(1)
         assert pat.size == 7
-        assert RadPoint(0, 0) in [p for p in pat.offsets if p.is_rational()] or any(
-            p.is_rational() and p.x == Radical.of(0) and p.y == Radical.of(0)
-            for p in pat.offsets
-        )
+        assert pat.offsets[0] == Point(0, 0)
+        # the others are sqrt(3) times the sixth roots of unity
+        for p in map(reference.RadicalPoint.of, pat.offsets[1:]):
+            assert (p.x * p.x + p.y * p.y).as_fraction() == 3
 
     def test_half_cover_four(self):
         pat = disk_half_cover(F(3, 2))

@@ -15,10 +15,13 @@ SRC = Path(__file__).parents[1] / "src" / "piercing"
 KEPT = {("homothets", "pair_checker"), ("translates", "translate_cluster_cover")}
 
 
-# top-level names no module in src/ uses, kept on purpose
+# top-level names and public methods no module in src/ uses, kept on purpose
 UNREFERENCED_OK = {
     # test instance makers: the tests and benchmarks draw bases from them
     ("generators", "random_convex_polygon"), ("generators", "random_cs_hexagon"),
+    # library API: the explicit form of a symbolic certificate, which lists
+    # its points for a file that any reader can check point by point
+    ("certificates", "PierceCertificate.explicit"),
 }
 
 
@@ -59,9 +62,10 @@ def test_the_guard_sees_an_unused_import():
 
 
 def _unreferenced(trees):
-    """(module, name) of every top-level function or class of the modules
-    {name: tree} that no module refers to, by name, attribute or import, and
-    no module exports in __all__."""
+    """(module, name) of every top-level function or class, and
+    (module, "Class.method") of every public method of a top-level class,
+    of the modules {name: tree} that no module refers to, by name,
+    attribute or import, and no module exports in __all__."""
     used = set()
     for tree in trees.values():
         used |= _exported(tree)
@@ -72,8 +76,16 @@ def _unreferenced(trees):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    return sorted((module, node.name) for module, tree in trees.items() for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used)
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used:
+                out.append((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                out += [(module, "%s.%s" % (node.name, m.name)) for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                        and m.name not in used]
+    return sorted(out)
 
 
 def test_every_top_level_name_is_used():
@@ -86,9 +98,11 @@ def test_the_guard_sees_an_unreferenced_name():
     trees = {
         "a": ast.parse("__all__ = ['pub']\ndef pub(): return helper()\ndef helper(): pass\n"
                        "def planted(): pass\nclass Planted: pass\n"),
-        "b": ast.parse("from .a import helper\nimport a\na.pub\n"),
+        "b": ast.parse("from .a import helper\nimport a\na.pub\n"
+                       "class Used:\n    def called(self): pass\n    def unused(self): pass\n"
+                       "    def _private(self): pass\nUsed().called()\n"),
     }
-    assert _unreferenced(trees) == [("a", "Planted"), ("a", "planted")]
+    assert _unreferenced(trees) == [("a", "Planted"), ("a", "planted"), ("b", "Used.unused")]
 
 
 def test_points_of_a_read_disk_certificate_build_no_fraction_column(monkeypatch):

@@ -13,8 +13,9 @@ from piercing.cli import auto_pierce, main
 from piercing.errors import ConstructionFailed, ParseError, VerificationFailed
 from piercing.generators import hexagon_body, random_family, unit_disk, unit_square, unit_triangle
 from piercing.geom import Point
-from piercing.jsonio import _num_out, _radical_sum, _Reader
-from reference import fraction_columns, members_document, pairs_scaled
+from piercing.jsonio import _num_out, _Reader
+from piercing.radicals import RadPoint
+from reference import Radical, fraction_columns, members_document, pairs_scaled, radical_sum
 
 
 def run(*argv):
@@ -121,20 +122,43 @@ _COEFFS = st.one_of(
 )
 
 
+def _read_sum(rd, terms):
+    """The Radical value of [[m, c], ...] as the reader reads it, or None
+    when the reader finds two radicands."""
+    try:
+        m, (a,), b = rd.radical([terms])
+    except VerificationFailed:
+        return None
+    return Radical.of(a) + (Radical.sqrt(m) * b[0] if b else 0)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.tuples(_RADICANDS, _COEFFS), max_size=5))
 def test_radical_reader_matches_radical_arithmetic(terms):
-    got = _Reader().radical([list(t) for t in terms])
-    want = _radical_sum((m, Fraction(c)) for m, c in terms)
-    assert got.terms == want.terms
+    # the reader's one rule (perfect squares are rational, two radicands
+    # merge iff their product is a square) gives the value of Radical
+    # arithmetic, and refuses exactly the sums left with two radicands
+    got = _read_sum(_Reader(), [list(t) for t in terms])
+    want = radical_sum((m, Fraction(c)) for m, c in terms)
+    if got is None:
+        assert len(want.terms.keys() - {1}) > 1
+    else:
+        assert got == want
 
 
-def test_radical_reader_memo_keeps_verdicts_apart():
+def test_radical_reader_merges_without_factoring():
     rd = _Reader()
-    for terms in ([[2, 1], [2738, 1]], [[2, 1]], [[2738, 1]], [[2, 1], [2738, 1]]):
-        want = _radical_sum((m, Fraction(c)) for m, c in terms)
-        assert rd.radical(terms).terms == want.terms
-    assert rd.radical([[2, 1], [2738, 1]]).terms == {2: 38}
+    # 2738 = 37^2 * 2 joins 2; 12 - 12 leaves 3 alone; 9 is rational
+    assert _read_sum(rd, [[2, 1], [2738, 1]]) == Radical.sqrt(2) * 38
+    assert _read_sum(rd, [[3, 1], [12, 1], [12, -1], [2, 0], [9, 2]]) == Radical.sqrt(3) + 6
+    assert _read_sum(rd, [[2, 1], [3, 1]]) is None
+    # the radicand is the point's, shared by x and y
+    p = rd.pierce_point({"kind": "radical", "x": [[8, 1]], "y": [[1, 1], [2, "1/2"]]})
+    assert isinstance(p, RadPoint) and p == RadPoint(4, 8, (0, 4), (4, 1))
+    with pytest.raises(VerificationFailed, match="more than one radicand"):
+        rd.pierce_point({"kind": "radical", "x": [[2, 1]], "y": [[3, 1]]})
+    assert rd.pierce_point({"kind": "radical", "x": [[4, 1]], "y": [[2, 1], [2, -1]]}) == \
+        Point(2, 0)
 
 
 _TEXT = st.one_of(

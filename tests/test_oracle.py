@@ -44,9 +44,11 @@ from piercing.oracle import (
     min_set_cover,
     solve,
 )
-from piercing.radicals import Radical, RadPoint
+from piercing.radicals import RadPoint
 import reference
 from reference import (
+    Radical,
+    body_contains,
     call_budget,
     clique_partition_number,
     coverage_masks as realized_masks,
@@ -57,6 +59,7 @@ from reference import (
     lowest_point,
     maximal_masks,
     padded_candidates,
+    rad_point,
 )
 
 
@@ -67,14 +70,14 @@ class TestCandidates:
         member holds the first's lowest point."""
         f = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), F(1, 2))),
                                    Member(Point(F(3, 4), F(-1, 2)))])
-        assert _points(f, candidate_points(f)) == [
+        assert _points(f, candidate_points(f)[0]) == [
             Point(0, 0), Point(F(1, 2), F(1, 2)), Point(F(3, 4), F(-1, 2)), Point(F(3, 4), 0),
             Point(F(3, 4), F(1, 2))]
 
     def test_nested_inner_vertices_present(self):
         f = Family(unit_square(), [Member(Point(0, 0), 1), Member(Point(F(1, 4), F(1, 4)), F(1, 2))],
                    "homothets")
-        cands = _points(f, candidate_points(f))
+        cands = _points(f, candidate_points(f)[0])
         assert Point(F(1, 4), F(1, 4)) in cands
 
     def test_too_large(self):
@@ -88,7 +91,7 @@ class TestCandidates:
 
         base = random_convex_polygon(rng, max_vertices=8, spread=2)
         f = random_family(base, 8, box_size=4, seed=20)
-        cands = _points(f, candidate_points(f))
+        cands = _points(f, candidate_points(f)[0])
         polys = [f.realize(i).polygon for i in range(len(f))]
         import itertools
 
@@ -96,7 +99,7 @@ class TestCandidates:
             for subset in itertools.combinations(range(len(f)), r):
                 chain = list(polys[subset[0]].vertices)
                 for i in subset[1:]:
-                    for n, c in polys[i].halfplanes():
+                    for n, c in reference.halfplanes(polys[i]):
                         chain = clip_chain(chain, n, c)
                         if not chain:
                             break
@@ -104,7 +107,7 @@ class TestCandidates:
                         break
                 if chain:
                     assert any(
-                        all(f.realize(i).contains(p) for i in subset) for p in cands
+                        all(body_contains(f.realize(i), p) for i in subset) for p in cands
                     )
 
 
@@ -131,7 +134,7 @@ class TestExactValues:
         f = random_family(unit_disk(), 10, box_size=5, seed=21)
         tau, pts = exact_tau(f)
         for i in range(len(f)):
-            assert any(f.realize(i).contains(p) for p in pts)
+            assert any(body_contains(f.realize(i), p) for p in pts)
 
     def test_nu_members_disjoint(self):
         f = random_family(unit_triangle(), 12, box_size=5, seed=22)
@@ -300,8 +303,8 @@ def test_coverage_masks_equal_the_realized_reference(name, kind, n, seed, shifte
     """The int-layer masks equal the realized bodies' contains on every
     candidate, boundary points included."""
     f = _small_family(name, kind, n, seed, shifted)
-    cands = candidate_points(f)
-    assert coverage(f, cands) == realized_masks(f, cands)
+    cands, masks = candidate_points(f)
+    assert masks == coverage(f, cands) == realized_masks(f, cands)
 
 
 def _moved(f, shift):
@@ -335,7 +338,7 @@ def test_slab_masks_equal_the_realized_reference_below_the_origin(name, kind, n,
     f = _moved(_small_family(name, kind, n, seed, shifted), (F(-61, 3), F(-47, 2)))
     assert (f.scaled_translations()[0] == 1) == shifted
     extra = _extra_points(f, random.Random(seed), 30)
-    cands = candidate_points(f)
+    cands, _ = candidate_points(f)
     assert coverage(f, [*cands, *map(int_point, extra)]) == realized_masks(f, cands + extra)
 
 
@@ -348,7 +351,7 @@ def test_slab_masks_equal_the_realized_reference_on_touching_families():
             continue
         dim = f.base.dim if f.base.kind == "box" else 2
         for g in (f, _moved(f, [F(-23 - k, 2 + k) for k in range(dim)])):
-            cands = candidate_points(g)
+            cands, _ = candidate_points(g)
             extra = _extra_points(g, rng, 10)
             masks = coverage(g, [*cands, *map(int_point, extra)])
             assert masks == realized_masks(g, cands + extra)
@@ -371,8 +374,8 @@ def _assert_lowest_points(f):
     polygon or disk candidate is the lowest point of the intersection of
     the realized members holding it (box candidates are the padded set's
     own corners)."""
-    cands = candidate_points(f)
-    masks = coverage(f, cands)
+    cands, masks = candidate_points(f)
+    assert masks == coverage(f, cands)
     padded = coverage(f, padded_candidates(f))
     assert maximal_masks(masks) == maximal_masks(padded)
     res = solve(f)
@@ -381,7 +384,7 @@ def _assert_lowest_points(f):
     assert res.nu == len(res.nu_members)
     if f.base.kind != "box":
         for p, m in zip(_points(f, cands), masks):
-            assert RadPoint.of(p) == lowest_point(f, [i for i in range(len(f)) if m >> i & 1])
+            assert lowest_point(f, [i for i in range(len(f)) if m >> i & 1]) == p
 
 
 @settings(max_examples=60, deadline=None)
@@ -417,8 +420,8 @@ def test_disk_tau_points_are_the_reference_radpoints(kind, shifted):
     tau, got = exact_tau(f)
     assert tau == len(min_set_cover(len(f), coverage(f, padded_candidates(f))))
     for p in got:
-        held = [i for i in range(len(f)) if f.realize(i).contains(p)]
-        assert RadPoint.of(p) == lowest_point(f, held)
+        held = [i for i in range(len(f)) if body_contains(f.realize(i), p)]
+        assert lowest_point(f, held) == p
     assert any(isinstance(p, RadPoint) for p in got)
 
 
@@ -451,17 +454,17 @@ def test_masks_of_radical_points_equal_realized_masks():
     half_root2 = Radical.sqrt(2) * F(1, 2)
     squares = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), 0)),
                                      Member(Point(3, 3))])
-    extra = [RadPoint(half_root2, F(1, 2)), RadPoint(half_root2 + 3, half_root2 + 3),
-             RadPoint(half_root2 * 3, 0)]
-    cands = candidate_points(squares)
+    extra = [rad_point(half_root2, F(1, 2)), rad_point(half_root2 + 3, half_root2 + 3),
+             rad_point(half_root2 * 3, 0)]
+    cands, _ = candidate_points(squares)
     masks = coverage(squares, [*cands, *map(int_point, extra)])
     assert squares._realized == {}
     assert masks == realized_masks(squares, cands + extra) and masks[-3:] == [0b011, 0b100, 0]
     disks = Family(unit_disk(), [Member(Point(0, 0)), Member(Point(2, 0))])
     quarter_root3 = Radical.sqrt(3) * F(1, 4)
-    extra = [RadPoint(quarter_root3, quarter_root3), RadPoint(quarter_root3 + 1, quarter_root3),
-             RadPoint(1, quarter_root3 * 4)]
-    cands = candidate_points(disks)
+    extra = [rad_point(quarter_root3, quarter_root3), rad_point(quarter_root3 + 1, quarter_root3),
+             rad_point(1, quarter_root3 * 4)]
+    cands, _ = candidate_points(disks)
     masks = coverage(disks, [*cands, *map(int_point, extra)])
     assert disks._realized == {}
     assert masks == realized_masks(disks, cands + extra) and masks[-3:] == [0b01, 0b10, 0]
@@ -511,12 +514,12 @@ def test_polygon_candidates_skipping_held_halfplanes_equal_clipping_every_plane(
             for j in range(len(f)):
                 if i == j or not meets(i, j):
                     continue
-                clipped = points[i][:-1]
+                clipped = points[i]
                 for plane in planes[j]:
                     clipped = _clip(clipped, plane)
                 assert low(i, j) == _entry(*_lowest(clipped))
                 [p] = _points(f, [low(i, j)])
-                assert RadPoint.of(p) == lowest_point(f, [i, j])
+                assert lowest_point(f, [i, j]) == p
                 equal_offsets += i < j and sum(a[2] == b[2] for a, b in zip(planes[i], planes[j]))
     assert equal_offsets > 50
 
@@ -611,7 +614,8 @@ def test_polygon_candidates_skip_the_halfplanes_that_hold_a_member():
     """A 12-member cs8 homothet family: clipping every meeting pair and
     skipping the halfplanes that hold all of the clipped member made about
     4,400 calls; clipping only the pairs where neither member holds the
-    other's lowest point, with the same skip, about 2,600."""
+    other's lowest point, with the same skip, about 2,600 (2,900 with the
+    masks, which candidate_points now returns too)."""
     f = _small_family("cs8", "homothets", 12, 0)
     with call_budget(3_600):
         candidate_points(f)
@@ -620,7 +624,8 @@ def test_polygon_candidates_skip_the_halfplanes_that_hold_a_member():
 def test_candidates_and_masks_take_half_the_padded_work():
     """A 16-member cs8 homothet family: its 284 padded candidates and their
     masks made about 11,900 calls, its 51 lowest points and theirs about
-    5,300."""
+    5,300, and 5,100 with the lowest points' masks computed once
+    (candidate_points returns the masks)."""
     f = _small_family("cs8", "homothets", 16, 0)
     with call_budget(8_000):
-        coverage(f, candidate_points(f))
+        candidate_points(f)

@@ -4,9 +4,11 @@ from math import isqrt
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from piercing.errors import PrecisionExhausted
-from piercing.radicals import RadPoint, Radical, _reduce_radicand, refine_sign, sqrt_exact
-from reference import value_key
+from piercing.generators import random_family, unit_disk
+from piercing.geom import Point
+from piercing.radicals import RadPoint, _reduce_radicand, point_key, sqrt_exact
+from piercing.translates import greedy_pierce
+from reference import PrecisionExhausted, Radical, rad_point, refine_sign, value_key
 
 
 def test_simple_signs():
@@ -60,14 +62,15 @@ def test_sqrt_exact():
     assert sqrt_exact(F(-1)) is None
 
 
-def test_radpoint_arithmetic_and_key():
-    p = RadPoint(Radical.sqrt(3), 1)
-    q = RadPoint(Radical.sqrt(12) * F(1, 2), 1)
-    assert p == q
-    assert p.key() == q.key()
-    assert (p * 2).x == Radical.sqrt(12)
-    assert not p.is_rational()
-    assert RadPoint(F(1, 2), 3).is_rational()
+def test_radpoint_key_is_one_per_value():
+    # sqrt(3) written over 3 and as sqrt(12) / 2; a rational RadPoint keys
+    # as the Point of its value
+    p = RadPoint(1, 3, (0, 1), (1, 0))
+    q = RadPoint(2, 12, (0, 2), (1, 0))
+    assert p == q and p.key() == q.key() == point_key(q) and hash(p) == hash(q)
+    assert p.key() != RadPoint(1, 3, (0, 1), (-1, 0)).key()
+    assert point_key(RadPoint(2, 1, (1, 6))) == point_key(Point(F(1, 2), 3))
+    assert rad_point(Radical.sqrt(12) * F(1, 2), 1) == p
 
 
 def test_reduced_radicands_are_squarefree():
@@ -78,16 +81,21 @@ def test_reduced_radicands_are_squarefree():
 
 
 def test_radicand_past_the_trial_bound_may_keep_a_square():
-    # the known limit of _reduce_radicand: 65537 is the first prime past
+    # the limit of _reduce_radicand: 65537 is the first prime past
     # _TRIAL_BOUND, and 65537^2 * 65539 (over 2^48) is neither divided by
-    # it nor a perfect square, so it stays whole; equality is still exact,
-    # but the two ways of writing the value hash apart
+    # it nor a perfect square, so it stays whole.  RadPoint.key needs no
+    # factoring: the point written with that radicand and as
+    # 65537 sqrt(65539) share one key, and count once as refine points
     m = 65537 ** 2 * 65539
     assert _reduce_radicand(m) == (1, m)
-    a, b = Radical.sqrt(m), 65537 * Radical.sqrt(65539)
-    assert a == b and a - b == 0
-    assert hash(a) != hash(b)
-    assert value_key(RadPoint(a, 1)) != value_key(RadPoint(b, 1))
+    a, b = RadPoint(1, m, (0, 1), (1, 0)), RadPoint(1, 65539, (0, 1), (65537, 0))
+    assert a.key() == b.key() and a == b
+    cert = greedy_pierce(random_family(unit_disk(), 30, box_size=5, seed=2), verify=False)
+    counts = []
+    for extra in ([a], [b], [a, b]):
+        cert.extra, cert._counted = extra, None
+        counts.append(cert.point_count())
+    assert counts[0] == counts[1] == counts[2]
 
 
 # k^2 * m with k past the small primes and m squarefree: one value written
@@ -109,5 +117,7 @@ def test_equal_radicals_have_equal_hashes_and_keys(terms, rnd):
         b = b + Radical.sqrt(m) * (c * k)
     assert a == b
     assert hash(a) == hash(b)
-    assert value_key(RadPoint(a, b)) == value_key(RadPoint(b, a))
-    assert value_key(RadPoint(a, 1)) == value_key(RadPoint(b, Radical.sqrt(1)))
+    if len(a.terms.keys() - {1}) <= 1:
+        assert value_key(rad_point(a, b)) == value_key(rad_point(b, a))
+        assert value_key(rad_point(a, 1)) == value_key(rad_point(b, Radical.sqrt(1)))
+        assert rad_point(a, b).key() == rad_point(b, a).key()

@@ -42,7 +42,6 @@ from piercing.generators import (
 from piercing.geom import ConvexPolygon, Point
 from piercing.homothets import _smallest_order, greedy_pierce_homothets
 from piercing.oracle import exact_nu, exact_tau
-from piercing.radicals import RadPoint, Radical
 from piercing.sandwich import hexagon_sandwich, hexagon_sandwich_special, sandwich_parallelograms
 from piercing.translates import (
     _clusters,
@@ -59,8 +58,9 @@ from piercing.translates import (
     union_area_exact,
 )
 import reference
-from reference import (call_budget, family_of_columns, fraction_columns, intersects,
-                       lattice_offset_members, lattice_offset_points, top_key, union_area)
+from reference import (Radical, body_contains, call_budget, family_of_columns, fraction_columns,
+                       intersects, lattice_offset_members, lattice_offset_points, rad_point,
+                       top_key, union_area)
 
 PENTAGON = PolygonBody(
     ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Point(2, 5), Point(-1, 2)])
@@ -736,10 +736,10 @@ def test_int_disk_test_agrees_with_exact_containment():
         body = DiskBody(center, r)
         # a point of the form a + b*sqrt(3) within a few ulps of the boundary
         wobble = F(rng.randrange(-1000, 1001), 10 ** rng.randrange(3, 20))
-        point = RadPoint(body.center.x + ux * r + Radical.sqrt(3) * wobble,
-                         body.center.y + uy * r + wobble)
+        point = rad_point(body.center.x + ux * r + Radical.sqrt(3) * wobble,
+                          body.center.y + uy * r + wobble)
         f = Family(body, [Member(Point(0, 0))])
-        assert membership(f, [int_point(point)])(0)(0) == body.contains(point)
+        assert membership(f, [int_point(point)])(0)(0) == body_contains(body, point)
 
 
 def _normalized_top_order(f):
