@@ -2,19 +2,16 @@
 
 from .geom import ConvexPolygon, Interval, Point, convex_hull, minkowski_sum, reflect
 from .bodies import (
-    AffineMap,
     BoxBody,
     DiskBody,
     Family,
     Member,
     PolygonBody,
     intersection_graph,
-    normalize_affine,
 )
 from .radicals import RadPoint
 
 __all__ = [
-    "AffineMap",
     "BoxBody",
     "ConvexPolygon",
     "DiskBody",
@@ -27,6 +24,5 @@ __all__ = [
     "convex_hull",
     "intersection_graph",
     "minkowski_sum",
-    "normalize_affine",
     "reflect",
 ]

@@ -30,11 +30,7 @@ from itertools import accumulate, chain
 import math
 from operator import le, mul, or_
 
-from .errors import (
-    DegenerateInput,
-    DisksNotClosedUnderAffine,
-    SingularMap,
-)
+from .errors import DegenerateInput
 from .geom import ConvexPolygon, Interval, Point, _centre, _contains, _hom, _planes, _scaled, frac
 from .radicals import RadPoint
 
@@ -70,9 +66,6 @@ class PolygonBody:
         poly = self.polygon.scale(s).translate(t) if s != 1 else self.polygon.translate(t)
         return PolygonBody(poly, self.reference_point * s + t)
 
-    def contains(self, p) -> bool:
-        return self.polygon.contains(p)
-
     def bbox(self):
         """The polygon's bounding box, computed on the first call."""
         if self._bbox is None:
@@ -94,10 +87,6 @@ class DiskBody:
     def scale_translate(self, s, t: Point):
         s = frac(s)
         return DiskBody(self.center * s + t, self.radius * s)
-
-    def contains(self, p) -> bool:
-        d = p - self.center
-        return d.norm2() <= self.radius * self.radius
 
     def bbox(self):
         c, r = self.center, self.radius
@@ -124,9 +113,6 @@ class BoxBody:
             tuple(m * s + tv for m, tv in zip(self.mins, t)),
             tuple(side * s for side in self.sides),
         )
-
-    def contains(self, p) -> bool:
-        return all(m <= frac(v) <= m + s for v, m, s in zip(p, self.mins, self.sides))
 
     def bbox(self):
         return tuple(Interval(m, m + s) for m, s in zip(self.mins, self.sides))
@@ -663,52 +649,3 @@ def pairwise_disjoint(f: Family) -> bool:
     check = pair_checker(f)
     return not any(check(i, j) for i in range(len(f)) for j in candidates(i) if j > i)
 
-
-class AffineMap:
-    """x -> M x + v with a nonsingular rational 2x2 matrix M."""
-
-    def __init__(self, a, b, c, d, tx=0, ty=0):
-        self.a, self.b, self.c, self.d = frac(a), frac(b), frac(c), frac(d)
-        self.t = Point(tx, ty)
-        if self.a * self.d - self.b * self.c == 0:
-            raise SingularMap("determinant is zero")
-
-    def apply_vector(self, p: Point) -> Point:
-        return Point(self.a * p.x + self.b * p.y, self.c * p.x + self.d * p.y)
-
-    def apply_point(self, p: Point) -> Point:
-        return self.apply_vector(p) + self.t
-
-    def is_similarity(self):
-        """Rational similarities have M = [[a, -b], [b, a]] (or a reflection)
-        and a rational operator norm."""
-        from .radicals import sqrt_exact
-
-        if self.b == -self.c and self.a == self.d:
-            pass
-        elif self.b == self.c and self.a == -self.d:
-            pass
-        else:
-            return None
-        return sqrt_exact(self.a * self.a + self.b * self.b)
-
-
-def normalize_affine(f: Family, m: AffineMap) -> Family:
-    """Transformed family; the intersection graph is unchanged."""
-    if f.base.kind == "polygon":
-        base = PolygonBody(
-            f.base.polygon.linear_map(m.a, m.b, m.c, m.d),
-            m.apply_vector(f.base.reference_point),
-        )
-        members = [Member(m.apply_point(mem.t), mem.s) for mem in f.members]
-        return Family(base, members, f.kind)
-    if f.base.kind == "disk":
-        scale = m.is_similarity()
-        if scale is None:
-            raise DisksNotClosedUnderAffine(
-                "disks only admit similarity maps with rational scale"
-            )
-        base = DiskBody(m.apply_vector(f.base.center), f.base.radius * scale)
-        members = [Member(m.apply_point(mem.t), mem.s) for mem in f.members]
-        return Family(base, members, f.kind)
-    raise SingularMap("affine maps are supported for polygon and disk families")

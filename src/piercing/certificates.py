@@ -387,8 +387,9 @@ def _check_members(f: Family, indices, points):
     """Every member in indices contains one of points, decided exactly;
     raises VerificationFailed.
 
-    The points are converted once (bodies.int_point, which rejects a point
-    with more than one radicand) and filed once per scale class of the
+    The points are converted once (bodies.int_point; a point with more
+    than one radicand never gets here, because jsonio._Reader.radical
+    rejects it) and filed once per scale class of the
     members (bodies.scale_classes, _cell_key); a member sees the points of
     the <= 2^d cells its box (bodies.box_columns) meets at its class, and
     bodies.membership decides each on ints."""

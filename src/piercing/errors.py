@@ -6,14 +6,6 @@ class DegenerateInput(PiercingError):
     pass
 
 
-class SingularMap(PiercingError):
-    pass
-
-
-class DisksNotClosedUnderAffine(PiercingError):
-    pass
-
-
 class NotCentrallySymmetric(PiercingError):
     pass
 

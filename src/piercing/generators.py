@@ -11,6 +11,7 @@ from .geom import ConvexPolygon, Point, convex_hull, frac, minkowski_sum, reflec
 
 GRID_CAP = 4096
 _BLOCK = 4096  # members random_family draws at a time
+_ATTEMPTS = 1000  # rejection draws per member of pairwise_intersecting_family
 
 
 def unit_square() -> PolygonBody:
@@ -71,13 +72,13 @@ def nine_triangles(epsilon=Fraction(1, 100)) -> Family:
     return fam
 
 
-def grid_family(n: int, base, cap: int = GRID_CAP) -> Family:
+def grid_family(n: int, base) -> Family:
     """n**4 translates on the planar grid {(t1/n, t2/n) : 1 <= t_i <= n**2}."""
     if n < 1:
         raise TooLarge("n must be >= 1")
     count = n ** 4
-    if count > cap:
-        raise TooLarge("grid family of %d members exceeds the cap %d" % (count, cap))
+    if count > GRID_CAP:
+        raise TooLarge("grid family of %d members exceeds the cap %d" % (count, GRID_CAP))
     members = []
     for t1 in range(1, n * n + 1):
         for t2 in range(1, n * n + 1):
@@ -146,7 +147,7 @@ def random_family(base, n, box_size=10, kind="translates", scale_range=(1, 3), s
     return Family.from_scaled(base, (D, cols, S), kind)
 
 
-def pairwise_intersecting_family(base, n, seed=0, attempts=1000) -> Family:
+def pairwise_intersecting_family(base, n, seed=0) -> Family:
     """n translates with all pairs intersecting.
 
     Reference points are sampled from (C-C)/2, so any two translations
@@ -160,7 +161,7 @@ def pairwise_intersecting_family(base, n, seed=0, attempts=1000) -> Family:
         half = diff.scale(Fraction(1, 2))
         bx, by = half.bounding_box()
         for _ in range(n):
-            for _ in range(attempts):
+            for _ in range(_ATTEMPTS):
                 p = Point(_rand_frac(rng, bx.lo, bx.hi), _rand_frac(rng, by.lo, by.hi))
                 if half.contains(p):
                     members.append(Member(p))
@@ -170,7 +171,7 @@ def pairwise_intersecting_family(base, n, seed=0, attempts=1000) -> Family:
     elif base.kind == "disk":
         r = base.radius
         for _ in range(n):
-            for _ in range(attempts):
+            for _ in range(_ATTEMPTS):
                 p = Point(_rand_frac(rng, -r, r), _rand_frac(rng, -r, r))
                 if p.norm2() <= r * r:
                     members.append(Member(p))

@@ -211,17 +211,6 @@ class ConvexPolygon:
             raise DegenerateInput("scale must be positive")
         return ConvexPolygon([p * s for p in self.vertices], _trusted=True)
 
-    def linear_map(self, a, b, c, d) -> "ConvexPolygon":
-        """Apply the matrix [[a, b], [c, d]]; reverses orientation if det < 0."""
-        a, b, c, d = frac(a), frac(b), frac(c), frac(d)
-        det = a * d - b * c
-        if det == 0:
-            raise DegenerateInput("singular linear map")
-        pts = [Point(a * p.x + b * p.y, c * p.x + d * p.y) for p in self.vertices]
-        if det < 0:
-            pts.reverse()
-        return ConvexPolygon(pts, _trusted=True)
-
     def contains(self, p: Point) -> bool:
         """Closed containment test, exact."""
         return _contains(*_scaled(self.vertices), p)

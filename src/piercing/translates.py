@@ -11,15 +11,17 @@ with factor gamma = ceil(l_line) * ceil(l_class + 1).  Polygons and boxes
 take the one grid path; a box is the case P = C, with factor 2^(d-1).  It
 runs on the ints of bodies.int_translations.
 
-There is one cluster loop (_clusters): the greedy runs it over the whole
-family, the grid over each line, both on neighbor_index candidates.  The
-grid and lattice witnesses share one disjoint extension
-(_disjoint_extension).
+There is one cluster loop (_clusters), on neighbor_index candidates: the
+greedy runs it over the whole family and the grid over each line, and the
+grid and lattice witnesses are its seeds over a best set of disjoint
+members followed by the others.  Its seeds are the members that meet no
+earlier seed, so they are pairwise disjoint.
 
 hexagon_pierce: two points for pairwise-intersecting hexagon translates via
 the three-strip construction, factor-3 grid decomposition otherwise.  The
-strips are the family's three slabs (bodies.Family.slabs), so the points are
-found, and tested against the members (bodies.membership), on ints.
+strips are the family's three slabs (bodies.Family.slabs), which also tell
+whether the family is pairwise intersecting, so the points are found, and
+tested against the members (bodies.membership), on ints.
 
 lattice_pierce / lattice_witness: pigeonhole transversals and packings from
 covering/packing lattices, with exact union areas for the counting bounds.
@@ -152,18 +154,6 @@ def _clusters(n, order, candidates, check):
     return clusters
 
 
-def _disjoint_extension(order, candidates, check):
-    """The members of order, in order, that meet no member kept before
-    them; each is tested only against its candidates (grid neighbours)."""
-    kept = []
-    chosen = set()
-    for i in order:
-        if i not in chosen and not any(j in chosen and check(i, j) for j in candidates(i)):
-            kept.append(i)
-            chosen.add(i)
-    return kept
-
-
 def grid_pierce(f: Family, pair: SandwichPair = None, verify: bool = True) -> PierceCertificate:
     """Line-and-class decomposition from a sandwich pair (factor gamma).
 
@@ -209,7 +199,7 @@ def grid_pierce(f: Family, pair: SandwichPair = None, verify: bool = True) -> Pi
     points = [make(Fraction(v, 4 * E * M) for v in p) for p in placed]
     cert = PierceCertificate("grid", factor, points,
                              [(i, sorted((i, *hits))) for i, hits in clusters],
-                             _extend_witness(class_seeds, near, check), info=info)
+                             _extend_witness(len(f), class_seeds, near, check), info=info)
     if verify:
         cert.verify(f)
     return cert
@@ -268,11 +258,12 @@ def _grid_lines(f: Family, forms):
     return E, centres, offs, line, order
 
 
-def _extend_witness(class_seeds, candidates, check):
-    """Largest per-class seed set, greedily extended by other disjoint seeds."""
+def _extend_witness(n, class_seeds, candidates, check):
+    """Largest per-class seed set, greedily extended by other disjoint
+    seeds: the seeds of _clusters over that set, then every seed."""
     best = max(class_seeds.values(), key=lambda s: (len(s), -min(s)))
     seeds = sorted(i for class_ in class_seeds.values() for i in class_)
-    return _disjoint_extension(best + seeds, candidates, check)
+    return [i for i, _ in _clusters(n, best + seeds, candidates, check)]
 
 
 def _line_offset(col, E):
@@ -289,33 +280,29 @@ def hexagon_pierce(f: Family, verify: bool = True) -> PierceCertificate:
 
     Pairwise-intersecting families take two points: the centers of the two
     hexagon translates inscribed in pairs of shifted strips.  Otherwise the
-    factor-3 sandwich pair drives the grid decomposition.
+    factor-3 sandwich pair drives the grid decomposition.  The family is
+    pairwise intersecting iff the members' intervals on each of the three
+    slabs share a point, which no pair test is needed to decide.
     """
     if f.kind != "translates" or not isinstance(f.base, PolygonBody):
         raise NotHexagonBase("hexagon_pierce needs hexagon translates")
     poly = f.base.polygon
     if len(poly.vertices) != 6 or poly.is_centrally_symmetric() is None:
         raise NotHexagonBase("base is not a centrally symmetric hexagon")
-    n = len(f)
-    adj = intersection_graph(f)
-    complete = all(len(adj[i]) == n - 1 for i in range(n))
-    if not complete:
+    # two members meet iff they overlap on all three slabs of f.slabs(),
+    # the strips of the hexagon's edge directions (bodies.pair_checker); by
+    # Helly on the line all pairs do iff each slab k's intervals share
+    # [max lo, min hi], whose midline is forms[k] . p = mid[k]
+    forms, lo, hi = f.slabs()
+    bounds = [(max(row[k] for row in lo), min(row[k] for row in hi)) for k in range(3)]
+    if any(a > b for a, b in bounds):
         pair = _cached(("hexagon_sandwich_special", _poly_key(poly)),
                        lambda: hexagon_sandwich_special(poly))
         cert = grid_pierce(f, pair, verify=verify)
         cert.method = "hexagon-grid"
         return cert
-
-    # the three slabs of f.slabs() are the strips of the hexagon's edge
-    # directions; a pairwise-intersecting family's slabs k share the
-    # interval [max lo, min hi], whose midline is forms[k] . p = mid[k]
-    forms, lo, hi = f.slabs()
-    mids = []
-    for k in range(3):
-        a, b = max(row[k] for row in lo), min(row[k] for row in hi)
-        if a > b:
-            raise VerificationFailed("strip bound violated for intersecting family")
-        mids.append(Fraction(a + b, 2))
+    n = len(f)
+    mids = [Fraction(a + b, 2) for a, b in bounds]
 
     def solve(k1, k2):
         (a1, b1), (a2, b2) = forms[k1], forms[k2]
@@ -353,16 +340,13 @@ def hexagon_pierce(f: Family, verify: bool = True) -> PierceCertificate:
 
 
 class LatticeSpec:
-    """A planar lattice with a verified covering or packing role."""
+    """A planar lattice, which covering_lattice or packing_lattice verifies."""
 
-    def __init__(self, b1: Point, b2: Point, role: str):
+    def __init__(self, b1: Point, b2: Point):
         if b1.cross(b2) == 0:
             raise VerificationFailed("lattice basis is singular")
-        if role not in ("covering", "packing"):
-            raise VerificationFailed("unknown lattice role")
         self.b1 = b1
         self.b2 = b2
-        self.role = role
         self.cell_area = abs(b1.cross(b2))
 
     def coords(self, p: Point):
@@ -408,7 +392,7 @@ def _centered_tiling_basis(poly: ConvexPolygon):
 def covering_lattice(s0: ConvexPolygon, cell_poly: ConvexPolygon) -> LatticeSpec:
     """Tiling lattice of cell_poly, verified to cover the plane with s0."""
     b1, b2 = _centered_tiling_basis(cell_poly)
-    spec = LatticeSpec(b1, b2, "covering")
+    spec = LatticeSpec(b1, b2)
     cell = [Point(0, 0), b1, b1 + b2, b2]
     if b1.cross(b2) < 0:
         cell.reverse()
@@ -427,7 +411,7 @@ def packing_lattice(s0: ConvexPolygon, cell_poly: ConvexPolygon, eps=Fraction(1,
     eps = frac(eps)
     b1, b2 = _centered_tiling_basis(cell_poly)
     scale = 2 * (1 + eps)
-    spec = LatticeSpec(b1 * scale, b2 * scale, "packing")
+    spec = LatticeSpec(b1 * scale, b2 * scale)
     big = s0.scale(4)  # 2S - 2S = 4S for centered symmetric S
     bx, by = big.bounding_box()
     for lam in spec.points_in_bbox(Interval(bx.lo, bx.hi), Interval(by.lo, by.hi), Point(0, 0)):
@@ -565,27 +549,23 @@ def _lattice_hits(f: Family, spec: LatticeSpec):
     return hits
 
 
-def lattice_pierce(f: Family, lattice: LatticeSpec = None, seed: int = 0,
-                   verify: bool = True) -> PierceCertificate:
+def lattice_pierce(f: Family, seed: int = 0, verify: bool = True) -> PierceCertificate:
     """Pigeonhole transversal: lattice points inside the union pierce everything.
 
     Any offset yields a valid piercing set once the covering lattice is
     verified; the offset search only minimizes the count toward the
     floor(area/cell) bound.  The witness comes from the packing construction
-    so the certificate is self-contained.  The default covering lattice is
-    built once per base and sandwich; an explicit lattice is used as given.
+    so the certificate is self-contained.  The covering lattice is built
+    once per base and sandwich.
     """
     sw = _default_sandwich(f)
     center = sw.center
-    if lattice is None:
-        poly = f.base.polygon
+    poly = f.base.polygon
 
-        def build():
-            return covering_lattice(poly.translate(-center), sw.h_in.translate(-center))
+    def build():
+        return covering_lattice(poly.translate(-center), sw.h_in.translate(-center))
 
-        lattice = _cached(("covering_lattice", _poly_key(poly), _poly_key(sw.h_in)), build)
-    elif lattice.role != "covering":
-        raise CoverageNotVerified("lattice_pierce needs a covering lattice")
+    lattice = _cached(("covering_lattice", _poly_key(poly), _poly_key(sw.h_in)), build)
     area = union_area_exact(f)
     target = math.floor(area / lattice.cell_area)
     hits = _lattice_hits(f, lattice)
@@ -618,29 +598,27 @@ def lattice_pierce(f: Family, lattice: LatticeSpec = None, seed: int = 0,
     return cert
 
 
-def lattice_witness(f: Family, lattice: LatticeSpec = None, eps=Fraction(1, 64),
-                    seed: int = 0, sandwich=None, area=None):
+def lattice_witness(f: Family, eps=Fraction(1, 64), seed: int = 0, sandwich=None, area=None):
     """Pairwise-disjoint members holding distinct lattice points (Lemma-6 dual).
 
-    Returns (member indices, lattice spec).  With the default packing lattice
-    of 2*H_out*(1+eps), built once per base, sandwich and eps, members
+    Returns (member indices, lattice spec).  On the packing lattice of
+    2*H_out*(1+eps), built once per base, sandwich and eps, members
     containing distinct lattice points are disjoint; an exact recheck drops
     any touching pair (none in practice).  Each lattice point, in index
     order, takes the lowest-index member holding it that no earlier point
-    took.  area is the family's exact union area when the caller has it.
+    took.  The recheck and extension are the seeds of _clusters over those
+    members, then every member.  area is the family's exact union area when
+    the caller has it.
     """
     sw = sandwich or _default_sandwich(f)
     center = sw.center
-    if lattice is None:
-        poly = f.base.polygon
-        eps = frac(eps)
+    poly = f.base.polygon
+    eps = frac(eps)
 
-        def build():
-            return packing_lattice(poly.translate(-center), sw.h_out.translate(-center), eps)
+    def build():
+        return packing_lattice(poly.translate(-center), sw.h_out.translate(-center), eps)
 
-        lattice = _cached(("packing_lattice", _poly_key(poly), _poly_key(sw.h_out), eps), build)
-    elif lattice.role != "packing":
-        raise PackingNotVerified("lattice_witness needs a packing lattice")
+    lattice = _cached(("packing_lattice", _poly_key(poly), _poly_key(sw.h_out), eps), build)
     if area is None:
         area = union_area_exact(f)
     target = math.ceil(area / lattice.cell_area)
@@ -660,5 +638,6 @@ def lattice_witness(f: Family, lattice: LatticeSpec = None, eps=Fraction(1, 64),
             break
     # exact disjointness recheck, then any further disjoint members, which
     # only strengthen the witness
-    kept = _disjoint_extension(best + list(range(len(f))), neighbor_index(f), pair_checker(f))
-    return kept, lattice
+    n = len(f)
+    return [i for i, _ in _clusters(n, best + list(range(n)), neighbor_index(f),
+                                    pair_checker(f))], lattice

@@ -30,9 +30,14 @@ search on adjacency sets.  The rational points
 of a circle are ordered by angle about its centre with a quadrant comparator
 (angle_cmp, strictly_between).  call_budget
 bounds the work of a block by counting its calls, a deterministic
-stand-in for a time or memory limit.  members_document writes an instance
-in the hand-written members form, one object per member, which the reader
-still takes and the certificate digests were taken on.  value_key is an
+stand-in for a time or memory limit.  disjoint_extension is the loop that
+built the grid and lattice witnesses before they became cluster seeds.
+AffineMap, normalize_affine and linear_map map a family or a polygon by a
+rational affine map, which the affine-invariance tests use.  body_contains
+decides a rational point on a realized body in Fractions too.
+members_document writes an instance in the hand-written members form, one
+object per member, which the reader still takes and the certificate
+digests were taken on.  value_key is an
 exact key of a point's value, and dedupe_points drops repeated keys.
 pairs_scaled reads an instance's columns one distinct value at a time,
 through jsonio._pair and bodies.scale_table.  pattern_keys and
@@ -71,7 +76,7 @@ from piercing.bodies import (
     scale_table,
 )
 from piercing.certificates import _anchor, _coords, _terms, greedy_pattern
-from piercing.errors import DegenerateInput
+from piercing.errors import DegenerateInput, PiercingError
 from piercing.generators import _rand_frac_form
 from piercing.geom import ConvexPolygon, Interval, Point, frac
 from piercing.oracle import _points
@@ -571,15 +576,89 @@ def rad_point(x, y):
 def body_contains(body, p):
     """Whether the realized body contains p, a RadPoint or RadicalPoint too:
     the signs of n . p - c over the polygon's halfplanes, or of
-    |p - c|^2 - r^2 for a disk, in Radical arithmetic."""
+    |p - c|^2 - r^2 for a disk, in Radical arithmetic.  A rational point
+    is decided in Fractions: contains for a polygon, the squared distance
+    for a disk, and every coordinate's range for a box."""
     if not isinstance(p, (RadPoint, RadicalPoint)):
-        return body.contains(p)
+        if body.kind == "polygon":
+            return contains(body.polygon, p)
+        if body.kind == "disk":
+            return (p - body.center).norm2() <= body.radius * body.radius
+        return all(m <= frac(v) <= m + s for v, m, s in zip(p, body.mins, body.sides))
     p = RadicalPoint.of(p)
     if body.kind == "polygon":
         return all(((n.x * p.x + n.y * p.y) - c).sign() <= 0
                    for n, c in halfplanes(body.polygon))
     dx, dy = p.x - body.center.x, p.y - body.center.y
     return (dx * dx + dy * dy - body.radius * body.radius).sign() <= 0
+
+
+class SingularMap(PiercingError):
+    pass
+
+
+class DisksNotClosedUnderAffine(PiercingError):
+    pass
+
+
+def linear_map(poly, a, b, c, d):
+    """poly under the matrix [[a, b], [c, d]]; reverses orientation if det < 0."""
+    a, b, c, d = frac(a), frac(b), frac(c), frac(d)
+    det = a * d - b * c
+    if det == 0:
+        raise DegenerateInput("singular linear map")
+    pts = [Point(a * p.x + b * p.y, c * p.x + d * p.y) for p in poly.vertices]
+    if det < 0:
+        pts.reverse()
+    return ConvexPolygon(pts, _trusted=True)
+
+
+class AffineMap:
+    """x -> M x + v with a nonsingular rational 2x2 matrix M."""
+
+    def __init__(self, a, b, c, d, tx=0, ty=0):
+        self.a, self.b, self.c, self.d = frac(a), frac(b), frac(c), frac(d)
+        self.t = Point(tx, ty)
+        if self.a * self.d - self.b * self.c == 0:
+            raise SingularMap("determinant is zero")
+
+    def apply_vector(self, p: Point) -> Point:
+        return Point(self.a * p.x + self.b * p.y, self.c * p.x + self.d * p.y)
+
+    def apply_point(self, p: Point) -> Point:
+        return self.apply_vector(p) + self.t
+
+    def is_similarity(self):
+        """Rational similarities have M = [[a, -b], [b, a]] (or a reflection)
+        and a rational operator norm."""
+        if self.b == -self.c and self.a == self.d:
+            pass
+        elif self.b == self.c and self.a == -self.d:
+            pass
+        else:
+            return None
+        return sqrt_exact(self.a * self.a + self.b * self.b)
+
+
+def normalize_affine(f: Family, m: AffineMap) -> Family:
+    """Transformed family; the intersection graph is unchanged."""
+    if f.base.kind == "polygon":
+        base = PolygonBody(
+            linear_map(f.base.polygon, m.a, m.b, m.c, m.d),
+            m.apply_vector(f.base.reference_point),
+        )
+        members = [Member(m.apply_point(mem.t), mem.s) for mem in f.members]
+        return Family(base, members, f.kind)
+    if f.base.kind == "disk":
+        scale = m.is_similarity()
+        if scale is None:
+            raise DisksNotClosedUnderAffine(
+                "disks only admit similarity maps with rational scale"
+            )
+        base = DiskBody(m.apply_vector(f.base.center), f.base.radius * scale)
+        members = [Member(m.apply_point(mem.t), mem.s) for mem in f.members]
+        return Family(base, members, f.kind)
+    raise SingularMap("affine maps are supported for polygon and disk families")
 
 
 def value_key(p, scale=1):
@@ -1082,7 +1161,7 @@ def lattice_points(f, spec, offset):
     each with the realized members that contain it, ascending."""
     ix, iy = _union_bbox(f)
     bs = bodies(f)
-    return [(p, [i for i, b in enumerate(bs) if b.contains(p)])
+    return [(p, [i for i, b in enumerate(bs) if body_contains(b, p)])
             for p in spec.points_in_bbox(ix, iy, offset)]
 
 
@@ -1119,6 +1198,20 @@ def lattice_offset_members(f, spec, center, target, seed=0):
     for i in best + list(range(len(f))):
         if i not in kept and not any(intersects(f, i, j) for j in kept):
             kept.append(i)
+    return kept
+
+
+def disjoint_extension(order, candidates, check):
+    """The members of order, in order, that meet no member kept before
+    them; each is tested only against its candidates (grid neighbours).
+    The loop that built the grid and lattice witnesses before they became
+    the seeds of translates._clusters over the same order."""
+    kept = []
+    chosen = set()
+    for i in order:
+        if i not in chosen and not any(j in chosen and check(i, j) for j in candidates(i)):
+            kept.append(i)
+            chosen.add(i)
     return kept
 
 

@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from piercing.bodies import AffineMap, normalize_affine
 from piercing.covers import halfplane_four_cover, seven_cover
 from piercing.generators import (
     five_square_cycle,
@@ -40,6 +39,7 @@ from piercing.translates import (
     lattice_witness,
     union_area_exact,
 )
+from reference import AffineMap, normalize_affine
 
 PASS = "ACCEPTANCE %d PASS: %s"
 

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from piercing.bodies import (
-    AffineMap,
     BoxBody,
     DiskBody,
     Family,
@@ -15,10 +14,8 @@ from piercing.bodies import (
     collector_paused,
     intersection_graph,
     neighbor_index,
-    normalize_affine,
     root_sign,
 )
-from piercing.errors import DisksNotClosedUnderAffine, SingularMap
 from piercing.generators import (
     five_square_cycle,
     random_family,
@@ -29,13 +26,17 @@ from piercing.generators import (
 from piercing.geom import ConvexPolygon, Point
 from reference import Radical
 from reference import (
+    AffineMap,
+    DisksNotClosedUnderAffine,
     MixedKinds,
+    SingularMap,
     bodies_intersect,
     family_of_columns,
     fraction_columns,
     graphs_equal,
     intersection_graph_bruteforce,
     intersects,
+    normalize_affine,
 )
 
 

@@ -76,7 +76,7 @@ class TestTriangleCovers:
         assert pat.size <= 5
 
     def test_sheared_triangle_equivariant(self):
-        sheared = TRIANGLE.linear_map(1, F(1, 3), F(1, 5), 1)
+        sheared = reference.linear_map(TRIANGLE, 1, F(1, 3), F(1, 5), 1)
         pat = triangle_trapezoid_cover(sheared)
         assert pat.size <= 5
 

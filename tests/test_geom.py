@@ -216,7 +216,7 @@ class TestArea:
 
     def test_determinant_scaling(self):
         p = triangle()
-        q = p.linear_map(2, 0, 0, 1)  # determinant 2
+        q = reference.linear_map(p, 2, 0, 0, 1)  # determinant 2
         assert q.area() == 2 * p.area()
 
     def test_translation_invariance_and_quadratic_scaling(self):

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from piercing.bodies import AffineMap
 from piercing.errors import DegenerateInput, NotCentrallySymmetric, NotHexagon
 from piercing.generators import (
     hexagon_body,
@@ -46,7 +45,7 @@ def test_triangle_gamma_six():
 
 
 def test_sheared_parallelogram_gamma_two():
-    p = SQUARE.linear_map(1, F(2, 3), 0, 1).translate(Point(5, -1))
+    p = reference.linear_map(SQUARE, 1, F(2, 3), 0, 1).translate(Point(5, -1))
     pair = sandwich_parallelograms(p)
     assert pair.gamma == 2
 
@@ -205,8 +204,8 @@ class TestHexagonSandwich:
         d = Point(1, 0)
         h_in = inscribed_hexagon(s, d)
         ratio = h_in.area() / support_hexagon(s, h_in).area()
-        m = AffineMap(2, 1, 0, 1)
-        s2 = s.linear_map(2, 1, 0, 1)
+        m = reference.AffineMap(2, 1, 0, 1)
+        s2 = reference.linear_map(s, 2, 1, 0, 1)
         d2 = m.apply_vector(d)
         h_in2 = inscribed_hexagon(s2, d2)
         ratio2 = h_in2.area() / support_hexagon(s2, h_in2).area()

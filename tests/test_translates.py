@@ -7,7 +7,6 @@ import pytest
 
 from piercing import covers, oracle, sandwich, translates
 from piercing.bodies import (
-    AffineMap,
     BoxBody,
     DiskBody,
     Family,
@@ -17,8 +16,8 @@ from piercing.bodies import (
     intersection_graph,
     membership,
     neighbor_index,
-    normalize_affine,
     pair_checker,
+    scale_classes,
 )
 from piercing.covers import _poly_key, _triangle_normalizer, translate_cluster_cover
 from piercing.errors import (
@@ -58,9 +57,9 @@ from piercing.translates import (
     union_area_exact,
 )
 import reference
-from reference import (Radical, body_contains, call_budget, family_of_columns, fraction_columns,
-                       intersects, lattice_offset_members, lattice_offset_points, rad_point,
-                       top_key, union_area)
+from reference import (AffineMap, Radical, body_contains, call_budget, family_of_columns,
+                       fraction_columns, intersects, lattice_offset_members, lattice_offset_points,
+                       normalize_affine, rad_point, top_key, union_area)
 
 PENTAGON = PolygonBody(
     ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Point(2, 5), Point(-1, 2)])
@@ -244,6 +243,38 @@ def test_no_grid_line_is_tangent_to_a_member(case):
                             for x in col)
 
 
+_WITNESS_CASES = {
+    "disk": lambda: random_family(unit_disk(), 300, box_size=20, seed=21),
+    "square": lambda: random_family(unit_square(), 300, box_size=12, seed=22),
+    "hexagon": lambda: random_family(hexagon_body(), 300, box_size=30, seed=23),
+    "pentagon": lambda: random_family(PENTAGON, 300, box_size=60, seed=24),
+    "triangle homothets": lambda: random_family(unit_triangle(), 300, box_size=30,
+                                                kind="homothets", scale_range=(1, 8), seed=25),
+}
+
+
+@pytest.mark.parametrize("case", list(_WITNESS_CASES))
+def test_witness_seeds_equal_the_disjoint_extension(case):
+    """The grid and lattice witnesses are the seeds of _clusters over best +
+    seeds and best + range(n): the members of the order that meet no member
+    kept before them (reference.disjoint_extension), repeats included."""
+    f = _WITNESS_CASES[case]()
+    n = len(f)
+    near, check = neighbor_index(f), pair_checker(f)
+    if f.kind == "homothets":
+        classes, cells = scale_classes(f.scaled_translations()[2], 1)
+        assert len(cells) >= 3
+        assert any(classes[i] != classes[j] and check(i, j) for i in range(n) for j in near(i))
+    rng = random.Random(case)
+    for _ in range(4):
+        best = rng.sample(range(n), 40)
+        seeds = sorted(rng.sample(range(n), 150) + best[:10])
+        for order in (best + seeds, best + list(range(n))):
+            kept = reference.disjoint_extension(order, near, check)
+            assert len(kept) < len(set(order))
+            assert [i for i, _ in _clusters(n, order, near, check)] == kept
+
+
 class TestHexagon:
     def test_pairwise_intersecting_two_points(self):
         f = pairwise_intersecting_family(hexagon_body(), 15, seed=6)
@@ -281,13 +312,20 @@ class TestHexagon:
         def refuse(self, p):
             raise AssertionError("realized contains called")
 
-        monkeypatch.setattr(PolygonBody, "contains", refuse)
         monkeypatch.setattr(ConvexPolygon, "contains", refuse)
         certs = [hexagon_pierce(f) for f in families]
         assert {cert.method for cert in certs} == {"hexagon"}
         text = "\n".join(repr(cert.points) for cert in certs)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "18f47c11ca8a1e70ea1950d3cc72c937b0522c2a2a12fbcab762f2774636c8c6")
+
+    def test_pairwise_intersecting_family_needs_no_pair_test(self):
+        # the slab bounds tell that the family is pairwise intersecting; an
+        # intersection graph would check all 44,850 pairs
+        f = pairwise_intersecting_family(hexagon_body(), 300, seed=6)
+        with call_budget(1_000, name="check"):
+            cert = hexagon_pierce(f)
+        assert cert.method == "hexagon" and len(cert.points) <= 2
 
     def test_non_hexagon_rejected(self):
         f = random_family(unit_square(), 4, seed=8)
@@ -435,7 +473,8 @@ def test_lattice_paths_never_ask_a_realized_body(monkeypatch):
     def refuse(self, p):
         raise AssertionError("realized contains called")
 
-    monkeypatch.setattr(PolygonBody, "contains", refuse)
+    # the first calls built the lattices, the one use of polygon containment
+    monkeypatch.setattr(ConvexPolygon, "contains", refuse)
     got = lattice_pierce(f)
     assert (got.points, got.witness, got.info) == (expected.points, expected.witness,
                                                   expected.info)
@@ -469,7 +508,7 @@ def _pair_values(pair):
 
 
 def _lattice_values(spec):
-    return [spec.b1, spec.b2, spec.role, spec.cell_area]
+    return [spec.b1, spec.b2, spec.cell_area]
 
 
 def test_grid_and_general_cover_build_the_sandwich_pair_once(monkeypatch, fresh_cache):
