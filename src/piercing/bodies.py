@@ -138,7 +138,7 @@ class Family:
     their scaled columns (scaled_translations), which the greedies, the
     grid, the oracle, the verifier and the JSON codec work on.  A member's
     translation and scale become Fractions only on demand (translation,
-    members, realize)."""
+    realize)."""
 
     def __init__(self, base, members, kind="translates"):
         """members: Member objects, whose scales Member checked positive.  D
@@ -178,7 +178,6 @@ class Family:
         self.kind = kind
         self._n = len(scaled[2])
         self._scaled = scaled
-        self._members = None
         self._realized = {}
         self._slabs = None
 
@@ -190,14 +189,6 @@ class Family:
         D, cols, _ = self._scaled
         t = tuple(Fraction(col[i], D) for col in cols)
         return t if self.base.kind == "box" else Point(*t)
-
-    @property
-    def members(self):
-        """The Member of each index, built on first access."""
-        if self._members is None:
-            D, _, S = self._scaled
-            self._members = [Member(self.translation(i), Fraction(s, D)) for i, s in enumerate(S)]
-        return self._members
 
     def subfamily(self, indices):
         """The family of the members in indices, in that order, built from
@@ -508,6 +499,16 @@ def pair_checker(f: Family):
         return dx * dx + dy * dy <= reach * reach
 
     return check
+
+
+def common_slab_bounds(f: Family):
+    """[(max lo, min hi)] per slab of a polygon or box family (Family.slabs)
+    when every two members meet, else None: two meet iff their slabs
+    overlap (pair_checker), and by Helly on the line a slab's intervals
+    overlap pairwise iff max lo <= min hi."""
+    _, lo, hi = f.slabs()
+    bounds = [(max(col), min(top)) for col, top in zip(zip(*lo), zip(*hi))]
+    return None if any(a > b for a, b in bounds) else bounds
 
 
 def int_point(p):

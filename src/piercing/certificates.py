@@ -241,7 +241,7 @@ class PierceCertificate:
     extra holds the points the refine step chose for the last cluster
     (empty when that cluster keeps the pattern).  Every other cluster is
     pierced by the method's pattern placed at its seed, and the witness is
-    the seeds.
+    the seeds; each cluster's members start with its seed.
     """
 
     def __init__(self, method, factor, points, clusters, witness, info=None,

@@ -297,19 +297,22 @@ def point_to_json(p):
 
 @collector_paused()
 def certificate_to_json(cert: PierceCertificate, f: Family) -> dict:
-    """The certificate document.  An explicit certificate lists its points;
-    a symbolic one lists only its refine_points, and verify rebuilds its
-    pattern from the method and the instance's base."""
+    """The certificate document.  An explicit certificate lists its points,
+    its clusters as [seed, members] and its witness.  A symbolic one lists
+    only its refine_points, and verify rebuilds its pattern from the method
+    and the instance's base; each cluster is its member list, seed first,
+    and the witness, the seeds, is not written."""
     info = {}
     for k, v in cert.info.items():
         info[k] = _num_out(v) if isinstance(v, Fraction) else v
     doc = {"instance": family_to_json(f), "method": cert.method, "factor": cert.factor}
-    if not cert.symbolic:
-        doc["points"] = [point_to_json(p) for p in cert.points]
-    doc["clusters"] = cert.clusters  # (seed, members) tuples, written as arrays
-    doc["witness"] = list(cert.witness)
     if cert.symbolic:
+        doc["clusters"] = [members for _, members in cert.clusters]  # tuples, written as arrays
         doc["refine_points"] = [point_to_json(p) for p in cert.extra]
+    else:
+        doc["points"] = [point_to_json(p) for p in cert.points]
+        doc["clusters"] = cert.clusters  # (seed, members) tuples, written as arrays
+        doc["witness"] = list(cert.witness)
     doc["info"] = info
     return doc
 
@@ -334,7 +337,10 @@ def _list(doc, key):
 def certificate_from_json(obj):
     """(certificate, family) from a document.  One with "points" is
     explicit; one with "refine_points" instead is symbolic, and its method
-    must name a greedy rule (certificates.greedy_pattern) for its instance."""
+    must name a greedy rule (certificates.greedy_pattern) for its instance.
+    A symbolic document without "witness" has flat clusters, seed first,
+    and its seeds are the witness; one with "witness" (the earlier layout)
+    has clusters [seed, members], as an explicit one has."""
     rd = _Reader()
     try:
         f = rd.family(obj["instance"])
@@ -350,10 +356,17 @@ def certificate_from_json(obj):
         elif "refine_points" in obj:
             raise ParseError("a certificate has points or refine_points, not both")
         clusters = _list(obj, "clusters") if symbolic else obj.get("clusters", [])
-        clusters = [(s, m) for s, m in clusters]
-        _indices([s for s, _ in clusters], n)
-        _indices(list(chain.from_iterable(m for _, m in clusters)), n)
-        witness = _indices(_list(obj, "witness"), n)
+        if symbolic and "witness" not in obj:
+            if set(map(type, clusters)) - {list} or not all(clusters):
+                raise ParseError("a cluster must be a nonempty list of member indices")
+            _indices(list(chain.from_iterable(clusters)), n)
+            clusters = [(m[0], m) for m in clusters]
+            witness = [s for s, _ in clusters]
+        else:
+            clusters = [(s, m) for s, m in clusters]
+            _indices([s for s, _ in clusters], n)
+            _indices(list(chain.from_iterable(m for _, m in clusters)), n)
+            witness = _indices(_list(obj, "witness"), n)
         points, mixed = rd.pierce_points(_list(obj, "refine_points" if symbolic else "points"),
                                          box_dim)
         if not symbolic:

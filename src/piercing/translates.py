@@ -41,6 +41,7 @@ from .bodies import (
     Family,
     PolygonBody,
     collector_paused,
+    common_slab_bounds,
     int_point,
     int_translations,
     intersection_graph,
@@ -260,10 +261,15 @@ def _grid_lines(f: Family, forms):
 
 def _extend_witness(n, class_seeds, candidates, check):
     """Largest per-class seed set, greedily extended by other disjoint
-    seeds: the seeds of _clusters over that set, then every seed."""
+    seeds: the seeds of _clusters over that set, then every seed, each
+    tested against its candidates that are seeds."""
     best = max(class_seeds.values(), key=lambda s: (len(s), -min(s)))
     seeds = sorted(i for class_ in class_seeds.values() for i in class_)
-    return [i for i, _ in _clusters(n, best + seeds, candidates, check)]
+    is_seed = bytearray(n)
+    for i in seeds:
+        is_seed[i] = 1
+    return [i for i, _ in _clusters(n, best + seeds,
+                                    lambda i: [j for j in candidates(i) if is_seed[j]], check)]
 
 
 def _line_offset(col, E):
@@ -289,19 +295,17 @@ def hexagon_pierce(f: Family, verify: bool = True) -> PierceCertificate:
     poly = f.base.polygon
     if len(poly.vertices) != 6 or poly.is_centrally_symmetric() is None:
         raise NotHexagonBase("base is not a centrally symmetric hexagon")
-    # two members meet iff they overlap on all three slabs of f.slabs(),
-    # the strips of the hexagon's edge directions (bodies.pair_checker); by
-    # Helly on the line all pairs do iff each slab k's intervals share
-    # [max lo, min hi], whose midline is forms[k] . p = mid[k]
-    forms, lo, hi = f.slabs()
-    bounds = [(max(row[k] for row in lo), min(row[k] for row in hi)) for k in range(3)]
-    if any(a > b for a, b in bounds):
+    # the strips are the family's three slabs; when all pairs meet, slab
+    # k's intervals share [max lo, min hi], whose midline is forms[k] . p = mid[k]
+    bounds = common_slab_bounds(f)
+    if bounds is None:
         pair = _cached(("hexagon_sandwich_special", _poly_key(poly)),
                        lambda: hexagon_sandwich_special(poly))
         cert = grid_pierce(f, pair, verify=verify)
         cert.method = "hexagon-grid"
         return cert
     n = len(f)
+    forms = f.slabs()[0]
     mids = [Fraction(a + b, 2) for a, b in bounds]
 
     def solve(k1, k2):

@@ -35,6 +35,7 @@ built the grid and lattice witnesses before they became cluster seeds.
 AffineMap, normalize_affine and linear_map map a family or a polygon by a
 rational affine map, which the affine-invariance tests use.  body_contains
 decides a rational point on a realized body in Fractions too.
+members lists a family's Member objects, in Fractions.
 members_document writes an instance in the hand-written members form, one
 object per member, which the reader still takes and the certificate
 digests were taken on.  value_key is an
@@ -647,8 +648,8 @@ def normalize_affine(f: Family, m: AffineMap) -> Family:
             linear_map(f.base.polygon, m.a, m.b, m.c, m.d),
             m.apply_vector(f.base.reference_point),
         )
-        members = [Member(m.apply_point(mem.t), mem.s) for mem in f.members]
-        return Family(base, members, f.kind)
+        moved = [Member(m.apply_point(mem.t), mem.s) for mem in members(f)]
+        return Family(base, moved, f.kind)
     if f.base.kind == "disk":
         scale = m.is_similarity()
         if scale is None:
@@ -656,8 +657,8 @@ def normalize_affine(f: Family, m: AffineMap) -> Family:
                 "disks only admit similarity maps with rational scale"
             )
         base = DiskBody(m.apply_vector(f.base.center), f.base.radius * scale)
-        members = [Member(m.apply_point(mem.t), mem.s) for mem in f.members]
-        return Family(base, members, f.kind)
+        moved = [Member(m.apply_point(mem.t), mem.s) for mem in members(f)]
+        return Family(base, moved, f.kind)
     raise SingularMap("affine maps are supported for polygon and disk families")
 
 
@@ -686,12 +687,19 @@ def dedupe_points(points):
     return out
 
 
+def members(f):
+    """The Member of each index of f: its translation (Family.translation)
+    and its scale, as Fractions."""
+    D, _, S = f.scaled_translations()
+    return [Member(f.translation(i), Fraction(s, D)) for i, s in enumerate(S)]
+
+
 def fraction_columns(f):
     """(columns, scales): columns[k][i] is coordinate k of member i's
-    translation and scales[i] its scale, Fractions from f.members."""
-    members = f.members
-    ts = [m.t if f.base.kind == "box" else (m.t.x, m.t.y) for m in members]
-    return [list(col) for col in zip(*ts)], [m.s for m in members]
+    translation and scales[i] its scale, Fractions from members(f)."""
+    ms = members(f)
+    ts = [m.t if f.base.kind == "box" else (m.t.x, m.t.y) for m in ms]
+    return [list(col) for col in zip(*ts)], [m.s for m in ms]
 
 
 def family_of_columns(base, columns, scales, kind="translates"):
@@ -1100,7 +1108,8 @@ def containment_witness(f, i, j):
     translate of the seed-sized homothet contained in B_j and meeting B_i at
     p; this is the containment step of the smallest-first argument.
     """
-    si, sj = f.members[i].s, f.members[j].s
+    D, _, S = f.scaled_translations()
+    si, sj = Fraction(S[i], D), Fraction(S[j], D)
     if si > sj:
         raise DegenerateInput("member i must not be larger")
     bi, bj = f.realize(i), f.realize(j)

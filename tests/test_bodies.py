@@ -12,12 +12,17 @@ from piercing.bodies import (
     PolygonBody,
     _member_slabs,
     collector_paused,
+    common_slab_bounds,
     intersection_graph,
     neighbor_index,
+    pair_checker,
     root_sign,
 )
 from piercing.generators import (
     five_square_cycle,
+    pairwise_intersecting_family,
+    random_centrally_symmetric_polygon,
+    random_convex_polygon,
     random_family,
     unit_disk,
     unit_square,
@@ -36,6 +41,7 @@ from reference import (
     graphs_equal,
     intersection_graph_bruteforce,
     intersects,
+    members,
     normalize_affine,
 )
 
@@ -223,7 +229,8 @@ def test_subfamily_carries_the_slab_rows(base, kind, fractions):
     sub = f.subfamily(indices)
     assert sub._slabs is not None
     assert sub.slabs() == _member_slabs(sub)
-    assert sub.slabs() == _member_slabs(Family(f.base, [f.members[i] for i in indices], f.kind))
+    ms = members(f)
+    assert sub.slabs() == _member_slabs(Family(f.base, [ms[i] for i in indices], f.kind))
 
 
 def test_collector_paused_leaves_the_collector_as_found():
@@ -288,3 +295,30 @@ def test_a_polygon_base_computes_its_bounding_box_once(monkeypatch):
         intersection_graph(f)
         neighbor_index(f)
     assert calls == [f.base.polygon]
+
+
+@pytest.mark.parametrize("kind", ["translates", "homothets"])
+def test_common_slab_bounds_agree_with_every_pair_test(kind):
+    rng = random.Random(kind)
+    outcomes = []
+    for trial in range(120):
+        base = [random_convex_polygon(rng, 7, spread=2),
+                random_centrally_symmetric_polygon(rng, 3, spread=2),
+                BoxBody((0, 0), (1, F(3, 2))),
+                BoxBody((0, F(1, 2), 0), (1, 2, F(2, 3)))][trial % 4]
+        n = rng.randrange(2, 10)
+        if trial % 3 == 0 and kind == "translates":
+            f = pairwise_intersecting_family(base, n, seed=trial)
+        else:
+            f = random_family(base, n, box_size=F(rng.randrange(1, 9), 2), kind=kind,
+                              scale_range=(1, 2), seed=trial)
+        check = pair_checker(f)
+        every = all(check(i, j) for i in range(n) for j in range(i + 1, n))
+        bounds = common_slab_bounds(f)
+        assert (bounds is not None) == every
+        if every:
+            _, lo, hi = f.slabs()
+            assert bounds == [(max(r[k] for r in lo), min(r[k] for r in hi))
+                              for k in range(len(lo[0]))]
+        outcomes.append((base.kind, every))
+    assert set(outcomes) == {(k, e) for k in ("polygon", "box") for e in (True, False)}

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from piercing.bodies import BoxBody, Family, Member
-from piercing.errors import EpsilonTooLarge, TooLarge
+from piercing import generators
+from piercing.errors import ConstructionFailed, EpsilonTooLarge, TooLarge
 from piercing.generators import (
     _rand_frac,
     five_square_cycle,
@@ -23,7 +24,7 @@ from piercing.geom import Point
 from piercing.oracle import exact_tau, solve
 from piercing.translates import hexagon_pierce
 import reference
-from reference import intersection_graph_bruteforce, intersects
+from reference import intersection_graph_bruteforce, intersects, members
 
 
 class TestFiveCycle:
@@ -45,7 +46,7 @@ class TestFiveCycle:
 
     def test_members_are_unit_squares(self):
         f = five_square_cycle()
-        assert all(m.s == 1 for m in f.members)
+        assert all(m.s == 1 for m in members(f))
         assert f.realize(0).polygon.area() == 1
 
 
@@ -98,7 +99,7 @@ class TestRandomFamily:
         f = random_family(unit_square(), 20, seed=5)
         g = random_family(unit_square(), 20, seed=5)
         assert all(
-            a.t == b.t and a.s == b.s for a, b in zip(f.members, g.members)
+            a.t == b.t and a.s == b.s for a, b in zip(members(f), members(g))
         )
 
     def test_huge_box_gives_empty_graph(self):
@@ -108,7 +109,7 @@ class TestRandomFamily:
 
     def test_translates_have_unit_scale(self):
         f = random_family(unit_disk(), 15, seed=7)
-        assert all(m.s == 1 for m in f.members)
+        assert all(m.s == 1 for m in members(f))
 
 
 def _reference_random_family(base, n, box_size=10, kind="translates", scale_range=(1, 3),
@@ -139,7 +140,7 @@ def test_random_family_matches_the_per_coordinate_draws(base, kind, box, scales)
         f = random_family(base, 300, box_size=box, kind=kind, scale_range=scales, seed=seed)
         g = _reference_random_family(base, 300, box_size=box, kind=kind, scale_range=scales,
                                      seed=seed)
-        assert [(m.t, m.s) for m in f.members] == [(m.t, m.s) for m in g.members]
+        assert [(m.t, m.s) for m in members(f)] == [(m.t, m.s) for m in members(g)]
         assert f.scaled_translations() == g.scaled_translations()
 
 
@@ -213,6 +214,24 @@ class TestPairwiseIntersecting:
             f = pairwise_intersecting_family(unit_disk(), 10, seed=30 + seed)
             tau, _ = exact_tau(f)
             assert tau <= 3
+
+    @pytest.mark.parametrize("base", [hexagon_body, lambda: BoxBody((0, 0, 0), (1, 2, 1))],
+                             ids=["hexagon", "box"])
+    def test_polygons_and_boxes_take_no_pair_test(self, base):
+        # the slab bounds decide it (bodies.common_slab_bounds); every pair
+        # test of 300 members would be 44,850 calls
+        with reference.call_budget(0, name="check"):
+            assert len(pairwise_intersecting_family(base(), 300, seed=10)) == 300
+
+    @pytest.mark.parametrize("base", [hexagon_body, lambda: BoxBody((0, 0, 0), (1, 2, 1)),
+                                      unit_disk], ids=["hexagon", "box", "disk"])
+    def test_a_family_with_a_missing_pair_is_refused(self, monkeypatch, base):
+        # every translation drawn is stretched four times
+        make = generators.Member
+        monkeypatch.setattr(generators, "Member", lambda t: make(
+            tuple(4 * v for v in t) if isinstance(t, tuple) else t * 4))
+        with pytest.raises(ConstructionFailed, match="not pairwise-intersecting"):
+            pairwise_intersecting_family(base(), 40, seed=11)
 
 
 def test_random_centrally_symmetric_polygons_are_pinned():

@@ -35,6 +35,7 @@ from reference import (
     family_of_columns,
     fraction_columns,
     intersects,
+    members,
 )
 
 PENTAGON = PolygonBody(
@@ -84,9 +85,10 @@ def test_refined_constants_against_oracle():
 def test_seed_minimality():
     f = random_family(unit_disk(), 40, box_size=10, kind="homothets", scale_range=(1, 3), seed=6)
     cert = greedy_pierce_homothets(f)
-    for seed_i, members in cert.clusters:
-        for j in members:
-            assert f.members[j].s >= f.members[seed_i].s
+    ms = members(f)
+    for seed_i, cluster in cert.clusters:
+        for j in cluster:
+            assert ms[j].s >= ms[seed_i].s
 
 
 def test_cluster_count_at_most_nu():
@@ -102,8 +104,9 @@ def test_containment_witness_exact():
     f = random_family(unit_triangle(), 16, box_size=6, kind="homothets",
                       scale_range=(1, 3), seed=7)
     checked = 0
+    ms = members(f)
     for i, j in itertools.combinations(range(len(f)), 2):
-        a, b = (i, j) if f.members[i].s <= f.members[j].s else (j, i)
+        a, b = (i, j) if ms[i].s <= ms[j].s else (j, i)
         if intersects(f, a, b):
             w = containment_witness(f, a, b)
             assert body_contains_body(f.realize(b), w)
@@ -261,8 +264,10 @@ def test_integer_membership_equals_realized_contains(case):
 def _reference_smallest_first(f):
     """Smallest-first greedy on the exact key, absorbing by
     intersects alone."""
+    ms = members(f)
+
     def key(i):
-        m = f.members[i]
+        m = ms[i]
         t = m.t if isinstance(m.t, tuple) else (m.t.x, m.t.y)
         return (m.s, -(f.base.bbox()[-1].hi * m.s + t[-1]), t, i)
 
@@ -272,12 +277,12 @@ def _reference_smallest_first(f):
         if not alive[i]:
             continue
         alive[i] = False
-        members = [i]
+        cluster = [i]
         for j in range(len(f)):
             if alive[j] and intersects(f, i, j):
                 alive[j] = False
-                members.append(j)
-        clusters.append((i, tuple(members)))
+                cluster.append(j)
+        clusters.append((i, tuple(cluster)))
     return clusters
 
 

@@ -62,20 +62,23 @@ def test_the_guard_sees_an_unused_import():
 
 
 def _unreferenced(trees):
-    """(module, name) of every top-level function or class, and
-    (module, "Class.method") of every public method of a top-level class,
-    of the modules {name: tree} that no module refers to, by name,
-    attribute or import, and no module exports in __all__."""
-    used = set()
+    """(module, name) of every top-level function or class of the modules
+    {name: tree} that no module refers to, by name, attribute or import,
+    and no module exports in __all__, and (module, "Class.method") of every
+    public method of a top-level class that no module reads as an
+    attribute (x.method): a local variable or an argument of the same name
+    does not count."""
+    used, attrs = set(), set()
     for tree in trees.values():
         used |= _exported(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
+    used |= attrs
     out = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -84,7 +87,7 @@ def _unreferenced(trees):
             if isinstance(node, ast.ClassDef):
                 out += [(module, "%s.%s" % (node.name, m.name)) for m in node.body
                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
-                        and m.name not in used]
+                        and m.name not in attrs]
     return sorted(out)
 
 
@@ -100,9 +103,11 @@ def test_the_guard_sees_an_unreferenced_name():
                        "def planted(): pass\nclass Planted: pass\n"),
         "b": ast.parse("from .a import helper\nimport a\na.pub\n"
                        "class Used:\n    def called(self): pass\n    def unused(self): pass\n"
-                       "    def _private(self): pass\nUsed().called()\n"),
+                       "    def local(self): pass\n    def _private(self): pass\n"
+                       "Used().called()\nlocal = [m for m in range(3)]\n"),
     }
-    assert _unreferenced(trees) == [("a", "Planted"), ("a", "planted"), ("b", "Used.unused")]
+    assert _unreferenced(trees) == [("a", "Planted"), ("a", "planted"), ("b", "Used.local"),
+                                    ("b", "Used.unused")]
 
 
 def test_points_of_a_read_disk_certificate_build_no_fraction_column(monkeypatch):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import chain
 import json
+from pathlib import Path
 import random
 import tracemalloc
 
@@ -15,7 +16,8 @@ from piercing.generators import hexagon_body, random_family, unit_disk, unit_squ
 from piercing.geom import Point
 from piercing.jsonio import _num_out, _Reader
 from piercing.radicals import RadPoint
-from reference import Radical, fraction_columns, members_document, pairs_scaled, radical_sum
+from reference import (Radical, fraction_columns, members, members_document, pairs_scaled,
+                       radical_sum)
 
 
 def run(*argv):
@@ -516,21 +518,22 @@ def _pentagon_base(doc):
     _pentagon_base,  # no half-plane pattern for this base
     _without("clusters"),
     _setting("clusters", 5),
-    _setting("clusters", [[0]]),
-    _setting("clusters", [["0", [0]]]),
-    _setting("clusters", [[0, 3]]),
-    _setting("clusters", [[0, [12]]]),
-    _setting("clusters", [[-1, [0]]]),
+    _setting("clusters", [[]]),  # a cluster with no seed
+    _setting("clusters", [["0"]]),
+    _setting("clusters", [[0, [3]]]),
+    _setting("clusters", [[12]]),
+    _setting("clusters", [[-1]]),
+    _setting("clusters", [0, 1]),
+    _setting("clusters", ["0"]),
+    _setting("clusters", [{"0": 1}]),
+    _setting("clusters", [[0, True]]),
+    _setting("clusters", [[0, 1.0]]),
     _setting("clusters", []),  # refine points without a cluster
     _without("refine_points"),
     _setting("refine_points", 5),
     _setting("refine_points", [5]),
     _setting("refine_points", [{"xy": [0]}]),
     _setting("points", []),  # both forms at once
-    _without("witness"),
-    _setting("witness", 3),
-    _setting("witness", [12]),
-    _setting("witness", [True]),
     _without("factor"),
     _setting("factor", "4"),
     _setting("factor", 4.0),
@@ -541,6 +544,89 @@ def test_malformed_symbolic_certificate_is_a_parse_error(tmp_path, symbolic_cert
     edit(doc)
     assert verify_doc(tmp_path, doc) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+_FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _earlier_layout(name="disks"):
+    """A symbolic certificate as the writer put it out before clusters were
+    flat: clusters [seed, members] and a witness, the seeds."""
+    return json.loads((_FIXTURES / ("symbolic_earlier_layout_%s.json" % name)).read_text())
+
+
+@pytest.mark.parametrize("edit", [
+    _setting("clusters", [[0]]),
+    _setting("clusters", [["0", [0]]]),
+    _setting("clusters", [[0, 3]]),
+    _setting("clusters", [[0, [12]]]),
+    _setting("clusters", [[-1, [0]]]),
+    _setting("clusters", [[0, 1, 7, 10]]),  # flat, beside a witness
+    _setting("witness", 3),
+    _setting("witness", [12]),
+    _setting("witness", [True]),
+    _without("witness"),  # then the clusters must be flat
+])
+def test_malformed_earlier_layout_certificate_is_a_parse_error(tmp_path, edit, capsys):
+    doc = _earlier_layout()
+    edit(doc)
+    assert verify_doc(tmp_path, doc) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_symbolic_file_has_flat_clusters_and_no_witness():
+    for f in (random_family(unit_disk(), 300, box_size=20, seed=4),
+              random_family(unit_triangle(), 300, box_size=20, kind="homothets", seed=4)):
+        cert = auto_pierce(f, verify=False)
+        assert cert.symbolic
+        doc = json.loads(jsonio.dump(jsonio.certificate_to_json(cert, f)))
+        assert "witness" not in doc and "points" not in doc
+        assert [c[0] for c in doc["clusters"]] == cert.witness
+        assert [(c[0], tuple(c)) for c in doc["clusters"]] == cert.clusters
+        assert all(c[1:] == sorted(c[1:]) and c[0] not in c[1:] for c in doc["clusters"])
+        back, _ = jsonio.certificate_from_json(doc)
+        assert (back.clusters, back.witness) == (cert.clusters, cert.witness)
+
+
+@pytest.mark.parametrize("name", ["disks", "homothets"])
+def test_earlier_layout_verifies_as_its_flat_twin(tmp_path, capsys, name):
+    # the file as the earlier writer put it, and the one the writer puts
+    # out now for the same certificate: the same document but for the
+    # layout, and the same verdict
+    doc = _earlier_layout(name)
+    cert, f = jsonio.certificate_from_json(doc)
+    twin = json.loads(jsonio.dump(jsonio.certificate_to_json(cert, f)))
+    assert twin == {**{k: v for k, v in doc.items() if k != "witness"},
+                    "clusters": [m for _, m in doc["clusters"]]}
+    assert doc["witness"] == [seed for seed, _ in doc["clusters"]]
+    lines = []
+    for d in (doc, twin):
+        assert verify_doc(tmp_path, d) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1] and lines[0].startswith("certificate ok: ")
+
+
+def test_earlier_layout_twin_is_what_pierce_writes(symbolic_cert):
+    # the disk fixture is `piercing pierce` on the symbolic_cert instance
+    cert, f = jsonio.certificate_from_json(_earlier_layout())
+    assert json.loads(jsonio.dump(jsonio.certificate_to_json(cert, f))) == symbolic_cert
+
+
+def test_earlier_layout_witness_must_be_the_seeds(tmp_path, capsys):
+    doc = _earlier_layout()
+    doc["witness"].reverse()  # the same members, pairwise disjoint still
+    assert verify_doc(tmp_path, doc) == 1
+    assert "witness differs from the cluster seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("repeat", ["seed", "member"])
+def test_flat_cluster_that_repeats_a_member_fails_verification(tmp_path, symbolic_cert, capsys,
+                                                               repeat):
+    doc = json.loads(json.dumps(symbolic_cert))
+    cluster = doc["clusters"][0]
+    cluster.append(cluster[0] if repeat == "seed" else cluster[-1])
+    assert verify_doc(tmp_path, doc) == 1
+    assert "clusters overlap" in capsys.readouterr().err
 
 
 # --- the columnar family codec -------------------------------------------
@@ -603,7 +689,7 @@ def test_family_round_trip_is_canonical(case):
     assert written == jsonio.family_to_json(f)
     assert members_document(written) == canonical
     assert g.scaled_translations() == f.scaled_translations()
-    assert [(m.t, m.s) for m in g.members] == [(m.t, m.s) for m in f.members]
+    assert [(m.t, m.s) for m in members(g)] == [(m.t, m.s) for m in members(f)]
 
 
 def test_family_over_the_scale_bits_keeps_its_fractions():
@@ -880,7 +966,7 @@ def test_cli_round_trip_builds_no_member(tmp_path, monkeypatch, base, kind):
     assert run("pierce", inst, "--out", cert) == 0
     assert run("verify", cert) == 0
     assert built == [] and derived == []
-    assert jsonio.family_from_json(jsonio.load(inst)).members and built and derived
+    assert members(jsonio.family_from_json(jsonio.load(inst))) and built and derived
 
 
 def _typed(values):

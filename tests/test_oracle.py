@@ -264,7 +264,8 @@ def _overlap_inside(f, i, j):
     ref = f.base.reference_point
     ref = ref if box else (ref.x, ref.y)
     shrunk = []
-    for m in (f.members[i], f.members[j]):
+    ms = reference.members(f)
+    for m in (ms[i], ms[j]):
         s = m.s * F(999, 1000)
         t = [r * (m.s - s) + v for r, v in zip(ref, m.t if box else (m.t.x, m.t.y))]
         shrunk.append(Member(tuple(t) if box else Point(*t), s))
