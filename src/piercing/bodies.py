@@ -31,7 +31,7 @@ import math
 from operator import le, mul, or_
 
 from .errors import DegenerateInput
-from .geom import ConvexPolygon, Interval, Point, _centre, _contains, _hom, _planes, _scaled, frac
+from .geom import ConvexPolygon, Interval, Point, _hom, _planes, frac
 from .radicals import RadPoint
 
 # A family whose common translation and scale denominator D needs more bits
@@ -47,16 +47,9 @@ class PolygonBody:
 
     def __init__(self, polygon: ConvexPolygon, reference_point: Point = None):
         self.polygon = polygon
-        d, xy = _scaled(polygon.vertices)
         if reference_point is None:
-            c = _centre(d, xy)
-            if c is not None:
-                reference_point = c
-            else:
-                # lowest-then-leftmost vertex; for a triangle with a
-                # horizontal lower side this is the lower-left vertex
-                reference_point = min(polygon.vertices, key=lambda p: (p.y, p.x))
-        if not _contains(d, xy, reference_point):
+            reference_point = polygon.anchor()
+        elif not polygon.contains(reference_point):
             raise DegenerateInput("reference point outside body")
         self.reference_point = reference_point
         self._bbox = None

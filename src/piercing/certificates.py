@@ -37,7 +37,6 @@ from .bodies import (
     box_columns,
     collector_paused,
     int_point,
-    int_translations,
     membership,
     pair_checker,
     pairwise_disjoint,
@@ -140,16 +139,13 @@ def _coords(p):
 
 
 def _anchor(body):
-    """The pattern anchor: center for symmetric bodies, the lowest-leftmost
-    vertex otherwise (the same vertex the triangle pattern is built on)."""
+    """The pattern anchor: a disk's centre, a box's centre, a polygon's
+    ConvexPolygon.anchor (the same vertex the triangle pattern is built on)."""
     if body.kind == "disk":
         return body.center
     if body.kind == "box":
         return tuple(m + s / 2 for m, s in zip(body.mins, body.sides))
-    c = body.polygon.is_centrally_symmetric()
-    if c is not None:
-        return c
-    return min(body.polygon.vertices, key=lambda p: (p.y, p.x))
+    return body.polygon.anchor()
 
 
 def _terms(p):
@@ -162,29 +158,46 @@ def _terms(p):
     return [{1: v} if v else {} for v in _coords(p)]
 
 
+def _on_roots(p, roots):
+    """p written over the radicand in roots whose product with its own is a
+    perfect square, if any: sqrt(p.m) = s / m sqrt(m) for s^2 = p.m m."""
+    if isinstance(p, RadPoint) and p.B and p.m not in roots:
+        for m in roots:
+            s = math.isqrt(p.m * m)
+            if s * s == p.m * m:
+                return RadPoint(p.q * m, m, [a * m for a in p.A], [b * s for b in p.B])
+    return p
+
+
 def _packed_keys(f: Family, offsets, seeds):
-    """(rows, key, point): rows[o] iterates over the int key of offsets[o]
+    """(rows, key, point): rows[o] iterates over the key of offsets[o]
     placed at each seed, key(p) is the key of any point p, and point(k)
     decodes one.
 
-    On bodies.int_translations, with L the lcm of the denominators of the
-    anchored offsets a + o, a placed coordinate times D L has the int digit
-    q S_i + L T_i for its rational part and c S_i per term c sqrt(m) of
-    L (a + o).  A key is the digits in mixed radix over bounds from the seed
-    columns' extents, so equal keys are equal values, and it is linear:
-    A_o S_i + B_i.  A point whose radicand m is not the pattern's m' but
-    has m m' a perfect square is first written over m'.  A point out of
-    bounds is no pattern point; its key is radicals.point_key."""
-    D, cols, S = int_translations(f)
+    On int columns (Family.scaled_translations), with L the lcm of the
+    denominators of the anchored offsets a + o, a placed coordinate times
+    D L has the int digit q S_i + L T_i for its rational part and c S_i per
+    term c sqrt(m) of L (a + o).  A key is the digits in mixed radix over
+    bounds from the seed columns' extents, so equal keys are equal values,
+    and it is linear: A_o S_i + B_i.  A point whose radicand m is not the
+    pattern's m' but has m m' a perfect square is first written over m'
+    (_on_roots).  A point out of bounds is no pattern point; its key is
+    radicals.point_key.  Fraction columns (over MAX_SCALE_BITS) key a point
+    by its digits as Fractions (_value_keys), with no denominator common to
+    the members."""
+    D, cols, S = f.scaled_translations()
     anchor = _coords(_anchor(f.base))
     terms = [[{**t, 1: t.get(1, 0) + a} for t, a in zip(_terms(o), anchor)] for o in offsets]
-    L = math.lcm(*(c.denominator for row in terms for t in row for c in t.values()))
-    scale = D * L
-    ss = list(map(S.__getitem__, seeds))
-    ts = [list(map(col.__getitem__, seeds)) for col in cols]
     # one digit per (axis, radicand), the rational part's radicand being 1
     digits = sorted({(k, 1) for k in range(len(cols))}
                     | {(k, m) for row in terms for k, t in enumerate(row) for m in t})
+    roots = {m for _, m in digits if m > 1}
+    ss = list(map(S.__getitem__, seeds))
+    ts = [list(map(col.__getitem__, seeds)) for col in cols]
+    if isinstance(cols[0][0], Fraction):
+        return _value_keys(f, terms, digits, roots, ss, ts)
+    L = math.lcm(*(c.denominator for row in terms for t in row for c in t.values()))
+    scale = D * L
     coefs = [[int(row[k].get(m, 0) * L) for k, m in digits] for row in terms]
     ends = (min(ss, default=1), max(ss, default=1))
     lo, hi = [], []
@@ -201,15 +214,9 @@ def _packed_keys(f: Family, offsets, seeds):
             B = list(map(add, B, map((L * w).__mul__, ts[k])))
     A = [sum(map(mul, c, weights)) for c in coefs]
     rows = [map(add, map(a.__mul__, ss), B) for a in A]
-    roots = {m for _, m in digits if m > 1}
 
     def key(p):
-        if isinstance(p, RadPoint) and p.B and p.m not in roots:
-            for m in roots:
-                s = math.isqrt(p.m * m)
-                if s * s == p.m * m:  # sqrt(p.m) = s / m sqrt(m)
-                    p = RadPoint(p.q * m, m, [a * m for a in p.A], [b * s for b in p.B])
-                    break
+        p = _on_roots(p, roots)
         terms = {(k, m): c * scale for k, t in enumerate(_terms(p)) for m, c in t.items()}
         digit = [terms.get(km, 0) for km in digits]
         if terms.keys() - digits or not all(
@@ -229,6 +236,36 @@ def _packed_keys(f: Family, offsets, seeds):
             return RadPoint(scale, m, A, B if any(B) else None)
         xs = [Fraction(a, scale) for a in A]
         return tuple(xs) if f.base.kind == "box" else Point(*xs)
+
+    return rows, key, point
+
+
+def _value_keys(f: Family, terms, digits, roots, ss, ts):
+    """_packed_keys on Fraction columns: a key is the tuple of a point's
+    digits, each coordinate's rational part and its coefficient per
+    radicand, exact per seed as c S_i + T_i and c S_i, so equal keys are
+    equal values; a point with a term no digit holds keys as
+    radicals.point_key, a tuple of pairs that equals no digit tuple."""
+    rows = [zip(*[[row[k].get(m, 0) * s + (t if m == 1 else 0) for s, t in zip(ss, ts[k])]
+                  for k, m in digits]) for row in terms]
+
+    def key(p):
+        terms = {(k, m): c for k, t in enumerate(_terms(_on_roots(p, roots)))
+                 for m, c in t.items()}
+        if terms.keys() - digits:
+            return point_key(p)
+        return tuple(terms.get(km, 0) for km in digits)
+
+    def point(k):
+        xs = [{} for _ in ts]
+        for (axis, m), v in zip(digits, k):
+            xs[axis][m] = v
+        A = [x[1] for x in xs]
+        if roots:
+            (m,) = roots
+            B = [x.get(m, 0) for x in xs]
+            return RadPoint.of_fractions(m, A, B if any(B) else None)
+        return tuple(A) if f.base.kind == "box" else Point(*A)
 
     return rows, key, point
 

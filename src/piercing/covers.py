@@ -11,7 +11,7 @@ because a translate with reference a contains the point q iff a lies in
 from fractions import Fraction
 import itertools
 
-from .bodies import BoxBody, DiskBody, PolygonBody
+from .bodies import BoxBody, DiskBody
 from .circles import Conic, CoverageCheck
 from .errors import ConstructionFailed, NotCentrallySymmetric, VerificationFailed
 from .geom import (
@@ -368,7 +368,7 @@ def _general_polygon_cover(poly: ConvexPolygon) -> CoverPattern:
         import math
 
         pair = _sandwich_pair(poly)
-        ref = PolygonBody(poly).reference_point
+        ref = poly.anchor()
         cover = reflect(poly.translate(-ref))
         # unit-step grid of P-translates covering 2*(Q - q_center) in P's basis
         u, v = pair.p.u, pair.p.v

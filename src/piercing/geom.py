@@ -1,14 +1,15 @@
 """Exact planar geometry over rational coordinates.
 
 Everything in this module is a pure function over immutable values and is
-exact; no epsilon appears anywhere.  Points and areas are Fraction
-arithmetic.  The hull, polygon containment and the symmetry centre run on
-one scaled form (_scaled: the vertices times the lcm of their denominators,
-as int pairs), which _planes shares; clipping (clip_chain,
-region_minus_polygons) runs on one integer kernel (_split, whose inside
-half is _clip) over homogeneous int triples, and a translate's halfplanes
-are its polygon's shifted on ints (_shifted).  Both convert to Points only
-on the way in and out.
+exact; no epsilon appears anywhere.  Points are Fraction arithmetic.
+The hull, polygon containment and the symmetry centre run on one scaled
+form (_scaled: the vertices times the lcm of their denominators, as int
+pairs), which _planes shares; clipping (clip_chain, region_minus_polygons)
+runs on one integer kernel (_split, whose inside half is _clip) over
+homogeneous int triples, and a translate's halfplanes are its polygon's
+shifted on ints (_shifted).  Both convert to Points only on the way in and
+out.  Every polygon area is one int formula on such triples (_twice_area),
+which the union area sums over the pieces _subtract leaves.
 Degenerate convex regions (segments, single points) are represented by
 vertex chains of length 2 and 1 and count as nonempty.
 """
@@ -195,11 +196,8 @@ class ConvexPolygon:
             yield v[i], v[(i + 1) % n]
 
     def area(self) -> Fraction:
-        v = self.vertices
-        s = Fraction(0)
-        for i in range(len(v)):
-            s += v[i].cross(v[(i + 1) % len(v)])
-        return s / 2
+        num, den = _twice_area(list(map(_hom, self.vertices)))
+        return Fraction(num, 2 * den)
 
     def translate(self, t: Point) -> "ConvexPolygon":
         return ConvexPolygon([p + t for p in self.vertices], _trusted=True)
@@ -227,6 +225,14 @@ class ConvexPolygon:
     def is_centrally_symmetric(self):
         """Return the center if the polygon is centrally symmetric, else None."""
         return _centre(*_scaled(self.vertices))
+
+    def anchor(self) -> Point:
+        """The point a pattern's offsets are relative to: the centre of a
+        centrally symmetric polygon, else its lowest-then-leftmost vertex,
+        which for a triangle with a horizontal lower side is the lower-left
+        vertex."""
+        c = self.is_centrally_symmetric()
+        return c if c is not None else min(self.vertices, key=lambda p: (p.y, p.x))
 
     def is_parallelogram(self):
         return len(self.vertices) == 4 and self.is_centrally_symmetric() is not None
@@ -435,6 +441,14 @@ def _has_area(chain) -> bool:
         if x0 * (y1 * w2 - w1 * y2) - y0 * (x1 * w2 - w1 * x2) + w0 * (x1 * y2 - y1 * x2):
             return True
     return False
+
+
+def _twice_area(chain) -> tuple:
+    """(num, den): twice the area of a convex chain of int triples, num / den
+    with num >= 0, over the squared lcm of their weights."""
+    W = lcm(*(w for _, _, w in chain))
+    xy = [(x * (W // w), y * (W // w)) for x, y, w in chain]
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(xy, xy[1:] + xy[:1]))), W * W
 
 
 def _subtract(piece, planes) -> list:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import ceil, gcd, lcm
 
 from .errors import NotCentrallySymmetric, NotHexagon, SearchFailed, VerificationFailed
-from .geom import ConvexPolygon, Point, _clip, _hom, _plane, _point, frac
+from .geom import ConvexPolygon, Point, _clip, _hom, _plane, _point, _twice_area, frac
 
 _UNIFORM_DIRS = 64
 
@@ -376,14 +376,6 @@ def _uniform_directions(k: int):
         t = Fraction(2 * i - k, 2 * k)  # t in [-1/2, 1/2) covers half the circle
         out.append(Point(1 - t * t, 2 * t))
     return out
-
-
-def _twice_area(chain):
-    """(num, den): twice the area of a convex chain of int triples, num / den
-    with num >= 0, over the squared lcm of their weights."""
-    W = lcm(*(w for _, _, w in chain))
-    xy = [(x * (W // w), y * (W // w)) for x, y, w in chain]
-    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(xy, xy[1:] + xy[:1]))), W * W
 
 
 def _hexagon_ratio(pts):

@@ -67,7 +67,8 @@ from .geom import (
     ConvexPolygon,
     Interval,
     Point,
-    _clip,
+    _subtract,
+    _twice_area,
     frac,
     region_minus_polygons,
 )
@@ -427,48 +428,26 @@ def packing_lattice(s0: ConvexPolygon, cell_poly: ConvexPolygon, eps=Fraction(1,
 
 
 def union_area_exact(f: Family) -> Fraction:
-    """Exact area of the union of a polygon family by Green's theorem:
-    half the sum over member edges ab (bodies.member_polygons) of
-    cross(a, b) times the share of ab left uncovered, measured along x (y
-    for a vertical edge).  Each member meeting ab's member
-    (intersection_graph) covers what geom._clip keeps of ab in its
-    halfplanes.  Of edges on one line facing the same way (equal halfplane
-    triples) only the lowest index counts; edges facing opposite ways
-    cover each other."""
+    """Exact area of the union of a polygon family: the sum over members i
+    of what is left of member i (bodies.member_polygons) once every earlier
+    member meeting it (intersection_graph) is cut away by geom._subtract,
+    the nearest first, by the squared distance of their scaled
+    translations: a near member takes most of i in few pieces."""
     if f.base.kind != "polygon":
         raise TooLarge("exact union area needs polygon members")
-    points, planes = member_polygons(f.base, *int_translations(f))
+    D, (xs, ys), S = int_translations(f)
+    points, planes = member_polygons(f.base, D, (xs, ys), S)
     adj = intersection_graph(f)
     twice = Fraction(0)
-    for i, (pts, own) in enumerate(zip(points, planes)):
-        for a, b, plane in zip(pts, pts[1:] + pts[:1], own):
-            pieces = []
-            for j in adj[i]:
-                if j > i and plane in planes[j]:
-                    continue
-                seg = [a, b]
-                for h in planes[j]:
-                    seg = _clip(seg, h)
-                    if not seg:
-                        break
-                if seg == [a, b]:
-                    break  # covered whole
-                if len(seg) == 2:
-                    pieces.append(seg)
-            else:  # no member covers the whole edge
-                cross = Fraction(a[0] * b[1] - a[1] * b[0], a[2] * b[2])
-                if not pieces:
-                    twice += cross
-                    continue
-                k = 0 if a[0] * b[2] != b[0] * a[2] else 1
-                lo, hi = sorted((Fraction(a[k], a[2]), Fraction(b[k], b[2])))
-                free, reach = hi - lo, lo
-                for start, stop in sorted(sorted(Fraction(p[k], p[2]) for p in seg)
-                                          for seg in pieces):
-                    if stop > reach:
-                        free -= stop - max(start, reach)
-                        reach = stop
-                twice += cross * free / (hi - lo)
+    for i, pts in enumerate(points):
+        pieces = [pts]
+        for j in sorted((j for j in adj[i] if j < i),
+                        key=lambda j: (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2):
+            pieces = [rest for piece in pieces for rest in _subtract(piece, planes[j])]
+            if not pieces:
+                break
+        for piece in pieces:
+            twice += Fraction(*_twice_area(piece))
     return twice / 2
 
 

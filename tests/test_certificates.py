@@ -7,6 +7,7 @@ import math
 from pathlib import Path
 import random
 import re
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -233,6 +234,33 @@ def test_packed_count_equals_the_tuple_key_count(case, refine):
     if f.base.kind == "disk":  # each radical point written over 12 = 2^2 3 instead of 3
         assert all(key(RadPoint(2 * p.q, 12, [2 * a for a in p.A], p.B)) == k
                    for k, p in zip(placed[:50], map(point, placed)) if p.B)
+
+
+def test_fraction_columns_count_points_without_a_common_denominator():
+    # 2,000 disk translates whose x-coordinates have distinct 17-bit prime
+    # denominators: their lcm has about 34,000 bits, and keys scaled by it
+    # made point_count() hold tens of MB of ints; per-seed Fraction keys
+    # need no common denominator
+    sieve = bytearray([1]) * (1 << 17)
+    for p in range(2, 1 << 9):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, 1 << 17, p)))
+    primes = [p for p in range(1 << 16, 1 << 17) if sieve[p]][:2000]
+    rng = random.Random(17)
+    f = Family(unit_disk(), [Member(Point(F(rng.randrange(150 * q), q), rng.randrange(150)))
+                             for q in primes])
+    assert isinstance(f.scaled_translations()[1][0][0], F)
+    cert = greedy_pierce(f, verify=False)
+    tracemalloc.start()
+    try:
+        count = cert.point_count()
+        points = cert.points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    assert count == len(points) == tuple_key_count(cert, f) == len(dedupe_points(points))
+    assert cert.verify(f)
 
 
 @pytest.mark.parametrize("base, kind", [(unit_disk, "translates"), (unit_triangle, "homothets")])
