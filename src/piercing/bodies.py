@@ -435,17 +435,23 @@ def _triple(x, y, w):
 
 
 def member_polygons(base, D, cols, S):
-    """(points, planes) of polygon members on the ints (D, cols, S) of
-    int_translations: points[i] holds member i's vertices (ccw) as reduced
-    homogeneous triples, and planes[i] its edges' halfplanes a x + b y <= c
-    of geom._planes carried to (a D, b D, c S_i + a X_i + b Y_i), equal for
-    two members iff the edges lie on one line facing the same way."""
+    """(points, planes) of polygon members on scaled columns (D, cols, S):
+    points[i] holds member i's vertices (ccw) as reduced homogeneous int
+    triples, and planes[i] its edges' halfplanes a x + b y <= c of
+    geom._planes carried to (a D, b D, c S_i + a X_i + b Y_i), equal for
+    two members iff the edges lie on one line facing the same way when the
+    columns are ints.  Fraction columns (D = 1) are cleared per member, by
+    the lcm of its own denominators, not the family's."""
     verts = list(map(_hom, base.polygon.vertices))
     edges = _planes(base.polygon)
     points, planes = [], []
     for s, x, y in zip(S, *cols):
-        points.append([_triple(s * vx + x * w, s * vy + y * w, D * w) for vx, vy, w in verts])
-        planes.append([(a * D, b * D, c * s + a * x + b * y) for a, b, c in edges])
+        d = D
+        if d == 1:
+            d = math.lcm(s.denominator, x.denominator, y.denominator)
+            s, x, y = int(s * d), int(x * d), int(y * d)
+        points.append([_triple(s * vx + x * w, s * vy + y * w, d * w) for vx, vy, w in verts])
+        planes.append([(a * d, b * d, c * s + a * x + b * y) for a, b, c in edges])
     return points, planes
 
 

@@ -7,8 +7,12 @@ Certificates embed the instance, which makes them re-verifiable from the
 file alone.  An instance is written as its scaled int columns "D", "t" (D t
 per axis) and, for homothets, "s" (D s) (bodies.Family.scaled_translations),
 and read back as written (_rescaled); the hand-written "members" form too.
-A radical point is written as its RadPoint's terms and read with one rule
-that needs no factoring (_Reader.radical).
+A rational point is written as its coordinate list, a radical point as its
+RadPoint's terms, read with one rule that needs no factoring
+(_Reader.radical).  The writer leaves out what the reader assumes: a
+translate family's "kind", a polygon's anchor "reference_point"
+(geom.ConvexPolygon.anchor) and an empty "info"; files that spell them
+out, or a point as {"kind": "rational", "xy": [...]}, read the same.
 """
 
 from fractions import Fraction
@@ -133,14 +137,17 @@ class _Reader:
 
     def pierce_point(self, obj, box_dim=None):
         """A planar point (a Point, or a RadPoint when it has a radicand),
-        or a rational box point with exactly box_dim coordinates."""
-        kind = obj.get("kind", "rational")
-        if kind == "radical":
-            if box_dim is not None:
-                raise ParseError("box points must be rational")
-            m, a, b = self.radical([obj["x"], obj["y"]])
-            return Point(*a) if b is None else RadPoint.of_fractions(m, a, b)
-        xy = obj["xy"]
+        or a rational box point with exactly box_dim coordinates.  A
+        rational point is its coordinate list, or the object
+        {"kind": "rational", "xy": list} of files written earlier."""
+        xy = obj
+        if type(obj) is not list:
+            if obj.get("kind", "rational") == "radical":
+                if box_dim is not None:
+                    raise ParseError("box points must be rational")
+                m, a, b = self.radical([obj["x"], obj["y"]])
+                return Point(*a) if b is None else RadPoint.of_fractions(m, a, b)
+            xy = obj["xy"]
         if type(xy) is not list or len(xy) != (box_dim or 2):
             raise ParseError("a point needs a list of %d coordinates" % (box_dim or 2))
         if box_dim is not None:
@@ -237,11 +244,11 @@ class _Reader:
 
 def body_to_json(body):
     if isinstance(body, PolygonBody):
-        return {
-            "type": "polygon",
-            "vertices": [_point_out(v) for v in body.polygon.vertices],
-            "reference_point": _point_out(body.reference_point),
-        }
+        doc = {"type": "polygon", "vertices": [_point_out(v) for v in body.polygon.vertices]}
+        # the reader takes the anchor when the field is left out
+        if body.reference_point != body.polygon.anchor():
+            doc["reference_point"] = _point_out(body.reference_point)
+        return doc
     if isinstance(body, DiskBody):
         return {
             "type": "disk",
@@ -265,13 +272,14 @@ def body_from_json(obj):
 def family_to_json(f: Family) -> dict:
     """The instance document: the scaled columns (Family.scaled_translations)
     as they are, D and D * t per axis, and D * s for homothets only.  Over
-    MAX_SCALE_BITS D is 1 and the entries are the rationals themselves."""
+    MAX_SCALE_BITS D is 1 and the entries are the rationals themselves.
+    "kind" is written for homothets only; the reader takes translates."""
     D, cols, S = f.scaled_translations()
     if D == 1:
         cols, S = [list(map(_num_out, col)) for col in cols], list(map(_num_out, S))
-    doc = {"base": body_to_json(f.base), "kind": f.kind, "D": D, "t": cols}
-    if f.kind == "homothets":
-        doc["s"] = S
+    doc = {"base": body_to_json(f.base), "kind": f.kind, "D": D, "t": cols, "s": S}
+    if f.kind == "translates":
+        del doc["kind"], doc["s"]
     return doc
 
 
@@ -281,18 +289,18 @@ def family_from_json(obj) -> Family:
 
 
 def point_to_json(p):
-    """A rational point's coordinates, or a RadPoint's terms
+    """A rational point's coordinate list, or a RadPoint's terms
     [[1, A/q], [m, B/q]] per coordinate with zero terms dropped."""
     if isinstance(p, Point):
-        return {"kind": "rational", "xy": _point_out(p)}
+        return _point_out(p)
     if isinstance(p, RadPoint):
         q, m, A, B = p.q, p.m, p.A, p.B
         if not any(B or ()):
-            return {"kind": "rational", "xy": [_num_out(Fraction(a, q)) for a in A]}
+            return [_num_out(Fraction(a, q)) for a in A]
         x, y = ([[r, _num_out(Fraction(c, q))] for r, c in ((1, a), (m, b)) if c]
                 for a, b in zip(A, B))
         return {"kind": "radical", "x": x, "y": y}
-    return {"kind": "rational", "xy": [_num_out(v) for v in p]}  # box tuple
+    return [_num_out(v) for v in p]  # box tuple
 
 
 @collector_paused()
@@ -301,7 +309,7 @@ def certificate_to_json(cert: PierceCertificate, f: Family) -> dict:
     its clusters as [seed, members] and its witness.  A symbolic one lists
     only its refine_points, and verify rebuilds its pattern from the method
     and the instance's base; each cluster is its member list, seed first,
-    and the witness, the seeds, is not written."""
+    and the witness, the seeds, is not written.  An empty info is left out."""
     info = {}
     for k, v in cert.info.items():
         info[k] = _num_out(v) if isinstance(v, Fraction) else v
@@ -313,7 +321,8 @@ def certificate_to_json(cert: PierceCertificate, f: Family) -> dict:
         doc["points"] = [point_to_json(p) for p in cert.points]
         doc["clusters"] = cert.clusters  # (seed, members) tuples, written as arrays
         doc["witness"] = list(cert.witness)
-    doc["info"] = info
+    if info:
+        doc["info"] = info
     return doc
 
 
@@ -350,6 +359,9 @@ def certificate_from_json(obj):
         if type(factor) is not int:
             raise ParseError("factor must be an integer, got %r" % (factor,))
         method = obj.get("method", "unknown")
+        info = obj.get("info", {})
+        if type(info) is not dict:
+            raise ParseError("info must be an object")
         symbolic = "points" not in obj
         if symbolic:
             greedy_pattern(f, method)
@@ -370,11 +382,11 @@ def certificate_from_json(obj):
         points, mixed = rd.pierce_points(_list(obj, "refine_points" if symbolic else "points"),
                                          box_dim)
         if not symbolic:
-            cert = PierceCertificate(method, factor, points, clusters, witness)
+            cert = PierceCertificate(method, factor, points, clusters, witness, info)
         elif points and not clusters:
             raise ParseError("refine_points without a cluster")
         else:
-            cert = PierceCertificate(method, factor, None, clusters, witness, family=f,
+            cert = PierceCertificate(method, factor, None, clusters, witness, info, family=f,
                                      extra=points)
     except ParseError:
         raise
@@ -421,7 +433,9 @@ def verify_pattern_json(doc) -> bool:
             raise ParseError("unknown region kind %r" % (doc["region_kind"],))
         offsets = _list(doc, "offsets")
         if kind == "polygon":
-            region = [rd.point(p) for p in _list(doc, "region")]
+            # the hull of the region's vertices, which holds the region
+            # whatever their order
+            region = ConvexPolygon([rd.point(p) for p in _list(doc, "region")])
             cover = ConvexPolygon([rd.point(p) for p in _list(doc, "cover")])
             offsets, _ = rd.pierce_points(offsets)
             if not all(isinstance(o, Point) for o in offsets):

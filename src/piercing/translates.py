@@ -9,7 +9,7 @@ pattern.  The greedy core (_greedy) is shared with the homothet greedy.
 grid_pierce: the sandwich-pair decomposition into lines and residue classes
 with factor gamma = ceil(l_line) * ceil(l_class + 1).  Polygons and boxes
 take the one grid path; a box is the case P = C, with factor 2^(d-1).  It
-runs on the ints of bodies.int_translations.
+runs on the family's scaled columns (bodies.Family.scaled_translations).
 
 There is one cluster loop (_clusters), on neighbor_index candidates: the
 greedy runs it over the whole family and the grid over each line, and the
@@ -43,7 +43,6 @@ from .bodies import (
     collector_paused,
     common_slab_bounds,
     int_point,
-    int_translations,
     intersection_graph,
     member_boxes,
     member_polygons,
@@ -165,7 +164,8 @@ def grid_pierce(f: Family, pair: SandwichPair = None, verify: bool = True) -> Pi
     the lowest alive member seeds a cluster of the members it meets, pierced
     at most k_line levels above it.  The seeds of one residue class of lines
     mod m_class are pairwise disjoint.  All of it runs on ints over one
-    denominator (_grid_lines); only the placed points become Points.
+    denominator (_grid_lines), or on Fractions over MAX_SCALE_BITS; only
+    the placed points become Points.
     """
     if f.kind != "translates":
         raise UnsupportedBase("grid_pierce needs a translate family")
@@ -236,10 +236,11 @@ def _grid_frame(base, pair):
 
 def _grid_lines(f: Family, forms):
     """(E, centres, offs, line, order): centres[k][i] / E is coordinate k of
-    member i's centre (_grid_frame), on the columns of int_translations; axis
-    k < last is cut into lines j + offs[k] / (4 E), line[i] holds member i's
-    j per axis, and order sorts by line, last coordinate, the others, index."""
-    D, cols, _ = int_translations(f)
+    member i's centre (_grid_frame), on the scaled columns as they are (ints,
+    or Fractions with D = 1 over MAX_SCALE_BITS); axis k < last is cut into
+    lines j + offs[k] / (4 E), line[i] holds member i's j per axis, and
+    order sorts by line, last coordinate, the others, index."""
+    D, cols, _ = f.scaled_translations()
     n = len(f)
     L = math.lcm(*[v.denominator for w, h in forms for v in (*w, h)])
     E = L * D
@@ -435,7 +436,7 @@ def union_area_exact(f: Family) -> Fraction:
     translations: a near member takes most of i in few pieces."""
     if f.base.kind != "polygon":
         raise TooLarge("exact union area needs polygon members")
-    D, (xs, ys), S = int_translations(f)
+    D, (xs, ys), S = f.scaled_translations()
     points, planes = member_polygons(f.base, D, (xs, ys), S)
     adj = intersection_graph(f)
     twice = Fraction(0)

@@ -38,7 +38,10 @@ decides a rational point on a realized body in Fractions too.
 members lists a family's Member objects, in Fractions.
 members_document writes an instance in the hand-written members form, one
 object per member, which the reader still takes and the certificate
-digests were taken on.  value_key is an
+digests were taken on; spelled_out writes back every field the writer
+leaves out, in the layout those digests were taken on.  recheck decides
+the claim of a certificate or cover-pattern document from the document
+alone, reading it with document_members, for the soundness sweep.  value_key is an
 exact key of a point's value, and dedupe_points drops repeated keys.
 pairs_scaled reads an instance's columns one distinct value at a time,
 through jsonio._pair and bodies.scale_table.  pattern_keys and
@@ -77,6 +80,8 @@ from piercing.bodies import (
     scale_table,
 )
 from piercing.certificates import _anchor, _coords, _terms, greedy_pattern
+from piercing.covers import (disk_half_cover, disk_seven_cover, homothet_cover,
+                             translate_cluster_cover)
 from piercing.errors import DegenerateInput, PiercingError
 from piercing.generators import _rand_frac_form
 from piercing.geom import ConvexPolygon, Interval, Point, frac
@@ -1273,8 +1278,36 @@ def members_document(instance):
         return v // g if g == D else "%d/%d" % (v // g, D // g)
 
     ts = zip(*[map(out, col) for col in cols])
-    return {"base": instance["base"], "kind": instance["kind"],
+    return {"base": instance["base"], "kind": instance.get("kind", "translates"),
             "members": [{"t": list(t), "s": out(s)} for t, s in zip(ts, scales)]}
+
+
+def spelled_out(doc):
+    """A document with every field the writer may leave out written as the
+    earlier writer put it: each rational point as {"kind": "rational",
+    "xy": [...]} (in points, refine_points, offsets and tau_points), an
+    instance's "kind", a polygon base's "reference_point" (its centre when
+    it is centrally symmetric, else its lowest-then-leftmost vertex) and a
+    certificate's "info", each at its earlier place among the keys."""
+    doc = dict(doc)
+    for key in ("points", "refine_points", "offsets", "tau_points"):
+        if isinstance(doc.get(key), list):
+            doc[key] = [{"kind": "rational", "xy": p} if isinstance(p, list) else p
+                        for p in doc[key]]
+    if "instance" in doc:
+        doc["instance"] = spelled_out(doc["instance"])
+        doc.setdefault("info", {})
+    if "base" in doc:
+        base = doc["base"]
+        if base.get("type") == "polygon" and "reference_point" not in base:
+            vs = [Point(Fraction(x), Fraction(y)) for x, y in base["vertices"]]
+            c = centre(ConvexPolygon(vs))
+            if c is None:
+                c = min(vs, key=lambda p: (p.y, p.x))
+            base = {**base, "reference_point": [jsonio._num_out(c.x), jsonio._num_out(c.y)]}
+        doc = {"base": base, "kind": doc.get("kind", "translates"),
+               **{k: v for k, v in doc.items() if k not in ("base", "kind")}}
+    return doc
 
 
 def pairs_scaled(instance):
@@ -1351,3 +1384,149 @@ def random_family(base, n, box_size=10, kind="translates", scale_range=(1, 3), s
     if S and min(S) <= 0:
         raise DegenerateInput("scale must be positive")
     return Family.from_scaled(base, (D, cols, S), kind)
+
+
+def _rational(x):
+    """The Fraction of a JSON int or rational string (bool and float
+    refused)."""
+    if type(x) not in (int, str):
+        raise ValueError("not an exact rational: %r" % (x,))
+    return Fraction(x)
+
+
+def _doc_point(p, dim=None):
+    """A document point: a bare coordinate list or {"xy": [...]} as a Point,
+    or as a tuple of dim coordinates for a box, or {"kind": "radical"}
+    terms as a RadicalPoint."""
+    if isinstance(p, dict) and p.get("kind") == "radical":
+        return RadicalPoint(*[radical_sum([(m, _rational(c)) for m, c in p[k]]) for k in "xy"])
+    xy = [_rational(v) for v in (p if isinstance(p, list) else p["xy"])]
+    if len(xy) != (dim or 2):
+        raise ValueError("a point needs %d coordinates" % (dim or 2))
+    return tuple(xy) if dim else Point(*xy)
+
+
+def _doc_body(b):
+    if b["type"] == "polygon":
+        ref = b.get("reference_point")
+        return PolygonBody(ConvexPolygon([_doc_point(v) for v in b["vertices"]]),
+                           _doc_point(ref) if ref else None)
+    if b["type"] == "disk":
+        return DiskBody(_doc_point(b["center"]), _rational(b["radius"]))
+    sides = [_rational(v) for v in b["side_lengths"]]
+    return BoxBody([_rational(v) for v in b.get("min_corner") or [0] * len(sides)], sides)
+
+
+def document_members(instance):
+    """(base, kind, ts, ss, bodies): an instance document's base, its
+    members' translations and scales, and the realized members, in
+    Fractions, from the columns (entries over D) or the members form."""
+    base = _doc_body(instance["base"])
+    kind = instance.get("kind", "translates")
+    if "members" in instance:
+        ts = [[_rational(v) for v in m["t"]] for m in instance["members"]]
+        ss = [_rational(m.get("s", 1)) for m in instance["members"]]
+    else:
+        D = _rational(instance["D"])
+        ts = [[_rational(v) / D for v in t] for t in zip(*instance["t"])]
+        ss = [_rational(v) / D for v in instance.get("s", [instance["D"]] * len(ts))]
+    ts = [tuple(t) if base.kind == "box" else Point(*t) for t in ts]
+    if kind == "translates":
+        ss = [Fraction(1)] * len(ts)
+    return base, kind, ts, ss, [base.scale_translate(s, t) for t, s in zip(ts, ss)]
+
+
+def _pattern_anchor(base):
+    """A pattern's anchor, the point its offsets are relative to: a disk's
+    or box's centre, a polygon's centre when it is centrally symmetric, else
+    its lowest-then-leftmost vertex."""
+    if base.kind == "disk":
+        return base.center
+    if base.kind == "box":
+        return tuple(m + s / 2 for m, s in zip(base.mins, base.sides))
+    c = centre(base.polygon)
+    return c if c is not None else min(base.polygon.vertices, key=lambda p: (p.y, p.x))
+
+
+def _placed(base, offsets, s, t):
+    """The pattern points s (anchor + o) + t at a seed of scale s and
+    translation t."""
+    a = _pattern_anchor(base)
+    if base.kind == "box":
+        return [tuple(s * (c + v) + u for c, v, u in zip(a, o, t)) for o in offsets]
+    out = []
+    for o in offsets:
+        if isinstance(o, RadPoint) and o.B:
+            o = RadicalPoint.of(o)
+            out.append(RadicalPoint(s * (o.x + a.x) + t.x, s * (o.y + a.y) + t.y))
+        else:
+            o = Point(*[Fraction(v, o.q) for v in o.A]) if isinstance(o, RadPoint) else o
+            out.append((o + a) * s + t)
+    return out
+
+
+def recheck(doc):
+    """Whether what an accepted certificate or cover-pattern document claims
+    holds, decided from the document alone in Fractions and Radicals.
+
+    A certificate: every realized member (document_members) contains one of
+    its points (body_contains), the witness members are pairwise disjoint
+    (bodies_intersect on every pair, so a repeated member fails), and the
+    points, counted once per value (value_key), number at most factor
+    times the witness.  An explicit certificate lists its points and
+    witness.  A symbolic one has the method's pattern (translate_cluster_cover
+    for "greedy", homothet_cover for "greedy-homothets") placed at each
+    cluster's seed, all but the last when it has refine points, which
+    pierce that last cluster; its witness is the seeds (flat clusters) or
+    its witness list (clusters [seed, members]).
+
+    A cover pattern: a polygon's offsets leave no residue of the convex
+    hull of its region's vertices (translates_residue), a box's offsets
+    cover every cell of the grid their faces cut, and a disk's offsets
+    are, as a set of values, those of the pattern covers built and circles
+    verified."""
+    if doc.get("type") == "cover_pattern":
+        return _recheck_pattern(doc)
+    base, kind, ts, ss, bodies = document_members(doc["instance"])
+    dim = base.dim if base.kind == "box" else None
+    if "points" in doc:
+        points = [_doc_point(p, dim) for p in doc["points"]]
+        witness = doc["witness"]
+    else:
+        clusters = doc["clusters"]
+        seeds = [c[0] for c in clusters]
+        witness = doc["witness"] if "witness" in doc else seeds
+        extra = [_doc_point(p, dim) for p in doc["refine_points"]]
+        cover = translate_cluster_cover if doc["method"] == "greedy" else homothet_cover
+        offsets = cover(base).offsets
+        points = [p for i in (seeds[:-1] if extra else seeds)
+                  for p in _placed(base, offsets, ss[i], ts[i])] + extra
+    if not all(any(body_contains(b, p) for p in points) for b in bodies):
+        return False
+    if any(bodies_intersect(bodies[i], bodies[j])
+           for a, i in enumerate(witness) for j in witness[a + 1:]):
+        return False
+    return len({value_key(p) for p in points}) <= doc["factor"] * len(witness)
+
+
+def _recheck_pattern(doc):
+    half = doc["region_kind"] == "diff_half"
+    kind = doc["base_kind"]
+    if kind == "polygon":
+        region = convex_hull([_doc_point(p) for p in doc["region"]])
+        cover = ConvexPolygon([_doc_point(p) for p in doc["cover"]])
+        return not translates_residue(region, cover, [_doc_point(p) for p in doc["offsets"]])
+    if kind == "disk":
+        want = (disk_half_cover if half else disk_seven_cover)(_rational(doc["radius"])).offsets
+        return {value_key(_doc_point(p)) for p in doc["offsets"]} == set(map(value_key, want))
+    sides = [_rational(v) for v in doc["sides"]]
+    offsets = [_doc_point(p, len(sides)) for p in doc["offsets"]]
+    region = [(-s, s) for s in sides]
+    if half:
+        region[-1] = (-sides[-1], Fraction(0))
+    cuts = [sorted({lo, hi} | {v for o in offsets for v in (o[k] - s / 2, o[k] + s / 2)
+                               if lo < v < hi})
+            for k, ((lo, hi), s) in enumerate(zip(region, sides))]
+    return all(any(all(abs((a + b) / 2 - o[k]) <= s / 2 for k, ((a, b), s) in
+                       enumerate(zip(cell, sides))) for o in offsets)
+               for cell in itertools.product(*[zip(c, c[1:]) for c in cuts]))

@@ -56,6 +56,7 @@ from reference import (
     members,
     members_document,
     rad_point,
+    spelled_out,
     tuple_key_count,
     value_key,
 )
@@ -635,12 +636,13 @@ _PENTAGON = PolygonBody(ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Po
                                        Point(-1, 2)]))
 
 def _indented(text):
-    """A written certificate re-rendered with indent=2 and its instance in
-    the members form (reference.members_document), the layout the corpus
+    """A written certificate re-rendered with indent=2, every field the
+    writer leaves out spelled out (reference.spelled_out) and its instance
+    in the members form (reference.members_document), the layout the corpus
     digests were first taken on: equal digests mean equal documents, key
-    order and values included, whatever whitespace and instance columns
-    dump writes."""
-    doc = json.loads(text)
+    order and values included, whatever whitespace, instance columns and
+    left-out defaults dump writes."""
+    doc = spelled_out(json.loads(text))
     doc["instance"] = members_document(doc["instance"])
     return json.dumps(doc, indent=2)
 
@@ -821,12 +823,13 @@ def test_members_form_reads_to_the_written_columns(corpus, case):
 
 # sha256 of the bytes `piercing pierce` writes (the symbolic certificate
 # with its instance as columns, jsonio.dump) for one entry of each corpus,
-# taken when the writer first put each cluster out as one flat list and
-# left the witness out: the earlier [seed, members] file with its witness
-# dropped and each cluster replaced by its members, byte for byte
+# taken when the writer first left out what the reader assumes (bare
+# rational points, no translates "kind", no anchor "reference_point", no
+# empty "info"): the flat-cluster file before it, with those fields
+# dropped, byte for byte
 _WRITTEN_CORPUS = [
-    ("homothets", 0, "1a21575f2c4856a13378716346b5f7fd5b67737dc24f5efc374bb9303e978451"),
-    ("translates", 11, "9d201e5cf2d06fc582c27a7e9749168b12f0d6a172236cc6bc43800580decb51"),
+    ("homothets", 0, "657bf09b90e2a8b34dbe548b6387b809f04c3b0261559b75ad06f0acea1d21b7"),
+    ("translates", 11, "94ad199d93a03542c1104103afb18d90446aac0b86dd97b0ef5fa929640063f0"),
 ]
 
 
@@ -879,3 +882,16 @@ def test_method_certificates_are_byte_identical(method, base, n, box, seed, dige
     cert = auto_pierce(f, method=method)
     text = _indented(jsonio.dump(jsonio.certificate_to_json(cert, f)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_symbolic_certificate_built_through_the_api_is_checked_too():
+    # the reader refuses such files before verify runs; a certificate built
+    # in code meets the same checks as VerificationFailed
+    f = random_family(unit_disk(), 6, box_size=4, seed=2)
+    cert = PierceCertificate("greedy", 4, None, [], [], family=f, extra=[Point(0, 0)])
+    with pytest.raises(VerificationFailed, match="refine points without a cluster"):
+        cert.verify(f)
+    g = random_family(_PENTAGON, 6, box_size=10, seed=2)
+    cert = PierceCertificate("greedy", 4, None, [(0, range(6))], [0], family=g)
+    with pytest.raises(VerificationFailed, match="neither centrally symmetric nor a triangle"):
+        cert.verify(g)

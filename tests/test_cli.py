@@ -240,7 +240,7 @@ def test_radical_points_roundtrip(tmp_path):
                "--out", str(inst)) == 0
     pierce_explicit(inst, cert, refine=False)
     doc = json.loads(cert.read_text())
-    assert any(p["kind"] == "radical" for p in doc["points"])
+    assert any(isinstance(p, dict) and p["kind"] == "radical" for p in doc["points"])
     assert run("verify", str(cert)) == 0
 
 
@@ -294,3 +294,37 @@ def test_verify_holds_no_document_while_it_checks(tmp_path, monkeypatch, capsys)
         tracemalloc.stop()
     assert capsys.readouterr().out.startswith("certificate ok: ")
     assert held[0] - before < read + document / 2 and read < document
+
+
+def test_auto_takes_the_grid_for_a_polygon_without_a_greedy_pattern(tmp_path):
+    # a pentagon is neither centrally symmetric nor a triangle
+    inst, cert = tmp_path / "pentagons.json", tmp_path / "cert.json"
+    inst.write_text(json.dumps({
+        "base": {"type": "polygon", "vertices": [[0, 0], [4, 0], [5, 3], [2, 5], [-1, 2]]},
+        "members": [{"t": [x, y]} for x, y in ((0, 0), (3, 1), (9, 0), (20, 4), (21, 7))]}))
+    assert run("pierce", str(inst), "--out", str(cert)) == 0
+    assert json.loads(cert.read_text())["method"] == "grid"
+    assert run("verify", str(cert)) == 0
+
+
+@pytest.mark.parametrize("argv, n", [
+    (("grid", "--base", "square", "--n", "2"), 16),
+    (("pairwise", "--base", "hexagon", "--n", "9", "--seed", "3"), 9),
+])
+def test_gen_grid_and_pairwise_families_pierce_and_verify(tmp_path, capsys, argv, n):
+    inst, cert = tmp_path / "family.json", tmp_path / "cert.json"
+    assert run("gen", *argv, "--out", str(inst)) == 0
+    assert len(jsonio.family_from_json(jsonio.load(str(inst)))) == n
+    assert run("pierce", str(inst), "--out", str(cert)) == 0
+    capsys.readouterr()
+    assert run("verify", str(cert)) == 0
+    assert capsys.readouterr().out.startswith("certificate ok: ")
+
+
+def test_pattern_for_a_body_file(tmp_path, capsys):
+    body, pat = tmp_path / "body.json", tmp_path / "pattern.json"
+    body.write_text(json.dumps({"type": "polygon", "vertices": [[0, 0], [2, 0], [3, 1], [1, 1]]}))
+    for variant in ("diff", "half"):
+        assert run("pattern", "--body", str(body), "--variant", variant, "--out", str(pat)) == 0
+        assert json.loads(pat.read_text())["base_kind"] == "polygon"
+        assert run("verify", str(pat)) == 0

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from piercing import circles, covers, jsonio, sandwich, translates
-from piercing.bodies import BoxBody, DiskBody, Family, Member
+from piercing.bodies import BoxBody, DiskBody, Family, Member, PolygonBody
 from piercing.cli import auto_pierce, main
 from piercing.errors import ConstructionFailed, ParseError, VerificationFailed
 from piercing.generators import hexagon_body, random_family, unit_disk, unit_square, unit_triangle
@@ -17,7 +17,7 @@ from piercing.geom import Point
 from piercing.jsonio import _num_out, _Reader
 from piercing.radicals import RadPoint
 from reference import (Radical, fraction_columns, members, members_document, pairs_scaled,
-                       radical_sum)
+                       radical_sum, spelled_out)
 
 
 def run(*argv):
@@ -33,7 +33,7 @@ def disk_cert(tmp_path_factory):
     f = jsonio.family_from_json(jsonio.load(str(inst)))
     cert = auto_pierce(f, refine=False)
     doc = json.loads(jsonio.dump(jsonio.certificate_to_json(cert.explicit(), f)))
-    assert any(p["kind"] == "radical" for p in doc["points"])
+    assert any(isinstance(p, dict) and p["kind"] == "radical" for p in doc["points"])
     return doc
 
 
@@ -87,7 +87,7 @@ def test_missing_section_is_a_parse_error(tmp_path, disk_cert, key):
 @pytest.mark.parametrize("radicand", [3.7, True, "3", -3, None])
 def test_inexact_radicand_is_a_parse_error(tmp_path, disk_cert, radicand):
     doc = json.loads(json.dumps(disk_cert))
-    point = next(p for p in doc["points"] if p["kind"] == "radical")
+    point = next(p for p in doc["points"] if isinstance(p, dict))
     coord = "x" if any(m == 3 for m, _ in point["x"]) else "y"
     point[coord] = [[radicand if m == 3 else m, c] for m, c in point[coord]]
     assert verify_doc(tmp_path, doc) == 2
@@ -97,7 +97,7 @@ def test_non_canonical_terms_still_verify(tmp_path, disk_cert):
     # sqrt(3) written as sqrt(12) / 2 and split in two: the same value
     doc = json.loads(json.dumps(disk_cert))
     for p in doc["points"]:
-        if p["kind"] == "radical":
+        if isinstance(p, dict):
             for coord in ("x", "y"):
                 terms = []
                 for m, c in p[coord]:
@@ -442,6 +442,30 @@ def test_non_object_document_is_a_parse_error(tmp_path, doc):
     assert verify_doc(tmp_path, doc) == 2
 
 
+def test_disk_pattern_offset_with_two_radicands_fails_verification(tmp_path, capsys,
+                                                                  pattern_docs):
+    doc = json.loads(json.dumps(pattern_docs["disk"]))
+    doc["offsets"][0] = {"kind": "radical", "x": [[2, 1]], "y": [[3, 1]]}
+    assert verify_doc(tmp_path, doc) == 1
+    err = capsys.readouterr().err
+    assert "more than one radicand" in err and "Traceback" not in err
+
+
+def test_polygon_pattern_is_checked_on_the_hull_of_its_region(tmp_path, pattern_docs):
+    # the region's vertices in another order, or with one repeated, stand
+    # for their convex hull; a vertex out of the covered region fails, in
+    # any order (the clip of a chain that is not convex kept none of it)
+    doc = json.loads(json.dumps(pattern_docs["polygon"]))
+    region = doc["region"]
+    assert region == [[-1, 0], [0, -1], [1, -1], [1, 0]]
+    for other in (region[::-1], region + region[:1], [region[0], region[2], region[1]]
+                  + region[3:]):
+        assert verify_doc(tmp_path, {**doc, "region": other}) == 0
+    for other in (region[:-1] + [[5, 5]], [[-1, 0], [1, -1], [1, 0], [0, -1], [-3, 2]]):
+        assert verify_doc(tmp_path, {**doc, "region": other}) == 1
+    assert verify_doc(tmp_path, {**doc, "region": [[0, 0], [1, 1], [2, 2]]}) == 2
+
+
 def test_pattern_with_a_missing_offset_still_fails_verification(tmp_path, pattern_docs):
     for kind in ("disk", "polygon", "box"):
         doc = json.loads(json.dumps(pattern_docs[kind]))
@@ -469,6 +493,9 @@ def test_box_certificate_with_both_cube_centres_verifies(tmp_path):
     {"xy": ["1/2", "1/2", "1/2", 0]},
     {"xy": "1/2"},
     {"kind": "radical", "x": [[3, 1]], "y": [[1, 1]]},
+    ["1/2", "1/2"],
+    ["1/2", "1/2", "1/2", 0],
+    [0.5, "1/2", "1/2"],
 ])
 def test_box_point_of_the_wrong_shape_is_a_parse_error(tmp_path, point):
     assert verify_doc(tmp_path, _box_certificate([point])) == 2
@@ -484,6 +511,32 @@ def test_planar_point_of_the_wrong_shape_is_a_parse_error(tmp_path, disk_cert, x
     doc = json.loads(json.dumps(disk_cert))
     doc["points"].append({"kind": "rational", "xy": xy})
     assert verify_doc(tmp_path, doc) == 2
+
+
+@pytest.mark.parametrize("key", ["points", "refine_points"])
+@pytest.mark.parametrize("point", [["1/2"], ["1/2", "1/2", 7], [], [0.5, 0], ["1/2", 1.0],
+                                   [True, 0], [None, 0], [["1/2"], 0]])
+def test_bare_point_of_the_wrong_shape_is_a_parse_error(tmp_path, capsys, disk_cert,
+                                                        symbolic_cert, key, point):
+    doc = json.loads(json.dumps(disk_cert if key == "points" else symbolic_cert))
+    doc[key].append(point)
+    assert verify_doc(tmp_path, doc) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, why", [
+    (lambda doc: doc.__setitem__("witness", []), "empty witness"),
+    (lambda doc: doc["witness"].append(doc["witness"][0]), "witness repeats a member"),
+    (lambda doc: doc["clusters"][0].__setitem__(0, doc["clusters"][1][1][0]),
+     "cluster seed outside its cluster"),
+])
+def test_explicit_certificate_of_the_wrong_shape_fails_verification(tmp_path, capsys, disk_cert,
+                                                                    edit, why):
+    doc = json.loads(json.dumps(disk_cert))
+    edit(doc)
+    assert verify_doc(tmp_path, doc) == 1
+    err = capsys.readouterr().err
+    assert why in err and "Traceback" not in err
 
 
 def test_unedited_symbolic_certificate_verifies(tmp_path, symbolic_cert):
@@ -596,8 +649,8 @@ def test_earlier_layout_verifies_as_its_flat_twin(tmp_path, capsys, name):
     doc = _earlier_layout(name)
     cert, f = jsonio.certificate_from_json(doc)
     twin = json.loads(jsonio.dump(jsonio.certificate_to_json(cert, f)))
-    assert twin == {**{k: v for k, v in doc.items() if k != "witness"},
-                    "clusters": [m for _, m in doc["clusters"]]}
+    assert spelled_out(twin) == {**{k: v for k, v in doc.items() if k != "witness"},
+                                 "clusters": [m for _, m in doc["clusters"]]}
     assert doc["witness"] == [seed for seed, _ in doc["clusters"]]
     lines = []
     for d in (doc, twin):
@@ -819,7 +872,8 @@ def test_reading_a_written_file_reduces_no_value(tmp_path, monkeypatch, base, ki
     assert calls == []
     doc = jsonio.load(refined)
     numbers = {json.dumps(v) for p in doc["refine_points"]
-               for v in p.get("xy") or [c for terms in (p["x"], p["y"]) for _, c in terms]}
+               for v in (p if isinstance(p, list) else
+                         [c for terms in (p["x"], p["y"]) for _, c in terms])}
     jsonio.certificate_from_json(doc)
     assert doc["refine_points"] and 0 < len(calls) <= len(numbers)
 
@@ -854,6 +908,13 @@ def _instance_with(member, kind="translates", base=None):
     {"base": {"type": "disk", "center": [0, 0], "radius": 1}, "members": []},
     {"base": {"type": "disk", "center": [0, 0], "radius": 1}, "members": 5},
     {"base": {"type": "disk", "center": [0, 0], "radius": 1}},
+    _instance_with({"t": [0, 0]}, base={"center": [0, 0], "radius": 1}),
+    _instance_with({"t": [0, 0]}, base={"type": "polygon", "vertices": [[0, 0], [1, 0]]}),
+    _instance_with({"t": [0, 0, 0]}, base={"type": "box", "dim": 3, "side_lengths": [1, 1]}),
+    _instance_with({"t": [0, 0]}, base={"type": "sphere", "radius": 1}),
+    _instance_with({"t": [0, 0]}, base={"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]],
+                                        "reference_point": [1, 1]}),
+    _instance_with({"t": ["1" * 5000 + "/3", 0]}),  # over the interpreter's digit limit
 ])
 def test_malformed_member_is_a_parse_error(tmp_path, capsys, doc):
     path = tmp_path / "instance.json"
@@ -1023,3 +1084,84 @@ def test_derived_columns_equal_the_member_built_ones(case, rng):
     cols, ss = _typed_columns(f)
     assert _typed_columns(g.subfamily(picked)) == (
         [[col[i] for i in picked] for col in cols], [ss[i] for i in picked])
+
+
+_EARLIER_EXPLICIT = ["earlier_layout_flat_triangles", "earlier_layout_grid_squares"]
+
+
+@pytest.mark.parametrize("name", _EARLIER_EXPLICIT)
+def test_earlier_file_spells_out_what_the_writer_leaves_out(tmp_path, capsys, name):
+    # a file the earlier writer put out, with object points, "kind",
+    # "reference_point" and "info", and the smaller one the writer puts out
+    # now for its certificate: the same document once spelled out
+    # (reference.spelled_out), and the same verdict
+    doc = json.loads((_FIXTURES / (name + ".json")).read_text())
+    cert, f = jsonio.certificate_from_json(doc)
+    twin = jsonio.dump(jsonio.certificate_to_json(cert, f))
+    assert spelled_out(json.loads(twin)) == doc
+    assert len(twin) < len(jsonio.dump(doc))
+    lines = []
+    for d in (doc, json.loads(twin)):
+        assert verify_doc(tmp_path, d) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1] and lines[0].startswith("certificate ok: ")
+
+
+def test_object_point_pattern_verifies_as_its_bare_twin(tmp_path, capsys):
+    doc = json.loads((_FIXTURES / "earlier_layout_pattern_triangle.json").read_text())
+    twin = jsonio.pattern_to_json(covers.homothet_cover(unit_triangle()))
+    assert all(isinstance(p, list) for p in twin["offsets"])
+    assert spelled_out(twin) == doc
+    lines = []
+    for d in (doc, twin):
+        assert verify_doc(tmp_path, d) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1] == "cover pattern ok: 12 offsets\n"
+
+
+_SQUARE_AT_A_CORNER = PolygonBody(unit_square().polygon, Point(0, 0))
+
+
+@pytest.mark.parametrize("method, base, kind, n, box, seed", [
+    ("auto", unit_disk, "translates", 12, 4, 31),  # radical refine points
+    ("auto", unit_triangle, "homothets", 12, 4, 8),
+    ("grid", unit_square, "translates", 20, 5, 3),  # info
+    ("grid", lambda: BoxBody((0, 0, 0), (1, 2, 3)), "translates", 20, 5, 3),
+    ("hexagon", hexagon_body, "translates", 20, 8, 4),
+    ("lattice", hexagon_body, "translates", 9, 6, 5),  # info with rationals
+    ("auto", lambda: _SQUARE_AT_A_CORNER, "translates", 12, 4, 6),  # reference point kept
+    ("explicit", unit_disk, "translates", 12, 4, 31),  # bare and radical points
+])
+def test_reading_a_written_file_and_writing_it_again_gives_the_same_bytes(method, base, kind, n,
+                                                                          box, seed):
+    f = random_family(base(), n, box_size=box, kind=kind, seed=seed)
+    cert = auto_pierce(f, method="auto" if method == "explicit" else method)
+    text = jsonio.dump(jsonio.certificate_to_json(cert.explicit() if method == "explicit" else cert,
+                                                  f))
+    back, g = jsonio.certificate_from_json(json.loads(text))
+    assert jsonio.dump(jsonio.certificate_to_json(back, g)) == text
+    assert ("reference_point" in text) == (f.base is _SQUARE_AT_A_CORNER)
+
+
+def test_writer_leaves_out_what_the_reader_assumes():
+    assert jsonio.point_to_json(Point(Fraction(31, 8), Fraction(27, 32))) == ["31/8", "27/32"]
+    assert jsonio.point_to_json((Fraction(1, 2), Fraction(0), Fraction(3))) == ["1/2", 0, 3]
+    assert jsonio.point_to_json(RadPoint(4, 3, (2, 8), (0, 0))) == ["1/2", 2]
+    assert jsonio.point_to_json(RadPoint(4, 3, (2, 8), (1, 0))) == {
+        "kind": "radical", "x": [[1, "1/2"], [3, "1/4"]], "y": [[1, 2]]}
+    f = random_family(unit_triangle(), 5, box_size=4, seed=1)
+    doc = jsonio.family_to_json(f)
+    assert list(doc) == ["base", "D", "t"] and list(doc["base"]) == ["type", "vertices"]
+    g = random_family(unit_triangle(), 5, box_size=4, kind="homothets", seed=1)
+    assert list(jsonio.family_to_json(g)) == ["base", "kind", "D", "t", "s"]
+    assert jsonio.body_to_json(_SQUARE_AT_A_CORNER)["reference_point"] == [0, 0]
+    assert "reference_point" not in jsonio.body_to_json(unit_square())
+    cert = json.loads(jsonio.dump(jsonio.certificate_to_json(auto_pierce(f), f)))
+    assert "info" not in cert and jsonio.certificate_from_json(cert)[0].info == {}
+    cert = json.loads(jsonio.dump(jsonio.certificate_to_json(auto_pierce(f, method="grid"), f)))
+    assert cert["info"] and jsonio.certificate_from_json(cert)[0].info == cert["info"]
+
+
+def test_info_that_is_not_an_object_is_a_parse_error(tmp_path, capsys, symbolic_cert):
+    assert verify_doc(tmp_path, {**symbolic_cert, "info": [1]}) == 2
+    assert "info must be an object" in capsys.readouterr().err

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from piercing.bodies import (
     Member,
     PolygonBody,
     int_point,
+    int_translations,
     intersection_graph,
     membership,
     neighbor_index,
@@ -675,6 +677,39 @@ class TestUnionArea:
         with call_budget(1_000_000):
             area = union_area_exact(f)
         assert area == 1 + 39 * (1 - F(39, 40) * F(79, 80))
+
+
+def test_fraction_columns_build_no_common_denominator():
+    # 500 unit squares whose x-coordinates have distinct 17-bit prime
+    # denominators: their lcm has about 8,500 bits, and columns scaled by it
+    # made the grid and the union area hold megabytes of ints; the same
+    # family over that common denominator gives the same certificate and area
+    sieve = bytearray([1]) * (1 << 17)
+    for p in range(2, 1 << 9):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, 1 << 17, p)))
+    primes = [p for p in range(1 << 16, 1 << 17) if sieve[p]][:500]
+    rng = random.Random(41)
+    f = Family(unit_square(), [Member(Point(F(rng.randrange(66 * q), q), F(rng.randrange(528), 8)))
+                               for q in primes])
+    assert f.scaled_translations()[0] == 1
+    peaks = []
+    for run in (lambda: grid_pierce(f, verify=False), lambda: union_area_exact(f)):
+        tracemalloc.start()
+        try:
+            got = run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        peaks.append(got)
+    grid_peak, cert, area_peak, area = peaks
+    assert grid_peak < 2_000_000 and area_peak < 2_000_000
+    wide = Family.from_scaled(f.base, int_translations(f))
+    assert union_area_exact(wide) == area
+    other = grid_pierce(wide, verify=False)
+    assert (other.points, other.clusters, other.witness) == (cert.points, cert.clusters,
+                                                             cert.witness)
+    assert cert.verify(f)
 
 
 def _union_families():
