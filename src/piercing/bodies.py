@@ -284,15 +284,21 @@ def _base_slabs(base):
     return out
 
 
+def int_base_slabs(base):
+    """_base_slabs with each slab multiplied by the lcm L of its extent's
+    denominators: (L w, L lo, L hi), all ints, the frame of Family.slabs."""
+    out = []
+    for w, lo, hi in _base_slabs(base):
+        L = math.lcm(lo.denominator, hi.denominator)
+        out.append(([c * L for c in w], int(lo * L), int(hi * L)))
+    return out
+
+
 def _member_slabs(f: Family):
-    # D (w . p) over member i spans [S_i lo + w . T_i, S_i hi + w . T_i];
-    # each slab is multiplied by the lcm L of its extent's denominators
+    # D (w . p) over member i spans [S_i lo + w . T_i, S_i hi + w . T_i]
     D, cols, S = f.scaled_translations()
     forms, los, his = [], [], []
-    for w, lo, hi in _base_slabs(f.base):
-        L = math.lcm(lo.denominator, hi.denominator)
-        lo, hi = int(lo * L), int(hi * L)
-        lw = [c * L for c in w]
+    for lw, lo, hi in int_base_slabs(f.base):
         forms.append(tuple(c * D for c in lw))
         wt = [0] * len(S)
         for c, col in zip(lw, cols):

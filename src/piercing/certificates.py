@@ -21,28 +21,35 @@ Its method names a cover pattern and an order (greedy_rule), and by the
 cluster lemma a member that meets its seed and is not above it in that
 order contains a point of the pattern placed at the seed.  So each member
 costs one exact pair test and one int comparison; only the points the
-refine step chose for the last cluster are checked one by one.  Its points
+refine step chose for the last cluster are checked one by one.  A polygon
+or box cluster may keep only some of the pattern's offsets, a mask
+(offset_masks): then each member costs one test of the masked points'
+slab values on ints (_slab_pierced), and only those points count.  Its points
 are built only when asked for (PierceCertificate.points), from the one int
 key per placed point that the distinct-point count uses (_packed_keys):
 repeated keys are dropped and each kept key is decoded to one point.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from functools import reduce
+from itertools import accumulate, chain, product, repeat
 import math
-from operator import add, mul
+from operator import add, and_, mul, or_
 
 from .bodies import (
     Family,
     box_columns,
     collector_paused,
+    int_base_slabs,
     int_point,
     membership,
     pair_checker,
     pairwise_disjoint,
     scale_classes,
 )
-from .covers import _triangle_normalizer, homothet_cover, translate_cluster_cover
+from .covers import (_cached, _poly_key, _triangle_normalizer, homothet_cover,
+                     translate_cluster_cover)
 from .errors import UnsupportedBase, VerificationFailed
 from .geom import Point
 from .radicals import RadPoint, point_key
@@ -169,10 +176,16 @@ def _on_roots(p, roots):
     return p
 
 
-def _packed_keys(f: Family, offsets, seeds):
-    """(rows, key, point): rows[o] iterates over the key of offsets[o]
-    placed at each seed, key(p) is the key of any point p, and point(k)
-    decodes one.
+def _picks(masks, values):
+    """{mask: the values at its set bits, ascending} for each distinct mask."""
+    return {m: [v for o, v in enumerate(values) if m >> o & 1] for m in set(masks)}
+
+
+def _packed_keys(f: Family, offsets, seeds, masks=None):
+    """(keys, key, point): keys lists the key of each placed point, seed by
+    seed: offsets[o] at seeds[i] for each set bit o of masks[i], ascending
+    (every offset when masks is None); key(p) is the key of any point p,
+    and point(k) decodes one.
 
     On int columns (Family.scaled_translations), with L the lcm of the
     denominators of the anchored offsets a + o, a placed coordinate times
@@ -194,8 +207,10 @@ def _packed_keys(f: Family, offsets, seeds):
     roots = {m for _, m in digits if m > 1}
     ss = list(map(S.__getitem__, seeds))
     ts = [list(map(col.__getitem__, seeds)) for col in cols]
+    if masks is None:
+        masks = [(1 << len(offsets)) - 1] * len(seeds)
     if isinstance(cols[0][0], Fraction):
-        return _value_keys(f, terms, digits, roots, ss, ts)
+        return _value_keys(f, terms, digits, roots, ss, ts, masks)
     L = math.lcm(*(c.denominator for row in terms for t in row for c in t.values()))
     scale = D * L
     coefs = [[int(row[k].get(m, 0) * L) for k, m in digits] for row in terms]
@@ -212,8 +227,8 @@ def _packed_keys(f: Family, offsets, seeds):
     for (k, m), w in zip(digits, weights):
         if m == 1:
             B = list(map(add, B, map((L * w).__mul__, ts[k])))
-    A = [sum(map(mul, c, weights)) for c in coefs]
-    rows = [map(add, map(a.__mul__, ss), B) for a in A]
+    picks = _picks(masks, [sum(map(mul, c, weights)) for c in coefs])
+    keys = [a * s + b for s, b, m in zip(ss, B, masks) for a in picks[m]]
 
     def key(p):
         p = _on_roots(p, roots)
@@ -237,17 +252,19 @@ def _packed_keys(f: Family, offsets, seeds):
         xs = [Fraction(a, scale) for a in A]
         return tuple(xs) if f.base.kind == "box" else Point(*xs)
 
-    return rows, key, point
+    return keys, key, point
 
 
-def _value_keys(f: Family, terms, digits, roots, ss, ts):
+def _value_keys(f: Family, terms, digits, roots, ss, ts, masks):
     """_packed_keys on Fraction columns: a key is the tuple of a point's
     digits, each coordinate's rational part and its coefficient per
     radicand, exact per seed as c S_i + T_i and c S_i, so equal keys are
     equal values; a point with a term no digit holds keys as
     radicals.point_key, a tuple of pairs that equals no digit tuple."""
-    rows = [zip(*[[row[k].get(m, 0) * s + (t if m == 1 else 0) for s, t in zip(ss, ts[k])]
-                  for k, m in digits]) for row in terms]
+    picks = _picks(masks, [[row[k].get(m, 0) for k, m in digits] for row in terms])
+    shifts = zip(*[ts[k] if m == 1 else [0] * len(ss) for k, m in digits])
+    keys = [tuple(c * s + t for c, t in zip(cs, shift))
+            for s, shift, m in zip(ss, shifts, masks) for cs in picks[m]]
 
     def key(p):
         terms = {(k, m): c for k, t in enumerate(_terms(_on_roots(p, roots)))
@@ -267,7 +284,118 @@ def _value_keys(f: Family, terms, digits, roots, ss, ts):
             return RadPoint.of_fractions(m, A, B if any(B) else None)
         return tuple(A) if f.base.kind == "box" else Point(*A)
 
-    return rows, key, point
+    return keys, key, point
+
+
+def _offset_slabs(base, pattern):
+    """(M, tables, own) for the offsets of a polygon or box pattern, built
+    once per base and pattern on the pattern cache of covers (_cached):
+    per slab of bodies.int_base_slabs (L w, L lo_k, L hi_k), the ints
+    d[k][o] = M (L w . (a + o) - L lo_k) ascending, for a the anchor and M
+    clearing a and o, with the ORs of their offsets' bits' prefixes and
+    those ORs inverted; own is the mask of the offsets with a + o in the
+    base, 0 <= d[k][o] <= M (L hi_k - L lo_k) on every slab."""
+    key = _poly_key(base.polygon) if base.kind == "polygon" else (base.mins, base.sides)
+
+    def build():
+        anchor = _coords(_anchor(base))
+        coords = [_coords(o) for o in pattern.offsets]
+        M = math.lcm(*[v.denominator for v in chain(anchor, *coords)])
+
+        def cleared(v):
+            return v.numerator * (M // v.denominator)
+
+        points = [[cleared(a) + cleared(v) for a, v in zip(anchor, o)] for o in coords]
+        tables = []
+        own = (1 << len(points)) - 1
+        for w, lo, hi in int_base_slabs(base):
+            ds, bits = zip(*sorted((sum(map(mul, w, p)) - M * lo, 1 << o)
+                                   for o, p in enumerate(points)))
+            ors = [0, *accumulate(bits, or_)]
+            nors = [~x for x in ors]
+            own &= ors[bisect_right(ds, M * (hi - lo))] & nors[bisect_left(ds, 0)]
+            tables.append((ds, ors, nors))
+        return M, tables, own
+
+    return _cached(("offset slabs", key, pattern.region_kind), build)
+
+
+def _slab_pierced(f: Family, pattern):
+    """(own, pierced): pierced(s, j) is the mask of the pattern's offsets
+    whose points, placed at seed s, lie in member j of a polygon or box
+    family, and own = pierced(s, s) for every s; decided on the slabs of
+    Family.slabs, on ints (Fractions over MAX_SCALE_BITS), with no point
+    built.
+
+    On slab k the point of offset o at seed s has the value
+    S_s d[k][o] / M + lo[s][k] (_offset_slabs).  So it lies in member j iff
+    lo[j][k] - lo[s][k] <= S_s d[k][o] / M <= hi[j][k] - lo[s][k] on every
+    slab: with the offsets sorted by d[k], two bisections give each slab's
+    mask as two ORs of prefixes, and pierced is their AND.  For j = s the
+    bounds are 0 and (L hi_k - L lo_k) S_s, which is own."""
+    if f.base.kind == "disk":
+        raise UnsupportedBase("offset masks need a polygon or box base")
+    M, tables, own = _offset_slabs(f.base, pattern)
+    _, los, his = f.slabs()
+    S = f.scaled_translations()[2]
+    ints = type(los[0][0]) is int  # Fraction bounds over MAX_SCALE_BITS
+    scaled = {}  # per seed scale S_s, the tables of the values S_s d[k] / M
+    full = (1 << pattern.size) - 1
+
+    def rows(q):
+        # for int bounds x: x <= v iff x <= floor(v), and v <= x iff ceil(v) <= x
+        out = []
+        for ds, ors, nors in tables:
+            floors = [q * d // M for d in ds] if ints else [Fraction(q * d, M) for d in ds]
+            ceils = [-(-q * d // M) for d in ds] if ints else floors
+            out.append((floors, ceils, ors, nors))
+        return out
+
+    def pierced(s, j):
+        q = S[s]
+        table = scaled.get(q) or scaled.setdefault(q, rows(q))
+        mask = full
+        for (floors, ceils, ors, nors), a, b, base in zip(table, los[j], his[j], los[s]):
+            mask &= ors[bisect_right(ceils, b - base)] & nors[bisect_left(floors, a - base)]
+        return mask
+
+    return own, pierced
+
+
+def offset_masks(f: Family, pattern, clusters):
+    """Per (seed, members) cluster, the offsets of the pattern it keeps as a
+    mask, bit o for pattern.offsets[o]; None for a disk family, or when
+    every mask is full.
+
+    The first offset whose point, placed at the seed, lies in every member
+    (in the members' common slab bounds, max lo and min hi per slab, as
+    bodies.common_slab_bounds takes them; found as the lowest bit of the
+    AND of the members' masks of _slab_pierced) is the mask alone.
+    Otherwise the members, seed first, go by first fit: one that no kept
+    point pierces keeps the first offset that does.  A member that none
+    pierces raises VerificationFailed."""
+    if f.base.kind == "disk":
+        return None
+    own, pierced = _slab_pierced(f, pattern)
+    masks = []
+    for s, members in clusters:
+        if len(members) == 1 and own:
+            masks.append(own & -own)
+            continue
+        held = [own, *map(pierced, repeat(s), members[1:])]
+        common = reduce(and_, held)
+        if common:
+            masks.append(common & -common)
+            continue
+        m = 0
+        for j, h in zip(members, held):
+            if not h:
+                raise VerificationFailed("member %d holds no point of its seed's pattern" % j)
+            if not h & m:
+                m |= h & -h
+        masks.append(m)
+    full = (1 << pattern.size) - 1
+    return None if masks.count(full) == len(masks) else masks
 
 
 class PierceCertificate:
@@ -278,11 +406,13 @@ class PierceCertificate:
     extra holds the points the refine step chose for the last cluster
     (empty when that cluster keeps the pattern).  Every other cluster is
     pierced by the method's pattern placed at its seed, and the witness is
-    the seeds; each cluster's members start with its seed.
+    the seeds; each cluster's members start with its seed.  masks, one per
+    pattern cluster (offset_masks), keeps only the offsets of its set bits
+    at that seed; None keeps every offset at every seed.
     """
 
     def __init__(self, method, factor, points, clusters, witness, info=None,
-                 family=None, extra=()):
+                 family=None, extra=(), masks=None):
         self.method = method
         self.factor = int(factor)
         self.symbolic = points is None
@@ -295,6 +425,7 @@ class PierceCertificate:
         self.info = info or {}
         self.family = family
         self.extra = list(extra)
+        self.masks = masks
         self._counted = None  # (family, distinct point count)
 
     def __repr__(self):
@@ -318,9 +449,9 @@ class PierceCertificate:
         values are not among them."""
         if self._points is None:
             f = self.family
-            rows, key, point = _packed_keys(f, greedy_pattern(f, self.method).offsets,
-                                            self._pattern_seeds())
-            seen = dict.fromkeys(chain.from_iterable(zip(*rows)))
+            keys, key, point = _packed_keys(f, greedy_pattern(f, self.method).offsets,
+                                            self._pattern_seeds(), self.masks)
+            seen = dict.fromkeys(keys)
             points = list(map(point, seen))
             for p in self.extra:
                 k = key(p)
@@ -343,8 +474,8 @@ class PierceCertificate:
         if self._counted is None or self._counted[0] is not f:
             if self.symbolic:
                 offsets = greedy_pattern(f, self.method).offsets
-                rows, key, _ = _packed_keys(f, offsets, self._pattern_seeds())
-                keys = chain(*rows, map(key, self.extra))
+                keys, key, _ = _packed_keys(f, offsets, self._pattern_seeds(), self.masks)
+                keys = chain(keys, map(key, self.extra))
             else:
                 keys = map(point_key, self._points)
             self._counted = (f, len(set(keys)))
@@ -396,18 +527,21 @@ class PierceCertificate:
         return True
 
     def _verify_clusters(self, f: Family):
-        """The cluster lemma for every pattern cluster (greedy_rule), and
-        exact membership for a refined last cluster; returns the number of
-        points placed, which the distinct points never outnumber."""
-        try:
-            pattern, rank = greedy_rule(f, self.method)
-        except UnsupportedBase as e:
-            raise VerificationFailed(str(e)) from e
+        """The cluster lemma for every pattern cluster with a full mask
+        (greedy_rule), for every other that each member holds one of its
+        masked points (_slab_pierced), and exact membership for a refined
+        last cluster; returns the number of points placed, which the
+        distinct points never outnumber."""
         if self.extra and not self.clusters:
             raise VerificationFailed("refine points without a cluster")
-        check = pair_checker(f)
         pattern_clusters = self.clusters[:-1] if self.extra else self.clusters
-        for s, members in pattern_clusters:
+        try:
+            pattern, rank = greedy_rule(f, self.method)
+            lemma, placed = self._check_masks(f, pattern, pattern_clusters)
+        except UnsupportedBase as e:
+            raise VerificationFailed(str(e)) from e
+        check = pair_checker(f)
+        for s, members in lemma:
             top = rank[s]
             for j in members:
                 if rank[j] > top:
@@ -417,7 +551,27 @@ class PierceCertificate:
                     raise VerificationFailed("member %d misses its seed %d" % (j, s))
         if self.extra:
             _check_members(f, self.clusters[-1][1], self.extra)
-        return len(pattern.offsets) * len(pattern_clusters) + len(self.extra)
+        return placed + len(self.extra)
+
+    def _check_masks(self, f: Family, pattern, clusters):
+        """(lemma, placed): that each member of a cluster whose mask is not
+        full holds one of its masked points (_slab_pierced), the clusters
+        left to the cluster lemma, and the number of pattern points placed."""
+        full = (1 << pattern.size) - 1
+        if self.masks is None:
+            return clusters, pattern.size * len(clusters)
+        if len(self.masks) != len(clusters):
+            raise VerificationFailed("%d masks for %d pattern clusters"
+                                     % (len(self.masks), len(clusters)))
+        lemma = [c for c, mask in zip(clusters, self.masks) if mask == full]
+        if len(lemma) < len(clusters):
+            own, pierced = _slab_pierced(f, pattern)
+            for (s, members), mask in zip(clusters, self.masks):
+                for j in members if mask != full else ():
+                    if not mask & (own if j == s else pierced(s, j)):
+                        raise VerificationFailed(
+                            "member %d holds no masked point of its seed %d" % (j, s))
+        return lemma, sum(map(int.bit_count, self.masks))
 
 
 def _check_members(f: Family, indices, points):

@@ -309,13 +309,17 @@ def certificate_to_json(cert: PierceCertificate, f: Family) -> dict:
     its clusters as [seed, members] and its witness.  A symbolic one lists
     only its refine_points, and verify rebuilds its pattern from the method
     and the instance's base; each cluster is its member list, seed first,
-    and the witness, the seeds, is not written.  An empty info is left out."""
+    and the witness, the seeds, is not written.  Its masks, one int per
+    pattern cluster, are written when it has them (certificates.offset_masks
+    leaves them out when every mask is full).  An empty info is left out."""
     info = {}
     for k, v in cert.info.items():
         info[k] = _num_out(v) if isinstance(v, Fraction) else v
     doc = {"instance": family_to_json(f), "method": cert.method, "factor": cert.factor}
     if cert.symbolic:
         doc["clusters"] = [members for _, members in cert.clusters]  # tuples, written as arrays
+        if cert.masks is not None:
+            doc["masks"] = cert.masks
         doc["refine_points"] = [point_to_json(p) for p in cert.extra]
     else:
         doc["points"] = [point_to_json(p) for p in cert.points]
@@ -342,6 +346,18 @@ def _list(doc, key):
     return value
 
 
+def _masks(doc, size, count):
+    """A symbolic document's masks: None when it has none, else a list of
+    count ints in [1, 2^size), one per pattern cluster."""
+    if "masks" not in doc:
+        return None
+    masks = _list(doc, "masks")
+    if len(masks) != count or set(map(type, masks)) - {int} \
+            or masks and not (min(masks) > 0 and max(masks) >> size == 0):
+        raise ParseError("masks must be %d integers in 1..%d" % (count, (1 << size) - 1))
+    return masks
+
+
 @collector_paused()
 def certificate_from_json(obj):
     """(certificate, family) from a document.  One with "points" is
@@ -349,7 +365,8 @@ def certificate_from_json(obj):
     must name a greedy rule (certificates.greedy_pattern) for its instance.
     A symbolic document without "witness" has flat clusters, seed first,
     and its seeds are the witness; one with "witness" (the earlier layout)
-    has clusters [seed, members], as an explicit one has."""
+    has clusters [seed, members], as an explicit one has.  Without "masks"
+    every pattern cluster keeps the whole pattern (_masks)."""
     rd = _Reader()
     try:
         f = rd.family(obj["instance"])
@@ -386,8 +403,9 @@ def certificate_from_json(obj):
         elif points and not clusters:
             raise ParseError("refine_points without a cluster")
         else:
+            masks = _masks(obj, greedy_pattern(f, method).size, len(clusters) - bool(points))
             cert = PierceCertificate(method, factor, None, clusters, witness, info, family=f,
-                                     extra=points)
+                                     extra=points, masks=masks)
     except ParseError:
         raise
     except Exception as e:

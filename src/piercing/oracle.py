@@ -21,9 +21,11 @@ that hold it.  Box families keep the products of the members' low corner
 coordinates that some member holds.
 
 Candidates are int entries (q, m, A, B) (bodies.int_point) built from the
-int columns of bodies.int_translations, rational ones first, and
-deduplicated, first occurrences in order; only the tau_points become
-Points and RadPoints.  A meeting pair where one member holds the other's
+family's scaled columns as they are (polygons, whose members
+bodies.member_polygons clears one by one) or from the int columns of
+bodies.int_translations (disks), rational ones first, and deduplicated,
+first occurrences in order; only the tau_points become Points and
+RadPoints.  A meeting pair where one member holds the other's
 lowest point has that point as its own and is left out; the meeting pairs
 are the bitsets of _adjacency, which nu searches too.  Polygon members
 are the int vertices and halfplanes of bodies.member_polygons, and a
@@ -96,6 +98,10 @@ def _polygon_lows(f, D, cols, S):
     points, planes = member_polygons(f.base, D, cols, S)
     vs = f.base.polygon.vertices
     k = min(range(len(vs)), key=lambda k: (vs[k].y, vs[k].x))  # the same vertex in every member
+    # Fraction columns clear each member by its own denominators, so two
+    # members' normals of one edge differ by a factor and their offsets
+    # do not compare: every halfplane is clipped
+    every = type(cols[0][0]) is not int
 
     def low(i, j):
         clipped = points[i]
@@ -103,7 +109,7 @@ def _polygon_lows(f, D, cols, S):
             # edge e of every member has one normal, so member i lies in
             # member j's halfplane e, and the clip keeps the chain, iff
             # its offset is at most j's
-            if c > plane[2]:
+            if every or c > plane[2]:
                 clipped = _clip(clipped, plane)
         return _entry(*_lowest(clipped))
 
@@ -156,8 +162,10 @@ def candidate_points(f: Family, limit: int = TAU_LIMIT):
         masks = coverage(f, combos)
         return [e for e, m in zip(combos, masks) if m], [m for m in masks if m]
     adj = _adjacency(f)
-    bottoms, low = (_polygon_lows if f.base.kind == "polygon" else _disk_lows)(
-        f, *int_translations(f))
+    if f.base.kind == "polygon":
+        bottoms, low = _polygon_lows(f, *f.scaled_translations())
+    else:
+        bottoms, low = _disk_lows(f, *int_translations(f))
     held = coverage(f, bottoms)
     n = len(f)
     pairs = [low(i, j) for i in range(n) for j in range(i + 1, n)

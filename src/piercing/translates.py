@@ -50,7 +50,7 @@ from .bodies import (
     neighbor_index,
     pair_checker,
 )
-from .certificates import PierceCertificate, greedy_pattern, seed_columns
+from .certificates import PierceCertificate, greedy_pattern, offset_masks, seed_columns
 # translate_cluster_cover is unused here but stays bound: perfbench/spans.py
 # traces it by this binding
 from .covers import _cached, _poly_key, _sandwich_pair, translate_cluster_cover  # noqa: F401
@@ -115,7 +115,8 @@ def _greedy(f: Family, pattern, order, method, refine) -> PierceCertificate:
     """The greedy of both family kinds: _clusters over the whole family.
     The certificate is symbolic: the pattern placed at each seed pierces its
     cluster (certificates.greedy_rule), the seeds are the witness, and only
-    the oracle's points for a refined last cluster are listed."""
+    the oracle's points for a refined last cluster are listed.  A polygon
+    or box cluster keeps only the offsets it needs (certificates.offset_masks)."""
     # the loop runs on the members renumbered in seed order, position p
     # being member order[p]: a seed's candidates then sit at nearby
     # positions, so at 100k members its reads stay local.  The slab rows
@@ -133,8 +134,10 @@ def _greedy(f: Family, pattern, order, method, refine) -> PierceCertificate:
         tau, pts = exact_tau(f.subfamily(last))
         if tau < pattern.size:
             extra = pts
+    masks = offset_masks(f, pattern, clusters[:-1] if extra else clusters)
     witness = [c[0] for c in clusters]
-    return PierceCertificate(method, pattern.size, None, clusters, witness, family=f, extra=extra)
+    return PierceCertificate(method, pattern.size, None, clusters, witness, family=f, extra=extra,
+                             masks=masks)
 
 
 def _clusters(n, order, candidates, check):

@@ -1329,10 +1329,11 @@ def pairs_scaled(instance):
     return D, cols, S
 
 
-def pattern_keys(f, offsets, seeds):
+def pattern_keys(f, offsets, seeds, masks=None):
     """(scale, keys): value_key(p, scale) for every pattern point p placed
     at the seeds, as tuples of ints and of radicand-coefficient tuples,
-    offset by offset on the scaled columns."""
+    offset by offset on the scaled columns; with masks, offset o only at
+    the seeds whose mask has bit o."""
     D, cols, S = f.scaled_translations()
     anchor = _coords(_anchor(f.base))
     terms = [[{**t, 1: t.get(1, 0) + a} for t, a in zip(_terms(o), anchor)] for o in offsets]
@@ -1348,13 +1349,17 @@ def pattern_keys(f, offsets, seeds):
             rad = [(m, int(c * L)) for m, c in sorted(t.items()) if m != 1]
             radical.append([tuple(x for m, c in rad for x in (m, c * s)) for s in ss])
         keys.extend(zip(*rational, *radical))
+    if masks is not None:
+        n = len(ss)
+        keys = [k for i, k in enumerate(keys) if masks[i % n] >> (i // n) & 1]
     return D * L, keys
 
 
 def tuple_key_count(cert, f):
     """The number of distinct points of a symbolic certificate on f, from
     pattern_keys and the value_key of each refine point."""
-    scale, keys = pattern_keys(f, greedy_pattern(f, cert.method).offsets, cert._pattern_seeds())
+    scale, keys = pattern_keys(f, greedy_pattern(f, cert.method).offsets, cert._pattern_seeds(),
+                               cert.masks)
     return len(set(keys) | {value_key(p, scale) for p in cert.extra})
 
 
@@ -1477,8 +1482,9 @@ def recheck(doc):
     witness.  A symbolic one has the method's pattern (translate_cluster_cover
     for "greedy", homothet_cover for "greedy-homothets") placed at each
     cluster's seed, all but the last when it has refine points, which
-    pierce that last cluster; its witness is the seeds (flat clusters) or
-    its witness list (clusters [seed, members]).
+    pierce that last cluster; with "masks", one int per such cluster, only
+    the offsets of the set bits of its mask are placed.  Its witness is the
+    seeds (flat clusters) or its witness list (clusters [seed, members]).
 
     A cover pattern: a polygon's offsets leave no residue of the convex
     hull of its region's vertices (translates_residue), a box's offsets
@@ -1499,8 +1505,11 @@ def recheck(doc):
         extra = [_doc_point(p, dim) for p in doc["refine_points"]]
         cover = translate_cluster_cover if doc["method"] == "greedy" else homothet_cover
         offsets = cover(base).offsets
-        points = [p for i in (seeds[:-1] if extra else seeds)
-                  for p in _placed(base, offsets, ss[i], ts[i])] + extra
+        pattern_seeds = seeds[:-1] if extra else seeds
+        masks = doc.get("masks", [(1 << len(offsets)) - 1] * len(pattern_seeds))
+        points = [p for i, mask in zip(pattern_seeds, masks)
+                  for p in _placed(base, [o for k, o in enumerate(offsets) if mask >> k & 1],
+                                   ss[i], ts[i])] + extra
     if not all(any(body_contains(b, p) for p in points) for b in bodies):
         return False
     if any(bodies_intersect(bodies[i], bodies[j])

@@ -1,7 +1,6 @@
 import ast
 from fractions import Fraction as F
 import hashlib
-from itertools import chain
 import json
 import math
 from pathlib import Path
@@ -12,7 +11,7 @@ import tracemalloc
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from piercing import certificates, jsonio
+from piercing import certificates, covers, jsonio
 from piercing.bodies import (
     BoxBody,
     DiskBody,
@@ -46,9 +45,11 @@ from piercing.radicals import RadPoint
 from piercing.translates import greedy_pierce, grid_pierce, hexagon_pierce, lattice_pierce
 from reference import (
     Radical,
+    _placed,
     body_contains,
     call_budget,
     dedupe_points,
+    document_members,
     family_of_columns,
     fraction_columns,
     graphs_equal,
@@ -56,6 +57,7 @@ from reference import (
     members,
     members_document,
     rad_point,
+    recheck,
     spelled_out,
     tuple_key_count,
     value_key,
@@ -153,17 +155,20 @@ def test_verify_rejects_clusters_that_do_not_partition(clusters, message):
 
 
 def test_symbolic_certificate_over_its_budget_fails(tmp_path, capsys):
-    # the homothet cover's 12 offsets at every seed: with the factor edited
-    # to 11 the placed points exceed the budget, and so do the distinct ones
+    # without its masks, the homothet cover's 12 offsets at every seed: with
+    # the factor edited to 11 the placed points exceed the budget, and so do
+    # the distinct ones.  With its masks the same holds at the factor its
+    # distinct points exceed
     f = random_family(unit_triangle(), 300, box_size=20, kind="homothets", seed=4)
     doc = jsonio.certificate_to_json(greedy_pierce_homothets(f, verify=False), f)
     assert doc["factor"] == 12
-    doc["factor"] = 11
+    masks = doc.pop("masks")
     path = tmp_path / "cert.json"
-    jsonio.dump(doc, str(path))
-    capsys.readouterr()
-    assert main(["verify", str(path)]) == 1
-    assert "|points| exceeds factor * |witness|" in capsys.readouterr().err
+    for factor, extra in ((11, {}), (12, {"masks": masks}), (2, {"masks": masks})):
+        jsonio.dump({**doc, "factor": factor, **extra}, str(path))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == (factor != 12)
+        assert ("|points| exceeds factor * |witness|" in capsys.readouterr().err) == (factor != 12)
 
 
 @pytest.mark.parametrize("over", [0, 1])
@@ -210,31 +215,43 @@ _COUNT_CASES = {
 }
 
 
+def _full(cert):
+    """A symbolic certificate with every mask full: the one the greedy
+    wrote before it kept masks."""
+    return PierceCertificate(cert.method, cert.factor, None, cert.clusters, cert.witness,
+                             family=cert.family, extra=cert.extra)
+
+
 @pytest.mark.parametrize("refine", [False, True])
 @pytest.mark.parametrize("case", sorted(_COUNT_CASES))
 def test_packed_count_equals_the_tuple_key_count(case, refine):
     # one packed int per placed point counts as per-seed value_key tuples
-    # do, and as deduplicating the expanded points does
+    # do, and as deduplicating the expanded points does, with the masks the
+    # greedy keeps and with every mask full
     f = _COUNT_CASES[case]()
-    cert = auto_pierce(f, method="greedy", refine=refine, verify=False)
-    count = cert.point_count()
-    assert count == tuple_key_count(cert, f) == len(dedupe_points(cert.points))
-    assert len(cert.points) == count
-    rows, key, point = certificates._packed_keys(
-        f, certificates.greedy_pattern(f, cert.method).offsets, cert._pattern_seeds())
-    placed = list(chain.from_iterable(rows))
+    masked = auto_pierce(f, method="greedy", refine=refine, verify=False)
+    assert (masked.masks is None) == (f.base.kind == "disk")
+    for cert in (masked, _full(masked)):
+        count = cert.point_count()
+        assert count == tuple_key_count(cert, f) == len(dedupe_points(cert.points))
+        assert len(cert.points) == count
+        placed, key, point = certificates._packed_keys(
+            f, certificates.greedy_pattern(f, cert.method).offsets, cert._pattern_seeds(),
+            cert.masks)
+        assert count == len(set(placed) | set(map(key, cert.extra)))
+        # decoding a key gives the point whose key it is, whatever its type
+        assert all(key(point(k)) == k for k in placed[:50])
+        if f.base.kind != "box":
+            assert all(key(RadPoint(*int_point(point(k)))) == k for k in placed[:50])
+        if f.base.kind == "disk":  # each radical point written over 12 = 2^2 3 instead of 3
+            assert all(key(RadPoint(2 * p.q, 12, [2 * a for a in p.A], p.B)) == k
+                       for k, p in zip(placed[:50], map(point, placed)) if p.B)
+    # the last pass places every offset
     if case == "two seeds share a point" and not refine:
         assert len(cert.clusters) == 2 and len(set(placed)) == len(placed) - 1
     if case.startswith("refine") and refine:
         assert [key(p) in set(placed) for p in cert.extra] == [True]
         assert count == len(set(placed))
-    # decoding a key gives the point whose key it is, whatever its type
-    assert all(key(point(k)) == k for k in placed[:50])
-    if f.base.kind != "box":
-        assert all(key(RadPoint(*int_point(point(k)))) == k for k in placed[:50])
-    if f.base.kind == "disk":  # each radical point written over 12 = 2^2 3 instead of 3
-        assert all(key(RadPoint(2 * p.q, 12, [2 * a for a in p.A], p.B)) == k
-                   for k, p in zip(placed[:50], map(point, placed)) if p.B)
 
 
 def test_fraction_columns_count_points_without_a_common_denominator():
@@ -266,8 +283,8 @@ def test_fraction_columns_count_points_without_a_common_denominator():
 
 @pytest.mark.parametrize("base, kind", [(unit_disk, "translates"), (unit_triangle, "homothets")])
 def test_verify_counts_no_point_within_the_bound(monkeypatch, base, kind):
-    # a greedy certificate places as many points per seed as its factor, so
-    # the budget holds before any point is counted
+    # a greedy certificate places at most as many points per seed as its
+    # factor, so the budget holds before any point is counted
     f = random_family(base(), 300, box_size=20, kind=kind, seed=4)
     cert = auto_pierce(f, verify=False)
     calls = []
@@ -282,8 +299,7 @@ def test_verify_counts_no_point_within_the_bound(monkeypatch, base, kind):
     assert cert.point_count() == len(cert.points) and calls
     # the bound verify checks is the number of points placed before dedupe
     offsets = certificates.greedy_pattern(f, cert.method).offsets
-    rows, _, _ = packed_keys(f, offsets, cert._pattern_seeds())
-    keys = list(chain.from_iterable(rows))
+    keys, _, _ = packed_keys(f, offsets, cert._pattern_seeds(), cert.masks)
     assert cert._verify_clusters(f) == len(keys) + len(cert.extra) >= len(cert.points)
 
 
@@ -681,11 +697,75 @@ _CORPUS = [
 ]
 
 
+# sha256 of the expanded text of the certificate with its masks, keyed by
+# the digest above, which is that of the same certificate with every mask
+# full (_full): the file written before the greedy kept masks, with the same
+# clusters, witness and refine points.  A disk certificate has no masks,
+# and its one digest holds
+_MASKED = {
+    # homothets
+    "eb2a116ca22c8e392f81ef7f3ccc81bba8e37bcf660c1fbad002fca324254d4b":
+        "c03d7d3c543b6cbd7d5202f08cf183c0faea19c24e7f4e29cc2f1f7462e3471c",
+    "1c01932fb6298df0620c92bfbccf7a332da95b374416b12a6abbef67559e5eaf":
+        "882b59ed6d97ac645be6f4a67a942ae64a8f7b9094c76f673e7ebda9acfb5220",
+    "1923e3ddccec7b223cf8da1173dab3b5274bbe98b68309874ee71a74135470fc":
+        "c8b5c5b8ed0c700a9169afa523143905c2823032f6a01703c17449c4b37fdfc2",
+    "016d4d7a5fc7c91104ec1aa9a3f5f199d7803f9e87f6d78c137f49a4f89daaba":
+        "b4c9a866348e648e981e9f69a773baac5b93e92b6a74c5e1921a5bc3deefe6f2",
+    "b798e341dfe8bd4435b21f9a758c44f126406d9bdd3cedaea6d63b45beb91e86":
+        "37ce48ac433d900adcd8066f523544c57ceb7d8cd66d3ca6fc86f185f2822df5",
+    "476f72ab92c69f35b814753c9f69908becd5e86517e9eaa41f6531e9b24ea4ae":
+        "2982ab7e72376d3e91f370c3ff6c52020d87ec071e97e7567cbef189f19ceb1c",
+    "a89ce9bec6f8c3f0d8cfdd02f8442b5722f42add7ee6e45e137a9d6622abab4a":
+        "6e909d638dd685a08c942da58075a006512a0565e831a243c69780ccb422f22b",
+    # translates
+    "62a757d4e12f430347e61bffba4a98ecccb13eae843b14d96a3e791fb9816540":
+        "7df24a99965fa5e55c05ad8b6f7bd5d1339bc0a1c082819abfb74adacbe31b15",
+    "7901227c962f287c2210ccd158f532976c80e0bf47f206790c25435d9bd05ed6":
+        "4f4447ffd4c8534b7863435fc5df45ee09c82e3ce5192043c7e03085324ee929",
+    "bbd25fd7a1cad9c01f64a93b7ed4e6245280f82a1be61e7167347b9ed436a881":
+        "2ec7050fe4e574cc093b21224a51fd03bc31d9dccdc838af9af1c004b6deda9b",
+    "b1145619e2db5232343cc411f749f76a6681b082d8fc1d25c47b201299fa1526":
+        "c9f979406db79a5d0cbd34ecd935461f4f61f48a6bfa91e6ca36e3709cf38737",
+    "8567b34e621009940fe2449e186355e51b5d4c226f87eb8f919cb009bd3118d3":
+        "e5541486c1fa481725414ecf974973c048e2405f925def63bb0255b18459f20b",
+    "2f79805b0e1f599cf2dc06c327262785d887ba0df7227a8247ee1701759857f4":
+        "bb026f6408245cf70eaf6c551ccc88bb8236521627e1093cb86ac58623a12372",
+    "e50459fcb0478f63425e8b1b2516e881d52c1ada5fb02124ef88f9b80794bc61":
+        "e89afdf1fbafccb2bdf821e13819ba12ab2f203203095cf16336520309c7dc3b",
+    "10761a98f15e10ac0b60f2767a836a7d92c90e99be6740052e5cb1153c69e791":
+        "473935ef835c3024ebb3c1b0fe6963b35193d1683cec1888d405d8c745fe0e83",
+    "806ce7384fb4b5455f7d68020748de4e49bed519462f00479b537261f3f7e52c":
+        "cfeaff9f0881d9b74e91b29f9e6f145a423487ff864cc5402451cd6a9593efb5",
+    "67ce70b3848f26d1b9fb90f8b02aa4dc58ece4b015459ba6405e928356d66147":
+        "24b3b61b63fd23557f7988fa4389516082da4876ae59380c4b54f8e12bb3681a",
+    "47c5bbe1d89fca7141a9e1d416bc06e94049163fce3ee8b726b2fbb64aba7582":
+        "cf5dce26881a579f54a4a190680dabfd638cc11cddebed85c15f13305db3dad6",
+    "c37590911dabaf57515ab678455b9ac9c3c2677e9cbcfb9d1d0543898d4df79e":
+        "63b9aad53c301f22cc36f841209207cf6012539c893f18f445874c69984d84a9",
+    "08f1ab9904fa36b4a8e6c4da54effe565b471c5530da7a7ae456d98b21b7f8bd":
+        "e88a0dde7e4a19928434e4cae2bc838eb7d2704028144bf3aecd1748889fbdaf",
+    # edge: refine repeats a pattern point
+    "b09893d7f4bcb7f767026c4cc883ea20feb90d11ae4a81e7e2b5f44737421866":
+        "743e8d75f71b79d81a414476bd1e476a3f906920210370dae86c0e6c5a9c24de",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _assert_expanded_digests(cert, f, digest):
+    """With every mask full the expanded text has the digest taken before
+    masks; with its masks, the one _MASKED pins (the same when it has none)."""
+    assert _sha256(_expanded_text(_full(cert), f)) == digest
+    assert _sha256(_expanded_text(cert, f)) == _MASKED.get(digest, digest)
+
+
 @pytest.mark.parametrize("base, n, box, scales, seed, digest", _CORPUS)
 def test_homothet_certificates_are_byte_identical(base, n, box, scales, seed, digest):
     f = random_family(base(), n, box_size=box, kind="homothets", scale_range=scales, seed=seed)
-    text = _expanded_text(greedy_pierce_homothets(f), f)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    _assert_expanded_digests(greedy_pierce_homothets(f), f, digest)
 
 
 _SKEWED_TRIANGLES = [
@@ -751,8 +831,7 @@ _TRANSLATE_CORPUS = [
 @pytest.mark.parametrize("base, n, box, seed, digest", _TRANSLATE_CORPUS)
 def test_translate_certificates_are_byte_identical(base, n, box, seed, digest):
     f = random_family(_TRANSLATE_BASES[base](), n, box_size=box, seed=seed)
-    text = _expanded_text(greedy_pierce(f), f)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    _assert_expanded_digests(greedy_pierce(f), f, digest)
 
 
 # the same for families the corpora above lack: disk members whose common
@@ -775,12 +854,10 @@ def test_edge_certificates_are_byte_identical(case):
     f = make()
     cert = auto_pierce(f, verify=False)
     if case.startswith("refine"):
-        rows, key, _ = certificates._packed_keys(
+        placed, key, _ = certificates._packed_keys(
             f, certificates.greedy_pattern(f, cert.method).offsets, cert._pattern_seeds())
-        placed = set(chain.from_iterable(rows))
-        assert [key(p) in placed for p in cert.extra] == [True]
-    text = _expanded_text(cert, f)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert [key(p) in set(placed) for p in cert.extra] == [True]
+    _assert_expanded_digests(cert, f, digest)
 
 
 def _corpus_family(corpus, case):
@@ -833,12 +910,27 @@ _WRITTEN_CORPUS = [
 ]
 
 
+# the same bytes with the masks the greedy keeps, keyed as _MASKED is: the
+# file above with "masks" after "clusters"
+_WRITTEN_MASKED = {
+    "657bf09b90e2a8b34dbe548b6387b809f04c3b0261559b75ad06f0acea1d21b7":
+        "b4f7659584c2cb2e72bf08098062280f5d6f51f57bc131bfdcc8beb3b21b8fe0",
+}
+
+
 @pytest.mark.parametrize("corpus, case, digest", _WRITTEN_CORPUS)
 def test_written_certificates_are_byte_identical(corpus, case, digest):
     f = _corpus_family(corpus, case)
     cert = (greedy_pierce_homothets if corpus == "homothets" else greedy_pierce)(f, verify=False)
-    text = jsonio.dump(jsonio.certificate_to_json(cert, f))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    full = jsonio.dump(jsonio.certificate_to_json(_full(cert), f))
+    assert _sha256(full) == digest
+    doc = jsonio.certificate_to_json(cert, f)
+    text = jsonio.dump(doc)
+    assert _sha256(text) == _WRITTEN_MASKED.get(digest, digest)
+    keys = list(doc)
+    assert keys[keys.index("clusters") + 1] == "masks" if cert.masks else "masks" not in doc
+    doc.pop("masks", None)
+    assert jsonio.dump(doc) == full
 
 
 # the same for cli.auto_pierce with an explicit method; "pairwise" families
@@ -895,3 +987,120 @@ def test_symbolic_certificate_built_through_the_api_is_checked_too():
     cert = PierceCertificate("greedy", 4, None, [(0, range(6))], [0], family=g)
     with pytest.raises(VerificationFailed, match="neither centrally symmetric nor a triangle"):
         cert.verify(g)
+
+
+# --- per-cluster offset masks -----------------------------------------------
+
+_MASK_CASES = {
+    "triangle homothets": lambda: random_family(unit_triangle(), 300, box_size=20,
+                                                kind="homothets", seed=61),
+    "square homothets": lambda: random_family(unit_square(), 300, box_size=20, kind="homothets",
+                                              seed=62),
+    "hexagon homothets": lambda: random_family(hexagon_body(), 200, box_size=20,
+                                               kind="homothets", seed=63),
+    "pentagon homothets": lambda: random_family(_PENTAGON, 150, box_size=40, kind="homothets",
+                                                seed=64),
+    "3-d box homothets": lambda: random_family(BoxBody((0, F(1, 2), 0), (1, F(3, 2), F(2, 3))),
+                                               200, box_size=6, kind="homothets", seed=65),
+    "triangle translates": lambda: random_family(unit_triangle(), 300, box_size=15, seed=66),
+    "skewed translates": lambda: random_family(_SKEWED_TRIANGLES[1], 300, box_size=15, seed=67),
+    "square translates": lambda: random_family(unit_square(), 300, box_size=15, seed=68),
+    "2-d box translates": lambda: random_family(BoxBody((F(1, 3), -1), (F(3, 2), F(2, 5))), 300,
+                                                box_size=10, seed=69),
+    "3-d box translates": lambda: random_family(BoxBody((0, F(1, 2), 0), (1, F(3, 2), F(2, 3))),
+                                                300, box_size=6, seed=70),
+    "prime pentagon homothets": lambda: _prime_homothets(_PENTAGON, 60, 71),
+    "prime triangle translates": lambda: _prime_family(80, 72, reach=3000, base=unit_triangle()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MASK_CASES))
+def test_masked_certificates_verify_and_only_drop_points(tmp_path, capsys, case):
+    # every masked certificate verifies, through the API and its file, and
+    # holds under the Fraction re-check; its points are points of the same
+    # certificate with every mask full, and its factor is the pattern's size
+    f = _MASK_CASES[case]()
+    cert = auto_pierce(f, method="greedy", verify=False)
+    full = _full(cert)
+    pattern = certificates.greedy_pattern(f, cert.method)
+    assert cert.masks and cert.factor == full.factor == pattern.size
+    assert cert.verify(f)
+    doc = json.loads(jsonio.dump(jsonio.certificate_to_json(cert, f)))
+    assert len(doc["masks"]) == len(doc["clusters"]) - bool(doc["refine_points"])
+    assert recheck(doc)
+    path = tmp_path / "cert.json"
+    jsonio.dump(doc, str(path))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == "certificate ok: %d points, witness %d, factor %d\n" % (
+        len(cert.points), len(cert.witness), cert.factor)
+    assert {value_key(p) for p in cert.points} <= {value_key(p) for p in full.points}
+    placed = sum(m.bit_count() for m in cert.masks) + len(cert.extra)
+    assert cert.point_count() <= placed == cert._verify_clusters(f)
+    assert placed < full._verify_clusters(f) == pattern.size * len(cert.masks) + len(cert.extra)
+
+
+def _masked_file(tmp_path):
+    f = _MASK_CASES["triangle homothets"]()
+    doc = json.loads(jsonio.dump(jsonio.certificate_to_json(
+        greedy_pierce_homothets(f, verify=False), f)))
+    return doc, tmp_path / "cert.json"
+
+
+def test_cleared_mask_bit_that_leaves_a_member_unpierced_fails(tmp_path, capsys):
+    # clear each bit of each multi-bit mask: the file verifies exactly when
+    # every member of that cluster still holds one of its points left,
+    # decided on the realized members in Fractions
+    doc, path = _masked_file(tmp_path)
+    base, _, ts, ss, bodies = document_members(doc["instance"])
+    offsets = covers.homothet_cover(base).offsets
+    verdicts = []
+    for k, mask in enumerate(doc["masks"]):
+        members = doc["clusters"][k]
+        for b in range(mask.bit_length()):
+            if mask >> b & 1 and mask != 1 << b:
+                left = mask & ~(1 << b)
+                points = _placed(base, [o for i, o in enumerate(offsets) if left >> i & 1],
+                                 ss[members[0]], ts[members[0]])
+                holds = all(any(body_contains(bodies[j], p) for p in points) for j in members)
+                jsonio.dump({**doc, "masks": doc["masks"][:k] + [left] + doc["masks"][k + 1:]},
+                            str(path))
+                assert main(["verify", str(path)]) == (0 if holds else 1)
+                assert ("holds no masked point of its seed" in capsys.readouterr().err) != holds
+                verdicts.append(holds)
+    assert verdicts.count(False) > 10 and True in verdicts
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: 3,
+    lambda m: None,
+    lambda m: m[:-1],
+    lambda m: m + [1],
+    lambda m: [0] + m[1:],
+    lambda m: [-1] + m[1:],
+    lambda m: [1 << 12] + m[1:],
+    lambda m: [True] + m[1:],
+    lambda m: ["1"] + m[1:],
+    lambda m: [1.0] + m[1:],
+], ids=["int", "null", "short", "long", "zero", "negative", "past-the-pattern", "bool", "string",
+        "float"])
+def test_malformed_masks_are_a_parse_error(tmp_path, capsys, edit):
+    doc, path = _masked_file(tmp_path)
+    jsonio.dump({**doc, "masks": edit(doc["masks"])}, str(path))
+    assert main(["verify", str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_masks_of_a_disk_certificate(tmp_path, capsys):
+    # a disk cluster keeps its whole pattern: full masks read as no masks,
+    # and any other mask fails, as no slab decides a disk member
+    f = random_family(unit_disk(), 40, box_size=6, seed=73)
+    doc = json.loads(jsonio.dump(jsonio.certificate_to_json(greedy_pierce(f, verify=False), f)))
+    assert "masks" not in doc
+    path = tmp_path / "cert.json"
+    count = len(doc["clusters"]) - bool(doc["refine_points"])
+    lines = []
+    for masks in (None, [15] * count, [1] + [15] * (count - 1)):
+        jsonio.dump({**doc, "masks": masks} if masks else doc, str(path))
+        lines.append((main(["verify", str(path)]), capsys.readouterr()))
+    assert lines[0][0] == lines[1][0] == 0 and lines[0][1].out == lines[1][1].out
+    assert lines[2][0] == 1 and "offset masks need a polygon or box base" in lines[2][1].err

@@ -1,10 +1,11 @@
 import contextlib
 from fractions import Fraction as F
+import hashlib
 import random
 
 import pytest
 
-from piercing import covers
+from piercing import covers, jsonio
 from piercing.bodies import BoxBody, DiskBody, PolygonBody
 from piercing.covers import (
     box_cover,
@@ -214,3 +215,70 @@ def test_fresh_base_patterns_fit_a_call_budget():
         disk_seven_cover(1)
         disk_half_cover(1)
     assert {key[0] for key in covers._pattern_cache} == {"seven", "half", "disk7", "diskhalf"}
+
+
+# Bases whose greedy patterns certificates index: a mask's bit k is offset
+# k of translate_cluster_cover or homothet_cover, so their order is part of
+# every masked file
+_ORDER_BASES = {
+    "triangle": lambda: PolygonBody(TRIANGLE),
+    "skewed triangle": lambda: PolygonBody(ConvexPolygon([Point(0, 0), Point(3, 1),
+                                                          Point(1, 2)])),
+    "square": lambda: PolygonBody(SQUARE),
+    "hexagon": lambda: PolygonBody(HEXAGON),
+    "centrally symmetric 8-gon": lambda: random_centrally_symmetric_polygon(5, 4, spread=2),
+    "pentagon": lambda: PolygonBody(ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3),
+                                                   Point(2, 5), Point(-1, 2)])),
+    "disk": lambda: DiskBody(Point(F(1, 3), F(-2, 5)), F(3, 7)),
+    "2-d box": lambda: BoxBody((F(1, 3), -1), (F(3, 2), F(2, 5))),
+    "3-d box": lambda: BoxBody((0, F(1, 2), 0), (1, F(3, 2), F(2, 3))),
+}
+
+# sha256 of the offsets as jsonio writes them, in order, per base: the
+# translate pattern's (None where there is none) and the homothet pattern's
+_ORDER_DIGESTS = {
+    "triangle": (
+        "1ef5e86f60ef5994b6fed30800f7b0e2536e21b9f58b5366478762858b0edde9",
+        "4dc9bb396f13befa399b68b55974477aa3017391f602137db12abe02aeecfe21"),
+    "skewed triangle": (
+        "2741bd9c1a6bf65ae4707f2f1e0e8960e90a853dfa77841746a31ccda9c064f2",
+        "72a930be6fa95ffb50a1ba6bce759aa4d1e699a03c501c9c74284d3be905a779"),
+    "square": (
+        "8f25f9fc266d4adfe24a634a9ffdd27260680d8d74b7aa3202fa4add8cc10058",
+        "043be780a64773d062849c34663dfa6261a8440fea77eb708fa631fd349672f4"),
+    "hexagon": (
+        "08313e927b947f1582f11535aefb025982794c5868e1b265ff91aac9798237fa",
+        "eb90e322516077c5181d4bd7de1332db13dadabdd08318f22e50f7208f992ad8"),
+    "centrally symmetric 8-gon": (
+        "e32fe4ca366c4e2d41044eb8b994b9f5cd7c47d8e76a7b5177e49b33c49cf1ae",
+        "dad6e79219092c4fab8c90037c966d836dc6db7d43ff0968929398b596308acb"),
+    "pentagon": (
+        None,
+        "2f2ba1d6fd323f1a76198649268a02a8e6e9c659e265c9505c2cb383bb6a5d02"),
+    "disk": (
+        "371e2f50c68322a07811ce95f708b233fd00e9e27d44a8ffb04758232db63c99",
+        "9e71c6da0b23d2a0ac8af30a30ee2e4fcaecf65c07217ea88c7441a282810c03"),
+    "2-d box": (
+        "8260dab606974a31ea7434ec019ec7f8188f51583fb4991f97986cdfb209911b",
+        "74ed549cc86980e22fbc51b3fec4424bc96139a914c29dcce637e754badc598b"),
+    "3-d box": (
+        "3d45f67f188496199ea900512e756874192907cceea897981be0ad464d43ed78",
+        "81967ea52e27a551521f2b2604c4cef0732e3271b4d74bfbcf3b8820c8a56eb1"),
+}
+
+
+def _offsets_digest(pattern):
+    text = jsonio.dump([jsonio.point_to_json(o) for o in pattern.offsets])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_BASES))
+def test_greedy_pattern_offsets_keep_their_order(name):
+    base = _ORDER_BASES[name]()
+    half, whole = _ORDER_DIGESTS[name]
+    if half is None:
+        with pytest.raises(VerificationFailed, match="no halfplane pattern"):
+            translate_cluster_cover(base)
+    else:
+        assert _offsets_digest(translate_cluster_cover(base)) == half
+    assert _offsets_digest(homothet_cover(base)) == whole

@@ -5,6 +5,7 @@ import random
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
+from piercing import oracle
 from piercing.bodies import (
     BoxBody,
     DiskBody,
@@ -629,3 +630,25 @@ def test_candidates_and_masks_take_half_the_padded_work():
     f = _small_family("cs8", "homothets", 16, 0)
     with call_budget(8_000):
         candidate_points(f)
+
+
+def test_polygon_candidates_take_fraction_columns_as_they_are(monkeypatch):
+    # hexagon translates with distinct prime denominators keep Fraction
+    # columns (D = 1); their candidates and tau are those of the same family
+    # over the common denominator, with no family-wide lcm built
+    primes = [p for p in range(1000, 1300) if all(p % d for d in range(2, 37))]
+    rng = random.Random(5)
+    f = Family(hexagon_body(), [
+        Member(Point(F(rng.randrange(5 * q), q), F(rng.randrange(5 * q), q)))
+        for q in rng.sample(primes, 14)])
+    assert f.scaled_translations()[0] == 1
+    wide = Family.from_scaled(f.base, int_translations(f))
+    want, want_tau = candidate_points(wide), exact_tau(wide)[0]
+    assert len(want[0]) > len(f)
+
+    def refused(_):
+        raise AssertionError("a family-wide lcm")
+
+    monkeypatch.setattr(oracle, "int_translations", refused)
+    assert candidate_points(f) == want
+    assert exact_tau(f)[0] == want_tau

@@ -1,7 +1,9 @@
 """The standing soundness sweep: single edits of a fixed corpus of files.
 
 The corpus holds one certificate per method and base kind as the writer
-puts it out, certificates in both earlier symbolic layouts and in the
+puts it out, greedy certificates whose clusters keep masks (triangle
+homothets, square translates, 3-d boxes), certificates in both earlier
+symbolic layouts and in the
 earlier explicit one (tests/fixtures/earlier_layout_*.json and
 symbolic_earlier_layout_*.json), and a cover pattern per base kind, the
 polygon one in both point forms.  An edit changes one value: an int by
@@ -31,11 +33,16 @@ _FIXTURES = Path(__file__).parent / "fixtures"
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 _POINT_KEYS = ("points", "refine_points", "offsets")
 # a file with at most _FULL edits gets them all; a larger one every edit of
-# its factor and D, which each scale its whole claim, and a fixed sample of
+# its factor and D, which each scale its whole claim, and of its masks,
+# each of which picks the points of one cluster, and a fixed sample of
 # _PER_FILE of the others
 _FULL = 150
 _PER_FILE = 40
 _HEADER = (("factor",), ("instance", "D"))
+
+
+def _always(path):
+    return path in _HEADER or path[:1] == ("masks",)
 
 
 def _written(f, method="auto", explicit=False):
@@ -59,6 +66,11 @@ def _corpus():
                                                box_size=3, seed=2)),
         "greedy-homothets triangles": _written(random_family(
             unit_triangle(), 8, box_size=3, kind="homothets", seed=4)),
+        "greedy-homothets triangles, masked": _written(random_family(
+            unit_triangle(), 14, box_size=5, kind="homothets", seed=9)),
+        "greedy squares, masked": _written(random_family(unit_square(), 14, box_size=5, seed=9)),
+        "greedy 3-d boxes, masked": _written(random_family(
+            BoxBody((0, 0, 0), (1, Fraction(1, 2), 1)), 12, box_size=3, seed=9)),
         "greedy-homothets disks": _written(random_family(
             unit_disk(), 8, box_size=4, kind="homothets", seed=4)),
         "grid squares": _written(random_family(unit_square(), 10, box_size=4, seed=3), "grid"),
@@ -112,8 +124,8 @@ def _edits(doc):
 def _chosen(edits, seed):
     if len(edits) <= _FULL:
         return edits
-    rest = [e for e in edits if e[0] not in _HEADER]
-    return [e for e in edits if e[0] in _HEADER] + random.Random(seed).sample(rest, _PER_FILE)
+    rest = [e for e in edits if not _always(e[0])]
+    return [e for e in edits if _always(e[0])] + random.Random(seed).sample(rest, _PER_FILE)
 
 
 def _edited(doc, path, value):
@@ -142,4 +154,4 @@ def test_every_single_edit_is_refused_or_holds(tmp_path, capsys):
             if code not in (0, 1, 2, 3) or "Traceback" in err or code == 0 and not recheck(edited):
                 unsound.append((name, where, value, code))
     assert not unsound
-    assert tried == 1199
+    assert tried == 1500

@@ -879,12 +879,17 @@ class TestTriangleSeedOrder:
             assert D == 1 and all(type(v) is F for col in cols for v in col)
             assert _seed_order(f) == _normalized_top_order(f)
 
-    def test_plain_top_order_would_fail(self):
+    def test_plain_top_order_would_fail(self, monkeypatch):
         # seeds taken by their y coordinate leave a member of the skewed
-        # triangle unpierced: the order has to follow the cut edge
+        # triangle unpierced: the order has to follow the cut edge.  The
+        # greedy's masks find that member first
         f = random_family(_SKEWED[0], 60, box_size=8, seed=0)
-        plain = _greedy(f, translate_cluster_cover(f.base), sorted(range(len(f)), key=top_key(f)),
-                        "greedy", False)
+        order = sorted(range(len(f)), key=top_key(f))
+        with pytest.raises(VerificationFailed, match="holds no point of its seed's pattern"):
+            _greedy(f, translate_cluster_cover(f.base), order, "greedy", False)
+        # and with every mask full, so do both checks
+        monkeypatch.setattr(translates, "offset_masks", lambda *args: None)
+        plain = _greedy(f, translate_cluster_cover(f.base), order, "greedy", False)
         with pytest.raises(VerificationFailed, match="contains no piercing point"):
             plain.explicit().verify(f)
         # the symbolic check finds the member that breaks the order
