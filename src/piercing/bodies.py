@@ -20,18 +20,21 @@ members' scaled bounding boxes (box_columns) are int too, and one exact
 grid per power-of-two scale class of the members (scale_classes) gives the
 pair candidates (neighbor_index) and, in certificates, the points a member
 tests.  Over MAX_SCALE_BITS the same code runs on Fractions with D = 1.
+What these derive from the base body C alone (its centre, slabs, box, disk
+and int vertices) is its Frame, built once per body object.
 """
 
 from bisect import bisect_right
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cached_property
 import gc
 from itertools import accumulate, chain
 import math
 from operator import le, mul, or_
 
 from .errors import DegenerateInput
-from .geom import ConvexPolygon, Interval, Point, _hom, _planes, frac
+from .geom import ConvexPolygon, Interval, Point, _centre, _hom, _planes, _scaled, frac
 from .radicals import RadPoint
 
 # A family whose common translation and scale denominator D needs more bits
@@ -42,17 +45,86 @@ from .radicals import RadPoint
 MAX_SCALE_BITS = 128
 
 
+class Frame:
+    """What the layers derive from a base body C, each field built on its
+    first read and kept (cached_property): body.frame, one per body object.
+    Keeping them is sound because a body is never changed after its
+    constructor; scale_translate and the JSON reader make new bodies, each
+    with a frame of its own.
+
+    scaled: a polygon's vertices as ints over d, (d, ((X, Y), ...))
+    (geom._scaled).  centre: C's centre of symmetry (None for a polygon
+    without one); anchor: the point pattern offsets are relative to, the
+    centre, else a polygon's lowest-then-leftmost vertex.  vertices and
+    planes: a polygon's homogeneous int vertices (geom._hom) and edge
+    halfplanes (geom._planes), for member_polygons.  slabs: _base_slabs,
+    for Family.slabs.  box: (L, lows, sides), C's bounding box times the lcm
+    L of its denominators.  disk: (L, cx, cy, cr), centre and radius over L.
+    key: ints equal for two bodies of one kind iff they are, the pattern
+    cache's key (covers._cached).  patterns: per greedy method, its cover
+    pattern (certificates.greedy_pattern)."""
+
+    def __init__(self, base):
+        self.base = base
+        self.patterns = {}
+
+    @cached_property
+    def scaled(self):
+        return _scaled(self.base.polygon.vertices)
+
+    @cached_property
+    def centre(self):
+        b = self.base
+        if b.kind == "box":
+            return tuple(m + s / 2 for m, s in zip(b.mins, b.sides))
+        return b.center if b.kind == "disk" else _centre(*self.scaled)
+
+    @cached_property
+    def anchor(self):
+        c = self.centre
+        return c if c is not None else min(self.base.polygon.vertices, key=lambda p: (p.y, p.x))
+
+    @cached_property
+    def vertices(self):
+        return list(map(_hom, self.base.polygon.vertices))
+
+    @cached_property
+    def planes(self):
+        return _planes(self.base.polygon)
+
+    @cached_property
+    def slabs(self):
+        return _base_slabs(self.base)
+
+    @cached_property
+    def box(self):
+        bbox = self.base.bbox()
+        L = math.lcm(*[v.denominator for iv in bbox for v in (iv.lo, iv.hi)])
+        return L, tuple(int(iv.lo * L) for iv in bbox), tuple(int(iv.length() * L) for iv in bbox)
+
+    @cached_property
+    def disk(self):
+        c, r = self.base.center, self.base.radius
+        L = math.lcm(c.x.denominator, c.y.denominator, r.denominator)
+        return (L, *[v.numerator * (L // v.denominator) for v in (c.x, c.y, r)])
+
+    @cached_property
+    def key(self):
+        kind = self.base.kind
+        return self.scaled if kind == "polygon" else self.disk if kind == "disk" else self.box
+
+
 class PolygonBody:
     kind = "polygon"
+    frame = cached_property(Frame)
 
     def __init__(self, polygon: ConvexPolygon, reference_point: Point = None):
         self.polygon = polygon
         if reference_point is None:
-            reference_point = polygon.anchor()
+            reference_point = self.frame.anchor
         elif not polygon.contains(reference_point):
             raise DegenerateInput("reference point outside body")
         self.reference_point = reference_point
-        self._bbox = None
 
     def scale_translate(self, s, t: Point):
         s = frac(s)
@@ -60,14 +132,12 @@ class PolygonBody:
         return PolygonBody(poly, self.reference_point * s + t)
 
     def bbox(self):
-        """The polygon's bounding box, computed on the first call."""
-        if self._bbox is None:
-            self._bbox = self.polygon.bounding_box()
-        return self._bbox
+        return self.polygon.bounding_box()
 
 
 class DiskBody:
     kind = "disk"
+    frame = cached_property(Frame)
 
     def __init__(self, center: Point, radius):
         radius = frac(radius)
@@ -88,6 +158,7 @@ class DiskBody:
 
 class BoxBody:
     kind = "box"
+    frame = cached_property(Frame)
 
     def __init__(self, mins, sides):
         self.mins = tuple(frac(v) for v in mins)
@@ -264,33 +335,28 @@ def scale_table(pairs):
 
 
 def _base_slabs(base):
-    """(w, lo, hi) per slab of the base: a primitive int vector w and the
-    extent [lo, hi] of w . p, found on the ints of geom._hom.  Polygons take
-    one w per edge direction (the slabs' intersection is the polygon, and
-    the edges of s C - s' C have no other directions), boxes unit vectors."""
+    """(L w, L lo, L hi) per slab of the base, all ints: a primitive int
+    vector w, the extent [lo, hi] of w . p over the base, and the lcm L of
+    their denominators, found on the scaled vertices of Frame.scaled (whose
+    slabs field this is).  Polygons take one w per edge direction (the
+    slabs' intersection is the polygon, and the edges of s C - s' C have no
+    other directions), boxes unit vectors."""
+    out, seen = [], set()
     if base.kind == "box":
-        return [(tuple(int(a == k) for a in range(base.dim)), m, m + side)
-                for k, (m, side) in enumerate(zip(base.mins, base.sides))]
-    hom = [_hom(v) for v in base.polygon.vertices]
-    d = math.lcm(*[w for _, _, w in hom])
-    xy = [(x * (d // w), y * (d // w)) for x, y, w in hom]
-    out = []
+        for k, (lo, side) in enumerate(zip(base.mins, base.sides)):
+            L = math.lcm(lo.denominator, (lo + side).denominator)
+            out.append(([L * (a == k) for a in range(base.dim)], int(lo * L), int((lo + side) * L)))
+        return out
+    d, xy = base.frame.scaled
     for (xa, ya), (xb, yb) in zip(xy, xy[1:] + xy[:1]):
         g = math.gcd(yb - ya, xa - xb)
         w = max(((yb - ya) // g, (xa - xb) // g), ((ya - yb) // g, (xb - xa) // g))
-        if all(w != row[0] for row in out):
+        if w not in seen:
+            seen.add(w)
             vals = [w[0] * x + w[1] * y for x, y in xy]
-            out.append((w, Fraction(min(vals), d), Fraction(max(vals), d)))
-    return out
-
-
-def int_base_slabs(base):
-    """_base_slabs with each slab multiplied by the lcm L of its extent's
-    denominators: (L w, L lo, L hi), all ints, the frame of Family.slabs."""
-    out = []
-    for w, lo, hi in _base_slabs(base):
-        L = math.lcm(lo.denominator, hi.denominator)
-        out.append(([c * L for c in w], int(lo * L), int(hi * L)))
+            lo, hi = min(vals), max(vals)
+            g = math.gcd(d, lo, hi)  # lo / d and hi / d have the lcm of denominators d / g
+            out.append(([c * (d // g) for c in w], lo // g, hi // g))
     return out
 
 
@@ -298,7 +364,7 @@ def _member_slabs(f: Family):
     # D (w . p) over member i spans [S_i lo + w . T_i, S_i hi + w . T_i]
     D, cols, S = f.scaled_translations()
     forms, los, his = [], [], []
-    for lw, lo, hi in int_base_slabs(f.base):
+    for lw, lo, hi in f.base.frame.slabs:
         forms.append(tuple(c * D for c in lw))
         wt = [0] * len(S)
         for c, col in zip(lw, cols):
@@ -311,17 +377,16 @@ def _member_slabs(f: Family):
 
 def box_columns(f: Family, indices):
     """(scale, ss, lo_cols, sides), the frame of member_boxes: scale = L D,
-    L clearing the denominators of the base's bounding box B; ss holds the
-    scales S_i of the members in indices, lo_cols per axis the low bounds
-    S_i L B_lo + L T_i of their boxes, and sides the sides of L B, so a box
-    has high bounds lo + S_i side: ints, or Fractions over MAX_SCALE_BITS."""
+    with (L, lows, sides) the base's bounding box B cleared (Frame.box); ss
+    holds the scales S_i of the members in indices, lo_cols per axis the low
+    bounds S_i L B_lo + L T_i of their boxes, and sides the sides of L B, so
+    a box has high bounds lo + S_i side: ints, or Fractions over
+    MAX_SCALE_BITS."""
     D, cols, S = f.scaled_translations()
-    bbox = f.base.bbox()
-    L = math.lcm(*[v.denominator for iv in bbox for v in (iv.lo, iv.hi)])
+    L, lows, sides = f.base.frame.box
     ss = [S[i] for i in indices]
-    lo_cols = [[a * s + L * col[i] for s, i in zip(ss, indices)]
-               for a, col in zip([int(iv.lo * L) for iv in bbox], cols)]
-    return L * D, ss, lo_cols, [int(iv.length() * L) for iv in bbox]
+    lo_cols = [[a * s + L * col[i] for s, i in zip(ss, indices)] for a, col in zip(lows, cols)]
+    return L * D, ss, lo_cols, sides
 
 
 def member_boxes(f: Family, indices):
@@ -347,15 +412,15 @@ def scale_classes(ss, unit):
     return [of[s] for s in ss], cells
 
 
-def _grid_keys(cols, cell):
-    """(keys, steps): each row's cell floor(v / cell) as one int in mixed
-    radix, digits kept off their range ends so that no +-1 step carries."""
+def _grid_keys(cols, cell, den=1):
+    """(keys, steps): each row's cell floor(v den / cell) as one int in
+    mixed radix, digits kept off their range ends so that no +-1 step
+    carries."""
     keys = [0] * len(cols[0])
     steps = [0]
     stride = 1
-    num, den = cell.numerator, cell.denominator
     for col in cols:
-        digits = [v * den // num for v in col]
+        digits = [v * den // cell for v in col]
         lo = min(digits) - 1
         keys = [k + (d - lo) * stride for k, d in zip(keys, digits)]
         steps = [s + d * stride for s in steps for d in (-1, 0, 1)]
@@ -378,14 +443,16 @@ def neighbor_index(f: Family):
     """
     _, cols, S = f.scaled_translations()
     n = len(f)
+    den = 1  # the cells are over den
     if S.count(S[0]) == n:
-        cls, cells = [0] * n, {0: max(iv.length() for iv in f.base.bbox()) * S[0]}
+        den, _, sides = f.base.frame.box
+        cls, cells = [0] * n, {0: max(sides) * S[0]}
     else:
         _, S, cols, sides = box_columns(f, range(n))
         cls, cells = scale_classes(S, max(sides))
     reach = {k: [] for k in cells}  # per class, the (keys, steps, grid) its members look up
     for k in sorted(cells):
-        keys, steps = _grid_keys(cols, cells[k])
+        keys, steps = _grid_keys(cols, cells[k], den)
         fine, own = {}, {}
         for i, (key, c) in enumerate(zip(keys, cls)):
             if c <= k:
@@ -408,17 +475,10 @@ def neighbor_index(f: Family):
     return candidates
 
 
-def _disk_frame(base):
-    """(L, cx, cy, cr): the base disk's centre and radius as ints over L."""
-    c, r = base.center, base.radius
-    L = math.lcm(c.x.denominator, c.y.denominator, r.denominator)
-    return (L, *[v.numerator * (L // v.denominator) for v in (c.x, c.y, r)])
-
-
 def disk_columns(base, D, cols, S):
     """(L D, us, vs, rs): with scaled columns (D, cols, S), disk member i
     has centre (us[i], vs[i]) / (L D) and radius rs[i] / (L D)."""
-    L, cx, cy, cr = _disk_frame(base)
+    L, cx, cy, cr = base.frame.disk
     return (L * D, [cx * s + L * x for s, x in zip(S, cols[0])],
             [cy * s + L * y for s, y in zip(S, cols[1])], [cr * s for s in S])
 
@@ -448,8 +508,7 @@ def member_polygons(base, D, cols, S):
     two members iff the edges lie on one line facing the same way when the
     columns are ints.  Fraction columns (D = 1) are cleared per member, by
     the lcm of its own denominators, not the family's."""
-    verts = list(map(_hom, base.polygon.vertices))
-    edges = _planes(base.polygon)
+    verts, edges = base.frame.vertices, base.frame.planes
     points, planes = [], []
     for s, x, y in zip(S, *cols):
         d = D
@@ -574,7 +633,7 @@ def membership(f: Family, ipts):
             return test
 
         return member
-    L, cx, cy, cr = _disk_frame(base)
+    L, cx, cy, cr = base.frame.disk
     D, (xs, ys), S = f.scaled_translations()
     LD = L * D
     pts = []

@@ -41,15 +41,13 @@ from .bodies import (
     Family,
     box_columns,
     collector_paused,
-    int_base_slabs,
     int_point,
     membership,
     pair_checker,
     pairwise_disjoint,
     scale_classes,
 )
-from .covers import (_cached, _poly_key, _triangle_normalizer, homothet_cover,
-                     translate_cluster_cover)
+from .covers import _cached, homothet_cover, translate_cluster_cover
 from .errors import UnsupportedBase, VerificationFailed
 from .geom import Point
 from .radicals import RadPoint, point_key
@@ -87,13 +85,14 @@ def seed_columns(f: Family):
     for a triangle the coordinates [across, up] = [T x e2, e1 x T] of the
     frame of covers._triangle_normalizer, in which the trapezoid pattern's
     cut edge is horizontal; e1, e2 are the triangle's edges from its
-    lowest-leftmost vertex, cleared of denominators.
+    lowest-leftmost vertex, on the ints of bodies.Frame.scaled.
     """
     cols = f.scaled_translations()[1]
     if f.base.kind == "polygon" and len(f.base.polygon.vertices) == 3:
-        _, e1, e2 = _triangle_normalizer(f.base.polygon)
-        L = math.lcm(e1.x.denominator, e1.y.denominator, e2.x.denominator, e2.y.denominator)
-        (ax, ay), (bx, by) = [(int(e.x * L), int(e.y * L)) for e in (e1, e2)]
+        _, xy = f.base.frame.scaled
+        i = min(range(3), key=lambda k: xy[k][::-1])
+        (x, y), (ax, ay), (bx, by) = xy[i:] + xy[:i]
+        ax, ay, bx, by = ax - x, ay - y, bx - x, by - y
         xs, ys = cols
         cols = [[x * by - y * bx for x, y in zip(xs, ys)],
                 [ax * y - ay * x for x, y in zip(xs, ys)]]
@@ -103,22 +102,23 @@ def seed_columns(f: Family):
 def greedy_supported(base) -> bool:
     """Whether the translate greedy has a cover pattern for base: a disk, a
     box, or a centrally symmetric or triangular polygon."""
-    return base.kind != "polygon" or base.polygon.is_centrally_symmetric() is not None \
+    return base.kind != "polygon" or base.frame.centre is not None \
         or len(base.polygon.vertices) == 3
 
 
 def greedy_pattern(f: Family, method):
-    """The cover pattern of a greedy method on f (greedy_rule); raises
-    UnsupportedBase when the method does not apply to f."""
+    """The cover pattern of a greedy method on f (greedy_rule), kept on its
+    base's frame; raises UnsupportedBase when the method does not apply."""
     if method == "greedy":
         if f.kind != "translates":
             raise UnsupportedBase("greedy_pierce needs a translate family")
         if not greedy_supported(f.base):
             raise UnsupportedBase("polygon base is neither centrally symmetric nor a triangle")
-        return translate_cluster_cover(f.base)
-    if method == "greedy-homothets":
-        return homothet_cover(f.base)
-    raise UnsupportedBase("no greedy rule for method %r" % (method,))
+    elif method != "greedy-homothets":
+        raise UnsupportedBase("no greedy rule for method %r" % (method,))
+    cover = translate_cluster_cover if method == "greedy" else homothet_cover
+    patterns = f.base.frame.patterns
+    return patterns.get(method) or patterns.setdefault(method, cover(f.base))
 
 
 def greedy_rule(f: Family, method):
@@ -143,16 +143,6 @@ def greedy_rule(f: Family, method):
 
 def _coords(p):
     return p if isinstance(p, tuple) else (p.x, p.y)
-
-
-def _anchor(body):
-    """The pattern anchor: a disk's centre, a box's centre, a polygon's
-    ConvexPolygon.anchor (the same vertex the triangle pattern is built on)."""
-    if body.kind == "disk":
-        return body.center
-    if body.kind == "box":
-        return tuple(m + s / 2 for m, s in zip(body.mins, body.sides))
-    return body.polygon.anchor()
 
 
 def _terms(p):
@@ -199,7 +189,7 @@ def _packed_keys(f: Family, offsets, seeds, masks=None):
     by its digits as Fractions (_value_keys), with no denominator common to
     the members."""
     D, cols, S = f.scaled_translations()
-    anchor = _coords(_anchor(f.base))
+    anchor = _coords(f.base.frame.anchor)
     terms = [[{**t, 1: t.get(1, 0) + a} for t, a in zip(_terms(o), anchor)] for o in offsets]
     # one digit per (axis, radicand), the rational part's radicand being 1
     digits = sorted({(k, 1) for k in range(len(cols))}
@@ -290,15 +280,13 @@ def _value_keys(f: Family, terms, digits, roots, ss, ts, masks):
 def _offset_slabs(base, pattern):
     """(M, tables, own) for the offsets of a polygon or box pattern, built
     once per base and pattern on the pattern cache of covers (_cached):
-    per slab of bodies.int_base_slabs (L w, L lo_k, L hi_k), the ints
+    per slab of bodies.Frame.slabs (L w, L lo_k, L hi_k), the ints
     d[k][o] = M (L w . (a + o) - L lo_k) ascending, for a the anchor and M
     clearing a and o, with the ORs of their offsets' bits' prefixes and
     those ORs inverted; own is the mask of the offsets with a + o in the
     base, 0 <= d[k][o] <= M (L hi_k - L lo_k) on every slab."""
-    key = _poly_key(base.polygon) if base.kind == "polygon" else (base.mins, base.sides)
-
     def build():
-        anchor = _coords(_anchor(base))
+        anchor = _coords(base.frame.anchor)
         coords = [_coords(o) for o in pattern.offsets]
         M = math.lcm(*[v.denominator for v in chain(anchor, *coords)])
 
@@ -308,7 +296,7 @@ def _offset_slabs(base, pattern):
         points = [[cleared(a) + cleared(v) for a, v in zip(anchor, o)] for o in coords]
         tables = []
         own = (1 << len(points)) - 1
-        for w, lo, hi in int_base_slabs(base):
+        for w, lo, hi in base.frame.slabs:
             ds, bits = zip(*sorted((sum(map(mul, w, p)) - M * lo, 1 << o)
                                    for o, p in enumerate(points)))
             ors = [0, *accumulate(bits, or_)]
@@ -317,7 +305,7 @@ def _offset_slabs(base, pattern):
             tables.append((ds, ors, nors))
         return M, tables, own
 
-    return _cached(("offset slabs", key, pattern.region_kind), build)
+    return _cached(("offset slabs", base.frame.key, pattern.region_kind), build)
 
 
 def _slab_pierced(f: Family, pattern):

@@ -69,7 +69,7 @@ def _is_cs_hexagon(f: Family) -> bool:
     return (
         f.base.kind == "polygon"
         and len(f.base.polygon.vertices) == 6
-        and f.base.polygon.is_centrally_symmetric() is not None
+        and f.base.frame.centre is not None
     )
 
 
@@ -229,7 +229,7 @@ def cmd_conjecture(args) -> int:
         base = jsonio.body_from_json(jsonio.load(args.body))
     else:
         base = _BASES[args.base]()
-    if base.kind != "polygon" or base.polygon.is_centrally_symmetric() is None:
+    if base.kind != "polygon" or base.frame.centre is None:
         raise ParseError("conjecture search needs a centrally symmetric polygon base")
     area_s = base.polygon.area()
     worst_tau = None

@@ -17,6 +17,7 @@ from .errors import ConstructionFailed, NotCentrallySymmetric, VerificationFaile
 from .geom import (
     ConvexPolygon,
     Point,
+    _scaled,
     clip_chain,
     frac,
     minkowski_sum,
@@ -68,13 +69,9 @@ def _capped(pat: CoverPattern, size: int) -> CoverPattern:
     return pat
 
 
-def _poly_key(poly: ConvexPolygon):
-    return tuple((p.x, p.y) for p in poly.vertices)
-
-
-def _sandwich_pair(poly: ConvexPolygon):
-    """sandwich_parallelograms(poly), built once per polygon."""
-    return _cached(("sandwich", _poly_key(poly)), lambda: sandwich_parallelograms(poly))
+def _sandwich_pair(base):
+    """sandwich_parallelograms of a polygon base, built once per polygon."""
+    return _cached(("sandwich", base.frame.key), lambda: sandwich_parallelograms(base.polygon))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +108,7 @@ def seven_cover(s: ConvexPolygon) -> CoverPattern:
         offsets = [Point(0, 0)] + [(hv[i] + hv[(i + 1) % 6]) / 2 for i in range(6)]
         return _polygon_pattern("diff", list(region.vertices), s0, offsets)
 
-    return _cached(("seven", _poly_key(s)), build)
+    return _cached(("seven", _scaled(s.vertices)), build)
 
 
 def halfplane_four_cover(s: ConvexPolygon, direction: Point = DOWN) -> CoverPattern:
@@ -145,7 +142,7 @@ def halfplane_four_cover(s: ConvexPolygon, direction: Point = DOWN) -> CoverPatt
             raise VerificationFailed("expected three kept side midpoints")
         return _polygon_pattern("diff_half", region_chain, s0, offsets)
 
-    return _cached(("half", _poly_key(s), (direction.x, direction.y)), build)
+    return _cached(("half", _scaled(s.vertices), (direction.x, direction.y)), build)
 
 
 # Offsets on the canonical triangle (0,0), (1,0), (0,1), as vectors for the
@@ -206,7 +203,7 @@ def triangle_trapezoid_cover(t: ConvexPolygon) -> CoverPattern:
         region_chain = _clip_lower_imageside(diff, e1, e2)
         return _polygon_pattern("diff_half", region_chain, cover, offsets)
 
-    return _cached(("trap", _poly_key(t)), build)
+    return _cached(("trap", _scaled(t.vertices)), build)
 
 
 def _clip_lower_imageside(diff: ConvexPolygon, e1: Point, e2: Point):
@@ -347,7 +344,7 @@ def homothet_cover(body) -> CoverPattern:
     if isinstance(body, DiskBody):
         return disk_seven_cover(body.radius)
     poly = body.polygon
-    if poly.is_centrally_symmetric() is not None:
+    if body.frame.centre is not None:
         return _capped(seven_cover(poly), 7)
     if len(poly.vertices) == 3:
         def build():
@@ -357,19 +354,19 @@ def homothet_cover(body) -> CoverPattern:
             diff = minkowski_sum(poly, reflect(poly))
             return _polygon_pattern("diff", list(diff.vertices), cover, offsets)
 
-        return _capped(_cached(("diff12", _poly_key(poly)), build), 12)
-    return _general_polygon_cover(poly)
+        return _capped(_cached(("diff12", body.frame.key), build), 12)
+    return _general_polygon_cover(body)
 
 
-def _general_polygon_cover(poly: ConvexPolygon) -> CoverPattern:
+def _general_polygon_cover(body) -> CoverPattern:
     """C-C fits in 2Q, which a grid of at most 16 P-translates covers."""
 
     def build():
         import math
 
-        pair = _sandwich_pair(poly)
-        ref = poly.anchor()
-        cover = reflect(poly.translate(-ref))
+        pair = _sandwich_pair(body)
+        ref = body.frame.anchor
+        cover = reflect(body.polygon.translate(-ref))
         # unit-step grid of P-translates covering 2*(Q - q_center) in P's basis
         u, v = pair.p.u, pair.p.v
         l1, l2 = pair.lambdas
@@ -383,10 +380,10 @@ def _general_polygon_cover(poly: ConvexPolygon) -> CoverPattern:
         # -(P - ref) is P's shape centered at ref - p_center
         pc = pair.p.center
         offsets = [g + pc - ref for g in cells]
-        diff = minkowski_sum(poly, reflect(poly))
+        diff = minkowski_sum(body.polygon, reflect(body.polygon))
         return _polygon_pattern("diff", list(diff.vertices), cover, offsets)
 
-    return _capped(_cached(("gen16", _poly_key(poly)), build), 16)
+    return _capped(_cached(("gen16", body.frame.key), build), 16)
 
 
 def translate_cluster_cover(body) -> CoverPattern:
@@ -400,7 +397,7 @@ def translate_cluster_cover(body) -> CoverPattern:
     if isinstance(body, DiskBody):
         return disk_half_cover(body.radius)
     poly = body.polygon
-    if poly.is_centrally_symmetric() is not None:
+    if body.frame.centre is not None:
         return _capped(halfplane_four_cover(poly, DOWN), 4)
     if len(poly.vertices) == 3:
         return _capped(triangle_trapezoid_cover(poly), 5)

@@ -91,10 +91,11 @@ def orient(a, b, c):
 
 
 def _scaled(points) -> tuple:
-    """(d, [(X, Y), ...]): the points times the lcm d of their denominators."""
+    """(d, ((X, Y), ...)): the points times the lcm d of their denominators,
+    all ints, so two point lists are equal iff their tuples are."""
     d = lcm(*(p.x.denominator for p in points), *(p.y.denominator for p in points))
-    return d, [(p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator))
-               for p in points]
+    return d, tuple([(p.x.numerator * (d // p.x.denominator),
+                      p.y.numerator * (d // p.y.denominator)) for p in points])
 
 
 class Interval:
@@ -225,14 +226,6 @@ class ConvexPolygon:
     def is_centrally_symmetric(self):
         """Return the center if the polygon is centrally symmetric, else None."""
         return _centre(*_scaled(self.vertices))
-
-    def anchor(self) -> Point:
-        """The point a pattern's offsets are relative to: the centre of a
-        centrally symmetric polygon, else its lowest-then-leftmost vertex,
-        which for a triangle with a horizontal lower side is the lower-left
-        vertex."""
-        c = self.is_centrally_symmetric()
-        return c if c is not None else min(self.vertices, key=lambda p: (p.y, p.x))
 
     def is_parallelogram(self):
         return len(self.vertices) == 4 and self.is_centrally_symmetric() is not None

@@ -22,8 +22,7 @@ from .bodies import (  # noqa: F401
     collector_paused,
     pair_checker,
 )
-from .certificates import PierceCertificate
-from .covers import homothet_cover
+from .certificates import PierceCertificate, greedy_pattern
 from .errors import UnsupportedBase
 from .translates import _greedy, _topmost_order
 
@@ -48,7 +47,8 @@ def greedy_pierce_homothets(f: Family, refine: bool = True,
     order with the difference-body pattern scaled to each seed."""
     if not isinstance(f.base, (PolygonBody, DiskBody, BoxBody)):
         raise UnsupportedBase("unsupported base body")
-    cert = _greedy(f, homothet_cover(f.base), _smallest_order(f), "greedy-homothets", refine)
+    cert = _greedy(f, greedy_pattern(f, "greedy-homothets"), _smallest_order(f),
+                   "greedy-homothets", refine)
     if verify:
         cert.verify(f)
     return cert

@@ -11,7 +11,7 @@ A rational point is written as its coordinate list, a radical point as its
 RadPoint's terms, read with one rule that needs no factoring
 (_Reader.radical).  The writer leaves out what the reader assumes: a
 translate family's "kind", a polygon's anchor "reference_point"
-(geom.ConvexPolygon.anchor) and an empty "info"; files that spell them
+(bodies.Frame.anchor) and an empty "info"; files that spell them
 out, or a point as {"kind": "rational", "xy": [...]}, read the same.
 """
 
@@ -246,7 +246,7 @@ def body_to_json(body):
     if isinstance(body, PolygonBody):
         doc = {"type": "polygon", "vertices": [_point_out(v) for v in body.polygon.vertices]}
         # the reader takes the anchor when the field is left out
-        if body.reference_point != body.polygon.anchor():
+        if body.reference_point != body.frame.anchor:
             doc["reference_point"] = _point_out(body.reference_point)
         return doc
     if isinstance(body, DiskBody):

@@ -53,7 +53,7 @@ from .bodies import (
 from .certificates import PierceCertificate, greedy_pattern, offset_masks, seed_columns
 # translate_cluster_cover is unused here but stays bound: perfbench/spans.py
 # traces it by this binding
-from .covers import _cached, _poly_key, _sandwich_pair, translate_cluster_cover  # noqa: F401
+from .covers import _cached, _sandwich_pair, translate_cluster_cover  # noqa: F401
 from .errors import (
     CoverageNotVerified,
     NotHexagonBase,
@@ -66,6 +66,7 @@ from .geom import (
     ConvexPolygon,
     Interval,
     Point,
+    _scaled,
     _subtract,
     _twice_area,
     frac,
@@ -223,7 +224,7 @@ def _grid_frame(base, pair):
         return forms, basis, 1, 2, 2 ** (base.dim - 1), None
     if isinstance(base, PolygonBody):
         if pair is None:
-            pair = _sandwich_pair(base.polygon)
+            pair = _sandwich_pair(base)
         la = pair.line_axis
         # a0 is cut into lines, a1 carries the levels; the centre p = c + t
         # of a P-translate is (p x a1, a0 x p) / det in this basis
@@ -298,13 +299,13 @@ def hexagon_pierce(f: Family, verify: bool = True) -> PierceCertificate:
     if f.kind != "translates" or not isinstance(f.base, PolygonBody):
         raise NotHexagonBase("hexagon_pierce needs hexagon translates")
     poly = f.base.polygon
-    if len(poly.vertices) != 6 or poly.is_centrally_symmetric() is None:
+    if len(poly.vertices) != 6 or f.base.frame.centre is None:
         raise NotHexagonBase("base is not a centrally symmetric hexagon")
     # the strips are the family's three slabs; when all pairs meet, slab
     # k's intervals share [max lo, min hi], whose midline is forms[k] . p = mid[k]
     bounds = common_slab_bounds(f)
     if bounds is None:
-        pair = _cached(("hexagon_sandwich_special", _poly_key(poly)),
+        pair = _cached(("hexagon_sandwich_special", f.base.frame.key),
                        lambda: hexagon_sandwich_special(poly))
         cert = grid_pierce(f, pair, verify=verify)
         cert.method = "hexagon-grid"
@@ -462,10 +463,10 @@ def _default_sandwich(f: Family):
         raise UnsupportedBase("lattice methods need a translate family")
     if not isinstance(f.base, PolygonBody):
         raise UnsupportedBase("lattice methods need a centrally symmetric polygon base")
-    poly = f.base.polygon
-    if poly.is_centrally_symmetric() is None:
+    if f.base.frame.centre is None:
         raise UnsupportedBase("lattice methods need a centrally symmetric base")
-    return _cached(("hexagon_sandwich", _poly_key(poly)), lambda: hexagon_sandwich(poly))
+    poly = f.base.polygon
+    return _cached(("hexagon_sandwich", f.base.frame.key), lambda: hexagon_sandwich(poly))
 
 
 # the offset search's grids: m x m cell midpoints, then m seeded draws
@@ -552,7 +553,7 @@ def lattice_pierce(f: Family, seed: int = 0, verify: bool = True) -> PierceCerti
     def build():
         return covering_lattice(poly.translate(-center), sw.h_in.translate(-center))
 
-    lattice = _cached(("covering_lattice", _poly_key(poly), _poly_key(sw.h_in)), build)
+    lattice = _cached(("covering_lattice", f.base.frame.key, _scaled(sw.h_in.vertices)), build)
     area = union_area_exact(f)
     target = math.floor(area / lattice.cell_area)
     hits = _lattice_hits(f, lattice)
@@ -605,7 +606,8 @@ def lattice_witness(f: Family, eps=Fraction(1, 64), seed: int = 0, sandwich=None
     def build():
         return packing_lattice(poly.translate(-center), sw.h_out.translate(-center), eps)
 
-    lattice = _cached(("packing_lattice", _poly_key(poly), _poly_key(sw.h_out), eps), build)
+    lattice = _cached(("packing_lattice", f.base.frame.key, _scaled(sw.h_out.vertices), eps),
+                      build)
     if area is None:
         area = union_area_exact(f)
     target = math.ceil(area / lattice.cell_area)

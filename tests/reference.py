@@ -79,7 +79,7 @@ from piercing.bodies import (
     pair_checker,
     scale_table,
 )
-from piercing.certificates import _anchor, _coords, _terms, greedy_pattern
+from piercing.certificates import _coords, _terms, greedy_pattern
 from piercing.covers import (disk_half_cover, disk_seven_cover, homothet_cover,
                              translate_cluster_cover)
 from piercing.errors import DegenerateInput, PiercingError
@@ -1335,7 +1335,7 @@ def pattern_keys(f, offsets, seeds, masks=None):
     offset by offset on the scaled columns; with masks, offset o only at
     the seeds whose mask has bit o."""
     D, cols, S = f.scaled_translations()
-    anchor = _coords(_anchor(f.base))
+    anchor = _coords(_pattern_anchor(f.base))
     terms = [[{**t, 1: t.get(1, 0) + a} for t, a in zip(_terms(o), anchor)] for o in offsets]
     L = math.lcm(*(c.denominator for row in terms for t in row for c in t.values()))
     ss = [S[i] for i in seeds]

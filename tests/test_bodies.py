@@ -1,5 +1,8 @@
 from fractions import Fraction as F
 import gc
+import hashlib
+import json
+import math
 import random
 
 import pytest
@@ -18,8 +21,11 @@ from piercing.bodies import (
     pair_checker,
     root_sign,
 )
+from piercing.cli import auto_pierce
 from piercing.generators import (
     five_square_cycle,
+    hexagon_body,
+    nine_triangles,
     pairwise_intersecting_family,
     random_centrally_symmetric_polygon,
     random_convex_polygon,
@@ -28,8 +34,10 @@ from piercing.generators import (
     unit_square,
     unit_triangle,
 )
-from piercing.geom import ConvexPolygon, Point
-from reference import Radical
+from piercing.geom import ConvexPolygon, Point, _planes
+from piercing.jsonio import certificate_to_json, dump, family_from_json, family_to_json
+from piercing.oracle import solve
+from reference import Radical, call_budget, centre
 from reference import (
     AffineMap,
     DisksNotClosedUnderAffine,
@@ -322,3 +330,130 @@ def test_common_slab_bounds_agree_with_every_pair_test(kind):
                               for k in range(len(lo[0]))]
         outcomes.append((base.kind, every))
     assert set(outcomes) == {(k, e) for k in ("polygon", "box") for e in (True, False)}
+
+
+def _frame_bases():
+    """(name, base): the generators' bases, 20 random centrally symmetric
+    polygons, some moved off the origin, random convex polygons, 2-d and
+    3-d boxes, and disks of rational radius."""
+    out = [("square", unit_square()), ("triangle", unit_triangle()), ("disk", unit_disk()),
+           ("hexagon", hexagon_body()), ("five-cycle", five_square_cycle().base),
+           ("nine-triangles", nine_triangles().base)]
+    for seed in range(20):
+        cs = random_centrally_symmetric_polygon(seed, 2 + seed % 4, spread=2)
+        out.append(("cs%d" % seed, cs if seed % 2 else cs.scale_translate(F(3, 2),
+                                                                          Point(F(1, 3), -2))))
+    out += [("convex%d" % seed, random_convex_polygon(seed, 7, spread=3)) for seed in range(5)]
+    out += [("box2", BoxBody((0, F(1, 2)), (1, F(3, 2)))),
+            ("box3", BoxBody((F(-1, 3), 0, 2), (F(2, 5), 2, F(2, 3)))),
+            ("disk-2/3", DiskBody(Point(F(1, 2), F(-3, 4)), F(2, 3))),
+            ("disk-7/5", DiskBody(Point(3, F(1, 6)), F(7, 5)))]
+    return out
+
+
+def _uncached_frame(base):
+    """Every field of bodies.Frame but patterns, derived again from the
+    base's Fractions, none of them through the frame."""
+    out = {}
+    if base.kind == "polygon":
+        vs = base.polygon.vertices
+        d = math.lcm(*[v.denominator for p in vs for v in p])
+        out["scaled"] = out["key"] = (d, tuple((int(p.x * d), int(p.y * d)) for p in vs))
+        out["centre"] = centre(base.polygon)
+        low = min(vs, key=lambda p: (p.y, p.x))
+        out["vertices"] = [(int(p.x * w), int(p.y * w), w)
+                           for p in vs for w in [math.lcm(p.x.denominator, p.y.denominator)]]
+        out["planes"] = _planes(base.polygon)
+        extents = []
+        for a, b in base.polygon.edges():
+            n = (b - a).perp()
+            g = math.lcm(n.x.denominator, n.y.denominator)
+            w = (-int(n.x * g), -int(n.y * g))
+            w = max(tuple(c // math.gcd(*w) for c in w), tuple(-c // math.gcd(*w) for c in w))
+            if w not in [e[0] for e in extents]:
+                vals = [w[0] * p.x + w[1] * p.y for p in vs]
+                extents.append((w, min(vals), max(vals)))
+    elif base.kind == "box":
+        out["centre"] = tuple(m + s / 2 for m, s in zip(base.mins, base.sides))
+        extents = [(tuple(int(a == k) for a in range(base.dim)), m, m + s)
+                   for k, (m, s) in enumerate(zip(base.mins, base.sides))]
+    else:
+        c, r = base.center, base.radius
+        L = math.lcm(c.x.denominator, c.y.denominator, r.denominator)
+        out["centre"] = c
+        out["disk"] = out["key"] = (L, int(c.x * L), int(c.y * L), int(r * L))
+        extents = None
+    out["anchor"] = out["centre"] if out["centre"] is not None else low
+    if extents is not None:
+        out["slabs"] = [([c * L for c in w], int(lo * L), int(hi * L)) for w, lo, hi in extents
+                        for L in [math.lcm(lo.denominator, hi.denominator)]]
+    bbox = base.bbox()
+    L = math.lcm(*[v.denominator for iv in bbox for v in (iv.lo, iv.hi)])
+    out["box"] = (L, tuple(int(iv.lo * L) for iv in bbox), tuple(int(iv.length() * L) for iv in bbox))
+    out.setdefault("key", out["box"])
+    return out
+
+
+def _value(base):
+    if base.kind == "polygon":
+        return tuple(base.polygon.vertices)
+    return (base.center, base.radius) if base.kind == "disk" else (base.mins, base.sides)
+
+
+def test_each_frame_field_equals_its_uncached_derivation():
+    values = {}
+    for name, base in _frame_bases():
+        want = _uncached_frame(base)
+        assert {k: getattr(base.frame, k) for k in want} == want, name
+        assert base.frame is base.frame and base.frame.base is base
+        # two bodies of one kind have one key iff they are equal
+        assert values.setdefault((base.kind, base.frame.key), _value(base)) == _value(base)
+    assert len(set(values.values())) == len(values)
+
+
+def _frame_families():
+    return {"triangle": random_family(unit_triangle(), 9, box_size=4, seed=3),
+            "cs8": random_family(random_centrally_symmetric_polygon(8, 4, spread=2), 9,
+                                 box_size=8, kind="homothets", scale_range=(1, 2), seed=3),
+            "disk": random_family(unit_disk(), 9, box_size=5, seed=3),
+            "box": random_family(BoxBody((0, F(1, 2), 0), (1, 2, F(2, 3))), 9, box_size=3,
+                                 kind="homothets", scale_range=(1, 2), seed=3)}
+
+
+# what is derived from a base body's Fractions: once a frame holds it, a
+# second pierce and solve of the same family call none of these
+_DERIVATIONS = ("_centre", "_scaled", "_hom", "_planes", "_base_slabs", "bbox", "disk",
+                "is_centrally_symmetric", "_triangle_normalizer", "bounding_box")
+
+
+@pytest.mark.parametrize("name", sorted(_frame_families()))
+def test_a_second_pierce_and_solve_derive_nothing_from_the_base(name):
+    f = _frame_families()[name]
+    first = auto_pierce(f, refine=True), solve(f)
+    for derivation in _DERIVATIONS:
+        with call_budget(0, name=derivation):
+            again = auto_pierce(f, refine=True), solve(f)
+        assert again[0].points == first[0].points and again[1].tau == first[1].tau
+
+
+# sha256 of each family's certificate file, taken before bases kept a frame
+_FRAME_CERTIFICATES = {
+    "box": "80111656ffe83df2d88a849ce02d82d9bdd323cfc45488620b09f5ff3e42920c",
+    "cs8": "103ac8d0508959983cde75f0573f6a2d05b6f5f310665421282705d3a8df560e",
+    "disk": "c8dd9d7fb69295ee4cb66ffb1b6538717a32e797c83d235747120c2770e00add",
+    "triangle": "7a135b63969e522404f52dfc2880b8d880e61fd7ce2bdb398bf6757683949582",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_frame_families()))
+def test_a_read_or_moved_base_gets_its_own_frame(name):
+    f = _frame_families()[name]
+    doc = certificate_to_json(auto_pierce(f, refine=True), f)
+    assert hashlib.sha256(dump(doc).encode()).hexdigest() == _FRAME_CERTIFICATES[name]
+    reads = [family_from_json(json.loads(dump(family_to_json(f)))) for _ in range(2)]
+    for g in reads:
+        assert dump(certificate_to_json(auto_pierce(g, refine=True), g)) == dump(doc)
+    assert len({id(g.base.frame) for g in reads + [f]}) == 3
+    assert reads[0].base.frame.key == reads[1].base.frame.key == f.base.frame.key
+    moved = f.base.scale_translate(2, f.realize(0).reference_point)
+    assert moved.frame is not f.base.frame and moved.frame.key != f.base.frame.key

@@ -21,7 +21,7 @@ from piercing.bodies import (
     pair_checker,
     scale_classes,
 )
-from piercing.covers import _poly_key, _triangle_normalizer, translate_cluster_cover
+from piercing.covers import _triangle_normalizer, translate_cluster_cover
 from piercing.errors import (
     CoverageNotVerified,
     NotHexagonBase,
@@ -40,7 +40,7 @@ from piercing.generators import (
     unit_square,
     unit_triangle,
 )
-from piercing.geom import ConvexPolygon, Point
+from piercing.geom import ConvexPolygon, Point, _scaled
 from piercing.homothets import _smallest_order, greedy_pierce_homothets
 from piercing.oracle import exact_nu, exact_tau
 from piercing.sandwich import hexagon_sandwich, hexagon_sandwich_special, sandwich_parallelograms
@@ -543,7 +543,7 @@ def test_grid_and_general_cover_build_the_sandwich_pair_once(monkeypatch, fresh_
     b = grid_pierce(random_family(PENTAGON, 30, box_size=12, seed=2))
     covers.homothet_cover(PENTAGON)
     assert len(calls) == 1
-    pair = fresh_cache[("sandwich", _poly_key(PENTAGON.polygon))]
+    pair = fresh_cache[("sandwich", _scaled(PENTAGON.polygon.vertices))]
     assert _pair_values(pair) == _pair_values(sandwich_parallelograms(PENTAGON.polygon))
     assert a.info == b.info == {"gamma": pair.gamma}
 
@@ -554,13 +554,13 @@ def _check_cached_entries(cache, base):
     fresh = hexagon_sandwich(poly)
     c = fresh.center
     s0 = poly.translate(-c)
-    key = _poly_key(poly)
+    key = _scaled(poly.vertices)
     sw = cache[("hexagon_sandwich", key)]
     assert _sandwich_values(sw) == _sandwich_values(fresh)
-    cover = cache[("covering_lattice", key, _poly_key(fresh.h_in))]
+    cover = cache[("covering_lattice", key, _scaled(fresh.h_in.vertices))]
     assert _lattice_values(cover) == _lattice_values(
         covering_lattice(s0, fresh.h_in.translate(-c)))
-    pack = cache[("packing_lattice", key, _poly_key(fresh.h_out), F(1, 64))]
+    pack = cache[("packing_lattice", key, _scaled(fresh.h_out.vertices), F(1, 64))]
     assert _lattice_values(pack) == _lattice_values(
         packing_lattice(s0, fresh.h_out.translate(-c)))
     if len(poly.vertices) == 6:
@@ -606,7 +606,7 @@ class TestLatticeCache:
             base = PolygonBody(copy)
             _fill_cache(base)
             _check_cached_entries(fresh_cache, base)
-            sw = fresh_cache[("hexagon_sandwich", _poly_key(copy))]
+            sw = fresh_cache[("hexagon_sandwich", _scaled(copy.vertices))]
             assert sw.center == copy.is_centrally_symmetric()
         assert sum(key[0] == "hexagon_sandwich" for key in fresh_cache) == 3
 
@@ -630,7 +630,7 @@ class TestLatticeCache:
                 hexagon_pierce(f)
         assert not fresh_cache
         assert hexagon_pierce(f).method == "hexagon-grid"
-        assert list(fresh_cache) == [("hexagon_sandwich_special", _poly_key(f.base.polygon))]
+        assert list(fresh_cache) == [("hexagon_sandwich_special", _scaled(f.base.polygon.vertices))]
 
 
 class TestUnionArea:
