@@ -53,24 +53,28 @@ class Frame:
     with a frame of its own.
 
     scaled: a polygon's vertices as ints over d, (d, ((X, Y), ...))
-    (geom._scaled).  centre: C's centre of symmetry (None for a polygon
-    without one); anchor: the point pattern offsets are relative to, the
-    centre, else a polygon's lowest-then-leftmost vertex.  vertices and
+    (geom._scaled).  low: the index of a polygon's lowest-then-leftmost
+    vertex.  centre: C's centre of symmetry (None for a polygon without
+    one); anchor: the point pattern offsets are relative to, the centre,
+    else the vertex at low.  vertices and
     planes: a polygon's homogeneous int vertices (geom._hom) and edge
     halfplanes (geom._planes), for member_polygons.  slabs: _base_slabs,
     for Family.slabs.  box: (L, lows, sides), C's bounding box times the lcm
     L of its denominators.  disk: (L, cx, cy, cr), centre and radius over L.
     key: ints equal for two bodies of one kind iff they are, the pattern
-    cache's key (covers._cached).  patterns: per greedy method, its cover
-    pattern (certificates.greedy_pattern)."""
+    cache's key (covers._cached)."""
 
     def __init__(self, base):
         self.base = base
-        self.patterns = {}
 
     @cached_property
     def scaled(self):
         return _scaled(self.base.polygon.vertices)
+
+    @cached_property
+    def low(self):
+        xy = self.scaled[1]
+        return min(range(len(xy)), key=lambda k: xy[k][::-1])
 
     @cached_property
     def centre(self):
@@ -82,7 +86,7 @@ class Frame:
     @cached_property
     def anchor(self):
         c = self.centre
-        return c if c is not None else min(self.base.polygon.vertices, key=lambda p: (p.y, p.x))
+        return c if c is not None else self.base.polygon.vertices[self.low]
 
     @cached_property
     def vertices(self):

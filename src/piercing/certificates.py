@@ -83,14 +83,15 @@ def seed_columns(f: Family):
 
     They are the scaled translations T (Family.scaled_translations), and
     for a triangle the coordinates [across, up] = [T x e2, e1 x T] of the
-    frame of covers._triangle_normalizer, in which the trapezoid pattern's
-    cut edge is horizontal; e1, e2 are the triangle's edges from its
-    lowest-leftmost vertex, on the ints of bodies.Frame.scaled.
+    frame in which the trapezoid pattern's cut edge is horizontal
+    (covers.triangle_trapezoid_cover); e1, e2 are the triangle's edges from
+    its lowest-leftmost vertex (bodies.Frame.low), on the ints of
+    bodies.Frame.scaled.
     """
     cols = f.scaled_translations()[1]
     if f.base.kind == "polygon" and len(f.base.polygon.vertices) == 3:
-        _, xy = f.base.frame.scaled
-        i = min(range(3), key=lambda k: xy[k][::-1])
+        frame = f.base.frame
+        xy, i = frame.scaled[1], frame.low
         (x, y), (ax, ay), (bx, by) = xy[i:] + xy[:i]
         ax, ay, bx, by = ax - x, ay - y, bx - x, by - y
         xs, ys = cols
@@ -107,8 +108,9 @@ def greedy_supported(base) -> bool:
 
 
 def greedy_pattern(f: Family, method):
-    """The cover pattern of a greedy method on f (greedy_rule), kept on its
-    base's frame; raises UnsupportedBase when the method does not apply."""
+    """The cover pattern of a greedy method on f (greedy_rule), one per base
+    on the pattern cache of covers; raises UnsupportedBase when the method
+    does not apply."""
     if method == "greedy":
         if f.kind != "translates":
             raise UnsupportedBase("greedy_pierce needs a translate family")
@@ -116,9 +118,7 @@ def greedy_pattern(f: Family, method):
             raise UnsupportedBase("polygon base is neither centrally symmetric nor a triangle")
     elif method != "greedy-homothets":
         raise UnsupportedBase("no greedy rule for method %r" % (method,))
-    cover = translate_cluster_cover if method == "greedy" else homothet_cover
-    patterns = f.base.frame.patterns
-    return patterns.get(method) or patterns.setdefault(method, cover(f.base))
+    return (translate_cluster_cover if method == "greedy" else homothet_cover)(f.base)
 
 
 def greedy_rule(f: Family, method):
@@ -392,15 +392,16 @@ class PierceCertificate:
     points=None makes the certificate symbolic: method is "greedy" or
     "greedy-homothets" (greedy_rule), family is the family it pierces, and
     extra holds the points the refine step chose for the last cluster
-    (empty when that cluster keeps the pattern).  Every other cluster is
-    pierced by the method's pattern placed at its seed, and the witness is
-    the seeds; each cluster's members start with its seed.  masks, one per
-    pattern cluster (offset_masks), keeps only the offsets of its set bits
-    at that seed; None keeps every offset at every seed.
+    (empty when that cluster keeps the pattern).  Every other cluster, one
+    of pattern_clusters, is pierced by the method's pattern placed at its
+    seed, and the witness is the seeds; each cluster's members start with
+    its seed.  masks, one per pattern cluster (offset_masks), keeps only
+    the offsets of its set bits at that seed; None keeps every offset at
+    every seed.
     """
 
     def __init__(self, method, factor, points, clusters, witness, info=None,
-                 family=None, extra=(), masks=None):
+                 family=None, extra=()):
         self.method = method
         self.factor = int(factor)
         self.symbolic = points is None
@@ -413,7 +414,7 @@ class PierceCertificate:
         self.info = info or {}
         self.family = family
         self.extra = list(extra)
-        self.masks = masks
+        self.masks = None  # set by the greedy (offset_masks) or the reader
         self._counted = None  # (family, distinct point count)
 
     def __repr__(self):
@@ -424,10 +425,14 @@ class PierceCertificate:
             self.factor,
         )
 
+    @property
+    def pattern_clusters(self):
+        """The clusters the pattern pierces: all but a last one that the
+        refine points pierce."""
+        return self.clusters[:-1] if self.extra else self.clusters
+
     def _pattern_seeds(self):
-        """The seeds whose clusters the pattern pierces."""
-        seeds = [s for s, _ in self.clusters]
-        return seeds[:-1] if self.extra else seeds
+        return [s for s, _ in self.pattern_clusters]
 
     @property
     def points(self):
@@ -522,10 +527,9 @@ class PierceCertificate:
         distinct points never outnumber."""
         if self.extra and not self.clusters:
             raise VerificationFailed("refine points without a cluster")
-        pattern_clusters = self.clusters[:-1] if self.extra else self.clusters
         try:
             pattern, rank = greedy_rule(f, self.method)
-            lemma, placed = self._check_masks(f, pattern, pattern_clusters)
+            lemma, placed = self._check_masks(f, pattern, self.pattern_clusters)
         except UnsupportedBase as e:
             raise VerificationFailed(str(e)) from e
         check = pair_checker(f)

@@ -1,5 +1,5 @@
 """Command-line surface: instance I/O, piercing, oracle, verification,
-experiments, conjecture search, benchmarks.
+experiments, conjecture search.
 
 Exit codes: 0 ok, 1 verification failure or an output file that cannot be
 written, 2 parse or usage error, 3 size limit.
@@ -8,7 +8,6 @@ written, 2 parse or usage error, 3 size limit.
 import argparse
 from functools import cache
 import json
-import math
 import sys
 import time
 
@@ -39,16 +38,22 @@ _BASES = {
 }
 
 
-def _trials(text) -> int:
-    """An argparse type: an integer of at least 1."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
-    return int(text)
+def _at_least(low):
+    """An argparse type: an integer of at least low."""
+    def parse(text) -> int:
+        if not text.isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError("expected an integer >= %d, got %r" % (low, text))
+        return int(text)
+
+    return parse
+
+
+_count, _size = _at_least(1), _at_least(0)
 
 
 def _n_range(text):
     """An argparse type: lo:hi with 1 <= lo <= hi, as the pair (lo, hi)."""
-    lo, hi = map(_trials, text.split(":")) if text.count(":") == 1 else (1, 0)
+    lo, hi = map(_count, text.split(":")) if text.count(":") == 1 else (1, 0)
     if lo > hi:
         raise argparse.ArgumentTypeError("expected lo:hi with 1 <= lo <= hi, got %r" % text)
     return lo, hi
@@ -271,23 +276,6 @@ def cmd_conjecture(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    base = _BASES[args.base]()
-    side = max(1, int(math.sqrt(args.n)))
-    f = generators.random_family(base, args.n, box_size=side, seed=args.seed)
-    t0 = time.perf_counter()
-    cert = auto_pierce(f, method="greedy", refine=False)
-    dt = time.perf_counter() - t0
-    points = cert.point_count()
-    print(
-        "n=%d method=%s points=%d witness=%d factor=%d wall=%.3fs "
-        "rate=%.0f members/s points_rate=%.0f points/s"
-        % (args.n, cert.method, points, len(cert.witness), cert.factor,
-           dt, args.n / dt, points / dt)
-    )
-    return EXIT_OK
-
-
 @cache  # once per process: each parse starts from a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="piercing")
@@ -296,10 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="write an instance JSON file")
     g.add_argument("instance", choices=["five-cycle", "nine-triangles", "grid", "random", "pairwise"])
     g.add_argument("--base", default="square", choices=sorted(_BASES))
-    g.add_argument("--n", type=int, default=10)
+    g.add_argument("--n", type=_count, default=10)
     g.add_argument("--epsilon", default="1/100")
     g.add_argument("--kind", default="translates", choices=["translates", "homothets"])
-    g.add_argument("--box-size", type=int, default=10)
+    g.add_argument("--box-size", type=_size, default=10)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out")
     g.set_defaults(func=cmd_gen)
@@ -334,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--base", default="disk", choices=sorted(_BASES))
     x.add_argument("--kind", default="translates", choices=["translates", "homothets"])
     x.add_argument("--n-range", type=_n_range, default="10:40")
-    x.add_argument("--trials", type=_trials, default=20)
-    x.add_argument("--box-size", type=int, default=10)
+    x.add_argument("--trials", type=_count, default=20)
+    x.add_argument("--box-size", type=_size, default=10)
     x.add_argument("--seed", type=int, default=0)
     x.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)
     x.add_argument("--oracle-limit", type=int, default=12)
@@ -345,18 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("conjecture", help="ratio search for the union-area conjectures")
     c.add_argument("--body", help="JSON file with a centrally symmetric polygon body")
     c.add_argument("--base", default="hexagon", choices=["hexagon", "square"])
-    c.add_argument("--n", type=int, default=8)
-    c.add_argument("--trials", type=_trials, default=20)
-    c.add_argument("--box-size", type=int, default=6)
+    c.add_argument("--n", type=_count, default=8)
+    c.add_argument("--trials", type=_count, default=20)
+    c.add_argument("--box-size", type=_size, default=6)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--log", help="append-only JSONL record file")
     c.set_defaults(func=cmd_conjecture)
-
-    b = sub.add_parser("bench", help="greedy throughput benchmark")
-    b.add_argument("--n", type=int, default=10000)
-    b.add_argument("--base", default="disk", choices=["disk", "square"])
-    b.add_argument("--seed", type=int, default=0)
-    b.set_defaults(func=cmd_bench)
     return ap
 
 

@@ -6,10 +6,17 @@ circle-arrangement criterion, boxes by cell decomposition.  The offsets
 double as pierce-point offsets relative to a cluster seed's reference point,
 because a translate with reference a contains the point q iff a lies in
 -(C - ref) + q.
+
+A greedy pattern depends on the base body alone, so the two dispatchers,
+translate_cluster_cover and homothet_cover, keep one pattern per base and
+kind on the pattern cache (_cached); the constructors behind them keep
+nothing.
 """
 
 from fractions import Fraction
+from functools import cache
 import itertools
+import math
 
 from .bodies import BoxBody, DiskBody
 from .circles import Conic, CoverageCheck
@@ -17,7 +24,6 @@ from .errors import ConstructionFailed, NotCentrallySymmetric, VerificationFaile
 from .geom import (
     ConvexPolygon,
     Point,
-    _scaled,
     clip_chain,
     frac,
     minkowski_sum,
@@ -26,8 +32,6 @@ from .geom import (
 )
 from .radicals import RadPoint
 from .sandwich import inscribed_hexagon, sandwich_parallelograms
-
-DOWN = Point(0, -1)
 
 
 class CoverPattern:
@@ -55,6 +59,8 @@ _pattern_cache = {}
 
 
 def _cached(key, build):
+    """The cache's entry for key, built by build() on a miss; a build that
+    raises stores nothing."""
     got = _pattern_cache.get(key)
     if got is None:
         got = build()
@@ -93,56 +99,47 @@ def seven_cover(s: ConvexPolygon) -> CoverPattern:
     regular hexagon (the side midpoints of a hexagon inscribed in 2S).
     Parallelograms take the 4-translate fast path.
     """
-
-    def build():
-        center = s.is_centrally_symmetric()
-        if center is None:
-            raise NotCentrallySymmetric("seven_cover needs a centrally symmetric body")
-        s0 = s.translate(-center)
-        region = s0.scale(2)
-        if s0.is_parallelogram():
-            # the four quadrant translates are centered on the vertices
-            return _polygon_pattern("diff", list(region.vertices), s0, list(s0.vertices))
-        hexagon = inscribed_hexagon(region, s0.vertices[0])
-        hv = hexagon.vertices
-        offsets = [Point(0, 0)] + [(hv[i] + hv[(i + 1) % 6]) / 2 for i in range(6)]
-        return _polygon_pattern("diff", list(region.vertices), s0, offsets)
-
-    return _cached(("seven", _scaled(s.vertices)), build)
+    center = s.is_centrally_symmetric()
+    if center is None:
+        raise NotCentrallySymmetric("seven_cover needs a centrally symmetric body")
+    s0 = s.translate(-center)
+    region = s0.scale(2)
+    if s0.is_parallelogram():
+        # the four quadrant translates are centered on the vertices
+        return _polygon_pattern("diff", list(region.vertices), s0, list(s0.vertices))
+    hexagon = inscribed_hexagon(region, s0.vertices[0])
+    hv = hexagon.vertices
+    offsets = [Point(0, 0)] + [(hv[i] + hv[(i + 1) % 6]) / 2 for i in range(6)]
+    return _polygon_pattern("diff", list(region.vertices), s0, offsets)
 
 
-def halfplane_four_cover(s: ConvexPolygon, direction: Point = DOWN) -> CoverPattern:
-    """Cover (2S) cut to the halfplane {d.x >= 0} by at most four translates.
+def halfplane_four_cover(s: ConvexPolygon) -> CoverPattern:
+    """Cover (2S) cut to the lower halfplane {y <= 0} by at most four translates.
 
-    The hexagon chord is aligned with the halfplane boundary, leaving the
-    center translate plus the three side midpoints on the kept side.
-    Parallelograms with an edge pair parallel to the boundary need two.
+    The hexagon chord is horizontal, leaving the center translate plus the
+    three side midpoints below it.  Parallelograms with a horizontal edge
+    pair need two.
     """
-
-    def build():
-        center = s.is_centrally_symmetric()
-        if center is None:
-            raise NotCentrallySymmetric("halfplane cover needs a centrally symmetric body")
-        d = direction
-        s0 = s.translate(-center)
-        region2 = s0.scale(2)
-        region_chain = clip_chain(list(region2.vertices), -d, Fraction(0))
-        if s0.is_parallelogram():
-            kept = [o for o in s0.vertices if o.dot(d) > 0]
-            if len(kept) == 2:
-                try:
-                    return _polygon_pattern("diff_half", region_chain, s0, kept)
-                except VerificationFailed:
-                    pass
-        hexagon = inscribed_hexagon(region2, -d.perp())
-        hv = hexagon.vertices
-        mids = [(hv[i] + hv[(i + 1) % 6]) / 2 for i in range(6)]
-        offsets = [Point(0, 0)] + [m for m in mids if m.dot(d) > 0]
-        if len(offsets) != 4:
-            raise VerificationFailed("expected three kept side midpoints")
-        return _polygon_pattern("diff_half", region_chain, s0, offsets)
-
-    return _cached(("half", _scaled(s.vertices), (direction.x, direction.y)), build)
+    center = s.is_centrally_symmetric()
+    if center is None:
+        raise NotCentrallySymmetric("halfplane cover needs a centrally symmetric body")
+    s0 = s.translate(-center)
+    region2 = s0.scale(2)
+    region_chain = clip_chain(list(region2.vertices), Point(0, 1), Fraction(0))
+    if s0.is_parallelogram():
+        kept = [o for o in s0.vertices if o.y < 0]
+        if len(kept) == 2:
+            try:
+                return _polygon_pattern("diff_half", region_chain, s0, kept)
+            except VerificationFailed:
+                pass
+    hexagon = inscribed_hexagon(region2, Point(-1, 0))
+    hv = hexagon.vertices
+    mids = [(hv[i] + hv[(i + 1) % 6]) / 2 for i in range(6)]
+    offsets = [Point(0, 0)] + [m for m in mids if m.y < 0]
+    if len(offsets) != 4:
+        raise VerificationFailed("expected three kept side midpoints")
+    return _polygon_pattern("diff_half", region_chain, s0, offsets)
 
 
 # Offsets on the canonical triangle (0,0), (1,0), (0,1), as vectors for the
@@ -172,45 +169,32 @@ _TRIANGLE_DIFF_OFFSETS = [
 ]
 
 
-def _triangle_normalizer(t: ConvexPolygon):
-    """Affine map data sending the triangle to (0,0),(1,0),(0,1).
+def _triangle_cover(body, canonical, half: bool) -> CoverPattern:
+    """Translates of -(T - v0) covering T - T, or with half its part on the
+    lower side of the line through 0 along e1, verified exactly.
 
-    The reference (lowest-then-leftmost) vertex goes to the origin.
+    v0 is the triangle's lowest-then-leftmost vertex (bodies.Frame.low) and
+    e1, e2 its edges from v0: the affine map sending (0,0), (1,0), (0,1) to
+    v0, v0 + e1, v0 + e2 takes the canonical offsets to q -> q.x e1 + q.y e2.
     """
-    v = t.vertices
-    if len(v) != 3:
-        raise VerificationFailed("not a triangle")
-    i0 = min(range(3), key=lambda i: (v[i].y, v[i].x))
-    v0, v1, v2 = v[i0], v[(i0 + 1) % 3], v[(i0 + 2) % 3]
-    return v0, v1 - v0, v2 - v0  # origin, image of (1,0), image of (0,1)
+    t = body.polygon
+    v, i = t.vertices, body.frame.low
+    v0 = v[i]
+    e1, e2 = v[(i + 1) % 3] - v0, v[(i + 2) % 3] - v0
+    region = list(minkowski_sum(t, reflect(t)).vertices)
+    if half:
+        # y <= 0 in the canonical frame is cross(e1, p) <= 0
+        region = clip_chain(region, Point(-e1.y, e1.x), Fraction(0))
+    offsets = [e1 * q.x + e2 * q.y for q in canonical]
+    return _polygon_pattern("diff_half" if half else "diff", region,
+                            reflect(t.translate(-v0)), offsets)
 
 
-def triangle_trapezoid_cover(t: ConvexPolygon) -> CoverPattern:
-    """Cover the lower half of T-T by at most five translates of -T.
-
-    The canonical triangle's offsets (_TRAPEZOID_OFFSETS) are mapped back
-    through the normalizing map and verified exactly; the returned offsets
-    are vectors in the original coordinates.
-    """
-
-    def build():
-        v0, e1, e2 = _triangle_normalizer(t)
-        # map offsets back: q_orig = L(q) with L the inverse normalizer
-        offsets = [e1 * q.x + e2 * q.y for q in _TRAPEZOID_OFFSETS]
-        cover = reflect(t.translate(-v0))
-        diff = minkowski_sum(t, reflect(t))
-        # the kept side in original coordinates: L^{-T} maps the normal
-        region_chain = _clip_lower_imageside(diff, e1, e2)
-        return _polygon_pattern("diff_half", region_chain, cover, offsets)
-
-    return _cached(("trap", _scaled(t.vertices)), build)
-
-
-def _clip_lower_imageside(diff: ConvexPolygon, e1: Point, e2: Point):
-    # halfplane y <= 0 in normalized coords means cross(e1, p) <= 0 in
-    # original coords (p = a e1 + b e2, b = cross(e1, p)/det, det > 0)
-    n = Point(-e1.y, e1.x)  # cross(e1, p) = n.p
-    return clip_chain(list(diff.vertices), n, Fraction(0))
+def triangle_trapezoid_cover(body) -> CoverPattern:
+    """Cover the lower half of T-T by at most five translates of -T, for a
+    triangle body: the canonical triangle's _TRAPEZOID_OFFSETS mapped to T
+    (_triangle_cover), as vectors in the original coordinates."""
+    return _triangle_cover(body, _TRAPEZOID_OFFSETS, half=True)
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +219,18 @@ def disk_half_offsets(r):
         RadPoint(q, 3, (a * n, 0), (0, b * n)) for a, b in ((0, -2), (3, -1), (-3, -1))]
 
 
+@cache
+def _check_once(check, r):
+    """check(r), run once per radius and process, whichever pattern entry asks
+    for it (the dispatchers, a pattern file's verify); a check that fails
+    raises and is not kept."""
+    check(r)
+
+
 def _verify_disk_seven(r):
     # substitute x = sqrt(3) X: weights (3, 1), all centers rational.  The
     # arrangement is the radius-1 one scaled by r, so its vertices are
     # rational Points, the only kind CoverageCheck decides
-    r = frac(r)
     region = Conic(3, 1, Point(0, 0), 4 * r * r)
     covers = [Conic(3, 1, Point(0, 0), r * r)]
     for cx, cy in [(r, 0), (r / 2, 3 * r / 2), (-r / 2, 3 * r / 2), (-r, 0),
@@ -252,7 +243,6 @@ def _verify_disk_seven(r):
 def _verify_disk_half(r):
     # substitute y = sqrt(3) Y: weights (1, 3); the line y = 0 meets every
     # circle at rational points too, like the pairs of circles
-    r = frac(r)
     region = Conic(1, 3, Point(0, 0), 4 * r * r)
     covers = [
         Conic(1, 3, Point(0, 0), r * r),
@@ -265,22 +255,17 @@ def _verify_disk_half(r):
 
 
 def disk_seven_cover(r) -> CoverPattern:
-    def build():
-        _verify_disk_seven(r)
-        return CoverPattern("diff", "disk", disk_seven_offsets(r), data={"radius": frac(r)})
-
-    return _cached(("disk7", frac(r)), build)
+    r = frac(r)
+    _check_once(_verify_disk_seven, r)
+    return CoverPattern("diff", "disk", disk_seven_offsets(r), data={"radius": r})
 
 
 def disk_half_cover(r) -> CoverPattern:
     """Four disks covering the lower half of the doubled disk; the seed rule
     is 'topmost', so the halfplane direction is fixed downward."""
-
-    def build():
-        _verify_disk_half(r)
-        return CoverPattern("diff_half", "disk", disk_half_offsets(r), data={"radius": frac(r)})
-
-    return _cached(("diskhalf", frac(r)), build)
+    r = frac(r)
+    _check_once(_verify_disk_half, r)
+    return CoverPattern("diff_half", "disk", disk_half_offsets(r), data={"radius": r})
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +279,11 @@ def box_cover(sides, half: bool) -> CoverPattern:
     cover is exact by construction and checked by cell decomposition.
     """
     sides = tuple(frac(s) for s in sides)
-    d = len(sides)
-
-    def build():
-        last = [(-sides[-1] / 2,)] if half else [(-sides[-1] / 2,), (sides[-1] / 2,)]
-        rest = itertools.product(*[(-s / 2, s / 2) for s in sides[:-1]])
-        offsets = [tuple(r) + l for r in rest for l in last]
-        _verify_box_pattern(sides, offsets, half)
-        return CoverPattern("diff_half" if half else "diff", "box", offsets,
-                            data={"sides": sides})
-
-    return _cached(("box", sides, half), build)
+    last = [(-sides[-1] / 2,)] if half else [(-sides[-1] / 2,), (sides[-1] / 2,)]
+    rest = itertools.product(*[(-s / 2, s / 2) for s in sides[:-1]])
+    offsets = [tuple(r) + l for r in rest for l in last]
+    _verify_box_pattern(sides, offsets, half)
+    return CoverPattern("diff_half" if half else "diff", "box", offsets, data={"sides": sides})
 
 
 def _verify_box_pattern(sides, offsets, half):
@@ -330,7 +309,8 @@ def _verify_box_pattern(sides, offsets, half):
 
 
 # ---------------------------------------------------------------------------
-# dispatch by base body
+# dispatch by base body: one pattern per base and kind, kept on the pattern
+# cache under the base's frame key (bodies.Frame.key)
 
 
 def homothet_cover(body) -> CoverPattern:
@@ -339,51 +319,40 @@ def homothet_cover(body) -> CoverPattern:
     Sizes: parallelogram 4, triangle <= 12, disk 7, centrally symmetric <= 7,
     general polygon <= 16 via the sandwich grid.
     """
-    if isinstance(body, BoxBody):
-        return box_cover(body.sides, half=False)
-    if isinstance(body, DiskBody):
-        return disk_seven_cover(body.radius)
-    poly = body.polygon
-    if body.frame.centre is not None:
-        return _capped(seven_cover(poly), 7)
-    if len(poly.vertices) == 3:
-        def build():
-            v0, e1, e2 = _triangle_normalizer(poly)
-            offsets = [e1 * q.x + e2 * q.y for q in _TRIANGLE_DIFF_OFFSETS]
-            cover = reflect(poly.translate(-v0))
-            diff = minkowski_sum(poly, reflect(poly))
-            return _polygon_pattern("diff", list(diff.vertices), cover, offsets)
+    def build():
+        if isinstance(body, BoxBody):
+            return box_cover(body.sides, half=False)
+        if isinstance(body, DiskBody):
+            return disk_seven_cover(body.radius)
+        if body.frame.centre is not None:
+            return _capped(seven_cover(body.polygon), 7)
+        if len(body.polygon.vertices) == 3:
+            return _capped(_triangle_cover(body, _TRIANGLE_DIFF_OFFSETS, half=False), 12)
+        return _capped(_general_polygon_cover(body), 16)
 
-        return _capped(_cached(("diff12", body.frame.key), build), 12)
-    return _general_polygon_cover(body)
+    return _cached(("homothet", body.frame.key), build)
 
 
 def _general_polygon_cover(body) -> CoverPattern:
     """C-C fits in 2Q, which a grid of at most 16 P-translates covers."""
+    pair = _sandwich_pair(body)
+    ref = body.frame.anchor
+    cover = reflect(body.polygon.translate(-ref))
+    # unit-step grid of P-translates covering 2*(Q - q_center) in P's basis
+    u, v = pair.p.u, pair.p.v
+    l1, l2 = pair.lambdas
+    n1, n2 = math.ceil(2 * l1), math.ceil(2 * l2)
 
-    def build():
-        import math
+    def centers(lam, n):
+        # n unit cells cover [-lam, lam]; clamp the last one to the edge
+        return [min(-lam + Fraction(1, 2) + i, lam - Fraction(1, 2)) for i in range(n)]
 
-        pair = _sandwich_pair(body)
-        ref = body.frame.anchor
-        cover = reflect(body.polygon.translate(-ref))
-        # unit-step grid of P-translates covering 2*(Q - q_center) in P's basis
-        u, v = pair.p.u, pair.p.v
-        l1, l2 = pair.lambdas
-        n1, n2 = math.ceil(2 * l1), math.ceil(2 * l2)
-
-        def centers(lam, n):
-            # n unit cells cover [-lam, lam]; clamp the last one to the edge
-            return [min(-lam + Fraction(1, 2) + i, lam - Fraction(1, 2)) for i in range(n)]
-
-        cells = [u * a + v * b for a in centers(l1, n1) for b in centers(l2, n2)]
-        # -(P - ref) is P's shape centered at ref - p_center
-        pc = pair.p.center
-        offsets = [g + pc - ref for g in cells]
-        diff = minkowski_sum(body.polygon, reflect(body.polygon))
-        return _polygon_pattern("diff", list(diff.vertices), cover, offsets)
-
-    return _capped(_cached(("gen16", body.frame.key), build), 16)
+    cells = [u * a + v * b for a in centers(l1, n1) for b in centers(l2, n2)]
+    # -(P - ref) is P's shape centered at ref - p_center
+    pc = pair.p.center
+    offsets = [g + pc - ref for g in cells]
+    diff = minkowski_sum(body.polygon, reflect(body.polygon))
+    return _polygon_pattern("diff", list(diff.vertices), cover, offsets)
 
 
 def translate_cluster_cover(body) -> CoverPattern:
@@ -392,14 +361,15 @@ def translate_cluster_cover(body) -> CoverPattern:
     Sizes: parallelogram 2, triangle 5, disk 4, centrally symmetric 4,
     box 2^(d-1).
     """
-    if isinstance(body, BoxBody):
-        return box_cover(body.sides, half=True)
-    if isinstance(body, DiskBody):
-        return disk_half_cover(body.radius)
-    poly = body.polygon
-    if body.frame.centre is not None:
-        return _capped(halfplane_four_cover(poly, DOWN), 4)
-    if len(poly.vertices) == 3:
-        return _capped(triangle_trapezoid_cover(poly), 5)
-    raise VerificationFailed("no halfplane pattern for this base")
+    def build():
+        if isinstance(body, BoxBody):
+            return box_cover(body.sides, half=True)
+        if isinstance(body, DiskBody):
+            return disk_half_cover(body.radius)
+        if body.frame.centre is not None:
+            return _capped(halfplane_four_cover(body.polygon), 4)
+        if len(body.polygon.vertices) == 3:
+            return _capped(triangle_trapezoid_cover(body), 5)
+        raise VerificationFailed("no halfplane pattern for this base")
 
+    return _cached(("translate", body.frame.key), build)

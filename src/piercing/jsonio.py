@@ -403,9 +403,9 @@ def certificate_from_json(obj):
         elif points and not clusters:
             raise ParseError("refine_points without a cluster")
         else:
-            masks = _masks(obj, greedy_pattern(f, method).size, len(clusters) - bool(points))
             cert = PierceCertificate(method, factor, None, clusters, witness, info, family=f,
-                                     extra=points, masks=masks)
+                                     extra=points)
+            cert.masks = _masks(obj, greedy_pattern(f, method).size, len(cert.pattern_clusters))
     except ParseError:
         raise
     except Exception as e:

@@ -96,8 +96,7 @@ def _polygon_lows(f, D, cols, S):
     """(bottoms, low): the lowest point of each polygon member, and low(i, j)
     that of the intersection of members i and j, which must meet."""
     points, planes = member_polygons(f.base, D, cols, S)
-    xy = f.base.frame.scaled[1]
-    k = min(range(len(xy)), key=lambda k: xy[k][::-1])  # the same vertex in every member
+    k = f.base.frame.low  # the same vertex in every member
     # Fraction columns clear each member by its own denominators, so two
     # members' normals of one edge differ by a factor and their offsets
     # do not compare: every halfplane is clipped

@@ -69,12 +69,13 @@ from .geom import (
     _scaled,
     _subtract,
     _twice_area,
-    frac,
     region_minus_polygons,
 )
 from .sandwich import SandwichPair, hexagon_sandwich, hexagon_sandwich_special
 
 ORACLE_BUDGET = 12
+# the packing lattice's margin: 2 H_out (1 + PACKING_EPS) tiles, so 2 C packs strictly
+PACKING_EPS = Fraction(1, 64)
 
 
 def _topmost_order(cols):
@@ -135,10 +136,10 @@ def _greedy(f: Family, pattern, order, method, refine) -> PierceCertificate:
         tau, pts = exact_tau(f.subfamily(last))
         if tau < pattern.size:
             extra = pts
-    masks = offset_masks(f, pattern, clusters[:-1] if extra else clusters)
-    witness = [c[0] for c in clusters]
-    return PierceCertificate(method, pattern.size, None, clusters, witness, family=f, extra=extra,
-                             masks=masks)
+    cert = PierceCertificate(method, pattern.size, None, clusters, [c[0] for c in clusters],
+                             family=f, extra=extra)
+    cert.masks = offset_masks(f, pattern, cert.pattern_clusters)
+    return cert
 
 
 def _clusters(n, order, candidates, check):
@@ -416,11 +417,10 @@ def covering_lattice(s0: ConvexPolygon, cell_poly: ConvexPolygon) -> LatticeSpec
     return spec
 
 
-def packing_lattice(s0: ConvexPolygon, cell_poly: ConvexPolygon, eps=Fraction(1, 64)) -> LatticeSpec:
-    """Tiling lattice of 2*cell_poly scaled by (1+eps): 2*s0 packs strictly."""
-    eps = frac(eps)
+def packing_lattice(s0: ConvexPolygon, cell_poly: ConvexPolygon) -> LatticeSpec:
+    """Tiling lattice of 2*cell_poly scaled by (1+PACKING_EPS): 2*s0 packs strictly."""
     b1, b2 = _centered_tiling_basis(cell_poly)
-    scale = 2 * (1 + eps)
+    scale = 2 * (1 + PACKING_EPS)
     spec = LatticeSpec(b1 * scale, b2 * scale)
     big = s0.scale(4)  # 2S - 2S = 4S for centered symmetric S
     bx, by = big.bounding_box()
@@ -586,11 +586,11 @@ def lattice_pierce(f: Family, seed: int = 0, verify: bool = True) -> PierceCerti
     return cert
 
 
-def lattice_witness(f: Family, eps=Fraction(1, 64), seed: int = 0, sandwich=None, area=None):
+def lattice_witness(f: Family, seed: int = 0, sandwich=None, area=None):
     """Pairwise-disjoint members holding distinct lattice points (Lemma-6 dual).
 
     Returns (member indices, lattice spec).  On the packing lattice of
-    2*H_out*(1+eps), built once per base, sandwich and eps, members
+    2*H_out*(1+PACKING_EPS), built once per base and sandwich, members
     containing distinct lattice points are disjoint; an exact recheck drops
     any touching pair (none in practice).  Each lattice point, in index
     order, takes the lowest-index member holding it that no earlier point
@@ -601,13 +601,11 @@ def lattice_witness(f: Family, eps=Fraction(1, 64), seed: int = 0, sandwich=None
     sw = sandwich or _default_sandwich(f)
     center = sw.center
     poly = f.base.polygon
-    eps = frac(eps)
 
     def build():
-        return packing_lattice(poly.translate(-center), sw.h_out.translate(-center), eps)
+        return packing_lattice(poly.translate(-center), sw.h_out.translate(-center))
 
-    lattice = _cached(("packing_lattice", f.base.frame.key, _scaled(sw.h_out.vertices), eps),
-                      build)
+    lattice = _cached(("packing_lattice", f.base.frame.key, _scaled(sw.h_out.vertices)), build)
     if area is None:
         area = union_area_exact(f)
     target = math.ceil(area / lattice.cell_area)

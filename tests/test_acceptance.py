@@ -27,7 +27,6 @@ from piercing.generators import (
     unit_square,
     unit_triangle,
 )
-from piercing.geom import Point
 from piercing.homothets import greedy_pierce_homothets
 from piercing.oracle import exact_nu, exact_tau, solve
 from piercing.sandwich import sandwich_parallelograms
@@ -160,7 +159,7 @@ def test_criterion_6_seven_and_four_covers():
         s = random_centrally_symmetric_polygon(rng, half_vertices=half).polygon
         pat7 = seven_cover(s)  # exact empty-residue check on construction
         assert pat7.size <= 7
-        pat4 = halfplane_four_cover(s, Point(0, -1))
+        pat4 = halfplane_four_cover(s)
         assert pat4.size <= 4
     print(PASS % (6, "seven-translate and half-plane four-translate covers verified "
                      "exactly on 50 random centrally symmetric polygons"))
@@ -179,7 +178,7 @@ def test_criterion_7_lattice_lemmas():
         area = union_area_exact(f)
         cert = lattice_pierce(f)
         assert cert.info["count"] <= math.floor(area / cert.info["cover_cell_area"])
-        wit, spec = lattice_witness(f, eps=eps)
+        wit, spec = lattice_witness(f)
         from piercing.sandwich import hexagon_sandwich
 
         sw = hexagon_sandwich(base.polygon)

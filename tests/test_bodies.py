@@ -352,8 +352,8 @@ def _frame_bases():
 
 
 def _uncached_frame(base):
-    """Every field of bodies.Frame but patterns, derived again from the
-    base's Fractions, none of them through the frame."""
+    """Every field of bodies.Frame, derived again from the base's
+    Fractions, none of them through the frame."""
     out = {}
     if base.kind == "polygon":
         vs = base.polygon.vertices
@@ -361,6 +361,7 @@ def _uncached_frame(base):
         out["scaled"] = out["key"] = (d, tuple((int(p.x * d), int(p.y * d)) for p in vs))
         out["centre"] = centre(base.polygon)
         low = min(vs, key=lambda p: (p.y, p.x))
+        out["low"] = vs.index(low)
         out["vertices"] = [(int(p.x * w), int(p.y * w), w)
                            for p in vs for w in [math.lcm(p.x.denominator, p.y.denominator)]]
         out["planes"] = _planes(base.polygon)
@@ -423,7 +424,7 @@ def _frame_families():
 # what is derived from a base body's Fractions: once a frame holds it, a
 # second pierce and solve of the same family call none of these
 _DERIVATIONS = ("_centre", "_scaled", "_hom", "_planes", "_base_slabs", "bbox", "disk",
-                "is_centrally_symmetric", "_triangle_normalizer", "bounding_box")
+                "is_centrally_symmetric", "bounding_box")
 
 
 @pytest.mark.parametrize("name", sorted(_frame_families()))

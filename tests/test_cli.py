@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 from pathlib import Path
+import shlex
 import tracemalloc
 
 import pytest
@@ -7,6 +10,8 @@ import pytest
 from piercing import jsonio
 from piercing.certificates import PierceCertificate
 from piercing.cli import auto_pierce, build_parser, main
+from piercing.generators import random_family, unit_disk
+from piercing.translates import greedy_pierce
 
 
 def run(*argv):
@@ -188,6 +193,12 @@ def test_experiment_csv(tmp_path):
     ["experiment", "--trials", "-2"],
     ["experiment", "--trials", "x"],
     ["conjecture", "--trials", "0"],
+    ["gen", "random", "--box-size", "-2", "--n", "3"],
+    ["gen", "random", "--n", "0"],
+    ["gen", "grid", "--n", "0"],
+    ["experiment", "--box-size", "-1"],
+    ["conjecture", "--box-size", "-1"],
+    ["conjecture", "--n", "0"],
 ])
 def test_bad_count_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exit_:
@@ -206,10 +217,33 @@ def test_conjecture_log(tmp_path):
     assert all(r["tau_le_ratio"] and r["nu_ge_quarter_ratio"] for r in rows)
 
 
-def test_bench_smoke(capsys):
-    assert run("bench", "--n", "500", "--base", "disk") == 0
-    out = capsys.readouterr().out
-    assert "n=500" in out and "points/s" in out
+def _readme_cli_lines():
+    """The `piercing ...` lines of README's CLI block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("piercing ")]
+
+
+def test_readme_cli_lines_parse():
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail("README lists a command the parser rejects: %s" % line)
+
+
+def test_one_unrefined_trial_is_the_greedy(capsys):
+    # one experiment trial at box side floor(sqrt(n)), unrefined and with no
+    # oracle, times the greedy on the family random_family draws
+    assert run("experiment", "--base", "disk", "--n-range", "500:500", "--trials", "1",
+               "--box-size", "22", "--no-refine", "--oracle-limit", "0") == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    cert = greedy_pierce(random_family(unit_disk(), 500, box_size=22, seed=0), refine=False)
+    assert [row[k] for k in ("method", "n", "points", "witness", "factor")] == [
+        cert.method, "500", str(cert.point_count()), str(len(cert.witness)), str(cert.factor)]
+    assert float(row["seconds"]) > 0
 
 
 def test_pattern_emit_and_verify(tmp_path):

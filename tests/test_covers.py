@@ -27,7 +27,6 @@ TRIANGLE = ConvexPolygon([Point(0, 0), Point(1, 0), Point(0, 1)])
 HEXAGON = ConvexPolygon(
     [Point(2, 0), Point(1, 2), Point(-1, 2), Point(-2, 0), Point(-1, -2), Point(1, -2)]
 )
-DOWN = Point(0, -1)
 
 
 class TestSevenCover:
@@ -52,33 +51,28 @@ class TestSevenCover:
 
 class TestHalfplaneCover:
     def test_square_down_two(self):
-        pat = halfplane_four_cover(SQUARE, DOWN)
+        pat = halfplane_four_cover(SQUARE)
         assert pat.size == 2
         assert set(pat.offsets) == {Point(F(-1, 2), F(-1, 2)), Point(F(1, 2), F(-1, 2))}
 
     def test_hexagon_four(self):
-        assert halfplane_four_cover(HEXAGON, DOWN).size <= 4
-
-    def test_square_diagonal_direction(self):
-        # not edge-aligned: falls back to the hexagon construction
-        pat = halfplane_four_cover(SQUARE, Point(-1, -1))
-        assert pat.size <= 4
+        assert halfplane_four_cover(HEXAGON).size <= 4
 
     def test_random_bodies(self):
         rng = random.Random(43)
         for _ in range(5):
             s = random_centrally_symmetric_polygon(rng, half_vertices=3).polygon
-            assert halfplane_four_cover(s, DOWN).size <= 4
+            assert halfplane_four_cover(s).size <= 4
 
 
 class TestTriangleCovers:
     def test_trapezoid_five(self):
-        pat = triangle_trapezoid_cover(TRIANGLE)
+        pat = triangle_trapezoid_cover(PolygonBody(TRIANGLE))
         assert pat.size <= 5
 
     def test_sheared_triangle_equivariant(self):
         sheared = reference.linear_map(TRIANGLE, 1, F(1, 3), F(1, 5), 1)
-        pat = triangle_trapezoid_cover(sheared)
+        pat = triangle_trapezoid_cover(PolygonBody(sheared))
         assert pat.size <= 5
 
     def test_single_translate_cannot_cover_subtriangle(self):
@@ -164,8 +158,9 @@ class TestClusterDispatch:
 
 def _pattern_bases():
     """Seeded bases of every polygon pattern: centrally symmetric octagons
-    and hexagons (seven, half), triangles (trap, diff12) and general
-    polygons (gen16)."""
+    and hexagons (seven_cover, halfplane_four_cover), triangles (the
+    trapezoid and 12-offset covers) and general polygons (the 16-offset
+    sandwich grid)."""
     rng = random.Random(58)
     bases = [random_centrally_symmetric_polygon(rng, k, spread=2).polygon for k in (3, 4, 4, 4)]
     bases += [random_convex_polygon(rng, 3).polygon for _ in range(3)]
@@ -188,7 +183,7 @@ def test_polygon_pattern_verdicts_match_translates_built_in_fractions():
         if poly.is_centrally_symmetric() is not None:
             pats.append(translate_cluster_cover(PolygonBody(poly)))
         elif len(poly) == 3:
-            pats.append(triangle_trapezoid_cover(poly))
+            pats.append(triangle_trapezoid_cover(PolygonBody(poly)))
         for pat in pats:
             region, body, offsets = pat.data["region"], pat.data["body"], pat.offsets
             assert reference.translates_residue(region, body, offsets) == []
@@ -199,22 +194,25 @@ def test_polygon_pattern_verdicts_match_translates_built_in_fractions():
                 with pytest.raises(VerificationFailed) if got else contextlib.nullcontext():
                     covers._polygon_pattern(pat.region_kind, region, body, variant)
                 residues.append(len(got))
-    assert {key[0] for key in covers._pattern_cache} >= {"seven", "half", "trap", "diff12", "gen16"}
+    assert {key[0] for key in covers._pattern_cache} == {"homothet", "translate", "sandwich"}
     assert min(residues) == 0 < max(residues)
 
 
 def test_fresh_base_patterns_fit_a_call_budget():
     # the seven and half covers of one octagon and both disk patterns, built
-    # on an empty cache: about 81,000 calls with the int kernel, 212,000
-    # with translates built in Fractions and Radical side tests
+    # with no disk check kept: about 81,000 calls with the int kernel,
+    # 212,000 with translates built in Fractions and Radical side tests.
+    # Only the dispatchers keep patterns, so the constructors leave the
+    # pattern cache as they found it
     poly = random_centrally_symmetric_polygon(2027, 4, spread=2).polygon
     covers._pattern_cache.clear()
+    covers._check_once.cache_clear()
     with reference.call_budget(100_000):
         seven_cover(poly)
         halfplane_four_cover(poly)
         disk_seven_cover(1)
         disk_half_cover(1)
-    assert {key[0] for key in covers._pattern_cache} == {"seven", "half", "disk7", "diskhalf"}
+    assert not covers._pattern_cache
 
 
 # Bases whose greedy patterns certificates index: a mask's bit k is offset

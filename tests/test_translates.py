@@ -21,7 +21,7 @@ from piercing.bodies import (
     pair_checker,
     scale_classes,
 )
-from piercing.covers import _triangle_normalizer, translate_cluster_cover
+from piercing.covers import translate_cluster_cover
 from piercing.errors import (
     CoverageNotVerified,
     NotHexagonBase,
@@ -471,19 +471,18 @@ def test_lattice_search_matches_the_fraction_reference():
     """The int-layer offset searches pick the same points, in the same
     order, and the same witness members as Fraction points tested against
     every realized member."""
-    eps = F(1, 64)
     for f in _lattice_families():
         sw = _default_sandwich(f)
         c = sw.center
         area = union_area_exact(f)
         cover = covering_lattice(f.base.polygon.translate(-c), sw.h_in.translate(-c))
-        pack = packing_lattice(f.base.polygon.translate(-c), sw.h_out.translate(-c), eps)
+        pack = packing_lattice(f.base.polygon.translate(-c), sw.h_out.translate(-c))
         target = math.ceil(area / pack.cell_area)
         cert = lattice_pierce(f)
         assert cert.points == lattice_offset_points(f, cover, c, area // cover.cell_area)
         members = lattice_offset_members(f, pack, c, target)
         assert cert.witness == members
-        assert lattice_witness(f, eps=eps)[0] == members
+        assert lattice_witness(f)[0] == members
 
 
 def test_lattice_paths_never_ask_a_realized_body(monkeypatch):
@@ -560,7 +559,7 @@ def _check_cached_entries(cache, base):
     cover = cache[("covering_lattice", key, _scaled(fresh.h_in.vertices))]
     assert _lattice_values(cover) == _lattice_values(
         covering_lattice(s0, fresh.h_in.translate(-c)))
-    pack = cache[("packing_lattice", key, _scaled(fresh.h_out.vertices), F(1, 64))]
+    pack = cache[("packing_lattice", key, _scaled(fresh.h_out.vertices))]
     assert _lattice_values(pack) == _lattice_values(
         packing_lattice(s0, fresh.h_out.translate(-c)))
     if len(poly.vertices) == 6:
@@ -836,10 +835,17 @@ def test_int_disk_test_agrees_with_exact_containment():
         assert membership(f, [int_point(point)])(0)(0) == body_contains(body, point)
 
 
+def _triangle_edges(t):
+    """The triangle's edges from its lowest-then-leftmost vertex, in order."""
+    v = t.vertices
+    i = min(range(3), key=lambda k: (v[k].y, v[k].x))
+    return v[(i + 1) % 3] - v[i], v[(i + 2) % 3] - v[i]
+
+
 def _normalized_top_order(f):
     """The reference seed order of a triangle family: top_key on the family
     mapped into the frame where the triangle is (0,0), (1,0), (0,1)."""
-    _, e1, e2 = _triangle_normalizer(f.base.polygon)
+    e1, e2 = _triangle_edges(f.base.polygon)
     det = e1.cross(e2)
     fwd = AffineMap(e2.y / det, -e2.x / det, -e1.y / det, e1.x / det)
     return sorted(range(len(f)), key=top_key(normalize_affine(f, fwd)))
@@ -863,7 +869,7 @@ class TestTriangleSeedOrder:
                 assert f.scaled_translations()[0] == 2
                 order = _seed_order(f)
                 assert order == _normalized_top_order(f)
-                _, e1, _ = _triangle_normalizer(base.polygon)
+                e1, _ = _triangle_edges(base.polygon)
                 ms = reference.members(f)
                 ups = [e1.cross(ms[i].t) for i in order]
                 assert len(set(ups)) < len(ups)
