@@ -1,9 +1,9 @@
 """Convex bodies, families of translates/homothets, intersection graphs.
 
 A member body is s*C + t: the base scaled about the origin, then translated.
-All coordinates are exact rationals; query points may be radical
-(radicals.RadPoint), with one radicand m shared by both coordinates,
-because some disk constructions need them.
+All coordinates are exact rationals; query points are radicals.RadPoints,
+ints (A + B sqrt(m)) / q with one radicand m shared by the coordinates,
+because some disk constructions need it.
 
 The integer kernel: a family is held only as its translations and scales
 times the lcm D of their denominators (Family.scaled_translations), so
@@ -11,9 +11,8 @@ member i is (S_i C + T_i) / D with int columns T and S.  Pair tests
 (pair_checker), the pair grid (neighbor_index) and the homothet/topmost
 orders run on these ints, and polygon and box members are slabs
 lo <= w.p <= hi with int bounds (Family.slabs).  Point membership is
-decided here too, and only here: a point becomes ints (A + B sqrt(m)) / q
-once (int_point; a RadPoint holds them already), and membership tests it
-by exact signs of P + Q sqrt(m) against a member's slabs or a disk member;
+decided here too, and only here: membership tests a RadPoint's ints by
+exact signs of P + Q sqrt(m) against a member's slabs or a disk member;
 coverage, for the oracle's masks, bisects all members one slab at a time
 on rational points.  The
 members' scaled bounding boxes (box_columns) are int too, and one exact
@@ -35,7 +34,6 @@ from operator import le, mul, or_
 
 from .errors import DegenerateInput
 from .geom import ConvexPolygon, Interval, Point, _centre, _hom, _planes, _scaled, frac
-from .radicals import RadPoint
 
 # A family whose common translation and scale denominator D needs more bits
 # than this keeps its translations and scales as Fractions (D = 1):
@@ -61,8 +59,9 @@ class Frame:
     halfplanes (geom._planes), for member_polygons.  slabs: _base_slabs,
     for Family.slabs.  box: (L, lows, sides), C's bounding box times the lcm
     L of its denominators.  disk: (L, cx, cy, cr), centre and radius over L.
-    key: ints equal for two bodies of one kind iff they are, the pattern
-    cache's key (covers._cached)."""
+    key: the pattern cache's key (covers._cached), ints equal for two
+    bodies of one kind iff they are, but for disks, whose patterns depend
+    on the radius alone and whose key is the radius's (p, q)."""
 
     def __init__(self, base):
         self.base = base
@@ -115,7 +114,9 @@ class Frame:
     @cached_property
     def key(self):
         kind = self.base.kind
-        return self.scaled if kind == "polygon" else self.disk if kind == "disk" else self.box
+        if kind == "disk":
+            return self.base.radius.as_integer_ratio()
+        return self.scaled if kind == "polygon" else self.box
 
 
 class PolygonBody:
@@ -579,17 +580,6 @@ def common_slab_bounds(f: Family):
     return None if any(a > b for a, b in bounds) else bounds
 
 
-def int_point(p):
-    """(q, m, A, B): coordinate k of p is (A[k] + B[k] sqrt(m)) / q, with
-    ints (B is None for a rational point).  p is a Point, a RadPoint, whose
-    own fields these are, or a box tuple."""
-    if isinstance(p, RadPoint):
-        return p.q, p.m, p.A, p.B
-    coords = p if isinstance(p, tuple) else (p.x, p.y)
-    q = math.lcm(*[v.denominator for v in coords])
-    return q, 1, [v.numerator * (q // v.denominator) for v in coords], None
-
-
 def root_sign(P, Q, m) -> int:
     """The sign of P + Q sqrt(m) for ints P, Q and m >= 1: where P and Q
     differ in sign, that of P times that of P^2 - m Q^2."""
@@ -602,9 +592,9 @@ def root_sign(P, Q, m) -> int:
     return s * ((d > 0) - (d < 0))
 
 
-def membership(f: Family, ipts):
-    """member(i) -> test(k): whether member i contains the point whose
-    int_point entry is ipts[k], decided on ints.
+def membership(f: Family, points):
+    """member(i) -> test(k): whether member i contains the RadPoint
+    points[k], decided on its ints.
 
     Polygons and boxes decide on the family's slabs (Family.slabs): with
     u = form . A and v = form . B, (A + B sqrt(m)) / q lies in member i iff
@@ -620,9 +610,9 @@ def membership(f: Family, ipts):
     base = f.base
     if base.kind != "disk":
         forms, lo, hi = f.slabs()
-        exact = [(q, m, [sum(map(mul, w, A)) for w in forms],
-                  None if B is None else [sum(map(mul, w, B)) for w in forms])
-                 for q, m, A, B in ipts]
+        exact = [(p.q, p.m, [sum(map(mul, w, p.A)) for w in forms],
+                  None if p.B is None else [sum(map(mul, w, p.B)) for w in forms])
+                 for p in points]
 
         def member(i):
             li, hi_ = lo[i], hi[i]
@@ -641,9 +631,10 @@ def membership(f: Family, ipts):
     D, (xs, ys), S = f.scaled_translations()
     LD = L * D
     pts = []
-    for q, m, (ax, ay), B in ipts:
+    for p in points:
+        (ax, ay), B, m = p.A, p.B, p.m
         bx, by = (0, 0) if B is None else (B[0] * LD, B[1] * LD)
-        pts.append((q, m, ax * LD, ay * LD, bx, by, m * (bx * bx + by * by)))
+        pts.append((p.q, m, ax * LD, ay * LD, bx, by, m * (bx * bx + by * by)))
 
     def member(i):
         s = S[i]
@@ -661,10 +652,10 @@ def membership(f: Family, ipts):
     return member
 
 
-def coverage(f: Family, ipts):
-    """masks[k] has bit i set iff member i contains the point of ipts[k]
-    (int_point entries).  Rational points in polygon and box families go
-    slab by slab: u = form . A lies in member i's slab iff lo <= u // q and
+def coverage(f: Family, points):
+    """masks[k] has bit i set iff member i contains the RadPoint points[k].
+    Rational points in polygon and box families go slab by slab:
+    u = form . A lies in member i's slab iff lo <= u // q and
     -hi <= -u // q (Fraction(+-u, q) for Fraction bounds), so the members
     holding it are prefixes of the orders by lo and by -hi, whose ORs a
     bisection finds; every other point is tested member by member
@@ -673,23 +664,23 @@ def coverage(f: Family, ipts):
     masks = {}
     if f.base.kind != "disk":
         forms, lo, hi = f.slabs()
-        masks = {k: (1 << len(f)) - 1 for k, e in enumerate(ipts) if e[3] is None}
+        masks = {k: (1 << len(f)) - 1 for k, p in enumerate(points) if p.B is None}
         for w, los, his in zip(forms, zip(*lo), zip(*hi)):
             ints = all(type(v) is int for v in los + his)
             los, lo_bits = zip(*sorted(zip(los, bits)))
             his, hi_bits = zip(*sorted(zip([-v for v in his], bits)))
             low, high = [0, *accumulate(lo_bits, or_)], [0, *accumulate(hi_bits, or_)]
             for k in masks:
-                q, _, A, _ = ipts[k]
-                u = sum(map(mul, w, A))
+                q = points[k].q
+                u = sum(map(mul, w, points[k].A))
                 a, b = (u // q, -u // q) if ints else (Fraction(u, q), Fraction(-u, q))
                 masks[k] &= low[bisect_right(los, a)] & high[bisect_right(his, b)]
-    if len(masks) < len(ipts):
-        tests = list(map(membership(f, ipts), range(len(f))))
-        for k in range(len(ipts)):
+    if len(masks) < len(points):
+        tests = list(map(membership(f, points), range(len(f))))
+        for k in range(len(points)):
             if k not in masks:
                 masks[k] = sum(b for b, test in zip(bits, tests) if test(k))
-    return [masks[k] for k in range(len(ipts))]
+    return [masks[k] for k in range(len(points))]
 
 
 def intersection_graph(f: Family):

@@ -4,16 +4,16 @@ A certificate is checkable on its own: every member must contain one of the
 points (exact), the witness members must be pairwise disjoint (exact), and
 |points| <= factor * |witness|.
 
-An explicit certificate lists its points.  Every decision is exact on ints,
-on the membership layer that the oracle shares (bodies.int_point,
-bodies.membership): each point is converted once to (A + B sqrt(m)) / q
-per coordinate and bucketed on one exact grid per scale class of the
-members (bodies.scale_classes), so verification is near-linear per
-occupied class: O((n + points) * classes), with at most
+An explicit certificate lists its points, radicals.RadPoints like every
+point the constructions hand out.  Every decision is exact on their ints
+(A + B sqrt(m)) / q, on the membership layer that the oracle shares
+(bodies.membership): each point is bucketed on one exact grid per scale
+class of the members (bodies.scale_classes), so verification is
+near-linear per occupied class: O((n + points) * classes), with at most
 log2(S_max / S_min) + 1 classes.  Polygon and box membership is decided on
 the family's int slabs (bodies.Family.slabs), disk membership by the sign
 of P + Q sqrt(m) on ints; no member is realized.  The point budget counts
-distinct points (radicals.point_key).  A file's point with more than one
+distinct points (radicals.RadPoint.key).  A file's point with more than one
 radicand has no such form and fails verification (jsonio).
 
 A symbolic certificate (the greedies') lists seeds and clusters instead.
@@ -27,7 +27,7 @@ or box cluster may keep only some of the pattern's offsets, a mask
 slab values on ints (_slab_pierced), and only those points count.  Its points
 are built only when asked for (PierceCertificate.points), from the one int
 key per placed point that the distinct-point count uses (_packed_keys):
-repeated keys are dropped and each kept key is decoded to one point.
+repeated keys are dropped and each kept key is decoded to one RadPoint.
 """
 
 from bisect import bisect_left, bisect_right
@@ -41,7 +41,6 @@ from .bodies import (
     Family,
     box_columns,
     collector_paused,
-    int_point,
     membership,
     pair_checker,
     pairwise_disjoint,
@@ -49,8 +48,7 @@ from .bodies import (
 )
 from .covers import _cached, homothet_cover, translate_cluster_cover
 from .errors import UnsupportedBase, VerificationFailed
-from .geom import Point
-from .radicals import RadPoint, point_key
+from .radicals import RadPoint
 
 
 def _floor_root(b, m):
@@ -59,14 +57,13 @@ def _floor_root(b, m):
     return math.isqrt(n) if b >= 0 or not n else -1 - math.isqrt(n - 1)
 
 
-def _cell_key(e, scale, cell):
-    """The key of the point bodies.int_point gave as e on the grid of one
-    scale class, in the frame where member boxes are scaled by scale
-    (bodies.scale_classes): per coordinate
-    floor(scale (A + B sqrt(m)) / (q cell)), which for cell = num / den is
-    (a + floor(b sqrt(m))) // (q num) with a = scale den A and
-    b = scale den B (_floor_root)."""
-    q, m, A, B = e
+def _cell_key(p, scale, cell):
+    """The key of the RadPoint p on the grid of one scale class, in the
+    frame where member boxes are scaled by scale (bodies.scale_classes): per
+    coordinate floor(scale (A + B sqrt(m)) / (q cell)), which for
+    cell = num / den is (a + floor(b sqrt(m))) // (q num) with
+    a = scale den A and b = scale den B (_floor_root)."""
+    q, m, A, B = p.q, p.m, p.A, p.B
     num, den = cell.numerator, cell.denominator * scale
     d = q * num
     if B is None:
@@ -141,24 +138,18 @@ def greedy_rule(f: Family, method):
     return pattern, [-s for s in f.scaled_translations()[2]]
 
 
-def _coords(p):
-    return p if isinstance(p, tuple) else (p.x, p.y)
-
-
 def _terms(p):
-    """Per coordinate of a point, {radicand: coefficient} of its nonzero
+    """Per coordinate of a RadPoint, {radicand: coefficient} of its nonzero
     terms, the rational part's radicand being 1."""
-    if isinstance(p, RadPoint):
-        q, m = p.q, p.m
-        return [{k: Fraction(c, q) for k, c in ((1, a), (m, b)) if c}
-                for a, b in zip(p.A, p.B or (0,) * len(p.A))]
-    return [{1: v} if v else {} for v in _coords(p)]
+    q, m = p.q, p.m
+    return [{k: Fraction(c, q) for k, c in ((1, a), (m, b)) if c}
+            for a, b in zip(p.A, p.B or (0,) * len(p.A))]
 
 
 def _on_roots(p, roots):
     """p written over the radicand in roots whose product with its own is a
     perfect square, if any: sqrt(p.m) = s / m sqrt(m) for s^2 = p.m m."""
-    if isinstance(p, RadPoint) and p.B and p.m not in roots:
+    if p.B and p.m not in roots:
         for m in roots:
             s = math.isqrt(p.m * m)
             if s * s == p.m * m:
@@ -185,12 +176,12 @@ def _packed_keys(f: Family, offsets, seeds, masks=None):
     and it is linear: A_o S_i + B_i.  A point whose radicand m is not the
     pattern's m' but has m m' a perfect square is first written over m'
     (_on_roots).  A point out of bounds is no pattern point; its key is
-    radicals.point_key.  Fraction columns (over MAX_SCALE_BITS) key a point
-    by its digits as Fractions (_value_keys), with no denominator common to
-    the members."""
+    RadPoint.key, a tuple, which equals no int.  Fraction columns (over
+    MAX_SCALE_BITS) key a point by its digits as Fractions (_value_keys),
+    with no denominator common to the members."""
     D, cols, S = f.scaled_translations()
-    anchor = _coords(f.base.frame.anchor)
-    terms = [[{**t, 1: t.get(1, 0) + a} for t, a in zip(_terms(o), anchor)] for o in offsets]
+    terms = [[{**t, 1: t.get(1, 0) + a} for t, a in zip(_terms(o), f.base.frame.anchor)]
+             for o in offsets]
     # one digit per (axis, radicand), the rational part's radicand being 1
     digits = sorted({(k, 1) for k in range(len(cols))}
                     | {(k, m) for row in terms for k, t in enumerate(row) for m in t})
@@ -226,7 +217,7 @@ def _packed_keys(f: Family, offsets, seeds, masks=None):
         digit = [terms.get(km, 0) for km in digits]
         if terms.keys() - digits or not all(
                 a <= c <= b and c.denominator == 1 for a, c, b in zip(lo, digit, hi)):
-            return point_key(p)
+            return p.key()
         return sum(map(mul, map(int, digit), weights))
 
     def point(k):
@@ -234,13 +225,8 @@ def _packed_keys(f: Family, offsets, seeds, masks=None):
         for (axis, m), a, r in zip(digits, lo, radices):
             v, x = divmod(v, r)
             xs[axis][m] = a + x
-        A = [x[1] for x in xs]
-        if roots:
-            (m,) = roots
-            B = [x.get(m, 0) for x in xs]
-            return RadPoint(scale, m, A, B if any(B) else None)
-        xs = [Fraction(a, scale) for a in A]
-        return tuple(xs) if f.base.kind == "box" else Point(*xs)
+        (m,) = roots or (1,)
+        return RadPoint(scale, m, [x[1] for x in xs], [x.get(m, 0) for x in xs] if roots else None)
 
     return keys, key, point
 
@@ -249,8 +235,10 @@ def _value_keys(f: Family, terms, digits, roots, ss, ts, masks):
     """_packed_keys on Fraction columns: a key is the tuple of a point's
     digits, each coordinate's rational part and its coefficient per
     radicand, exact per seed as c S_i + T_i and c S_i, so equal keys are
-    equal values; a point with a term no digit holds keys as
-    radicals.point_key, a tuple of pairs that equals no digit tuple."""
+    equal values; a point with a term no digit holds keys as RadPoint.key,
+    which equals no digit tuple: such a point has a radicand, so its key
+    has 1 + 2d entries, and a tuple of digits, with the rational part and
+    one radicand per axis, at most 2d."""
     picks = _picks(masks, [[row[k].get(m, 0) for k, m in digits] for row in terms])
     shifts = zip(*[ts[k] if m == 1 else [0] * len(ss) for k, m in digits])
     keys = [tuple(c * s + t for c, t in zip(cs, shift))
@@ -260,19 +248,16 @@ def _value_keys(f: Family, terms, digits, roots, ss, ts, masks):
         terms = {(k, m): c for k, t in enumerate(_terms(_on_roots(p, roots)))
                  for m, c in t.items()}
         if terms.keys() - digits:
-            return point_key(p)
+            return p.key()
         return tuple(terms.get(km, 0) for km in digits)
 
     def point(k):
         xs = [{} for _ in ts]
         for (axis, m), v in zip(digits, k):
             xs[axis][m] = v
-        A = [x[1] for x in xs]
-        if roots:
-            (m,) = roots
-            B = [x.get(m, 0) for x in xs]
-            return RadPoint.of_fractions(m, A, B if any(B) else None)
-        return tuple(A) if f.base.kind == "box" else Point(*A)
+        (m,) = roots or (1,)
+        return RadPoint.of_fractions(m, [x[1] for x in xs],
+                                     [x.get(m, 0) for x in xs] if roots else None)
 
     return keys, key, point
 
@@ -286,14 +271,10 @@ def _offset_slabs(base, pattern):
     those ORs inverted; own is the mask of the offsets with a + o in the
     base, 0 <= d[k][o] <= M (L hi_k - L lo_k) on every slab."""
     def build():
-        anchor = _coords(base.frame.anchor)
-        coords = [_coords(o) for o in pattern.offsets]
-        M = math.lcm(*[v.denominator for v in chain(anchor, *coords)])
-
-        def cleared(v):
-            return v.numerator * (M // v.denominator)
-
-        points = [[cleared(a) + cleared(v) for a, v in zip(anchor, o)] for o in coords]
+        anchor = list(base.frame.anchor)
+        M = math.lcm(*[v.denominator for v in anchor], *[o.q for o in pattern.offsets])
+        anchor = [v.numerator * (M // v.denominator) for v in anchor]
+        points = [[a + c * (M // o.q) for a, c in zip(anchor, o.A)] for o in pattern.offsets]
         tables = []
         own = (1 << len(points)) - 1
         for w, lo, hi in base.frame.slabs:
@@ -462,7 +443,7 @@ class PierceCertificate:
     @collector_paused()
     def _distinct(self, f: Family):
         """The number of distinct points, for the certificate on f: an
-        explicit certificate counts their keys (radicals.point_key), and a
+        explicit certificate counts their keys (radicals.RadPoint.key), and a
         symbolic one packed int keys, placing nothing."""
         if self._counted is None or self._counted[0] is not f:
             if self.symbolic:
@@ -470,7 +451,7 @@ class PierceCertificate:
                 keys, key, _ = _packed_keys(f, offsets, self._pattern_seeds(), self.masks)
                 keys = chain(keys, map(key, self.extra))
             else:
-                keys = map(point_key, self._points)
+                keys = map(RadPoint.key, self._points)
             self._counted = (f, len(set(keys)))
         return self._counted[1]
 
@@ -570,21 +551,19 @@ def _check_members(f: Family, indices, points):
     """Every member in indices contains one of points, decided exactly;
     raises VerificationFailed.
 
-    The points are converted once (bodies.int_point; a point with more
-    than one radicand never gets here, because jsonio._Reader.radical
-    rejects it) and filed once per scale class of the
-    members (bodies.scale_classes, _cell_key); a member sees the points of
-    the <= 2^d cells its box (bodies.box_columns) meets at its class, and
-    bodies.membership decides each on ints."""
+    The points, RadPoints (a point with more than one radicand never gets
+    here, because jsonio._Reader.radical rejects it), are filed once per
+    scale class of the members (bodies.scale_classes, _cell_key); a member
+    sees the points of the <= 2^d cells its box (bodies.box_columns) meets
+    at its class, and bodies.membership decides each on ints."""
     indices = list(indices)
-    ipts = [int_point(p) for p in points]
     scale, ss, lo_cols, sides = box_columns(f, indices)
     classes, cells = scale_classes(ss, max(sides))
     grids = {c: {} for c in cells}
-    for k, e in enumerate(ipts):
+    for k, p in enumerate(points):
         for c, grid in grids.items():
-            grid.setdefault(_cell_key(e, scale, cells[c]), []).append(k)
-    member = membership(f, ipts)
+            grid.setdefault(_cell_key(p, scale, cells[c]), []).append(k)
+    member = membership(f, points)
     for i, s, lo, c in zip(indices, ss, zip(*lo_cols), classes):
         cell = cells[c]
         keys = product(*[range(a // cell, (a + s * w) // cell + 1) for a, w in zip(lo, sides)])

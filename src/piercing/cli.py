@@ -6,6 +6,7 @@ written, 2 parse or usage error, 3 size limit.
 """
 
 import argparse
+from fractions import Fraction
 from functools import cache
 import json
 import sys
@@ -49,6 +50,18 @@ def _at_least(low):
 
 
 _count, _size = _at_least(1), _at_least(0)
+
+
+def _epsilon(text):
+    """An argparse type: a rational in (0, 1/10), the range nine_triangles
+    takes, as a Fraction."""
+    try:
+        eps = Fraction(*jsonio._pair(text))
+    except ParseError:
+        eps = None
+    if eps is None or not 0 < eps < Fraction(1, 10):
+        raise argparse.ArgumentTypeError("expected a rational in (0, 1/10), got %r" % text)
+    return eps
 
 
 def _n_range(text):
@@ -108,7 +121,7 @@ def cmd_gen(args) -> int:
     if args.instance == "five-cycle":
         f = generators.five_square_cycle()
     elif args.instance == "nine-triangles":
-        f = generators.nine_triangles(jsonio._Reader().num(args.epsilon))
+        f = generators.nine_triangles(args.epsilon)
     elif args.instance == "grid":
         f = generators.grid_family(args.n, _BASES[args.base]())
     elif args.instance == "random":
@@ -285,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("instance", choices=["five-cycle", "nine-triangles", "grid", "random", "pairwise"])
     g.add_argument("--base", default="square", choices=sorted(_BASES))
     g.add_argument("--n", type=_count, default=10)
-    g.add_argument("--epsilon", default="1/100")
+    g.add_argument("--epsilon", type=_epsilon, default="1/100")
     g.add_argument("--kind", default="translates", choices=["translates", "homothets"])
     g.add_argument("--box-size", type=_size, default=10)
     g.add_argument("--seed", type=int, default=0)

@@ -5,7 +5,8 @@ polygon regions by clipping until the residue is empty, disk regions by the
 circle-arrangement criterion, boxes by cell decomposition.  The offsets
 double as pierce-point offsets relative to a cluster seed's reference point,
 because a translate with reference a contains the point q iff a lies in
--(C - ref) + q.
+-(C - ref) + q.  They are built and verified as geom Points (box tuples),
+and a verified pattern holds them as radicals.RadPoints.
 
 A greedy pattern depends on the base body alone, so the two dispatchers,
 translate_cluster_cover and homothet_cover, keep one pattern per base and
@@ -35,7 +36,8 @@ from .sandwich import inscribed_hexagon, sandwich_parallelograms
 
 
 class CoverPattern:
-    """An exactly verified claim: region <= union of cover_body translates."""
+    """An exactly verified claim: region <= union of cover_body translates,
+    whose offsets are RadPoints."""
 
     def __init__(self, region_kind, base_kind, offsets, data=None):
         self.region_kind = region_kind  # "diff" or "diff_half"
@@ -89,7 +91,8 @@ def _polygon_pattern(region_kind, region, cover: ConvexPolygon, offsets) -> Cove
     residue of the region chain (region_minus_polygons)."""
     if region_minus_polygons(region, [cover], offsets):
         raise VerificationFailed("cover residue is nonempty")
-    return CoverPattern(region_kind, "polygon", offsets, data={"body": cover, "region": region})
+    return CoverPattern(region_kind, "polygon", [RadPoint.of_fractions(1, o) for o in offsets],
+                        data={"body": cover, "region": region})
 
 
 def seven_cover(s: ConvexPolygon) -> CoverPattern:
@@ -283,7 +286,8 @@ def box_cover(sides, half: bool) -> CoverPattern:
     rest = itertools.product(*[(-s / 2, s / 2) for s in sides[:-1]])
     offsets = [tuple(r) + l for r in rest for l in last]
     _verify_box_pattern(sides, offsets, half)
-    return CoverPattern("diff_half" if half else "diff", "box", offsets, data={"sides": sides})
+    return CoverPattern("diff_half" if half else "diff", "box",
+                        [RadPoint.of_fractions(1, o) for o in offsets], data={"sides": sides})
 
 
 def _verify_box_pattern(sides, offsets, half):

@@ -7,10 +7,10 @@ Certificates embed the instance, which makes them re-verifiable from the
 file alone.  An instance is written as its scaled int columns "D", "t" (D t
 per axis) and, for homothets, "s" (D s) (bodies.Family.scaled_translations),
 and read back as written (_rescaled); the hand-written "members" form too.
-A rational point is written as its coordinate list, a radical point as its
-RadPoint's terms, read with one rule that needs no factoring
-(_Reader.radical).  The writer leaves out what the reader assumes: a
-translate family's "kind", a polygon's anchor "reference_point"
+Every point is a radicals.RadPoint: a rational one is written as its
+coordinate list, a radical one as its terms, read with one rule that needs
+no factoring (_Reader.radical).  The writer leaves out what the reader
+assumes: a translate family's "kind", a polygon's anchor "reference_point"
 (bodies.Frame.anchor) and an empty "info"; files that spell them
 out, or a point as {"kind": "rational", "xy": [...]}, read the same.
 """
@@ -27,7 +27,7 @@ from .bodies import (MAX_SCALE_BITS, BoxBody, DiskBody, Family, PolygonBody, col
 from .certificates import PierceCertificate, greedy_pattern
 from .errors import DegenerateInput, ParseError, VerificationFailed
 from .geom import ConvexPolygon, Point
-from .radicals import RadPoint, is_square, point_key
+from .radicals import RadPoint, is_square
 
 
 # the number grammar of every file: an optional sign, digits, and an
@@ -136,23 +136,20 @@ class _Reader:
         return m, a, b
 
     def pierce_point(self, obj, box_dim=None):
-        """A planar point (a Point, or a RadPoint when it has a radicand),
-        or a rational box point with exactly box_dim coordinates.  A
-        rational point is its coordinate list, or the object
-        {"kind": "rational", "xy": list} of files written earlier."""
+        """The RadPoint of a planar point, or of a rational box point with
+        exactly box_dim coordinates.  A rational point is its coordinate
+        list, or the object {"kind": "rational", "xy": list} of files
+        written earlier."""
         xy = obj
         if type(obj) is not list:
             if obj.get("kind", "rational") == "radical":
                 if box_dim is not None:
                     raise ParseError("box points must be rational")
-                m, a, b = self.radical([obj["x"], obj["y"]])
-                return Point(*a) if b is None else RadPoint.of_fractions(m, a, b)
+                return RadPoint.of_fractions(*self.radical([obj["x"], obj["y"]]))
             xy = obj["xy"]
         if type(xy) is not list or len(xy) != (box_dim or 2):
             raise ParseError("a point needs a list of %d coordinates" % (box_dim or 2))
-        if box_dim is not None:
-            return tuple(self.num(v) for v in xy)
-        return Point(self.num(xy[0]), self.num(xy[1]))
+        return RadPoint.of_fractions(1, list(map(self.num, xy)))
 
     def pierce_points(self, objs, box_dim=None):
         """(points, mixed): pierce_point of each entry, None for one with
@@ -184,9 +181,9 @@ class _Reader:
             return DiskBody(self.point(obj["center"]), self.num(obj["radius"]))
         if kind == "box":
             sides = [self.num(v) for v in obj["side_lengths"]]
-            dim = int(obj.get("dim", len(sides)))
-            if dim != len(sides):
-                raise ParseError("box dim mismatch")
+            dim = obj.get("dim", len(sides))
+            if type(dim) is not int or dim != len(sides):
+                raise ParseError("box dim must be the integer %d, got %r" % (len(sides), dim))
             mins = obj.get("min_corner")
             mins = [self.num(v) for v in mins] if mins else [0] * dim
             return BoxBody(mins, sides)
@@ -288,19 +285,15 @@ def family_from_json(obj) -> Family:
     return _Reader().family(obj)
 
 
-def point_to_json(p):
-    """A rational point's coordinate list, or a RadPoint's terms
-    [[1, A/q], [m, B/q]] per coordinate with zero terms dropped."""
-    if isinstance(p, Point):
-        return _point_out(p)
-    if isinstance(p, RadPoint):
-        q, m, A, B = p.q, p.m, p.A, p.B
-        if not any(B or ()):
-            return [_num_out(Fraction(a, q)) for a in A]
-        x, y = ([[r, _num_out(Fraction(c, q))] for r, c in ((1, a), (m, b)) if c]
-                for a, b in zip(A, B))
-        return {"kind": "radical", "x": x, "y": y}
-    return [_num_out(v) for v in p]  # box tuple
+def point_to_json(p: RadPoint):
+    """A rational point's coordinate list, else its terms [[1, A/q], [m, B/q]]
+    per coordinate with zero terms dropped."""
+    q, m, A, B = p.q, p.m, p.A, p.B
+    if B is None:
+        return [_num_out(Fraction(a, q)) for a in A]
+    x, y = ([[r, _num_out(Fraction(c, q))] for r, c in ((1, a), (m, b)) if c]
+            for a, b in zip(A, B))
+    return {"kind": "radical", "x": x, "y": y}
 
 
 @collector_paused()
@@ -433,6 +426,15 @@ def pattern_to_json(pat) -> dict:
     return doc
 
 
+def _rational(p):
+    """The Fraction coordinates of a RadPoint p, for the geometry that
+    checks a polygon or box pattern; a point with a radicand, or None (more
+    than one, _Reader.pierce_points), is a ParseError."""
+    if p is None or p.B is not None:
+        raise ParseError("polygon and box pattern offsets must be rational")
+    return tuple(Fraction(a, p.q) for a in p.A)
+
+
 def verify_pattern_json(doc) -> bool:
     """Exact re-verification of a serialized cover pattern.
 
@@ -455,9 +457,7 @@ def verify_pattern_json(doc) -> bool:
             # whatever their order
             region = ConvexPolygon([rd.point(p) for p in _list(doc, "region")])
             cover = ConvexPolygon([rd.point(p) for p in _list(doc, "cover")])
-            offsets, _ = rd.pierce_points(offsets)
-            if not all(isinstance(o, Point) for o in offsets):
-                raise ParseError("polygon pattern offsets must be rational")
+            offsets = [Point(*_rational(o)) for o in rd.pierce_points(offsets)[0]]
         elif kind == "disk":
             r = rd.num(doc["radius"])
             if r <= 0:
@@ -467,7 +467,7 @@ def verify_pattern_json(doc) -> bool:
             sides = tuple(rd.num(v) for v in _list(doc, "sides"))
             if not sides or min(sides) <= 0:
                 raise ParseError("box sides must be positive")
-            offsets = [rd.pierce_point(p, len(sides)) for p in offsets]
+            offsets = [_rational(rd.pierce_point(p, len(sides))) for p in offsets]
         else:
             raise ParseError("unknown pattern kind %r" % (kind,))
     except ParseError:
@@ -480,9 +480,7 @@ def verify_pattern_json(doc) -> bool:
     elif kind == "disk":
         if mixed:
             raise mixed
-        got = set(map(point_key, offsets))
-        want = set(map(point_key, (disk_half_cover if half else disk_seven_cover)(r).offsets))
-        if got != want:
+        if set(offsets) != set((disk_half_cover if half else disk_seven_cover)(r).offsets):
             raise VerificationFailed("disk offsets differ from the verified pattern")
     else:
         _verify_box_pattern(sides, offsets, half)

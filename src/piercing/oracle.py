@@ -20,16 +20,16 @@ Each candidate is also the lowest point of the intersection of the members
 that hold it.  Box families keep the products of the members' low corner
 coordinates that some member holds.
 
-Candidates are int entries (q, m, A, B) (bodies.int_point) built from the
-family's scaled columns as they are (polygons, whose members
-bodies.member_polygons clears one by one) or from the int columns of
-bodies.int_translations (disks), rational ones first, and deduplicated,
-first occurrences in order; only the tau_points become Points and
-RadPoints.  A meeting pair where one member holds the other's
-lowest point has that point as its own and is left out; the meeting pairs
-are the bitsets of _adjacency, which nu searches too.  Polygon members
-are the int vertices and halfplanes of bodies.member_polygons, and a
-pair's lowest point is a vertex of one member clipped by the other.  Edge e has one normal in every
+Candidates are radicals.RadPoints built from the ints of the family's
+scaled columns as they are (polygons, whose members bodies.member_polygons
+clears one by one) or of the int columns of bodies.int_translations
+(disks), rational ones first, and deduplicated by value, first occurrences
+in order; the tau_points are the chosen candidates.  A meeting pair where
+one member holds the other's lowest point has that point as its own and
+is left out; the meeting pairs are the bitsets of _adjacency, which nu
+searches too.  Polygon members are the int vertices and halfplanes of
+bodies.member_polygons, and a pair's lowest point is a vertex of one
+member clipped by the other.  Edge e has one normal in every
 member, so member i lies in member j's halfplane e iff its offset is at
 most j's; that clip would keep the chain and is skipped.  A disk pair's
 lowest point is the lower crossing of its circles, (A + B sqrt(m)) / q.
@@ -39,9 +39,8 @@ entry: bodies.membership member by member, as in verify); no member is
 realized, and the lowest points' masks, which pick the pairs, are reused.
 min_set_cover keeps the first of repeated masks, then drops dominated
 ones.  A radicand over 2^48 may keep a square factor
-(radicals._reduce_radicand), so two equal radical candidates can both
-survive; their masks are equal, min_set_cover drops the second, and tau
-does not change.
+(radicals._reduce_radicand); RadPoint's key needs no factoring, so two
+such candidates of one value are still one.
 
 nu decides every pair with pair_checker (at most NU_LIMIT members) into
 int bitsets of neighbours, on which the independent set search and its
@@ -49,7 +48,6 @@ clique cover bound run.  _adjacency keeps the last family's bitsets, so
 solve tests each pair once for its candidates and nu.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -57,7 +55,7 @@ from math import gcd
 from .bodies import (Family, _triple, box_columns, coverage, disk_columns, int_translations,
                      member_polygons, pair_checker)
 from .errors import TooLarge
-from .geom import Point, _clip
+from .geom import _clip
 from .radicals import RadPoint, _reduce_radicand
 
 TAU_LIMIT = 16
@@ -88,8 +86,8 @@ def _lowest(chain):
 
 
 def _entry(x, y, w):
-    """The candidate entry (q, m, A, B) of a reduced int triple."""
-    return w, 1, (x, y), None
+    """The candidate RadPoint of a reduced int triple."""
+    return RadPoint(w, 1, (x, y))
 
 
 def _polygon_lows(f, D, cols, S):
@@ -140,7 +138,7 @@ def _disk_lows(f, D, cols, S):
         if m == 1:
             return _entry(*_triple(ax + bx, ay + by, q))
         g = gcd(q, ax, ay, bx, by)
-        return q // g, m, (ax // g, ay // g), (bx // g, by // g)
+        return RadPoint(q // g, m, (ax // g, ay // g), (bx // g, by // g))
 
     return [_entry(*_triple(u, v - R, LD)) for u, v, R in zip(us, vs, rs)], low
 
@@ -157,7 +155,7 @@ def candidate_points(f: Family, limit: int = TAU_LIMIT):
         raise TooLarge("oracle limit is %d members" % limit)
     if f.base.kind == "box":
         scale, _, lo_cols, _ = box_columns(f, range(len(f)))
-        combos = [(scale, 1, c, None) for c in product(*[sorted(set(col)) for col in lo_cols])]
+        combos = [RadPoint(scale, 1, c) for c in product(*[sorted(set(col)) for col in lo_cols])]
         masks = coverage(f, combos)
         return [e for e, m in zip(combos, masks) if m], [m for m in masks if m]
     adj = _adjacency(f)
@@ -169,24 +167,12 @@ def candidate_points(f: Family, limit: int = TAU_LIMIT):
     n = len(f)
     pairs = [low(i, j) for i in range(n) for j in range(i + 1, n)
              if adj[i] >> j & 1 and not (held[i] >> j | held[j] >> i) & 1]
-    pairs.sort(key=lambda e: e[1] > 1)  # rational points first
-    # first occurrences in order; a repeated entry has the same mask
+    pairs.sort(key=lambda p: p.B is not None)  # rational points first
+    # first occurrences in order; a repeated point has the same mask
     masks = dict(zip(bottoms, held))
     pairs = [e for e in dict.fromkeys(pairs) if e not in masks]
     masks.update(zip(pairs, coverage(f, pairs)))
     return list(masks), list(masks.values())
-
-
-def _points(f: Family, entries):
-    """The Point, RadPoint or box tuple of each entry."""
-    out = []
-    for q, m, A, B in entries:
-        if B:
-            out.append(RadPoint(q, m, A, B))
-            continue
-        xy = [Fraction(a, q) for a in A]
-        out.append(tuple(xy) if f.base.kind == "box" else Point(*xy))
-    return out
 
 
 def min_set_cover(n: int, masks):
@@ -318,7 +304,7 @@ def _tau(f: Family, limit: int):
     min_set_cover from candidate_points, and the number of candidates."""
     cands, masks = candidate_points(f, limit)
     chosen = min_set_cover(len(f), masks)
-    return _points(f, [cands[i] for i in chosen]), len(cands)
+    return [cands[i] for i in chosen], len(cands)
 
 
 def exact_tau(f: Family, limit: int = TAU_LIMIT):

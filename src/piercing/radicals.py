@@ -1,25 +1,27 @@
-"""Exact square roots and one-radicand quadratic points.
+"""Exact square roots and the one point type.
 
-The disk constructions need at most one square root per point: the sqrt(3)
-offsets of the hexagonal disk patterns, and the lower crossing of two
-circles in the oracle.  A RadPoint holds such a point in the int form that
-bodies.membership decides, coordinate k being (A[k] + B[k] sqrt(m)) / q;
-nothing here adds or multiplies roots.
+Every point that leaves a construction is a RadPoint: certificate and
+refine points, the oracle's tau points, pattern offsets and the points read
+from a file.  Coordinate k is (A[k] + B[k] sqrt(m)) / q on ints, in any
+dimension, the form that bodies.membership decides; B is None for a
+rational point.  The disk constructions need at most one square root per
+point: the sqrt(3) offsets of the hexagonal disk patterns, and the lower
+crossing of two circles in the oracle.  Nothing here adds or multiplies
+roots.
 
 Its key needs no factoring.  1, sqrt(m) and sqrt(m') are linearly
 independent over the rationals when sqrt(m m') is irrational (Besicovitch
 1940), so for m and m' not perfect squares and b, b' nonzero,
 a + b sqrt(m) = a' + b' sqrt(m') iff a = a' and b^2 m = b'^2 m' with b and
-b' of one sign.  A coordinate a + b sqrt(m) is keyed as
-(a, sign(b) b^2 m), and equal values have equal keys whatever radicand
-writes them.
+b' of one sign.  So a coordinate (a + b sqrt(m)) / q is keyed by the
+rationals (q a, sign(b) b^2 m) / q^2, and a point by the primitive int
+vector (q^2, q A, sign(B) B^2 m), or (q, A) when it is rational: equal
+values have equal keys whatever radicand writes them.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
-
-from .geom import Point
+from math import gcd, isqrt, lcm
 
 
 def sqrt_exact(q: Fraction):
@@ -74,20 +76,23 @@ def _reduce_radicand(m: int):
 
 
 class RadPoint:
-    """A planar point with coordinates (A[k] + B[k] sqrt(m)) / q: ints,
-    q > 0, and the form bodies.int_point returns as it is.  B is None for a
-    rational point, and m is then unused; where B is given, m is not a
+    """A point with coordinates (A[k] + B[k] sqrt(m)) / q: ints, q > 0, in
+    any dimension, and the one point type the constructions hand out and
+    bodies.membership decides.  B is None for a rational point (an all-zero
+    B is dropped), and m is then unused; where B is given, m is not a
     perfect square.  It prints as its coordinates' sums of terms,
-    Radical(a + b*sqrt(m)), the form printed points have always had.
+    Radical(a + b*sqrt(m)).
     """
 
-    __slots__ = ("q", "m", "A", "B")
+    __slots__ = ("q", "m", "A", "B", "_key")
 
     def __init__(self, q, m, A, B=None):
-        self.q, self.m, self.A, self.B = q, m, tuple(A), None if B is None else tuple(B)
+        self.q, self.m, self.A = q, m, tuple(A)
+        self.B = tuple(B) if B is not None and any(B) else None
+        self._key = None
 
     @classmethod
-    def of_fractions(cls, m, xs, ys):
+    def of_fractions(cls, m, xs, ys=None):
         """The point with coordinates xs[k] + ys[k] sqrt(m), for rationals
         xs and ys (ys None for a rational point)."""
         q = lcm(*[v.denominator for v in (*xs, *(ys or ()))])
@@ -95,16 +100,27 @@ class RadPoint:
         return cls(q, m, A, None if ys is None else B)
 
     def key(self):
-        """Per coordinate a + b sqrt(m), the pair (a, sign(b) b^2 m) of
-        rationals: equal points have equal keys (module docstring)."""
-        q, m = self.q, self.m
-        B = self.B or (0,) * len(self.A)
-        return tuple((Fraction(a, q), Fraction(b * abs(b) * m, q * q)) for a, b in zip(self.A, B))
+        """Ints equal for two points iff their values are (module
+        docstring): (q, *A) over their gcd for a rational point, else
+        (q^2, q A, sign(B) B^2 m) over their gcd.  The two lengths differ,
+        and the first entry is positive.  Kept once computed: a point is
+        never changed after its constructor."""
+        key = self._key
+        if key is None:
+            q, A, B = self.q, self.A, self.B
+            if B is None:
+                key = (q, *A)
+            else:
+                m = self.m
+                key = (q * q, *[q * a for a in A], *[b * abs(b) * m for b in B])
+            g = gcd(*key)
+            key = self._key = tuple([v // g for v in key]) if g > 1 else key
+        return key
 
     def __eq__(self, other):
-        if not isinstance(other, (RadPoint, Point, tuple)):
+        if not isinstance(other, RadPoint):
             return NotImplemented
-        return self.key() == point_key(other)
+        return self.key() == other.key()
 
     def __hash__(self):
         return hash(self.key())
@@ -119,11 +135,3 @@ class RadPoint:
                 terms.append("%s*sqrt(%d)" % (Fraction(b, q), m))
             coords.append("Radical(%s)" % (" + ".join(terms) or "0"))
         return "RadPoint(%s)" % ", ".join(coords)
-
-
-def point_key(p):
-    """RadPoint.key of a RadPoint, a Point or a box tuple: a rational
-    coordinate a keys as (a, 0)."""
-    if isinstance(p, RadPoint):
-        return p.key()
-    return tuple((v, 0) for v in (p if isinstance(p, tuple) else (p.x, p.y)))

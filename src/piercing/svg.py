@@ -7,8 +7,6 @@ exact check.
 
 import math
 
-from .radicals import RadPoint
-
 HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
     '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -20,12 +18,9 @@ WITNESS_STYLE = 'fill="none" stroke="#cc3311" stroke-width="%.4f"'
 
 
 def _fxy(p):
-    if isinstance(p, RadPoint):
-        q, root = p.q, math.sqrt(p.m)
-        return tuple(a / q + b / q * root for a, b in zip(p.A, p.B or (0, 0)))
-    if isinstance(p, tuple):
-        return float(p[0]), float(p[1])
-    return float(p.x), float(p.y)
+    """The first two coordinates of a RadPoint as floats."""
+    q, root = p.q, math.sqrt(p.m)
+    return tuple(a / q + b / q * root for a, b in zip(p.A, p.B or (0, 0)))
 
 
 def _body_bounds(body):
@@ -35,12 +30,12 @@ def _body_bounds(body):
 
 def _emit_body(out, body, style):
     if body.kind == "disk":
-        cx, cy = _fxy(body.center)
+        cx, cy = map(float, body.center)
         out.append(
             '<circle cx="%.5f" cy="%.5f" r="%.5f" %s/>' % (cx, cy, float(body.radius), style)
         )
     elif body.kind == "polygon":
-        pts = " ".join("%.5f,%.5f" % _fxy(v) for v in body.polygon.vertices)
+        pts = " ".join("%.5f,%.5f" % tuple(map(float, v)) for v in body.polygon.vertices)
         out.append('<polygon points="%s" %s/>' % (pts, style))
     else:  # box, first two axes
         x, y = float(body.mins[0]), float(body.mins[1])

@@ -42,7 +42,6 @@ from .bodies import (
     PolygonBody,
     collector_paused,
     common_slab_bounds,
-    int_point,
     intersection_graph,
     member_boxes,
     member_polygons,
@@ -71,6 +70,7 @@ from .geom import (
     _twice_area,
     region_minus_polygons,
 )
+from .radicals import RadPoint
 from .sandwich import SandwichPair, hexagon_sandwich, hexagon_sandwich_special
 
 ORACLE_BUDGET = 12
@@ -169,8 +169,8 @@ def grid_pierce(f: Family, pair: SandwichPair = None, verify: bool = True) -> Pi
     the lowest alive member seeds a cluster of the members it meets, pierced
     at most k_line levels above it.  The seeds of one residue class of lines
     mod m_class are pairwise disjoint.  All of it runs on ints over one
-    denominator (_grid_lines), or on Fractions over MAX_SCALE_BITS; only
-    the placed points become Points.
+    denominator (_grid_lines), or on Fractions over MAX_SCALE_BITS, and the
+    placed points are RadPoints on those ints.
     """
     if f.kind != "translates":
         raise UnsupportedBase("grid_pierce needs a translate family")
@@ -202,8 +202,11 @@ def grid_pierce(f: Family, pair: SandwichPair = None, verify: bool = True) -> Pi
             x = (*pos, 2 * (2 * seed + (2 * k - 1) * E))
             placed.setdefault(tuple(sum(map(mul, row, x)) for row in rows), None)
         class_seeds.setdefault(tuple(j % m_class for j in key), []).append(i)
-    make = tuple if isinstance(f.base, BoxBody) else (lambda xy: Point(*xy))
-    points = [make(Fraction(v, 4 * E * M) for v in p) for p in placed]
+    q = 4 * E * M
+    if type(level[0]) is int:
+        points = [RadPoint(q, 1, p) for p in placed]
+    else:  # Fraction columns: each point is cleared on its own
+        points = [RadPoint.of_fractions(1, [v / q for v in p]) for p in placed]
     cert = PierceCertificate("grid", factor, points,
                              [(i, sorted((i, *hits))) for i, hits in clusters],
                              _extend_witness(len(f), class_seeds, near, check), info=info)
@@ -318,13 +321,14 @@ def hexagon_pierce(f: Family, verify: bool = True) -> PierceCertificate:
     def solve(k1, k2):
         (a1, b1), (a2, b2) = forms[k1], forms[k2]
         det = a1 * b2 - a2 * b1
-        return Point((mids[k1] * b2 - mids[k2] * b1) / det, (a1 * mids[k2] - a2 * mids[k1]) / det)
+        return RadPoint.of_fractions(1, [(mids[k1] * b2 - mids[k2] * b1) / det,
+                                         (a1 * mids[k2] - a2 * mids[k1]) / det])
 
     # the center of H_ab sits where the midlines a and b cross.  Very flat
     # hexagons can defeat one pairing, so all three are tried and checked
     # exactly on the slabs (bodies.membership); the oracle is a last resort.
     ts = [solve(0, 1), solve(0, 2), solve(1, 2)]
-    tests = list(map(membership(f, list(map(int_point, ts))), range(n)))
+    tests = list(map(membership(f, ts), range(n)))
     points = None
     for a, b in ((0, 1), (0, 2), (1, 2)):
         if all(test(a) or test(b) for test in tests):
@@ -488,7 +492,7 @@ def _offset_candidates(spec: LatticeSpec, seed):
 def _lattice_hits(f: Family, spec: LatticeSpec):
     """hits(offset) -> (point, held): held maps each index pair (i, j) whose
     lattice point i b1 + j b2 + offset lies in a member to the members that
-    hold it, ascending, and point(i, j) is that lattice point.
+    hold it, ascending, and point(i, j) is that lattice point, a RadPoint.
 
     The basis and the offset are put over their common denominator q, so a
     lattice point is an int pair over q.  A member's candidates are the
@@ -506,7 +510,7 @@ def _lattice_hits(f: Family, spec: LatticeSpec):
         det = scale * (ux * vy - uy * vx)
         sign = 1 if det > 0 else -1
         det *= sign
-        index, ipts, candidates = {}, [], []
+        index, points, candidates = {}, [], []
         for box in corners:
             # lattice coordinates of the box corners, times det
             rel = [(q * x - scale * ox, q * y - scale * oy) for x, y in box]
@@ -517,11 +521,11 @@ def _lattice_hits(f: Family, spec: LatticeSpec):
                 for j in range(-(-min(b) // det), max(b) // det + 1):
                     k = index.get((i, j))
                     if k is None:
-                        k = index[(i, j)] = len(ipts)
-                        ipts.append((q, 1, (i * ux + j * vx + ox, i * uy + j * vy + oy), None))
+                        k = index[(i, j)] = len(points)
+                        points.append(RadPoint(q, 1, (i * ux + j * vx + ox, i * uy + j * vy + oy)))
                     keys.append(((i, j), k))
             candidates.append(keys)
-        member = membership(f, ipts)
+        member = membership(f, points)
         held = {}
         for m, keys in enumerate(candidates):
             test = member(m)
@@ -529,10 +533,7 @@ def _lattice_hits(f: Family, spec: LatticeSpec):
                 if test(k):
                     held.setdefault(key, []).append(m)
 
-        def point(i, j):
-            return Point(Fraction(i * ux + j * vx + ox, q), Fraction(i * uy + j * vy + oy, q))
-
-        return point, held
+        return lambda i, j: points[index[i, j]], held
 
     return hits
 

@@ -42,7 +42,9 @@ digests were taken on; spelled_out writes back every field the writer
 leaves out, in the layout those digests were taken on.  recheck decides
 the claim of a certificate or cover-pattern document from the document
 alone, reading it with document_members, for the soundness sweep.  value_key is an
-exact key of a point's value, and dedupe_points drops repeated keys.
+exact key of a point's value, and dedupe_points drops repeated keys;
+rational_coords gives the Fraction coordinates of a Point, a box tuple or
+a rational RadPoint, and as_rad_point the RadPoint of a Point or box tuple.
 pairs_scaled reads an instance's columns one distinct value at a time,
 through jsonio._pair and bodies.scale_table.  pattern_keys and
 tuple_key_count count a symbolic certificate's distinct points on
@@ -79,13 +81,12 @@ from piercing.bodies import (
     pair_checker,
     scale_table,
 )
-from piercing.certificates import _coords, _terms, greedy_pattern
+from piercing.certificates import greedy_pattern
 from piercing.covers import (disk_half_cover, disk_seven_cover, homothet_cover,
                              translate_cluster_cover)
 from piercing.errors import DegenerateInput, PiercingError
 from piercing.generators import _rand_frac_form
 from piercing.geom import ConvexPolygon, Interval, Point, frac
-from piercing.oracle import _points
 from piercing.radicals import RadPoint, _reduce_radicand, sqrt_exact
 from piercing.sandwich import sandwich_parallelograms
 from piercing.translates import _clusters, _offset_candidates
@@ -585,6 +586,8 @@ def body_contains(body, p):
     |p - c|^2 - r^2 for a disk, in Radical arithmetic.  A rational point
     is decided in Fractions: contains for a polygon, the squared distance
     for a disk, and every coordinate's range for a box."""
+    if isinstance(p, RadPoint) and p.B is None:
+        p = rational_coords(p) if body.kind == "box" else Point(*rational_coords(p))
     if not isinstance(p, (RadPoint, RadicalPoint)):
         if body.kind == "polygon":
             return contains(body.polygon, p)
@@ -665,6 +668,30 @@ def normalize_affine(f: Family, m: AffineMap) -> Family:
         moved = [Member(m.apply_point(mem.t), mem.s) for mem in members(f)]
         return Family(base, moved, f.kind)
     raise SingularMap("affine maps are supported for polygon and disk families")
+
+
+def rational_coords(p):
+    """The Fraction coordinates of a Point, a box tuple or a rational
+    RadPoint."""
+    if isinstance(p, RadPoint):
+        if p.B is not None:
+            raise ValueError("not a rational point")
+        return tuple(Fraction(a, p.q) for a in p.A)
+    return p if isinstance(p, tuple) else (p.x, p.y)
+
+
+def as_rad_point(p):
+    """The RadPoint of a Point, a box tuple or a RadPoint."""
+    return p if isinstance(p, RadPoint) else RadPoint.of_fractions(1, rational_coords(p))
+
+
+def _terms(p):
+    """Per coordinate of a Point, a box tuple or a RadPoint, {radicand:
+    coefficient} of its nonzero terms, the rational part's radicand being 1."""
+    if isinstance(p, RadPoint):
+        return [{k: Fraction(c, p.q) for k, c in ((1, a), (p.m, b)) if c}
+                for a, b in zip(p.A, p.B or (0,) * len(p.A))]
+    return [{1: v} if v else {} for v in rational_coords(p)]
 
 
 def value_key(p, scale=1):
@@ -914,8 +941,8 @@ def strictly_between(circle, p, u, v):
 
 
 def padded_candidates(f):
-    """The oracle's candidate entries (q, m, A, B) as it built them before
-    it kept only lowest points, on the int columns: every vertex and the
+    """The oracle's candidate RadPoints as it built them before it kept
+    only lowest points, on the int columns: every vertex and the
     reference point of each polygon member, then every vertex of each
     meeting pair's intersection (member i clipped by every halfplane of
     member j); each disk centre, then both crossings of each pair of
@@ -924,7 +951,7 @@ def padded_candidates(f):
     rational ones first."""
     if f.base.kind == "box":
         scale, _, lo_cols, _ = box_columns(f, range(len(f)))
-        combos = [(scale, 1, c, None)
+        combos = [RadPoint(scale, 1, c)
                   for c in itertools.product(*[sorted(set(col)) for col in lo_cols])]
         return [e for e, m in zip(combos, coverage(f, combos)) if m]
     D, cols, S = int_translations(f)
@@ -965,7 +992,8 @@ def padded_candidates(f):
                     g = math.gcd(q, ax, ay, bx, by)
                     rad += [(q // g, m, (ax // g, ay // g), (e * bx // g, e * by // g))
                             for e in (1, -1)]
-    return [(w, 1, (x, y), None) for x, y, w in dict.fromkeys(rat)] + list(dict.fromkeys(rad))
+    return [RadPoint(w, 1, (x, y)) for x, y, w in dict.fromkeys(rat)] + [
+        RadPoint(*e) for e in dict.fromkeys(rad)]
 
 
 def maximal_masks(masks):
@@ -1065,20 +1093,12 @@ def clique_partition_number(adj):
     return best
 
 
-def _is_entry(p):
-    """Whether p is an int entry (q, m, A, B) of oracle.candidate_points,
-    not a point: a box point's last coordinate is a number."""
-    return isinstance(p, tuple) and len(p) == 4 and isinstance(p[3], (tuple, type(None)))
-
-
 def coverage_masks(f, candidates):
     """masks[k] has bit i set iff the realized member i contains
-    candidates[k], a point or an int entry of oracle.candidate_points."""
+    candidates[k], a point of any type."""
     bs = bodies(f)
     masks = []
     for p in candidates:
-        if _is_entry(p):
-            (p,) = _points(f, [p])
         m = 0
         for i, b in enumerate(bs):
             if body_contains(b, p):
@@ -1335,7 +1355,7 @@ def pattern_keys(f, offsets, seeds, masks=None):
     offset by offset on the scaled columns; with masks, offset o only at
     the seeds whose mask has bit o."""
     D, cols, S = f.scaled_translations()
-    anchor = _coords(_pattern_anchor(f.base))
+    anchor = rational_coords(_pattern_anchor(f.base))
     terms = [[{**t, 1: t.get(1, 0) + a} for t, a in zip(_terms(o), anchor)] for o in offsets]
     L = math.lcm(*(c.denominator for row in terms for t in row for c in t.values()))
     ss = [S[i] for i in seeds]
@@ -1458,7 +1478,8 @@ def _placed(base, offsets, s, t):
     translation t."""
     a = _pattern_anchor(base)
     if base.kind == "box":
-        return [tuple(s * (c + v) + u for c, v, u in zip(a, o, t)) for o in offsets]
+        return [tuple(s * (c + v) + u for c, v, u in zip(a, rational_coords(o), t))
+                for o in offsets]
     out = []
     for o in offsets:
         if isinstance(o, RadPoint) and o.B:

@@ -382,7 +382,8 @@ def _uncached_frame(base):
         c, r = base.center, base.radius
         L = math.lcm(c.x.denominator, c.y.denominator, r.denominator)
         out["centre"] = c
-        out["disk"] = out["key"] = (L, int(c.x * L), int(c.y * L), int(r * L))
+        out["disk"] = (L, int(c.x * L), int(c.y * L), int(r * L))
+        out["key"] = (r.numerator, r.denominator)
         extents = None
     out["anchor"] = out["centre"] if out["centre"] is not None else low
     if extents is not None:
@@ -398,7 +399,7 @@ def _uncached_frame(base):
 def _value(base):
     if base.kind == "polygon":
         return tuple(base.polygon.vertices)
-    return (base.center, base.radius) if base.kind == "disk" else (base.mins, base.sides)
+    return base.radius if base.kind == "disk" else (base.mins, base.sides)
 
 
 def test_each_frame_field_equals_its_uncached_derivation():
@@ -407,7 +408,8 @@ def test_each_frame_field_equals_its_uncached_derivation():
         want = _uncached_frame(base)
         assert {k: getattr(base.frame, k) for k in want} == want, name
         assert base.frame is base.frame and base.frame.base is base
-        # two bodies of one kind have one key iff they are equal
+        # two bodies of one kind have one key iff they are equal, two disks
+        # iff their radii are
         assert values.setdefault((base.kind, base.frame.key), _value(base)) == _value(base)
     assert len(set(values.values())) == len(values)
 

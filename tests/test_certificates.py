@@ -18,7 +18,6 @@ from piercing.bodies import (
     Family,
     Member,
     PolygonBody,
-    int_point,
     intersection_graph,
     member_boxes,
     membership,
@@ -41,11 +40,13 @@ from piercing.generators import (
 )
 from piercing.geom import ConvexPolygon, Point
 from piercing.homothets import greedy_pierce_homothets
+from piercing.oracle import solve
 from piercing.radicals import RadPoint
 from piercing.translates import greedy_pierce, grid_pierce, hexagon_pierce, lattice_pierce
 from reference import (
     Radical,
     _placed,
+    as_rad_point,
     body_contains,
     call_budget,
     dedupe_points,
@@ -57,6 +58,7 @@ from reference import (
     members,
     members_document,
     rad_point,
+    rational_coords,
     recheck,
     spelled_out,
     tuple_key_count,
@@ -148,7 +150,7 @@ def test_verify_rejects_an_unpierced_member_on_every_path():
 ], ids=["overlap", "missing", "past-the-end", "negative"])
 def test_verify_rejects_clusters_that_do_not_partition(clusters, message):
     f = Family(unit_square(), [Member(Point(3 * i, 0)) for i in range(4)])
-    points = [Point(3 * i, 0) for i in range(4)]
+    points = [rad_point(3 * i, 0) for i in range(4)]
     assert PierceCertificate("grid", 2, points, [(0, (0, 1)), (2, (2, 3))], [0, 2]).verify(f)
     with pytest.raises(VerificationFailed, match=message):
         PierceCertificate("grid", 2, points, clusters, [0, 2]).verify(f)
@@ -176,7 +178,7 @@ def test_explicit_certificate_over_its_budget_fails(tmp_path, capsys, over):
     f = random_family(unit_square(), 200, box_size=20, seed=5)
     cert = greedy_pierce(f, verify=False).explicit()
     budget = cert.factor * len(cert.witness)
-    pad = [Point(1000 + k, 0) for k in range(budget + over - len(cert.points))]
+    pad = [rad_point(1000 + k, 0) for k in range(budget + over - len(cert.points))]
     cert = PierceCertificate(cert.method, cert.factor, cert.points + pad, cert.clusters,
                              cert.witness)
     path = tmp_path / "cert.json"
@@ -190,7 +192,8 @@ def _common_point_family():
     """Two disjoint hexagon translates whose seeds' patterns share a point:
     the second is placed at o_a - o_b for two pattern offsets."""
     base = hexagon_body()
-    offsets = certificates.translate_cluster_cover(base).offsets
+    offsets = [Point(*rational_coords(o))
+               for o in certificates.translate_cluster_cover(base).offsets]
     t = max((a - b for a in offsets for b in offsets), key=lambda v: (abs(v.x), abs(v.y)))
     f = Family(base, [Member(Point(0, 0)), Member(t)])
     assert not intersection_graph(f)[0]
@@ -239,10 +242,8 @@ def test_packed_count_equals_the_tuple_key_count(case, refine):
             f, certificates.greedy_pattern(f, cert.method).offsets, cert._pattern_seeds(),
             cert.masks)
         assert count == len(set(placed) | set(map(key, cert.extra)))
-        # decoding a key gives the point whose key it is, whatever its type
-        assert all(key(point(k)) == k for k in placed[:50])
-        if f.base.kind != "box":
-            assert all(key(RadPoint(*int_point(point(k)))) == k for k in placed[:50])
+        # decoding a key gives the RadPoint whose key it is
+        assert all(isinstance(point(k), RadPoint) and key(point(k)) == k for k in placed[:50])
         if f.base.kind == "disk":  # each radical point written over 12 = 2^2 3 instead of 3
             assert all(key(RadPoint(2 * p.q, 12, [2 * a for a in p.A], p.B)) == k
                        for k, p in zip(placed[:50], map(point, placed)) if p.B)
@@ -360,7 +361,7 @@ def test_point_with_two_radicands_is_rejected(tmp_path, capsys):
     # is rejected whether or not the point lies in the disk
     f = Family(unit_disk(), [Member(Point(0, 0))])
     doc = jsonio.certificate_to_json(
-        PierceCertificate("greedy", 4, [Point(0, 0)], [(0, (0,))], [0]), f)
+        PierceCertificate("greedy", 4, [rad_point(0, 0)], [(0, (0,))], [0]), f)
     inside = {"x": [[2, "1/2"]], "y": [[3, "2/5"]]}  # |p|^2 = 0.98
     outside = {"x": [[2, "1/2"]], "y": [[3, "41/100"]]}  # 1.0043
     mixed = {"x": [[2, "1/2"], [3, "-1/2"]], "y": []}  # |p| = 0.159
@@ -385,7 +386,7 @@ def test_explicit_points_count_once_per_value(tmp_path, capsys):
     f = Family(unit_disk(), [Member(Point(0, 0))])
     p = RadPoint(4, 2, (0, 1), (1, 0))  # (sqrt(2) / 4, 1 / 4)
     same = RadPoint(8, 8, (0, 2), (1, 0))  # sqrt(8) / 8 = sqrt(2) / 4
-    for points, count in (([p, Point(0, 0), same, p], 2), ([p] * 5, 1)):
+    for points, count in (([p, rad_point(0, 0), same, p], 2), ([p] * 5, 1)):
         assert main(["verify", _explicit_file(tmp_path, f, points)]) == 0
         assert capsys.readouterr().out == "certificate ok: %d points, witness 1, factor 4\n" % count
     f = random_family(unit_disk(), 60, box_size=6, seed=3)
@@ -413,7 +414,7 @@ def test_irrational_point_is_decided_on_the_square_slabs():
     with pytest.raises(VerificationFailed, match="member 2 contains no piercing point"):
         PierceCertificate("explicit", 1, [low, far], [], [0, 2]).verify(f)
     assert f._realized == {}
-    test = membership(f, [int_point(p) for p in (low, high, far)])
+    test = membership(f, [low, high, far])
     got = [[test(i)(k) for k in range(3)] for i in range(3)]
     assert got == [[body_contains(f.realize(i), p) for p in (low, high, far)] for i in range(3)]
     assert got == [[True, False, False], [True, False, False], [False, True, False]]
@@ -425,7 +426,7 @@ def test_verify_work_does_not_grow_with_a_member_scale(tmp_path):
     # 2^2 cells of its own scale class
     f = Family(unit_triangle(), [Member(Point(3 * k, 0)) for k in range(5)]
                + [Member(Point(-1, -1), 10 ** 6)], "homothets")
-    points = [Point(3 * k + F(1, 3), F(1, 3)) for k in range(5)]
+    points = [rad_point(3 * k + F(1, 3), F(1, 3)) for k in range(5)]
     path = tmp_path / "cert.json"
     cert = PierceCertificate("explicit", 1, points, [], range(5))
     jsonio.dump(jsonio.certificate_to_json(cert, f), str(path))
@@ -452,6 +453,7 @@ def test_check_members_matches_realized_membership_across_scale_classes(base):
         else:
             points.append(Point(body.center.x, body.center.y + body.radius))
         points.append(make([F(rng.randrange(-40, 200), 8) for _ in range(2)]))
+    points = list(map(as_rad_point, points))
     held = [any(body_contains(f.realize(i), p) for p in points) for i in range(len(f))]
     assert 3 < sum(held) < len(f) - 3
     covered = [i for i in range(len(f)) if held[i]]
@@ -494,7 +496,7 @@ def test_radical_points_match_realized_membership(family):
             q = Point(body.center.x, body.center.y + body.radius)
         e = rng.choice(eps)
         points.append(rad_point(e * rng.choice((-1, 1)) + q.x, e * rng.choice((-1, 1)) + q.y))
-    assert all(int_point(p)[3] is not None for p in points)
+    assert all(p.B is not None for p in points)
     held = [any(body_contains(f.realize(i), p) for p in points) for i in range(len(f))]
     assert 3 < sum(held) < len(f) - 3
     covered = [i for i in range(len(f)) if held[i]]
@@ -513,7 +515,7 @@ def test_point_near_a_cell_edge_is_filed_by_its_exact_floor():
     tiny = F(99, 70) - Radical.sqrt(2)
     f = Family(unit_disk(), [Member(Point(3, 0))])
     left, right = rad_point(2 - tiny, 0), rad_point(tiny + 2, 0)
-    assert [_cell_key(int_point(p), 1, F(2)) for p in (left, right)] == [(0, 0), (1, 0)]
+    assert [_cell_key(p, 1, F(2)) for p in (left, right)] == [(0, 0), (1, 0)]
     _check_members(f, [0], [left, right])
     _check_members(f, [0], [rad_point(4 - tiny, 0)])
     for p in (left, rad_point(tiny + 4, 0)):
@@ -1104,3 +1106,60 @@ def test_masks_of_a_disk_certificate(tmp_path, capsys):
         lines.append((main(["verify", str(path)]), capsys.readouterr()))
     assert lines[0][0] == lines[1][0] == 0 and lines[0][1].out == lines[1][1].out
     assert lines[2][0] == 1 and "offset masks need a polygon or box base" in lines[2][1].err
+
+
+# --- the one point type -----------------------------------------------------
+
+_POINT_TYPE_BASES = {
+    "square": unit_square,
+    "triangle": unit_triangle,
+    "disk": unit_disk,
+    "hexagon": hexagon_body,
+    "box": lambda: BoxBody((0, F(1, 2), 0), (1, F(3, 2), F(2, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POINT_TYPE_BASES))
+def test_every_point_handed_out_is_a_radpoint(name):
+    # certificate and refine points of every method the base takes, the
+    # oracle's tau points, the greedy patterns' offsets and the points read
+    # back from a written certificate, symbolic or explicit
+    base = _POINT_TYPE_BASES[name]()
+    lists = []
+    for kind, method in (("translates", "greedy"), ("homothets", "greedy-homothets")):
+        f = random_family(base, 12, box_size=4, kind=kind, seed=5)
+        lists += [solve(f).tau_points, certificates.greedy_pattern(f, method).offsets]
+        methods = ["greedy"]
+        if kind == "translates" and name != "disk":
+            methods.append("grid")
+        if kind == "translates" and name == "hexagon":
+            methods += ["hexagon", "lattice"]
+        for method in methods:
+            cert = auto_pierce(f, method=method)
+            for c in (cert, cert.explicit()):
+                back, _ = jsonio.certificate_from_json(
+                    json.loads(jsonio.dump(jsonio.certificate_to_json(c, f))))
+                lists += [c.points, c.extra, back.points, back.extra]
+    points = [p for points in lists for p in points]
+    assert points and all(type(p) is RadPoint for p in points)
+    assert any(p.B is not None for p in points) == (name == "disk")
+
+
+def test_fraction_columns_count_a_refine_point_off_the_digits_apart():
+    # over MAX_SCALE_BITS a point's key is the tuple of its digits; a
+    # refine point with a term that no digit holds keys as RadPoint.key and
+    # counts apart from every pattern point, also from the ones whose
+    # other digits it shares: a pattern point with sqrt(3) added on x, and
+    # that point with sqrt(2) in place of its sqrt(3) on y, which leaves
+    # the digits of the pattern's centre point at the same seed
+    f = _prime_family(40, 3)
+    cert = greedy_pierce(f, refine=False, verify=False)
+    assert len(cert.clusters) > 2
+    keys, key, point = certificates._packed_keys(
+        f, certificates.greedy_pattern(f, "greedy").offsets, [s for s, _ in cert.clusters[:-1]])
+    assert all(type(k) is tuple for k in keys)
+    q, (ax, ay), (_, by) = next((p.q, p.A, p.B) for p in map(point, keys) if p.B)
+    extra = [RadPoint(q, 3, (ax, ay), (q, by)), RadPoint(q, 2, (ax, ay), (0, by))]
+    assert not {key(p) for p in extra} & set(keys)
+    cert.extra, cert._counted = extra, None
+    assert cert.point_count() == len(set(keys)) + 2

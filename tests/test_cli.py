@@ -199,6 +199,8 @@ def test_experiment_csv(tmp_path):
     ["experiment", "--box-size", "-1"],
     ["conjecture", "--box-size", "-1"],
     ["conjecture", "--n", "0"],
+    ["gen", "nine-triangles", "--epsilon", "1/5"],
+    ["gen", "nine-triangles", "--epsilon", "0"],
 ])
 def test_bad_count_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exit_:

@@ -20,6 +20,7 @@ from piercing.covers import (
 from piercing.errors import NotCentrallySymmetric, VerificationFailed
 from piercing.generators import random_centrally_symmetric_polygon, random_convex_polygon
 from piercing.geom import ConvexPolygon, Point, covers_region, reflect, region_minus_polygons
+from piercing.radicals import RadPoint
 import reference
 
 SQUARE = ConvexPolygon([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])
@@ -36,7 +37,7 @@ class TestSevenCover:
     def test_hexagon(self):
         pat = seven_cover(HEXAGON)
         assert pat.size <= 7
-        assert Point(0, 0) in pat.offsets  # one translate concentric with 2C
+        assert RadPoint(1, 1, (0, 0)) in pat.offsets  # one translate concentric with 2C
 
     def test_random_octagons_verified(self):
         rng = random.Random(41)
@@ -53,7 +54,7 @@ class TestHalfplaneCover:
     def test_square_down_two(self):
         pat = halfplane_four_cover(SQUARE)
         assert pat.size == 2
-        assert set(pat.offsets) == {Point(F(-1, 2), F(-1, 2)), Point(F(1, 2), F(-1, 2))}
+        assert set(pat.offsets) == {RadPoint(2, 1, (-1, -1)), RadPoint(2, 1, (1, -1))}
 
     def test_hexagon_four(self):
         assert halfplane_four_cover(HEXAGON).size <= 4
@@ -115,7 +116,7 @@ class TestDiskPatterns:
     def test_seven_cover_offsets(self):
         pat = disk_seven_cover(1)
         assert pat.size == 7
-        assert pat.offsets[0] == Point(0, 0)
+        assert pat.offsets[0] == RadPoint(1, 1, (0, 0))
         # the others are sqrt(3) times the sixth roots of unity
         for p in map(reference.RadicalPoint.of, pat.offsets[1:]):
             assert (p.x * p.x + p.y * p.y).as_fraction() == 3
@@ -185,7 +186,8 @@ def test_polygon_pattern_verdicts_match_translates_built_in_fractions():
         elif len(poly) == 3:
             pats.append(triangle_trapezoid_cover(PolygonBody(poly)))
         for pat in pats:
-            region, body, offsets = pat.data["region"], pat.data["body"], pat.offsets
+            region, body = pat.data["region"], pat.data["body"]
+            offsets = [Point(*reference.rational_coords(o)) for o in pat.offsets]
             assert reference.translates_residue(region, body, offsets) == []
             last = len(offsets) - 1
             for variant in (offsets[1:], offsets[:last] + [offsets[last] + Point(F(1, 7), F(-1, 5))]):
@@ -280,3 +282,15 @@ def test_greedy_pattern_offsets_keep_their_order(name):
     else:
         assert _offsets_digest(translate_cluster_cover(base)) == half
     assert _offsets_digest(homothet_cover(base)) == whole
+
+
+def test_disks_of_one_radius_share_one_pattern_entry():
+    # a disk pattern depends on the radius alone, and a disk's frame key
+    # is its radius: unit disks at two centres share each entry
+    covers._pattern_cache.clear()
+    a, b = DiskBody(Point(0, 0), 1), DiskBody(Point(1, 2), 1)
+    assert translate_cluster_cover(a) is translate_cluster_cover(b)
+    assert homothet_cover(a) is homothet_cover(b)
+    assert len(covers._pattern_cache) == 2
+    assert translate_cluster_cover(DiskBody(Point(1, 2), 2)) is not translate_cluster_cover(a)
+    assert len(covers._pattern_cache) == 3

@@ -11,7 +11,6 @@ from piercing.bodies import (
     Family,
     Member,
     PolygonBody,
-    int_point,
     membership,
     neighbor_index,
     pair_checker,
@@ -27,6 +26,7 @@ from piercing.geom import ConvexPolygon, Point
 from piercing.homothets import greedy_pierce_homothets
 from piercing.oracle import exact_nu
 from reference import (
+    as_rad_point,
     bodies_intersect,
     body_contains,
     body_contains_body,
@@ -254,7 +254,7 @@ def boundary_points(draw):
 @given(boundary_points())
 def test_integer_membership_equals_realized_contains(case):
     f, points = case
-    test = membership(f, [int_point(p) for p in points])(0)
+    test = membership(f, list(map(as_rad_point, points)))(0)
     body = f.realize(0)
     for k, p in enumerate(points):
         assert test(k) == body_contains(body, p)

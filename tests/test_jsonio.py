@@ -160,7 +160,7 @@ def test_radical_reader_merges_without_factoring():
     with pytest.raises(VerificationFailed, match="more than one radicand"):
         rd.pierce_point({"kind": "radical", "x": [[2, 1]], "y": [[3, 1]]})
     assert rd.pierce_point({"kind": "radical", "x": [[4, 1]], "y": [[2, 1], [2, -1]]}) == \
-        Point(2, 0)
+        RadPoint(1, 1, (2, 0))
 
 
 _TEXT = st.one_of(
@@ -915,6 +915,10 @@ def _instance_with(member, kind="translates", base=None):
     _instance_with({"t": [0, 0]}, base={"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]],
                                         "reference_point": [1, 1]}),
     _instance_with({"t": ["1" * 5000 + "/3", 0]}),  # over the interpreter's digit limit
+    # a box's dim is a JSON integer
+    _instance_with({"t": [0, 0]}, base={"type": "box", "dim": 2.0, "side_lengths": [1, 1]}),
+    _instance_with({"t": [0, 0]}, base={"type": "box", "dim": "2", "side_lengths": [1, 1]}),
+    _instance_with({"t": [0, 0]}, base={"type": "box", "dim": 2.5, "side_lengths": [1, 1]}),
 ])
 def test_malformed_member_is_a_parse_error(tmp_path, capsys, doc):
     path = tmp_path / "instance.json"
@@ -1144,8 +1148,8 @@ def test_reading_a_written_file_and_writing_it_again_gives_the_same_bytes(method
 
 
 def test_writer_leaves_out_what_the_reader_assumes():
-    assert jsonio.point_to_json(Point(Fraction(31, 8), Fraction(27, 32))) == ["31/8", "27/32"]
-    assert jsonio.point_to_json((Fraction(1, 2), Fraction(0), Fraction(3))) == ["1/2", 0, 3]
+    assert jsonio.point_to_json(RadPoint(32, 1, (124, 27))) == ["31/8", "27/32"]
+    assert jsonio.point_to_json(RadPoint(2, 1, (1, 0, 6))) == ["1/2", 0, 3]
     assert jsonio.point_to_json(RadPoint(4, 3, (2, 8), (0, 0))) == ["1/2", 2]
     assert jsonio.point_to_json(RadPoint(4, 3, (2, 8), (1, 0))) == {
         "kind": "radical", "x": [[1, "1/2"], [3, "1/4"]], "y": [[1, 2]]}

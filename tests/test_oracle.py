@@ -13,7 +13,6 @@ from piercing.bodies import (
     Member,
     PolygonBody,
     coverage,
-    int_point,
     int_translations,
     member_polygons,
     pair_checker,
@@ -34,7 +33,6 @@ from piercing.oracle import (
     _adjacency,
     _entry,
     _lowest,
-    _points,
     _polygon_lows,
     candidate_points,
     exact_nu,
@@ -48,6 +46,7 @@ import reference
 from reference import (
     AffineMap,
     Radical,
+    as_rad_point,
     body_contains,
     call_budget,
     clique_partition_number,
@@ -71,15 +70,15 @@ class TestCandidates:
         member holds the first's lowest point."""
         f = Family(unit_square(), [Member(Point(0, 0)), Member(Point(F(1, 2), F(1, 2))),
                                    Member(Point(F(3, 4), F(-1, 2)))])
-        assert _points(f, candidate_points(f)[0]) == [
-            Point(0, 0), Point(F(1, 2), F(1, 2)), Point(F(3, 4), F(-1, 2)), Point(F(3, 4), 0),
-            Point(F(3, 4), F(1, 2))]
+        assert candidate_points(f)[0] == [
+            rad_point(0, 0), rad_point(F(1, 2), F(1, 2)), rad_point(F(3, 4), F(-1, 2)),
+            rad_point(F(3, 4), 0), rad_point(F(3, 4), F(1, 2))]
 
     def test_nested_inner_vertices_present(self):
         f = Family(unit_square(), [Member(Point(0, 0), 1), Member(Point(F(1, 4), F(1, 4)), F(1, 2))],
                    "homothets")
-        cands = _points(f, candidate_points(f)[0])
-        assert Point(F(1, 4), F(1, 4)) in cands
+        cands = candidate_points(f)[0]
+        assert rad_point(F(1, 4), F(1, 4)) in cands
 
     def test_too_large(self):
         f = random_family(unit_square(), 17, seed=0)
@@ -92,7 +91,7 @@ class TestCandidates:
 
         base = random_convex_polygon(rng, max_vertices=8, spread=2)
         f = random_family(base, 8, box_size=4, seed=20)
-        cands = _points(f, candidate_points(f)[0])
+        cands = candidate_points(f)[0]
         polys = [f.realize(i).polygon for i in range(len(f))]
         import itertools
 
@@ -341,7 +340,7 @@ def test_slab_masks_equal_the_realized_reference_below_the_origin(name, kind, n,
     assert (f.scaled_translations()[0] == 1) == shifted
     extra = _extra_points(f, random.Random(seed), 30)
     cands, _ = candidate_points(f)
-    assert coverage(f, [*cands, *map(int_point, extra)]) == realized_masks(f, cands + extra)
+    assert coverage(f, [*cands, *map(as_rad_point, extra)]) == realized_masks(f, cands + extra)
 
 
 def test_slab_masks_equal_the_realized_reference_on_touching_families():
@@ -355,7 +354,7 @@ def test_slab_masks_equal_the_realized_reference_on_touching_families():
         for g in (f, _moved(f, [F(-23 - k, 2 + k) for k in range(dim)])):
             cands, _ = candidate_points(g)
             extra = _extra_points(g, rng, 10)
-            masks = coverage(g, [*cands, *map(int_point, extra)])
+            masks = coverage(g, [*cands, *map(as_rad_point, extra)])
             assert masks == realized_masks(g, cands + extra)
 
 
@@ -385,7 +384,7 @@ def _assert_lowest_points(f):
     assert res.nu_members == reference.max_independent_set(intersection_graph_bruteforce(f))
     assert res.nu == len(res.nu_members)
     if f.base.kind != "box":
-        for p, m in zip(_points(f, cands), masks):
+        for p, m in zip(cands, masks):
             assert lowest_point(f, [i for i in range(len(f)) if m >> i & 1]) == p
 
 
@@ -458,7 +457,7 @@ def test_masks_of_radical_points_equal_realized_masks():
     extra = [rad_point(half_root2, F(1, 2)), rad_point(half_root2 + 3, half_root2 + 3),
              rad_point(half_root2 * 3, 0)]
     cands, _ = candidate_points(squares)
-    masks = coverage(squares, [*cands, *map(int_point, extra)])
+    masks = coverage(squares, [*cands, *map(as_rad_point, extra)])
     assert squares._realized == {}
     assert masks == realized_masks(squares, cands + extra) and masks[-3:] == [0b011, 0b100, 0]
     disks = Family(unit_disk(), [Member(Point(0, 0)), Member(Point(2, 0))])
@@ -466,7 +465,7 @@ def test_masks_of_radical_points_equal_realized_masks():
     extra = [rad_point(quarter_root3, quarter_root3), rad_point(quarter_root3 + 1, quarter_root3),
              rad_point(1, quarter_root3 * 4)]
     cands, _ = candidate_points(disks)
-    masks = coverage(disks, [*cands, *map(int_point, extra)])
+    masks = coverage(disks, [*cands, *map(as_rad_point, extra)])
     assert disks._realized == {}
     assert masks == realized_masks(disks, cands + extra) and masks[-3:] == [0b01, 0b10, 0]
 
@@ -519,7 +518,7 @@ def test_polygon_candidates_skipping_held_halfplanes_equal_clipping_every_plane(
                 for plane in planes[j]:
                     clipped = _clip(clipped, plane)
                 assert low(i, j) == _entry(*_lowest(clipped))
-                [p] = _points(f, [low(i, j)])
+                p = low(i, j)
                 assert lowest_point(f, [i, j]) == p
                 equal_offsets += i < j and sum(a[2] == b[2] for a, b in zip(planes[i], planes[j]))
     assert equal_offsets > 50

@@ -6,7 +6,7 @@ import pytest
 
 from piercing.generators import random_family, unit_disk
 from piercing.geom import Point
-from piercing.radicals import RadPoint, _reduce_radicand, point_key, sqrt_exact
+from piercing.radicals import RadPoint, _reduce_radicand, sqrt_exact
 from piercing.translates import greedy_pierce
 from reference import PrecisionExhausted, Radical, rad_point, refine_sign, value_key
 
@@ -64,12 +64,12 @@ def test_sqrt_exact():
 
 def test_radpoint_key_is_one_per_value():
     # sqrt(3) written over 3 and as sqrt(12) / 2; a rational RadPoint keys
-    # as the Point of its value
+    # one way whatever its denominator, and an all-zero B is no radicand
     p = RadPoint(1, 3, (0, 1), (1, 0))
     q = RadPoint(2, 12, (0, 2), (1, 0))
-    assert p == q and p.key() == q.key() == point_key(q) and hash(p) == hash(q)
+    assert p == q and p.key() == q.key() and hash(p) == hash(q)
     assert p.key() != RadPoint(1, 3, (0, 1), (-1, 0)).key()
-    assert point_key(RadPoint(2, 1, (1, 6))) == point_key(Point(F(1, 2), 3))
+    assert RadPoint(2, 1, (1, 6)).key() == RadPoint(4, 5, (2, 12), (0, 0)).key() == (2, 1, 6)
     assert rad_point(Radical.sqrt(12) * F(1, 2), 1) == p
 
 

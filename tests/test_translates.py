@@ -6,14 +6,13 @@ import tracemalloc
 
 import pytest
 
-from piercing import covers, oracle, sandwich, translates
+from piercing import covers, jsonio, oracle, sandwich, translates
 from piercing.bodies import (
     BoxBody,
     DiskBody,
     Family,
     Member,
     PolygonBody,
-    int_point,
     int_translations,
     intersection_graph,
     membership,
@@ -59,9 +58,9 @@ from piercing.translates import (
     union_area_exact,
 )
 import reference
-from reference import (AffineMap, Radical, body_contains, call_budget, family_of_columns,
-                       fraction_columns, intersects, lattice_offset_members, lattice_offset_points,
-                       normalize_affine, rad_point, top_key, union_area)
+from reference import (AffineMap, Radical, as_rad_point, body_contains, call_budget,
+                       family_of_columns, fraction_columns, intersects, lattice_offset_members,
+                       lattice_offset_points, normalize_affine, rad_point, top_key, union_area)
 
 PENTAGON = PolygonBody(
     ConvexPolygon([Point(0, 0), Point(4, 0), Point(5, 3), Point(2, 5), Point(-1, 2)])
@@ -225,7 +224,7 @@ def test_grid_lines_equal_the_fraction_reference(case):
     line, order, points = reference.grid_lines(f, pair)
     forms = translates._grid_frame(f.base, pair)[0]
     assert translates._grid_lines(f, forms)[3:] == (line, order)
-    assert grid_pierce(f, pair).points == points
+    assert grid_pierce(f, pair).points == list(map(as_rad_point, points))
 
 
 @pytest.mark.parametrize("case", list(_GRID_REFERENCE_CASES) + ["square, 40 seeds"])
@@ -325,9 +324,10 @@ class TestHexagon:
             assert len(cert.points) <= 3 * len(cert.witness)
 
     def test_two_points_are_pinned_and_decided_on_the_slabs(self, monkeypatch):
-        # sha256 of the points of 20 seeded pairwise-intersecting families,
-        # taken when the strips came from Fraction centres and the points
-        # were tested on realized polygon translates; the slabs decide now
+        # sha256 of the points, as jsonio writes them, of 20 seeded
+        # pairwise-intersecting families, equal to those of the Points made
+        # when the strips came from Fraction centres and the points were
+        # tested on realized polygon translates; the slabs decide now
         families = [pairwise_intersecting_family(random_cs_hexagon(seed), 6 + seed % 10,
                                                  seed=seed) for seed in range(100, 120)]
 
@@ -337,9 +337,10 @@ class TestHexagon:
         monkeypatch.setattr(ConvexPolygon, "contains", refuse)
         certs = [hexagon_pierce(f) for f in families]
         assert {cert.method for cert in certs} == {"hexagon"}
-        text = "\n".join(repr(cert.points) for cert in certs)
+        text = "\n".join(jsonio.dump([jsonio.point_to_json(p) for p in cert.points])
+                         for cert in certs)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "18f47c11ca8a1e70ea1950d3cc72c937b0522c2a2a12fbcab762f2774636c8c6")
+            "5bb2da82877df1fb8cc55a1a2b1be870da09ca66774c766f263f8eeadb1db9a3")
 
     def test_pairwise_intersecting_family_needs_no_pair_test(self):
         # the slab bounds tell that the family is pairwise intersecting; an
@@ -479,7 +480,8 @@ def test_lattice_search_matches_the_fraction_reference():
         pack = packing_lattice(f.base.polygon.translate(-c), sw.h_out.translate(-c))
         target = math.ceil(area / pack.cell_area)
         cert = lattice_pierce(f)
-        assert cert.points == lattice_offset_points(f, cover, c, area // cover.cell_area)
+        points = lattice_offset_points(f, cover, c, area // cover.cell_area)
+        assert cert.points == list(map(as_rad_point, points))
         members = lattice_offset_members(f, pack, c, target)
         assert cert.witness == members
         assert lattice_witness(f)[0] == members
@@ -832,7 +834,7 @@ def test_int_disk_test_agrees_with_exact_containment():
         point = rad_point(body.center.x + ux * r + Radical.sqrt(3) * wobble,
                           body.center.y + uy * r + wobble)
         f = Family(body, [Member(Point(0, 0))])
-        assert membership(f, [int_point(point)])(0)(0) == body_contains(body, point)
+        assert membership(f, [as_rad_point(point)])(0)(0) == body_contains(body, point)
 
 
 def _triangle_edges(t):
